@@ -7,12 +7,9 @@
 //! so regressions in the reproduction pipeline are caught and the cost
 //! claims of Corollary 1 are visible as wall-clock too.
 //!
-//! Run with `cargo bench --workspace`. Shared fixtures live here, plus
-//! the machine-readable result record the `bench_trajectory` binary
-//! writes (`BENCH_e11.json` / `BENCH_e12.json`): vendored criterion has
-//! no machine-readable output, so the perf-trajectory CI step times the
-//! same kernels the bench targets exercise and serializes a
-//! [`BenchRecord`] per experiment.
+//! Run with `cargo bench --workspace`; shared fixtures live here. The
+//! machine-readable, baselined numbers come from the repository
+//! benchmark (`benchmark/`, `BENCHMARK.json`), not from this crate.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,217 +36,4 @@ pub fn fixture_logn(n: usize, kind: GraphKind, seed: u64) -> (GroupGraph, Params
     let params = Params::paper_defaults().with_classic_groups(1.5);
     let gg = build_initial_graph(pop, kind, OracleFamily::new(seed).h1, &params);
     (gg, params)
-}
-
-/// One machine-readable benchmark measurement: what one quick-mode run
-/// of an experiment's sweep kernel cost, in the units the perf
-/// trajectory tracks (cells swept, seeded trials, epochs simulated,
-/// wall clock).
-#[derive(Clone, Copy, Debug)]
-pub struct BenchRecord {
-    /// Experiment the kernel belongs to (`"e11_frontier"`, …).
-    pub bench: &'static str,
-    /// Configuration tag (`"quick"` for the CI trajectory runs).
-    pub mode: &'static str,
-    /// Cells simulated across the sweep.
-    pub cells_swept: usize,
-    /// Seeded trials simulated (≥ `cells_swept`; multi-seed cells and
-    /// confidence extras land here).
-    pub trial_runs: usize,
-    /// Total epochs simulated across all trials.
-    pub epochs_total: usize,
-    /// Wall-clock of the whole run, milliseconds.
-    pub wall_ms: f64,
-    /// Seconds since the Unix epoch when the run finished.
-    pub unix_time: u64,
-}
-
-impl BenchRecord {
-    /// Mean wall-clock per cell-run, the trajectory's headline number.
-    pub fn wall_ms_per_cell_run(&self) -> f64 {
-        self.wall_ms / self.cells_swept.max(1) as f64
-    }
-
-    /// Serialize as a single JSON object (hand-rolled: every field is a
-    /// number or a bare ASCII tag, and the workspace vendors no JSON
-    /// dependency).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"{}\",\n",
-                "  \"mode\": \"{}\",\n",
-                "  \"cells_swept\": {},\n",
-                "  \"trial_runs\": {},\n",
-                "  \"epochs_total\": {},\n",
-                "  \"wall_ms\": {:.3},\n",
-                "  \"wall_ms_per_cell_run\": {:.3},\n",
-                "  \"unix_time\": {}\n",
-                "}}\n"
-            ),
-            self.bench,
-            self.mode,
-            self.cells_swept,
-            self.trial_runs,
-            self.epochs_total,
-            self.wall_ms,
-            self.wall_ms_per_cell_run(),
-            self.unix_time,
-        )
-    }
-}
-
-/// Extract a numeric field from a flat JSON object of the
-/// [`BenchRecord::to_json`] shape (no nesting, no escapes — the same
-/// hand-rolled subset the workspace serializes).
-pub fn json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = json[json.find(&needle)? + needle.len()..].trim_start();
-    let end =
-        rest.find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c))).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The fractional wall-ms-per-cell-run increase above which the CI
-/// trajectory step warns (the ROADMAP "alert instead of only archiving"
-/// threshold).
-pub const REGRESSION_THRESHOLD: f64 = 0.25;
-
-/// Compare a fresh trajectory record against the previous main
-/// artifact's JSON. `Some(message)` when per-cell-run wall time
-/// regressed by more than `threshold` (fractional); `None` when within
-/// budget or when either record is unusable: JSON that does not parse,
-/// a missing key, or a baseline/current value that is non-finite or
-/// non-positive (a zero, NaN, or infinite baseline would make the
-/// ratio meaningless, so it is skipped rather than divided by).
-pub fn regression_warning(
-    name: &str,
-    baseline_json: &str,
-    current_json: &str,
-    threshold: f64,
-) -> Option<String> {
-    let old = json_number(baseline_json, "wall_ms_per_cell_run")?;
-    let new = json_number(current_json, "wall_ms_per_cell_run")?;
-    if !old.is_finite() || !new.is_finite() || old <= 0.0 {
-        return None;
-    }
-    if new <= old * (1.0 + threshold) {
-        return None;
-    }
-    Some(format!(
-        "{name}: wall-ms per cell-run regressed {:.1}% ({old:.3} -> {new:.3} ms; threshold {}%)",
-        100.0 * (new / old - 1.0),
-        100.0 * threshold,
-    ))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_number_reads_the_serialized_fields() {
-        let r = BenchRecord {
-            bench: "e11_frontier",
-            mode: "quick",
-            cells_swept: 10,
-            trial_runs: 14,
-            epochs_total: 28,
-            wall_ms: 1234.5678,
-            unix_time: 1_700_000_000,
-        };
-        let json = r.to_json();
-        assert_eq!(json_number(&json, "cells_swept"), Some(10.0));
-        assert_eq!(json_number(&json, "wall_ms"), Some(1234.568));
-        assert_eq!(json_number(&json, "wall_ms_per_cell_run"), Some(123.457));
-        assert_eq!(json_number(&json, "nonexistent"), None);
-        assert_eq!(json_number(&json, "bench"), None, "strings are not numbers");
-    }
-
-    #[test]
-    fn regression_warning_fires_only_above_threshold() {
-        let record = |ms: f64| {
-            BenchRecord {
-                bench: "e11_frontier",
-                mode: "quick",
-                cells_swept: 1,
-                trial_runs: 1,
-                epochs_total: 1,
-                wall_ms: ms,
-                unix_time: 0,
-            }
-            .to_json()
-        };
-        let base = record(100.0);
-        assert!(regression_warning("e11", &base, &record(124.0), 0.25).is_none());
-        let msg = regression_warning("e11", &base, &record(130.0), 0.25);
-        assert!(msg.as_deref().is_some_and(|m| m.contains("30.0%")), "{msg:?}");
-        // Speedups and flat runs never warn; junk baselines are skipped.
-        assert!(regression_warning("e11", &base, &record(80.0), 0.25).is_none());
-        assert!(regression_warning("e11", "not json", &record(130.0), 0.25).is_none());
-    }
-
-    /// Degenerate records never produce a warning (and never divide by
-    /// zero): a zero, NaN, or infinite `wall_ms_per_cell_run` on either
-    /// side is warn-and-skip territory, not a "regressed NaN%" banner.
-    #[test]
-    fn regression_warning_skips_zero_and_non_finite_records() {
-        let raw = |v: &str| format!("{{\n  \"wall_ms_per_cell_run\": {v}\n}}\n");
-        let good = raw("100.0");
-        // Zero baseline: the ratio is undefined, never a warning.
-        assert!(regression_warning("k", &raw("0.0"), &good, 0.25).is_none());
-        assert!(regression_warning("k", &raw("0"), &raw("1e9"), 0.25).is_none());
-        // Negative baseline: corrupt, skipped.
-        assert!(regression_warning("k", &raw("-5.0"), &good, 0.25).is_none());
-        // NaN on either side: json_number already refuses the token,
-        // and an overflowed literal (`1e999` -> inf) is caught by the
-        // finiteness guard rather than compared.
-        assert!(regression_warning("k", &raw("NaN"), &good, 0.25).is_none());
-        assert!(regression_warning("k", &good, &raw("NaN"), 0.25).is_none());
-        assert!(regression_warning("k", &raw("1e999"), &good, 0.25).is_none());
-        assert!(regression_warning("k", &good, &raw("1e999"), 0.25).is_none());
-        // A sane pair still warns.
-        assert!(regression_warning("k", &good, &raw("200.0"), 0.25).is_some());
-    }
-
-    #[test]
-    fn bench_record_serializes_all_fields() {
-        let r = BenchRecord {
-            bench: "e11_frontier",
-            mode: "quick",
-            cells_swept: 10,
-            trial_runs: 14,
-            epochs_total: 28,
-            wall_ms: 1234.5678,
-            unix_time: 1_700_000_000,
-        };
-        let json = r.to_json();
-        for key in [
-            "\"bench\": \"e11_frontier\"",
-            "\"mode\": \"quick\"",
-            "\"cells_swept\": 10",
-            "\"trial_runs\": 14",
-            "\"epochs_total\": 28",
-            "\"wall_ms\": 1234.568",
-            "\"wall_ms_per_cell_run\": 123.457",
-            "\"unix_time\": 1700000000",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert!(json.starts_with('{') && json.ends_with("}\n"), "one JSON object");
-    }
-
-    #[test]
-    fn per_cell_run_handles_empty_sweeps() {
-        let r = BenchRecord {
-            bench: "x",
-            mode: "quick",
-            cells_swept: 0,
-            trial_runs: 0,
-            epochs_total: 0,
-            wall_ms: 5.0,
-            unix_time: 0,
-        };
-        assert_eq!(r.wall_ms_per_cell_run(), 5.0);
-    }
 }

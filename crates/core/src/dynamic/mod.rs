@@ -37,5 +37,5 @@ pub use adversary::{
 };
 pub use build::{BuildMode, BuildStats};
 pub use kernel::{EpochKernel, KernelChoice};
-pub use provider::{EpochIds, IdentityProvider, UniformProvider, WithEpochString};
+pub use provider::{Census, EpochIds, IdentityProvider, UniformProvider, WithEpochString};
 pub use system::{DynamicSystem, EpochReport};

@@ -68,6 +68,61 @@ impl<P: IdentityProvider + ?Sized> IdentityProvider for &mut P {
     }
 }
 
+/// A boxed provider forwards as itself (lets wrappers like [`Census`]
+/// own a type-erased provider).
+impl<P: IdentityProvider + ?Sized> IdentityProvider for Box<P> {
+    fn ids_for_epoch(
+        &mut self,
+        epoch: u64,
+        view: &AdversaryView<'_>,
+        rng: &mut StdRng,
+    ) -> EpochIds {
+        (**self).ids_for_epoch(epoch, view, rng)
+    }
+}
+
+/// Measures each epoch's IDs in transit: the dynamic layer consumes
+/// what a provider returns, so the census is taken on the way in. No
+/// RNG is drawn, so wrapping changes no byte of any run.
+///
+/// *Where* in a provider chain the census sits decides what it counts:
+/// outside a [`NetFilter`](crate::runtime::NetFilter) it sees what the
+/// network delivered, inside it what was minted.
+#[derive(Debug)]
+pub struct Census<P> {
+    /// The wrapped provider.
+    pub inner: P,
+    /// Good IDs the last epoch's population carried.
+    pub good: usize,
+    /// Adversarial IDs the last epoch's population carried.
+    pub bad: usize,
+    /// Key-space share those adversarial IDs own
+    /// ([`EpochIds::bad_ring_share`]).
+    pub bad_share: f64,
+}
+
+impl<P> Census<P> {
+    /// Wrap `inner`; the counts read zero until its first epoch.
+    pub fn new(inner: P) -> Self {
+        Census { inner, good: 0, bad: 0, bad_share: 0.0 }
+    }
+}
+
+impl<P: IdentityProvider> IdentityProvider for Census<P> {
+    fn ids_for_epoch(
+        &mut self,
+        epoch: u64,
+        view: &AdversaryView<'_>,
+        rng: &mut StdRng,
+    ) -> EpochIds {
+        let ids = self.inner.ids_for_epoch(epoch, view, rng);
+        self.good = ids.good.len();
+        self.bad = ids.bad.len();
+        self.bad_share = ids.bad_ring_share();
+        ids
+    }
+}
+
 /// Injects a PoW epoch string into the [`AdversaryView`] the inner
 /// provider observes.
 ///
@@ -75,7 +130,7 @@ impl<P: IdentityProvider + ?Sized> IdentityProvider for &mut P {
 /// its providers a view with `epoch_string: None` (strings belong to
 /// §IV's minting pipeline). A composed system that agrees on a string
 /// *before* minting — `tg-pow`'s `FullSystem`, whose per-epoch
-/// counting wrapper composes this type — sets
+/// [`Census`] composes this type — sets
 /// [`WithEpochString::epoch_string`] each epoch and the inner provider
 /// (and any strategy inside it) sees the string in force.
 #[derive(Debug)]

@@ -35,11 +35,12 @@
 //!   variants}, strategy, topology, churn, seed — round-tripping through
 //!   a stable label/JSON codec) built into a [`scenario::EpochDriver`],
 //!   the one trait every experiment, frontier cell, and bench drives,
-//! * [`runtime`] — the actor epoch runtime: per-node actors exchanging
-//!   typed protocol messages (membership announcements, routing probes,
-//!   string dissemination) over an injectable transport with seeded
-//!   fault injection; byte-identical to the synchronous drivers over a
-//!   perfect transport,
+//! * [`runtime`] — the actor epoch runtime: the optional network a
+//!   driver carries (`runtime=sync` means none) — per-node actors
+//!   exchanging typed protocol messages (membership announcements,
+//!   routing probes, string dissemination) over an injectable transport
+//!   with seeded fault injection; byte-identical to running without a
+//!   network over a perfect transport,
 //! * [`bootstrap`] — pooled bootstrap groups for joiners (Appendix IX),
 //! * [`dht`] — the replicated key→value store over groups (the §I-A
 //!   motivating application),
@@ -71,7 +72,7 @@ pub use params::{GroupSizeRule, Params};
 pub use population::Population;
 pub use robustness::{measure_robustness, RobustnessReport};
 pub use routing::{search_path, SearchOutcome};
-pub use runtime::{ActorDriver, EpochNet, NetFilter, ProtocolMsg, RuntimeChoice};
+pub use runtime::{EpochNet, NetFilter, ProtocolMsg, RuntimeChoice};
 pub use scenario::{
     Defense, EpochDriver, EpochObservation, MintScheme, ScenarioError, ScenarioSpec, StrategySpec,
     StringMode,

@@ -1,13 +1,17 @@
 //! The **actor epoch runtime**: per-node message passing over an
 //! injectable transport.
 //!
-//! The synchronous drivers advance an epoch as one in-process step — the
-//! right fast path for the paper's synchronous-rounds model, but silent
-//! about everything the model assumes away: delivery timing, loss, and
-//! partitions. This module splits the epoch into protocol *phases* whose
-//! participants are per-node actors exchanging typed [`ProtocolMsg`]s
-//! over a [`Transport`] (`tg_sim::net`), so a scenario can run against
-//! an imperfect network:
+//! There is one epoch driver per layer —
+//! [`DynamicDriver`](crate::scenario::DynamicDriver) for §III alone,
+//! `tg_pow`'s `FullDriver` with §IV on top — and each carries an
+//! optional [`EpochNet`]. `runtime=sync` means *no net*: the
+//! epoch advances as one in-process step, the right fast path for the
+//! paper's synchronous-rounds model, but silent about everything the
+//! model assumes away: delivery timing, loss, and partitions.
+//! `runtime=actor` attaches the net, which splits the epoch into
+//! protocol *phases* whose participants are per-node actors exchanging
+//! typed [`ProtocolMsg`]s over a [`Transport`] (`tg_sim::net`), so a
+//! scenario can run against an imperfect network:
 //!
 //! * **String dissemination** — the freshly agreed epoch string is
 //!   broadcast to every node; nodes the broadcast misses cannot verify
@@ -22,13 +26,18 @@
 //!   chain (source → relay → aggregator); the measured search success is
 //!   scaled by the fraction of probe chains the network completes.
 //!
-//! ## Equivalence with the synchronous drivers
+//! The genesis build is trusted bootstrap (never filtered) — the network
+//! exists from the first *advanced* epoch on, mirroring the paper's
+//! assumption of a correct initial configuration.
+//!
+//! ## Equivalence with no net
 //!
 //! Over a *perfect* transport (zero latency, lossless, never
 //! partitioned) every phase delivers all messages in send order, all
 //! delivered fractions are exactly `1.0`, and no observation field is
-//! rescaled — the actor runtime reproduces the synchronous drivers'
-//! [`EpochObservation`]s **byte-identically** (the conformance suite and
+//! rescaled — a driver with a net reproduces the
+//! [`EpochObservation`](crate::scenario::EpochObservation)s of the same
+//! driver without one **byte-identically** (the conformance suite and
 //! the golden replays pin this). The transport draws no RNG, so the
 //! kernels' seeded streams are untouched whatever the fault plan; see
 //! `tg_sim::net` for the determinism contract.
@@ -56,8 +65,8 @@
 
 use crate::dynamic::adversary::AdversaryView;
 use crate::dynamic::provider::{EpochIds, IdentityProvider};
-use crate::graph::GraphsView;
-use crate::scenario::{EpochDriver, EpochKernel, EpochObservation, ObservationBatch, ScenarioSpec};
+use crate::dynamic::system::EpochReport;
+use crate::scenario::ScenarioSpec;
 use rand::rngs::StdRng;
 use tg_sim::clock::PhaseWindow;
 use tg_sim::net::{
@@ -67,12 +76,13 @@ use tg_sim::net::{
 /// Which execution model advances a scenario's epochs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RuntimeChoice {
-    /// One synchronous in-process step per epoch — the deterministic
-    /// fast path and conformance oracle.
+    /// No network: one synchronous in-process step per epoch — the
+    /// deterministic fast path and conformance oracle.
     #[default]
     Sync,
-    /// Per-node actors exchanging [`ProtocolMsg`]s over an injectable
-    /// [`Transport`] with seeded fault injection.
+    /// The driver carries an [`EpochNet`]: per-node actors exchanging
+    /// [`ProtocolMsg`]s over an injectable [`Transport`] with seeded
+    /// fault injection.
     Actor,
 }
 
@@ -192,6 +202,8 @@ fn spread_tick(i: u64, m: u64, window: u64) -> u64 {
 pub struct EpochNet {
     transport: Box<dyn Transport<ProtocolMsg>>,
     window: PhaseWindow,
+    /// `NetStats.late` as of the last [`EpochNet::take_late`].
+    late_taken: u64,
 }
 
 impl EpochNet {
@@ -206,7 +218,7 @@ impl EpochNet {
         transport: Box<dyn Transport<ProtocolMsg>>,
         window: PhaseWindow,
     ) -> EpochNet {
-        EpochNet { transport, window }
+        EpochNet { transport, window, late_taken: 0 }
     }
 
     /// The network a spec asks for: the spec's transport choice and
@@ -233,9 +245,30 @@ impl EpochNet {
         EpochNet::with_window(transport, window)
     }
 
+    /// The network `spec`'s runtime asks for: none under
+    /// [`RuntimeChoice::Sync`], [`EpochNet::for_spec`] under
+    /// [`RuntimeChoice::Actor`].
+    pub fn for_runtime(spec: &ScenarioSpec) -> Option<EpochNet> {
+        match spec.runtime {
+            RuntimeChoice::Sync => None,
+            RuntimeChoice::Actor => Some(EpochNet::for_spec(spec)),
+        }
+    }
+
     /// Lifetime delivery counters of the underlying transport.
     pub fn stats(&self) -> NetStats {
         self.transport.stats()
+    }
+
+    /// Messages whose delivery tick fell past a phase-window deadline
+    /// since the previous call (`NetStats.late` is cumulative over the
+    /// transport's lifetime; drivers call this once per epoch). Zero
+    /// over a perfect transport.
+    pub fn take_late(&mut self) -> u64 {
+        let late = self.transport.stats().late;
+        let since = late - self.late_taken;
+        self.late_taken = late;
+        since
     }
 
     /// The phase window currently in force.
@@ -324,6 +357,18 @@ impl EpochNet {
         completed as f64 / searches as f64
     }
 
+    /// Run the [probe phase](EpochNet::probe_phase) for a freshly
+    /// advanced epoch and scale its measured search success by the
+    /// fraction of probe chains the network completed. The `< 1.0`
+    /// guard keeps the perfect-transport path bit-exact.
+    pub fn scale_search_success(&mut self, r: &mut EpochReport, searches: usize) {
+        let f = self.probe_phase(r.epoch, searches);
+        if f < 1.0 {
+            r.search_success_single *= f;
+            r.search_success_dual *= f;
+        }
+    }
+
     /// **String dissemination phase.** The aggregator broadcasts the
     /// agreed epoch string to every other node; returns the fraction of
     /// nodes reached. Exactly `1.0` under a perfect transport.
@@ -352,14 +397,16 @@ impl EpochNet {
 }
 
 /// An [`IdentityProvider`] that runs the inner provider's good IDs
-/// through the network's announcement phase. Composable anywhere in a
-/// provider chain (`tg-pow` inserts it inside its counting wrapper so
-/// minted counts reflect what the network delivered).
+/// through the network's announcement phase, and passes them through
+/// untouched when there is no network (`runtime=sync`). Composable
+/// anywhere in a provider chain: a [`Census`](crate::dynamic::Census)
+/// outside it counts what the network delivered, one inside it what
+/// was minted.
 pub struct NetFilter<'a> {
     /// The provider whose announcements go over the network.
     pub inner: &'a mut dyn IdentityProvider,
-    /// The scenario's network.
-    pub net: &'a mut EpochNet,
+    /// The scenario's network, if it has one.
+    pub net: Option<&'a mut EpochNet>,
 }
 
 impl IdentityProvider for NetFilter<'_> {
@@ -370,98 +417,10 @@ impl IdentityProvider for NetFilter<'_> {
         rng: &mut StdRng,
     ) -> EpochIds {
         let mut ids = self.inner.ids_for_epoch(epoch, view, rng);
-        self.net.announce_phase(epoch, &mut ids);
+        if let Some(net) = self.net.as_deref_mut() {
+            net.announce_phase(epoch, &mut ids);
+        }
         ids
-    }
-}
-
-/// The [`EpochDriver`] running [`crate::scenario::Defense::NoPow`]
-/// scenarios through the actor runtime: the same [`EpochKernel`] as
-/// [`crate::scenario::DynamicDriver`], with the membership and probe
-/// phases routed over the scenario's network.
-///
-/// The genesis build is trusted bootstrap (not filtered) — the network
-/// exists from the first *advanced* epoch on, mirroring the paper's
-/// assumption of a correct initial configuration.
-pub struct ActorDriver {
-    sys: EpochKernel,
-    provider: crate::scenario::RecordingProvider,
-    net: EpochNet,
-    searches: usize,
-    obs: EpochObservation,
-    batch: ObservationBatch,
-}
-
-impl ActorDriver {
-    /// Build the driver for `spec` around an explicit identity provider
-    /// (the actor-runtime counterpart of `DynamicDriver::with_provider`).
-    pub fn with_provider(spec: &ScenarioSpec, inner: Box<dyn IdentityProvider>) -> ActorDriver {
-        let mut provider =
-            crate::scenario::RecordingProvider { inner, last_bad: 0, last_share: 0.0 };
-        let mut sys = EpochKernel::new(
-            spec.kernel,
-            spec.params,
-            spec.kind,
-            spec.mode,
-            &mut provider,
-            spec.seed,
-            spec.capacity,
-        );
-        sys.set_searches_per_epoch(spec.searches);
-        ActorDriver {
-            sys,
-            provider,
-            net: EpochNet::for_spec(spec),
-            searches: spec.searches,
-            obs: EpochObservation::default(),
-            batch: ObservationBatch::new(),
-        }
-    }
-}
-
-impl EpochDriver for ActorDriver {
-    fn step(&mut self) -> &EpochObservation {
-        let late_before = self.net.stats().late;
-        let mut r = {
-            let mut filtered = NetFilter { inner: &mut self.provider, net: &mut self.net };
-            self.sys.advance_epoch(&mut filtered)
-        };
-        // Probe phase: scale measured search success by the fraction of
-        // probe chains the network completed. The `< 1.0` guard keeps
-        // the perfect-transport path bit-exact.
-        let f = self.net.probe_phase(r.epoch, self.searches);
-        if f < 1.0 {
-            r.search_success_single *= f;
-            r.search_success_dual *= f;
-        }
-        self.obs.fill_dynamic(&r, self.sys.graphs());
-        self.obs.bad_ids = self.provider.last_bad;
-        self.obs.bad_share = self.provider.last_share;
-        // The epoch's late-window message count (`NetStats.late` is
-        // cumulative over the transport's lifetime). Zero over a
-        // perfect transport, so the sync-equivalence contract holds.
-        self.obs.late = self.net.stats().late - late_before;
-        &self.obs
-    }
-
-    fn observation(&self) -> &EpochObservation {
-        &self.obs
-    }
-
-    fn graphs(&self) -> GraphsView<'_> {
-        self.sys.graphs()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.sys.epoch()
-    }
-
-    fn batch(&self) -> &ObservationBatch {
-        &self.batch
-    }
-
-    fn batch_mut(&mut self) -> &mut ObservationBatch {
-        &mut self.batch
     }
 }
 

@@ -61,11 +61,11 @@ use crate::dynamic::adversary::{
     StrategicProvider, Uniform,
 };
 use crate::dynamic::build::{BuildMode, BuildStats};
-use crate::dynamic::provider::{IdentityProvider, UniformProvider};
+use crate::dynamic::provider::{Census, IdentityProvider, UniformProvider};
 use crate::dynamic::system::EpochReport;
 use crate::graph::{GraphsView, GroupGraphView};
 use crate::params::{GroupSizeRule, Params};
-use rand::rngs::StdRng;
+use crate::runtime::{EpochNet, NetFilter};
 use tg_idspace::Id;
 use tg_overlay::GraphKind;
 use tg_sim::Metrics;
@@ -417,11 +417,12 @@ pub struct ScenarioSpec {
     /// Arena member-column capacity hint (pre-sizes the hot allocation;
     /// ignored by the legacy kernel). Codec-optional like `kernel`.
     pub capacity: Option<usize>,
-    /// Which execution model advances the epochs: one synchronous
-    /// in-process step ([`RuntimeChoice::Sync`], the conformance
-    /// oracle) or per-node actors over an injectable transport
-    /// ([`RuntimeChoice::Actor`]). Codec-optional like `kernel`: over a
-    /// perfect transport both runtimes produce identical observations.
+    /// Whether the driver carries a network: none — one synchronous
+    /// in-process step per epoch ([`RuntimeChoice::Sync`], the
+    /// conformance oracle) — or per-node actors over an injectable
+    /// transport ([`RuntimeChoice::Actor`]). Codec-optional like
+    /// `kernel`: over a perfect transport both produce identical
+    /// observations.
     pub runtime: RuntimeChoice,
     /// Fault plan for the actor runtime's transport (drops, latency,
     /// partitions — all seeded, see `tg_sim::net`). Ignored under
@@ -654,7 +655,7 @@ impl ScenarioSpec {
                 Box::new(StrategicProvider::boxed(self.n_good, self.n_bad, strategy))
             }
         };
-        Ok(driver_with_provider(self, inner))
+        Ok(Box::new(DynamicDriver::with_provider(self, inner)))
     }
 
     /// Reject axis combinations no transport can serve: a socket
@@ -669,21 +670,6 @@ impl ScenarioSpec {
             ));
         }
         Ok(())
-    }
-}
-
-/// The kernel-over-provider driver for `spec`'s runtime choice: the
-/// synchronous [`DynamicDriver`] or the actor-runtime
-/// [`ActorDriver`](crate::runtime::ActorDriver). Used by both
-/// [`ScenarioSpec::build`] and the `tg_pow` total builder's
-/// provider-composed arms.
-pub fn driver_with_provider(
-    spec: &ScenarioSpec,
-    inner: Box<dyn IdentityProvider>,
-) -> Box<dyn EpochDriver> {
-    match spec.runtime {
-        RuntimeChoice::Sync => Box::new(DynamicDriver::with_provider(spec, inner)),
-        RuntimeChoice::Actor => Box::new(crate::runtime::ActorDriver::with_provider(spec, inner)),
     }
 }
 
@@ -1096,9 +1082,14 @@ pub struct EpochObservation {
     /// Messages spent on construction searches this epoch.
     pub metrics: Metrics,
     /// Adversarial IDs that entered the dynamic layer this epoch (under
-    /// PoW: the minted bad count).
+    /// PoW: the minted bad count). The adversary bypasses the network,
+    /// so faults never change this.
     pub bad_ids: usize,
-    /// Key-space fraction those IDs own under the successor rule.
+    /// Key-space fraction those IDs own under the successor rule. Under
+    /// a faulty network the two drivers disagree on the denominator:
+    /// `FullDriver` measures the ring the network *delivered*,
+    /// [`DynamicDriver`] the ring as *announced* (before good
+    /// announcements are dropped) — see the ROADMAP open item.
     pub bad_share: f64,
     /// Groups without a good majority, summed over all sides, measured
     /// on the freshly built graphs.
@@ -1120,10 +1111,10 @@ pub struct EpochObservation {
     pub good_misses: Option<usize>,
     /// Protocol messages whose delivery tick fell past the phase-window
     /// deadline this epoch (`tg_sim::net::NetStats::late`, as a
-    /// per-epoch delta). Always `0` under [`RuntimeChoice::Sync`] — the
-    /// synchronous drivers have no network — and under the actor
-    /// runtime's perfect transport, which keeps the sync/actor
-    /// observation equivalence exact.
+    /// per-epoch delta). Always `0` under [`RuntimeChoice::Sync`] —
+    /// there is no network — and under the actor runtime's perfect
+    /// transport, which keeps the sync/actor observation equivalence
+    /// exact.
     pub late: u64,
 }
 
@@ -1523,34 +1514,15 @@ pub trait EpochDriver {
     }
 }
 
-/// Records each epoch's adversary census on the way into the dynamic
-/// layer (the system consumes the IDs, so they are measured in
-/// transit). No RNG is drawn, so wrapping changes no byte of any run.
-pub(crate) struct RecordingProvider {
-    pub(crate) inner: Box<dyn IdentityProvider>,
-    pub(crate) last_bad: usize,
-    pub(crate) last_share: f64,
-}
-
-impl IdentityProvider for RecordingProvider {
-    fn ids_for_epoch(
-        &mut self,
-        epoch: u64,
-        view: &crate::dynamic::adversary::AdversaryView<'_>,
-        rng: &mut StdRng,
-    ) -> crate::dynamic::provider::EpochIds {
-        let ids = self.inner.ids_for_epoch(epoch, view, rng);
-        self.last_bad = ids.bad.len();
-        self.last_share = ids.bad_ring_share();
-        ids
-    }
-}
-
 /// The [`EpochDriver`] over the §III dynamic layer alone
-/// ([`Defense::NoPow`]).
+/// ([`Defense::NoPow`], or any minting pipeline composed as a provider),
+/// with the membership and probe phases optionally routed over a
+/// network.
 pub struct DynamicDriver {
     sys: EpochKernel,
-    provider: RecordingProvider,
+    provider: Census<Box<dyn IdentityProvider>>,
+    /// The actor-runtime network; `None` under [`RuntimeChoice::Sync`].
+    net: Option<EpochNet>,
     obs: EpochObservation,
     batch: ObservationBatch,
 }
@@ -1560,9 +1532,11 @@ impl DynamicDriver {
     /// (how `tg_pow::scenario` composes minting providers with this
     /// driver; core-only callers should use [`ScenarioSpec::build`]).
     /// The spec's `kernel` knob picks the legacy per-group or the
-    /// arena/SoA epoch kernel; both produce identical observations.
+    /// arena/SoA epoch kernel; both produce identical observations. Its
+    /// `runtime` knob decides whether the driver carries a network; the
+    /// genesis build is trusted bootstrap either way.
     pub fn with_provider(spec: &ScenarioSpec, inner: Box<dyn IdentityProvider>) -> DynamicDriver {
-        let mut provider = RecordingProvider { inner, last_bad: 0, last_share: 0.0 };
+        let mut provider = Census::new(inner);
         let mut sys = EpochKernel::new(
             spec.kernel,
             spec.params,
@@ -1576,6 +1550,7 @@ impl DynamicDriver {
         DynamicDriver {
             sys,
             provider,
+            net: EpochNet::for_runtime(spec),
             obs: EpochObservation::default(),
             batch: ObservationBatch::new(),
         }
@@ -1584,10 +1559,18 @@ impl DynamicDriver {
 
 impl EpochDriver for DynamicDriver {
     fn step(&mut self) -> &EpochObservation {
-        let r = self.sys.advance_epoch(&mut self.provider);
+        // Census inside the net filter: `bad_ids`/`bad_share` are taken
+        // before the network drops good announcements. That order is
+        // pinned by the goldens and `benchmark/expected/net_faulty.sha256`.
+        let mut filtered = NetFilter { inner: &mut self.provider, net: self.net.as_mut() };
+        let mut r = self.sys.advance_epoch(&mut filtered);
+        if let Some(net) = self.net.as_mut() {
+            net.scale_search_success(&mut r, self.sys.searches_per_epoch());
+        }
         self.obs.fill_dynamic(&r, self.sys.graphs());
-        self.obs.bad_ids = self.provider.last_bad;
-        self.obs.bad_share = self.provider.last_share;
+        self.obs.bad_ids = self.provider.bad;
+        self.obs.bad_share = self.provider.bad_share;
+        self.obs.late = self.net.as_mut().map_or(0, EpochNet::take_late);
         &self.obs
     }
 

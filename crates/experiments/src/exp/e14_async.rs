@@ -100,6 +100,7 @@ pub fn cell_spec(cell: FaultCell, opts: &Options, seed: u64) -> ScenarioSpec {
         .churn(0.15)
         .strategy(StrategySpec::Uniform)
         .searches(if opts.full { 300 } else { 120 })
+        .kernel(opts.kernel)
         .runtime(RuntimeChoice::Actor)
         .transport(cell.transport)
         .drop_rate(cell.drop)
@@ -117,7 +118,12 @@ pub struct CellResult {
     pub frac_red: f64,
     /// Mean dual-search success.
     pub success_dual: f64,
-    /// Final-epoch key-space share of delivered adversarial IDs.
+    /// Mean key-space share of the adversarial IDs on the ring as
+    /// *announced* — before the network drops good announcements. The
+    /// no-PoW driver takes its census pre-network (see
+    /// `DynamicDriver::step`), so this column does not move with the
+    /// drop rate; the effective, post-network share is what drives
+    /// `capture`.
     pub bad_share: f64,
     /// Mean late deliveries per epoch (messages that arrived after
     /// their phase-window deadline — `NetStats.late`, per-epoch delta).

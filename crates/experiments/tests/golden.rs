@@ -1,119 +1,42 @@
-//! Golden-report regression suite: pinned-seed runs of the simulation
-//! kernels compared byte-for-byte against committed snapshots.
+//! Golden-report regression suite, baseline row: the configuration that
+//! wrote the snapshots (legacy kernel, no network, unchecked) — and the
+//! only one `GOLDEN_REGEN=1` rewrites them from. The harness, the row
+//! table and the regeneration recipe are in `golden/harness.rs`.
 //!
-//! Every experiment is a pure function of its seed (labelled RNG
-//! streams, order-preserving parallel sweeps, no iteration-order
-//! dependence), so refactors to the sim kernels must reproduce these
-//! files *exactly* — a silent numerical drift in construction, routing,
-//! or measurement fails here even when every statistical bound still
-//! holds.
-//!
-//! To regenerate after an *intentional* behavior change:
-//!
-//! ```sh
-//! GOLDEN_REGEN=1 cargo test -p tg-experiments --test golden
-//! ```
-//!
-//! and commit the diff under `tests/golden/` alongside the change that
-//! explains it.
+//! The raw `EpochReport` golden (`epoch_report_seed42.txt`) lives with
+//! the dynamic-layer implementation it pins, in
+//! `crates/core/tests/golden_epoch_report.rs`.
 
-use tg_experiments::exp::{e11_frontier, e12_refine, e1_robustness, e4_epochs};
-use tg_experiments::Options;
+#[path = "golden/harness.rs"]
+mod harness;
+use harness::{replay, BASELINE};
 
-fn golden_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Compare `actual` against the committed snapshot `name`, or rewrite
-/// the snapshot when `GOLDEN_REGEN` is set.
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(golden_dir()).expect("create golden dir");
-        std::fs::write(&path, actual).expect("write golden file");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e}); run with GOLDEN_REGEN=1", name));
-    assert_eq!(
-        actual, expected,
-        "{name} drifted from its golden snapshot; if the change is intentional, regenerate with \
-         GOLDEN_REGEN=1 and commit the diff"
-    );
-}
-
-fn opts() -> Options {
-    Options {
-        seed: 42,
-        full: false,
-        out_dir: "/tmp".into(),
-        quiet: true,
-        only: None,
-        list: false,
-        kernel: Default::default(),
-        runtime: Default::default(),
-        transport: Default::default(),
-        store: None,
-        check_invariants: false,
-    }
-}
-
-/// E1 (static robustness sweep): every `RobustnessReport`-derived cell,
-/// pinned.
 #[test]
 fn e1_robustness_matches_golden() {
-    check_golden("e1_robustness.csv", &e1_robustness::run(&opts()).to_csv());
+    replay(harness::e1, &BASELINE);
 }
 
-/// E4 (dynamic epochs + ablations): every `EpochReport`-derived cell,
-/// pinned.
 #[test]
 fn e4_epochs_matches_golden() {
-    check_golden("e4_epochs.csv", &e4_epochs::run(&opts()).to_csv());
+    replay(harness::e4, &BASELINE);
 }
 
-/// E10 (adversary-strategy sweep): every (strategy × pipeline) cell of
-/// the seed-42 sweep plus the §IV-B hoard table, pinned. Together with
-/// the E11/E12 snapshots this is the conformance corpus for the
-/// `ScenarioSpec`/`EpochDriver` construction path: the bytes were
-/// produced by the pre-redesign direct constructors and must keep
-/// reproducing through the spec-built drivers.
 #[test]
 fn e10_adversaries_matches_golden() {
-    let tables = tg_experiments::exp::e10_adversaries::run(&opts());
-    check_golden("e10_adversaries.csv", &tables[0].to_csv());
-    check_golden("e10_hoard.csv", &tables[1].to_csv());
+    replay(harness::e10, &BASELINE);
 }
 
-/// E11 (adversary-vs-defense frontier): the full seed-42 3×3 (β × d₂)
-/// grid — every cell, the frontier map, and the text heatmaps, pinned.
-/// This is the strongest regression net over the strategic `FullSystem`
-/// pipeline: any drift in string agreement, strategic minting, or the
-/// sweep's seed discipline shows up as a byte diff here.
 #[test]
 fn e11_frontier_matches_golden() {
-    let out = e11_frontier::run(&opts());
-    check_golden("e11_frontier.csv", &out.cells.to_csv());
-    check_golden("e11_frontier_map.csv", &out.frontier.to_csv());
-    check_golden("e11_frontier_heatmap.txt", &out.heatmaps);
+    replay(harness::e11, &BASELINE);
 }
 
-/// E12 (adaptive frontier refinement): the seed-42 refinement over the
-/// churn × topology axes — every evaluated cell with its phase and
-/// confidence band, the refined frontier map, and the cost ledger,
-/// pinned. Beyond the numerical-drift net this also freezes the
-/// refinement *trajectory*: a change to the bisection order, the
-/// bracket bookkeeping, or the extra-seed policy shows up as a byte
-/// diff even when the located frontier is unchanged.
 #[test]
 fn e12_refine_matches_golden() {
-    let out = e12_refine::run(&opts());
-    check_golden("e12_refine_cells.csv", &out.cells.to_csv());
-    check_golden("e12_refine_map.csv", &out.frontier.to_csv());
-    check_golden("e12_refine_cost.csv", &out.cost.to_csv());
+    replay(harness::e12, &BASELINE);
 }
 
-// The raw `EpochReport` golden (`epoch_report_seed42.txt`) moved to
-// `crates/core/tests/golden_epoch_report.rs`: it pins the dynamic-layer
-// implementation itself, so it lives with the impl — the experiments
-// layer constructs systems only through `ScenarioSpec`/`EpochDriver`.
+#[test]
+fn e14_async_matches_golden() {
+    replay(harness::e14, &BASELINE);
+}

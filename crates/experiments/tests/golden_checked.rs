@@ -1,99 +1,35 @@
-//! Invariant-checked conformance against the committed golden corpus:
-//! replay the seed-42 snapshots with `--check-invariants` across the
-//! kernel × runtime matrix and require **two** things at once:
-//!
-//! 1. **zero violations** — every epoch of every committed scenario
-//!    satisfies the `tg_verify` registry (the checked builds run
-//!    strict, so a violation panics with its reproduction line), and
-//! 2. **byte identity** — the checker is observation-transparent: its
-//!    sampled probes draw from their own labelled RNG streams, so a
-//!    checked run's CSV equals the committed snapshot exactly. If a
-//!    byte moves here but not in the unchecked suites, the *checker*
-//!    consumed kernel randomness — fix `tg_verify`, never regenerate.
-//!
-//! Coverage: the honest dynamic layer (E4) and the strategic
-//! no-PoW + minting pipelines (E10) on all four kernel × runtime
-//! combinations plus a loopback-TCP socket row — the two experiments
-//! whose goldens exercise every per-step invariant (budget,
-//! observation consistency, route probes) across both identity
-//! pipelines and the transport axis.
+//! Golden replay, checked rows: the committed seed-42 snapshots with
+//! `--check-invariants` on every kernel × runtime pair plus a
+//! loopback-TCP row. Two things at once: **zero violations** (checked
+//! builds run strict, so a violation panics with its reproduction
+//! line) and **byte identity** (the checker is observation-transparent;
+//! if a byte moves here but not on the unchecked rows, the *checker*
+//! consumed kernel randomness — fix `tg_verify`). E4 and E10 are the
+//! experiments whose goldens exercise every per-step invariant across
+//! both identity pipelines. The harness and the row table are in
+//! `golden/harness.rs`.
 
-use tg_core::runtime::RuntimeChoice;
-use tg_core::scenario::{KernelChoice, TransportChoice};
-use tg_experiments::exp::{e10_adversaries, e4_epochs};
-use tg_experiments::Options;
+#[path = "golden/harness.rs"]
+mod harness;
+use harness::{replay, CHECKED};
+use tg_core::scenario::TransportChoice;
 
-fn golden_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Compare `actual` against the committed snapshot (regenerated only by
-/// the sync suite — this suite never writes).
-fn check_replay(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {name} ({e}); regenerate via the sync suite first")
-    });
-    assert_eq!(
-        actual, expected,
-        "{name}: the invariant-checked replay drifted from the committed snapshot — the \
-         checker must be observation-transparent, fix tg_verify (do not regenerate)"
-    );
-}
-
-fn checked_opts(
-    kernel: KernelChoice,
-    runtime: RuntimeChoice,
-    transport: TransportChoice,
-) -> Options {
-    Options {
-        seed: 42,
-        full: false,
-        out_dir: "/tmp".into(),
-        quiet: true,
-        only: None,
-        list: false,
-        kernel,
-        runtime,
-        transport,
-        store: None,
-        check_invariants: true,
-    }
-}
-
-/// Every kernel × runtime pair over the in-memory transport, plus one
-/// real-socket row (sockets require the actor runtime; the in-memory
-/// actor rows already pin both kernels, so one loopback-TCP replay
-/// covers the transport axis without doubling the suite).
-fn matrix() -> [(KernelChoice, RuntimeChoice, TransportChoice); 5] {
-    [
-        (KernelChoice::Legacy, RuntimeChoice::Sync, TransportChoice::Mem),
-        (KernelChoice::Arena, RuntimeChoice::Sync, TransportChoice::Mem),
-        (KernelChoice::Legacy, RuntimeChoice::Actor, TransportChoice::Mem),
-        (KernelChoice::Arena, RuntimeChoice::Actor, TransportChoice::Mem),
-        (KernelChoice::Arena, RuntimeChoice::Actor, TransportChoice::Socket),
-    ]
-}
-
-/// E4 (honest dynamic epochs + ablations), checked, on every kernel ×
-/// runtime combination.
 #[test]
 fn e4_replays_byte_identically_under_invariant_checks() {
-    for (kernel, runtime, transport) in matrix() {
-        let opts = checked_opts(kernel, runtime, transport);
-        check_replay("e4_epochs.csv", &e4_epochs::run(&opts).to_csv());
-    }
+    CHECKED.iter().for_each(|row| replay(harness::e4, row));
 }
 
-/// E10 (strategy × pipeline sweep + §IV-B hoard), checked, on every
-/// kernel × runtime combination — the minting pipelines and the
-/// budget-exempt hoarder included.
 #[test]
 fn e10_replays_byte_identically_under_invariant_checks() {
-    for (kernel, runtime, transport) in matrix() {
-        let opts = checked_opts(kernel, runtime, transport);
-        let tables = e10_adversaries::run(&opts);
-        check_replay("e10_adversaries.csv", &tables[0].to_csv());
-        check_replay("e10_hoard.csv", &tables[1].to_csv());
-    }
+    CHECKED.iter().for_each(|row| replay(harness::e10, row));
+}
+
+/// The invariants also hold, and the checker stays transparent, with
+/// drops and a partition on.
+#[test]
+fn e14_replays_byte_identically_under_invariant_checks() {
+    CHECKED
+        .iter()
+        .filter(|r| r.transport == TransportChoice::Mem)
+        .for_each(|row| replay(harness::e14, row));
 }

@@ -1,98 +1,33 @@
-//! Socket-transport conformance against the committed golden corpus:
-//! the seed-42 snapshots under `tests/golden/` were produced by the
-//! synchronous epoch drivers over no network at all, and this suite
-//! replays the same experiments with `--runtime actor --transport
-//! socket` — real length-prefixed frames over loopback TCP — and every
-//! byte must still reproduce.
-//!
-//! This is the issue's acceptance criterion made executable. Two
-//! properties carry it: the socket transport applies the same pure
-//! fault fate as the in-memory transport (here: the perfect default,
-//! so nothing is lost), and the latency-adaptive phase window sits at
-//! its zero-latency fixpoint on a perfect network, so the spread ticks
-//! and phase deadlines are identical to the in-memory run. A drift is
-//! always a transport bug (a reordered frame, a lost lane, a stats
-//! leak into the kernel streams), never a stale file — do not
-//! regenerate the goldens from this suite.
+//! Golden replay, `socket` row: the committed seed-42 snapshots through
+//! the actor runtime over loopback TCP (`--runtime actor --transport socket`).
+//! A drift here is a bug on that axis, never a stale file. The harness
+//! and the row table are in `golden/harness.rs`.
 
-use tg_core::runtime::RuntimeChoice;
-use tg_core::scenario::TransportChoice;
-use tg_experiments::exp::{e10_adversaries, e11_frontier, e12_refine, e1_robustness, e4_epochs};
-use tg_experiments::Options;
+#[path = "golden/harness.rs"]
+mod harness;
+use harness::{replay, SOCKET};
 
-fn golden_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-/// Compare `actual` against the committed sync-runtime snapshot.
-fn check_replay(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {name} ({e}); regenerate via the sync suite first")
-    });
-    assert_eq!(
-        actual, expected,
-        "{name}: the actor runtime over loopback TCP drifted from the synchronous snapshot — \
-         the transports are required to be observation-identical on a perfect network, fix \
-         the socket path (do not regenerate)"
-    );
-}
-
-fn socket_opts() -> Options {
-    Options {
-        seed: 42,
-        full: false,
-        out_dir: "/tmp".into(),
-        quiet: true,
-        only: None,
-        list: false,
-        kernel: Default::default(),
-        runtime: RuntimeChoice::Actor,
-        transport: TransportChoice::Socket,
-        store: None,
-        check_invariants: false,
-    }
-}
-
-/// E1 (static robustness): the transport knob must be inert off the
-/// epoch path.
 #[test]
 fn e1_replays_byte_identically_on_socket() {
-    check_replay("e1_robustness.csv", &e1_robustness::run(&socket_opts()).to_csv());
+    replay(harness::e1, &SOCKET);
 }
 
-/// E4 (honest dynamic epochs + ablations) over loopback sockets.
 #[test]
 fn e4_replays_byte_identically_on_socket() {
-    check_replay("e4_epochs.csv", &e4_epochs::run(&socket_opts()).to_csv());
+    replay(harness::e4, &SOCKET);
 }
 
-/// E10 (strategy × pipeline sweep + §IV-B hoard) over loopback
-/// sockets — cells run inside `parallel_map`, so this also pins that
-/// concurrent socket scenarios cannot corrupt each other's frames.
 #[test]
 fn e10_replays_byte_identically_on_socket() {
-    let tables = e10_adversaries::run(&socket_opts());
-    check_replay("e10_adversaries.csv", &tables[0].to_csv());
-    check_replay("e10_hoard.csv", &tables[1].to_csv());
+    replay(harness::e10, &SOCKET);
 }
 
-/// E11 (frontier sweep over the full epoch-string protocol) over
-/// loopback sockets: cells, frontier map, and heatmaps.
 #[test]
 fn e11_replays_byte_identically_on_socket() {
-    let out = e11_frontier::run(&socket_opts());
-    check_replay("e11_frontier.csv", &out.cells.to_csv());
-    check_replay("e11_frontier_map.csv", &out.frontier.to_csv());
-    check_replay("e11_frontier_heatmap.txt", &out.heatmaps);
+    replay(harness::e11, &SOCKET);
 }
 
-/// E12 (adaptive refinement) over loopback sockets: the bisection
-/// trajectory itself must not move.
 #[test]
 fn e12_replays_byte_identically_on_socket() {
-    let out = e12_refine::run(&socket_opts());
-    check_replay("e12_refine_cells.csv", &out.cells.to_csv());
-    check_replay("e12_refine_map.csv", &out.frontier.to_csv());
-    check_replay("e12_refine_cost.csv", &out.cost.to_csv());
+    replay(harness::e12, &SOCKET);
 }

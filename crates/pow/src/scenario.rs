@@ -35,9 +35,9 @@ use crate::strings::{StringAdversary, StringParams};
 use crate::system::FullSystem;
 use tg_core::dynamic::adversary::AdversaryStrategy;
 use tg_core::dynamic::{BuildMode, IdentityProvider, StrategicProvider};
-use tg_core::runtime::{EpochNet, RuntimeChoice};
+use tg_core::runtime::EpochNet;
 use tg_core::scenario::{
-    driver_with_provider, Defense, EpochDriver, EpochObservation, ObservationBatch, ScenarioError,
+    Defense, DynamicDriver, EpochDriver, EpochObservation, ObservationBatch, ScenarioError,
     ScenarioSpec, StrategySpec, StringAdversarySpec, StringMode,
 };
 use tg_core::GraphsView;
@@ -88,7 +88,7 @@ pub fn build(spec: &ScenarioSpec) -> Result<Box<dyn EpochDriver>, ScenarioError>
             StrategySpec::PrecomputeHoarder { .. } => {
                 let strategy = build_strategy(&spec.strategy).expect("hoarder is a strategy");
                 let inner = Box::new(StrategicProvider::boxed(spec.n_good, spec.n_bad, strategy));
-                Ok(driver_with_provider(spec, inner))
+                Ok(Box::new(DynamicDriver::with_provider(spec, inner)))
             }
             _ => spec.build(),
         },
@@ -141,13 +141,9 @@ fn build_protocol(
     // Under the actor runtime the protocol phases (string dissemination,
     // membership announcement, routing probes) go over the spec's
     // network; the genesis build stays trusted bootstrap.
-    let net = match spec.runtime {
-        RuntimeChoice::Sync => None,
-        RuntimeChoice::Actor => Some(EpochNet::for_spec(spec)),
-    };
     Ok(Box::new(FullDriver {
         sys,
-        net,
+        net: EpochNet::for_runtime(spec),
         obs: EpochObservation::default(),
         batch: ObservationBatch::new(),
     }))
@@ -176,15 +172,15 @@ fn build_synthesized(
             },
         }),
     };
-    Ok(driver_with_provider(spec, inner))
+    Ok(Box::new(DynamicDriver::with_provider(spec, inner)))
 }
 
 /// The [`EpochDriver`] over the composed §IV [`FullSystem`]
 /// (strings → minting → dynamics), with the protocol phases optionally
 /// routed over an actor-runtime network.
 pub struct FullDriver {
-    /// The composed system (public so integration tests can reach the
-    /// layers the observation aggregates away).
+    /// The composed system ([`FullDriver::system`] lets integration
+    /// tests reach the layers the observation aggregates away).
     sys: FullSystem,
     /// The actor-runtime network; `None` under [`RuntimeChoice::Sync`].
     net: Option<EpochNet>,
@@ -201,7 +197,6 @@ impl FullDriver {
 
 impl EpochDriver for FullDriver {
     fn step(&mut self) -> &EpochObservation {
-        let late_before = self.net.as_ref().map(|n| n.stats().late);
         let r = self.sys.run_epoch_net(self.net.as_mut());
         self.obs.fill_dynamic(&r.dynamics, self.sys.dynamics.graphs());
         self.obs.bad_ids = r.minted_bad;
@@ -211,11 +206,7 @@ impl EpochDriver for FullDriver {
         self.obs.verification_coverage = Some(r.verification_coverage);
         self.obs.minted_good = Some(r.minted_good);
         self.obs.good_misses = Some(r.good_misses);
-        // Per-epoch late-window delta; `0` when no network is attached
-        // (`fill_dynamic` already reset the field).
-        if let (Some(before), Some(net)) = (late_before, self.net.as_ref()) {
-            self.obs.late = net.stats().late - before;
-        }
+        self.obs.late = self.net.as_mut().map_or(0, EpochNet::take_late);
         &self.obs
     }
 
@@ -243,6 +234,7 @@ impl EpochDriver for FullDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tg_core::runtime::RuntimeChoice;
     use tg_core::Params;
     use tg_overlay::GraphKind;
 
@@ -418,6 +410,65 @@ mod tests {
         }
         assert!(fewer_good, "drops must lose good announcements");
         assert!(lower_success, "drops must fail probe chains");
+    }
+
+    /// The faulty path, pinned to the byte (no other tier-1 test is:
+    /// the suites compare mem↔socket or assert monotonicity). Three
+    /// n = 300 specs under `drop=0.2;lat=8;part=16` — `FullDriver` on
+    /// its statistical and its strategic arm, and `DynamicDriver` with a
+    /// net — three epochs each; the rows were generated while the
+    /// no-PoW actor path was still a driver of its own and must not move.
+    /// The last column (`late`) is non-zero, so the per-epoch late
+    /// count is pinned too.
+    #[test]
+    fn lossy_actor_rows_are_pinned() {
+        use tg_core::scenario::ObsRow;
+        let fog = Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: true };
+        let pinned = [
+            (
+                fog,
+                StrategySpec::Honest,
+                [
+                    "o2;2,0.5333333333333333,0.5333333333333333,0,0,404,11,0.05169948395220566,9.259649122807017,191,0,14",
+                    "o2;3,0.38333333333333336,0.38333333333333336,0,0,426,15,0.05634029538040993,14.403141361256544,198,0,13",
+                    "o2;4,0.4666666666666667,0.4666666666666667,0,0,406,6,0.043741482026509654,13.212121212121213,197,0,13",
+                ],
+            ),
+            (
+                fog,
+                StrategySpec::GapFilling,
+                [
+                    "o2;2,0.5,0.5,0,0,416,14,0.0468624652750268,9.501754385964912,194,0,15",
+                    "o2;3,0.36666666666666664,0.36666666666666664,0,0,434,19,0.08966824990142652,14.448453608247423,198,0,15",
+                    "o2;4,0.4666666666666667,0.4666666666666667,0,0,400,9,0.06630880993433493,12.474747474747474,191,0,16",
+                ],
+            ),
+            (
+                Defense::NoPow,
+                StrategySpec::GapFilling,
+                [
+                    "o2;2,0.5,0.5,0,1,408,15,0.0985311648908344,8.901754385964912,NaN,NaN,15",
+                    "o2;3,0.36666666666666664,0.36666666666666664,0,1,424,15,0.10115345454329219,13.386243386243386,NaN,NaN,11",
+                    "o2;4,0.35,0.3811111111111111,0.043689320388349516,5,412,15,0.10232192287061924,12.619289340101522,NaN,NaN,14",
+                ],
+            ),
+        ];
+        for (defense, strategy, rows) in pinned {
+            let spec = ScenarioSpec::new(285, 42)
+                .budget(15)
+                .churn(0.2)
+                .searches(60)
+                .strategy(strategy)
+                .defense(defense)
+                .runtime(RuntimeChoice::Actor)
+                .drop_rate(0.2)
+                .latency(8)
+                .partition(16);
+            let mut driver = build(&spec).unwrap();
+            for want in rows {
+                assert_eq!(ObsRow::of(driver.step()).encode_line(), want, "spec {}", spec.label());
+            }
+        }
     }
 
     #[test]

@@ -32,8 +32,8 @@ use crate::puzzle::PuzzleParams;
 use crate::strings::{run_string_protocol, StringAdversary, StringOutcome, StringParams};
 use rand::rngs::StdRng;
 use tg_core::dynamic::{
-    AdversaryView, BuildMode, EpochIds, EpochKernel, EpochReport, IdentityProvider, KernelChoice,
-    WithEpochString,
+    AdversaryView, BuildMode, Census, EpochIds, EpochKernel, EpochReport, IdentityProvider,
+    KernelChoice, WithEpochString,
 };
 use tg_core::runtime::{EpochNet, NetFilter};
 use tg_core::Params;
@@ -53,33 +53,6 @@ impl IdentityProvider for PreMinted {
         _rng: &mut StdRng,
     ) -> EpochIds {
         self.ids.take().expect("one epoch's IDs staged per advance")
-    }
-}
-
-/// Wraps the strategic provider to record what one epoch minted (the
-/// dynamic layer consumes the IDs, so they are measured on the way in).
-/// The protocol-agreed epoch string reaches the provider's
-/// [`AdversaryView`] through the composed
-/// [`tg_core::dynamic::WithEpochString`] — the dynamic layer itself
-/// hands providers a string-free view, so the composed system injects
-/// the string it agreed on at this layer. Generic over the inner chain
-/// so the actor runtime can slot its network filter inside: the counter
-/// then measures what the network *delivered*, not what was minted.
-struct Counting<P> {
-    inner: P,
-    minted: Option<(usize, usize, f64)>,
-}
-
-impl<P: IdentityProvider> IdentityProvider for Counting<P> {
-    fn ids_for_epoch(
-        &mut self,
-        epoch: u64,
-        view: &AdversaryView<'_>,
-        rng: &mut StdRng,
-    ) -> EpochIds {
-        let ids = self.inner.ids_for_epoch(epoch, view, rng);
-        self.minted = Some((ids.good.len(), ids.bad.len(), ids.bad_ring_share()));
-        ids
     }
 }
 
@@ -308,26 +281,12 @@ impl FullSystem {
                 // operational graphs and the string in force — hoarders
                 // grind against the real string, and stale solutions die
                 // (or compound, under frozen strings) at verification.
+                // The census sits outside the net filter: the counts
+                // measure what the announcement phase *delivered*.
                 let mut ws = WithEpochString { inner: adv, epoch_string: Some(mint_string) };
-                match net.as_deref_mut() {
-                    Some(n) => {
-                        // Network inside the counter: minted counts
-                        // measure what the announcement phase delivered.
-                        let mut counting =
-                            Counting { inner: NetFilter { inner: &mut ws, net: n }, minted: None };
-                        let dynamics = self.dynamics.advance_epoch(&mut counting);
-                        let (good, bad, share) =
-                            counting.minted.expect("provider runs once per advance");
-                        (good, bad, 0, share, dynamics)
-                    }
-                    None => {
-                        let mut counting = Counting { inner: &mut ws, minted: None };
-                        let dynamics = self.dynamics.advance_epoch(&mut counting);
-                        let (good, bad, share) =
-                            counting.minted.expect("provider runs once per advance");
-                        (good, bad, 0, share, dynamics)
-                    }
-                }
+                let mut census = Census::new(NetFilter { inner: &mut ws, net: net.as_deref_mut() });
+                let dynamics = self.dynamics.advance_epoch(&mut census);
+                (census.good, census.bad, 0, census.bad_share, dynamics)
             } else {
                 // Statistical pipeline (Lemma 11's counts, uniform values).
                 let sim = MintingSim {
@@ -349,14 +308,8 @@ impl FullSystem {
                 (counts.0, counts.1, counts.2, counts.3, dynamics)
             };
 
-        // Routing probes: scale measured search success by the fraction
-        // of probe chains the network completed.
         if let Some(n) = net {
-            let f = n.probe_phase(dynamics.epoch, self.dynamics.searches_per_epoch());
-            if f < 1.0 {
-                dynamics.search_success_single *= f;
-                dynamics.search_success_dual *= f;
-            }
+            n.scale_search_success(&mut dynamics, self.dynamics.searches_per_epoch());
         }
 
         self.epoch_string = next_string;
