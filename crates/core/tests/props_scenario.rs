@@ -5,13 +5,15 @@
 //! shortest-roundtrip Display is part of the codec's contract).
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use tg_core::dynamic::BuildMode;
 use tg_core::params::GroupSizeRule;
 use tg_core::runtime::RuntimeChoice;
 use tg_core::scenario::{
-    Defense, KernelChoice, MintScheme, ScenarioError, ScenarioSpec, StrategySpec,
-    StringAdversarySpec, StringMode, TransportChoice,
+    Defense, FaultPlan, KernelChoice, MintScheme, ObsRow, ScenarioError, ScenarioSpec,
+    StrategySpec, StringAdversarySpec, StringMode, TransportChoice, AXES,
 };
+use tg_core::Params;
 use tg_overlay::GraphKind;
 
 /// Decode an index pair into one of the strategy variants, with
@@ -411,9 +413,239 @@ proptest! {
         prop_assert_eq!(back.minted_good.to_bits(), row.minted_good.to_bits());
         prop_assert_eq!(back.good_misses.to_bits(), row.good_misses.to_bits());
         prop_assert_eq!(back.late, row.late);
-        // The SoA batch preserves the same row (`push` ∘ `row_at` = id).
-        let mut batch = tg_core::scenario::ObservationBatch::new();
-        batch.push(back);
-        prop_assert_eq!(batch.row_at(0).encode_line(), row.encode_line());
+    }
+}
+
+/// A spec with every axis off its default. Written as struct literals
+/// (no `..`) on purpose: a new `ScenarioSpec` or `Params` field does not
+/// compile until it is set here — and then the table test below demands
+/// its `AXES` row.
+fn every_axis_set() -> ScenarioSpec {
+    ScenarioSpec {
+        params: Params {
+            beta: 0.11,
+            delta: 0.3,
+            d1: 3.0,
+            d2: 6.5,
+            size_rule: GroupSizeRule::Fixed(9),
+            churn_rate: 0.07,
+            attack_requests_per_id: 3,
+            link_retries: 5,
+        },
+        kind: GraphKind::Viceroy,
+        mode: BuildMode::SingleGraph,
+        defense: Defense::Pow { scheme: MintScheme::SingleHash, fresh_strings: false },
+        strings: StringMode::Synthesized,
+        strategy: StrategySpec::ChurnTimed { trigger: 0.12, retainer: 0.2 },
+        n_good: 777,
+        n_bad: 55,
+        idealized_good: false,
+        searches: 123,
+        seed: 99,
+        kernel: KernelChoice::Arena,
+        capacity: Some(4096),
+        runtime: RuntimeChoice::Actor,
+        faults: FaultPlan { drop_rate: 0.25, latency_max: 7, partition_ticks: 11 },
+        transport: TransportChoice::Socket,
+        window: Some(96),
+        string_adversary: StringAdversarySpec::ForcedRecords { strings: 3, release_frac: 0.5 },
+    }
+}
+
+fn parse_error(label: &str) -> String {
+    match ScenarioSpec::parse(label) {
+        Ok(spec) => panic!("`{label}` must not parse, got {spec:?}"),
+        Err(e) => e.to_string(),
+    }
+}
+
+fn join(fields: &[(&str, &str)]) -> String {
+    fields.iter().fold(String::from("tg1"), |label, (k, v)| format!("{label};{k}={v}"))
+}
+
+/// The codec contract, checked per [`AXES`] row instead of per
+/// hand-listed key: the all-set spec's label *is* the table (so a field
+/// without a row cannot round-trip, and a row cannot go missing), and
+/// every row answers missing / duplicate / elided / alone the same way.
+#[test]
+fn every_axis_obeys_the_codec_contract() {
+    let full = every_axis_set();
+    let label = full.label();
+    let fields: Vec<(&str, &str)> =
+        label.split(';').skip(1).map(|f| f.split_once('=').expect("key=value")).collect();
+    let keys: Vec<&str> = fields.iter().map(|&(k, _)| k).collect();
+    assert_eq!(keys, AXES.iter().map(|a| a.key).collect::<Vec<_>>(), "label: {label}");
+    assert_eq!(ScenarioSpec::parse(&label).as_ref(), Ok(&full));
+    assert_eq!(ScenarioSpec::from_json(&full.to_json()).as_ref(), Ok(&full));
+    assert!(parse_error(&format!("{label};nope=1")).contains("unknown field `nope`"));
+
+    // Optional axes are elided at the default, so the required fields
+    // alone are a canonical label.
+    let required: Vec<(&str, &str)> =
+        AXES.iter().zip(&fields).filter(|(a, _)| a.required).map(|(_, &f)| f).collect();
+    let base = ScenarioSpec::parse(&join(&required)).expect("required fields suffice");
+    assert_eq!(base.label(), join(&required));
+
+    for (axis, &(key, value)) in AXES.iter().zip(&fields) {
+        let repeated = parse_error(&format!("{label};{key}={value}"));
+        assert!(repeated.contains(&format!("duplicate field `{key}`")), "{key}: {repeated}");
+
+        let without: Vec<(&str, &str)> = fields.iter().copied().filter(|f| f.0 != key).collect();
+        if axis.required {
+            let missing = parse_error(&join(&without));
+            assert!(missing.contains(&format!("missing field `{key}`")), "{key}: {missing}");
+            continue;
+        }
+        // Absent means default: what parses re-labels without the key.
+        // (Dropping `runtime` leaves `transport=socket` on the default
+        // sync runtime, which is the one combination the codec refuses.)
+        match ScenarioSpec::parse(&join(&without)) {
+            Ok(spec) => assert_eq!(spec.label(), join(&without), "dropped {key}"),
+            Err(e) => assert!(
+                key == "runtime" && matches!(e, ScenarioError::NeedsActorRuntime(_)),
+                "dropped {key}: {e}"
+            ),
+        }
+
+        // Set alone, the axis shows up exactly once and round-trips.
+        let mut alone = required.clone();
+        if key == "transport" {
+            alone.push(("runtime", "actor"));
+        }
+        alone.push((key, value));
+        let spec = ScenarioSpec::parse(&join(&alone)).expect("one optional axis set");
+        assert_ne!(spec, base, "{key}={value} must differ from the default");
+        assert_eq!(spec.label(), join(&alone));
+        assert_eq!(spec.label().matches(&format!(";{key}=")).count(), 1);
+        assert_eq!(ScenarioSpec::from_json(&spec.to_json()).as_ref(), Ok(&spec));
+    }
+}
+
+/// What a decoder accepted is in canonical reach: re-encoding it gives
+/// a form that decodes, and re-encodes, to the same bytes. (Compared as
+/// text, not as values — an accepted `NaN` is not equal to itself — and
+/// not against the input, since `+5`, `05` and `5` all read as 5.)
+fn check_decoders(text: &str) -> Result<(), TestCaseError> {
+    if let Ok(spec) = ScenarioSpec::parse(text) {
+        let again = ScenarioSpec::parse(&spec.label()).map(|s| s.label());
+        prop_assert_eq!(again, Ok(spec.label()), "label input: {:?}", text);
+    }
+    if let Ok(spec) = ScenarioSpec::from_json(text) {
+        let again = ScenarioSpec::from_json(&spec.to_json()).map(|s| s.to_json());
+        prop_assert_eq!(again, Ok(spec.to_json()), "json input: {:?}", text);
+    }
+    if let Ok(row) = ObsRow::decode_line(text) {
+        let again = ObsRow::decode_line(&row.encode_line()).map(|r| r.encode_line());
+        prop_assert_eq!(again, Ok(row.encode_line()), "row input: {:?}", text);
+    }
+    Ok(())
+}
+
+/// Fragments the three decoders give meaning to, for inputs that get
+/// past the first check more often than raw bytes do.
+const SOUP: [&str; 40] = [
+    "tg1",
+    "o2",
+    ";",
+    ";",
+    "=",
+    "=",
+    ",",
+    ",",
+    ":",
+    ".",
+    "-",
+    "+",
+    "e",
+    "{",
+    "}",
+    "\"",
+    " ",
+    "\n",
+    "0",
+    "1",
+    "7",
+    "0.5",
+    "NaN",
+    "inf",
+    "1e400",
+    "18446744073709551616",
+    "true",
+    "codec",
+    "n",
+    "seed",
+    "drop",
+    "window",
+    "cap",
+    "kind",
+    "chord",
+    "strategy",
+    "honest",
+    "delayed",
+    "f∘g",
+    "∘",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Decoder totality, part 1: arbitrary bytes (read as lossy UTF-8)
+    /// and arbitrary codec-flavoured token soup are decoded or rejected
+    /// by `parse`, `from_json` and `decode_line` — never a panic.
+    #[test]
+    fn decoders_are_total_on_arbitrary_text(
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+        picks in prop::collection::vec(0usize..SOUP.len(), 0..60),
+    ) {
+        check_decoders(&String::from_utf8_lossy(&bytes))?;
+        check_decoders(&picks.iter().map(|&i| SOUP[i]).collect::<String>())?;
+    }
+
+    /// Decoder totality, part 2: every truncation and a single-byte
+    /// substitution at every position of valid `label()`, `to_json()`
+    /// and `encode_line()` output — the damage a torn write or a flipped
+    /// byte does to a stored key or record.
+    #[test]
+    fn decoders_are_total_on_damaged_valid_forms(
+        all_axes in any::<bool>(),
+        n_good in 1usize..100_000,
+        seed in any::<u64>(),
+        beta in 0.0f64..0.5,
+        frac in 0.0f64..1.0,
+        counts in any::<u32>(),
+        has_pow in any::<bool>(),
+        noise in prop::collection::vec(any::<u8>(), 64..65),
+    ) {
+        let spec = if all_axes { every_axis_set() } else { ScenarioSpec::new(n_good, seed) };
+        let spec = spec.beta(beta).churn(frac);
+        let row = ObsRow {
+            epoch: seed,
+            search_success_single: frac,
+            search_success_dual: beta,
+            frac_red_s0: frac * beta,
+            captured_groups: counts % 1000,
+            total_groups: counts,
+            bad_ids: counts / 7,
+            bad_share: beta,
+            mean_memberships: frac * 9.0,
+            minted_good: if has_pow { f64::from(counts) } else { f64::NAN },
+            good_misses: if has_pow { 0.0 } else { f64::NAN },
+            late: seed >> 40,
+        };
+        for valid in [spec.label(), spec.to_json(), row.encode_line()] {
+            check_decoders(&valid)?;
+            let bytes = valid.as_bytes();
+            for i in 0..bytes.len() {
+                check_decoders(&String::from_utf8_lossy(&bytes[..i]))?;
+                // Half the substitutions are codec punctuation or
+                // digits, which keep more of the line decodable.
+                const MARKS: &[u8] = b";=,:.-+eN019\"{}";
+                let pick = noise[i % noise.len()];
+                let mut damaged = bytes.to_vec();
+                damaged[i] =
+                    if pick % 2 == 0 { MARKS[usize::from(pick / 2) % MARKS.len()] } else { pick };
+                check_decoders(&String::from_utf8_lossy(&damaged))?;
+            }
+        }
     }
 }

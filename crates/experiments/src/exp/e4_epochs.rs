@@ -104,9 +104,8 @@ mod tests {
                 .build_mode(mode)
                 .searches(200);
             let mut sys = spec.build().expect("honest no-PoW scenario");
-            let b = sys.run(6);
-            let last = b.len() - 1;
-            (b.frac_red_s0()[last], b.search_success_dual()[last])
+            let last = *sys.run(6).last().expect("six epochs ran");
+            (last.frac_red_s0, last.search_success_dual)
         };
         let (red_dual, success_dual) = run_final(BuildMode::DualGraph, 2);
         let (red_single, success_single) = run_final(BuildMode::SingleGraph, 2);

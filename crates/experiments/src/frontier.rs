@@ -61,8 +61,7 @@
 
 use crate::table::{f, Table};
 use tg_core::scenario::{
-    budget_for, KernelChoice, ObsRow, ObservationBatch, RuntimeChoice, ScenarioSpec, StrategySpec,
-    TransportChoice,
+    budget_for, KernelChoice, ObsRow, RuntimeChoice, ScenarioSpec, StrategySpec, TransportChoice,
 };
 use tg_overlay::GraphKind;
 use tg_sim::{derive_seed_grid, parallel_map, ResultStore};
@@ -254,16 +253,16 @@ pub struct TrialStats {
     pub success_dual: f64,
 }
 
-/// Reduce a trial's observation columns to its mean statistics. Both
-/// the live path and the store-warm path funnel through here, so a
+/// Reduce a trial's observation rows to its mean statistics. Both the
+/// live path and the store-warm path funnel through here, so a
 /// replayed stream yields bit-identical stats to the run that wrote it.
-fn batch_stats(batch: &ObservationBatch) -> TrialStats {
+fn trial_stats(rows: &[ObsRow]) -> TrialStats {
     TrialStats {
-        captured_frac: batch.mean_captured_frac(),
-        bad_ids: batch.mean_bad_ids(),
-        bad_share: batch.mean_bad_share(),
-        frac_red: batch.mean_frac_red_s0(),
-        success_dual: batch.mean_success_dual(),
+        captured_frac: ObsRow::mean(rows, ObsRow::captured_frac),
+        bad_ids: ObsRow::mean(rows, |r| r.bad_ids as f64),
+        bad_share: ObsRow::mean(rows, |r| r.bad_share),
+        frac_red: ObsRow::mean(rows, |r| r.frac_red_s0),
+        success_dual: ObsRow::mean(rows, |r| r.search_success_dual),
     }
 }
 
@@ -295,34 +294,31 @@ fn run_trial(cfg: &FrontierConfig, key: &RowKey, beta: f64, trial_seed: u64) -> 
                     epochs,
                     "stored stream for `{skey}` has the wrong epoch count"
                 );
-                let mut batch = ObservationBatch::new();
-                for (i, rec) in records.iter().enumerate() {
-                    let row = ObsRow::decode_line(rec).unwrap_or_else(|e| {
-                        panic!("store record {i} for `{skey}` does not decode: {e}")
-                    });
-                    batch.push(row);
-                }
-                return (batch_stats(&batch), false);
+                let rows: Vec<ObsRow> = records
+                    .iter()
+                    .enumerate()
+                    .map(|(i, rec)| {
+                        ObsRow::decode_line(rec).unwrap_or_else(|e| {
+                            panic!("store record {i} for `{skey}` does not decode: {e}")
+                        })
+                    })
+                    .collect();
+                return (trial_stats(&rows), false);
             }
             Ok(None) => {}
             Err(e) => panic!("{e}"),
         }
         let mut driver = crate::checked::build_driver(&spec, cfg.check_invariants);
-        let batch = driver.run(epochs);
-        let records: Vec<String> =
-            (0..batch.len()).map(|i| batch.row_at(i).encode_line()).collect();
+        let rows = driver.run(epochs);
+        let records: Vec<String> = rows.iter().map(ObsRow::encode_line).collect();
         if let Err(e) = store.put(&skey, &records) {
             // A publish failure degrades the cache, not the sweep.
             eprintln!("warning: {e}");
         }
-        return (batch_stats(batch), true);
+        return (trial_stats(&rows), true);
     }
     let mut driver = crate::checked::build_driver(&spec, cfg.check_invariants);
-    // One batched run fills the driver's columnar `ObservationBatch`;
-    // the mean helpers reduce each column in epoch order, so the stats
-    // are bit-identical to the old step-and-accumulate loop.
-    let batch = driver.run(epochs);
-    (batch_stats(batch), true)
+    (trial_stats(&driver.run(epochs)), true)
 }
 
 /// Evaluate one cell — `trials` seeded simulations of row `key` at β

@@ -113,7 +113,8 @@ impl InputGraph for Chord {
     fn route(&self, from: Id, key: Id) -> Route {
         debug_assert!(self.ring.contains(from));
         let target = self.ring.successor(key);
-        let mut hops = vec![from];
+        let mut hops = Vec::with_capacity(self.route_len_bound());
+        hops.push(from);
         let mut current = from;
         // Greedy progress strictly decreases clockwise distance to the
         // key, so the loop terminates; the bound is a safety net.

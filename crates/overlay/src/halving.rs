@@ -109,7 +109,8 @@ impl InputGraph for DistanceHalving {
 
     fn route(&self, from: Id, key: Id) -> Route {
         debug_assert!(self.ring.contains(from));
-        let mut hops = vec![from];
+        let mut hops = Vec::with_capacity(self.route_len_bound());
+        hops.push(from);
         if self.ring.len() == 1 {
             return Route { hops };
         }

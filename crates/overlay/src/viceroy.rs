@@ -157,7 +157,8 @@ impl InputGraph for Viceroy {
 
     fn route(&self, from: Id, key: Id) -> Route {
         debug_assert!(self.ring.contains(from));
-        let mut hops = vec![from];
+        let mut hops = Vec::with_capacity(self.route_len_bound());
+        hops.push(from);
         if self.ring.len() == 1 {
             return Route { hops };
         }

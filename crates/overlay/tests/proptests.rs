@@ -102,3 +102,28 @@ proptest! {
         }
     }
 }
+
+/// `route` sizes its hop buffer once, from `route_len_bound`: over many
+/// random searches on one ring the buffer's capacity is a single
+/// constant, whatever the route length. (Growing it hop by hop went
+/// through `realloc` — and the allocator's lock — several times per
+/// search, which serialized the arena kernel's worker threads.)
+#[test]
+fn route_hop_buffers_never_regrow() {
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let ids: std::collections::BTreeSet<u64> = (0..4096).map(|_| rng.gen()).collect();
+    let ring = ring_from(ids);
+    for kind in GraphKind::ALL {
+        let g = kind.build(ring.clone());
+        let mut capacities = std::collections::BTreeSet::new();
+        let mut lengths = std::collections::BTreeSet::new();
+        for _ in 0..1000 {
+            let from = ring.at(rng.gen::<usize>() % ring.len());
+            let r = g.route(from, Id(rng.gen()));
+            capacities.insert(r.hops.capacity());
+            lengths.insert(r.len());
+        }
+        assert!(lengths.len() > 1, "{}: the sample must vary in route length", kind.name());
+        assert_eq!(capacities.len(), 1, "{}: capacities {capacities:?}", kind.name());
+    }
+}

@@ -37,8 +37,8 @@ use tg_core::dynamic::adversary::AdversaryStrategy;
 use tg_core::dynamic::{BuildMode, IdentityProvider, StrategicProvider};
 use tg_core::runtime::EpochNet;
 use tg_core::scenario::{
-    Defense, DynamicDriver, EpochDriver, EpochObservation, ObservationBatch, ScenarioError,
-    ScenarioSpec, StrategySpec, StringAdversarySpec, StringMode,
+    Defense, DynamicDriver, EpochDriver, EpochObservation, ScenarioError, ScenarioSpec,
+    StrategySpec, StringAdversarySpec, StringMode,
 };
 use tg_core::GraphsView;
 use tg_crypto::OracleFamily;
@@ -145,7 +145,6 @@ fn build_protocol(
         sys,
         net: EpochNet::for_runtime(spec),
         obs: EpochObservation::default(),
-        batch: ObservationBatch::new(),
     }))
 }
 
@@ -185,7 +184,6 @@ pub struct FullDriver {
     /// The actor-runtime network; `None` under [`RuntimeChoice::Sync`].
     net: Option<EpochNet>,
     obs: EpochObservation,
-    batch: ObservationBatch,
 }
 
 impl FullDriver {
@@ -220,14 +218,6 @@ impl EpochDriver for FullDriver {
 
     fn epoch(&self) -> u64 {
         self.sys.dynamics.epoch()
-    }
-
-    fn batch(&self) -> &ObservationBatch {
-        &self.batch
-    }
-
-    fn batch_mut(&mut self) -> &mut ObservationBatch {
-        &mut self.batch
     }
 }
 

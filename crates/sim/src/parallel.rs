@@ -24,39 +24,7 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n);
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-
-    // Items move into per-index cells; results come back the same way.
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item =
-                    work[i].lock().expect("unpoisoned").take().expect("each cell claimed once");
-                let r = f(item);
-                *results[i].lock().expect("unpoisoned") = Some(r);
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("unpoisoned").expect("all cells computed"))
-        .collect()
+    parallel_map_chunked(items, 1, f)
 }
 
 /// Like [`parallel_map`], but work is claimed in **chunks of consecutive

@@ -7,7 +7,7 @@
 //! seed, so wrapping a driver changes no byte of its observation
 //! sequence — the committed goldens replay identically checked or not.
 
-use tg_core::scenario::{EpochDriver, EpochObservation, ObservationBatch, ScenarioError};
+use tg_core::scenario::{EpochDriver, EpochObservation, ScenarioError};
 use tg_core::{GraphsView, ScenarioSpec};
 
 use crate::invariant::{registry, CheckContext, Invariant, Scope, Violation};
@@ -109,14 +109,6 @@ impl EpochDriver for CheckedDriver {
 
     fn epoch(&self) -> u64 {
         self.inner.epoch()
-    }
-
-    fn batch(&self) -> &ObservationBatch {
-        self.inner.batch()
-    }
-
-    fn batch_mut(&mut self) -> &mut ObservationBatch {
-        self.inner.batch_mut()
     }
 }
 
