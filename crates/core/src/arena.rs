@@ -1,14 +1,10 @@
-//! The arena epoch kernel: flat SoA group storage for million-identity
-//! epochs.
+//! The epoch system and its storage: flat CSR group columns, one epoch
+//! loop over them.
 //!
-//! The legacy kernel ([`crate::dynamic::DynamicSystem`]) stores each
-//! group as its own [`crate::group::Group`] with a heap-allocated member
-//! `Vec` — `n` allocations per side per epoch, pointer-chasing on every
-//! majority scan. At paper scale (`n ≈ 10³–10⁴`) that is irrelevant; at
-//! `n = 10⁶` it dominates the epoch wall clock.
-//!
-//! This module replaces the per-group storage with one contiguous arena
-//! per side:
+//! [`DynamicSystem`] (re-exported as [`crate::dynamic::DynamicSystem`])
+//! is the §III churn → build → measure → swap loop. Its groups live in
+//! one contiguous arena per side rather than one heap-allocated member
+//! `Vec` per group:
 //!
 //! ```text
 //!              group 0      group 1    group 2
@@ -26,50 +22,52 @@
 //! range scan instead of a `Vec` dereference. The leader/pool populations
 //! and the topology are shared per epoch rather than cloned per side.
 //!
-//! **Determinism contract.** [`ArenaSystem::advance_epoch`] consumes the
-//! exact RNG streams of the legacy kernel, draw for draw:
+//! **Determinism contract.** The system carries one schedule flag,
+//! [`DynamicSystem::set_fan_out`]: off, an epoch runs on the calling
+//! thread; on, its RNG-free phases fan out over worker threads. Reports
+//! are bit-identical either way and for any thread count, because every
+//! RNG draw happens sequentially, in the order of the per-group
+//! reference build ([`crate::dynamic::build::build_new_graphs`]):
 //!
 //! * membership bootstrap picks are unconditional per slot and precede
-//!   each leader's link-phase draws (the legacy order), so they are
-//!   pre-drawn into a flat column in pass 1;
-//! * construction searches consume no randomness, so pass 2 fans the
-//!   whole slot column out over [`tg_sim::parallel_map`] blocks and folds
-//!   the per-slot outcomes back in slot order — [`tg_sim::Metrics`] and
-//!   [`BuildStats`] are additive sums, so totals are exact for any
-//!   thread count;
+//!   each leader's link-phase draws, so they are pre-drawn into a flat
+//!   column in pass 1;
+//! * construction searches consume no randomness, so pass 2 maps the
+//!   whole slot column in fixed blocks and folds the per-slot outcomes
+//!   back in slot order — [`tg_sim::Metrics`] and [`BuildStats`] are
+//!   additive sums, so totals are exact for any thread count;
 //! * link-phase draws are conditional on link-search outcomes, so the
-//!   link loop stays inline in pass 1, byte-compatible with the legacy
-//!   loop;
-//! * measurement pre-draws its `(initiator, key)` sample and uses the
-//!   chunked fan-out of [`crate::robustness::measure_robustness_chunked`].
+//!   link loop stays inline in pass 1;
+//! * measurement pre-draws its `(initiator, key)` sample
+//!   ([`crate::robustness`]).
 //!
-//! The conformance suite replays identical scenarios through both kernels
-//! and asserts identical observation streams; the committed seed-42
-//! goldens replay byte-identically through this kernel.
+//! The unit tests below hold the two-pass build to the reference build
+//! group by group; the seed-42 goldens replay under both schedules.
 
 use crate::dynamic::adversary::AdversaryView;
 use crate::dynamic::build::{construction_search, pick_boot, BuildMode, BuildStats};
+use crate::dynamic::kernel::scheduled_map;
 use crate::dynamic::provider::IdentityProvider;
 use crate::dynamic::system::EpochReport;
 use crate::graph::{Color, GraphsView, GroupGraphView};
 use crate::params::Params;
 use crate::population::Population;
-use crate::robustness::{measure_dual_success_chunked, measure_robustness_chunked};
+use crate::robustness::{measure_dual_success, measure_robustness_scheduled};
 use rand::rngs::StdRng;
 use rand::Rng;
 use tg_crypto::OracleFamily;
 use tg_idspace::Id;
 use tg_overlay::{GraphKind, InputGraph};
-use tg_sim::{parallel_map, parallel_map_chunked, stream_rng, Metrics};
+use tg_sim::{stream_rng, Metrics};
 
-/// Slots per parallel work block in the membership fan-out. Block
-/// boundaries only affect scheduling — results are folded in slot order,
-/// so any block size yields bit-identical epochs.
+/// Slots per work block in the membership pass. Block boundaries only
+/// affect scheduling — results are folded in slot order, so any block
+/// size yields bit-identical epochs.
 const SLOT_BLOCK: usize = 2048;
 
 /// One side's groups in CSR layout (see the module docs for the layout
 /// diagram).
-pub struct ArenaSide {
+struct ArenaSide {
     /// `offsets[i]..offsets[i+1]` is group `i`'s member range.
     offsets: Vec<u32>,
     /// Concatenated member columns, sorted and deduplicated per range.
@@ -83,16 +81,6 @@ pub struct ArenaSide {
 }
 
 impl ArenaSide {
-    /// Number of groups on this side.
-    pub fn len(&self) -> usize {
-        self.captured.len()
-    }
-
-    /// Whether the side has no groups.
-    pub fn is_empty(&self) -> bool {
-        self.captured.is_empty()
-    }
-
     /// Group `i`'s member column (pool ring indices, sorted).
     #[inline]
     fn group_members(&self, i: usize) -> &[u32] {
@@ -101,12 +89,12 @@ impl ArenaSide {
 }
 
 /// One epoch's operational graphs in arena layout: shared leader/pool
-/// populations and topology, plus one [`ArenaSide`] per side.
+/// populations and topology, plus one set of CSR columns per side.
 pub struct ArenaGraphs {
     /// The current generation: leaders / vertices of the graphs.
     pub leaders: Population,
-    /// The member pool (previous generation). One physical population —
-    /// the sides share it, unlike the legacy kernel's per-side clones.
+    /// The member pool (previous generation). One physical population,
+    /// shared by the sides.
     pub pool: Population,
     /// The input-graph topology `H` over the leader ring. A pure function
     /// of the ring, so one instance serves every side.
@@ -122,33 +110,31 @@ impl ArenaGraphs {
     }
 
     /// A [`GroupGraphView`] handle onto side `s`.
-    pub fn side(&self, s: usize) -> ArenaSideRef<'_> {
-        ArenaSideRef { arena: self, side: &self.sides[s] }
+    pub fn side(&self, s: usize) -> SideView<'_> {
+        SideView { arena: self, side: &self.sides[s] }
+    }
+
+    /// These graphs as the borrowed view strategies and drivers read.
+    pub fn view(&self) -> GraphsView<'_> {
+        GraphsView(Some(self))
     }
 
     /// Recompute every side's colors (after churn or construction):
     /// blue iff a live good majority and not confused.
     pub fn recolor(&mut self) {
-        let pool = &self.pool;
-        for side in &mut self.sides {
-            let n = side.captured.len();
-            let mut colors = Vec::with_capacity(n);
-            for i in 0..n {
-                let range = &side.members[side.offsets[i] as usize..side.offsets[i + 1] as usize];
-                let mut size = side.captured[i] as usize;
-                let mut bad = side.captured[i] as usize;
-                for &m in range {
-                    if pool.is_live(m as usize) {
-                        size += 1;
-                        if pool.is_bad(m as usize) {
-                            bad += 1;
-                        }
+        for s in 0..self.sides.len() {
+            let g = self.side(s);
+            let colors = (0..g.len())
+                .map(|i| {
+                    let blue = g.has_good_majority(i) && !g.is_confused(i);
+                    if blue {
+                        Color::Blue
+                    } else {
+                        Color::Red
                     }
-                }
-                let blue = size > 0 && 2 * bad < size && !side.confused[i];
-                colors.push(if blue { Color::Blue } else { Color::Red });
-            }
-            side.colors = colors;
+                })
+                .collect();
+            self.sides[s].colors = colors;
         }
     }
 }
@@ -156,14 +142,14 @@ impl ArenaGraphs {
 /// A `Copy` handle onto one arena side, implementing [`GroupGraphView`]
 /// over the CSR columns.
 #[derive(Clone, Copy)]
-pub struct ArenaSideRef<'a> {
+pub struct SideView<'a> {
     arena: &'a ArenaGraphs,
     side: &'a ArenaSide,
 }
 
-impl GroupGraphView for ArenaSideRef<'_> {
+impl GroupGraphView for SideView<'_> {
     fn len(&self) -> usize {
-        self.side.len()
+        self.side.captured.len()
     }
 
     fn is_red(&self, i: usize) -> bool {
@@ -225,40 +211,64 @@ enum SlotOut {
     Rejected,
 }
 
-/// The arena epoch system: the same churn → build → measure → swap loop
-/// as [`crate::dynamic::DynamicSystem`], on SoA storage with the
-/// membership and measurement phases fanned out deterministically.
-pub struct ArenaSystem {
-    /// Construction constants.
-    pub params: Params,
-    /// Input-graph topology family.
-    pub kind: GraphKind,
-    /// Oracle family (fixed at initialization).
-    pub fam: OracleFamily,
-    /// Dual-graph (paper) or single-graph (ablation) construction.
-    pub mode: BuildMode,
-    /// The operational graphs.
-    pub graphs: ArenaGraphs,
-    /// The epoch the operational graphs serve.
-    pub epoch: u64,
-    /// Searches sampled per epoch for the robustness report.
-    pub searches_per_epoch: usize,
-    master_seed: u64,
-    /// Member-column capacity hint (pre-sizes the arena allocation; the
-    /// scenario layer surfaces this as the `cap` knob).
-    capacity: Option<usize>,
+/// Resolve the membership slot at `point`, searched from `from[s]` in old
+/// graph `s` (Lemma 6/7).
+fn resolve_slot(
+    olds: &[SideView<'_>],
+    pool: &Population,
+    from: &[Option<usize>],
+    point: Id,
+    m: &mut Metrics,
+) -> SlotOut {
+    if !construction_search(olds, from, point, m) {
+        // Both searches failed: the adversary answers (Lemma 7, first
+        // failure mode).
+        return SlotOut::Captured;
+    }
+    let cand = pool.ring().successor_index(point);
+    if pool.is_bad(cand) {
+        // An honest resolution that happens to be a bad ID (Lemma 6) — it
+        // gladly accepts membership.
+        return SlotOut::Bad(cand as u32);
+    }
+    // Verification by the good candidate: its own searches, initiated
+    // from its own groups in the old graphs.
+    let own = [Some(cand), Some(cand)];
+    if construction_search(olds, &own[..olds.len()], point, m) {
+        SlotOut::Member(cand as u32)
+    } else {
+        SlotOut::Rejected
+    }
 }
 
-impl ArenaSystem {
-    /// Initialize at epoch 1 with trusted-bootstrap graphs. Consumes the
-    /// same `"init"` RNG stream as the legacy kernel.
+/// The dynamic system: operational group graphs (2 dual, 1 for the
+/// single-graph ablation) that re-derive themselves every epoch through
+/// the current ones — churn, build, measure, swap (§III).
+pub struct DynamicSystem {
+    params: Params,
+    kind: GraphKind,
+    /// Oracle family, fixed at initialization — the hash functions ship
+    /// with the software (§III footnote 12).
+    fam: OracleFamily,
+    graphs: ArenaGraphs,
+    epoch: u64,
+    searches_per_epoch: usize,
+    master_seed: u64,
+    fan_out: bool,
+}
+
+impl DynamicSystem {
+    /// Initialize at epoch 1 with trusted-bootstrap graphs (`G⁰₁, G⁰₂`;
+    /// the paper's Appendix X initialization assumption): member `i` of
+    /// `G_w` is `suc(h_s(w, i))`, the same rule
+    /// [`crate::build::build_initial_graph`] applies per group.
+    /// Sequential schedule, 400 searches per epoch.
     pub fn new(
         params: Params,
         kind: GraphKind,
         mode: BuildMode,
         provider: &mut dyn IdentityProvider,
         master_seed: u64,
-        capacity: Option<usize>,
     ) -> Self {
         let fam = OracleFamily::new(master_seed);
         let mut rng = stream_rng(master_seed, "init", 0);
@@ -266,14 +276,13 @@ impl ArenaSystem {
         let pop = Population::new(ids.good, ids.bad);
         let n = pop.len();
         let draws = params.draws(n);
-        let cap = capacity.unwrap_or(n * (draws + 1));
 
         let topology = kind.build(pop.ring().clone());
         let sides: Vec<ArenaSide> = (0..mode.sides())
             .map(|s| {
-                let oracle = fam.membership(if mode == BuildMode::SingleGraph { 0 } else { s });
+                let oracle = fam.membership(s);
                 let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-                let mut members: Vec<u32> = Vec::with_capacity(cap);
+                let mut members: Vec<u32> = Vec::with_capacity(n * (draws + 1));
                 offsets.push(0);
                 let mut buf: Vec<u32> = Vec::with_capacity(draws + 1);
                 for w in 0..n {
@@ -301,75 +310,113 @@ impl ArenaSystem {
 
         let mut graphs = ArenaGraphs { leaders: pop.clone(), pool: pop, topology, sides };
         graphs.recolor();
-        ArenaSystem {
+        DynamicSystem {
             params,
             kind,
             fam,
-            mode,
             graphs,
             epoch: 1,
             searches_per_epoch: 400,
             master_seed,
-            capacity,
+            fan_out: false,
         }
     }
 
-    /// Run one epoch: churn, build, measure, swap — bit-identical to
-    /// [`crate::dynamic::DynamicSystem::advance_epoch`] for the same
-    /// seed, regardless of thread count.
+    /// The epoch the operational graphs serve.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The operational graphs.
+    pub fn graphs(&self) -> GraphsView<'_> {
+        self.graphs.view()
+    }
+
+    /// The operational graphs, mutably — for callers that stage their
+    /// own churn on the pool (follow with [`ArenaGraphs::recolor`]).
+    pub fn graphs_mut(&mut self) -> &mut ArenaGraphs {
+        &mut self.graphs
+    }
+
+    /// Searches sampled per epoch for the robustness report.
+    pub fn searches_per_epoch(&self) -> usize {
+        self.searches_per_epoch
+    }
+
+    /// Override the per-epoch measurement sample size.
+    pub fn set_searches_per_epoch(&mut self, searches: usize) {
+        self.searches_per_epoch = searches;
+    }
+
+    /// Choose the epoch schedule: `false` (the default) runs every phase
+    /// on the calling thread — right for sweeps that run one system per
+    /// worker; `true` fans the slot searches, the Lemma 10 attack pass
+    /// and the measurements out over worker threads — right for one
+    /// large system. Reports are identical either way.
+    pub fn set_fan_out(&mut self, fan_out: bool) {
+        self.fan_out = fan_out;
+    }
+
+    /// Run one epoch: intra-epoch churn on the serving pool, construction
+    /// of the next graphs through the current ones, measurement, swap.
+    ///
+    /// The dynamic layer itself has no notion of epoch strings — they
+    /// belong to §IV's minting pipeline, so the [`AdversaryView`] handed
+    /// to the provider carries `epoch_string: None`. A composed system
+    /// (e.g. `tg-pow::FullSystem`) that agrees on a string *before*
+    /// minting injects it at the provider layer instead: wrap the
+    /// strategic provider in [`crate::dynamic::WithEpochString`] and the
+    /// view its inner provider observes carries the string in force —
+    /// hoarding strategies grind against it, and the fresh-vs-frozen
+    /// contrast of §IV-B plays out over the real protocol string rather
+    /// than a synthesized stand-in.
     pub fn advance_epoch(&mut self, provider: &mut dyn IdentityProvider) -> EpochReport {
         let mut rng = stream_rng(self.master_seed, "epoch", self.epoch);
         let mut metrics = Metrics::new();
 
-        // 1. Intra-epoch churn. One shared pool: departing it directly
-        //    consumes the same "churn"-stream draws and produces the same
-        //    departed set as the legacy scratch-clone detection.
+        // 1. Intra-epoch churn: a fraction of the good *member pool*
+        //    departs while the graphs serve (§III model; bad IDs stay —
+        //    the adversary's worst case). It is one physical population,
+        //    so the same IDs depart from every side.
         if self.params.churn_rate > 0.0 {
             let mut pick_rng = stream_rng(self.master_seed, "churn", self.epoch);
             self.graphs.pool.depart_good_fraction(self.params.churn_rate, &mut pick_rng);
             self.graphs.recolor();
         }
 
-        // 2. Mint the next generation through the (churned) current one.
-        let view = AdversaryView {
-            epoch: self.epoch + 1,
-            graphs: GraphsView::Arena(&self.graphs),
-            epoch_string: None,
-        };
+        // 2. Mint the next epoch's IDs and build the new graphs through
+        //    the (churned) current ones. A strategic adversary inside the
+        //    provider observes the graphs that just served this epoch.
+        let view =
+            AdversaryView { epoch: self.epoch + 1, graphs: self.graphs.view(), epoch_string: None };
         let ids = provider.ids_for_epoch(self.epoch + 1, &view, &mut rng);
         let new_pop = Population::new(ids.good, ids.bad);
-        let (news, build) = build_new_arena(
-            &self.graphs,
-            &new_pop,
-            self.kind,
-            &self.fam,
-            &self.params,
-            self.mode,
-            self.capacity,
-            &mut rng,
-            &mut metrics,
-        );
+        let (news, build) = self.build_next(&new_pop, &mut rng, &mut metrics);
 
-        // 3. Measure the fresh graphs on the legacy measurement streams,
-        //    fanned out in deterministic chunks.
+        // 3. Measure the fresh graphs (they serve epoch + 1).
         let mut meas_rng = stream_rng(self.master_seed, "measure", self.epoch);
         let side0 = news.side(0);
-        let single = measure_robustness_chunked(
+        let single = measure_robustness_scheduled(
             &side0,
             &self.params,
             self.searches_per_epoch,
             &mut meas_rng,
+            self.fan_out,
         );
         let dual = if news.sides() == 2 {
             let mut dual_rng = stream_rng(self.master_seed, "measure-dual", self.epoch);
-            let s0 = news.side(0);
-            let s1 = news.side(1);
-            measure_dual_success_chunked([&s0, &s1], self.searches_per_epoch, &mut dual_rng)
+            measure_dual_success(
+                [&side0, &news.side(1)],
+                self.searches_per_epoch,
+                &mut dual_rng,
+                self.fan_out,
+            )
         } else {
             single.search_success
         };
 
-        // 4. Membership-state accounting over the member columns.
+        // 4. Membership-state accounting (Lemma 10): how many groups does
+        //    each good pool ID serve in, across all sides?
         let pool_len = news.pool.len();
         let mut memberships = vec![0usize; pool_len];
         for side in &news.sides {
@@ -383,16 +430,13 @@ impl ArenaSystem {
             good_counts.iter().sum::<usize>() as f64 / good_counts.len().max(1) as f64;
         let max_memberships = good_counts.iter().copied().max().unwrap_or(0);
 
+        let sides = || news.view().iter();
         let report = EpochReport {
             epoch: self.epoch + 1,
-            frac_red: (0..news.sides()).map(|s| news.side(s).frac_red()).collect(),
-            frac_good_majority: (0..news.sides())
-                .map(|s| news.side(s).frac_good_majority())
-                .collect(),
-            frac_confused: (0..news.sides()).map(|s| news.side(s).frac_confused()).collect(),
-            frac_paper_invariant: (0..news.sides())
-                .map(|s| news.side(s).frac_paper_invariant(&self.params))
-                .collect(),
+            frac_red: sides().map(|g| g.frac_red()).collect(),
+            frac_good_majority: sides().map(|g| g.frac_good_majority()).collect(),
+            frac_confused: sides().map(|g| g.frac_confused()).collect(),
+            frac_paper_invariant: sides().map(|g| g.frac_paper_invariant(&self.params)).collect(),
             search_success_single: single.search_success,
             search_success_dual: dual,
             build,
@@ -401,7 +445,7 @@ impl ArenaSystem {
             metrics,
         };
 
-        // 5. Swap.
+        // 5. Swap: the new graphs become operational.
         self.graphs = news;
         self.epoch += 1;
         report
@@ -411,265 +455,345 @@ impl ArenaSystem {
     pub fn run(&mut self, provider: &mut dyn IdentityProvider, epochs: usize) -> Vec<EpochReport> {
         (0..epochs).map(|_| self.advance_epoch(provider)).collect()
     }
-}
 
-/// Build the next epoch's arena graphs through the old ones — the arena
-/// counterpart of [`crate::dynamic::build::build_new_graphs`], split into a
-/// sequential RNG pass and a parallel search pass (see the module docs).
-#[allow(clippy::too_many_arguments)] // the protocol's full parameter surface
-fn build_new_arena(
-    olds: &ArenaGraphs,
-    new_leaders: &Population,
-    kind: GraphKind,
-    fam: &OracleFamily,
-    params: &Params,
-    mode: BuildMode,
-    capacity: Option<usize>,
-    rng: &mut StdRng,
-    metrics: &mut Metrics,
-) -> (ArenaGraphs, BuildStats) {
-    assert_eq!(olds.sides(), mode.sides(), "old-graph count must match the build mode");
-    let n_sides = mode.sides();
-    let old_views: Vec<ArenaSideRef<'_>> = (0..n_sides).map(|s| olds.side(s)).collect();
-    let n_new = new_leaders.len();
-    let pool = olds.leaders.clone();
-    let pool_bad: Vec<usize> = pool.bad_indices();
-    let draws = params.draws(n_new);
-    let n_slots = n_new * draws;
-    let cap = capacity.unwrap_or(n_slots);
-    let mut stats = BuildStats::default();
+    /// Build the next epoch's graphs for `new_leaders` through the
+    /// operational ones, whose *leader* generation becomes the new member
+    /// pool (§III-A; the module docs of [`crate::dynamic::build`] state
+    /// the protocol, and [`crate::dynamic::build::build_new_graphs`] is
+    /// the same construction written one group at a time). Here it is
+    /// split into a sequential pass that makes every RNG draw and an
+    /// RNG-free search pass that can fan out (see the module docs).
+    fn build_next(
+        &self,
+        new_leaders: &Population,
+        rng: &mut StdRng,
+        metrics: &mut Metrics,
+    ) -> (ArenaGraphs, BuildStats) {
+        let (olds, params, fan_out) = (&self.graphs, &self.params, self.fan_out);
+        let n_sides = olds.sides();
+        let old_views: Vec<SideView<'_>> = olds.view().iter().collect();
+        let n_new = new_leaders.len();
+        let pool = olds.leaders.clone();
+        let pool_bad: Vec<usize> = pool.bad_indices();
+        let draws = params.draws(n_new);
+        let n_slots = n_new * draws;
+        let mut stats = BuildStats::default();
 
-    let topology = kind.build(new_leaders.ring().clone());
-    let mut sides: Vec<ArenaSide> = Vec::with_capacity(n_sides);
+        let topology = self.kind.build(new_leaders.ring().clone());
+        let mut sides: Vec<ArenaSide> = Vec::with_capacity(n_sides);
 
-    for side in 0..n_sides {
-        let oracle = match mode {
-            BuildMode::DualGraph => fam.membership(side),
-            BuildMode::SingleGraph => fam.h1,
-        };
+        for side in 0..n_sides {
+            let oracle = self.fam.membership(side);
 
-        // --- Pass 1 (sequential): every RNG draw, in the legacy order.
-        // Per leader: the slot bootstrap picks (unconditional — searches
-        // draw nothing, so they can be deferred), then the link phase
-        // inline (its draw count depends on link-search outcomes).
-        let mut boots: Vec<u32> = vec![u32::MAX; n_slots * n_sides];
-        let mut confused = vec![false; n_new];
-        let attempts = 1 + params.link_retries;
-        for w in 0..n_new {
-            let wid = new_leaders.ring().at(w);
-            for i in 0..draws {
-                stats.member_slots += 1;
-                let base = (w * draws + i) * n_sides;
-                for (k, old) in old_views.iter().enumerate() {
-                    if let Some(b) = pick_boot(old, rng) {
-                        boots[base + k] = b as u32;
-                    }
-                }
-            }
-            for u in topology.neighbors(wid) {
-                stats.links_required += 1;
-                let mut established = false;
-                for _ in 0..attempts {
-                    let boots_try: Vec<Option<usize>> =
-                        old_views.iter().map(|g| pick_boot(g, rng)).collect();
-                    if !construction_search(&old_views, &boots_try, u, metrics) {
-                        continue;
-                    }
-                    let u_idx = new_leaders.ring().index_of(u).expect("neighbor is a new leader");
-                    let verified = if new_leaders.is_bad(u_idx) {
-                        true
-                    } else {
-                        let u_boots: Vec<Option<usize>> =
-                            old_views.iter().map(|g| pick_boot(g, rng)).collect();
-                        construction_search(&old_views, &u_boots, u, metrics)
-                    };
-                    if verified {
-                        established = true;
-                        break;
-                    }
-                }
-                if !established {
-                    stats.links_failed += 1;
-                    confused[w] = true;
-                }
-            }
-        }
-
-        // --- Pass 2 (parallel, RNG-free): the slot searches, fanned out
-        // in fixed blocks and folded in slot order.
-        let n_blocks = n_slots.div_ceil(SLOT_BLOCK);
-        let boots_ref = &boots;
-        let views_ref = &old_views;
-        let pool_ref = &pool;
-        let block_results: Vec<(Metrics, Vec<SlotOut>)> =
-            parallel_map((0..n_blocks).collect(), |b| {
-                let start = b * SLOT_BLOCK;
-                let end = ((b + 1) * SLOT_BLOCK).min(n_slots);
-                let mut m = Metrics::new();
-                let mut outs = Vec::with_capacity(end - start);
-                for slot in start..end {
-                    let w = slot / draws;
-                    let i = slot % draws;
-                    let wid = new_leaders.ring().at(w);
-                    let point = oracle.hash_id_index(wid, i as u32);
-                    let base = slot * n_sides;
-                    let mut from = [None, None];
-                    for (k, f) in from.iter_mut().take(n_sides).enumerate() {
-                        let v = boots_ref[base + k];
-                        if v != u32::MAX {
-                            *f = Some(v as usize);
+            // --- Pass 1 (sequential): every RNG draw, leader by leader.
+            let mut boots: Vec<u32> = vec![u32::MAX; n_slots * n_sides];
+            let mut confused = vec![false; n_new];
+            // "Updating Links" re-runs the update whenever a better match
+            // joins; only the final selection matters for confusion, so a
+            // link gets `1 + link_retries` independent chances.
+            let attempts = 1 + params.link_retries;
+            for w in 0..n_new {
+                let wid = new_leaders.ring().at(w);
+                // Membership bootstraps (Lemma 6/7): a fresh bootstrap group
+                // per slot and old graph — the bootstrap performs each search
+                // anyway, and initiating-point diversity keeps failures of
+                // different slots from coupling through a shared early route.
+                // The picks are unconditional (searches draw nothing), so
+                // the searches themselves wait for pass 2.
+                for i in 0..draws {
+                    stats.member_slots += 1;
+                    let base = (w * draws + i) * n_sides;
+                    for (k, old) in old_views.iter().enumerate() {
+                        if let Some(b) = pick_boot(old, rng) {
+                            boots[base + k] = b as u32;
                         }
                     }
-                    let out = if !construction_search(views_ref, &from[..n_sides], point, &mut m) {
-                        SlotOut::Captured
-                    } else {
-                        let cand = pool_ref.ring().successor_index(point);
-                        if pool_ref.is_bad(cand) {
-                            SlotOut::Bad(cand as u32)
+                }
+                // Neighbor links (Lemma 8), inline: how many draws a link
+                // takes depends on its search outcomes.
+                for u in topology.neighbors(wid) {
+                    stats.links_required += 1;
+                    let mut established = false;
+                    for _ in 0..attempts {
+                        // Locate the neighbor through the old graphs...
+                        let boots_try: Vec<Option<usize>> =
+                            old_views.iter().map(|g| pick_boot(g, rng)).collect();
+                        if !construction_search(&old_views, &boots_try, u, metrics) {
+                            continue;
+                        }
+                        // ...and let the (good) neighbor verify the request.
+                        let u_idx =
+                            new_leaders.ring().index_of(u).expect("neighbor is a new leader");
+                        let verified = if new_leaders.is_bad(u_idx) {
+                            // A bad neighbor may accept or ignore; ignoring
+                            // only hurts itself (the link to a red group is
+                            // irrelevant), accepting matches the topology.
+                            true
                         } else {
-                            let own = [Some(cand), Some(cand)];
-                            if construction_search(views_ref, &own[..n_sides], point, &mut m) {
-                                SlotOut::Member(cand as u32)
-                            } else {
-                                SlotOut::Rejected
+                            let u_boots: Vec<Option<usize>> =
+                                old_views.iter().map(|g| pick_boot(g, rng)).collect();
+                            construction_search(&old_views, &u_boots, u, metrics)
+                        };
+                        if verified {
+                            established = true;
+                            break;
+                        }
+                    }
+                    if !established {
+                        // A required link is missing: `G_w` is confused, and
+                        // therefore red.
+                        stats.links_failed += 1;
+                        confused[w] = true;
+                    }
+                }
+            }
+
+            // --- Pass 2 (RNG-free): the slot searches, in fixed blocks.
+            let n_blocks = n_slots.div_ceil(SLOT_BLOCK);
+            let blocks: Vec<(Metrics, Vec<SlotOut>)> =
+                scheduled_map(fan_out, (0..n_blocks).collect(), 1, |b| {
+                    let start = b * SLOT_BLOCK;
+                    let end = ((b + 1) * SLOT_BLOCK).min(n_slots);
+                    let mut m = Metrics::new();
+                    let mut outs = Vec::with_capacity(end - start);
+                    for slot in start..end {
+                        let wid = new_leaders.ring().at(slot / draws);
+                        let point = oracle.hash_id_index(wid, (slot % draws) as u32);
+                        let base = slot * n_sides;
+                        let mut from = [None, None];
+                        for (k, f) in from.iter_mut().take(n_sides).enumerate() {
+                            let v = boots[base + k];
+                            if v != u32::MAX {
+                                *f = Some(v as usize);
                             }
                         }
-                    };
-                    outs.push(out);
-                }
-                (m, outs)
-            });
+                        outs.push(resolve_slot(&old_views, &pool, &from[..n_sides], point, &mut m));
+                    }
+                    (m, outs)
+                });
 
-        // --- Fold in slot order: CSR assembly plus the additive counters.
-        let mut offsets: Vec<u32> = Vec::with_capacity(n_new + 1);
-        let mut members: Vec<u32> = Vec::with_capacity(cap);
-        let mut captured: Vec<u32> = vec![0; n_new];
-        offsets.push(0);
-        for (m, _) in &block_results {
-            metrics.merge(m);
-        }
-        let mut slots = block_results.iter().flat_map(|(_, outs)| outs.iter());
-        let mut buf: Vec<u32> = Vec::with_capacity(draws);
-        for w in 0..n_new {
-            buf.clear();
-            for _ in 0..draws {
-                match *slots.next().expect("one outcome per slot") {
-                    SlotOut::Captured => {
-                        stats.captured_slots += 1;
-                        if !pool_bad.is_empty() {
-                            captured[w] += 1;
+            // --- Fold in slot order: CSR assembly plus the additive counters.
+            let mut offsets: Vec<u32> = Vec::with_capacity(n_new + 1);
+            let mut members: Vec<u32> = Vec::with_capacity(n_slots);
+            let mut captured: Vec<u32> = vec![0; n_new];
+            offsets.push(0);
+            for (m, _) in &blocks {
+                metrics.merge(m);
+            }
+            let mut slots = blocks.iter().flat_map(|(_, outs)| outs.iter());
+            let mut buf: Vec<u32> = Vec::with_capacity(draws);
+            for w in 0..n_new {
+                buf.clear();
+                for _ in 0..draws {
+                    match *slots.next().expect("one outcome per slot") {
+                        SlotOut::Captured => {
+                            // The adversary plants one of its pool IDs (or
+                            // the slot is simply lost if it has none).
+                            stats.captured_slots += 1;
+                            if !pool_bad.is_empty() {
+                                captured[w] += 1;
+                            }
                         }
+                        SlotOut::Bad(c) => {
+                            stats.bad_member_draws += 1;
+                            buf.push(c);
+                        }
+                        SlotOut::Member(c) => buf.push(c),
+                        SlotOut::Rejected => stats.rejected_slots += 1,
                     }
-                    SlotOut::Bad(c) => {
-                        stats.bad_member_draws += 1;
-                        buf.push(c);
-                    }
-                    SlotOut::Member(c) => buf.push(c),
-                    SlotOut::Rejected => stats.rejected_slots += 1,
+                }
+                buf.sort_unstable();
+                buf.dedup();
+                members.extend_from_slice(&buf);
+                offsets.push(members.len() as u32);
+            }
+
+            sides.push(ArenaSide { offsets, members, captured, confused, colors: Vec::new() });
+        }
+
+        // --- The Lemma 10 state attack: spurious membership requests. The
+        // adversary sends fake "you are suc(h(w,i))" requests to good pool
+        // IDs; a good ID accepts only if *both* of its verification searches
+        // fail (in which case the adversary controlled the answers). The fake
+        // points are pre-drawn, the verification searches draw nothing.
+        let good_pool = pool.good_indices();
+        if params.attack_requests_per_id > 0 && !good_pool.is_empty() {
+            let mut tasks: Vec<(u32, Id)> =
+                Vec::with_capacity(good_pool.len() * params.attack_requests_per_id);
+            for &u in &good_pool {
+                for _ in 0..params.attack_requests_per_id {
+                    stats.spurious_issued += 1;
+                    tasks.push((u as u32, Id(rng.gen())));
                 }
             }
-            buf.sort_unstable();
-            buf.dedup();
-            members.extend_from_slice(&buf);
-            offsets.push(members.len() as u32);
-        }
-
-        sides.push(ArenaSide { offsets, members, captured, confused, colors: Vec::new() });
-    }
-
-    // --- The Lemma 10 state attack, fanned out the same way: the fake
-    // points are pre-drawn in the legacy order, the verification searches
-    // draw nothing.
-    let good_pool = pool.good_indices();
-    if params.attack_requests_per_id > 0 && !good_pool.is_empty() {
-        let mut tasks: Vec<(u32, Id)> =
-            Vec::with_capacity(good_pool.len() * params.attack_requests_per_id);
-        for &u in &good_pool {
-            for _ in 0..params.attack_requests_per_id {
-                stats.spurious_issued += 1;
-                tasks.push((u as u32, Id(rng.gen())));
+            let results = scheduled_map(fan_out, tasks, SLOT_BLOCK, |(u, fake_point)| {
+                let mut m = Metrics::new();
+                let own = [Some(u as usize), Some(u as usize)];
+                let accepted =
+                    !construction_search(&old_views, &own[..n_sides], fake_point, &mut m);
+                (m, accepted)
+            });
+            for (m, accepted) in &results {
+                metrics.merge(m);
+                if *accepted {
+                    stats.spurious_accepted += 1;
+                }
             }
         }
-        let views_ref = &old_views;
-        let results = parallel_map_chunked(tasks, SLOT_BLOCK, |(u, fake_point)| {
-            let mut m = Metrics::new();
-            let own = [Some(u as usize), Some(u as usize)];
-            let accepted = !construction_search(views_ref, &own[..n_sides], fake_point, &mut m);
-            (m, accepted)
-        });
-        for (m, accepted) in &results {
-            metrics.merge(m);
-            if *accepted {
-                stats.spurious_accepted += 1;
-            }
-        }
-    }
 
-    let mut graphs = ArenaGraphs { leaders: new_leaders.clone(), pool, topology, sides };
-    graphs.recolor();
-    (graphs, stats)
+        let mut graphs = ArenaGraphs { leaders: new_leaders.clone(), pool, topology, sides };
+        graphs.recolor();
+        (graphs, stats)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::build_initial_graph;
+    use crate::dynamic::adversary::{GapFilling, StrategicProvider};
+    use crate::dynamic::build::build_new_graphs;
     use crate::dynamic::provider::UniformProvider;
-    use crate::dynamic::DynamicSystem;
+    use crate::graph::GroupGraph;
 
-    fn paired(mode: BuildMode, seed: u64) -> (DynamicSystem, ArenaSystem, UniformProvider) {
+    /// The same system twice: sequential and fanned out.
+    fn paired(mode: BuildMode, seed: u64) -> (DynamicSystem, DynamicSystem, UniformProvider) {
         let mut params = Params::paper_defaults();
         params.attack_requests_per_id = 1;
         params.churn_rate = 0.1;
         let mut pa = UniformProvider { n_good: 380, n_bad: 20 };
-        let legacy = DynamicSystem::new(params, GraphKind::D2B, mode, &mut pa, seed);
-        let arena = ArenaSystem::new(params, GraphKind::D2B, mode, &mut pa, seed, None);
-        (legacy, arena, pa)
+        let sequential = DynamicSystem::new(params, GraphKind::D2B, mode, &mut pa, seed);
+        let mut fanned = DynamicSystem::new(params, GraphKind::D2B, mode, &mut pa, seed);
+        fanned.set_fan_out(true);
+        (sequential, fanned, pa)
     }
 
     fn assert_reports_identical(a: &EpochReport, b: &EpochReport) {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
+    /// Everything a group is: (members, captured, confused, red, live
+    /// size, live bad count).
+    fn group_state<G: GroupGraphView>(g: &G, i: usize) -> (&[u32], u32, bool, bool, usize, usize) {
+        let (size, bad) = (g.group_size(i), g.group_bad_count(i));
+        (g.group_members(i), g.captured_slots(i), g.is_confused(i), g.is_red(i), size, bad)
+    }
+
+    /// Group-by-group equality of a per-group graph and a CSR side.
+    fn assert_sides_identical(l: &GroupGraph, v: &SideView<'_>, what: &str) {
+        assert_eq!(GroupGraphView::len(l), v.len(), "{what}: group count");
+        for i in 0..v.len() {
+            assert_eq!(group_state(l, i), group_state(v, i), "{what} group {i}");
+        }
+    }
+
+    /// The static §II build over the system's genesis population: the
+    /// other way to construct `G⁰₁, G⁰₂`.
+    fn static_genesis(sys: &DynamicSystem) -> Vec<GroupGraph> {
+        (0..sys.graphs.sides())
+            .map(|s| {
+                build_initial_graph(
+                    sys.graphs.leaders.clone(),
+                    sys.kind,
+                    sys.fam.membership(s),
+                    &sys.params,
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn initial_graphs_match_legacy() {
-        let (legacy, arena, _) = paired(BuildMode::DualGraph, 1);
-        for s in 0..2 {
-            let l = &legacy.graphs[s];
-            let v = arena.graphs.side(s);
-            assert_eq!(GroupGraphView::len(l), v.len());
-            for i in 0..v.len() {
-                assert_eq!(l.group_size(i), v.group_size(i), "side {s} group {i} size");
-                assert_eq!(
-                    GroupGraphView::group_bad_count(l, i),
-                    v.group_bad_count(i),
-                    "side {s} group {i} bad"
+        let (sys, _, _) = paired(BuildMode::DualGraph, 1);
+        for (s, l) in static_genesis(&sys).iter().enumerate() {
+            assert_sides_identical(l, &sys.graphs.side(s), &format!("side {s}"));
+        }
+    }
+
+    /// The cross-implementation check: [`build_new_graphs`] (one group
+    /// at a time over per-group `Vec`s, every lemma in program order)
+    /// and the two-pass CSR build, fed the same old graphs, new leaders
+    /// and RNG, must produce the same groups, counters and message
+    /// totals — for three chained epochs over the six configurations of
+    /// `tests/golden_epoch_graphs.rs`, under both schedules.
+    #[test]
+    fn two_pass_build_matches_the_reference_build() {
+        use GraphKind::{Chord, D2B};
+        let configs = [
+            (Chord, BuildMode::DualGraph, 1, 0.1, false),
+            (D2B, BuildMode::DualGraph, 1, 0.1, false),
+            (D2B, BuildMode::SingleGraph, 1, 0.1, false),
+            (D2B, BuildMode::DualGraph, 0, 0.0, false),
+            (Chord, BuildMode::DualGraph, 4, 0.2, false),
+            (D2B, BuildMode::DualGraph, 1, 0.15, true),
+        ];
+        for (c, &(kind, mode, attack, churn, gap_filling)) in configs.iter().enumerate() {
+            let mut params = Params::paper_defaults();
+            params.attack_requests_per_id = attack;
+            params.churn_rate = churn;
+            let mut provider: Box<dyn IdentityProvider> = if gap_filling {
+                Box::new(StrategicProvider::new(220, 24, GapFilling))
+            } else {
+                Box::new(UniformProvider { n_good: 220, n_bad: 12 })
+            };
+            let mut sys = DynamicSystem::new(params, kind, mode, provider.as_mut(), 42);
+            let mut reference = static_genesis(&sys);
+
+            for epoch in 1..=3u64 {
+                if churn > 0.0 {
+                    let churn_rng = stream_rng(42, "churn", epoch);
+                    sys.graphs.pool.depart_good_fraction(churn, &mut churn_rng.clone());
+                    sys.graphs.recolor();
+                    for g in &mut reference {
+                        g.pool.depart_good_fraction(churn, &mut churn_rng.clone());
+                        g.recolor();
+                    }
+                }
+                let mut rng = stream_rng(42, "epoch", epoch);
+                let view =
+                    AdversaryView { epoch: epoch + 1, graphs: sys.graphs(), epoch_string: None };
+                let ids = provider.ids_for_epoch(epoch + 1, &view, &mut rng);
+                let new_pop = Population::new(ids.good, ids.bad);
+
+                let (mut m_ref, mut m_csr) = (Metrics::new(), Metrics::new());
+                let (news_ref, stats_ref) = build_new_graphs(
+                    &reference,
+                    &new_pop,
+                    kind,
+                    &sys.fam,
+                    &params,
+                    mode,
+                    &mut rng.clone(),
+                    &mut m_ref,
                 );
-                assert_eq!(l.is_red(i), v.is_red(i), "side {s} group {i} color");
-                assert_eq!(
-                    &l.groups[i].members[..],
-                    arena.graphs.sides[s].group_members(i),
-                    "side {s} group {i} members"
-                );
+                sys.fan_out = epoch % 2 == 0;
+                let (news_csr, stats_csr) = sys.build_next(&new_pop, &mut rng, &mut m_csr);
+                assert_eq!(format!("{stats_ref:?}"), format!("{stats_csr:?}"), "config {c}");
+                assert_eq!(m_ref, m_csr, "config {c} epoch {epoch}");
+                for (s, l) in news_ref.iter().enumerate() {
+                    let what = format!("config {c} epoch {epoch} side {s}");
+                    assert_sides_identical(l, &news_csr.side(s), &what);
+                }
+                reference = news_ref;
+                sys.graphs = news_csr;
             }
         }
     }
 
     #[test]
     fn epochs_match_legacy_exactly() {
-        let (mut legacy, mut arena, mut provider) = paired(BuildMode::DualGraph, 7);
+        let (mut sequential, mut fanned, mut provider) = paired(BuildMode::DualGraph, 7);
         for _ in 0..3 {
-            let rl = legacy.advance_epoch(&mut provider);
-            let ra = arena.advance_epoch(&mut provider);
-            assert_reports_identical(&rl, &ra);
+            let rs = sequential.advance_epoch(&mut provider);
+            assert_reports_identical(&rs, &fanned.advance_epoch(&mut provider));
         }
     }
 
     #[test]
     fn single_graph_mode_matches_legacy() {
-        let (mut legacy, mut arena, mut provider) = paired(BuildMode::SingleGraph, 4);
-        let rl = legacy.advance_epoch(&mut provider);
-        let ra = arena.advance_epoch(&mut provider);
-        assert_reports_identical(&rl, &ra);
+        let (mut sequential, mut fanned, mut provider) = paired(BuildMode::SingleGraph, 4);
+        let rs = sequential.advance_epoch(&mut provider);
+        assert_reports_identical(&rs, &fanned.advance_epoch(&mut provider));
     }
 
     #[test]
@@ -678,18 +802,17 @@ mod tests {
         params.attack_requests_per_id = 0;
         params.churn_rate = 0.0;
         let mut provider = UniformProvider { n_good: 300, n_bad: 15 };
-        let mut legacy =
-            DynamicSystem::new(params, GraphKind::Chord, BuildMode::DualGraph, &mut provider, 9);
-        let mut arena = ArenaSystem::new(
-            params,
-            GraphKind::Chord,
-            BuildMode::DualGraph,
-            &mut provider,
-            9,
-            Some(1 << 16),
-        );
-        let rl = legacy.advance_epoch(&mut provider);
-        let ra = arena.advance_epoch(&mut provider);
-        assert_reports_identical(&rl, &ra);
+        let reports = [false, true].map(|fan_out| {
+            let mut sys = DynamicSystem::new(
+                params,
+                GraphKind::Chord,
+                BuildMode::DualGraph,
+                &mut provider,
+                9,
+            );
+            sys.set_fan_out(fan_out);
+            sys.advance_epoch(&mut provider)
+        });
+        assert_reports_identical(&reports[0], &reports[1]);
     }
 }

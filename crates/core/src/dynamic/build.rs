@@ -90,8 +90,8 @@ impl BuildStats {
 /// graph (the paper assumes joiners know a good bootstrap group,
 /// Appendix IX). Returns `None` when the graph has no blue group left.
 ///
-/// Generic over the storage layout so the arena kernel draws the exact
-/// same bootstrap sequence as the legacy path (the draw count depends
+/// Generic over the storage layout so the reference build and the CSR
+/// build draw the exact same bootstrap sequence (the draw count depends
 /// only on the RNG stream and the old graph's colors).
 pub(crate) fn pick_boot<G: GroupGraphView>(old: &G, rng: &mut StdRng) -> Option<usize> {
     // Rejection sampling: expected O(1) tries while most groups are blue;
@@ -127,7 +127,7 @@ pub(crate) fn protocol_search<G: GroupGraphView>(
 
 /// Dual (or single, per mode) search across the old graphs. `from[s]` is
 /// the initiating group index in old graph `s`. Short-circuits after the
-/// first success (`any`), which both kernels must preserve — the skipped
+/// first success (`any`), which both builds must preserve — the skipped
 /// second search never reaches [`Metrics`].
 pub(crate) fn construction_search<G: GroupGraphView>(
     olds: &[G],
@@ -138,7 +138,11 @@ pub(crate) fn construction_search<G: GroupGraphView>(
     olds.iter().zip(from.iter()).any(|(g, &f)| protocol_search(g, f, point, metrics))
 }
 
-/// Build the new group graphs for the next epoch.
+/// Build the new group graphs for the next epoch — the *reference*
+/// build: one group at a time over per-group `Vec`s, every lemma in
+/// program order. The epoch system runs the two-pass CSR form of the
+/// same construction (`crate::arena`), whose unit tests hold it to this
+/// one group by group; nothing outside tests calls this function.
 ///
 /// * `olds` — the operational graphs of the current epoch (2 for
 ///   [`BuildMode::DualGraph`], 1 for the ablation). Their *leader*
@@ -309,23 +313,29 @@ mod tests {
         (vec![a, b], params)
     }
 
+    /// Build over `olds` for a fresh uniform generation of the same size,
+    /// oracles from `seed`, population and build RNG from `seed + 1`.
+    fn build_next(
+        olds: &[GroupGraph],
+        params: &Params,
+        mode: BuildMode,
+        seed: u64,
+    ) -> (Vec<GroupGraph>, BuildStats, Metrics) {
+        let fam = OracleFamily::new(seed);
+        let mut rng = StdRng::seed_from_u64(seed + 1);
+        let pool = &olds[0].leaders;
+        let new_pop =
+            Population::uniform(pool.good_indices().len(), pool.bad_indices().len(), &mut rng);
+        let mut m = Metrics::new();
+        let (news, stats) =
+            build_new_graphs(olds, &new_pop, GraphKind::D2B, &fam, params, mode, &mut rng, &mut m);
+        (news, stats, m)
+    }
+
     #[test]
     fn builds_one_group_per_new_leader() {
         let (olds, params) = initial_pair(400, 20, 1);
-        let fam = OracleFamily::new(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let new_pop = Population::uniform(400, 20, &mut rng);
-        let mut m = Metrics::new();
-        let (news, stats) = build_new_graphs(
-            &olds,
-            &new_pop,
-            GraphKind::D2B,
-            &fam,
-            &params,
-            BuildMode::DualGraph,
-            &mut rng,
-            &mut m,
-        );
+        let (news, stats, m) = build_next(&olds, &params, BuildMode::DualGraph, 1);
         assert_eq!(news.len(), 2);
         for g in &news {
             assert_eq!(g.len(), 420);
@@ -339,20 +349,7 @@ mod tests {
         // No adversary anywhere: nothing can be captured, rejected, or
         // confused.
         let (olds, params) = initial_pair(300, 0, 3);
-        let fam = OracleFamily::new(3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let new_pop = Population::uniform(300, 0, &mut rng);
-        let mut m = Metrics::new();
-        let (news, stats) = build_new_graphs(
-            &olds,
-            &new_pop,
-            GraphKind::D2B,
-            &fam,
-            &params,
-            BuildMode::DualGraph,
-            &mut rng,
-            &mut m,
-        );
+        let (news, stats, _) = build_next(&olds, &params, BuildMode::DualGraph, 3);
         assert_eq!(stats.captured_slots, 0);
         assert_eq!(stats.rejected_slots, 0);
         assert_eq!(stats.bad_member_draws, 0);
@@ -366,20 +363,7 @@ mod tests {
     #[test]
     fn bad_member_rate_tracks_beta() {
         let (olds, params) = initial_pair(1000, 50, 5); // β ≈ 0.048
-        let fam = OracleFamily::new(5);
-        let mut rng = StdRng::seed_from_u64(6);
-        let new_pop = Population::uniform(1000, 50, &mut rng);
-        let mut m = Metrics::new();
-        let (_, stats) = build_new_graphs(
-            &olds,
-            &new_pop,
-            GraphKind::D2B,
-            &fam,
-            &params,
-            BuildMode::DualGraph,
-            &mut rng,
-            &mut m,
-        );
+        let (_, stats, _) = build_next(&olds, &params, BuildMode::DualGraph, 5);
         let rate = stats.bad_member_draws as f64 / stats.member_slots as f64;
         assert!((0.02..0.09).contains(&rate), "bad-draw rate {rate:.3} vs β ≈ 0.048");
     }
@@ -387,20 +371,7 @@ mod tests {
     #[test]
     fn single_mode_builds_one_side() {
         let (olds, params) = initial_pair(200, 10, 7);
-        let fam = OracleFamily::new(7);
-        let mut rng = StdRng::seed_from_u64(8);
-        let new_pop = Population::uniform(200, 10, &mut rng);
-        let mut m = Metrics::new();
-        let (news, _) = build_new_graphs(
-            &olds[..1],
-            &new_pop,
-            GraphKind::D2B,
-            &fam,
-            &params,
-            BuildMode::SingleGraph,
-            &mut rng,
-            &mut m,
-        );
+        let (news, _, _) = build_next(&olds[..1], &params, BuildMode::SingleGraph, 7);
         assert_eq!(news.len(), 1);
     }
 
@@ -415,20 +386,7 @@ mod tests {
             }
             g.recolor();
         }
-        let fam = OracleFamily::new(9);
-        let mut rng = StdRng::seed_from_u64(10);
-        let new_pop = Population::uniform(150, 10, &mut rng);
-        let mut m = Metrics::new();
-        let (news, stats) = build_new_graphs(
-            &olds,
-            &new_pop,
-            GraphKind::D2B,
-            &fam,
-            &params,
-            BuildMode::DualGraph,
-            &mut rng,
-            &mut m,
-        );
+        let (news, stats, _) = build_next(&olds, &params, BuildMode::DualGraph, 9);
         assert_eq!(stats.captured_slots, stats.member_slots);
         assert_eq!(stats.links_failed, stats.links_required);
         for g in &news {

@@ -1,29 +1,28 @@
-//! Kernel selection: one epoch loop, two storage layouts.
+//! The epoch schedule: one system, run sequentially or fanned out.
 //!
-//! [`EpochKernel`] dispatches the churn → build → measure → swap cycle to
-//! either the legacy per-group kernel ([`DynamicSystem`]) or the arena
-//! SoA kernel ([`ArenaSystem`]). Both consume identical RNG streams and
-//! produce identical [`EpochReport`]s; the choice is purely a storage and
-//! throughput decision, surfaced on [`crate::scenario::ScenarioSpec`] as
-//! the `kernel` knob (`legacy` default, `arena` for million-identity
-//! runs).
+//! There is one epoch loop ([`DynamicSystem`](crate::dynamic::DynamicSystem))
+//! over one storage layout ([`crate::arena`]). [`KernelChoice`] — the
+//! `kernel` knob of [`crate::scenario::ScenarioSpec`] — decides whether
+//! an epoch's RNG-free phases (slot searches, Lemma 10 attack pass, the
+//! two measurements) run on the calling thread or fan out over
+//! [`tg_sim::parallel_map_chunked`]. Results are folded in input order
+//! either way, so the reports are identical.
+//!
+//! Both values have callers: sweeps that fan out at cell level (`e11`,
+//! `e12`, the benchmark's `sweep_cells`) keep the epoch sequential so
+//! threads do not nest; single large runs (`e13`, `scale_honest`) fan
+//! out inside it. The codec tokens (`legacy` / `arena`) are older than
+//! this meaning and stay as they are: labels are store keys.
 
-use crate::arena::ArenaSystem;
-use crate::dynamic::build::BuildMode;
-use crate::dynamic::provider::IdentityProvider;
-use crate::dynamic::system::{DynamicSystem, EpochReport};
-use crate::graph::GraphsView;
-use crate::params::Params;
-use tg_overlay::GraphKind;
+use tg_sim::parallel_map_chunked;
 
-/// Which epoch-kernel implementation backs a run.
+/// How an epoch's RNG-free phases are scheduled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelChoice {
-    /// Per-group `Vec` storage — the original implementation, kept as
-    /// the conformance oracle.
+    /// Sequential: everything on the calling thread (token `legacy`).
     #[default]
     Legacy,
-    /// Flat arena/SoA storage with deterministic parallel fan-out.
+    /// Fanned out over worker threads in fixed blocks (token `arena`).
     Arena,
 }
 
@@ -44,124 +43,27 @@ impl KernelChoice {
             _ => None,
         }
     }
+
+    /// Whether the epoch fans out (see
+    /// [`DynamicSystem::set_fan_out`](crate::dynamic::DynamicSystem::set_fan_out)).
+    pub fn fan_out(self) -> bool {
+        self == KernelChoice::Arena
+    }
 }
 
-/// A dynamic system behind either storage layout. All epoch-loop entry
-/// points the drivers need are forwarded; layout-specific access goes
-/// through [`EpochKernel::graphs`] (a [`GraphsView`]) or the `as_*`
-/// accessors.
-pub enum EpochKernel {
-    /// The legacy kernel.
-    Legacy(DynamicSystem),
-    /// The arena kernel.
-    Arena(ArenaSystem),
-}
-
-impl EpochKernel {
-    /// Initialize the chosen kernel at epoch 1. `capacity` is the arena
-    /// member-column pre-size hint (ignored by the legacy kernel).
-    pub fn new(
-        choice: KernelChoice,
-        params: Params,
-        kind: GraphKind,
-        mode: BuildMode,
-        provider: &mut dyn IdentityProvider,
-        master_seed: u64,
-        capacity: Option<usize>,
-    ) -> Self {
-        match choice {
-            KernelChoice::Legacy => {
-                EpochKernel::Legacy(DynamicSystem::new(params, kind, mode, provider, master_seed))
-            }
-            KernelChoice::Arena => EpochKernel::Arena(ArenaSystem::new(
-                params,
-                kind,
-                mode,
-                provider,
-                master_seed,
-                capacity,
-            )),
-        }
-    }
-
-    /// Which layout this kernel runs on.
-    pub fn choice(&self) -> KernelChoice {
-        match self {
-            EpochKernel::Legacy(_) => KernelChoice::Legacy,
-            EpochKernel::Arena(_) => KernelChoice::Arena,
-        }
-    }
-
-    /// Run one epoch (churn, build, measure, swap).
-    pub fn advance_epoch(&mut self, provider: &mut dyn IdentityProvider) -> EpochReport {
-        match self {
-            EpochKernel::Legacy(s) => s.advance_epoch(provider),
-            EpochKernel::Arena(s) => s.advance_epoch(provider),
-        }
-    }
-
-    /// Run `epochs` epochs, returning all reports.
-    pub fn run(&mut self, provider: &mut dyn IdentityProvider, epochs: usize) -> Vec<EpochReport> {
-        match self {
-            EpochKernel::Legacy(s) => s.run(provider, epochs),
-            EpochKernel::Arena(s) => s.run(provider, epochs),
-        }
-    }
-
-    /// The epoch the operational graphs serve.
-    pub fn epoch(&self) -> u64 {
-        match self {
-            EpochKernel::Legacy(s) => s.epoch,
-            EpochKernel::Arena(s) => s.epoch,
-        }
-    }
-
-    /// The construction constants.
-    pub fn params(&self) -> &Params {
-        match self {
-            EpochKernel::Legacy(s) => &s.params,
-            EpochKernel::Arena(s) => &s.params,
-        }
-    }
-
-    /// Searches sampled per epoch for the robustness report.
-    pub fn searches_per_epoch(&self) -> usize {
-        match self {
-            EpochKernel::Legacy(s) => s.searches_per_epoch,
-            EpochKernel::Arena(s) => s.searches_per_epoch,
-        }
-    }
-
-    /// Override the per-epoch measurement sample size.
-    pub fn set_searches_per_epoch(&mut self, searches: usize) {
-        match self {
-            EpochKernel::Legacy(s) => s.searches_per_epoch = searches,
-            EpochKernel::Arena(s) => s.searches_per_epoch = searches,
-        }
-    }
-
-    /// The operational graphs, layout-agnostic.
-    pub fn graphs(&self) -> GraphsView<'_> {
-        match self {
-            EpochKernel::Legacy(s) => GraphsView::Legacy(&s.graphs),
-            EpochKernel::Arena(s) => GraphsView::Arena(&s.graphs),
-        }
-    }
-
-    /// The legacy system, if that is the active kernel.
-    pub fn as_legacy(&self) -> Option<&DynamicSystem> {
-        match self {
-            EpochKernel::Legacy(s) => Some(s),
-            EpochKernel::Arena(_) => None,
-        }
-    }
-
-    /// Mutable access to the legacy system, if active.
-    pub fn as_legacy_mut(&mut self) -> Option<&mut DynamicSystem> {
-        match self {
-            EpochKernel::Legacy(s) => Some(s),
-            EpochKernel::Arena(_) => None,
-        }
+/// Map `f` over `items` in input order: in `chunk`-sized blocks over
+/// worker threads when `fan_out`, on the calling thread otherwise. The
+/// one place the schedule flag is read.
+pub(crate) fn scheduled_map<T, R, F>(fan_out: bool, items: Vec<T>, chunk: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    if fan_out {
+        parallel_map_chunked(items, chunk, f)
+    } else {
+        items.into_iter().map(f).collect()
     }
 }
 
@@ -169,6 +71,9 @@ impl EpochKernel {
 mod tests {
     use super::*;
     use crate::dynamic::provider::UniformProvider;
+    use crate::dynamic::{BuildMode, DynamicSystem};
+    use crate::params::Params;
+    use tg_overlay::GraphKind;
 
     #[test]
     fn choice_tokens_round_trip() {
@@ -177,6 +82,7 @@ mod tests {
         }
         assert_eq!(KernelChoice::parse("simd"), None);
         assert_eq!(KernelChoice::default(), KernelChoice::Legacy);
+        assert!(!KernelChoice::default().fan_out());
     }
 
     #[test]
@@ -187,16 +93,9 @@ mod tests {
         let mut provider = UniformProvider { n_good: 380, n_bad: 20 };
         let mut reports = Vec::new();
         for choice in [KernelChoice::Legacy, KernelChoice::Arena] {
-            let mut k = EpochKernel::new(
-                choice,
-                params,
-                GraphKind::D2B,
-                BuildMode::DualGraph,
-                &mut provider,
-                5,
-                None,
-            );
-            assert_eq!(k.choice(), choice);
+            let mut k =
+                DynamicSystem::new(params, GraphKind::D2B, BuildMode::DualGraph, &mut provider, 5);
+            k.set_fan_out(choice.fan_out());
             assert_eq!(k.graphs().sides(), 2);
             reports.push(format!("{:?}", k.run(&mut provider, 2)));
         }

@@ -19,6 +19,13 @@
 //! pluggable [`AdversaryStrategy`] that observes each epoch's graphs
 //! and chooses the bad-ID placement for the next (swept by E10).
 //!
+//! There is one epoch system, [`DynamicSystem`]: the churn → build →
+//! measure → swap loop, defined in [`crate::arena`] next to the CSR
+//! group columns it fills. Its one schedule flag (sequential or fanned
+//! out, same results) is described in [`kernel`];
+//! [`build::build_new_graphs`] is the short per-group *reference* build
+//! the tests hold its two-pass build to.
+//!
 //! Consumers should rarely construct [`DynamicSystem`] directly: the
 //! unified scenario API ([`crate::scenario`]) describes a run
 //! declaratively and builds the right system behind an
@@ -31,11 +38,12 @@ pub mod kernel;
 pub mod provider;
 pub mod system;
 
+pub use crate::arena::DynamicSystem;
 pub use adversary::{
     AdaptiveMajorityFlipper, AdversaryStrategy, AdversaryView, ChurnTimed, GapFilling,
     IntervalTargeting, StrategicProvider, Uniform,
 };
 pub use build::{BuildMode, BuildStats};
-pub use kernel::{EpochKernel, KernelChoice};
+pub use kernel::KernelChoice;
 pub use provider::{Census, EpochIds, IdentityProvider, UniformProvider, WithEpochString};
-pub use system::{DynamicSystem, EpochReport};
+pub use system::EpochReport;

@@ -14,6 +14,7 @@
 //! search that (by the search-path semantics) dies at the first red group
 //! anyway.
 
+use crate::arena::{ArenaGraphs, SideView};
 use crate::group::Group;
 use crate::params::Params;
 use crate::population::Population;
@@ -144,19 +145,16 @@ impl GroupGraph {
 
 /// Read access to one side's group graph, independent of storage layout.
 ///
-/// Two kernels implement the epoch loop: the legacy per-group
-/// [`GroupGraph`] (one `Vec<u32>` member list per group) and the arena
-/// kernel's SoA columns ([`crate::arena::ArenaGraphs`], one contiguous
-/// member column per side with CSR offsets). Everything that *reads* a
-/// group graph — search paths, robustness measurement, construction
-/// bootstraps, string agreement, adversary observation — goes through
-/// this trait, so the two layouts are interchangeable and, because they
-/// share the same reading code, structurally forced to agree.
+/// Two layouts implement it: the static §II [`GroupGraph`] (one
+/// `Vec<u32>` member list per group — the initial-graph experiments, the
+/// DHT, the baselines) and the epoch system's CSR columns
+/// ([`crate::arena::SideView`], one contiguous member column per side).
+/// Everything that *reads* a group graph — search paths, robustness
+/// measurement, construction bootstraps, string agreement, adversary
+/// observation — goes through this trait, so it runs unchanged on both.
 ///
 /// The provided methods derive every aggregate fraction from the four
-/// per-group primitives, mirroring the corresponding [`GroupGraph`]
-/// inherent methods exactly (the kernel-equivalence suite holds both
-/// layouts to byte-identical observation streams).
+/// per-group primitives.
 pub trait GroupGraphView {
     /// Number of groups (= number of leaders).
     fn len(&self) -> usize;
@@ -307,32 +305,26 @@ impl GroupGraphView for GroupGraph {
     }
 }
 
-/// A borrowed, layout-agnostic view of one epoch's operational graphs —
-/// what [`crate::dynamic::AdversaryView`] exposes to strategies and what
-/// [`crate::scenario::EpochDriver::graphs`] returns.
+/// A borrowed view of one epoch's operational graphs — what
+/// [`crate::dynamic::AdversaryView`] exposes to strategies and what
+/// [`crate::scenario::EpochDriver::graphs`] returns. Empty at genesis
+/// (nothing has served yet), otherwise a handle onto the system's
+/// [`ArenaGraphs`] (see [`ArenaGraphs::view`]).
 ///
 /// `Copy`, so provider wrappers (`WithEpochString`, the PoW pipeline's
 /// re-wrapping) can forward it without lifetime gymnastics.
 #[derive(Clone, Copy)]
-pub enum GraphsView<'a> {
-    /// Per-group `Vec` storage (the legacy kernel).
-    Legacy(&'a [GroupGraph]),
-    /// Flat SoA columns (the arena kernel).
-    Arena(&'a crate::arena::ArenaGraphs),
-}
+pub struct GraphsView<'a>(pub(crate) Option<&'a ArenaGraphs>);
 
 impl<'a> GraphsView<'a> {
     /// The view of no graphs at all (genesis: nothing to observe).
     pub fn empty() -> GraphsView<'static> {
-        GraphsView::Legacy(&[])
+        GraphsView(None)
     }
 
     /// Number of sides (2 dual, 1 single-graph ablation, 0 at genesis).
     pub fn sides(&self) -> usize {
-        match self {
-            GraphsView::Legacy(gs) => gs.len(),
-            GraphsView::Arena(a) => a.sides(),
-        }
+        self.0.map_or(0, ArenaGraphs::sides)
     }
 
     /// Whether there are no graphs to observe.
@@ -341,102 +333,14 @@ impl<'a> GraphsView<'a> {
     }
 
     /// The view of side `s`.
-    pub fn side(&self, s: usize) -> SideRef<'a> {
-        match self {
-            GraphsView::Legacy(gs) => SideRef::Legacy(&gs[s]),
-            GraphsView::Arena(a) => SideRef::Arena(a.side(s)),
-        }
+    pub fn side(&self, s: usize) -> SideView<'a> {
+        self.0.expect("side() of an empty view").side(s)
     }
 
     /// Iterate over the sides.
-    pub fn iter(&self) -> impl Iterator<Item = SideRef<'a>> {
+    pub fn iter(&self) -> impl Iterator<Item = SideView<'a>> {
         let this = *self;
         (0..this.sides()).map(move |s| this.side(s))
-    }
-}
-
-/// One side of a [`GraphsView`]: a `Copy` handle implementing
-/// [`GroupGraphView`] by delegation to whichever layout backs it.
-#[derive(Clone, Copy)]
-pub enum SideRef<'a> {
-    /// A legacy per-group graph.
-    Legacy(&'a GroupGraph),
-    /// An arena side.
-    Arena(crate::arena::ArenaSideRef<'a>),
-}
-
-macro_rules! side_delegate {
-    ($self:ident, $g:ident => $e:expr) => {
-        match $self {
-            SideRef::Legacy($g) => $e,
-            SideRef::Arena($g) => $e,
-        }
-    };
-}
-
-impl GroupGraphView for SideRef<'_> {
-    fn len(&self) -> usize {
-        side_delegate!(self, g => g.len())
-    }
-
-    fn is_red(&self, i: usize) -> bool {
-        side_delegate!(self, g => g.is_red(i))
-    }
-
-    fn group_size(&self, i: usize) -> usize {
-        side_delegate!(self, g => g.group_size(i))
-    }
-
-    fn group_bad_count(&self, i: usize) -> usize {
-        side_delegate!(self, g => g.group_bad_count(i))
-    }
-
-    fn is_confused(&self, i: usize) -> bool {
-        side_delegate!(self, g => g.is_confused(i))
-    }
-
-    fn group_members(&self, i: usize) -> &[u32] {
-        side_delegate!(self, g => g.group_members(i))
-    }
-
-    fn captured_slots(&self, i: usize) -> u32 {
-        side_delegate!(self, g => g.captured_slots(i))
-    }
-
-    fn leaders(&self) -> &Population {
-        side_delegate!(self, g => g.leaders())
-    }
-
-    fn pool(&self) -> &Population {
-        side_delegate!(self, g => g.pool())
-    }
-
-    fn topology(&self) -> &dyn InputGraph {
-        side_delegate!(self, g => g.topology())
-    }
-
-    fn frac_red(&self) -> f64 {
-        side_delegate!(self, g => g.frac_red())
-    }
-
-    fn frac_good_majority(&self) -> f64 {
-        side_delegate!(self, g => g.frac_good_majority())
-    }
-
-    fn frac_paper_invariant(&self, params: &Params) -> f64 {
-        side_delegate!(self, g => g.frac_paper_invariant(params))
-    }
-
-    fn frac_confused(&self) -> f64 {
-        side_delegate!(self, g => g.frac_confused())
-    }
-
-    fn mean_group_size(&self) -> f64 {
-        side_delegate!(self, g => g.mean_group_size())
-    }
-
-    fn blue_indices(&self) -> Vec<usize> {
-        side_delegate!(self, g => g.blue_indices())
     }
 }
 

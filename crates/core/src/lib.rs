@@ -62,11 +62,11 @@ pub mod routing;
 pub mod runtime;
 pub mod scenario;
 
-pub use arena::{ArenaGraphs, ArenaSideRef, ArenaSystem};
+pub use arena::{ArenaGraphs, SideView};
 pub use bootstrap::{assemble_bootstrap, recommended_contacts, BootstrapGroup};
 pub use build::build_initial_graph;
 pub use dht::{GetOutcome, SecureDht};
-pub use graph::{Color, GraphsView, GroupGraph, GroupGraphView, SideRef};
+pub use graph::{Color, GraphsView, GroupGraph, GroupGraphView};
 pub use group::Group;
 pub use params::{GroupSizeRule, Params};
 pub use population::Population;

@@ -13,13 +13,14 @@
 //!   random search path traverses `G_v` (Lemma 1 bounds this by
 //!   `O(log^c n / n)`).
 
+use crate::dynamic::kernel::scheduled_map;
 use crate::graph::GroupGraphView;
 use crate::params::Params;
 use crate::routing::{search_path, SearchOutcome};
 use rand::rngs::StdRng;
 use rand::Rng;
 use tg_idspace::Id;
-use tg_sim::{parallel_map_chunked, Metrics};
+use tg_sim::Metrics;
 
 /// Robustness measurements for one group graph.
 #[derive(Clone, Copy, Debug)]
@@ -45,89 +46,31 @@ pub struct RobustnessReport {
 }
 
 /// Sample `searches` random (initiator, key) pairs and measure.
-pub fn measure_robustness<G: GroupGraphView>(
+pub fn measure_robustness<G: GroupGraphView + Sync>(
     gg: &G,
     params: &Params,
     searches: usize,
     rng: &mut StdRng,
 ) -> RobustnessReport {
-    let mut metrics = Metrics::new();
-    let mut traversals = vec![0u32; gg.len()];
-    let mut success = 0usize;
-    let mut success_hops = 0usize;
-
-    for _ in 0..searches {
-        let from = rng.gen_range(0..gg.len());
-        let key = Id(rng.gen());
-        // Track the truncated search path for responsibility accounting.
-        let from_id = gg.leaders().ring().at(from);
-        let route = gg.topology().route(from_id, key);
-        let out = search_path(gg, from, key, &mut metrics);
-        let traversed = out.hops();
-        let mut idx: Vec<usize> = route.hops[..traversed]
-            .iter()
-            .map(|&h| gg.leaders().ring().index_of(h).expect("leader hop"))
-            .collect();
-        idx.sort_unstable();
-        idx.dedup();
-        for i in idx {
-            traversals[i] += 1;
-        }
-        if let SearchOutcome::Success { hops, .. } = out {
-            success += 1;
-            success_hops += hops;
-        }
-    }
-
-    RobustnessReport {
-        n: gg.len(),
-        frac_red: gg.frac_red(),
-        frac_good_majority: gg.frac_good_majority(),
-        frac_paper_invariant: gg.frac_paper_invariant(params),
-        search_success: success as f64 / searches.max(1) as f64,
-        mean_hops: if success > 0 { success_hops as f64 / success as f64 } else { 0.0 },
-        mean_msgs: metrics.routing_msgs as f64 / searches.max(1) as f64,
-        max_responsibility: traversals.iter().copied().max().unwrap_or(0) as f64
-            / searches.max(1) as f64,
-        mean_group_size: gg.mean_group_size(),
-    }
+    measure_robustness_scheduled(gg, params, searches, rng, false)
 }
 
-/// Fraction of sampled searches for which at least one of the two sides
-/// succeeds (the dual-graph availability the construction exploits).
-pub fn measure_dual_success<G: GroupGraphView>(
-    sides: [&G; 2],
-    searches: usize,
-    rng: &mut StdRng,
-) -> f64 {
-    let mut metrics = Metrics::new();
-    let mut ok = 0usize;
-    for _ in 0..searches {
-        let from = rng.gen_range(0..sides[0].len());
-        let key = Id(rng.gen());
-        if crate::routing::dual_search(sides, from, key, &mut metrics) {
-            ok += 1;
-        }
-    }
-    ok as f64 / searches.max(1) as f64
-}
-
-/// Parallel [`measure_robustness`]: pre-draws the whole `(from, key)`
-/// sample (the exact RNG sequence the sequential loop consumes — searches
-/// themselves draw nothing) and fans the searches out in deterministic
-/// chunks, folding per-search results back in sample order. Produces a
-/// bit-identical [`RobustnessReport`] for any thread count; the arena
-/// kernel uses this at million-identity scale.
-pub fn measure_robustness_chunked<G: GroupGraphView + Sync>(
+/// The body of [`measure_robustness`] under either schedule: pre-draw
+/// the whole `(from, key)` sample (searches themselves draw nothing, so
+/// this is the RNG sequence a draw-as-you-go loop consumes), map the
+/// searches — in chunks over worker threads when `fan_out` — and fold
+/// the per-search results back in sample order. Bit-identical for any
+/// thread count.
+pub(crate) fn measure_robustness_scheduled<G: GroupGraphView + Sync>(
     gg: &G,
     params: &Params,
     searches: usize,
     rng: &mut StdRng,
+    fan_out: bool,
 ) -> RobustnessReport {
-    let pairs: Vec<(usize, Id)> =
-        (0..searches).map(|_| (rng.gen_range(0..gg.len()), Id(rng.gen()))).collect();
-    let per_search = parallel_map_chunked(pairs, 64, |(from, key)| {
+    let per_search = scheduled_map(fan_out, draw_sample(gg, searches, rng), 64, |(from, key)| {
         let mut m = Metrics::new();
+        // Track the truncated search path for responsibility accounting.
         let from_id = gg.leaders().ring().at(from);
         let route = gg.topology().route(from_id, key);
         let out = search_path(gg, from, key, &mut m);
@@ -169,21 +112,25 @@ pub fn measure_robustness_chunked<G: GroupGraphView + Sync>(
     }
 }
 
-/// Parallel [`measure_dual_success`], same pre-draw-then-fan-out scheme
-/// as [`measure_robustness_chunked`]; bit-identical to the sequential
-/// measurement for any thread count.
-pub fn measure_dual_success_chunked<G: GroupGraphView + Sync>(
+/// Fraction of sampled searches for which at least one of the two sides
+/// succeeds (the dual-graph availability the construction exploits).
+/// Same pre-draw → map → fold scheme as [`measure_robustness`], fanned
+/// out when `fan_out`.
+pub fn measure_dual_success<G: GroupGraphView + Sync>(
     sides: [&G; 2],
     searches: usize,
     rng: &mut StdRng,
+    fan_out: bool,
 ) -> f64 {
-    let pairs: Vec<(usize, Id)> =
-        (0..searches).map(|_| (rng.gen_range(0..sides[0].len()), Id(rng.gen()))).collect();
-    let oks = parallel_map_chunked(pairs, 64, |(from, key)| {
-        let mut m = Metrics::new();
-        crate::routing::dual_search(sides, from, key, &mut m)
+    let oks = scheduled_map(fan_out, draw_sample(sides[0], searches, rng), 64, |(from, key)| {
+        crate::routing::dual_search(sides, from, key, &mut Metrics::new())
     });
     oks.iter().filter(|&&ok| ok).count() as f64 / searches.max(1) as f64
+}
+
+/// `searches` u.a.r. (initiator group, key) pairs.
+fn draw_sample<G: GroupGraphView>(gg: &G, searches: usize, rng: &mut StdRng) -> Vec<(usize, Id)> {
+    (0..searches).map(|_| (rng.gen_range(0..gg.len()), Id(rng.gen()))).collect()
 }
 
 #[cfg(test)]
@@ -258,13 +205,13 @@ mod tests {
 
     #[test]
     fn chunked_measurement_is_bit_identical() {
-        // The parallel variants pre-draw the identical RNG sequence and
-        // fold in sample order: every report field must match bit for bit.
+        // Both schedules pre-draw the identical RNG sequence and fold in
+        // sample order: every report field must match bit for bit.
         let (gg, params) = graph(1000, 80, 12);
         let mut r_seq = StdRng::seed_from_u64(13);
         let mut r_par = StdRng::seed_from_u64(13);
         let a = measure_robustness(&gg, &params, 300, &mut r_seq);
-        let b = measure_robustness_chunked(&gg, &params, 300, &mut r_par);
+        let b = measure_robustness_scheduled(&gg, &params, 300, &mut r_par, true);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
 
         let mut rng0 = StdRng::seed_from_u64(14);
@@ -273,8 +220,8 @@ mod tests {
         let other = build_initial_graph(pop, GraphKind::Chord, fam.h2, &params);
         let mut r_seq = StdRng::seed_from_u64(15);
         let mut r_par = StdRng::seed_from_u64(15);
-        let d_seq = measure_dual_success([&gg, &other], 300, &mut r_seq);
-        let d_par = measure_dual_success_chunked([&gg, &other], 300, &mut r_par);
+        let d_seq = measure_dual_success([&gg, &other], 300, &mut r_seq, false);
+        let d_par = measure_dual_success([&gg, &other], 300, &mut r_par, true);
         assert_eq!(d_seq.to_bits(), d_par.to_bits());
     }
 
@@ -289,7 +236,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let single = measure_robustness(&a, &params, 400, &mut rng).search_success;
         let mut rng = StdRng::seed_from_u64(11);
-        let dual = measure_dual_success([&a, &b], 400, &mut rng);
+        let dual = measure_dual_success([&a, &b], 400, &mut rng, false);
         assert!(dual >= single - 0.03, "dual {dual:.3} vs single {single:.3}");
     }
 }

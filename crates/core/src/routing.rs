@@ -67,9 +67,9 @@ impl SearchOutcome {
 /// Group-level search from the group of `from_leader` (a leader ring
 /// index) for `key`. Updates `metrics`.
 ///
-/// Generic over the graph's storage layout ([`GroupGraphView`]): the
-/// legacy per-group and the arena SoA kernels share this one routine, so
-/// their search semantics cannot drift apart.
+/// Generic over the graph's storage layout ([`GroupGraphView`]): static
+/// per-group graphs and the epoch system's CSR sides share this one
+/// routine, so their search semantics cannot drift apart.
 pub fn search_path<G: GroupGraphView>(
     gg: &G,
     from_leader: usize,

@@ -239,7 +239,7 @@ macro_rules! axis {
 /// The codec, in emission order: one row per key, shared by both
 /// directions and both serialized forms. Adding an axis to the codec is
 /// adding its row here.
-pub static AXES: [Axis; 27] = [
+pub static AXES: [Axis; 26] = [
     axis!(REQUIRED, "n", n_good, |n| n.to_string(), int),
     axis!(REQUIRED, "bad", n_bad, |n| n.to_string(), int),
     axis!(REQUIRED, "seed", seed, |n| n.to_string(), int),
@@ -259,7 +259,6 @@ pub static AXES: [Axis; 27] = [
     axis!(REQUIRED, "attack", params.attack_requests_per_id, |n| n.to_string(), int),
     axis!(REQUIRED, "retries", params.link_retries, |n| n.to_string(), int),
     axis!(OPTIONAL, "kernel", kernel, |k| k.label(), token(KernelChoice::parse)),
-    axis!(OPTIONAL, "cap", capacity, |c| maybe(c), |k, v| int(k, v).map(Some)),
     axis!(OPTIONAL, "runtime", runtime, |r| r.label(), token(RuntimeChoice::parse)),
     axis!(OPTIONAL, "drop", faults.drop_rate, |p| p.to_string(), probability),
     axis!(OPTIONAL, "lat", faults.latency_max, |n| n.to_string(), int),

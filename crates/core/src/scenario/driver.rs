@@ -8,8 +8,8 @@ use crate::dynamic::adversary::{
     AdaptiveMajorityFlipper, AdversaryStrategy, ChurnTimed, GapFilling, IntervalTargeting,
     StrategicProvider, Uniform,
 };
-use crate::dynamic::kernel::EpochKernel;
 use crate::dynamic::provider::{Census, IdentityProvider, UniformProvider};
+use crate::dynamic::DynamicSystem;
 use crate::graph::GraphsView;
 use crate::runtime::{EpochNet, NetFilter};
 use tg_idspace::Id;
@@ -45,7 +45,7 @@ pub trait EpochDriver {
 /// with the membership and probe phases optionally routed over a
 /// network.
 pub struct DynamicDriver {
-    sys: EpochKernel,
+    sys: DynamicSystem,
     provider: Census<Box<dyn IdentityProvider>>,
     /// The actor-runtime network; `None` under [`RuntimeChoice::Sync`](crate::runtime::RuntimeChoice::Sync).
     net: Option<EpochNet>,
@@ -56,22 +56,16 @@ impl DynamicDriver {
     /// Build the driver for `spec` around an explicit identity provider
     /// (how `tg_pow::scenario` composes minting providers with this
     /// driver; core-only callers should use [`ScenarioSpec::build`]).
-    /// The spec's `kernel` knob picks the legacy per-group or the
-    /// arena/SoA epoch kernel; both produce identical observations. Its
-    /// `runtime` knob decides whether the driver carries a network; the
-    /// genesis build is trusted bootstrap either way.
+    /// The spec's `kernel` knob picks the epoch schedule (sequential or
+    /// fanned out; identical observations). Its `runtime` knob decides
+    /// whether the driver carries a network; the genesis build is
+    /// trusted bootstrap either way.
     pub fn with_provider(spec: &ScenarioSpec, inner: Box<dyn IdentityProvider>) -> DynamicDriver {
         let mut provider = Census::new(inner);
-        let mut sys = EpochKernel::new(
-            spec.kernel,
-            spec.params,
-            spec.kind,
-            spec.mode,
-            &mut provider,
-            spec.seed,
-            spec.capacity,
-        );
+        let mut sys =
+            DynamicSystem::new(spec.params, spec.kind, spec.mode, &mut provider, spec.seed);
         sys.set_searches_per_epoch(spec.searches);
+        sys.set_fan_out(spec.kernel.fan_out());
         DynamicDriver {
             sys,
             provider,

@@ -82,7 +82,7 @@ pub use spec::{
     StringAdversarySpec, StringMode,
 };
 
-pub use crate::dynamic::kernel::{EpochKernel, KernelChoice};
+pub use crate::dynamic::kernel::KernelChoice;
 pub use crate::runtime::RuntimeChoice;
 pub use tg_sim::net::{FaultPlan, TransportChoice};
 
@@ -92,7 +92,7 @@ mod tests {
     use crate::dynamic::adversary::StrategicProvider;
     use crate::dynamic::build::BuildMode;
     use crate::dynamic::provider::{IdentityProvider, UniformProvider};
-    use crate::dynamic::system::DynamicSystem;
+    use crate::dynamic::DynamicSystem;
     use tg_overlay::GraphKind;
 
     fn spec() -> ScenarioSpec {
@@ -113,7 +113,6 @@ mod tests {
                 .defense(Defense::Pow { scheme: MintScheme::SingleHash, fresh_strings: false })
                 .strings(StringMode::Synthesized)
                 .strategy(StrategySpec::PrecomputeHoarder { fam_seed: 99, attempts: 2000 }),
-            spec().kernel(KernelChoice::Arena).capacity(1 << 16),
             spec().kernel(KernelChoice::Arena),
         ];
         for s in specs {
@@ -135,7 +134,7 @@ mod tests {
             &spec().label().replace("kind=chord", "kind=moebius"),
             &spec().label().replace("strategy=honest", "strategy=quantum"),
             &format!("{};kernel=ring", spec().label()), // bad kernel token
-            &format!("{};cap=big", spec().label()),     // bad capacity
+            &format!("{};cap=4096", spec().label()),    // retired key
             &format!("{};kernel=arena;kernel=arena", spec().label()), // dup optional
         ] {
             assert!(ScenarioSpec::parse(bad).is_err(), "must reject: {bad}");
@@ -173,7 +172,7 @@ mod tests {
                 )),
             };
             let mut sys = DynamicSystem::new(s.params, s.kind, s.mode, &mut *direct, s.seed);
-            sys.searches_per_epoch = s.searches;
+            sys.set_searches_per_epoch(s.searches);
 
             for _ in 0..3 {
                 let r = sys.advance_epoch(&mut *direct);
@@ -187,8 +186,8 @@ mod tests {
                 assert_eq!(o.metrics, r.metrics);
                 assert!(o.epoch_string.is_none() && o.minted_good.is_none());
             }
-            assert_eq!(driver.epoch(), sys.epoch);
-            assert_eq!(driver.graphs().sides(), sys.graphs.len());
+            assert_eq!(driver.epoch(), sys.epoch());
+            assert_eq!(driver.graphs().sides(), sys.graphs().sides());
         }
     }
 
@@ -211,8 +210,9 @@ mod tests {
         assert!(driver.run(0).is_empty());
     }
 
-    /// The legacy and arena kernels agree observation-for-observation
-    /// when driven through the scenario layer.
+    /// The sequential (`kernel=legacy`) and fanned-out (`kernel=arena`)
+    /// schedules agree observation-for-observation when driven through
+    /// the scenario layer.
     #[test]
     fn arena_kernel_spec_matches_legacy_spec() {
         let base = spec().topology(GraphKind::D2B);

@@ -191,13 +191,11 @@ pub struct ScenarioSpec {
     /// Master seed; every labelled RNG stream of the run derives from
     /// it.
     pub seed: u64,
-    /// Which epoch kernel runs the scenario. Both kernels produce
-    /// identical observations for identical specs — [`KernelChoice::
-    /// Arena`] is the throughput choice for `n` far above paper scale.
+    /// The epoch schedule: sequential (the default — right inside
+    /// sweeps that already run one scenario per worker thread) or fanned
+    /// out over worker threads ([`KernelChoice::Arena`] — right for one
+    /// large run). Observations are identical either way.
     pub kernel: KernelChoice,
-    /// Arena member-column capacity hint (pre-sizes the hot allocation;
-    /// ignored by the legacy kernel).
-    pub capacity: Option<usize>,
     /// Whether the driver carries a network: none — one synchronous
     /// in-process step per epoch ([`RuntimeChoice::Sync`], the
     /// conformance oracle) — or per-node actors over an injectable
@@ -246,7 +244,6 @@ impl ScenarioSpec {
             searches: 400,
             seed,
             kernel: KernelChoice::default(),
-            capacity: None,
             runtime: RuntimeChoice::default(),
             faults: FaultPlan::default(),
             transport: TransportChoice::default(),
@@ -344,16 +341,9 @@ impl ScenarioSpec {
         self
     }
 
-    /// Select the epoch kernel (legacy per-group storage vs the arena
-    /// SoA hot path).
+    /// Select the epoch schedule (sequential vs fanned out).
     pub fn kernel(mut self, kernel: KernelChoice) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Set the arena member-column capacity hint.
-    pub fn capacity(mut self, capacity: usize) -> Self {
-        self.capacity = Some(capacity);
         self
     }
 

@@ -24,7 +24,7 @@ fn epoch_report_matches_golden() {
     let mut provider = UniformProvider { n_good: 380, n_bad: 20 };
     let mut sys =
         DynamicSystem::new(params, GraphKind::D2B, BuildMode::DualGraph, &mut provider, 42);
-    sys.searches_per_epoch = 200;
+    sys.set_searches_per_epoch(200);
     let mut snapshot = String::new();
     for _ in 0..2 {
         let r = sys.advance_epoch(&mut provider);

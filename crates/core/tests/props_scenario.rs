@@ -90,7 +90,6 @@ proptest! {
         rule_k in 1u64..64,
         idealized in any::<bool>(),
         kernel_tag in 0u8..2,
-        cap in proptest::option::of(1u64..1u64 << 24),
         runtime_tag in 0u8..2,
         drop in 0.0f64..1.0,
         lat in 0u64..1024,
@@ -131,9 +130,6 @@ proptest! {
             .partition(part)
             .transport(transport)
             .string_adversary(string_adversary(stradv_tag, stradv_frac, stradv_n));
-        if let Some(c) = cap {
-            spec = spec.capacity(c as usize);
-        }
         if let Some(w) = window {
             spec = spec.window(w);
         }
@@ -183,12 +179,10 @@ proptest! {
         n_good in 1usize..10_000,
         seed in any::<u64>(),
         churn in 0.0f64..0.45,
-        cap in 1u64..1u64 << 24,
     ) {
         let base = ScenarioSpec::new(n_good, seed).churn(churn);
         let label = base.label();
         prop_assert!(!label.contains("kernel="), "default kernel is elided: {}", label);
-        prop_assert!(!label.contains("cap="), "default capacity is elided: {}", label);
         for knob in ["runtime=", "drop=", "lat=", "part=", "transport=", "window=", "stradv="] {
             prop_assert!(!label.contains(knob), "default {} is elided: {}", knob, label);
         }
@@ -196,7 +190,6 @@ proptest! {
         // A pre-knob consumer's label parses to the default knobs.
         let parsed = ScenarioSpec::parse(&label).unwrap();
         prop_assert_eq!(parsed.kernel, KernelChoice::Legacy);
-        prop_assert_eq!(parsed.capacity, None);
         prop_assert_eq!(parsed.runtime, RuntimeChoice::Sync);
         prop_assert_eq!(parsed.faults, tg_core::scenario::FaultPlan::default());
         prop_assert_eq!(parsed.transport, TransportChoice::Mem);
@@ -204,9 +197,14 @@ proptest! {
         prop_assert_eq!(parsed.string_adversary, StringAdversarySpec::None);
 
         // And the knobs themselves round-trip through both codecs.
-        let scaled = base.kernel(KernelChoice::Arena).capacity(cap as usize);
+        let scaled = base.kernel(KernelChoice::Arena);
+        prop_assert!(scaled.label().ends_with(";kernel=arena"), "label: {}", scaled.label());
         prop_assert_eq!(&ScenarioSpec::parse(&scaled.label()).unwrap(), &scaled);
         prop_assert_eq!(&ScenarioSpec::from_json(&scaled.to_json()).unwrap(), &scaled);
+
+        // The retired `cap=` hint is an unknown field, not a silent no-op.
+        let retired = ScenarioSpec::parse(&format!("{};cap=4096", label));
+        prop_assert!(retired.is_err(), "cap= accepted: {:?}", retired);
     }
 
     /// Every key of a label — required or optional — is accepted at
@@ -222,15 +220,13 @@ proptest! {
         drop in 0.001f64..1.0,
         lat in 1u64..1024,
         part in 1u64..1024,
-        cap in 1u64..1u64 << 24,
         dup_value_from_label in any::<bool>(),
     ) {
-        // Every optional knob is non-default, so all 27 codec keys
+        // Every optional knob is non-default, so all 26 codec keys
         // appear in the label and each one gets a duplication trial.
         let spec = ScenarioSpec::new(n_good, seed)
             .churn(churn)
             .kernel(KernelChoice::Arena)
-            .capacity(cap as usize)
             .runtime(RuntimeChoice::Actor)
             .drop_rate(drop)
             .latency(lat)
@@ -247,7 +243,7 @@ proptest! {
             .skip(1) // the `tg1` version tag
             .map(|f| f.split_once('=').expect("every label field is key=value"))
             .collect();
-        prop_assert_eq!(fields.len(), 27, "label: {}", label);
+        prop_assert_eq!(fields.len(), 26, "label: {}", label);
         for (key, value) in &fields {
             // Duplicating with the same value must fail exactly like a
             // conflicting one — duplicates are rejected, not merged.
@@ -443,7 +439,6 @@ fn every_axis_set() -> ScenarioSpec {
         searches: 123,
         seed: 99,
         kernel: KernelChoice::Arena,
-        capacity: Some(4096),
         runtime: RuntimeChoice::Actor,
         faults: FaultPlan { drop_rate: 0.25, latency_max: 7, partition_ticks: 11 },
         transport: TransportChoice::Socket,
@@ -543,7 +538,7 @@ fn check_decoders(text: &str) -> Result<(), TestCaseError> {
 
 /// Fragments the three decoders give meaning to, for inputs that get
 /// past the first check more often than raw bytes do.
-const SOUP: [&str; 40] = [
+const SOUP: [&str; 39] = [
     "tg1",
     "o2",
     ";",
@@ -576,7 +571,6 @@ const SOUP: [&str; 40] = [
     "seed",
     "drop",
     "window",
-    "cap",
     "kind",
     "chord",
     "strategy",

@@ -7,8 +7,9 @@
 //! experiment registry and exit — both consumed by `run_all`; the
 //! single-experiment binaries accept and ignore them so one flag set
 //! can be passed around scripts unchanged), `--kernel legacy|arena`
-//! (which epoch kernel drives the simulated systems — identical results
-//! either way; `arena` is the scale path e13 benchmarks), and
+//! (how the one epoch system schedules its RNG-free phases: `legacy`
+//! sequential, `arena` fanned out over threads — identical results
+//! either way; e13 times the pair), and
 //! `--runtime sync|actor` (which epoch runtime advances them —
 //! identical results over the actor runtime's default perfect
 //! transport; e14 is the faulty-transport sweep), `--transport
@@ -44,7 +45,8 @@ pub struct Options {
     /// Print the experiment registry (name + one-line description) and
     /// exit 0 instead of running anything (`run_all --list`).
     pub list: bool,
-    /// Which epoch kernel drives the simulated systems.
+    /// The epoch schedule of the simulated systems (sequential vs
+    /// fanned out).
     pub kernel: KernelChoice,
     /// Which epoch runtime advances them (synchronous in-process vs
     /// actor message passing).

@@ -1,7 +1,7 @@
 //! CLI wrapper for the `e13_scale` experiment; see the library module
 //! docs. Emits the kernel-throughput ladder and logs where the
 //! machine-readable trajectory record landed. Quick mode is the CI
-//! smoke ladder; `--full` climbs the arena kernel to 10⁶ identities.
+//! smoke ladder; `--full` climbs the fan-out schedule to 10⁶ identities.
 use tg_experiments::exp::e13_scale;
 use tg_experiments::Options;
 

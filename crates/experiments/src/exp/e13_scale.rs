@@ -1,26 +1,24 @@
-//! **E13 — epoch-kernel throughput at scale** (the million-identity
-//! sweep behind the arena/SoA redesign).
+//! **E13 — epoch throughput at scale, sequential vs fan-out** (the
+//! million-identity sweep).
 //!
 //! Every other experiment asks *what* the reconstructed system computes;
 //! this one asks *how fast* the epoch hot path turns identities into
 //! group graphs. A ladder of population rungs drives the honest dynamic
-//! scenario through both epoch kernels:
+//! scenario under both epoch schedules of the one epoch system:
 //!
-//! * `legacy` — the original per-group `Vec` storage (the conformance
-//!   oracle every equivalence test replays against),
-//! * `arena` — the flat arena/SoA kernel: one contiguous member column
-//!   per side, membership as range scans, group fan-out through
-//!   deterministic chunking.
+//! * `legacy` — sequential: every phase on the calling thread,
+//! * `arena` — fan-out: the slot searches, the attack pass and the
+//!   measurements spread over worker threads in deterministic blocks.
 //!
-//! The kernels are observation-identical by construction (pinned by the
-//! equivalence proptests and the golden replays), so the only thing
+//! The schedules are observation-identical by construction (pinned by
+//! the equivalence proptests and the golden replays), so the only thing
 //! this sweep measures is wall clock: epochs/second and
 //! identities/second per rung. Quick mode climbs to 10⁴ identities so
-//! the CI smoke step stays in seconds; `--full` climbs the arena kernel
-//! to the titular 10⁶-identity rung (the legacy kernel stops at 10⁵ —
-//! its per-group allocation pattern is exactly what the arena replaced).
+//! the CI smoke step stays in seconds; `--full` climbs the fan-out
+//! schedule to the titular 10⁶-identity rung (the sequential one stops
+//! at 10⁵).
 //!
-//! Besides the CSV table, the run serializes the largest arena rung as
+//! Besides the CSV table, the run serializes the largest fan-out rung as
 //! `BENCH_kernel.json` in the output directory — the machine-readable
 //! record the bench-trajectory CI step archives and diffs (the
 //! `wall_ms_per_cell_run` key is the shared trajectory convention; for
@@ -42,10 +40,10 @@ pub const SCALE_BETA: f64 = 0.05;
 /// the kernel's, not the sampler's.
 const SCALE_SEARCHES: usize = 16;
 
-/// One ladder rung: a kernel at a population size for a few epochs.
+/// One ladder rung: a schedule at a population size for a few epochs.
 #[derive(Clone, Copy, Debug)]
 pub struct Rung {
-    /// Which epoch kernel runs the rung.
+    /// Which epoch schedule runs the rung.
     pub kernel: KernelChoice,
     /// Good identities per epoch (`n_bad` derives from [`SCALE_BETA`]).
     pub n_good: usize,
@@ -60,8 +58,8 @@ impl Rung {
     }
 }
 
-/// The ladder for the given options. Quick mode pairs both kernels on
-/// small rungs (CI smoke); `--full` extends the arena kernel to the
+/// The ladder for the given options. Quick mode pairs both schedules on
+/// small rungs (CI smoke); `--full` extends the fan-out schedule to the
 /// 10⁶-identity rung (`n_good = 950 000` + 50 000 adversarial = 10⁶
 /// exactly).
 pub fn rungs(opts: &Options) -> Vec<Rung> {
@@ -116,7 +114,7 @@ impl RungResult {
 
 /// The scenario one rung drives: the honest dynamic system over D2B
 /// (the paper's expander family — route lengths stress the kernel more
-/// than Chord's) with the rung's kernel and an exact capacity hint.
+/// than Chord's) under the rung's schedule.
 pub fn rung_spec(rung: &Rung, seed: u64) -> ScenarioSpec {
     ScenarioSpec::new(rung.n_good, seed)
         .beta(SCALE_BETA)
@@ -125,7 +123,6 @@ pub fn rung_spec(rung: &Rung, seed: u64) -> ScenarioSpec {
         .topology(GraphKind::D2B)
         .searches(SCALE_SEARCHES)
         .kernel(rung.kernel)
-        .capacity(rung.n_total())
 }
 
 /// Time every rung, sequentially (each rung's epoch loop parallelizes
@@ -135,7 +132,7 @@ pub fn measure(rungs: &[Rung], seed: u64) -> Vec<RungResult> {
 }
 
 /// Store key of one rung's timing record: the rung's scenario label
-/// (which pins kernel, population, seed, capacity) plus its epoch
+/// (which pins kernel, population, seed) plus its epoch
 /// count, under an `e13` tag so timing records never collide with
 /// observation streams.
 fn rung_store_key(rung: &Rung, seed: u64) -> String {
@@ -226,7 +223,7 @@ pub fn kernel_record_json(mode: &str, r: &RungResult, unix_time: u64) -> String 
     )
 }
 
-/// The record rung: the largest arena rung of the ladder (the number
+/// The record rung: the largest fan-out rung of the ladder (the number
 /// the ISSUE's acceptance reads at `--full` scale).
 pub fn record_rung(results: &[RungResult]) -> Option<&RungResult> {
     results.iter().filter(|r| r.rung.kernel == KernelChoice::Arena).max_by_key(|r| r.rung.n_total())
@@ -306,21 +303,21 @@ mod tests {
         Options { full, quiet: true, ..Options::default() }
     }
 
-    /// Quick mode stays CI-sized and pairs the kernels rung for rung so
-    /// the table always carries a direct legacy-vs-arena contrast.
+    /// Quick mode stays CI-sized and pairs the schedules rung for rung so
+    /// the table always carries a direct sequential-vs-fan-out contrast.
     #[test]
     fn quick_ladder_is_paired_and_small() {
         let ladder = rungs(&opts(false));
         assert!(ladder.iter().all(|r| r.n_total() <= 10_000), "quick rungs stay CI-sized");
         for ns in ladder.chunks(2) {
-            assert_eq!(ns[0].n_good, ns[1].n_good, "kernels paired at each size");
+            assert_eq!(ns[0].n_good, ns[1].n_good, "schedules paired at each size");
             assert_eq!(ns[0].kernel, KernelChoice::Legacy);
             assert_eq!(ns[1].kernel, KernelChoice::Arena);
         }
     }
 
     /// `--full` tops out at exactly the titular million identities, on
-    /// the arena kernel.
+    /// the fan-out schedule.
     #[test]
     fn full_ladder_reaches_one_million_identities() {
         let ladder = rungs(&opts(true));
@@ -330,7 +327,7 @@ mod tests {
     }
 
     /// The trajectory record carries the shared comparator key plus the
-    /// throughput fields, and picks the largest arena rung.
+    /// throughput fields, and picks the largest fan-out rung.
     #[test]
     fn kernel_record_has_trajectory_keys() {
         let results = vec![

@@ -153,50 +153,13 @@ pub fn run_cell_stored(
     trials: u64,
     store: Option<&tg_sim::ResultStore>,
 ) -> (CellResult, usize) {
-    use tg_core::scenario::ObsRow;
     let (mut capture, mut red, mut dual, mut bad_share, mut late) = (0.0, 0.0, 0.0, 0.0, 0.0);
     let mut live = 0usize;
     for trial in 0..trials {
         let seed = tg_sim::derive_seed(opts.seed, "e14-trial", trial);
         let spec = cell_spec(cell, opts, seed);
-        let key = store.map(|_| crate::frontier::trial_store_key(&spec, epochs));
-        let mut rows: Option<Vec<ObsRow>> = None;
-        if let (Some(store), Some(key)) = (store, key.as_ref()) {
-            match store.get(key) {
-                Ok(Some(records)) => {
-                    assert_eq!(
-                        records.len(),
-                        epochs,
-                        "stored stream for `{key}` has the wrong epoch count"
-                    );
-                    rows = Some(
-                        records
-                            .iter()
-                            .enumerate()
-                            .map(|(i, rec)| {
-                                ObsRow::decode_line(rec).unwrap_or_else(|e| {
-                                    panic!("store record {i} for `{key}` does not decode: {e}")
-                                })
-                            })
-                            .collect(),
-                    );
-                }
-                Ok(None) => {}
-                Err(e) => panic!("{e}"),
-            }
-        }
-        let rows = rows.unwrap_or_else(|| {
-            live += 1;
-            let mut sys = crate::checked::build_driver(&spec, opts.check_invariants);
-            let rows: Vec<ObsRow> = (0..epochs).map(|_| ObsRow::of(sys.step())).collect();
-            if let (Some(store), Some(key)) = (store, key.as_ref()) {
-                let records: Vec<String> = rows.iter().map(ObsRow::encode_line).collect();
-                if let Err(e) = store.put(key, &records) {
-                    eprintln!("warning: {e}");
-                }
-            }
-            rows
-        });
+        let (rows, ran) = crate::frontier::stored_rows(&spec, epochs, store, opts.check_invariants);
+        live += ran as usize;
         for r in &rows {
             capture += r.captured_groups as f64 / r.total_groups.max(1) as f64;
             red += r.frac_red_s0;

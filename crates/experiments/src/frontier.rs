@@ -273,52 +273,59 @@ pub fn trial_store_key(spec: &ScenarioSpec, epochs: usize) -> String {
     format!("{};epochs={epochs}", spec.label())
 }
 
-/// One seeded simulation of one cell: build the cell's scenario, drive
-/// it through the unified [`tg_core::scenario::EpochDriver`], and
-/// average the per-epoch observations. Which system runs (the bare
-/// dynamic layer or the full epoch-string protocol) is the spec's
-/// business, not this loop's. With a store configured the trial's
-/// stream is fetched instead of simulated when present, and published
-/// after simulating when absent; the returned flag says whether the
-/// trial ran **live**. A corrupt stream panics — tampered results must
-/// never silently feed a sweep.
-fn run_trial(cfg: &FrontierConfig, key: &RowKey, beta: f64, trial_seed: u64) -> (TrialStats, bool) {
-    let spec = key.scenario(cfg, beta, trial_seed);
-    let epochs = cfg.epochs.max(1);
-    if let Some(store) = &cfg.store {
-        let skey = trial_store_key(&spec, epochs);
-        match store.get(&skey) {
+/// One trial's observation rows, store-warm: build `spec`'s driver and
+/// run it for `epochs` epochs — unless `store` already holds the
+/// trial's stream, which is then replayed instead; a stream simulated
+/// with a store configured is published to it. The returned flag says
+/// whether the trial ran **live**. A corrupt stream panics — tampered
+/// results must never silently feed a sweep.
+pub fn stored_rows(
+    spec: &ScenarioSpec,
+    epochs: usize,
+    store: Option<&ResultStore>,
+    check_invariants: bool,
+) -> (Vec<ObsRow>, bool) {
+    let key = store.map(|store| (store, trial_store_key(spec, epochs)));
+    if let Some((store, key)) = &key {
+        match store.get(key) {
             Ok(Some(records)) => {
                 assert_eq!(
                     records.len(),
                     epochs,
-                    "stored stream for `{skey}` has the wrong epoch count"
+                    "stored stream for `{key}` has the wrong epoch count"
                 );
-                let rows: Vec<ObsRow> = records
-                    .iter()
-                    .enumerate()
-                    .map(|(i, rec)| {
-                        ObsRow::decode_line(rec).unwrap_or_else(|e| {
-                            panic!("store record {i} for `{skey}` does not decode: {e}")
-                        })
+                let decode = |(i, rec): (usize, &String)| {
+                    ObsRow::decode_line(rec).unwrap_or_else(|e| {
+                        panic!("store record {i} for `{key}` does not decode: {e}")
                     })
-                    .collect();
-                return (trial_stats(&rows), false);
+                };
+                return (records.iter().enumerate().map(decode).collect(), false);
             }
             Ok(None) => {}
             Err(e) => panic!("{e}"),
         }
-        let mut driver = crate::checked::build_driver(&spec, cfg.check_invariants);
-        let rows = driver.run(epochs);
+    }
+    let rows = crate::checked::build_driver(spec, check_invariants).run(epochs);
+    if let Some((store, key)) = &key {
         let records: Vec<String> = rows.iter().map(ObsRow::encode_line).collect();
-        if let Err(e) = store.put(&skey, &records) {
+        if let Err(e) = store.put(key, &records) {
             // A publish failure degrades the cache, not the sweep.
             eprintln!("warning: {e}");
         }
-        return (trial_stats(&rows), true);
     }
-    let mut driver = crate::checked::build_driver(&spec, cfg.check_invariants);
-    (trial_stats(&driver.run(epochs)), true)
+    (rows, true)
+}
+
+/// One seeded simulation of one cell: the cell's scenario, driven
+/// through the unified [`tg_core::scenario::EpochDriver`] (or replayed
+/// from the store, see [`stored_rows`]), its per-epoch observations
+/// averaged. Which system runs (the bare dynamic layer or the full
+/// epoch-string protocol) is the spec's business, not this loop's.
+fn run_trial(cfg: &FrontierConfig, key: &RowKey, beta: f64, trial_seed: u64) -> (TrialStats, bool) {
+    let spec = key.scenario(cfg, beta, trial_seed);
+    let (rows, live) =
+        stored_rows(&spec, cfg.epochs.max(1), cfg.store.as_ref(), cfg.check_invariants);
+    (trial_stats(&rows), live)
 }
 
 /// Evaluate one cell — `trials` seeded simulations of row `key` at β

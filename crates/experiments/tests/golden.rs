@@ -1,5 +1,5 @@
 //! Golden-report regression suite, baseline row: the configuration that
-//! wrote the snapshots (legacy kernel, no network, unchecked) — and the
+//! wrote the snapshots (sequential epochs, no network, unchecked) — and the
 //! only one `GOLDEN_REGEN=1` rewrites them from. The harness, the row
 //! table and the regeneration recipe are in `golden/harness.rs`.
 //!

@@ -7,12 +7,13 @@
 //! dependence), so refactors to the sim kernels must reproduce these
 //! files *exactly* — a silent numerical drift in construction, routing,
 //! or measurement fails here even when every statistical bound still
-//! holds. The snapshots were written by the [`BASELINE`] row (legacy
-//! kernel, no network, unchecked); every other row of the matrix turns
+//! holds. The snapshots were written by the [`BASELINE`] row (sequential
+//! epochs, no network, unchecked); every other row of the matrix turns
 //! one or more axes that are observation-free by contract, so it must
 //! reproduce the same bytes:
 //!
-//! * `kernel=arena` — the SoA epoch kernel computes the same epochs,
+//! * `kernel=arena` — epochs fanned out over threads fold to the same
+//!   results,
 //! * `runtime=actor` — a perfect transport delivers everything, in send
 //!   order, drawing no RNG,
 //! * `transport=socket` — loopback TCP applies the same pure fault
@@ -74,7 +75,7 @@ const fn row(
 }
 
 // The matrix. Sockets need the actor runtime, and the in-memory actor
-// rows already pin both kernels, so one loopback-TCP row per checked
+// rows already pin both schedules, so one loopback-TCP row per checked
 // setting covers the transport axis.
 
 /// The row that wrote the snapshots (and the only one that rewrites

@@ -1,5 +1,5 @@
-//! Golden replay, `arena` row: the committed seed-42 snapshots through
-//! the arena kernel (`--kernel arena`).
+//! Golden replay, `arena` row: the committed seed-42 snapshots with
+//! epochs fanned out over threads (`--kernel arena`).
 //! A drift here is a bug on that axis, never a stale file. The harness
 //! and the row table are in `golden/harness.rs`.
 

@@ -182,7 +182,7 @@ fn e12_refine_smoke() {
     }
 }
 
-/// E13 acceptance shape (quick rungs): both kernels appear, every rung
+/// E13 acceptance shape (quick rungs): both schedules appear, every rung
 /// reports positive throughput, and the machine-readable trajectory
 /// record lands next to the CSV with the shared comparator key.
 #[test]
@@ -199,7 +199,7 @@ fn e13_scale_smoke() {
     let record = std::path::Path::new(&opts.out_dir).join("BENCH_kernel.json");
     let json = std::fs::read_to_string(&record).expect("BENCH_kernel.json written");
     assert!(json.contains("\"wall_ms_per_cell_run\""), "trajectory key missing: {json}");
-    assert!(json.contains("\"kernel\": \"arena\""), "record pins the arena kernel: {json}");
+    assert!(json.contains("\"kernel\": \"arena\""), "record pins the fan-out schedule: {json}");
     check(&table, &opts);
 }
 

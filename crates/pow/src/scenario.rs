@@ -111,7 +111,7 @@ fn build_protocol(
             "the string protocol runs over the dual-graph construction only",
         ));
     }
-    let mut sys = FullSystem::new_with_kernel(
+    let mut sys = FullSystem::new(
         spec.params,
         spec.kind,
         PuzzleParams::calibrated(16, 2048),
@@ -120,8 +120,6 @@ fn build_protocol(
         spec.n_bad as f64,
         spec.idealized_good,
         spec.seed,
-        spec.kernel,
-        spec.capacity,
     );
     // `None` means honest: the statistical minting pipeline inside
     // `FullSystem` (no strategic provider to install).
@@ -138,6 +136,7 @@ fn build_protocol(
     }
     sys.string_adversary = build_string_adversary(&spec.string_adversary);
     sys.dynamics.set_searches_per_epoch(spec.searches);
+    sys.dynamics.set_fan_out(spec.kernel.fan_out());
     // Under the actor runtime the protocol phases (string dissemination,
     // membership announcement, routing probes) go over the spec's
     // network; the genesis build stays trusted bootstrap.
@@ -309,7 +308,7 @@ mod tests {
             &mut provider,
             spec.seed,
         );
-        sys.searches_per_epoch = spec.searches;
+        sys.set_searches_per_epoch(spec.searches);
 
         for _ in 0..2 {
             let r = sys.advance_epoch(&mut provider);

@@ -32,8 +32,8 @@ use crate::puzzle::PuzzleParams;
 use crate::strings::{run_string_protocol, StringAdversary, StringOutcome, StringParams};
 use rand::rngs::StdRng;
 use tg_core::dynamic::{
-    AdversaryView, BuildMode, Census, EpochIds, EpochKernel, EpochReport, IdentityProvider,
-    KernelChoice, WithEpochString,
+    AdversaryView, BuildMode, Census, DynamicSystem, EpochIds, EpochReport, IdentityProvider,
+    WithEpochString,
 };
 use tg_core::runtime::{EpochNet, NetFilter};
 use tg_core::Params;
@@ -87,11 +87,8 @@ pub struct FullEpochReport {
 
 /// The composed system.
 pub struct FullSystem {
-    /// The §III dynamic layer (owns the operational group graphs),
-    /// behind the kernel dispatcher: the legacy per-group path or the
-    /// arena/SoA path, chosen at construction — identical epochs either
-    /// way.
-    pub dynamics: EpochKernel,
+    /// The §III dynamic layer (owns the operational group graphs).
+    pub dynamics: DynamicSystem,
     /// Puzzle difficulty/rate parameters.
     pub puzzle: PuzzleParams,
     /// String-protocol parameters.
@@ -133,50 +130,13 @@ impl FullSystem {
         idealized_good: bool,
         master_seed: u64,
     ) -> Self {
-        Self::new_with_kernel(
-            params,
-            kind,
-            puzzle,
-            string_params,
-            n_good,
-            adversary_units,
-            idealized_good,
-            master_seed,
-            KernelChoice::Legacy,
-            None,
-        )
-    }
-
-    /// [`FullSystem::new`] with an explicit epoch kernel and arena
-    /// capacity hint (how `tg_pow::scenario` applies the spec's scale
-    /// knobs to the full protocol).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with_kernel(
-        params: Params,
-        kind: GraphKind,
-        puzzle: PuzzleParams,
-        string_params: StringParams,
-        n_good: usize,
-        adversary_units: f64,
-        idealized_good: bool,
-        master_seed: u64,
-        kernel: KernelChoice,
-        capacity: Option<usize>,
-    ) -> Self {
         let sim = MintingSim { params: puzzle, n_good, adversary_units, idealized_good };
         let mut rng = stream_rng(master_seed, "full-init-mint", 0);
         let minted = sim.run_window(&mut rng);
         let mut provider =
             PreMinted { ids: Some(EpochIds { good: minted.good_ids, bad: minted.bad_ids }) };
-        let dynamics = EpochKernel::new(
-            kernel,
-            params,
-            kind,
-            BuildMode::DualGraph,
-            &mut provider,
-            master_seed,
-            capacity,
-        );
+        let dynamics =
+            DynamicSystem::new(params, kind, BuildMode::DualGraph, &mut provider, master_seed);
         FullSystem {
             dynamics,
             puzzle,

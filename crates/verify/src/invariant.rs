@@ -14,7 +14,7 @@ use rand::Rng;
 use tg_core::routing::{search_path, SearchOutcome};
 use tg_core::scenario::{Defense, EpochObservation, ScenarioSpec, StrategySpec};
 use tg_core::GroupGraphView;
-use tg_core::{GraphsView, SideRef};
+use tg_core::{GraphsView, SideView};
 use tg_idspace::Id;
 use tg_sim::{stream_rng, Metrics};
 
@@ -293,7 +293,7 @@ impl Invariant for ObservationConsistency {
 /// The coloring rule of §II-A, re-derived per group: red iff no strictly
 /// good majority or confused neighbor links. Shared with the model
 /// checker.
-pub fn check_colors(g: &SideRef<'_>) -> Result<(), String> {
+pub fn check_colors(g: &SideView<'_>) -> Result<(), String> {
     for i in 0..g.len() {
         let expect_red = !g.has_good_majority(i) || g.is_confused(i);
         if g.is_red(i) != expect_red {

@@ -1,15 +1,17 @@
-//! Kernel-equivalence suite: the arena/SoA epoch kernel and the legacy
-//! per-group kernel are **observation-identical** — same spec, same
-//! seed, same epoch-by-epoch `EpochObservation`, byte for byte — across
-//! every defense arm and placement strategy the scenario API can
-//! express.
+//! Kernel-equivalence suite: the two schedules of the one epoch system
+//! — sequential (`kernel=legacy`, the default) and fanned out over
+//! worker threads (`kernel=arena`) — are **observation-identical**: same
+//! spec, same seed, same epoch-by-epoch `EpochObservation`, byte for
+//! byte, across every defense arm and placement strategy the scenario
+//! API can express.
 //!
-//! The legacy kernel is the conformance oracle: it predates the arena
-//! and produced the committed golden corpus. These tests pin that
-//! swapping `kernel=arena` into any spec changes wall clock and memory
-//! layout, never results. (The corpus-level half of this statement —
-//! committed seed-42 CSVs replaying byte-identically through the arena
-//! kernel — lives in `crates/experiments/tests/golden_arena.rs`.)
+//! These tests pin that swapping `kernel=arena` into any spec changes
+//! wall clock, never results. (The corpus-level half of this statement —
+//! committed seed-42 CSVs replaying byte-identically with `kernel=arena`
+//! — lives in `crates/experiments/tests/golden_arena.rs`. That the one
+//! system computes what the deleted per-group loop computed is pinned by
+//! `crates/core/tests/golden_epoch_graphs.rs` and the reference-build
+//! unit test in `tg_core::arena`.)
 
 use proptest::prelude::*;
 use tiny_groups::core::runtime::RuntimeChoice;
@@ -22,9 +24,9 @@ use tiny_groups::pow::scenario::build;
 /// Step every kernel × runtime combination over the same spec and
 /// require Debug-identical observations every epoch (the full report:
 /// fractions, search rates, build stats, minting counters — everything
-/// the systems can observe). The legacy synchronous driver is the
-/// oracle; the arena kernel and the actor runtime over its (perfect by
-/// default) transport must both reproduce it byte for byte.
+/// the systems can observe). The sequential synchronous driver is the
+/// oracle; the fanned-out schedule and the actor runtime over its
+/// (perfect by default) transport must both reproduce it byte for byte.
 fn assert_kernels_agree(spec: &ScenarioSpec, epochs: usize) {
     let arms = [
         ("legacy/sync", KernelChoice::Legacy, RuntimeChoice::Sync),
@@ -105,7 +107,6 @@ proptest! {
         strategy_sel in 0usize..7,
         kind_sel in 0usize..2,
         synthesized in any::<bool>(),
-        cap in proptest::option::of(1usize..1 << 14),
     ) {
         let defense = [
             Defense::NoPow,
@@ -133,10 +134,6 @@ proptest! {
             .strategy(strategy);
         if synthesized {
             spec = spec.strings(StringMode::Synthesized);
-        }
-        if let Some(c) = cap {
-            // The capacity hint shapes allocation only, never results.
-            spec = spec.capacity(c);
         }
         assert_kernels_agree(&spec, 2);
     }
