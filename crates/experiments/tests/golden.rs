@@ -22,6 +22,11 @@ fn e4_epochs_matches_golden() {
 }
 
 #[test]
+fn e7_strings_matches_golden() {
+    replay(harness::e7, &BASELINE);
+}
+
+#[test]
 fn e10_adversaries_matches_golden() {
     replay(harness::e10, &BASELINE);
 }

@@ -47,7 +47,7 @@
 use tg_core::runtime::RuntimeChoice;
 use tg_core::scenario::{KernelChoice, TransportChoice};
 use tg_experiments::exp::{
-    e10_adversaries, e11_frontier, e12_refine, e14_async, e1_robustness, e4_epochs,
+    e10_adversaries, e11_frontier, e12_refine, e14_async, e1_robustness, e4_epochs, e7_strings,
 };
 use tg_experiments::Options;
 
@@ -118,6 +118,13 @@ pub fn e1(o: &Options) -> Artefacts {
 /// Honest dynamic epochs + ablations.
 pub fn e4(o: &Options) -> Artefacts {
     vec![("e4_epochs.csv", e4_epochs::run(o).to_csv())]
+}
+
+/// The §IV-B string flood under all six adversary timings, on a static
+/// graph. Like `e1` it never steps an epoch (baseline row only); it pins
+/// the flood's delivery order through `forwards_per_node` and `messages`.
+pub fn e7(o: &Options) -> Artefacts {
+    vec![("e7_strings.csv", e7_strings::run(o).to_csv())]
 }
 
 /// Every (strategy × pipeline) cell plus the §IV-B hoard table. Cells
