@@ -24,7 +24,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::{HashSet, VecDeque};
 use tg_core::GroupGraphView;
 use tg_sim::Summary;
 
@@ -117,41 +116,68 @@ pub struct StringOutcome {
     pub global_min_key: Option<u64>,
 }
 
-/// A string in flight: `(output, key)`; the key identifies the string
-/// (owner, nonce) — outputs are what the protocol compares.
+/// A string as generated: `(output, key)`; the key identifies the
+/// string (owner, nonce) — outputs are what the protocol compares.
 type Flying = (f64, u64);
+
+/// A string in flight. Every string that will ever fly is known before
+/// the first step, so each gets a dense id: its rank in ascending
+/// `(output, key)` order. Comparing ids *is* comparing strings, and a
+/// node's "have I seen this" is one bit.
+type StringId = u32;
 
 /// One bin: the `cap` smallest strings seen at this scale, plus the
 /// forward counter.
 #[derive(Clone)]
 struct Bin {
     /// Smallest strings seen in this bin, sorted ascending, ≤ cap long.
-    smallest: Vec<Flying>,
+    smallest: Vec<StringId>,
     /// Forwards spent on this bin (hard-capped at `c0·ln n`).
-    forwards: u32,
+    forwards: usize,
 }
 
 struct NodeState {
     bins: Vec<Bin>,
-    /// Accepted strings (output, key), kept sorted by output.
-    stored: Vec<Flying>,
-    /// Minimum output seen (running).
-    min_seen: Option<Flying>,
+    /// The `rmax` smallest accepted strings, ascending — the solution
+    /// set `R_w`.
+    stored: Vec<StringId>,
+    /// Minimum string seen (running).
+    min_seen: Option<StringId>,
     /// Snapshot of `min_seen` at the end of Phase 2.
-    si_star: Option<Flying>,
-    inbox: VecDeque<Flying>,
-    outbox: Vec<Flying>,
+    si_star: Option<StringId>,
+    /// Bitset over string ids: set at a string's first receipt. Every
+    /// later receipt is a no-op for `offer` — a duplicate if the string
+    /// is still in its bin; if it was rejected or evicted there were
+    /// already `cap` smaller strings in the bin, and a bin's contents
+    /// only ever get smaller — so the flood skips it on this bit alone.
+    seen: Vec<u64>,
 }
 
 impl NodeState {
-    fn new(num_bins: usize) -> Self {
+    fn new(num_bins: usize, num_strings: usize) -> Self {
         NodeState {
             bins: vec![Bin { smallest: Vec::new(), forwards: 0 }; num_bins],
             stored: Vec::new(),
             min_seen: None,
             si_star: None,
-            inbox: VecDeque::new(),
-            outbox: Vec::new(),
+            seen: vec![0; num_strings.div_ceil(64)],
+        }
+    }
+
+    /// Receive `s`: [`NodeState::offer`] it on first receipt, drop it on
+    /// any later one.
+    fn receive(
+        &mut self,
+        s: StringId,
+        bin: usize,
+        cap: usize,
+        rmax: usize,
+        out: &mut Vec<StringId>,
+    ) {
+        let (word, bit) = (s as usize / 64, 1u64 << (s % 64));
+        if self.seen[word] & bit == 0 {
+            self.seen[word] |= bit;
+            self.offer(s, bin, cap, rmax, out);
         }
     }
 
@@ -161,33 +187,37 @@ impl NodeState {
     /// is order-independent, so two record-scale strings sharing a bin
     /// both survive no matter which floods first — and forwards are
     /// hard-capped at `cap` per bin, which is what bounds total traffic
-    /// at `Õ(n ln T)`.
-    fn offer(&mut self, s: Flying, cap: u32, num_bins: usize) -> bool {
+    /// at `Õ(n ln T)`. A forwarded string is pushed onto `out`.
+    fn offer(
+        &mut self,
+        s: StringId,
+        bin: usize,
+        cap: usize,
+        rmax: usize,
+        out: &mut Vec<StringId>,
+    ) -> bool {
         if self.min_seen.is_none_or(|m| s < m) {
             self.min_seen = Some(s);
         }
-        let j = bin_index(s.0, num_bins);
-        let bin = &mut self.bins[j];
-        let pos = match bin
-            .smallest
-            .binary_search_by(|probe| probe.partial_cmp(&s).expect("finite outputs"))
-        {
+        let bin = &mut self.bins[bin];
+        let pos = match bin.smallest.binary_search(&s) {
             Ok(_) => return false, // duplicate receipt
             Err(pos) => pos,
         };
-        if pos >= cap as usize {
+        if pos >= cap {
             return false; // not among the bin's cap smallest
         }
         bin.smallest.insert(pos, s);
-        bin.smallest.truncate(cap as usize);
-        if let Err(spos) =
-            self.stored.binary_search_by(|probe| probe.partial_cmp(&s).expect("finite outputs"))
-        {
+        bin.smallest.truncate(cap);
+        // Only the rmax-prefix of the accepted strings is ever read.
+        let spos = self.stored.partition_point(|&kept| kept < s);
+        if spos < rmax {
             self.stored.insert(spos, s);
+            self.stored.truncate(rmax);
         }
         if bin.forwards < cap {
             bin.forwards += 1;
-            self.outbox.push(s);
+            out.push(s);
         }
         true
     }
@@ -208,7 +238,28 @@ fn sample_min_of_uniforms(k: f64, rng: &mut StdRng) -> f64 {
     (-(u.ln() / k).exp_m1()).clamp(f64::MIN_POSITIVE, 1.0 - f64::EPSILON)
 }
 
+/// The step an adversary releases at: `release_frac` of the flooding
+/// timeline, clamped to its last step (step 0 when there is no timeline).
+fn release_step(steps_total: u64, release_frac: f64) -> u64 {
+    ((steps_total as f64 * release_frac).floor() as u64).min(steps_total.saturating_sub(1))
+}
+
 /// Run the propagation protocol over the blue subgraph of `gg`.
+///
+/// **What is simulated.** Links are the *directed* out-link sets `S_w`
+/// of the input graph (`InputGraph::neighbors`: predecessor, successor,
+/// fingers), restricted to blue groups of the giant component; a string
+/// accepted and forwarded by `w` in one step reaches every `u ∈ S_w` at
+/// the next.
+///
+/// **Delivery order** (observable, because `bin.forwards < cap` is
+/// order-dependent, and pinned by `tests/golden_strings.rs`): within a
+/// step, nodes act in ascending ring index; a node first receives what
+/// its in-neighbors forwarded last step — in-neighbors in ascending
+/// ring index, each one's strings in the order it forwarded them — and
+/// then the strings injected at it this step, in injection order. What
+/// the last step forwards is still received (the epoch boundary) but
+/// triggers no further forwards.
 pub fn run_string_protocol<G: GroupGraphView>(
     gg: &G,
     params: &StringParams,
@@ -219,35 +270,56 @@ pub fn run_string_protocol<G: GroupGraphView>(
     let ln_n = (n.max(3) as f64).ln();
     let num_bins =
         ((params.bins_factor * ((n as f64) * params.t_epoch as f64).ln()).ceil() as usize).max(4);
-    let cap = (params.c0 * ln_n).ceil() as u32;
+    let cap = (params.c0 * ln_n).ceil() as usize;
     let rmax = (params.d0 * ln_n).ceil() as usize;
     let phase_len = (params.dprime * ln_n).ceil() as u64;
     let steps_total = 2 * phase_len;
 
-    // Blue adjacency (undirected union of topology links) and the giant
-    // component.
+    // Blue out-links (directed: `adj[i]` is `S_i` minus red groups; red
+    // groups drop traffic, so they have none) and the giant component.
     let ring = gg.leaders().ring();
+    let red: Vec<bool> = (0..n).map(|i| gg.is_red(i)).collect();
     let adj: Vec<Vec<usize>> = (0..n)
         .map(|i| {
-            if gg.is_red(i) {
+            if red[i] {
                 return Vec::new();
             }
             gg.topology()
                 .neighbors(ring.at(i))
                 .into_iter()
                 .map(|u| ring.index_of(u).expect("neighbor on ring"))
-                .filter(|&j| !gg.is_red(j))
+                .filter(|&j| !red[j])
                 .collect()
         })
         .collect();
     let giant = giant_component(&adj);
-    let giant_set: HashSet<usize> = giant.iter().copied().collect();
+
+    // Everything about a link that is constant for the call: who pulls
+    // from whom (`senders[j]`, ascending because `giant` is), and per
+    // sender the number of giant out-links and their all-to-all cost
+    // `Σ_j |G_i|·|G_j|` — one forwarded string costs `fanout[i]`
+    // forwards and `weight[i]` messages.
+    let mut in_giant = vec![false; n];
+    let mut size = vec![0usize; n];
+    for &i in &giant {
+        in_giant[i] = true;
+        size[i] = gg.group_size(i);
+    }
+    let mut senders: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut fanout = vec![0u64; n];
+    let mut weight = vec![0u64; n];
+    for &i in &giant {
+        for &j in adj[i].iter().filter(|&&j| in_giant[j]) {
+            senders[j].push(i as u32);
+            fanout[i] += 1;
+            weight[i] += (size[i] * size[j]) as u64;
+        }
+    }
 
     // Phase 1 result: each *good, blue, giant* leader holds its best
     // candidate (min of its Phase-1 attempts).
     let phase1_attempts =
         (params.attempts_per_step * (params.t_epoch / 2).saturating_sub(2 * phase_len)).max(1);
-    let mut nodes: Vec<NodeState> = (0..n).map(|_| NodeState::new(num_bins)).collect();
     let mut injections: Vec<(u64, usize, Flying)> = Vec::new(); // (step, node, string)
     for &i in &giant {
         if gg.leaders().is_bad(i) {
@@ -264,8 +336,7 @@ pub fn run_string_protocol<G: GroupGraphView>(
         StringAdversary::None => {}
         StringAdversary::DelayedRelease { strings, release_frac, units } => {
             let total_attempts = units * params.attempts_per_step as f64 * params.t_epoch as f64;
-            let release_step =
-                ((steps_total as f64 * release_frac).floor() as u64).min(steps_total - 1);
+            let release_step = release_step(steps_total, release_frac);
             // Order statistics of the adversary's attempts via exponential
             // spacings: the j-th smallest of N uniforms ≈ (E₁+…+E_j)/N.
             let mut acc = 0.0f64;
@@ -280,8 +351,7 @@ pub fn run_string_protocol<G: GroupGraphView>(
             }
         }
         StringAdversary::ForcedRecords { strings, release_frac } => {
-            let release_step =
-                ((steps_total as f64 * release_frac).floor() as u64).min(steps_total - 1);
+            let release_step = release_step(steps_total, release_frac);
             // Outputs strictly below the good global minimum: each string
             // halves again so they are distinct records.
             let good_min = injections
@@ -301,43 +371,59 @@ pub fn run_string_protocol<G: GroupGraphView>(
     }
     injections.sort_by_key(|&(step, node, _)| (step, node));
 
+    // Dense ids in ascending `(output, key)` order, with each string's
+    // key and bin looked up once.
+    let mut by_value: Vec<usize> = (0..injections.len()).collect();
+    by_value
+        .sort_by(|&a, &b| injections[a].2.partial_cmp(&injections[b].2).expect("finite outputs"));
+    let mut schedule: Vec<(u64, usize, StringId)> = vec![(0, 0, 0); injections.len()];
+    let mut key_of: Vec<u64> = Vec::with_capacity(injections.len());
+    let mut bin_of: Vec<usize> = Vec::with_capacity(injections.len());
+    for (id, &pos) in by_value.iter().enumerate() {
+        let (step, node, (t, key)) = injections[pos];
+        schedule[pos] = (step, node, id as StringId);
+        key_of.push(key);
+        bin_of.push(bin_index(t, num_bins));
+    }
+
+    let mut nodes: Vec<NodeState> =
+        (0..n).map(|_| NodeState::new(num_bins, schedule.len())).collect();
+    // What every node forwarded last step, and what it forwards this one.
+    let mut sent: Vec<Vec<StringId>> = vec![Vec::new(); n];
+    let mut sending: Vec<Vec<StringId>> = vec![Vec::new(); n];
     let mut forwards = 0u64;
     let mut messages = 0u64;
     let mut inj_cursor = 0usize;
 
-    for step in 0..steps_total {
-        // Deliver scheduled injections.
-        while inj_cursor < injections.len() && injections[inj_cursor].0 == step {
-            let (_, node, s) = injections[inj_cursor];
-            nodes[node].inbox.push_back(s);
-            inj_cursor += 1;
-        }
-        // Each good giant node processes its inbox; acceptances go to the
-        // outbox, delivered to neighbors at the next step.
-        let mut deliveries: Vec<(usize, Flying)> = Vec::new();
-        for &i in &giant {
-            if gg.leaders().is_bad(i) {
-                // A bad leader's group still has a good member majority if
-                // blue — the group forwards correctly. Leader badness
-                // does not change blue-group behaviour.
-            }
-            while let Some(s) = nodes[i].inbox.pop_front() {
-                nodes[i].offer(s, cap, num_bins);
-            }
-            let out = std::mem::take(&mut nodes[i].outbox);
-            for s in out {
-                for &j in &adj[i] {
-                    if giant_set.contains(&j) {
-                        forwards += 1;
-                        messages += (gg.group_size(i) * gg.group_size(j)) as u64;
-                        deliveries.push((j, s));
-                    }
+    // One round beyond the timeline: the last step's sends are received
+    // at the epoch boundary, and nothing is injected or forwarded there.
+    // A bad leader's group still has a good member majority if blue, so
+    // the group forwards correctly: leader badness does not change
+    // blue-group behaviour, and every giant node takes part.
+    for step in 0..=steps_total {
+        let on_timeline = step < steps_total;
+        for &j in &giant {
+            let node = &mut nodes[j];
+            let out = &mut sending[j];
+            out.clear();
+            for &i in &senders[j] {
+                for &s in &sent[i as usize] {
+                    node.receive(s, bin_of[s as usize], cap, rmax, out);
                 }
             }
+            if !on_timeline {
+                continue;
+            }
+            while let Some(&(_, _, s)) =
+                schedule.get(inj_cursor).filter(|&&(at, node, _)| (at, node) == (step, j))
+            {
+                node.receive(s, bin_of[s as usize], cap, rmax, out);
+                inj_cursor += 1;
+            }
+            forwards += out.len() as u64 * fanout[j];
+            messages += out.len() as u64 * weight[j];
         }
-        for (j, s) in deliveries {
-            nodes[j].inbox.push_back(s);
-        }
+        std::mem::swap(&mut sent, &mut sending);
         // End of Phase 2: snapshot minima.
         if step + 1 == phase_len {
             for &i in &giant {
@@ -345,37 +431,34 @@ pub fn run_string_protocol<G: GroupGraphView>(
             }
         }
     }
-    // Drain any final in-flight deliveries into the stores (the last
-    // step's sends are received at the epoch boundary).
-    for &i in &giant {
-        while let Some(s) = nodes[i].inbox.pop_front() {
-            nodes[i].offer(s, cap, num_bins);
-        }
-    }
 
     // Solution sets: the rmax smallest stored strings.
     let good_giant: Vec<usize> =
         giant.iter().copied().filter(|&i| !gg.leaders().is_bad(i)).collect();
-    let set_sizes: Vec<f64> =
-        good_giant.iter().map(|&i| nodes[i].stored.len().min(rmax) as f64).collect();
+    let set_sizes: Vec<f64> = good_giant.iter().map(|&i| nodes[i].stored.len() as f64).collect();
 
-    // Lemma 12 (i): every si* is in everyone's solution set.
+    // Lemma 12 (i): every si* is in everyone's solution set. There are
+    // few distinct si* (usually one), so count each once per solution
+    // set and weigh it by how many nodes hold it as their si*.
+    let mut holders = vec![0u64; schedule.len()];
+    for &i in &good_giant {
+        if let Some(s) = nodes[i].si_star {
+            holders[s as usize] += 1;
+        }
+    }
+    let si_stars: Vec<(StringId, u64)> =
+        (0..).zip(holders).filter(|&(_, held_by)| held_by > 0).collect();
     let mut missing = 0u64;
-    let si_stars: Vec<Flying> = good_giant.iter().filter_map(|&i| nodes[i].si_star).collect();
     for &u in &good_giant {
-        let r_u: HashSet<u64> = nodes[u].stored.iter().take(rmax).map(|&(_, key)| key).collect();
-        for &(_, key) in &si_stars {
-            if !r_u.contains(&key) {
-                missing += 1;
+        for &(s, held_by) in &si_stars {
+            if nodes[u].stored.binary_search(&s).is_err() {
+                missing += held_by;
             }
         }
     }
 
-    let global_min_key = good_giant
-        .iter()
-        .filter_map(|&i| nodes[i].min_seen)
-        .min_by(|a, b| a.partial_cmp(b).expect("finite outputs"))
-        .map(|(_, key)| key);
+    let global_min_key =
+        good_giant.iter().filter_map(|&i| nodes[i].min_seen).min().map(|s| key_of[s as usize]);
 
     StringOutcome {
         agreement: missing == 0,
@@ -398,15 +481,17 @@ fn giant_component(adj: &[Vec<usize>]) -> Vec<usize> {
         if seen[start] || adj[start].is_empty() {
             continue;
         }
+        // Breadth-first: `comp` doubles as the queue.
         let mut comp = vec![start];
-        let mut queue = VecDeque::from([start]);
+        let mut head = 0;
         seen[start] = true;
-        while let Some(v) = queue.pop_front() {
+        while head < comp.len() {
+            let v = comp[head];
+            head += 1;
             for &u in &adj[v] {
                 if !seen[u] && !adj[u].is_empty() {
                     seen[u] = true;
                     comp.push(u);
-                    queue.push_back(u);
                 }
             }
         }
@@ -572,5 +657,176 @@ mod tests {
         // E[min of k uniforms] = 1/(k+1).
         assert!((small - 1.0 / 11.0).abs() < 0.01, "mean {small:.4} vs 1/11");
         assert!((large - 1.0 / 1001.0).abs() < 2e-4, "mean {large:.5} vs 1/1001");
+    }
+
+    /// A real graph with the group colors overridden — the way to put
+    /// the flood on a giant component of a chosen shape.
+    struct Recolored<'a> {
+        inner: &'a GroupGraph,
+        blue: &'a [usize],
+    }
+
+    impl GroupGraphView for Recolored<'_> {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn is_red(&self, i: usize) -> bool {
+            !self.blue.contains(&i)
+        }
+        fn group_size(&self, i: usize) -> usize {
+            self.inner.group_size(i)
+        }
+        fn group_bad_count(&self, i: usize) -> usize {
+            self.inner.group_bad_count(i)
+        }
+        fn is_confused(&self, i: usize) -> bool {
+            self.inner.is_confused(i)
+        }
+        fn group_members(&self, i: usize) -> &[u32] {
+            self.inner.group_members(i)
+        }
+        fn captured_slots(&self, i: usize) -> u32 {
+            self.inner.captured_slots(i)
+        }
+        fn leaders(&self) -> &Population {
+            self.inner.leaders()
+        }
+        fn pool(&self) -> &Population {
+            self.inner.pool()
+        }
+        fn topology(&self) -> &dyn tg_overlay::InputGraph {
+            self.inner.topology()
+        }
+    }
+
+    /// Out-links of every group of `gg`, as ring indices.
+    fn out_links(gg: &GroupGraph) -> Vec<Vec<usize>> {
+        let ring = gg.leaders().ring();
+        (0..gg.len())
+            .map(|i| {
+                let links = gg.topology().neighbors(ring.at(i));
+                links.into_iter().map(|u| ring.index_of(u).expect("on ring")).collect()
+            })
+            .collect()
+    }
+
+    const ADVERSARIES: [StringAdversary; 3] = [
+        StringAdversary::None,
+        StringAdversary::DelayedRelease { strings: 3, release_frac: 0.49, units: 4.0 },
+        StringAdversary::ForcedRecords { strings: 3, release_frac: 0.49 },
+    ];
+
+    #[test]
+    fn all_red_graph_has_an_empty_giant() {
+        let gg = graph(64, 0, 31);
+        let all_red = Recolored { inner: &gg, blue: &[] };
+        for adv in ADVERSARIES {
+            let mut rng = StdRng::seed_from_u64(32);
+            let out = run_string_protocol(&all_red, &StringParams::default(), adv, &mut rng);
+            assert_eq!(out.giant_size, 0);
+            assert_eq!(out.global_min_key, None);
+            assert!(out.agreement, "vacuous: nobody is left to disagree");
+            assert_eq!((out.forwards, out.messages, out.missing_pairs), (0, 0, 0));
+            assert_eq!(out.solution_set_sizes.n, 0);
+        }
+    }
+
+    #[test]
+    fn giant_of_one_blue_group_keeps_its_own_string() {
+        // `a → b` but not `b → a`: with only those two blue, `b` has no
+        // blue out-link and drops out, leaving a giant of `a` alone —
+        // no in-links, no out-links inside the giant.
+        let gg = graph(64, 0, 33);
+        let links = out_links(&gg);
+        let (a, b) = (0..gg.len())
+            .flat_map(|a| links[a].iter().map(move |&b| (a, b)))
+            .find(|&(a, b)| !links[b].contains(&a))
+            .expect("chord fingers are one-way");
+        let lonely = Recolored { inner: &gg, blue: &[a, b] };
+        let mut rng = StdRng::seed_from_u64(34);
+        let out =
+            run_string_protocol(&lonely, &StringParams::default(), StringAdversary::None, &mut rng);
+        assert_eq!(out.giant_size, 1);
+        assert_eq!(out.global_min_key, Some(a as u64));
+        assert!(out.agreement);
+        assert_eq!((out.forwards, out.messages), (0, 0));
+        assert_eq!(out.solution_set_sizes.max, 1.0);
+    }
+
+    #[test]
+    fn same_step_same_victim_injections_follow_the_pull() {
+        // A two-node giant `a ⇄ b`, one bin that matters (every output
+        // is far below 1/8 and there are 4 bins) and `cap = 1`, so a
+        // node accepts a string only if it is the smallest it has been
+        // offered so far. Three records released at step 1: two share a
+        // victim. At step 1 a victim first pulls the other node's own
+        // string, then takes its records in injection order — each
+        // smaller than the last, so all are accepted. Over both nodes
+        // the solution sets then hold 2 own strings, the smaller own
+        // string once more at the other node, and the 3 records: 6.
+        // Injections before the pull, or records in the other order,
+        // lose at least one whenever the victim holds the larger own
+        // string.
+        let gg = graph(16, 0, 35);
+        let links = out_links(&gg);
+        assert!(links[0].contains(&1) && links[1].contains(&0), "successor and predecessor");
+        let pair = Recolored { inner: &gg, blue: &[0, 1] };
+        let params = StringParams { c0: 0.01, bins_factor: 0.0, ..StringParams::default() };
+        let steps = 2.0 * (params.dprime * 16f64.ln()).ceil();
+        let adv = StringAdversary::ForcedRecords { strings: 3, release_frac: 1.5 / steps };
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let out = run_string_protocol(&pair, &params, adv, &mut rng);
+            assert_eq!(out.giant_size, 2);
+            let held = out.solution_set_sizes.mean * 2.0;
+            assert_eq!(held, 6.0, "seed {seed}: an accepted string went missing");
+            assert_eq!(out.forwards, 2, "seed {seed}: cap = 1 is one forward per node");
+            assert_eq!(out.global_min_key, Some(u64::MAX - 2));
+        }
+    }
+
+    #[test]
+    fn zero_length_timeline_with_an_adversary_does_not_underflow() {
+        // `dprime = 0`: no flooding steps, so the release step has no
+        // "last step" to clamp to.
+        let gg = graph(64, 3, 37);
+        let params = StringParams { dprime: 0.0, ..StringParams::default() };
+        for adv in ADVERSARIES {
+            let mut rng = StdRng::seed_from_u64(38);
+            let out = run_string_protocol(&gg, &params, adv, &mut rng);
+            assert_eq!((out.steps, out.forwards, out.messages), (0, 0, 0));
+            assert_eq!(out.global_min_key, None, "nothing was ever delivered");
+            assert_eq!(out.solution_set_sizes.max, 0.0);
+        }
+    }
+
+    #[test]
+    fn a_string_offered_twice_changes_nothing_the_second_time() {
+        // The premise of the `seen` filter: whatever `offer` did with a
+        // string — kept it, kept and later evicted it, or rejected it at
+        // `pos ≥ cap` — offering it again after any further offers is
+        // rejected and leaves the node untouched.
+        let (cap, rmax, strings) = (3usize, 4usize, 40u32);
+        let mut rng = StdRng::seed_from_u64(39);
+        for _ in 0..200 {
+            let mut node = NodeState::new(2, strings as usize);
+            let mut out = Vec::new();
+            let mut offered: Vec<StringId> = Vec::new();
+            for _ in 0..60 {
+                let s = rng.gen_range(0..strings);
+                let again = offered.contains(&s);
+                let before = (node.bins[0].smallest.clone(), node.bins[1].smallest.clone());
+                let (stored, sent) = (node.stored.clone(), out.len());
+                let accepted = node.offer(s, (s % 2) as usize, cap, rmax, &mut out);
+                if again {
+                    assert!(!accepted, "string {s} accepted on a repeat offer");
+                    let after = (node.bins[0].smallest.clone(), node.bins[1].smallest.clone());
+                    assert_eq!((before, stored, sent), (after, node.stored.clone(), out.len()));
+                }
+                offered.push(s);
+            }
+            assert!(node.stored.len() <= rmax && node.stored.is_sorted());
+            assert!(out.len() <= 2 * cap, "forwards are capped per bin");
+        }
     }
 }

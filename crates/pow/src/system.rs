@@ -291,6 +291,7 @@ impl FullSystem {
 mod tests {
     use super::*;
     use crate::adversary::MintScheme;
+    use tg_core::GroupGraphView;
 
     fn system(seed: u64) -> FullSystem {
         let mut params = Params::paper_defaults();
@@ -354,6 +355,38 @@ mod tests {
         let frac = r.minted_good as f64 / 700.0;
         assert!((0.55..0.75).contains(&frac), "minted fraction {frac:.3}");
         assert!(r.dynamics.search_success_dual > 0.85);
+    }
+
+    #[test]
+    fn all_red_system_still_advances_on_the_fallback_string() {
+        // A 10:1 adversary majority colors every group red: the flood
+        // has no giant component and agrees on nothing, so the epoch
+        // string must come from the fallback mix — and the epoch must
+        // still run.
+        let mut sys = FullSystem::new(
+            Params::paper_defaults(),
+            GraphKind::Chord,
+            PuzzleParams::calibrated(16, 2048),
+            StringParams::default(),
+            60,
+            600.0,
+            true,
+            67,
+        );
+        sys.dynamics.set_searches_per_epoch(20);
+        assert_eq!(sys.dynamics.graphs().side(0).frac_red(), 1.0);
+        let mut last_string = sys.epoch_string();
+        for _ in 0..2 {
+            let before = sys.dynamics.epoch();
+            let r = sys.run_epoch();
+            assert_eq!(sys.dynamics.epoch(), before + 1);
+            assert_eq!(r.strings.giant_size, 0);
+            assert_eq!(r.strings.global_min_key, None);
+            assert!(r.strings.agreement, "vacuously");
+            assert_eq!(r.verification_coverage, 0.0, "no good pair can verify");
+            assert_ne!(r.epoch_string, last_string, "the fallback mix still refreshes");
+            last_string = r.epoch_string;
+        }
     }
 
     #[test]
