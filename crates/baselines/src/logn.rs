@@ -28,6 +28,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tg_core::GroupGraphView;
     use tg_crypto::OracleFamily;
 
     fn pop(n_good: usize, n_bad: usize, seed: u64) -> Population {

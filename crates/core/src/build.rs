@@ -51,6 +51,7 @@ pub fn build_initial_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GroupGraphView;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tg_crypto::OracleFamily;

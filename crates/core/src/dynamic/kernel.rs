@@ -9,9 +9,12 @@
 //! either way, so the reports are identical.
 //!
 //! Both values have callers: sweeps that fan out at cell level (`e11`,
-//! `e12`, the benchmark's `sweep_cells`) keep the epoch sequential so
-//! threads do not nest; single large runs (`e13`, `scale_honest`) fan
-//! out inside it. The codec tokens (`legacy` / `arena`) are older than
+//! `e12`, the benchmark's `sweep_cells`) keep the epoch sequential;
+//! single large runs (`e13`, `scale_honest`) fan out inside it.
+//! Combining the two is harmless: `parallel_map_chunked` called from
+//! inside one of its own workers runs serially on that worker, so a
+//! fanned-out epoch inside a sweep cell is the sequential schedule, not
+//! a second layer of threads. The codec tokens (`legacy` / `arena`) are older than
 //! this meaning and stay as they are: labels are store keys.
 
 use tg_sim::parallel_map_chunked;

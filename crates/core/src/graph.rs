@@ -102,45 +102,6 @@ impl GroupGraph {
     pub fn group_size(&self, i: usize) -> usize {
         self.groups[i].size(&self.pool)
     }
-
-    /// Fraction of red groups — the quantity `pf` bounds (S2).
-    pub fn frac_red(&self) -> f64 {
-        let red = self.colors.iter().filter(|&&c| c == Color::Red).count();
-        red as f64 / self.colors.len().max(1) as f64
-    }
-
-    /// Fraction of groups with a good majority (Theorem 3, first bullet,
-    /// operational reading).
-    pub fn frac_good_majority(&self) -> f64 {
-        let good = self.groups.iter().filter(|g| g.has_good_majority(&self.pool)).count();
-        good as f64 / self.groups.len().max(1) as f64
-    }
-
-    /// Fraction of groups meeting the paper's §I-C invariant (size range
-    /// and `(1+δ)β` bad bound).
-    pub fn frac_paper_invariant(&self, params: &Params) -> f64 {
-        let n = self.leaders.len();
-        let ok =
-            self.groups.iter().filter(|g| g.meets_paper_invariant(&self.pool, params, n)).count();
-        ok as f64 / self.groups.len().max(1) as f64
-    }
-
-    /// Fraction of confused groups.
-    pub fn frac_confused(&self) -> f64 {
-        let c = self.confused.iter().filter(|&&x| x).count();
-        c as f64 / self.confused.len().max(1) as f64
-    }
-
-    /// Mean live group size.
-    pub fn mean_group_size(&self) -> f64 {
-        let total: usize = (0..self.len()).map(|i| self.group_size(i)).sum();
-        total as f64 / self.len().max(1) as f64
-    }
-
-    /// Leader-ring indices of all blue groups.
-    pub fn blue_indices(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| !self.is_red(i)).collect()
-    }
 }
 
 /// Read access to one side's group graph, independent of storage layout.
@@ -276,32 +237,6 @@ impl GroupGraphView for GroupGraph {
 
     fn topology(&self) -> &dyn InputGraph {
         self.topology.as_ref()
-    }
-
-    // Delegate the aggregates to the color-cache-backed inherent methods:
-    // identical results, one array lookup instead of a member scan.
-    fn frac_red(&self) -> f64 {
-        GroupGraph::frac_red(self)
-    }
-
-    fn frac_good_majority(&self) -> f64 {
-        GroupGraph::frac_good_majority(self)
-    }
-
-    fn frac_paper_invariant(&self, params: &Params) -> f64 {
-        GroupGraph::frac_paper_invariant(self, params)
-    }
-
-    fn frac_confused(&self) -> f64 {
-        GroupGraph::frac_confused(self)
-    }
-
-    fn mean_group_size(&self) -> f64 {
-        GroupGraph::mean_group_size(self)
-    }
-
-    fn blue_indices(&self) -> Vec<usize> {
-        GroupGraph::blue_indices(self)
     }
 }
 

@@ -1,13 +1,17 @@
-//! Property-based tests for the group layer's invariants.
+//! Property-based tests for the group layer's invariants, and for the
+//! totality of the actor runtime's wire decoder.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tg_core::dynamic::{BuildMode, DynamicSystem, UniformProvider};
+use tg_core::runtime::ProtocolMsg;
 use tg_core::{build_initial_graph, search_path, Color, GroupGraphView, Params, Population};
 use tg_crypto::OracleFamily;
 use tg_idspace::Id;
 use tg_overlay::GraphKind;
+use tg_sim::net::Wire;
 use tg_sim::Metrics;
 
 proptest! {
@@ -109,6 +113,58 @@ proptest! {
                     prop_assert!((m as usize) < g.pool().len());
                 }
             }
+        }
+    }
+}
+
+/// A frame either does not decode or decodes to a message that encodes
+/// back to exactly that frame.
+fn check_frame(frame: &[u8]) -> Result<(), TestCaseError> {
+    if let Some(msg) = ProtocolMsg::decode(frame) {
+        let mut again = Vec::new();
+        msg.encode(&mut again);
+        prop_assert_eq!(&again[..], frame, "decoded {:?}", msg);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `ProtocolMsg::decode` is total — what a socket lane hands it is
+    /// whatever arrived. Arbitrary bytes (as drawn, and with the tag
+    /// byte forced into and just past the valid range so the length
+    /// guards are actually reached) decode to `None` or to a message
+    /// that re-encodes to the input; every truncation and a one-byte
+    /// extension of every valid frame is `None`; nothing panics — the
+    /// probe arm's `rest[..4]` / `rest[4]` sit behind its `len == 5`
+    /// guard.
+    #[test]
+    fn protocol_msg_decode_is_total(
+        bytes in prop::collection::vec(any::<u8>(), 0..16),
+        tag in 0u8..4,
+        word in any::<u64>(),
+        search in any::<u32>(),
+        hop in any::<u8>(),
+        extra in any::<u8>(),
+    ) {
+        check_frame(&bytes)?;
+        if let Some((_, rest)) = bytes.split_first() {
+            check_frame(&[&[tag], rest].concat())?;
+        }
+        for msg in [
+            ProtocolMsg::Join { id: word },
+            ProtocolMsg::Probe { search, hop },
+            ProtocolMsg::StringAnnounce { key: word },
+        ] {
+            let mut frame = Vec::new();
+            msg.encode(&mut frame);
+            prop_assert_eq!(ProtocolMsg::decode(&frame), Some(msg));
+            for cut in 0..frame.len() {
+                prop_assert_eq!(ProtocolMsg::decode(&frame[..cut]), None, "cut {} of {:?}", cut, msg);
+            }
+            frame.push(extra);
+            prop_assert_eq!(ProtocolMsg::decode(&frame), None, "extended {:?}", msg);
         }
     }
 }

@@ -1,12 +1,10 @@
-//! Minimal CLI option parsing shared by the experiment binaries.
+//! Minimal CLI option parsing for the `run_all` binary.
 //!
 //! Supported flags (all optional):
 //! `--seed <u64>` (default 42), `--full` (paper-scale parameters),
 //! `--out <dir>` (default `results/`), `--quiet` (suppress the table),
 //! `--only e10,e11,e12` (run a subset), `--list` (print the
-//! experiment registry and exit — both consumed by `run_all`; the
-//! single-experiment binaries accept and ignore them so one flag set
-//! can be passed around scripts unchanged), `--kernel legacy|arena`
+//! experiment registry and exit), `--kernel legacy|arena`
 //! (how the one epoch system schedules its RNG-free phases: `legacy`
 //! sequential, `arena` fanned out over threads — identical results
 //! either way; e13 times the pair), and
@@ -39,7 +37,7 @@ pub struct Options {
     pub out_dir: String,
     /// Suppress stdout tables.
     pub quiet: bool,
-    /// Restrict `run_all` to the named experiments (`e1`…`e14`,
+    /// Restrict `run_all` to the named experiments (`e1`…`e15`,
     /// `figure1`). `None` runs everything.
     pub only: Option<Vec<String>>,
     /// Print the experiment registry (name + one-line description) and
@@ -94,7 +92,7 @@ impl Options {
     ///
     /// # Panics
     /// Panics with a usage message on unknown flags or malformed values —
-    /// the binaries are developer tools, failing loudly is the feature.
+    /// `run_all` is a developer tool, failing loudly is the feature.
     pub fn parse(args: impl Iterator<Item = String>) -> Options {
         let mut opts = Options::default();
         let mut it = args.peekable();
@@ -180,7 +178,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: <experiment> [--seed N] [--full] [--out DIR] [--quiet] [--only e10,e11,e12] \
+        "usage: run_all [--seed N] [--full] [--out DIR] [--quiet] [--only e10,e11,e12] \
          [--list] [--kernel legacy|arena] [--runtime sync|actor] [--transport mem|socket] \
          [--store DIR] [--check-invariants]"
     );

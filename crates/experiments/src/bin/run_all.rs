@@ -1,6 +1,7 @@
-//! Run every experiment with the given options — regenerates all the
-//! tables and figures recorded in EXPERIMENTS.md. The execution order,
-//! the `--list` output, and the `--only` validation all come from one
+//! The experiment binary: run every experiment (or the `--only`
+//! subset) with the given options — regenerates all the tables and
+//! figures recorded in EXPERIMENTS.md. The execution order, the
+//! `--list` output, and the `--only` validation all come from one
 //! place: [`tg_experiments::exp::REGISTRY`].
 //!
 //! * `--list` — print the registry (name + one-line description) and

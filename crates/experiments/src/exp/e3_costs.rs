@@ -149,6 +149,7 @@ pub fn run(opts: &Options) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tg_core::GroupGraphView;
 
     #[test]
     fn tiny_groups_cost_less_and_route_as_well() {

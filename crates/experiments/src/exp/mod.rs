@@ -1,5 +1,9 @@
 //! Experiment implementations (one module per DESIGN.md §5 entry), and
-//! the [`REGISTRY`] the `run_all` binary drives them through.
+//! the [`REGISTRY`] the `run_all` binary — the only experiment binary —
+//! drives them through. A module's `run` computes and returns its
+//! tables (what the tests drive); the registry row's `run` is the one
+//! run-and-emit path: it writes every table and prints whatever else
+//! the experiment reports (e11's heatmap panes, the e12–e15 epilogues).
 
 pub mod e10_adversaries;
 pub mod e11_frontier;
@@ -99,8 +103,12 @@ pub const REGISTRY: [Experiment; 16] = [
         name: "e11",
         description: "Adversary-vs-defense frontier: β × d₂ capture heatmaps over FullSystem",
         run: |o| {
-            for t in e11_frontier::run(o).tables() {
+            let out = e11_frontier::run(o);
+            for t in out.tables() {
                 t.emit(o);
+            }
+            if !o.quiet {
+                println!("{}", out.heatmaps);
             }
         },
     },
@@ -108,29 +116,52 @@ pub const REGISTRY: [Experiment; 16] = [
         name: "e12",
         description: "Adaptive frontier refinement: bisected thresholds over churn × topology",
         run: |o| {
-            for t in e12_refine::run(o).tables() {
+            let out = e12_refine::run(o);
+            for t in out.tables() {
                 t.emit(o);
             }
+            let grid = e12_refine::config(o).grid;
+            let grid_cells = grid.rows().len() * grid.betas.len();
+            eprintln!(
+                "[e12] located {} frontiers with {} cell-runs ({} trials incl. confidence \
+                 seeds); the uniform grid is {} cells — {:.0}% saved",
+                out.frontier.rows.len(),
+                out.cell_runs,
+                out.trial_runs,
+                grid_cells,
+                100.0 * (1.0 - out.cell_runs as f64 / grid_cells.max(1) as f64),
+            );
         },
     },
     Experiment {
         name: "e13",
         description:
             "Epoch throughput ladder: sequential vs fan-out epochs/sec up to 10⁶ identities",
-        run: |o| e13_scale::run(o).emit(o),
+        run: |o| {
+            let table = e13_scale::run(o);
+            table.emit(o);
+            eprintln!("[e13] throughput ladder done ({} rungs)", table.rows.len());
+        },
     },
     Experiment {
         name: "e14",
         description: "Actor runtime under faults: capture/search vs drop rate × partition length",
-        run: |o| e14_async::run(o).emit(o),
+        run: |o| {
+            let table = e14_async::run(o);
+            table.emit(o);
+            eprintln!("[e14] fault sweep done ({} cells)", table.rows.len());
+        },
     },
     Experiment {
         name: "e15",
         description: "Exhaustive tiny-model check: every adversary placement × defense, verdicts",
         run: |o| {
+            // `e15_model::run` panics on the first violated invariant,
+            // so reaching the epilogue is the verdict.
             for t in e15_model::run(o) {
                 t.emit(o);
             }
+            eprintln!("[e15] model check done (all invariants hold)");
         },
     },
     Experiment {

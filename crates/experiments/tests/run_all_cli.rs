@@ -1,6 +1,7 @@
 //! CLI contract of the `run_all` binary: `--list` prints the registry
 //! and exits 0 without running anything; `--only` validates its names
-//! against the same registry (exit 2 on an unknown name). Driven
+//! against the same registry (exit 2 on an unknown name) and runs the
+//! selected rows end to end. Driven
 //! through the real binary (`CARGO_BIN_EXE_run_all`), not a re-parse of
 //! the flags, so drift between the registry and the CLI surfaces here.
 
@@ -49,4 +50,41 @@ fn empty_selection_exits_two() {
     // parser rejects. Exercise the parser path.
     let out = run_all(&["--only", " , "]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// A scratch `--out` directory, unique to this process and test.
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("tg-run-all-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The path every experiment takes: select one row, run it, write its
+/// CSV, exit 0 — and under `--quiet` put nothing on stdout.
+#[test]
+fn only_runs_one_experiment_end_to_end() {
+    let dir = scratch("e9");
+    let out = run_all(&["--only", "e9", "--quiet", "--out", dir.to_str().expect("utf-8 path")]);
+    assert!(out.status.success(), "--only e9 must exit 0: {out:?}");
+    assert!(out.stdout.is_empty(), "--quiet keeps stdout empty: {out:?}");
+    let csv = std::fs::read_to_string(dir.join("e9_precompute.csv")).expect("CSV written");
+    let mut lines = csv.lines();
+    assert!(lines.next().is_some_and(|h| h.contains(',')), "header row: {csv}");
+    assert!(lines.next().is_some(), "at least one data row: {csv}");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "only the selected row ran");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Without `--quiet` the selected experiment's table lands on stdout.
+#[test]
+fn unquiet_run_prints_the_table() {
+    let dir = scratch("figure1");
+    let out = run_all(&["--only", "figure1", "--out", dir.to_str().expect("utf-8 path")]);
+    assert!(out.status.success(), "--only figure1 must exit 0: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 table");
+    let csv = std::fs::read_to_string(dir.join("figure1.csv")).expect("CSV written");
+    for header in csv.lines().next().expect("header row").split(',') {
+        assert!(stdout.contains(header), "table on stdout lacks column `{header}`:\n{stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,8 +1,8 @@
 //! Smoke suite: every experiment harness runs end-to-end at the small
-//! (non-`--full`) configuration and emits a non-empty CSV, so the
-//! e1–e11 binaries cannot silently rot. Paper-scale runs stay behind
-//! `--full` on the binaries themselves; the `#[ignore]`d tests cover
-//! that path (run nightly in CI).
+//! (non-`--full`) configuration and emits a non-empty CSV, so no
+//! registry row can silently rot. Paper-scale runs stay behind
+//! `run_all --full`; the `#[ignore]`d tests cover that path (run
+//! nightly in CI).
 
 use tg_experiments::exp::*;
 use tg_experiments::{Options, Table};
@@ -182,9 +182,8 @@ fn e12_refine_smoke() {
     }
 }
 
-/// E13 acceptance shape (quick rungs): both schedules appear, every rung
-/// reports positive throughput, and the machine-readable trajectory
-/// record lands next to the CSV with the shared comparator key.
+/// E13 acceptance shape (quick rungs): both schedules appear and every
+/// rung reports positive throughput.
 #[test]
 fn e13_scale_smoke() {
     let opts = smoke_opts("e13");
@@ -196,10 +195,6 @@ fn e13_scale_smoke() {
         let rate: f64 = row[7].parse().expect("identities_per_sec is numeric");
         assert!(rate > 0.0, "non-positive throughput in {row:?}");
     }
-    let record = std::path::Path::new(&opts.out_dir).join("BENCH_kernel.json");
-    let json = std::fs::read_to_string(&record).expect("BENCH_kernel.json written");
-    assert!(json.contains("\"wall_ms_per_cell_run\""), "trajectory key missing: {json}");
-    assert!(json.contains("\"kernel\": \"arena\""), "record pins the fan-out schedule: {json}");
     check(&table, &opts);
 }
 

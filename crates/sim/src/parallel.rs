@@ -9,9 +9,21 @@
 //! Work is distributed by an atomic cursor (work stealing at item
 //! granularity) rather than pre-chunking, so heterogeneous cell costs
 //! (e.g. `n = 2^10` next to `n = 2^17`) still balance.
+//!
+//! Nesting is harmless: a call made from inside a worker (a sweep cell
+//! whose epoch fans out, a `verify_batch` on a large hoard) runs
+//! serially on that worker instead of spawning a second layer of
+//! threads — the outer map already occupies every core, and by the
+//! order contract the results are the same either way.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+thread_local! {
+    /// Set on every worker thread spawned by [`parallel_map_chunked`].
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Apply `f` to every item, in parallel, returning results in input order.
 ///
@@ -42,7 +54,8 @@ where
 /// imbalance by one chunk's worth of work.
 ///
 /// `chunk == 0` is treated as `1`. A `chunk ≥ items.len()` degenerates
-/// to the serial path (one chunk, zero coordination).
+/// to the serial path (one chunk, zero coordination), and so does any
+/// call made from inside another map's worker.
 pub fn parallel_map_chunked<T, R, F>(items: Vec<T>, chunk: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -55,7 +68,11 @@ where
         return Vec::new();
     }
     let n_chunks = n.div_ceil(chunk);
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n_chunks);
+    let threads = if IN_WORKER.get() {
+        1
+    } else {
+        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n_chunks)
+    };
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -66,18 +83,24 @@ where
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
-                    break;
-                }
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(n);
-                for i in lo..hi {
-                    let item =
-                        work[i].lock().expect("unpoisoned").take().expect("each cell claimed once");
-                    let r = f(item);
-                    *results[i].lock().expect("unpoisoned") = Some(r);
+            scope.spawn(|| {
+                IN_WORKER.set(true);
+                loop {
+                    let c = cursor.fetch_add(1, Ordering::Relaxed);
+                    if c >= n_chunks {
+                        break;
+                    }
+                    let lo = c * chunk;
+                    let hi = (lo + chunk).min(n);
+                    for i in lo..hi {
+                        let item = work[i]
+                            .lock()
+                            .expect("unpoisoned")
+                            .take()
+                            .expect("each cell claimed once");
+                        let r = f(item);
+                        *results[i].lock().expect("unpoisoned") = Some(r);
+                    }
                 }
             });
         }

@@ -173,7 +173,10 @@ impl ResultStore {
         self.put(key, &all)
     }
 
-    /// All keys currently stored, sorted.
+    /// All keys currently stored, sorted. Only a stream's header line is
+    /// interpreted, and lossily: a damaged stream must not fail the
+    /// listing for the whole store — [`get`](Self::get) is what reports
+    /// it as [`StoreError::Corrupt`].
     pub fn keys(&self) -> io::Result<Vec<String>> {
         let mut keys = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
@@ -181,8 +184,8 @@ impl ResultStore {
             if path.extension().and_then(|e| e.to_str()) != Some(STREAM_EXT) {
                 continue;
             }
-            let text = fs::read_to_string(&path)?;
-            if let Some(header) = text.lines().next() {
+            let bytes = fs::read(&path)?;
+            if let Some(header) = String::from_utf8_lossy(&bytes).lines().next() {
                 if let Some(key) = header.strip_prefix(&format!("{STORE_VERSION};")) {
                     keys.push(key.to_string());
                 }

@@ -67,12 +67,17 @@ fn moves_items_by_value() {
 }
 
 /// Nested use (a parallel row whose cells also call `parallel_map`)
-/// keeps both levels' ordering — the pattern E11 would hit if a cell
-/// ever fanned its trials out too.
+/// keeps both levels' ordering — the pattern a sweep cell hits when its
+/// epoch fans out — and the inner map does not spawn a second layer of
+/// threads: every inner item runs on the outer worker that called it.
 #[test]
 fn nested_parallel_maps_preserve_order() {
     let out = parallel_map((0..6u64).collect(), |row| {
-        parallel_map((0..4u64).collect(), move |col| row * 10 + col)
+        let outer = std::thread::current().id();
+        parallel_map((0..4u64).collect(), move |col| {
+            assert_eq!(std::thread::current().id(), outer, "inner map left its outer worker");
+            row * 10 + col
+        })
     });
     let expect: Vec<Vec<u64>> =
         (0..6).map(|row| (0..4).map(|col| row * 10 + col).collect()).collect();

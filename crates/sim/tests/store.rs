@@ -148,3 +148,24 @@ fn garbage_file_is_rejected_not_treated_as_absent() {
         "binary garbage must surface as corruption"
     );
 }
+
+/// One non-UTF-8 stream must not fail the listing — or the index built
+/// on it — for the whole store: a blob with no readable header is
+/// passed over, a stream whose header survives is listed and shows up
+/// in the index as `CORRUPT`, and the good key is untouched.
+#[test]
+fn non_utf8_streams_do_not_fail_keys_or_index() {
+    let (store, stream) = seeded_store("listing");
+    fs::write(stream.with_file_name("garbage.tgs"), b"\xff\xfe\x00\x9f").unwrap();
+    let damaged = "tg1;n=9;other=1;epochs=1";
+    store.put(damaged, &["o1,0,1".to_string()]).unwrap();
+    let mut bytes = fs::read(store.path_for(damaged)).unwrap();
+    bytes.extend_from_slice(b"\xff\xfe\n");
+    fs::write(store.path_for(damaged), bytes).unwrap();
+
+    assert_eq!(store.keys().expect("listing survives"), vec![KEY.to_string(), damaged.to_string()]);
+    let index = fs::read_to_string(store.write_index().expect("index survives")).unwrap();
+    let line = |key: &str| index.lines().find(|l| l.ends_with(key)).expect("key indexed");
+    assert!(line(KEY).contains("\t5\t"), "good stream keeps its record count: {index}");
+    assert!(line(damaged).contains("CORRUPT"), "damaged stream is named as such: {index}");
+}

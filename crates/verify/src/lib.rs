@@ -18,7 +18,7 @@
 //!   [`tg_core::scenario::EpochDriver`] wrapper that evaluates every
 //!   applicable per-step invariant after each epoch without perturbing
 //!   the run (checks draw from their own labelled RNG streams).
-//!   Every experiment binary exposes it behind `--check-invariants`.
+//!   `run_all` exposes it for every experiment behind `--check-invariants`.
 //! * [`model`] — the exhaustive small-configuration checker: enumerate
 //!   **all** adversary placements of a tiny universe across the
 //!   identity-pipeline defenses, assert the goodness and routing

@@ -11,7 +11,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tiny_groups::core::{build_initial_graph, measure_robustness, Params, Population};
+use tiny_groups::core::{
+    build_initial_graph, measure_robustness, GroupGraphView, Params, Population,
+};
 use tiny_groups::crypto::OracleFamily;
 use tiny_groups::idspace::Id;
 use tiny_groups::overlay::GraphKind;

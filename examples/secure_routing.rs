@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use tiny_groups::ba::AdversaryMode;
 use tiny_groups::baselines::measure_single_id_routing;
 use tiny_groups::core::routing::secure_route_verified;
-use tiny_groups::core::{build_initial_graph, Params, Population};
+use tiny_groups::core::{build_initial_graph, GroupGraphView, Params, Population};
 use tiny_groups::crypto::OracleFamily;
 use tiny_groups::idspace::Id;
 use tiny_groups::overlay::GraphKind;

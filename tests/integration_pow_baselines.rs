@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tiny_groups::baselines::{CuckooParams, CuckooSim, CuckooStrategy};
-use tiny_groups::core::{build_initial_graph, Params, Population};
+use tiny_groups::core::{build_initial_graph, GroupGraphView, Params, Population};
 use tiny_groups::crypto::OracleFamily;
 use tiny_groups::overlay::GraphKind;
 use tiny_groups::pow::{

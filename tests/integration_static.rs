@@ -5,7 +5,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tiny_groups::ba::AdversaryMode;
 use tiny_groups::core::routing::secure_route_verified;
-use tiny_groups::core::{build_initial_graph, measure_robustness, search_path, Params, Population};
+use tiny_groups::core::{
+    build_initial_graph, measure_robustness, search_path, GroupGraphView, Params, Population,
+};
 use tiny_groups::crypto::OracleFamily;
 use tiny_groups::idspace::Id;
 use tiny_groups::overlay::GraphKind;

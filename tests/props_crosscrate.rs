@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tiny_groups::ba::{majority_filter, phase_king, AdversaryMode};
-use tiny_groups::core::{build_initial_graph, search_path, Params, Population};
+use tiny_groups::core::{build_initial_graph, search_path, GroupGraphView, Params, Population};
 use tiny_groups::crypto::OracleFamily;
 use tiny_groups::idspace::{Id, SortedRing};
 use tiny_groups::overlay::GraphKind;
