@@ -6,9 +6,9 @@
 //! away. Lemma 2/3 then say the failure probability `X` of a random
 //! search is `O(pf · log^c n)` w.h.p. — the congestion bound `C` of the
 //! input graph (P4) converts a red *fraction* into a failed-search
-//! *fraction* with only a `log^c n` blow-up. Experiment E1 uses this
-//! module to check the formula's shape before layering on the concrete
-//! membership machinery.
+//! *fraction* with only a `log^c n` blow-up. No experiment calls this
+//! module yet; ROADMAP item 1(b) names the use it is kept for (the null
+//! hypothesis against which correlated red groups are measured).
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -36,8 +36,8 @@
 //!   whole slot column in fixed blocks and folds the per-slot outcomes
 //!   back in slot order — [`tg_sim::Metrics`] and [`BuildStats`] are
 //!   additive sums, so totals are exact for any thread count;
-//! * link-phase draws are conditional on link-search outcomes, so the
-//!   link loop stays inline in pass 1;
+//! * link-phase draws are conditional on link-search outcomes, so
+//!   [`crate::dynamic::build`]'s `establish_link` runs inline in pass 1;
 //! * measurement pre-draws its `(initiator, key)` sample
 //!   ([`crate::robustness`]).
 //!
@@ -45,7 +45,9 @@
 //! group by group; the seed-42 goldens replay under both schedules.
 
 use crate::dynamic::adversary::AdversaryView;
-use crate::dynamic::build::{construction_search, pick_boot, BuildMode, BuildStats};
+use crate::dynamic::build::{
+    accepts_spurious, establish_link, pick_boots, resolve_slot, BuildMode, BuildStats, SlotOut,
+};
 use crate::dynamic::kernel::scheduled_map;
 use crate::dynamic::provider::IdentityProvider;
 use crate::dynamic::system::EpochReport;
@@ -194,50 +196,6 @@ impl GroupGraphView for SideView<'_> {
 
     fn topology(&self) -> &dyn InputGraph {
         self.arena.topology.as_ref()
-    }
-}
-
-/// Per-slot outcome of the membership fan-out, folded back in slot order.
-/// Kept to 8 bytes — at `n = 10⁶` there are ~10⁷ slots per side.
-#[derive(Clone, Copy)]
-enum SlotOut {
-    /// All construction searches failed: the adversary answers (Lemma 7).
-    Captured,
-    /// Honest resolution to a bad pool ID (Lemma 6).
-    Bad(u32),
-    /// Honest resolution, verified by the good candidate.
-    Member(u32),
-    /// Good candidate's own verification searches failed: slot lost.
-    Rejected,
-}
-
-/// Resolve the membership slot at `point`, searched from `from[s]` in old
-/// graph `s` (Lemma 6/7).
-fn resolve_slot(
-    olds: &[SideView<'_>],
-    pool: &Population,
-    from: &[Option<usize>],
-    point: Id,
-    m: &mut Metrics,
-) -> SlotOut {
-    if !construction_search(olds, from, point, m) {
-        // Both searches failed: the adversary answers (Lemma 7, first
-        // failure mode).
-        return SlotOut::Captured;
-    }
-    let cand = pool.ring().successor_index(point);
-    if pool.is_bad(cand) {
-        // An honest resolution that happens to be a bad ID (Lemma 6) — it
-        // gladly accepts membership.
-        return SlotOut::Bad(cand as u32);
-    }
-    // Verification by the good candidate: its own searches, initiated
-    // from its own groups in the old graphs.
-    let own = [Some(cand), Some(cand)];
-    if construction_search(olds, &own[..olds.len()], point, m) {
-        SlotOut::Member(cand as u32)
-    } else {
-        SlotOut::Rejected
     }
 }
 
@@ -474,9 +432,10 @@ impl DynamicSystem {
         let old_views: Vec<SideView<'_>> = olds.view().iter().collect();
         let n_new = new_leaders.len();
         let pool = olds.leaders.clone();
-        let pool_bad: Vec<usize> = pool.bad_indices();
+        let pool_has_bad = pool.bad_count() > 0;
         let draws = params.draws(n_new);
         let n_slots = n_new * draws;
+        let attempts = 1 + params.link_retries;
         let mut stats = BuildStats::default();
 
         let topology = self.kind.build(new_leaders.ring().clone());
@@ -488,23 +447,16 @@ impl DynamicSystem {
             // --- Pass 1 (sequential): every RNG draw, leader by leader.
             let mut boots: Vec<u32> = vec![u32::MAX; n_slots * n_sides];
             let mut confused = vec![false; n_new];
-            // "Updating Links" re-runs the update whenever a better match
-            // joins; only the final selection matters for confusion, so a
-            // link gets `1 + link_retries` independent chances.
-            let attempts = 1 + params.link_retries;
             for w in 0..n_new {
                 let wid = new_leaders.ring().at(w);
-                // Membership bootstraps (Lemma 6/7): a fresh bootstrap group
-                // per slot and old graph — the bootstrap performs each search
-                // anyway, and initiating-point diversity keeps failures of
-                // different slots from coupling through a shared early route.
-                // The picks are unconditional (searches draw nothing), so
-                // the searches themselves wait for pass 2.
+                // Membership bootstraps (Lemma 6/7). The picks are
+                // unconditional (searches draw nothing), so the searches
+                // themselves wait for pass 2.
                 for i in 0..draws {
                     stats.member_slots += 1;
                     let base = (w * draws + i) * n_sides;
-                    for (k, old) in old_views.iter().enumerate() {
-                        if let Some(b) = pick_boot(old, rng) {
+                    for (k, b) in pick_boots(&old_views, rng).into_iter().enumerate() {
+                        if let Some(b) = b {
                             boots[base + k] = b as u32;
                         }
                     }
@@ -513,33 +465,7 @@ impl DynamicSystem {
                 // takes depends on its search outcomes.
                 for u in topology.neighbors(wid) {
                     stats.links_required += 1;
-                    let mut established = false;
-                    for _ in 0..attempts {
-                        // Locate the neighbor through the old graphs...
-                        let boots_try: Vec<Option<usize>> =
-                            old_views.iter().map(|g| pick_boot(g, rng)).collect();
-                        if !construction_search(&old_views, &boots_try, u, metrics) {
-                            continue;
-                        }
-                        // ...and let the (good) neighbor verify the request.
-                        let u_idx =
-                            new_leaders.ring().index_of(u).expect("neighbor is a new leader");
-                        let verified = if new_leaders.is_bad(u_idx) {
-                            // A bad neighbor may accept or ignore; ignoring
-                            // only hurts itself (the link to a red group is
-                            // irrelevant), accepting matches the topology.
-                            true
-                        } else {
-                            let u_boots: Vec<Option<usize>> =
-                                old_views.iter().map(|g| pick_boot(g, rng)).collect();
-                            construction_search(&old_views, &u_boots, u, metrics)
-                        };
-                        if verified {
-                            established = true;
-                            break;
-                        }
-                    }
-                    if !established {
+                    if !establish_link(&old_views, new_leaders, u, attempts, rng, metrics) {
                         // A required link is missing: `G_w` is confused, and
                         // therefore red.
                         stats.links_failed += 1;
@@ -567,7 +493,7 @@ impl DynamicSystem {
                                 *f = Some(v as usize);
                             }
                         }
-                        outs.push(resolve_slot(&old_views, &pool, &from[..n_sides], point, &mut m));
+                        outs.push(resolve_slot(&old_views, &pool, from, point, &mut m));
                     }
                     (m, outs)
                 });
@@ -585,22 +511,8 @@ impl DynamicSystem {
             for w in 0..n_new {
                 buf.clear();
                 for _ in 0..draws {
-                    match *slots.next().expect("one outcome per slot") {
-                        SlotOut::Captured => {
-                            // The adversary plants one of its pool IDs (or
-                            // the slot is simply lost if it has none).
-                            stats.captured_slots += 1;
-                            if !pool_bad.is_empty() {
-                                captured[w] += 1;
-                            }
-                        }
-                        SlotOut::Bad(c) => {
-                            stats.bad_member_draws += 1;
-                            buf.push(c);
-                        }
-                        SlotOut::Member(c) => buf.push(c),
-                        SlotOut::Rejected => stats.rejected_slots += 1,
-                    }
+                    let out = *slots.next().expect("one outcome per slot");
+                    stats.fold_slot(out, pool_has_bad, &mut buf, &mut captured[w]);
                 }
                 buf.sort_unstable();
                 buf.dedup();
@@ -612,10 +524,7 @@ impl DynamicSystem {
         }
 
         // --- The Lemma 10 state attack: spurious membership requests. The
-        // adversary sends fake "you are suc(h(w,i))" requests to good pool
-        // IDs; a good ID accepts only if *both* of its verification searches
-        // fail (in which case the adversary controlled the answers). The fake
-        // points are pre-drawn, the verification searches draw nothing.
+        // fake points are pre-drawn, the verification searches draw nothing.
         let good_pool = pool.good_indices();
         if params.attack_requests_per_id > 0 && !good_pool.is_empty() {
             let mut tasks: Vec<(u32, Id)> =
@@ -628,9 +537,7 @@ impl DynamicSystem {
             }
             let results = scheduled_map(fan_out, tasks, SLOT_BLOCK, |(u, fake_point)| {
                 let mut m = Metrics::new();
-                let own = [Some(u as usize), Some(u as usize)];
-                let accepted =
-                    !construction_search(&old_views, &own[..n_sides], fake_point, &mut m);
+                let accepted = accepts_spurious(&old_views, u as usize, fake_point, &mut m);
                 (m, accepted)
             });
             for (m, accepted) in &results {

@@ -18,6 +18,17 @@
 //! dual search with one search in one old graph — per-slot failure `q_f`
 //! instead of `q_f²` — which is exactly the compounding-error design the
 //! paper warns against; experiment E4 shows it diverge.
+//!
+//! **Steps** (stable — each is a lemma's statement, written once):
+//! `resolve_slot` fills a membership slot (Lemmas 6/7), `establish_link`
+//! establishes a neighbor link (Lemma 8), `accepts_spurious` answers a
+//! spurious request (Lemma 10).
+//!
+//! **Schedules** (may change — order of evaluation and storage only):
+//! [`build_new_graphs`] here, one group at a time over `Vec<Group>`, kept
+//! as the test reference; `DynamicSystem::build_next` in `crate::arena`,
+//! two passes over CSR columns with optional fan-out. Neither contains
+//! protocol logic of its own.
 
 use crate::graph::{GroupGraph, GroupGraphView};
 use crate::group::Group;
@@ -86,6 +97,11 @@ impl BuildStats {
     }
 }
 
+/// The initiating group of one construction search in each old graph:
+/// entry `s` is a group index in old graph `s`. [`BuildMode::sides`] is
+/// at most 2, so a fixed pair; readers stop at `olds.len()`.
+pub(crate) type Initiators = [Option<usize>; 2];
+
 /// Pick a bootstrapping group: a u.a.r. *blue* group of the given old
 /// graph (the paper assumes joiners know a good bootstrap group,
 /// Appendix IX). Returns `None` when the graph has no blue group left.
@@ -93,7 +109,7 @@ impl BuildStats {
 /// Generic over the storage layout so the reference build and the CSR
 /// build draw the exact same bootstrap sequence (the draw count depends
 /// only on the RNG stream and the old graph's colors).
-pub(crate) fn pick_boot<G: GroupGraphView>(old: &G, rng: &mut StdRng) -> Option<usize> {
+fn pick_boot<G: GroupGraphView>(old: &G, rng: &mut StdRng) -> Option<usize> {
     // Rejection sampling: expected O(1) tries while most groups are blue;
     // fall back to a scan when the graph is badly degraded.
     for _ in 0..32 {
@@ -110,39 +126,175 @@ pub(crate) fn pick_boot<G: GroupGraphView>(old: &G, rng: &mut StdRng) -> Option<
     }
 }
 
-/// One protocol search for `point` in old graph `old`, initiated from a
-/// bootstrap (or the verifier's own group). Success means the search path
-/// stayed blue.
-pub(crate) fn protocol_search<G: GroupGraphView>(
-    old: &G,
-    from: Option<usize>,
+/// A fresh bootstrap group per old graph, drawn in side order. Fresh per
+/// search: the bootstrap performs each search anyway, and initiating-point
+/// diversity keeps failures of different slots from coupling through a
+/// shared early route.
+pub(crate) fn pick_boots<G: GroupGraphView>(olds: &[G], rng: &mut StdRng) -> Initiators {
+    let mut boots = [None; 2];
+    for (b, old) in boots.iter_mut().zip(olds) {
+        *b = pick_boot(old, rng);
+    }
+    boots
+}
+
+/// Dual (or single, per mode) search for `point` across the old graphs,
+/// initiated in each from a bootstrap group (or the verifier's own).
+/// One protocol search succeeds iff its path stayed blue; the dual search
+/// short-circuits after the first success (`any`) — the skipped second
+/// search never reaches [`Metrics`].
+fn construction_search<G: GroupGraphView>(
+    olds: &[G],
+    from: Initiators,
     point: Id,
     metrics: &mut Metrics,
 ) -> bool {
-    match from {
-        None => false,
-        Some(idx) => search_path(old, idx, point, metrics).is_success(),
+    olds.iter()
+        .zip(from)
+        .any(|(g, f)| f.is_some_and(|idx| search_path(g, idx, point, metrics).is_success()))
+}
+
+// ---- The §III-A steps (stable): both build schedules call these.
+
+/// Outcome of one membership slot. Kept to 8 bytes — at `n = 10⁶` there
+/// are ~10⁷ slots per side.
+#[derive(Clone, Copy)]
+pub(crate) enum SlotOut {
+    /// All construction searches failed: the adversary answers (Lemma 7).
+    Captured,
+    /// Honest resolution to a bad pool ID (Lemma 6).
+    Bad(u32),
+    /// Honest resolution, verified by the good candidate.
+    Member(u32),
+    /// Good candidate's own verification searches failed: slot lost.
+    Rejected,
+}
+
+/// Resolve the membership slot at `point`, searched from `from[s]` in old
+/// graph `s` (Lemma 6/7). Draws nothing.
+pub(crate) fn resolve_slot<G: GroupGraphView>(
+    olds: &[G],
+    pool: &Population,
+    from: Initiators,
+    point: Id,
+    metrics: &mut Metrics,
+) -> SlotOut {
+    if !construction_search(olds, from, point, metrics) {
+        // Both searches failed: the adversary answers (Lemma 7, first
+        // failure mode).
+        return SlotOut::Captured;
+    }
+    let cand = pool.ring().successor_index(point);
+    if pool.is_bad(cand) {
+        // An honest resolution that happens to be a bad ID (Lemma 6) — it
+        // gladly accepts membership.
+        return SlotOut::Bad(cand as u32);
+    }
+    // Verification by the good candidate: its own searches, initiated
+    // from its own groups in the old graphs.
+    if construction_search(olds, [Some(cand); 2], point, metrics) {
+        SlotOut::Member(cand as u32)
+    } else {
+        SlotOut::Rejected
     }
 }
 
-/// Dual (or single, per mode) search across the old graphs. `from[s]` is
-/// the initiating group index in old graph `s`. Short-circuits after the
-/// first success (`any`), which both builds must preserve — the skipped
-/// second search never reaches [`Metrics`].
-pub(crate) fn construction_search<G: GroupGraphView>(
-    olds: &[G],
-    from: &[Option<usize>],
-    point: Id,
-    metrics: &mut Metrics,
-) -> bool {
-    olds.iter().zip(from.iter()).any(|(g, &f)| protocol_search(g, f, point, metrics))
+impl BuildStats {
+    /// Fold one slot outcome into the group under assembly: its member
+    /// column, its captured count and the epoch's counters.
+    pub(crate) fn fold_slot(
+        &mut self,
+        out: SlotOut,
+        pool_has_bad: bool,
+        members: &mut Vec<u32>,
+        captured: &mut u32,
+    ) {
+        match out {
+            SlotOut::Captured => {
+                // The adversary plants one of its pool IDs (or the slot
+                // is simply lost if it has none).
+                self.captured_slots += 1;
+                if pool_has_bad {
+                    *captured += 1;
+                }
+            }
+            SlotOut::Bad(c) => {
+                self.bad_member_draws += 1;
+                members.push(c);
+            }
+            SlotOut::Member(c) => members.push(c),
+            SlotOut::Rejected => self.rejected_slots += 1,
+        }
+    }
 }
 
+/// Establish the topology link to neighbor `u` (Lemma 8): up to
+/// `attempts` rounds, each locating `u` through the old graphs from fresh
+/// bootstraps and then — only if located and `u` is good — letting `u`
+/// verify the request with searches from fresh bootstraps of its own.
+/// `false` means the link is missing and the requesting group is
+/// *confused*.
+///
+/// Draw schedule (both builds rely on it): per round one `pick_boot` per
+/// old graph to locate, then one per old graph to verify; nothing is
+/// drawn for a round's verify when the locate failed or `u` is bad, and
+/// nothing after the first established round.
+///
+/// "Updating Links" re-runs the update whenever a better match joins and
+/// only the final selection matters for confusion, which is what the
+/// `attempts = 1 + link_retries` rounds model. They are **not**
+/// independent chances (ROADMAP item 1 measured it): every attempt, on
+/// every side, routes to the same key `u` through the same two old
+/// graphs; `pick_boot` re-randomises only the head of the route and the
+/// tails converge on `u`'s old neighbourhood, so side 0 and side 1 of a
+/// group fail together. No session has had the paper's text, so the
+/// independence Lemma 8's `q_f²` needs is argued here, not quoted.
+pub(crate) fn establish_link<G: GroupGraphView>(
+    olds: &[G],
+    new_leaders: &Population,
+    u: Id,
+    attempts: usize,
+    rng: &mut StdRng,
+    metrics: &mut Metrics,
+) -> bool {
+    for _ in 0..attempts {
+        // Locate the neighbor through the old graphs...
+        if !construction_search(olds, pick_boots(olds, rng), u, metrics) {
+            continue;
+        }
+        // ...and let the (good) neighbor verify the request. A bad
+        // neighbor may accept or ignore; ignoring only hurts itself (the
+        // link to a red group is irrelevant), accepting matches the
+        // topology.
+        let u_idx = new_leaders.ring().index_of(u).expect("neighbor is a new leader");
+        if new_leaders.is_bad(u_idx) || construction_search(olds, pick_boots(olds, rng), u, metrics)
+        {
+            return true;
+        }
+    }
+    false
+}
+
+/// The Lemma 10 state attack on good pool ID `u`: a fake "you are
+/// `suc(h(w, i))`" request for `fake_point`. A good ID accepts only if
+/// *both* of its own verification searches fail (in which case the
+/// adversary controlled the answers). Draws nothing.
+pub(crate) fn accepts_spurious<G: GroupGraphView>(
+    olds: &[G],
+    u: usize,
+    fake_point: Id,
+    metrics: &mut Metrics,
+) -> bool {
+    !construction_search(olds, [Some(u); 2], fake_point, metrics)
+}
+
+// ---- The reference schedule (order of evaluation and storage only).
+
 /// Build the new group graphs for the next epoch — the *reference*
-/// build: one group at a time over per-group `Vec`s, every lemma in
-/// program order. The epoch system runs the two-pass CSR form of the
-/// same construction (`crate::arena`), whose unit tests hold it to this
-/// one group by group; nothing outside tests calls this function.
+/// build: one group at a time over per-group `Vec`s, every step in
+/// program order. The epoch system runs the two-pass CSR schedule of the
+/// same steps (`crate::arena`), whose unit tests hold it to this one
+/// group by group; nothing outside tests calls this function.
 ///
 /// * `olds` — the operational graphs of the current epoch (2 for
 ///   [`BuildMode::DualGraph`], 1 for the ablation). Their *leader*
@@ -164,17 +316,15 @@ pub fn build_new_graphs(
     assert_eq!(olds.len(), mode.sides(), "old-graph count must match the build mode");
     let n_new = new_leaders.len();
     let pool = olds[0].leaders.clone();
-    let pool_bad: Vec<usize> = pool.bad_indices();
+    let pool_has_bad = pool.bad_count() > 0;
     let draws = params.draws(n_new);
+    let attempts = 1 + params.link_retries;
     let mut stats = BuildStats::default();
 
     let mut sides: Vec<(Vec<Group>, Vec<bool>)> = Vec::with_capacity(mode.sides());
 
     for side in 0..mode.sides() {
-        let oracle = match mode {
-            BuildMode::DualGraph => fam.membership(side),
-            BuildMode::SingleGraph => fam.h1,
-        };
+        let oracle = fam.membership(side);
         let topology = kind.build(new_leaders.ring().clone());
         let mut groups: Vec<Group> = Vec::with_capacity(n_new);
         let mut confused = vec![false; n_new];
@@ -184,78 +334,21 @@ pub fn build_new_graphs(
             let wid = new_leaders.ring().at(w);
 
             // --- Membership (Lemma 6/7) ---
-            // Fresh bootstrap groups per search: the bootstrap performs
-            // each search anyway, and initiating-point diversity keeps
-            // failures of different slots from coupling through a shared
-            // early route.
             let mut members: Vec<u32> = Vec::with_capacity(draws);
             let mut captured = 0u32;
             for i in 0..draws {
                 stats.member_slots += 1;
-                let boots: Vec<Option<usize>> = olds.iter().map(|g| pick_boot(g, rng)).collect();
+                let boots = pick_boots(olds, rng);
                 let point = oracle.hash_id_index(wid, i as u32);
-                if !construction_search(olds, &boots, point, metrics) {
-                    // Both searches failed: the adversary answers and
-                    // plants one of its pool IDs (or the slot is simply
-                    // lost if it has none).
-                    stats.captured_slots += 1;
-                    if !pool_bad.is_empty() {
-                        captured += 1;
-                    }
-                    continue;
-                }
-                let cand = pool.ring().successor_index(point);
-                if pool.is_bad(cand) {
-                    // An honest resolution that happens to be a bad ID —
-                    // it gladly accepts membership.
-                    stats.bad_member_draws += 1;
-                    members.push(cand as u32);
-                    continue;
-                }
-                // Verification by the good candidate: its own searches,
-                // initiated from its own groups in the old graphs.
-                let own: Vec<Option<usize>> = (0..olds.len()).map(|_| Some(cand)).collect();
-                if construction_search(olds, &own, point, metrics) {
-                    members.push(cand as u32);
-                } else {
-                    stats.rejected_slots += 1;
-                }
+                let out = resolve_slot(olds, &pool, boots, point, metrics);
+                stats.fold_slot(out, pool_has_bad, &mut members, &mut captured);
             }
             groups.push(Group::new(w as u32, members, captured));
 
             // --- Neighbor links (Lemma 8) ---
-            // "Updating Links" re-runs the update whenever a better match
-            // joins; only the final selection matters for confusion, so a
-            // link gets `1 + link_retries` independent chances.
-            let attempts = 1 + params.link_retries;
             for u in topology.neighbors(wid) {
                 stats.links_required += 1;
-                let mut established = false;
-                for _ in 0..attempts {
-                    // Locate the neighbor through the old graphs...
-                    let boots_try: Vec<Option<usize>> =
-                        olds.iter().map(|g| pick_boot(g, rng)).collect();
-                    if !construction_search(olds, &boots_try, u, metrics) {
-                        continue;
-                    }
-                    // ...and let the (good) neighbor verify the request.
-                    let u_idx = new_leaders.ring().index_of(u).expect("neighbor is a new leader");
-                    let verified = if new_leaders.is_bad(u_idx) {
-                        // A bad neighbor may accept or ignore; ignoring
-                        // only hurts itself (the link to a red group is
-                        // irrelevant), accepting matches the topology.
-                        true
-                    } else {
-                        let u_boots: Vec<Option<usize>> =
-                            olds.iter().map(|g| pick_boot(g, rng)).collect();
-                        construction_search(olds, &u_boots, u, metrics)
-                    };
-                    if verified {
-                        established = true;
-                        break;
-                    }
-                }
-                if !established {
+                if !establish_link(olds, new_leaders, u, attempts, rng, metrics) {
                     stats.links_failed += 1;
                     confused[w] = true;
                 }
@@ -265,17 +358,13 @@ pub fn build_new_graphs(
     }
 
     // --- The Lemma 10 state attack: spurious membership requests ---
-    // The adversary sends fake "you are suc(h(w,i))" requests to good pool
-    // IDs; a good ID accepts only if *both* of its verification searches
-    // fail (in which case the adversary controlled the answers).
     let good_pool = pool.good_indices();
     if params.attack_requests_per_id > 0 && !good_pool.is_empty() {
         for &u in &good_pool {
             for _ in 0..params.attack_requests_per_id {
                 stats.spurious_issued += 1;
                 let fake_point = Id(rng.gen());
-                let own: Vec<Option<usize>> = (0..olds.len()).map(|_| Some(u)).collect();
-                if !construction_search(olds, &own, fake_point, metrics) {
+                if accepts_spurious(olds, u, fake_point, metrics) {
                     stats.spurious_accepted += 1;
                 }
             }
@@ -330,6 +419,73 @@ mod tests {
         let (news, stats) =
             build_new_graphs(olds, &new_pop, GraphKind::D2B, &fam, params, mode, &mut rng, &mut m);
         (news, stats, m)
+    }
+
+    /// The draw schedule of [`establish_link`]: link to the first good
+    /// (or bad) ID of a fresh generation through `olds`, and report the
+    /// outcome, the searches counted, and whether the RNG was left exactly
+    /// where `boot_rounds` rounds of one `pick_boot` per old graph leave a
+    /// clone of it.
+    fn link_once(
+        olds: &[GroupGraph],
+        to_bad: bool,
+        attempts: usize,
+        boot_rounds: usize,
+    ) -> (bool, u64, bool) {
+        let mut rng = StdRng::seed_from_u64(11);
+        let new_pop = Population::uniform(40, 4, &mut rng);
+        let idx = if to_bad { new_pop.bad_indices()[0] } else { new_pop.good_indices()[0] };
+        let u = new_pop.ring().at(idx);
+        let mut expected = rng.clone();
+        for _ in 0..boot_rounds {
+            pick_boots(olds, &mut expected);
+        }
+        let mut m = Metrics::new();
+        let established = establish_link(olds, &new_pop, u, attempts, &mut rng, &mut m);
+        (established, m.searches, rng.gen::<u64>() == expected.gen::<u64>())
+    }
+
+    fn all_red(mut olds: Vec<GroupGraph>) -> Vec<GroupGraph> {
+        for g in olds.iter_mut() {
+            for i in 0..g.len() {
+                g.confused[i] = true;
+            }
+            g.recolor();
+        }
+        olds
+    }
+
+    #[test]
+    fn link_to_a_good_neighbor_is_one_locate_and_one_verify_round() {
+        // No red group: each round's dual search succeeds on side 0 and
+        // short-circuits, so two searches, 2 · n_sides boots.
+        let (olds, params) = initial_pair(300, 0, 3);
+        let attempts = 1 + params.link_retries;
+        assert_eq!(link_once(&olds, false, attempts, 2), (true, 2, true));
+        assert_eq!(link_once(&olds[..1], false, attempts, 2), (true, 2, true));
+    }
+
+    #[test]
+    fn link_to_a_bad_neighbor_draws_no_verify_boots() {
+        let (olds, params) = initial_pair(300, 0, 3);
+        assert_eq!(link_once(&olds, true, 1 + params.link_retries, 1), (true, 1, true));
+    }
+
+    #[test]
+    fn link_through_red_graphs_fails_after_every_attempt() {
+        // No blue bootstrap exists: each attempt is one locate round that
+        // initiates no search, and no verify round follows.
+        let (olds, params) = initial_pair(150, 10, 9);
+        let olds = all_red(olds);
+        let attempts = 1 + params.link_retries;
+        assert_eq!(link_once(&olds, false, attempts, attempts), (false, 0, true));
+        assert_eq!(link_once(&olds, true, attempts, attempts), (false, 0, true));
+    }
+
+    #[test]
+    fn zero_link_retries_is_one_round() {
+        let (olds, _) = initial_pair(150, 10, 9);
+        assert_eq!(link_once(&all_red(olds), false, 1, 1), (false, 0, true));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   and message-level all-to-all routing with majority filtering,
 //! * [`robustness`] — measuring ε-robustness (Theorem 3's two bullets),
 //! * [`abstract_model`] — the idealized S1–S3 model (each group red
-//!   i.i.d. with probability `pf`) used to validate Lemmas 1–4 in
-//!   isolation,
+//!   i.i.d. with probability `pf`) of Lemmas 1–4; nothing outside its
+//!   own tests calls it yet (ROADMAP item 1(b) adopts it or it goes),
 //! * [`dynamic`] — the dynamic case (§III): epochs, two old + two new
 //!   group graphs, dual-search membership and neighbor construction with
 //!   verification, churn, and the single-graph ablation,

@@ -46,7 +46,9 @@ pub struct Params {
     /// link. The paper's "Updating Links" re-runs the update on every
     /// relevant join event and only the *final* selection matters
     /// (Lemma 8's proof), so a link effectively gets many chances; we
-    /// model a bounded number. Setting 0 gives the strict one-shot
+    /// model a bounded number — how far apart those chances really are
+    /// is stated on `dynamic::build`'s `establish_link`, the one place
+    /// that spends them. Setting 0 gives the strict one-shot
     /// reading, which at finite `n` puts the confusion feedback loop
     /// above unit gain (one red group ⇒ `q_f ≈ D/n` ⇒
     /// `2L·q_f² > 1/n` new confused groups) — experiment E4 charts this.

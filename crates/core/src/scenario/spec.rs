@@ -399,12 +399,16 @@ impl ScenarioSpec {
         self
     }
 
-    /// Reject axis combinations no transport can serve: a socket
-    /// transport without an actor runtime has nobody to move bytes for.
-    /// Called by every builder (core and `tg_pow`) *and* by the codec,
-    /// so the invalid combination is unrepresentable from any entry
-    /// point.
+    /// Reject what no driver can run: an empty population (there is no
+    /// ring to build an overlay over), and axis combinations no
+    /// transport can serve — a socket transport without an actor runtime
+    /// has nobody to move bytes for. Called by every builder (core and
+    /// `tg_pow`) *and* by the codec, so neither is representable from
+    /// any entry point.
     pub fn check_transport(&self) -> Result<(), ScenarioError> {
+        if self.n_good == 0 && self.n_bad == 0 {
+            return Err(ScenarioError::Unsupported("an empty population: n and bad are both 0"));
+        }
         if self.transport == TransportChoice::Socket && self.runtime != RuntimeChoice::Actor {
             return Err(ScenarioError::NeedsActorRuntime(
                 "transport=socket moves actor protocol messages; pair it with runtime=actor",
@@ -431,7 +435,8 @@ pub enum ScenarioError {
     /// network.
     NeedsActorRuntime(&'static str),
     /// The spec combines axes no driver implements (e.g. the real
-    /// string protocol over a single-graph construction).
+    /// string protocol over a single-graph construction), or names an
+    /// empty population.
     Unsupported(&'static str),
     /// A label/JSON form did not decode.
     Parse(String),

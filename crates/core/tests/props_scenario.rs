@@ -338,6 +338,28 @@ proptest! {
     }
 }
 
+/// An empty population (`n=0;bad=0`) is rejected with a typed error by
+/// both codec forms and by `build()` — there is no ring to build an
+/// overlay over, and the overlay constructors panic on one. The smallest
+/// population still builds and steps.
+#[test]
+fn empty_population_is_rejected() {
+    let one = ScenarioSpec::new(1, 42);
+    assert_eq!((one.n_good, one.n_bad), (1, 0));
+    let empty_label = one.label().replace(";n=1;", ";n=0;");
+    assert_ne!(empty_label, one.label());
+    assert!(matches!(ScenarioSpec::parse(&empty_label), Err(ScenarioError::Unsupported(_))));
+    let empty_json = one.to_json().replace("\"n\": 1,", "\"n\": 0,");
+    assert_ne!(empty_json, one.to_json());
+    assert!(matches!(ScenarioSpec::from_json(&empty_json), Err(ScenarioError::Unsupported(_))));
+    for kind in GraphKind::ALL {
+        let built = ScenarioSpec::new(0, 42).topology(kind).build();
+        assert!(matches!(built, Err(ScenarioError::Unsupported(_))), "{kind:?}");
+        let mut driver = one.clone().topology(kind).build().expect("n=1 builds");
+        assert_eq!(driver.step().epoch, 2, "{kind:?}");
+    }
+}
+
 /// One shared store for the observation round-trip cases (a fresh
 /// directory per test process; keys are unique per case).
 fn prop_store() -> &'static tg_sim::ResultStore {

@@ -14,6 +14,7 @@
 //!
 //! Paper shape: `dual` holds `frac_red` flat (self-healing after
 //! transients); the ablations degrade — `single` visibly compounds.
+//! Measured shape: see [`run`] — at seed 42 `dual` does not hold either.
 
 use crate::args::Options;
 use crate::table::{f, Table};
@@ -32,11 +33,15 @@ fn configs(opts: &Options) -> Vec<(&'static str, BuildMode, usize)> {
 
 /// Run E4 and return the result table.
 ///
-/// Defaults sit inside the finite-size stability region (Chord routes are
-/// half the length of D2B's at these `n`, and churn is kept below the
-/// analysis bound): the construction's guarantees are asymptotic ("given
-/// that n is sufficiently large", §I-C), and the ablation columns are the
-/// ones meant to show divergence.
+/// Defaults are the friendliest the repo has (Chord routes are half the
+/// length of D2B's at these `n`, and churn is kept below the analysis
+/// bound), and `dual` still tips: `tests/golden/e4_epochs.csv` (seed 42)
+/// has `frac_red_s0` 0.0062 → 0.0261 → 0.2546 → 0.9458 → 1.00 over
+/// epochs 6–10, past one half at epoch 9. It is not a finite-size effect
+/// — ROADMAP item 1 measured that it does not improve with `n` — but one
+/// shared search target in the link step (`tg_core::dynamic::build`'s
+/// `establish_link` says why). So all three columns diverge here; the
+/// ablations only do so sooner.
 pub fn run(opts: &Options) -> Table {
     let n_good: usize = if opts.full { 4000 } else { 2000 };
     let beta = 0.05;

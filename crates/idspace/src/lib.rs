@@ -17,7 +17,6 @@
 //! * [`RingInterval`] — half-open clockwise arcs `[a, b)`,
 //! * [`SortedRing`] — an immutable snapshot supporting `O(log n)`
 //!   successor/predecessor queries (the `suc(x)` primitive of the paper),
-//! * [`DynamicRing`] — a mutable ring for churn simulations,
 //! * [`estimate`] — the folklore `ln n` / `ln ln n` estimators from
 //!   successor gaps used by the paper to size groups (§III-A, and
 //!   Chapter 4 of Young's thesis which the paper cites).
@@ -30,4 +29,4 @@ pub mod ring;
 pub use estimate::{estimate_ln_ln_n, estimate_ln_n, GapEstimator};
 pub use id::{Id, RingDistance};
 pub use interval::RingInterval;
-pub use ring::{DynamicRing, SortedRing};
+pub use ring::SortedRing;

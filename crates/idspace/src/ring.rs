@@ -7,7 +7,6 @@
 
 use crate::id::{Id, RingDistance};
 use crate::interval::RingInterval;
-use std::collections::BTreeSet;
 
 /// An immutable, sorted snapshot of the ID population.
 ///
@@ -204,70 +203,6 @@ impl SortedRing {
     }
 }
 
-/// A mutable ring for churn simulations: joins and departures in
-/// `O(log n)` via a `BTreeSet`.
-#[derive(Clone, Debug, Default)]
-pub struct DynamicRing {
-    ids: BTreeSet<Id>,
-}
-
-impl DynamicRing {
-    /// An empty ring.
-    pub fn new() -> Self {
-        DynamicRing { ids: BTreeSet::new() }
-    }
-
-    /// Number of IDs present.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Insert an ID; returns `false` if it was already present.
-    pub fn insert(&mut self, id: Id) -> bool {
-        self.ids.insert(id)
-    }
-
-    /// Remove an ID; returns `false` if it was absent.
-    pub fn remove(&mut self, id: Id) -> bool {
-        self.ids.remove(&id)
-    }
-
-    /// Whether `id` is present.
-    pub fn contains(&self, id: Id) -> bool {
-        self.ids.contains(&id)
-    }
-
-    /// `suc(x)` with wrap-around (inclusive at `x`).
-    ///
-    /// # Panics
-    /// Panics if the ring is empty.
-    pub fn successor(&self, x: Id) -> Id {
-        assert!(!self.ids.is_empty(), "successor query on empty ring");
-        self.ids
-            .range(x..)
-            .next()
-            .or_else(|| self.ids.iter().next())
-            .copied()
-            .expect("non-empty ring")
-    }
-
-    /// Freeze into an immutable [`SortedRing`] snapshot.
-    pub fn snapshot(&self) -> SortedRing {
-        SortedRing::from_sorted_unique(self.ids.iter().copied().collect())
-    }
-}
-
-impl FromIterator<Id> for DynamicRing {
-    fn from_iter<T: IntoIterator<Item = Id>>(iter: T) -> Self {
-        DynamicRing { ids: iter.into_iter().collect() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,21 +285,6 @@ mod tests {
     fn max_load_fraction_matches_largest_gap() {
         let r = ring(&[0.0, 0.5, 0.6]);
         assert!((r.max_load_fraction() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dynamic_ring_matches_snapshot() {
-        let mut d = DynamicRing::new();
-        for p in [0.3, 0.6, 0.9] {
-            d.insert(Id::from_f64(p));
-        }
-        assert_eq!(d.successor(Id::from_f64(0.7)), Id::from_f64(0.9));
-        assert_eq!(d.successor(Id::from_f64(0.95)), Id::from_f64(0.3), "wraps");
-        d.remove(Id::from_f64(0.9));
-        assert_eq!(d.successor(Id::from_f64(0.7)), Id::from_f64(0.3));
-        let snap = d.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap.successor(Id::from_f64(0.7)), snap.ids()[0]);
     }
 
     #[test]

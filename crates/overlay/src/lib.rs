@@ -37,12 +37,10 @@ pub mod chord;
 pub mod debruijn;
 pub mod graph;
 pub mod halving;
-pub mod properties;
 pub mod viceroy;
 
 pub use chord::Chord;
 pub use debruijn::D2B;
 pub use graph::{GraphKind, InputGraph, Route};
 pub use halving::DistanceHalving;
-pub use properties::{measure_congestion, measure_route_lengths, PropertyReport};
 pub use viceroy::Viceroy;

@@ -468,6 +468,25 @@ mod tests {
         assert!(matches!(build(&spec), Err(ScenarioError::Unsupported(_))));
     }
 
+    /// An empty population is a typed error from both builders on every
+    /// defense × string-mode arm — not the overlay constructors' "empty
+    /// ring" panic — and the smallest population still builds and steps.
+    #[test]
+    fn empty_population_is_rejected_by_both_builders() {
+        let pow = |scheme| Defense::Pow { scheme, fresh_strings: true };
+        let defenses = [Defense::NoPow, pow(MintScheme::TwoHash), pow(MintScheme::SingleHash)];
+        for defense in defenses {
+            for strings in [StringMode::Protocol, StringMode::Synthesized] {
+                let empty = ScenarioSpec::new(0, 42).defense(defense).strings(strings);
+                let what = empty.label();
+                assert!(matches!(build(&empty), Err(ScenarioError::Unsupported(_))), "{what}");
+                assert!(matches!(empty.build(), Err(ScenarioError::Unsupported(_))), "{what}");
+            }
+        }
+        let one = ScenarioSpec::new(1, 42);
+        assert_eq!(build(&one).expect("n=1 builds").step().epoch, 2);
+    }
+
     /// The total builder enforces the transport/runtime pairing too:
     /// `transport=socket` + `runtime=sync` fails with the typed error
     /// before any system is constructed, on every defense arm.

@@ -40,7 +40,7 @@ pub mod store;
 
 pub use clock::{EpochClock, PhaseWindow};
 pub use enumerate::{combination_count, for_each_combination};
-pub use metrics::{CostReport, Metrics};
+pub use metrics::Metrics;
 pub use net::{
     Envelope, Fate, FaultPlan, InMemoryTransport, NetStats, NodeId, RetryPolicy, SocketTransport,
     Transport, TransportChoice, Wire, NO_DEADLINE,

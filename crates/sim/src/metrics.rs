@@ -86,29 +86,6 @@ impl Metrics {
     }
 }
 
-/// A per-ID cost report: the quantities of Corollary 1 normalized per
-/// participant, produced by the cost experiments (E3/E5).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CostReport {
-    /// Messages for one group-communication round, per group.
-    pub group_comm_msgs: f64,
-    /// Messages per secure search.
-    pub routing_msgs_per_search: f64,
-    /// Hops per search.
-    pub hops_per_search: f64,
-    /// Membership-state entries per good ID.
-    pub membership_state_per_id: f64,
-    /// Link-state entries per good ID.
-    pub link_state_per_id: f64,
-}
-
-impl CostReport {
-    /// Total state entries per good ID.
-    pub fn state_per_id(&self) -> f64 {
-        self.membership_state_per_id + self.link_state_per_id
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
