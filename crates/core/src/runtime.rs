@@ -193,7 +193,13 @@ fn node_of_id(raw: u64) -> NodeId {
 /// over the first `window` ticks of the phase (order-preserving under a
 /// perfect transport).
 fn spread_tick(i: u64, m: u64, window: u64) -> u64 {
-    (i * window).checked_div(m).unwrap_or(0)
+    match i.checked_mul(window) {
+        Some(product) => product.checked_div(m).unwrap_or(0),
+        // A pinned `window=` near `u64::MAX`: widen. `i < m` keeps the
+        // quotient below `window`, so it fits.
+        None => u64::try_from(u128::from(i) * u128::from(window) / u128::from(m.max(1)))
+            .unwrap_or(u64::MAX),
+    }
 }
 
 /// One scenario's network: the transport plus the per-phase actor

@@ -400,14 +400,17 @@ impl ScenarioSpec {
     }
 
     /// Reject what no driver can run: an empty population (there is no
-    /// ring to build an overlay over), and axis combinations no
-    /// transport can serve — a socket transport without an actor runtime
-    /// has nobody to move bytes for. Called by every builder (core and
-    /// `tg_pow`) *and* by the codec, so neither is representable from
-    /// any entry point.
+    /// ring to build an overlay over), a churn rate that is not a
+    /// fraction of the good IDs, and axis combinations no transport can
+    /// serve — a socket transport without an actor runtime has nobody to
+    /// move bytes for. Called by every builder (core and `tg_pow`) *and*
+    /// by the codec, so none is representable from any entry point.
     pub fn check_transport(&self) -> Result<(), ScenarioError> {
         if self.n_good == 0 && self.n_bad == 0 {
             return Err(ScenarioError::Unsupported("an empty population: n and bad are both 0"));
+        }
+        if !(0.0..=1.0).contains(&self.params.churn_rate) {
+            return Err(ScenarioError::Unsupported("a churn rate outside [0, 1]"));
         }
         if self.transport == TransportChoice::Socket && self.runtime != RuntimeChoice::Actor {
             return Err(ScenarioError::NeedsActorRuntime(
@@ -435,8 +438,8 @@ pub enum ScenarioError {
     /// network.
     NeedsActorRuntime(&'static str),
     /// The spec combines axes no driver implements (e.g. the real
-    /// string protocol over a single-graph construction), or names an
-    /// empty population.
+    /// string protocol over a single-graph construction), names an
+    /// empty population, or a churn rate outside `[0, 1]`.
     Unsupported(&'static str),
     /// A label/JSON form did not decode.
     Parse(String),

@@ -360,6 +360,51 @@ fn empty_population_is_rejected() {
     }
 }
 
+/// Well-formed but hostile labels — every value lexes, none is a
+/// scenario anyone meant: each is refused with a typed error or builds
+/// and steps twice, never a panic. (`churn` outside `[0, 1]` used to
+/// reach `Population::depart_good_fraction`'s assert, or run silently;
+/// a `window` near `u64::MAX` overflowed the send-tick spread mid-step.)
+#[test]
+fn hostile_labels_are_refused_or_run() {
+    let label = ScenarioSpec::new(40, 42).searches(10).label();
+    let base: Vec<(&str, &str)> =
+        label.split(';').skip(1).map(|f| f.split_once('=').expect("key=value")).collect();
+    // (edits to the base label, whether the codec must refuse them)
+    let cases: [(&[(&str, &str)], bool); 11] = [
+        (&[("runtime", "actor"), ("window", "18446744073709551615")], false),
+        (&[("churn", "2")], true),
+        (&[("churn", "inf")], true),
+        (&[("churn", "-1")], true),
+        (&[("churn", "NaN")], true),
+        (&[("churn", "1")], false),
+        (&[("d2", "0")], false),
+        (&[("rule", "fixed:0")], false),
+        (&[("searches", "0")], false),
+        (&[("n", "2"), ("bad", "500")], false),
+        (&[("strategy", "interval-targeting:0.4:5")], false),
+    ];
+    for (edits, refused) in cases {
+        let mut fields: Vec<(&str, &str)> =
+            base.iter().copied().filter(|f| edits.iter().all(|e| e.0 != f.0)).collect();
+        fields.extend_from_slice(edits);
+        let hostile = join(&fields);
+        match ScenarioSpec::parse(&hostile) {
+            Err(e) => {
+                assert!(refused && matches!(e, ScenarioError::Unsupported(_)), "{hostile}: {e}")
+            }
+            Ok(spec) => {
+                assert!(!refused, "{hostile} must not parse");
+                let mut driver = spec.build().unwrap_or_else(|e| panic!("{hostile}: {e}"));
+                driver.step();
+                assert_eq!(driver.step().epoch, 3, "{hostile}");
+            }
+        }
+    }
+    let built = ScenarioSpec::new(40, 42).churn(2.0).build();
+    assert!(matches!(built, Err(ScenarioError::Unsupported(_))), "build() shares the check");
+}
+
 /// One shared store for the observation round-trip cases (a fresh
 /// directory per test process; keys are unique per case).
 fn prop_store() -> &'static tg_sim::ResultStore {

@@ -4,27 +4,18 @@
 //! `--seed <u64>` (default 42), `--full` (paper-scale parameters),
 //! `--out <dir>` (default `results/`), `--quiet` (suppress the table),
 //! `--only e10,e11,e12` (run a subset), `--list` (print the
-//! experiment registry and exit), `--kernel legacy|arena`
-//! (how the one epoch system schedules its RNG-free phases: `legacy`
-//! sequential, `arena` fanned out over threads — identical results
-//! either way; e13 times the pair), and
-//! `--runtime sync|actor` (which epoch runtime advances them —
-//! identical results over the actor runtime's default perfect
-//! transport; e14 is the faulty-transport sweep), `--transport
-//! mem|socket` (which transport carries the actor runtime's protocol
-//! messages — the deterministic in-memory network or real loopback TCP
-//! sockets; identical results either way, by the shared fault-fate
-//! construction), and `--store <dir>`
-//! (a content-addressed result store: sweeps replay cells whose
-//! observation streams are already stored and publish the ones they
-//! simulate, making warm re-runs cheap and long ladders resumable), and
-//! `--check-invariants` (wrap every driver the experiment builds in
-//! `tg_verify::CheckedDriver`, evaluating the named paper invariants
-//! after every epoch and panicking with a reproduction line on the
-//! first violation — observations are unchanged, only checked).
+//! experiment registry and exit), and the five **run-wide switches**,
+//! which say *how* scenarios are executed and never change what they
+//! observe: `--kernel legacy|arena`, `--runtime sync|actor`,
+//! `--transport mem|socket`, `--store <dir>` and `--check-invariants`.
+//! Those five are parsed here into [`Options::exec`] and documented,
+//! field by field, on [`crate::exec::Exec`] — the only module that
+//! reads them. A new run-wide switch is a field there and a flag here.
 
+use crate::exec::Exec;
 use tg_core::runtime::RuntimeChoice;
 use tg_core::scenario::{KernelChoice, TransportChoice};
+use tg_sim::ResultStore;
 
 /// Parsed command-line options.
 #[derive(Clone, Debug)]
@@ -43,30 +34,8 @@ pub struct Options {
     /// Print the experiment registry (name + one-line description) and
     /// exit 0 instead of running anything (`run_all --list`).
     pub list: bool,
-    /// The epoch schedule of the simulated systems (sequential vs
-    /// fanned out).
-    pub kernel: KernelChoice,
-    /// Which epoch runtime advances them (synchronous in-process vs
-    /// actor message passing).
-    pub runtime: RuntimeChoice,
-    /// Which transport carries the actor runtime's protocol messages
-    /// (in-memory vs loopback TCP sockets). Only meaningful with
-    /// `--runtime actor`; experiments thread it into their specs, where
-    /// the socket/sync combination is rejected at build time.
-    pub transport: TransportChoice,
-    /// Directory of the content-addressed result store
-    /// ([`tg_sim::store`]). When set, sweeps replay any cell whose
-    /// observation stream is already stored and publish the streams of
-    /// cells they simulate — warm re-runs and resumed ladders skip the
-    /// work already on disk. `None` (the default) runs everything live.
-    pub store: Option<String>,
-    /// Evaluate the `tg_verify` invariant registry after every epoch of
-    /// every driver the experiment builds, panicking with a full
-    /// reproduction line (invariant ID + scenario label + epoch) on the
-    /// first violation. Checks draw from their own RNG streams, so the
-    /// observations — and every CSV and golden — are byte-identical
-    /// with or without the flag.
-    pub check_invariants: bool,
+    /// How every scenario is executed: the run-wide switches.
+    pub exec: Exec,
 }
 
 impl Default for Options {
@@ -78,11 +47,7 @@ impl Default for Options {
             quiet: false,
             only: None,
             list: false,
-            kernel: KernelChoice::default(),
-            runtime: RuntimeChoice::default(),
-            transport: TransportChoice::default(),
-            store: None,
-            check_invariants: false,
+            exec: Exec::default(),
         }
     }
 }
@@ -122,23 +87,24 @@ impl Options {
                 }
                 "--kernel" => {
                     let v = it.next().unwrap_or_else(|| usage("--kernel needs a value"));
-                    opts.kernel = KernelChoice::parse(&v)
+                    opts.exec.kernel = KernelChoice::parse(&v)
                         .unwrap_or_else(|| usage("--kernel must be legacy or arena"));
                 }
                 "--runtime" => {
                     let v = it.next().unwrap_or_else(|| usage("--runtime needs a value"));
-                    opts.runtime = RuntimeChoice::parse(&v)
+                    opts.exec.runtime = RuntimeChoice::parse(&v)
                         .unwrap_or_else(|| usage("--runtime must be sync or actor"));
                 }
                 "--transport" => {
                     let v = it.next().unwrap_or_else(|| usage("--transport needs a value"));
-                    opts.transport = TransportChoice::parse(&v)
+                    opts.exec.transport = TransportChoice::parse(&v)
                         .unwrap_or_else(|| usage("--transport must be mem or socket"));
                 }
                 "--store" => {
-                    opts.store = Some(it.next().unwrap_or_else(|| usage("--store needs a value")));
+                    let dir = it.next().unwrap_or_else(|| usage("--store needs a value"));
+                    opts.exec.store = open_store(&dir);
                 }
-                "--check-invariants" => opts.check_invariants = true,
+                "--check-invariants" => opts.exec.check_invariants = true,
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag {other}")),
             }
@@ -151,26 +117,21 @@ impl Options {
         Options::parse(std::env::args().skip(1))
     }
 
-    /// Open the result store named by `--store`, if any. A store
-    /// directory that cannot be created degrades to a live run with a
-    /// warning — caching is an accelerator, never a prerequisite.
-    pub fn open_store(&self) -> Option<tg_sim::ResultStore> {
-        let dir = self.store.as_ref()?;
-        match tg_sim::ResultStore::open(dir) {
-            Ok(store) => Some(store),
-            Err(e) => {
-                eprintln!("warning: could not open result store at {dir}: {e}");
-                None
-            }
-        }
-    }
-
     /// Whether `run_all` should run the experiment with this stem name
     /// (`"e10"`, `"figure1"`, …). Everything is selected when no
     /// `--only` filter was given.
     pub fn selected(&self, name: &str) -> bool {
         self.only.as_ref().is_none_or(|names| names.iter().any(|n| n == name))
     }
+}
+
+/// Open the result store named by `--store`. A store directory that
+/// cannot be created degrades to a live run with a warning — caching is
+/// an accelerator, never a prerequisite.
+fn open_store(dir: &str) -> Option<ResultStore> {
+    ResultStore::open(dir)
+        .inspect_err(|e| eprintln!("warning: could not open result store at {dir}: {e}"))
+        .ok()
 }
 
 fn usage(msg: &str) -> ! {
@@ -219,42 +180,37 @@ mod tests {
 
     #[test]
     fn kernel_flag_parses() {
-        assert_eq!(parse(&[]).kernel, KernelChoice::Legacy);
-        assert_eq!(parse(&["--kernel", "arena"]).kernel, KernelChoice::Arena);
-        assert_eq!(parse(&["--kernel", "legacy"]).kernel, KernelChoice::Legacy);
+        assert_eq!(parse(&[]).exec.kernel, KernelChoice::Legacy);
+        assert_eq!(parse(&["--kernel", "arena"]).exec.kernel, KernelChoice::Arena);
+        assert_eq!(parse(&["--kernel", "legacy"]).exec.kernel, KernelChoice::Legacy);
     }
 
     #[test]
     fn runtime_flag_parses() {
-        assert_eq!(parse(&[]).runtime, RuntimeChoice::Sync);
-        assert_eq!(parse(&["--runtime", "actor"]).runtime, RuntimeChoice::Actor);
-        assert_eq!(parse(&["--runtime", "sync"]).runtime, RuntimeChoice::Sync);
+        assert_eq!(parse(&[]).exec.runtime, RuntimeChoice::Sync);
+        assert_eq!(parse(&["--runtime", "actor"]).exec.runtime, RuntimeChoice::Actor);
+        assert_eq!(parse(&["--runtime", "sync"]).exec.runtime, RuntimeChoice::Sync);
     }
 
     #[test]
     fn transport_flag_parses() {
-        assert_eq!(parse(&[]).transport, TransportChoice::Mem);
-        assert_eq!(parse(&["--transport", "socket"]).transport, TransportChoice::Socket);
-        assert_eq!(parse(&["--transport", "mem"]).transport, TransportChoice::Mem);
+        assert_eq!(parse(&[]).exec.transport, TransportChoice::Mem);
+        assert_eq!(parse(&["--transport", "socket"]).exec.transport, TransportChoice::Socket);
+        assert_eq!(parse(&["--transport", "mem"]).exec.transport, TransportChoice::Mem);
     }
 
     #[test]
     fn store_flag_parses_and_opens() {
-        assert_eq!(parse(&[]).store, None);
-        let dir = std::env::temp_dir()
-            .join(format!("tg-args-store-{}", std::process::id()))
-            .display()
-            .to_string();
-        let o = parse(&["--store", &dir]);
-        assert_eq!(o.store.as_deref(), Some(dir.as_str()));
-        assert!(o.open_store().is_some(), "a creatable directory opens");
-        assert!(parse(&[]).open_store().is_none(), "no flag, no store");
+        assert!(parse(&[]).exec.store.is_none(), "no flag, no store");
+        let dir = std::env::temp_dir().join(format!("tg-args-store-{}", std::process::id()));
+        let o = parse(&["--store", dir.to_str().expect("utf-8 temp path")]);
+        assert_eq!(o.exec.store.expect("a creatable directory opens").dir(), dir);
     }
 
     #[test]
     fn check_invariants_flag_parses() {
-        assert!(!parse(&[]).check_invariants);
-        assert!(parse(&["--check-invariants"]).check_invariants);
+        assert!(!parse(&[]).exec.check_invariants);
+        assert!(parse(&["--check-invariants"]).exec.check_invariants);
     }
 
     #[test]

@@ -46,6 +46,7 @@ fn main() {
         eprintln!("[run_all] nothing selected — check the --only list");
         std::process::exit(2);
     }
+    opts.exec.write_index();
     eprintln!("[run_all] {ran} experiment(s) done in {:.1?}", t0.elapsed());
     let dropped = tg_experiments::artifacts::dropped_count();
     if dropped > 0 {

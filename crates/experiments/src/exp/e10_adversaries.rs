@@ -25,14 +25,12 @@
 //! strings refresh and compounds without bound when they do not.
 
 use crate::args::Options;
+use crate::exec::Exec;
 use crate::table::{f, Table};
 use rand::rngs::StdRng;
 use rand::Rng;
 use tg_core::routing::dual_search;
-use tg_core::runtime::RuntimeChoice;
-use tg_core::scenario::{
-    Defense, KernelChoice, ScenarioSpec, StrategySpec, StringMode, TransportChoice,
-};
+use tg_core::scenario::{Defense, ScenarioSpec, StrategySpec, StringMode};
 use tg_core::{GraphsView, GroupGraphView, Params};
 use tg_idspace::{Id, RingDistance};
 use tg_pow::MintScheme;
@@ -53,7 +51,9 @@ pub const STRATEGIES: [&str; 5] = [
     "precompute-hoarder",
 ];
 
-/// The identity-pipeline axis of the sweep.
+/// The identity-pipeline axis of the sweep, as [`Defense`] labels. The
+/// PoW pipelines run at provider level with synthesized strings (the
+/// E10 convention: the real string-agreement protocol is E11's subject).
 pub const PIPELINES: [&str; 3] = ["none", "single-hash", "f∘g"];
 
 /// The declarative strategy of one sweep cell. The hoarder grinds real
@@ -74,37 +74,21 @@ fn cell_strategy(name: &str, fam_seed: u64, n_bad: usize) -> StrategySpec {
     }
 }
 
-/// The identity-pipeline axis as a scenario defense. The PoW pipelines
-/// run at provider level with synthesized strings (the E10 convention:
-/// the real string-agreement protocol is E11's subject).
-fn cell_defense(pipeline: &str) -> Defense {
-    match pipeline {
-        "none" => Defense::NoPow,
-        "single-hash" => Defense::Pow { scheme: MintScheme::SingleHash, fresh_strings: true },
-        "f∘g" => Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: true },
-        other => panic!("unknown pipeline {other}"),
-    }
-}
-
 /// The shared per-cell scenario: paper parameters with the sweep's
 /// churn/attack conventions over a dual-graph Chord system.
 fn cell_spec(
+    exec: &Exec,
     n_good: usize,
     n_bad: usize,
     searches: usize,
     cell_seed: u64,
-    kernel: KernelChoice,
-    runtime: RuntimeChoice,
-    transport: TransportChoice,
 ) -> ScenarioSpec {
-    ScenarioSpec::new(n_good, cell_seed)
+    let spec = ScenarioSpec::new(n_good, cell_seed)
         .params(sweep_params())
         .budget(n_bad)
         .strings(StringMode::Synthesized)
-        .searches(searches)
-        .kernel(kernel)
-        .runtime(runtime)
-        .transport(transport)
+        .searches(searches);
+    exec.install(spec)
 }
 
 /// Dual-search success for keys u.a.r. in the victim arc.
@@ -134,24 +118,20 @@ fn sweep_params() -> Params {
 /// Cells are driven entirely by labelled RNG streams derived from the
 /// master seed, so they can run in parallel without losing determinism.
 fn run_cell(
+    opts: &Options,
     strategy: &str,
     pipeline: &str,
     n_good: usize,
     n_bad: usize,
     epochs: usize,
     searches: usize,
-    seed: u64,
-    kernel: KernelChoice,
-    runtime: RuntimeChoice,
-    transport: TransportChoice,
-    check_invariants: bool,
 ) -> Vec<Vec<String>> {
     let pipeline_idx = PIPELINES.iter().position(|&p| p == pipeline).unwrap() as u64;
-    let cell_seed = tg_sim::derive_seed(seed, strategy, pipeline_idx);
-    let spec = cell_spec(n_good, n_bad, searches, cell_seed, kernel, runtime, transport)
+    let cell_seed = tg_sim::derive_seed(opts.seed, strategy, pipeline_idx);
+    let spec = cell_spec(&opts.exec, n_good, n_bad, searches, cell_seed)
         .strategy(cell_strategy(strategy, cell_seed ^ 0xE10, n_bad))
-        .defense(cell_defense(pipeline));
-    let mut sys = crate::checked::build_driver(&spec, check_invariants);
+        .defense(Defense::parse(pipeline).expect("PIPELINES are defense labels"));
+    let mut sys = opts.exec.driver(&spec);
     (0..epochs)
         .map(|e| {
             let r = sys.step();
@@ -200,16 +180,8 @@ pub fn run(opts: &Options) -> Vec<Table> {
             cells.push((strategy, pipeline));
         }
     }
-    let seed = opts.seed;
-    let kernel = opts.kernel;
-    let runtime = opts.runtime;
-    let transport = opts.transport;
-    let check = opts.check_invariants;
-    let results = tg_sim::parallel_map(cells, move |(strategy, pipeline)| {
-        run_cell(
-            strategy, pipeline, n_good, n_bad, epochs, searches, seed, kernel, runtime, transport,
-            check,
-        )
+    let results = tg_sim::parallel_map(cells, |(strategy, pipeline)| {
+        run_cell(opts, strategy, pipeline, n_good, n_bad, epochs, searches)
     });
     for rows in results {
         for row in rows {
@@ -230,12 +202,12 @@ pub fn run(opts: &Options) -> Vec<Table> {
             "success_dual",
         ],
     );
-    let hoard_rows = tg_sim::parallel_map(vec![true, false], move |fresh| {
-        let cell_seed = tg_sim::derive_seed(seed, "e10-hoard", fresh as u64);
-        let spec = cell_spec(n_good, n_bad, searches, cell_seed, kernel, runtime, transport)
+    let hoard_rows = tg_sim::parallel_map(vec![true, false], |fresh| {
+        let cell_seed = tg_sim::derive_seed(opts.seed, "e10-hoard", fresh as u64);
+        let spec = cell_spec(&opts.exec, n_good, n_bad, searches, cell_seed)
             .strategy(cell_strategy("precompute-hoarder", cell_seed ^ 0xB0A, n_bad))
             .defense(Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: fresh });
-        let mut sys = crate::checked::build_driver(&spec, check);
+        let mut sys = opts.exec.driver(&spec);
         (0..epochs)
             .map(|_| {
                 let r = sys.step();
@@ -266,19 +238,7 @@ mod tests {
     use super::*;
 
     fn opts() -> Options {
-        Options {
-            kernel: Default::default(),
-            runtime: Default::default(),
-            seed: 42,
-            full: false,
-            out_dir: "/tmp".into(),
-            quiet: true,
-            only: None,
-            list: false,
-            transport: Default::default(),
-            store: None,
-            check_invariants: false,
-        }
+        Options { out_dir: "/tmp".into(), quiet: true, ..Options::default() }
     }
 
     /// One shared sweep for all assertions in this module (the

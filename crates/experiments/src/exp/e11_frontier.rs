@@ -66,11 +66,7 @@ pub fn config(opts: &Options) -> FrontierConfig {
             trials: 3,
             searches: 400,
             seed: opts.seed,
-            kernel: opts.kernel,
-            runtime: opts.runtime,
-            transport: opts.transport,
-            store: opts.open_store(),
-            check_invariants: opts.check_invariants,
+            exec: opts.exec.clone(),
         }
     } else {
         FrontierConfig {
@@ -85,11 +81,7 @@ pub fn config(opts: &Options) -> FrontierConfig {
             trials: 1,
             searches: 100,
             seed: opts.seed,
-            kernel: opts.kernel,
-            runtime: opts.runtime,
-            transport: opts.transport,
-            store: opts.open_store(),
-            check_invariants: opts.check_invariants,
+            exec: opts.exec.clone(),
         }
     }
 }
@@ -97,14 +89,7 @@ pub fn config(opts: &Options) -> FrontierConfig {
 /// Run E11 and return the full outcome (cell table, frontier map, text
 /// heatmaps).
 pub fn run(opts: &Options) -> FrontierOutcome {
-    let cfg = config(opts);
-    let out = run_frontier(&cfg);
-    if let Some(store) = &cfg.store {
-        if let Err(e) = store.write_index() {
-            eprintln!("warning: could not write store index: {e}");
-        }
-    }
-    out
+    run_frontier(&config(opts))
 }
 
 #[cfg(test)]
@@ -113,19 +98,7 @@ mod tests {
     use crate::frontier::CAPTURE_EPS;
 
     fn opts() -> Options {
-        Options {
-            seed: 42,
-            kernel: Default::default(),
-            runtime: Default::default(),
-            full: false,
-            out_dir: "/tmp".into(),
-            quiet: true,
-            only: None,
-            list: false,
-            transport: Default::default(),
-            store: None,
-            check_invariants: false,
-        }
+        Options { out_dir: "/tmp".into(), quiet: true, ..Options::default() }
     }
 
     /// One shared sweep for all assertions in this module (the
@@ -242,11 +215,7 @@ mod tests {
             trials: 2,
             searches: 60,
             seed: 42,
-            kernel: Default::default(),
-            runtime: Default::default(),
-            transport: Default::default(),
-            store: None,
-            check_invariants: false,
+            exec: Default::default(),
         };
         let a = run_frontier(&cfg);
         let b = run_frontier(&cfg);

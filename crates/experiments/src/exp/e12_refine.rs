@@ -79,11 +79,7 @@ pub fn config(opts: &Options) -> RefineConfig {
             trials: 3,
             searches: 300,
             seed: opts.seed,
-            kernel: opts.kernel,
-            runtime: opts.runtime,
-            transport: opts.transport,
-            store: opts.open_store(),
-            check_invariants: opts.check_invariants,
+            exec: opts.exec.clone(),
         }
     } else {
         FrontierConfig {
@@ -98,11 +94,7 @@ pub fn config(opts: &Options) -> RefineConfig {
             trials: 1,
             searches: 60,
             seed: opts.seed,
-            kernel: opts.kernel,
-            runtime: opts.runtime,
-            transport: opts.transport,
-            store: opts.open_store(),
-            check_invariants: opts.check_invariants,
+            exec: opts.exec.clone(),
         }
     };
     RefineConfig { grid, z: 1.645, max_extra_rounds: 2 }
@@ -111,14 +103,7 @@ pub fn config(opts: &Options) -> RefineConfig {
 /// Run E12 and return the full outcome (evaluated cells, refined
 /// frontier map with confidence bands, cost ledger).
 pub fn run(opts: &Options) -> RefineOutcome {
-    let cfg = config(opts);
-    let out = run_refine(&cfg);
-    if let Some(store) = &cfg.grid.store {
-        if let Err(e) = store.write_index() {
-            eprintln!("warning: could not write store index: {e}");
-        }
-    }
-    out
+    run_refine(&config(opts))
 }
 
 #[cfg(test)]
@@ -128,19 +113,7 @@ mod tests {
     use crate::table::f;
 
     fn opts() -> Options {
-        Options {
-            seed: 42,
-            kernel: Default::default(),
-            runtime: Default::default(),
-            full: false,
-            out_dir: "/tmp".into(),
-            quiet: true,
-            only: None,
-            list: false,
-            transport: Default::default(),
-            store: None,
-            check_invariants: false,
-        }
+        Options { out_dir: "/tmp".into(), quiet: true, ..Options::default() }
     }
 
     /// One shared sweep for the assertions in this module.
@@ -170,11 +143,7 @@ mod tests {
             trials: 1,
             searches: 50,
             seed: 42,
-            kernel: Default::default(),
-            runtime: Default::default(),
-            transport: Default::default(),
-            store: None,
-            check_invariants: false,
+            exec: Default::default(),
         }
     }
 
@@ -296,11 +265,7 @@ mod tests {
                 trials: 2,
                 searches: 60,
                 seed: 42,
-                kernel: Default::default(),
-                runtime: Default::default(),
-                transport: Default::default(),
-                store: None,
-                check_invariants: false,
+                exec: Default::default(),
             },
             z: 1.645,
             max_extra_rounds: 1,

@@ -21,6 +21,7 @@
 use std::time::Instant;
 
 use crate::args::Options;
+use crate::exec::Exec;
 use crate::table::{f, Table};
 use tg_core::scenario::{budget_for, KernelChoice, ScenarioSpec};
 use tg_overlay::GraphKind;
@@ -119,12 +120,6 @@ pub fn rung_spec(rung: &Rung, seed: u64) -> ScenarioSpec {
         .kernel(rung.kernel)
 }
 
-/// Time every rung, sequentially (each rung's epoch loop parallelizes
-/// internally; running rungs back to back keeps the clocks honest).
-pub fn measure(rungs: &[Rung], seed: u64) -> Vec<RungResult> {
-    measure_stored(rungs, seed, None, false).into_iter().map(|(r, _)| r).collect()
-}
-
 /// Store key of one rung's timing record: the rung's scenario label
 /// (which pins kernel, population, seed) plus its epoch
 /// count, under an `e13` tag so timing records never collide with
@@ -133,50 +128,37 @@ fn rung_store_key(rung: &Rung, seed: u64) -> String {
     format!("e13;{};epochs={}", rung_spec(rung, seed).label(), rung.epochs)
 }
 
-/// [`measure`], consulting a result store so an interrupted ladder
-/// resumes mid-way: rungs whose timing record is already stored are
-/// replayed (the paired flag is `true`), the rest run live and publish
-/// their record. Timing records use the `t1` line codec
+/// Time every rung, sequentially (each rung's epoch loop parallelizes
+/// internally; running rungs back to back keeps the clocks honest),
+/// consulting `exec`'s result store — if it has one — so an interrupted
+/// ladder resumes mid-way: rungs whose timing record is already stored
+/// are replayed (the paired flag is `true`), the rest run live and
+/// publish their record. Timing records use the `t1` line codec
 /// (`t1,<build_ms>,<wall_ms>`, floats via `Display` for exactness).
-pub fn measure_stored(
-    rungs: &[Rung],
-    seed: u64,
-    store: Option<&tg_sim::ResultStore>,
-    check_invariants: bool,
-) -> Vec<(RungResult, bool)> {
+pub fn measure(rungs: &[Rung], seed: u64, exec: &Exec) -> Vec<(RungResult, bool)> {
     rungs
         .iter()
         .map(|&rung| {
-            let key = store.map(|_| rung_store_key(&rung, seed));
-            if let (Some(store), Some(key)) = (store, key.as_ref()) {
-                match store.get(key) {
-                    Ok(Some(records)) => {
-                        let rec = records.first().map(String::as_str).unwrap_or("");
-                        let parsed: Option<(f64, f64)> = rec.strip_prefix("t1,").and_then(|body| {
-                            let (b, w) = body.split_once(',')?;
-                            Some((b.parse().ok()?, w.parse().ok()?))
-                        });
-                        if let Some((build_ms, wall_ms)) = parsed {
-                            return (RungResult { rung, build_ms, wall_ms }, true);
-                        }
-                        eprintln!("warning: unreadable timing record for `{key}`; re-timing");
-                    }
-                    Ok(None) => {}
-                    Err(e) => panic!("{e}"),
+            let key = rung_store_key(&rung, seed);
+            if let Some(records) = exec.stored(&key) {
+                let rec = records.first().map(String::as_str).unwrap_or("");
+                let parsed: Option<(f64, f64)> = rec.strip_prefix("t1,").and_then(|body| {
+                    let (b, w) = body.split_once(',')?;
+                    Some((b.parse().ok()?, w.parse().ok()?))
+                });
+                if let Some((build_ms, wall_ms)) = parsed {
+                    return (RungResult { rung, build_ms, wall_ms }, true);
                 }
+                eprintln!("warning: unreadable timing record for `{key}`; re-timing");
             }
             let spec = rung_spec(&rung, seed);
             let t0 = Instant::now();
-            let mut driver = crate::checked::build_driver(&spec, check_invariants);
+            let mut driver = exec.driver(&spec);
             let build_ms = t0.elapsed().as_secs_f64() * 1e3;
             let t0 = Instant::now();
             driver.run(rung.epochs);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            if let (Some(store), Some(key)) = (store, key.as_ref()) {
-                if let Err(e) = store.put(key, &[format!("t1,{build_ms},{wall_ms}")]) {
-                    eprintln!("warning: {e}");
-                }
-            }
+            exec.publish(&key, || vec![format!("t1,{build_ms},{wall_ms}")]);
             (RungResult { rung, build_ms, wall_ms }, false)
         })
         .collect()
@@ -184,8 +166,7 @@ pub fn measure_stored(
 
 /// Run E13: time the ladder and return the throughput table.
 pub fn run(opts: &Options) -> Table {
-    let store = opts.open_store();
-    let timed = measure_stored(&rungs(opts), opts.seed, store.as_ref(), opts.check_invariants);
+    let timed = measure(&rungs(opts), opts.seed, &opts.exec);
     let mut table = Table::new(
         "e13_scale",
         &[
@@ -212,11 +193,6 @@ pub fn run(opts: &Options) -> Table {
             f(r.epochs_per_sec()),
             f(r.identities_per_sec()),
         ]);
-    }
-    if let Some(store) = &store {
-        if let Err(e) = store.write_index() {
-            eprintln!("warning: could not write store index: {e}");
-        }
     }
     table
 }
@@ -259,16 +235,17 @@ mod tests {
     fn stored_ladder_resumes_without_retiming() {
         let dir = std::env::temp_dir().join(format!("tg-e13-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = tg_sim::ResultStore::open(&dir).unwrap();
+        let exec =
+            Exec { store: Some(tg_sim::ResultStore::open(&dir).unwrap()), ..Exec::default() };
         let ladder = [
             Rung { kernel: KernelChoice::Legacy, n_good: 380, epochs: 2 },
             Rung { kernel: KernelChoice::Arena, n_good: 380, epochs: 2 },
         ];
         // Cold half-ladder: only the first rung gets recorded.
-        let cold = measure_stored(&ladder[..1], 42, Some(&store), false);
+        let cold = measure(&ladder[..1], 42, &exec);
         assert!(cold.iter().all(|(_, cached)| !cached), "first pass is all live");
         // Resumed full ladder: rung 0 replays, rung 1 runs live.
-        let warm = measure_stored(&ladder, 42, Some(&store), false);
+        let warm = measure(&ladder, 42, &exec);
         assert!(warm[0].1, "recorded rung is replayed");
         assert!(!warm[1].1, "new rung runs live");
         assert_eq!(warm[0].0.build_ms, cold[0].0.build_ms);
@@ -280,9 +257,10 @@ mod tests {
     #[test]
     fn measurement_produces_positive_rates() {
         let ladder = [Rung { kernel: KernelChoice::Arena, n_good: 380, epochs: 2 }];
-        let results = measure(&ladder, 42);
+        let results = measure(&ladder, 42, &Exec::default());
         assert_eq!(results.len(), 1);
-        let r = &results[0];
+        let (r, cached) = &results[0];
+        assert!(!cached, "no store, nothing to replay");
         assert!(r.wall_ms > 0.0 && r.build_ms > 0.0);
         assert!(r.epochs_per_sec() > 0.0);
         let ratio = r.identities_per_sec() / r.epochs_per_sec();

@@ -75,7 +75,7 @@ pub fn grid(opts: &Options) -> Vec<FaultCell> {
             vec![TransportChoice::Mem, TransportChoice::Socket],
         )
     } else {
-        (vec![0.0, 0.2, 0.4, 0.6], vec![0, 24], vec![opts.transport])
+        (vec![0.0, 0.2, 0.4, 0.6], vec![0, 24], vec![opts.exec.transport])
     };
     let mut cells = Vec::new();
     for &transport in &transports {
@@ -95,16 +95,15 @@ pub fn grid(opts: &Options) -> Vec<FaultCell> {
 /// monotone in the drop rate by construction.
 pub fn cell_spec(cell: FaultCell, opts: &Options, seed: u64) -> ScenarioSpec {
     let n_good = if opts.full { FULL_N_GOOD } else { QUICK_N_GOOD };
-    ScenarioSpec::new(n_good, seed)
+    let spec = ScenarioSpec::new(n_good, seed)
         .budget(budget_for(ASYNC_BETA, n_good))
         .churn(0.15)
         .strategy(StrategySpec::Uniform)
         .searches(if opts.full { 300 } else { 120 })
-        .kernel(opts.kernel)
-        .runtime(RuntimeChoice::Actor)
-        .transport(cell.transport)
         .drop_rate(cell.drop)
-        .partition(cell.part)
+        .partition(cell.part);
+    // The runtime and the transport are this sweep's own axes.
+    opts.exec.install(spec).runtime(RuntimeChoice::Actor).transport(cell.transport)
 }
 
 /// Mean observables of one cell over its epoch run.
@@ -136,29 +135,25 @@ pub struct CellResult {
 /// trial the per-message fault hashes are fixed, so the dropped set
 /// grows with the drop rate; averaging over trials smooths the
 /// feedback noise of *which* identities survive.
-pub fn run_cell(cell: FaultCell, opts: &Options, epochs: usize, trials: u64) -> CellResult {
-    run_cell_stored(cell, opts, epochs, trials, None).0
-}
-
-/// [`run_cell`], consulting a result store: each trial's observation
-/// stream is keyed by its scenario label (which carries the fault
-/// knobs, population, and seed) plus the epoch count — stored trials
-/// replay, missing trials simulate and publish. The paired count says
-/// how many trials ran live, so an interrupted full sweep resumes
-/// mid-grid paying only for the cells it never finished.
-pub fn run_cell_stored(
+///
+/// Each trial goes through [`crate::exec::Exec::trial`], so with a
+/// result store its observation stream — keyed by its scenario label
+/// (which carries the fault knobs, population, and seed) plus the epoch
+/// count — replays if stored and is published if simulated. The paired
+/// count says how many trials ran live, so an interrupted full sweep
+/// resumes mid-grid paying only for the cells it never finished.
+pub fn run_cell(
     cell: FaultCell,
     opts: &Options,
     epochs: usize,
     trials: u64,
-    store: Option<&tg_sim::ResultStore>,
 ) -> (CellResult, usize) {
     let (mut capture, mut red, mut dual, mut bad_share, mut late) = (0.0, 0.0, 0.0, 0.0, 0.0);
     let mut live = 0usize;
     for trial in 0..trials {
         let seed = tg_sim::derive_seed(opts.seed, "e14-trial", trial);
         let spec = cell_spec(cell, opts, seed);
-        let (rows, ran) = crate::frontier::stored_rows(&spec, epochs, store, opts.check_invariants);
+        let (rows, ran) = opts.exec.trial(&spec, epochs);
         live += ran as usize;
         for r in &rows {
             capture += r.captured_groups as f64 / r.total_groups.max(1) as f64;
@@ -186,17 +181,7 @@ pub fn run_cell_stored(
 /// the rows).
 pub fn run(opts: &Options) -> Table {
     let (epochs, trials) = if opts.full { (8, 4) } else { (6, 3) };
-    let cells = grid(opts);
-    let o = opts.clone();
-    let store = opts.open_store();
-    let s = store.clone();
-    let results =
-        parallel_map(cells, move |cell| run_cell_stored(cell, &o, epochs, trials, s.as_ref()).0);
-    if let Some(store) = &store {
-        if let Err(e) = store.write_index() {
-            eprintln!("warning: could not write store index: {e}");
-        }
-    }
+    let results = parallel_map(grid(opts), |cell| run_cell(cell, opts, epochs, trials).0);
     let mut table = Table::new(
         "e14_async",
         &[
@@ -230,6 +215,7 @@ pub fn run(opts: &Options) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Exec;
 
     fn quick_opts() -> Options {
         Options { quiet: true, ..Default::default() }
@@ -249,7 +235,7 @@ mod tests {
         for &part in &[0u64, 24] {
             let row: Vec<CellResult> = [0.0, 0.2, 0.4, 0.6]
                 .iter()
-                .map(|&drop| run_cell(cell(drop, part), &opts, epochs, 3))
+                .map(|&drop| run_cell(cell(drop, part), &opts, epochs, 3).0)
                 .collect();
             for w in row.windows(2) {
                 assert!(
@@ -275,9 +261,9 @@ mod tests {
     #[test]
     fn late_column_is_zero_on_the_perfect_transport() {
         let opts = quick_opts();
-        let perfect = run_cell(cell(0.0, 0), &opts, 3, 2);
+        let perfect = run_cell(cell(0.0, 0), &opts, 3, 2).0;
         assert_eq!(perfect.late, 0.0, "no faults, no late deliveries");
-        let lossy = run_cell(cell(0.4, 24), &opts, 3, 2);
+        let lossy = run_cell(cell(0.4, 24), &opts, 3, 2).0;
         assert!(lossy.late.is_finite() && lossy.late >= 0.0);
     }
 
@@ -286,8 +272,8 @@ mod tests {
     #[test]
     fn drops_degrade_dual_search_success() {
         let opts = quick_opts();
-        let perfect = run_cell(cell(0.0, 0), &opts, 4, 2);
-        let lossy = run_cell(cell(0.6, 0), &opts, 4, 2);
+        let perfect = run_cell(cell(0.0, 0), &opts, 4, 2).0;
+        let lossy = run_cell(cell(0.6, 0), &opts, 4, 2).0;
         assert!(lossy.success_dual < perfect.success_dual);
     }
 
@@ -298,9 +284,9 @@ mod tests {
     fn socket_cells_match_mem_cells_bit_for_bit() {
         let opts = quick_opts();
         for (drop, part) in [(0.0, 0u64), (0.4, 24)] {
-            let mem = run_cell(cell(drop, part), &opts, 3, 2);
-            let sock =
-                run_cell(FaultCell { drop, part, transport: TransportChoice::Socket }, &opts, 3, 2);
+            let mem = run_cell(cell(drop, part), &opts, 3, 2).0;
+            let socket = FaultCell { drop, part, transport: TransportChoice::Socket };
+            let sock = run_cell(socket, &opts, 3, 2).0;
             for (got, want) in [
                 (sock.capture, mem.capture),
                 (sock.frac_red, mem.frac_red),
@@ -326,6 +312,7 @@ mod tests {
                     4,
                     2,
                 )
+                .0
             })
             .collect();
         for w in row.windows(2) {
@@ -345,7 +332,8 @@ mod tests {
     /// the socket transport and the table carries the axis column.
     #[test]
     fn quick_grid_uses_the_transport_option() {
-        let opts = Options { transport: TransportChoice::Socket, ..quick_opts() };
+        let socket = Exec { transport: TransportChoice::Socket, ..Exec::default() };
+        let opts = Options { exec: socket, ..quick_opts() };
         let cells = grid(&opts);
         assert_eq!(cells.len(), 8);
         assert!(cells.iter().all(|c| c.transport == TransportChoice::Socket));
@@ -372,12 +360,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tg-e14-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = tg_sim::ResultStore::open(&dir).unwrap();
-        let opts = quick_opts();
+        let stored = Exec { store: Some(store), ..Exec::default() };
+        let opts = Options { exec: stored, ..quick_opts() };
         let cell = cell(0.4, 24);
-        let bare = run_cell(cell, &opts, 3, 2);
-        let (cold, cold_live) = run_cell_stored(cell, &opts, 3, 2, Some(&store));
+        let (bare, bare_live) = run_cell(cell, &quick_opts(), 3, 2);
+        assert_eq!(bare_live, 2, "without a store every trial is live");
+        let (cold, cold_live) = run_cell(cell, &opts, 3, 2);
         assert_eq!(cold_live, 2, "cold pass simulates every trial");
-        let (warm, warm_live) = run_cell_stored(cell, &opts, 3, 2, Some(&store));
+        let (warm, warm_live) = run_cell(cell, &opts, 3, 2);
         assert_eq!(warm_live, 0, "warm pass replays every trial");
         for (got, want) in [
             (warm.capture, cold.capture),

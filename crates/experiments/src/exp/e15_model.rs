@@ -124,13 +124,12 @@ fn strategy_sweep(
     let mut t = Table::new("e15_strategies", &["strategy", "defense", "epochs", "violations"]);
     for strategy in all_strategies(opts.seed) {
         for defense in all_defenses() {
-            let spec = ScenarioSpec::new(n_good, opts.seed)
-                .strategy(strategy)
-                .defense(defense)
-                .searches(if opts.full { 120 } else { 60 })
-                .kernel(opts.kernel)
-                .runtime(opts.runtime)
-                .transport(opts.transport);
+            let spec = opts.exec.install(
+                ScenarioSpec::new(n_good, opts.seed)
+                    .strategy(strategy)
+                    .defense(defense)
+                    .searches(if opts.full { 120 } else { 60 }),
+            );
             let mut driver = CheckedDriver::build(&spec)
                 .unwrap_or_else(|e| panic!("e15 scenario `{}` must build: {e:?}", spec.label()));
             driver.run(epochs);

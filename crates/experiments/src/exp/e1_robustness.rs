@@ -101,19 +101,7 @@ mod tests {
 
     #[test]
     fn e1_smoke() {
-        let opts = Options {
-            kernel: Default::default(),
-            runtime: Default::default(),
-            seed: 1,
-            full: false,
-            out_dir: "/tmp".into(),
-            quiet: true,
-            only: None,
-            list: false,
-            transport: Default::default(),
-            store: None,
-            check_invariants: false,
-        };
+        let opts = Options { seed: 1, out_dir: "/tmp".into(), quiet: true, ..Options::default() };
         // Shrink by running the real function — the quick grid is small
         // enough for CI, but for the unit test we only check shape via a
         // single handmade cell rather than the full sweep.

@@ -153,19 +153,7 @@ mod tests {
 
     #[test]
     fn tiny_groups_cost_less_and_route_as_well() {
-        let opts = Options {
-            kernel: Default::default(),
-            runtime: Default::default(),
-            seed: 5,
-            full: false,
-            out_dir: "/tmp".into(),
-            quiet: true,
-            only: None,
-            list: false,
-            transport: Default::default(),
-            store: None,
-            check_invariants: false,
-        };
+        let opts = Options { seed: 5, out_dir: "/tmp".into(), quiet: true, ..Options::default() };
         let mut rng = stream_rng(opts.seed, "e3-test", 0);
         let pop = Population::uniform(2000, 100, &mut rng);
         let fam = OracleFamily::new(9);

@@ -69,11 +69,8 @@ pub fn run(opts: &Options) -> Table {
             .attack_requests(0)
             .link_retries(retries)
             .build_mode(mode)
-            .searches(if opts.full { 800 } else { 400 })
-            .kernel(opts.kernel)
-            .runtime(opts.runtime)
-            .transport(opts.transport);
-        let mut sys = crate::checked::build_driver(&spec, opts.check_invariants);
+            .searches(if opts.full { 800 } else { 400 });
+        let mut sys = opts.exec.driver(&opts.exec.install(spec));
         for _ in 0..epochs {
             let r = sys.step();
             table.push(vec![

@@ -39,11 +39,8 @@ pub fn run(opts: &Options) -> Table {
             .churn(0.2)
             .attack_requests(attack)
             .topology(GraphKind::D2B)
-            .searches(200)
-            .kernel(opts.kernel)
-            .runtime(opts.runtime)
-            .transport(opts.transport);
-        let mut sys = crate::checked::build_driver(&spec, opts.check_invariants);
+            .searches(200);
+        let mut sys = opts.exec.driver(&opts.exec.install(spec));
         for _ in 0..epochs {
             let r = sys.step();
             let accept_rate = if r.build.spurious_issued > 0 {
@@ -74,19 +71,7 @@ mod tests {
     /// dual search failure.
     #[test]
     fn attack_barely_moves_state() {
-        let opts = Options {
-            kernel: Default::default(),
-            runtime: Default::default(),
-            seed: 7,
-            full: false,
-            out_dir: "/tmp".into(),
-            quiet: true,
-            only: None,
-            list: false,
-            transport: Default::default(),
-            store: None,
-            check_invariants: false,
-        };
+        let opts = Options { seed: 7, out_dir: "/tmp".into(), quiet: true, ..Options::default() };
         let t = run(&opts);
         // Partition rows by attack level; compare mean memberships.
         let rows_for = |attack: &str| -> Vec<usize> {

@@ -112,19 +112,7 @@ mod tests {
 
     #[test]
     fn minting_rows_have_ratio_near_one_and_attack_contrast() {
-        let opts = Options {
-            kernel: Default::default(),
-            runtime: Default::default(),
-            seed: 42,
-            full: false,
-            out_dir: "/tmp".into(),
-            quiet: true,
-            only: None,
-            list: false,
-            transport: Default::default(),
-            store: None,
-            check_invariants: false,
-        };
+        let opts = Options { out_dir: "/tmp".into(), quiet: true, ..Options::default() };
         let tables = run(&opts);
         let minting = &tables[0];
         // The experiment is a pure function of the seed (labelled RNG

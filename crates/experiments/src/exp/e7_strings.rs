@@ -85,19 +85,7 @@ mod tests {
 
     #[test]
     fn all_scenarios_agree_and_sets_stay_logarithmic() {
-        let opts = Options {
-            kernel: Default::default(),
-            runtime: Default::default(),
-            seed: 13,
-            full: false,
-            out_dir: "/tmp".into(),
-            quiet: true,
-            only: None,
-            list: false,
-            transport: Default::default(),
-            store: None,
-            check_invariants: false,
-        };
+        let opts = Options { seed: 13, out_dir: "/tmp".into(), quiet: true, ..Options::default() };
         let t = run(&opts);
         assert_eq!(t.rows.len(), 6);
         let n = 1024f64;

@@ -51,19 +51,7 @@ mod tests {
 
     #[test]
     fn amplification_tracks_hoard_length() {
-        let opts = Options {
-            kernel: Default::default(),
-            runtime: Default::default(),
-            seed: 17,
-            full: false,
-            out_dir: "/tmp".into(),
-            quiet: true,
-            only: None,
-            list: false,
-            transport: Default::default(),
-            store: None,
-            check_invariants: false,
-        };
+        let opts = Options { seed: 17, out_dir: "/tmp".into(), quiet: true, ..Options::default() };
         let t = run(&opts);
         for i in 0..t.rows.len() {
             let h: f64 = t.cell(i, 0);

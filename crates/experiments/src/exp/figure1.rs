@@ -55,17 +55,10 @@ mod tests {
     fn figure1_writes_dot_files() {
         let dir = std::env::temp_dir().join("tg-figure1-test");
         let opts = Options {
-            kernel: Default::default(),
-            runtime: Default::default(),
             seed: 21,
-            full: false,
             out_dir: dir.to_str().unwrap().to_string(),
             quiet: true,
-            only: None,
-            list: false,
-            transport: Default::default(),
-            store: None,
-            check_invariants: false,
+            ..Options::default()
         };
         let t = run(&opts);
         assert_eq!(t.rows.len(), 2);

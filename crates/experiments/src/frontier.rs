@@ -59,12 +59,11 @@
 //! monotone in β, so the simulation would only spend time confirming a
 //! lost system).
 
+use crate::exec::Exec;
 use crate::table::{f, Table};
-use tg_core::scenario::{
-    budget_for, KernelChoice, ObsRow, RuntimeChoice, ScenarioSpec, StrategySpec, TransportChoice,
-};
+use tg_core::scenario::{budget_for, ObsRow, ScenarioSpec, StrategySpec};
 use tg_overlay::GraphKind;
-use tg_sim::{derive_seed_grid, parallel_map, ResultStore};
+use tg_sim::{derive_seed_grid, parallel_map};
 
 pub use tg_core::scenario::Defense;
 
@@ -131,7 +130,7 @@ impl RowKey {
     /// engines construct their systems exclusively through it.
     pub fn scenario(&self, cfg: &FrontierConfig, beta: f64, trial_seed: u64) -> ScenarioSpec {
         let budget = budget_for(beta, cfg.n_good);
-        ScenarioSpec::new(cfg.n_good, trial_seed)
+        let spec = ScenarioSpec::new(cfg.n_good, trial_seed)
             .beta(beta)
             .group_factor(self.d2)
             .churn(self.churn)
@@ -139,10 +138,8 @@ impl RowKey {
             .topology(self.kind)
             .defense(self.defense)
             .strategy(strategy_spec(self.strategy, trial_seed, budget))
-            .searches(cfg.searches)
-            .kernel(cfg.kernel)
-            .runtime(cfg.runtime)
-            .transport(cfg.transport)
+            .searches(cfg.searches);
+        cfg.exec.install(spec)
     }
 }
 
@@ -171,30 +168,12 @@ pub struct FrontierConfig {
     pub searches: usize,
     /// Master seed; every trial derives its own grid stream from it.
     pub seed: u64,
-    /// Which epoch kernel runs each cell (legacy per-group or arena/SoA
-    /// — byte-identical observations, so the choice never moves a
-    /// frontier; it is swept by the throughput experiment, not here).
-    pub kernel: KernelChoice,
-    /// Which epoch runtime advances each cell. Over the actor runtime's
-    /// default perfect transport this is byte-identical to `Sync`; the
-    /// fault-injection sweep (e14) owns the faulty-transport axes.
-    pub runtime: RuntimeChoice,
-    /// Which transport carries the actor runtime's messages (in-memory
-    /// vs loopback TCP). Byte-identical observations either way — the
-    /// socket choice exercises the real network path. Elided from cell
-    /// labels at the default, so committed store keys stay stable.
-    pub transport: TransportChoice,
-    /// Optional content-addressed result store. When set, every trial's
-    /// observation stream is looked up by its [`ScenarioSpec::label`]
-    /// (plus epoch count) before simulating and published after — a
-    /// warm sweep replays stored streams through the identical
-    /// statistics path, so its tables are byte-for-byte the live run's.
-    pub store: Option<ResultStore>,
-    /// Evaluate the `tg_verify` invariant registry after every epoch of
-    /// every simulated trial (panicking with a reproduction line on the
-    /// first violation). Byte-identical observations either way, so a
-    /// checked sweep's tables match an unchecked run's exactly.
-    pub check_invariants: bool,
+    /// How each trial is executed (schedule, runtime, transport,
+    /// invariant checking, result store) — observation-free, so it never
+    /// moves a frontier. With a store, every trial's observation stream
+    /// is replayed through the identical statistics path, so a warm
+    /// sweep's tables are byte-for-byte the live run's.
+    pub exec: Exec,
 }
 
 impl FrontierConfig {
@@ -266,70 +245,12 @@ fn trial_stats(rows: &[ObsRow]) -> TrialStats {
     }
 }
 
-/// The store key of one trial's observation stream: the trial's full
-/// scenario label (which already carries seed, axes, kernel, runtime)
-/// plus the epoch count the stream covers.
-pub fn trial_store_key(spec: &ScenarioSpec, epochs: usize) -> String {
-    format!("{};epochs={epochs}", spec.label())
-}
-
-/// One trial's observation rows, store-warm: build `spec`'s driver and
-/// run it for `epochs` epochs — unless `store` already holds the
-/// trial's stream, which is then replayed instead; a stream simulated
-/// with a store configured is published to it. The returned flag says
-/// whether the trial ran **live**. A corrupt stream panics — tampered
-/// results must never silently feed a sweep.
-pub fn stored_rows(
-    spec: &ScenarioSpec,
-    epochs: usize,
-    store: Option<&ResultStore>,
-    check_invariants: bool,
-) -> (Vec<ObsRow>, bool) {
-    let key = store.map(|store| (store, trial_store_key(spec, epochs)));
-    if let Some((store, key)) = &key {
-        match store.get(key) {
-            Ok(Some(records)) => {
-                assert_eq!(
-                    records.len(),
-                    epochs,
-                    "stored stream for `{key}` has the wrong epoch count"
-                );
-                let decode = |(i, rec): (usize, &String)| {
-                    ObsRow::decode_line(rec).unwrap_or_else(|e| {
-                        panic!("store record {i} for `{key}` does not decode: {e}")
-                    })
-                };
-                return (records.iter().enumerate().map(decode).collect(), false);
-            }
-            Ok(None) => {}
-            Err(e) => panic!("{e}"),
-        }
-    }
-    let rows = crate::checked::build_driver(spec, check_invariants).run(epochs);
-    if let Some((store, key)) = &key {
-        let records: Vec<String> = rows.iter().map(ObsRow::encode_line).collect();
-        if let Err(e) = store.put(key, &records) {
-            // A publish failure degrades the cache, not the sweep.
-            eprintln!("warning: {e}");
-        }
-    }
-    (rows, true)
-}
-
-/// One seeded simulation of one cell: the cell's scenario, driven
-/// through the unified [`tg_core::scenario::EpochDriver`] (or replayed
-/// from the store, see [`stored_rows`]), its per-epoch observations
-/// averaged. Which system runs (the bare dynamic layer or the full
-/// epoch-string protocol) is the spec's business, not this loop's.
-fn run_trial(cfg: &FrontierConfig, key: &RowKey, beta: f64, trial_seed: u64) -> (TrialStats, bool) {
-    let spec = key.scenario(cfg, beta, trial_seed);
-    let (rows, live) =
-        stored_rows(&spec, cfg.epochs.max(1), cfg.store.as_ref(), cfg.check_invariants);
-    (trial_stats(&rows), live)
-}
-
 /// Evaluate one cell — `trials` seeded simulations of row `key` at β
-/// rung `bi`, starting at trial index `t0`.
+/// rung `bi`, starting at trial index `t0`: each trial's scenario is
+/// driven through [`Exec::trial`] (live or replayed from the store) and
+/// its per-epoch observations averaged. Which system runs (the bare
+/// dynamic layer or the full epoch-string protocol) is the spec's
+/// business, not this loop's.
 ///
 /// This is the one place cell randomness is derived: both the uniform
 /// grid and the adaptive refinement engine evaluate cells through here,
@@ -338,22 +259,12 @@ fn run_trial(cfg: &FrontierConfig, key: &RowKey, beta: f64, trial_seed: u64) -> 
 /// "same frontier, fewer cell-runs" acceptance claim. `t0 > 0` lets the
 /// refinement engine pour *extra* seeds into a cell by extending the
 /// same trial stream rather than re-drawing it.
+///
+/// The second value is how many of the trials ran **live** (were
+/// simulated) rather than replayed from the configured store — the
+/// number the refinement cost ledger and the warm-start acceptance test
+/// count. Without a store every trial is live.
 pub fn eval_cell(
-    cfg: &FrontierConfig,
-    key: &RowKey,
-    bi: usize,
-    beta: f64,
-    t0: usize,
-    trials: usize,
-) -> Vec<TrialStats> {
-    eval_cell_counted(cfg, key, bi, beta, t0, trials).0
-}
-
-/// [`eval_cell`], additionally reporting how many of the trials ran
-/// **live** (were simulated) rather than replayed from the configured
-/// store — the number the refinement cost ledger and the warm-start
-/// acceptance test count. Without a store every trial is live.
-pub fn eval_cell_counted(
     cfg: &FrontierConfig,
     key: &RowKey,
     bi: usize,
@@ -366,9 +277,10 @@ pub fn eval_cell_counted(
     let stats = (t0..t0 + trials)
         .map(|t| {
             let trial_seed = derive_seed_grid(cfg.seed, &label, bi as u64, t as u64);
-            let (stats, was_live) = run_trial(cfg, key, beta, trial_seed);
+            let spec = key.scenario(cfg, beta, trial_seed);
+            let (rows, was_live) = cfg.exec.trial(&spec, cfg.epochs.max(1));
             live += usize::from(was_live);
-            stats
+            trial_stats(&rows)
         })
         .collect();
     (stats, live)
@@ -464,7 +376,7 @@ pub fn run_frontier(cfg: &FrontierConfig) -> FrontierOutcome {
                 out.push(Cell { key, beta, stats: None });
                 continue;
             }
-            let stats = CellStats::of(&eval_cell(cfg, &key, bi, beta, 0, cfg.trials));
+            let stats = CellStats::of(&eval_cell(cfg, &key, bi, beta, 0, cfg.trials).0);
             overrun = stats.captured_frac >= OVERRUN;
             out.push(Cell { key, beta, stats: Some(stats) });
         }

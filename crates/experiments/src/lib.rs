@@ -33,10 +33,17 @@
 //! unified scenario API (`tg_core::scenario::ScenarioSpec` built by
 //! `tg_pow::scenario::build` into an `EpochDriver`) — no direct
 //! `DynamicSystem`/`FullSystem` constructor calls in this crate.
+//! *How* a scenario is executed — the five run-wide switches
+//! `--kernel`, `--runtime`, `--transport`, `--check-invariants` and
+//! `--store` — lives in one module, [`exec`]: [`args`] parses them into
+//! [`Options::exec`], and experiments only ever ask the [`Exec`] to
+//! install its axes on a spec, build a driver, or run a store-warm
+//! trial. A new run-wide switch goes there, not into an experiment.
 
 pub mod args;
 pub mod artifacts;
 pub mod checked;
+pub mod exec;
 pub mod exp;
 pub mod frontier;
 pub mod refine;
@@ -44,6 +51,7 @@ pub mod table;
 
 pub use args::Options;
 pub use checked::build_driver;
+pub use exec::Exec;
 pub use frontier::{Defense, FrontierConfig, FrontierOutcome, RowKey};
 pub use refine::{RefineConfig, RefineOutcome};
 pub use table::Table;

@@ -38,9 +38,7 @@
 //! (and the golden snapshot): evaluated cell-runs and trial-runs
 //! against the full-grid equivalents, with the saving as a fraction.
 
-use crate::frontier::{
-    eval_cell_counted, key_cells, CellStats, FrontierConfig, RowKey, CAPTURE_EPS,
-};
+use crate::frontier::{eval_cell, key_cells, CellStats, FrontierConfig, RowKey, CAPTURE_EPS};
 use crate::table::{f, Table};
 use std::collections::BTreeMap;
 use tg_sim::{binomial_wilson, parallel_map};
@@ -151,7 +149,7 @@ fn refine_row(cfg: &RefineConfig, key: RowKey) -> RowOutcome {
     let mut eval = |bi: usize| -> bool {
         let cell = memo.entry(bi).or_insert_with(|| {
             let phase = phase_of(bi, k, order);
-            let (trials, live_trials) = eval_cell_counted(grid, &key, bi, grid.betas[bi], 0, base);
+            let (trials, live_trials) = eval_cell(grid, &key, bi, grid.betas[bi], 0, base);
             RowCell { bi, phase, trials, live_trials }
         });
         order += 1;
@@ -183,7 +181,7 @@ fn refine_row(cfg: &RefineConfig, key: RowKey) -> RowOutcome {
                 for &bi in &[bl, fi] {
                     let cell = memo.get_mut(&bi).expect("bracket cells evaluated");
                     let t0 = cell.trials.len();
-                    let (extra, live) = eval_cell_counted(grid, &key, bi, grid.betas[bi], t0, base);
+                    let (extra, live) = eval_cell(grid, &key, bi, grid.betas[bi], t0, base);
                     cell.trials.extend(extra);
                     cell.live_trials += live;
                     extra_trials += base;

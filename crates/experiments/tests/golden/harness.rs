@@ -49,7 +49,7 @@ use tg_core::scenario::{KernelChoice, TransportChoice};
 use tg_experiments::exp::{
     e10_adversaries, e11_frontier, e12_refine, e14_async, e1_robustness, e4_epochs, e7_strings,
 };
-use tg_experiments::Options;
+use tg_experiments::{Exec, Options};
 
 /// One corner of the kernel × runtime × transport × checked matrix.
 pub struct Row {
@@ -93,16 +93,14 @@ pub const CHECKED: [Row; 5] = [
 ];
 
 fn options(row: &Row) -> Options {
-    Options {
-        seed: 42,
-        out_dir: "/tmp".into(),
-        quiet: true,
+    let exec = Exec {
         kernel: row.kernel,
         runtime: row.runtime,
         transport: row.transport,
         check_invariants: row.check_invariants,
-        ..Options::default()
-    }
+        ..Exec::default()
+    };
+    Options { seed: 42, out_dir: "/tmp".into(), quiet: true, exec, ..Options::default() }
 }
 
 /// What one pinned experiment produced: snapshot file name → bytes.

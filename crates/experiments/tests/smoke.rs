@@ -11,17 +11,9 @@ use tg_experiments::{Options, Table};
 fn smoke_opts(name: &str) -> Options {
     let out = std::env::temp_dir().join(format!("tg-smoke-{name}-{}", std::process::id()));
     Options {
-        seed: 42,
-        kernel: Default::default(),
-        runtime: Default::default(),
-        full: false,
         out_dir: out.to_str().expect("utf-8 temp path").to_string(),
         quiet: true,
-        only: None,
-        list: false,
-        transport: Default::default(),
-        store: None,
-        check_invariants: false,
+        ..Options::default()
     }
 }
 

@@ -10,7 +10,7 @@
 //! on every PR.
 
 use tg_experiments::exp::e12_refine;
-use tg_experiments::Options;
+use tg_experiments::{Exec, Options};
 
 fn golden(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
@@ -19,19 +19,9 @@ fn golden(name: &str) -> String {
 }
 
 fn opts(store_dir: &std::path::Path) -> Options {
-    Options {
-        seed: 42,
-        full: false,
-        out_dir: "/tmp".into(),
-        quiet: true,
-        only: None,
-        list: false,
-        kernel: Default::default(),
-        runtime: Default::default(),
-        transport: Default::default(),
-        store: Some(store_dir.to_str().expect("utf-8 temp path").to_string()),
-        check_invariants: false,
-    }
+    let store = tg_sim::ResultStore::open(store_dir).expect("temp store opens");
+    let exec = Exec { store: Some(store), ..Exec::default() };
+    Options { out_dir: "/tmp".into(), quiet: true, exec, ..Options::default() }
 }
 
 /// Cold run fills the store and matches the committed goldens; warm run

@@ -1,88 +1,4 @@
-//! The epoch/step time structure of §III and §IV.
-//!
-//! Time is divided into disjoint consecutive **epochs** of `T` steps,
-//! indexed from 1. Two boundaries matter to the protocols:
-//!
-//! * the **half-epoch point** `T/2`: IDs that want to participate in the
-//!   next epoch must begin puzzle generation by this step (§III-A), and the
-//!   string-propagation protocol runs its three phases in the first half of
-//!   an epoch (Appendix VIII);
-//! * the **epoch boundary**: the two new group graphs become the two old
-//!   ones, and expired IDs enter their passive grace epoch.
-//!
-//! All participants know step 0 and `T` (both are fixed system parameters;
-//! the paper points at NTP for the modest synchronization required), so an
-//! `EpochClock` is pure bookkeeping — no distributed clock sync is modelled.
-
-/// Epoch/step bookkeeping.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EpochClock {
-    /// Epoch length `T` in steps.
-    t: u64,
-    /// Global step counter, starting at 0.
-    step: u64,
-}
-
-impl EpochClock {
-    /// A clock at step 0 with epochs of `t` steps.
-    ///
-    /// # Panics
-    /// Panics if `t == 0` or `t` is odd (the protocols need an exact
-    /// half-epoch boundary).
-    pub fn new(t: u64) -> Self {
-        assert!(t > 0, "epoch length must be positive");
-        assert!(t.is_multiple_of(2), "epoch length must be even for the half-epoch boundary");
-        EpochClock { t, step: 0 }
-    }
-
-    /// Epoch length `T`.
-    pub fn epoch_len(&self) -> u64 {
-        self.t
-    }
-
-    /// The global step counter.
-    pub fn step(&self) -> u64 {
-        self.step
-    }
-
-    /// The current epoch, indexed from 1 (the paper indexes epochs
-    /// `j ≥ 1`).
-    pub fn epoch(&self) -> u64 {
-        self.step / self.t + 1
-    }
-
-    /// Step within the current epoch, in `0..T`.
-    pub fn step_in_epoch(&self) -> u64 {
-        self.step % self.t
-    }
-
-    /// Whether the current step is in the second half of its epoch (at or
-    /// past the `T/2` boundary), i.e. the window in which IDs mint
-    /// identities for the *next* epoch.
-    pub fn in_minting_window(&self) -> bool {
-        self.step_in_epoch() >= self.t / 2
-    }
-
-    /// Whether this step begins a new epoch.
-    pub fn at_epoch_start(&self) -> bool {
-        self.step_in_epoch() == 0
-    }
-
-    /// Advance one step.
-    pub fn tick(&mut self) {
-        self.step += 1;
-    }
-
-    /// Advance `k` steps.
-    pub fn advance(&mut self, k: u64) {
-        self.step += k;
-    }
-
-    /// Jump to the start of the next epoch.
-    pub fn next_epoch(&mut self) {
-        self.step = (self.step / self.t + 1) * self.t;
-    }
-}
+//! Phase-window sizing for the actor runtime's protocol phases.
 
 /// Latency-adaptive phase-window sizing for the actor runtime.
 ///
@@ -166,48 +82,6 @@ impl PhaseWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn epochs_index_from_one() {
-        let mut c = EpochClock::new(10);
-        assert_eq!(c.epoch(), 1);
-        c.advance(9);
-        assert_eq!(c.epoch(), 1);
-        c.tick();
-        assert_eq!(c.epoch(), 2);
-        assert!(c.at_epoch_start());
-    }
-
-    #[test]
-    fn minting_window_is_second_half() {
-        let mut c = EpochClock::new(10);
-        assert!(!c.in_minting_window());
-        c.advance(4);
-        assert!(!c.in_minting_window());
-        c.tick(); // step 5 = T/2
-        assert!(c.in_minting_window());
-        c.advance(4); // step 9
-        assert!(c.in_minting_window());
-        c.tick(); // step 10: next epoch, first half again
-        assert!(!c.in_minting_window());
-    }
-
-    #[test]
-    fn next_epoch_jumps_to_boundary() {
-        let mut c = EpochClock::new(8);
-        c.advance(3);
-        c.next_epoch();
-        assert_eq!(c.step(), 8);
-        assert!(c.at_epoch_start());
-        c.next_epoch();
-        assert_eq!(c.step(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "even")]
-    fn odd_epoch_length_rejected() {
-        let _ = EpochClock::new(7);
-    }
 
     #[test]
     fn adaptive_window_tracks_latency_within_bounds() {

@@ -13,8 +13,8 @@
 //!   experiments replay bit-for-bit,
 //! * [`metrics`] — mergeable message/state counters used to reproduce the
 //!   cost claims of Corollary 1,
-//! * [`clock`] — the epoch/step structure of §III (epochs of `T` steps,
-//!   half-epoch boundaries for PoW minting),
+//! * [`clock`] — the latency-adaptive phase window of the actor
+//!   runtime,
 //! * [`stats`] — summary statistics and uniformity tests shared by the
 //!   experiment harness,
 //! * [`parallel`] — a scoped-thread deterministic parallel map for
@@ -38,7 +38,7 @@ pub mod rng;
 pub mod stats;
 pub mod store;
 
-pub use clock::{EpochClock, PhaseWindow};
+pub use clock::PhaseWindow;
 pub use enumerate::{combination_count, for_each_combination};
 pub use metrics::Metrics;
 pub use net::{

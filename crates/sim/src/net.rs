@@ -111,6 +111,7 @@ impl FaultPlan {
     /// the partition, dropped by random loss, or delivered at
     /// `sent_tick` + hash-drawn latency. Pure — no RNG stream is
     /// consumed, and the decision depends only on the coordinates.
+    #[allow(clippy::too_many_arguments)] // the message coordinates are the hash input
     pub fn fate(
         &self,
         seed: u64,

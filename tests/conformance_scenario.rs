@@ -70,11 +70,7 @@ fn frontier_cells_round_trip_through_the_label() {
         trials: 1,
         searches: 40,
         seed: 42,
-        kernel: Default::default(),
-        runtime: Default::default(),
-        transport: Default::default(),
-        store: None,
-        check_invariants: false,
+        exec: Default::default(),
     };
     for key in cfg.rows() {
         let spec = key.scenario(&cfg, cfg.betas[0], 0xDEAD_BEEF);
