@@ -2,10 +2,6 @@
 //!
 //! The prior-work systems the paper positions itself against:
 //!
-//! * [`logn`] — the classic `Θ(log n)`-group construction (Fiat–Saia–
-//!   Young \[18\] and the long line of work in §I-B): same group-graph
-//!   machinery as `tg-core`, but with logarithmic groups. Used by
-//!   experiment E3 to reproduce Corollary 1's cost comparison.
 //! * [`cuckoo`] — the Awerbuch–Scheideler **cuckoo rule** [8–10] for
 //!   maintaining good majorities under join/leave churn, as simulated by
 //!   Sen & Freedman's *Commensal Cuckoo* \[47\], whose finding the paper
@@ -17,9 +13,7 @@
 //!   secure routing — a search fails if *any* traversed ID is bad.
 
 pub mod cuckoo;
-pub mod logn;
 pub mod single_id;
 
 pub use cuckoo::{CuckooParams, CuckooSim, CuckooStrategy};
-pub use logn::build_logn_baseline;
 pub use single_id::measure_single_id_routing;

@@ -262,7 +262,7 @@ impl AdaptiveMajorityFlipper {
                         }
                         let size = g.group_size(i);
                         let bad = g.group_bad_count(i);
-                        size - bad <= bad + 2 * self.margin
+                        size - bad <= bad.saturating_add(self.margin.saturating_mul(2))
                     })
                     .count()
             })

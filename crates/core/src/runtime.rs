@@ -70,7 +70,8 @@ use crate::scenario::ScenarioSpec;
 use rand::rngs::StdRng;
 use tg_sim::clock::PhaseWindow;
 use tg_sim::net::{
-    InMemoryTransport, NetStats, NodeId, SocketTransport, Transport, TransportChoice, Wire,
+    Envelope, InMemoryTransport, NetStats, NodeId, SocketTransport, Transport, TransportChoice,
+    Wire,
 };
 
 /// Which execution model advances a scenario's epochs.
@@ -233,14 +234,15 @@ impl EpochNet {
     /// spec's `window=` pin if set.
     ///
     /// # Panics
-    /// Panics if `transport=socket` cannot establish its loopback lanes
-    /// (no further degradation is possible before a socket exists).
+    /// Panics if `transport=socket` cannot establish its loopback
+    /// connection (no further degradation is possible before a socket
+    /// exists).
     pub fn for_spec(spec: &ScenarioSpec) -> EpochNet {
         let transport: Box<dyn Transport<ProtocolMsg>> = match spec.transport {
             TransportChoice::Mem => Box::new(InMemoryTransport::new(spec.faults, spec.seed)),
             TransportChoice::Socket => {
                 Box::new(SocketTransport::connect(spec.faults, spec.seed).unwrap_or_else(|e| {
-                    panic!("transport=socket: cannot establish loopback lanes: {e}")
+                    panic!("transport=socket: cannot establish the loopback connection: {e}")
                 }))
             }
         };
@@ -282,9 +284,29 @@ impl EpochNet {
         &self.window
     }
 
-    /// Feed one finished phase's delivery observation (the counter
-    /// delta since `before`) back into the adaptive window.
-    fn observe_phase(&mut self, before: NetStats) {
+    /// The one phase loop. A phase is a *message schedule* — its initial
+    /// `(src, dst, msg)` sends, spread in order over the window's ticks —
+    /// plus a `deliver` handler that sees every delivery (and may send
+    /// follow-ups through the transport it is handed); the loop owns
+    /// the window, the phase barrier, the drain to quiescence and the
+    /// latency observation fed back into the adaptive window.
+    fn run_phase(
+        &mut self,
+        epoch: u64,
+        phase: u64,
+        sends: impl ExactSizeIterator<Item = (NodeId, NodeId, ProtocolMsg)>,
+        mut deliver: impl FnMut(&mut dyn Transport<ProtocolMsg>, Envelope<ProtocolMsg>),
+    ) {
+        let w = self.window.current();
+        let before = self.transport.stats();
+        self.transport.begin_phase(epoch, phase, w);
+        let m = sends.len() as u64;
+        for (i, (src, dst, msg)) in sends.enumerate() {
+            self.transport.send(src, dst, spread_tick(i as u64, m, w), msg);
+        }
+        while let Some(env) = self.transport.recv() {
+            deliver(self.transport.as_mut(), env);
+        }
         let after = self.transport.stats();
         self.window.observe(after.delivered - before.delivered, after.lat_ticks - before.lat_ticks);
     }
@@ -297,27 +319,17 @@ impl EpochNet {
     /// Under a perfect transport delivery order equals send order, so
     /// `ids` comes back bit-identical.
     pub fn announce_phase(&mut self, epoch: u64, ids: &mut EpochIds) {
-        let w = self.window.current();
-        let before = self.transport.stats();
-        self.transport.begin_phase(epoch, PHASE_ANNOUNCE, w);
-        let m = ids.good.len() as u64;
-        for (i, id) in ids.good.iter().enumerate() {
-            let raw = id.raw();
-            self.transport.send(
-                node_of_id(raw),
-                AGGREGATOR,
-                spread_tick(i as u64, m, w),
-                ProtocolMsg::Join { id: raw },
-            );
-        }
         let mut delivered = Vec::with_capacity(ids.good.len());
-        while let Some(env) = self.transport.recv() {
+        let joins = ids
+            .good
+            .iter()
+            .map(|id| (node_of_id(id.raw()), AGGREGATOR, ProtocolMsg::Join { id: id.raw() }));
+        self.run_phase(epoch, PHASE_ANNOUNCE, joins, |_, env| {
             if let ProtocolMsg::Join { id } = env.msg {
                 delivered.push(tg_idspace::Id(id));
             }
-        }
+        });
         ids.good = delivered;
-        self.observe_phase(before);
     }
 
     /// **Routing probe phase.** Each of `searches` probes runs a two-hop
@@ -329,37 +341,23 @@ impl EpochNet {
         if searches == 0 {
             return 1.0;
         }
-        let w = self.window.current();
-        let before = self.transport.stats();
-        self.transport.begin_phase(epoch, PHASE_PROBE, w);
-        let m = searches as u64;
-        for s in 0..m {
-            let src = 1 + s % (NET_NODES - 1);
-            let relay = 1 + (s + NET_NODES / 2) % (NET_NODES - 1);
-            self.transport.send(
-                src,
-                relay,
-                spread_tick(s, m, w),
-                ProtocolMsg::Probe { search: s as u32, hop: 0 },
-            );
-        }
+        let first_hops = (0..searches).map(|s| {
+            let src = 1 + s as u64 % (NET_NODES - 1);
+            let relay = 1 + (s as u64 + NET_NODES / 2) % (NET_NODES - 1);
+            (src, relay, ProtocolMsg::Probe { search: s as u32, hop: 0 })
+        });
         let mut completed = 0u64;
-        while let Some(env) = self.transport.recv() {
-            match env.msg {
-                ProtocolMsg::Probe { search, hop: 0 } => {
-                    // The relay actor forwards at its delivery tick.
-                    self.transport.send(
-                        env.dst,
-                        AGGREGATOR,
-                        env.deliver_tick,
-                        ProtocolMsg::Probe { search, hop: 1 },
-                    );
-                }
-                ProtocolMsg::Probe { hop: 1, .. } => completed += 1,
-                _ => {}
-            }
-        }
-        self.observe_phase(before);
+        self.run_phase(epoch, PHASE_PROBE, first_hops, |net, env| match env.msg {
+            // The relay actor forwards at its delivery tick.
+            ProtocolMsg::Probe { search, hop: 0 } => net.send(
+                env.dst,
+                AGGREGATOR,
+                env.deliver_tick,
+                ProtocolMsg::Probe { search, hop: 1 },
+            ),
+            ProtocolMsg::Probe { hop: 1, .. } => completed += 1,
+            _ => {}
+        });
         completed as f64 / searches as f64
     }
 
@@ -379,26 +377,15 @@ impl EpochNet {
     /// agreed epoch string to every other node; returns the fraction of
     /// nodes reached. Exactly `1.0` under a perfect transport.
     pub fn string_phase(&mut self, epoch: u64, key: u64) -> f64 {
-        let w = self.window.current();
-        let before = self.transport.stats();
-        self.transport.begin_phase(epoch, PHASE_STRINGS, w);
-        let m = NET_NODES - 1;
-        for (i, node) in (1..NET_NODES).enumerate() {
-            self.transport.send(
-                AGGREGATOR,
-                node,
-                spread_tick(i as u64, m, w),
-                ProtocolMsg::StringAnnounce { key },
-            );
-        }
+        let broadcast = (1..NET_NODES as usize)
+            .map(|node| (AGGREGATOR, node as NodeId, ProtocolMsg::StringAnnounce { key }));
         let mut reached = 0u64;
-        while let Some(env) = self.transport.recv() {
+        self.run_phase(epoch, PHASE_STRINGS, broadcast, |_, env| {
             if matches!(env.msg, ProtocolMsg::StringAnnounce { .. }) {
                 reached += 1;
             }
-        }
-        self.observe_phase(before);
-        reached as f64 / m as f64
+        });
+        reached as f64 / (NET_NODES - 1) as f64
     }
 }
 

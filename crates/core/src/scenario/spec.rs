@@ -125,11 +125,12 @@ impl StrategySpec {
     }
 }
 
-/// The string-layer adversary of a PoW scenario, as declarative data
-/// (the spec-level mirror of `tg_pow::strings::StringAdversary`, which
-/// `tg_pow::scenario::build` constructs from this). Folding it into the
-/// spec makes the §IV-B hoarding attacks addressable through the codec
-/// — sweepable, storable, and round-trippable like every other axis.
+/// The string-layer adversary of a PoW scenario — what the adversary
+/// does with its (genuinely computed) strings in `tg_pow`'s
+/// `run_string_protocol`, which takes this very type (re-exported there
+/// as `tg_pow::StringAdversary`). Living in the spec makes the §IV-B
+/// attacks addressable through the codec — sweepable, storable, and
+/// round-trippable like every other axis.
 ///
 /// Codec key: `stradv=` (the natural name `strings=` is taken by
 /// [`StringMode`], the string-*source* axis; the two are orthogonal —
@@ -137,25 +138,34 @@ impl StrategySpec {
 /// tampers with their release).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum StringAdversarySpec {
-    /// No string-layer interference (the default).
+    /// No adversarial strings (the default).
     #[default]
     None,
-    /// Withhold a fraction of agreed strings, releasing them late so
-    /// minting windows shrink (§IV-B's delayed-release attack).
+    /// Compute `strings` strings with its `βn` budget and release them
+    /// from red groups at `release_frac` of the Phase 2+3 timeline
+    /// (0.5 = the last moment of Phase 2 — the hardest instant).
+    ///
+    /// Note the honest-compute reality (measured by E7): with a small
+    /// `β`, the adversary's best outputs are usually *worse* than the
+    /// good global minimum, so its strings are not record-breakers and
+    /// barely propagate — the attack has teeth only in its lucky tail.
     DelayedRelease {
-        /// How many recent strings the adversary hoards.
+        /// Number of small-output strings released.
         strings: usize,
-        /// Fraction of each minting window the release is delayed by.
+        /// Release time as a fraction of the flooding timeline.
         release_frac: f64,
-        /// Adversarial compute, in the same units as the minting budget.
+        /// Adversary compute in units (for output-magnitude sampling).
         units: f64,
     },
-    /// Force stale string records into circulation so verifiers must
-    /// track extra candidates (§IV-B's forced-records attack).
+    /// The worst case Lemma 12 must survive: the adversary got lucky and
+    /// holds `strings` strings whose outputs beat the good global
+    /// minimum. Released at `release_frac` like `DelayedRelease`. A
+    /// release at the last Phase-2 step makes them some nodes' `s^{i*}`
+    /// with minimal time left to spread.
     ForcedRecords {
-        /// How many stale strings the adversary keeps alive.
+        /// Number of record-beating strings released.
         strings: usize,
-        /// Fraction of verifiers exposed to the stale records.
+        /// Release time as a fraction of the flooding timeline.
         release_frac: f64,
     },
 }
@@ -401,16 +411,26 @@ impl ScenarioSpec {
 
     /// Reject what no driver can run: an empty population (there is no
     /// ring to build an overlay over), a churn rate that is not a
-    /// fraction of the good IDs, and axis combinations no transport can
-    /// serve — a socket transport without an actor runtime has nobody to
-    /// move bytes for. Called by every builder (core and `tg_pow`) *and*
-    /// by the codec, so none is representable from any entry point.
+    /// fraction of the good IDs, a size rule or retry count past 65 536
+    /// (far above any sweep; the kernels' sizing arithmetic overflows
+    /// near `usize::MAX`), and axis combinations no transport can
+    /// serve — a socket transport without an actor runtime has nobody
+    /// to move bytes for. Called by every builder (core and `tg_pow`)
+    /// *and* by the codec, so none is representable from any entry
+    /// point.
     pub fn check_transport(&self) -> Result<(), ScenarioError> {
         if self.n_good == 0 && self.n_bad == 0 {
             return Err(ScenarioError::Unsupported("an empty population: n and bad are both 0"));
         }
         if !(0.0..=1.0).contains(&self.params.churn_rate) {
             return Err(ScenarioError::Unsupported("a churn rate outside [0, 1]"));
+        }
+        // `draws` is monotone in `n`, so the largest `n` bounds every epoch.
+        if self.params.draws(usize::MAX) > MAX_DRAWS {
+            return Err(ScenarioError::Unsupported("a size rule drawing more than 65536 members"));
+        }
+        if self.params.link_retries > MAX_LINK_RETRIES {
+            return Err(ScenarioError::Unsupported("more than 65536 link retries"));
         }
         if self.transport == TransportChoice::Socket && self.runtime != RuntimeChoice::Actor {
             return Err(ScenarioError::NeedsActorRuntime(
@@ -420,6 +440,19 @@ impl ScenarioSpec {
         Ok(())
     }
 }
+
+/// Most membership draws per group a spec may ask for under any size
+/// rule (`d2=`, `rule=classic:c`, `rule=fixed:k`). Three orders of
+/// magnitude above the largest group any sweep builds (`classic-logn`
+/// at n = 10⁶ draws ≈ 28), and small enough that the kernels' `draws + 1`
+/// and `n · draws` sizing cannot overflow for any ring whose member
+/// indices fit the `u32` columns.
+const MAX_DRAWS: usize = 1 << 16;
+
+/// Most link retries (`retries=`) a spec may ask for; sweeps use 0–4.
+/// Keeps `1 + retries` from overflowing and a link that can never be
+/// established from retrying forever.
+const MAX_LINK_RETRIES: usize = 1 << 16;
 
 /// `round(β/(1−β) · n_good)` — the adversary budget every sweep derives
 /// from β (bad IDs are a β-fraction of the *total* population).
@@ -439,7 +472,8 @@ pub enum ScenarioError {
     NeedsActorRuntime(&'static str),
     /// The spec combines axes no driver implements (e.g. the real
     /// string protocol over a single-graph construction), names an
-    /// empty population, or a churn rate outside `[0, 1]`.
+    /// empty population, a churn rate outside `[0, 1]`, or a group size
+    /// or retry count past the supported bounds.
     Unsupported(&'static str),
     /// A label/JSON form did not decode.
     Parse(String),

@@ -364,14 +364,16 @@ fn empty_population_is_rejected() {
 /// scenario anyone meant: each is refused with a typed error or builds
 /// and steps twice, never a panic. (`churn` outside `[0, 1]` used to
 /// reach `Population::depart_good_fraction`'s assert, or run silently;
-/// a `window` near `u64::MAX` overflowed the send-tick spread mid-step.)
+/// a `window` near `u64::MAX` overflowed the send-tick spread mid-step;
+/// a huge `d2` / `retries` / flipper margin overflowed `draws + 1`,
+/// `1 + retries` and `bad + 2·margin`.)
 #[test]
 fn hostile_labels_are_refused_or_run() {
     let label = ScenarioSpec::new(40, 42).searches(10).label();
     let base: Vec<(&str, &str)> =
         label.split(';').skip(1).map(|f| f.split_once('=').expect("key=value")).collect();
     // (edits to the base label, whether the codec must refuse them)
-    let cases: [(&[(&str, &str)], bool); 11] = [
+    let cases: [(&[(&str, &str)], bool); 14] = [
         (&[("runtime", "actor"), ("window", "18446744073709551615")], false),
         (&[("churn", "2")], true),
         (&[("churn", "inf")], true),
@@ -383,6 +385,9 @@ fn hostile_labels_are_refused_or_run() {
         (&[("searches", "0")], false),
         (&[("n", "2"), ("bad", "500")], false),
         (&[("strategy", "interval-targeting:0.4:5")], false),
+        (&[("d2", "1e308")], true),
+        (&[("retries", "18446744073709551615")], true),
+        (&[("strategy", "adaptive-majority-flipper:18446744073709551615")], false),
     ];
     for (edits, refused) in cases {
         let mut fields: Vec<(&str, &str)> =

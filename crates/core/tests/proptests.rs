@@ -131,7 +131,7 @@ fn check_frame(frame: &[u8]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `ProtocolMsg::decode` is total — what a socket lane hands it is
+    /// `ProtocolMsg::decode` is total — what the socket hands it is
     /// whatever arrived. Arbitrary bytes (as drawn, and with the tag
     /// byte forced into and just past the valid range so the length
     /// guards are actually reached) decode to `None` or to a message

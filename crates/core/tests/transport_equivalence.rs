@@ -62,7 +62,7 @@ fn socket_actor_run_matches_mem_actor_run_under_faults() {
 }
 
 /// The same equivalence from inside a thread fan-out: one socket
-/// scenario per worker, all binding loopback lanes concurrently, each
+/// scenario per worker, all binding loopback connections concurrently, each
 /// compared against its single-threaded in-memory twin.
 #[test]
 fn equivalence_holds_inside_parallel_map() {

@@ -1,6 +1,6 @@
-//! Experiment implementations (one module per DESIGN.md §5 entry), and
-//! the [`REGISTRY`] the `run_all` binary — the only experiment binary —
-//! drives them through. A module's `run` computes and returns its
+//! Experiment implementations (one module per row of the crate-level
+//! experiment index), and the [`REGISTRY`] the `run_all` binary — the
+//! only experiment binary — drives them through. A module's `run` computes and returns its
 //! tables (what the tests drive); the registry row's `run` is the one
 //! run-and-emit path: it writes every table and prints whatever else
 //! the experiment reports (e11's heatmap panes, the e12–e15 epilogues).

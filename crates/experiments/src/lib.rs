@@ -1,8 +1,9 @@
 //! # tg-experiments
 //!
 //! The harness that regenerates every quantitative claim of the paper —
-//! the experiment index of `DESIGN.md` §5 and the paper-vs-measured
-//! record in `EXPERIMENTS.md`. Each experiment is a library function
+//! the experiment index is the table below (`run_all --list` prints it;
+//! README "Running experiments" and the per-experiment sections hold
+//! the paper-vs-measured record). Each experiment is a library function
 //! returning its [`table::Table`]s (so integration tests can drive it)
 //! and one row of [`exp::REGISTRY`]; the one binary, `run_all`, parses
 //! CLI options, runs the selected rows, prints their tables and writes

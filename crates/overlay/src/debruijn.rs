@@ -17,7 +17,7 @@
 //! walk then reaches `suc(key)`. Route length is `k + O(1)` expected,
 //! i.e. `O(log N)` (property P1); degree is `O(1)` in expectation.
 
-use crate::graph::{ceil_log2, covering_nodes, InputGraph, Route};
+use crate::graph::{ceil_log2, covering_nodes, ring_walk, InputGraph, Route};
 use tg_idspace::{Id, RingDistance, SortedRing};
 
 /// The D2B overlay over a fixed ring.
@@ -37,23 +37,6 @@ impl D2B {
         assert!(!ring.is_empty(), "D2B over an empty ring");
         let k = (ceil_log2(ring.len()) + 3).min(60);
         D2B { ring, k }
-    }
-
-    /// Walk the ring from the node at sorted index `a` to the node at
-    /// sorted index `b`, appending hops, taking the shorter direction.
-    fn ring_walk(&self, hops: &mut Vec<Id>, a: usize, b: usize) {
-        let n = self.ring.len();
-        let fwd = (b + n - a) % n;
-        let back = (a + n - b) % n;
-        if fwd <= back {
-            for s in 1..=fwd {
-                hops.push(self.ring.at((a + s) % n));
-            }
-        } else {
-            for s in 1..=back {
-                hops.push(self.ring.at((a + n - s) % n));
-            }
-        }
     }
 }
 
@@ -104,7 +87,7 @@ impl InputGraph for D2B {
         // Final ring correction to the successor of the key.
         let here = self.ring.covering_index(p);
         let target = self.ring.successor_index(key);
-        self.ring_walk(&mut hops, here, target);
+        ring_walk(&self.ring, &mut hops, here, target);
         debug_assert_eq!(*hops.last().expect("non-empty"), self.ring.successor(key));
         Route { hops }
     }

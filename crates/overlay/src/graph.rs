@@ -135,6 +135,23 @@ pub(crate) fn covering_nodes(
     out.extend(ring.ids_in(interval));
 }
 
+/// Walk the ring from the node at sorted index `a` to the node at
+/// sorted index `b`, appending hops, taking the shorter direction.
+pub(crate) fn ring_walk(ring: &tg_idspace::SortedRing, hops: &mut Vec<Id>, a: usize, b: usize) {
+    let n = ring.len();
+    let fwd = (b + n - a) % n;
+    let back = (a + n - b) % n;
+    if fwd <= back {
+        for s in 1..=fwd {
+            hops.push(ring.at((a + s) % n));
+        }
+    } else {
+        for s in 1..=back {
+            hops.push(ring.at((a + n - s) % n));
+        }
+    }
+}
+
 /// Tiny splitmix64 chain for deterministic per-(source, key) route bits.
 pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);

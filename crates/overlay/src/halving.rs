@@ -20,7 +20,7 @@
 //! we derive `σ` deterministically from `(source, key)` via splitmix so
 //! simulations replay exactly.
 
-use crate::graph::{ceil_log2, covering_nodes, mix64, InputGraph, Route};
+use crate::graph::{ceil_log2, covering_nodes, mix64, ring_walk, InputGraph, Route};
 use tg_idspace::{Id, RingDistance, SortedRing};
 
 /// The distance-halving overlay over a fixed ring.
@@ -60,22 +60,6 @@ impl DistanceHalving {
         let node = self.ring.covering(p);
         if *hops.last().expect("non-empty route") != node {
             hops.push(node);
-        }
-    }
-
-    /// Ring walk between sorted indices, shorter direction.
-    fn ring_walk(&self, hops: &mut Vec<Id>, a: usize, b: usize) {
-        let n = self.ring.len();
-        let fwd = (b + n - a) % n;
-        let back = (a + n - b) % n;
-        if fwd <= back {
-            for s in 1..=fwd {
-                hops.push(self.ring.at((a + s) % n));
-            }
-        } else {
-            for s in 1..=back {
-                hops.push(self.ring.at((a + n - s) % n));
-            }
         }
     }
 }
@@ -133,7 +117,7 @@ impl InputGraph for DistanceHalving {
         // Bridge the (now ≤ 2^{-k}) gap between the two images on the ring.
         let here = self.ring.covering_index(x);
         let there = self.ring.covering_index(y);
-        self.ring_walk(&mut hops, here, there);
+        ring_walk(&self.ring, &mut hops, here, there);
 
         // Reverse σ-walk down the target images (doubling edges) until the
         // node covering the key itself.
@@ -145,7 +129,7 @@ impl InputGraph for DistanceHalving {
         // ID is the successor. One final ring hop if they differ.
         let cover_idx = self.ring.covering_index(key);
         let target_idx = self.ring.successor_index(key);
-        self.ring_walk(&mut hops, cover_idx, target_idx);
+        ring_walk(&self.ring, &mut hops, cover_idx, target_idx);
         debug_assert_eq!(*hops.last().expect("non-empty"), self.ring.successor(key));
         Route { hops }
     }

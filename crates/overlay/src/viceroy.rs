@@ -20,7 +20,7 @@
 //! *worst-case* degree — the strongest state profile of the three
 //! implemented graphs.
 
-use crate::graph::{ceil_log2, mix64, InputGraph, Route};
+use crate::graph::{ceil_log2, mix64, ring_walk, InputGraph, Route};
 use tg_idspace::{Id, RingDistance, SortedRing};
 
 /// The Viceroy-style butterfly over a fixed ring.
@@ -87,23 +87,6 @@ impl Viceroy {
         // Members are sorted by ring index, hence by ID value.
         let pos = members.partition_point(|&m| self.ring.at(m as usize) < x);
         members[pos % members.len()]
-    }
-
-    /// Ring walk between sorted indices (shorter direction), appending
-    /// hops.
-    fn ring_walk(&self, hops: &mut Vec<Id>, a: usize, b: usize) {
-        let n = self.ring.len();
-        let fwd = (b + n - a) % n;
-        let back = (a + n - b) % n;
-        if fwd <= back {
-            for s in 1..=fwd {
-                hops.push(self.ring.at((a + s) % n));
-            }
-        } else {
-            for s in 1..=back {
-                hops.push(self.ring.at((a + n - s) % n));
-            }
-        }
     }
 
     fn push(&self, hops: &mut Vec<Id>, idx: u32) {
@@ -229,7 +212,7 @@ impl InputGraph for Viceroy {
         }
 
         // Fine ring walk to the responsible ID.
-        self.ring_walk(&mut hops, cur as usize, target);
+        ring_walk(&self.ring, &mut hops, cur as usize, target);
         debug_assert_eq!(*hops.last().expect("non-empty"), self.ring.successor(key));
         Route { hops }
     }

@@ -31,14 +31,14 @@ use crate::adversary::{MintScheme, PrecomputeHoarder, StrategicPowProvider};
 use crate::miner::MintingSim;
 use crate::provider::PowProvider;
 use crate::puzzle::PuzzleParams;
-use crate::strings::{StringAdversary, StringParams};
+use crate::strings::StringParams;
 use crate::system::FullSystem;
 use tg_core::dynamic::adversary::AdversaryStrategy;
 use tg_core::dynamic::{BuildMode, IdentityProvider, StrategicProvider};
 use tg_core::runtime::EpochNet;
 use tg_core::scenario::{
     Defense, DynamicDriver, EpochDriver, EpochObservation, ScenarioError, ScenarioSpec,
-    StrategySpec, StringAdversarySpec, StringMode,
+    StrategySpec, StringMode,
 };
 use tg_core::GraphsView;
 use tg_crypto::OracleFamily;
@@ -59,20 +59,6 @@ pub fn build_strategy(spec: &StrategySpec) -> Option<Box<dyn AdversaryStrategy>>
             PrecomputeHoarder::new(OracleFamily::new(fam_seed), hoarder_puzzle(), attempts),
         )),
         _ => spec.build_strategy(),
-    }
-}
-
-/// The runtime string adversary a spec's declarative
-/// [`StringAdversarySpec`] selects.
-pub fn build_string_adversary(spec: &StringAdversarySpec) -> StringAdversary {
-    match *spec {
-        StringAdversarySpec::None => StringAdversary::None,
-        StringAdversarySpec::DelayedRelease { strings, release_frac, units } => {
-            StringAdversary::DelayedRelease { strings, release_frac, units }
-        }
-        StringAdversarySpec::ForcedRecords { strings, release_frac } => {
-            StringAdversary::ForcedRecords { strings, release_frac }
-        }
     }
 }
 
@@ -134,7 +120,7 @@ fn build_protocol(
     if !fresh_strings {
         sys = sys.with_frozen_strings();
     }
-    sys.string_adversary = build_string_adversary(&spec.string_adversary);
+    sys.string_adversary = spec.string_adversary;
     sys.dynamics.set_searches_per_epoch(spec.searches);
     sys.dynamics.set_fan_out(spec.kernel.fan_out());
     // Under the actor runtime the protocol phases (string dissemination,
@@ -223,7 +209,9 @@ impl EpochDriver for FullDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strings::StringAdversary;
     use tg_core::runtime::RuntimeChoice;
+    use tg_core::scenario::StringAdversarySpec;
     use tg_core::Params;
     use tg_overlay::GraphKind;
 

@@ -57,39 +57,10 @@ impl Default for StringParams {
     }
 }
 
-/// What the adversary does with its (genuinely computed) strings.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum StringAdversary {
-    /// No adversarial strings.
-    None,
-    /// Compute `strings` strings with its `βn` budget and release them
-    /// from red groups at `release_frac` of the Phase 2+3 timeline
-    /// (0.5 = the last moment of Phase 2 — the hardest instant).
-    ///
-    /// Note the honest-compute reality (measured by E7): with a small
-    /// `β`, the adversary's best outputs are usually *worse* than the
-    /// good global minimum, so its strings are not record-breakers and
-    /// barely propagate — the attack has teeth only in its lucky tail.
-    DelayedRelease {
-        /// Number of small-output strings released.
-        strings: usize,
-        /// Release time as a fraction of the flooding timeline.
-        release_frac: f64,
-        /// Adversary compute in units (for output-magnitude sampling).
-        units: f64,
-    },
-    /// The worst case Lemma 12 must survive: the adversary got lucky and
-    /// holds `strings` strings whose outputs beat the good global
-    /// minimum. Released at `release_frac` like `DelayedRelease`. A
-    /// release at the last Phase-2 step makes them some nodes' `s^{i*}`
-    /// with minimal time left to spread.
-    ForcedRecords {
-        /// Number of record-beating strings released.
-        strings: usize,
-        /// Release time as a fraction of the flooding timeline.
-        release_frac: f64,
-    },
-}
+/// What the adversary does with its (genuinely computed) strings: the
+/// spec's own type, so a scenario's `stradv=` axis is what the protocol
+/// runs.
+pub use tg_core::scenario::StringAdversarySpec as StringAdversary;
 
 /// Measurements from one protocol run (the Lemma 12 quantities).
 #[derive(Clone, Debug)]

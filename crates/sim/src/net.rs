@@ -6,12 +6,13 @@
 //! those actors talk over:
 //!
 //! * [`Transport`] — the injectable trait,
-//! * [`InMemoryTransport`] — a deterministic in-memory network with
-//!   seeded fault injection: per-link latency, reordering (a consequence
-//!   of unequal latency), drops, and epoch-scoped partitions,
-//! * [`SocketTransport`] — the same contract
-//!   served over real localhost TCP sockets with length-prefixed
-//!   framing and retry/backoff (see [`socket`]),
+//! * [`InMemoryTransport`] — the one delivery core: a deterministic
+//!   in-memory network with seeded fault injection (per-link latency,
+//!   reordering as a consequence of unequal latency, drops, and
+//!   epoch-scoped partitions),
+//! * [`SocketTransport`] — a carrier around that core: admitted
+//!   messages travel over a real localhost TCP connection with
+//!   length-prefixed framing and retry/backoff (see [`socket`]),
 //! * [`FaultPlan`] — the fault knobs, all derived from a seed via
 //!   [`crate::rng::derive_seed_nd`] so runs are reproducible,
 //! * [`NetStats`] — delivery counters for observability.
@@ -22,8 +23,9 @@
 //! decision (drop, latency, partition side) is a pure hash of
 //! `(seed, epoch, phase, src, dst, link_seq)` through
 //! [`crate::rng::derive_seed_nd`], centralized in [`FaultPlan::fate`]
-//! so every implementation — in-memory or socket — drops, delays, and
-//! cuts exactly the same frames. Identical seeds therefore yield
+//! and consulted from one site — the in-memory transport's admission
+//! step, which the socket transport calls too — so both drop, delay
+//! and cut exactly the same frames. Identical seeds therefore yield
 //! identical message schedules regardless of thread count or call
 //! interleaving, and — crucially — the simulation kernels' own RNG
 //! streams (`"epoch"`, `"churn"`, `"measure"`, …) are untouched, which
@@ -76,8 +78,8 @@ pub struct FaultPlan {
 }
 
 /// The fate of one message under a [`FaultPlan`] — the pure hash
-/// decision every [`Transport`] implementation shares, so the in-memory
-/// and socket transports lose exactly the same frames.
+/// decision [`InMemoryTransport`]'s admission step applies on behalf of
+/// both transports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fate {
     /// Delivered at the given tick (`sent_tick` + hash-drawn latency).
@@ -156,15 +158,15 @@ impl Default for FaultPlan {
 }
 
 /// Which [`Transport`] implementation carries a scenario's protocol
-/// messages. Orthogonal to the fault plan: both transports apply the
-/// same hash-derived [`Fate`]s, so the choice moves bytes differently
-/// but never moves an observation.
+/// messages. Orthogonal to the fault plan: both transports share one
+/// admission step, so the choice moves bytes differently but never
+/// moves an observation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportChoice {
     /// The deterministic in-memory network (the default).
     #[default]
     Mem,
-    /// Real localhost TCP sockets with length-prefixed framing
+    /// A real localhost TCP connection with length-prefixed framing
     /// ([`socket::SocketTransport`]).
     Socket,
 }
@@ -277,15 +279,14 @@ pub trait Transport<M> {
 /// Heap entry ordered by `(deliver_tick, seq)`, smallest first (stored
 /// through `std::cmp::Reverse` in a max-heap). The payload does not
 /// participate in the ordering, so `M` needs no `Ord`.
-pub(crate) struct Queued<M> {
-    pub(crate) deliver_tick: u64,
-    pub(crate) seq: u64,
-    pub(crate) env: Envelope<M>,
+struct Queued<M> {
+    seq: u64,
+    env: Envelope<M>,
 }
 
 impl<M> PartialEq for Queued<M> {
     fn eq(&self, other: &Self) -> bool {
-        self.deliver_tick == other.deliver_tick && self.seq == other.seq
+        self.cmp(other).is_eq()
     }
 }
 impl<M> Eq for Queued<M> {}
@@ -296,7 +297,7 @@ impl<M> PartialOrd for Queued<M> {
 }
 impl<M> Ord for Queued<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_tick, self.seq).cmp(&(other.deliver_tick, other.seq))
+        (self.env.deliver_tick, self.seq).cmp(&(other.env.deliver_tick, other.seq))
     }
 }
 
@@ -348,6 +349,40 @@ impl<M> InMemoryTransport<M> {
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
     }
+
+    /// The `(epoch, phase)` opened by the last `begin_phase`.
+    pub(crate) fn phase_id(&self) -> (u64, u64) {
+        (self.epoch, self.phase)
+    }
+
+    /// First half of a send — the one place a message's fate is decided:
+    /// take the next `seq`, count it `sent`, and either count it
+    /// `partition_cut` / `dropped` / `late` or hand back `(seq,
+    /// deliver_tick)` for a message that lands inside the window.
+    pub(crate) fn admit(&mut self, src: NodeId, dst: NodeId, sent_tick: u64) -> Option<(u64, u64)> {
+        let seq = self.seq;
+        self.seq += 1;
+        self.stats.sent += 1;
+        match self.plan.fate(self.seed, self.epoch, self.phase, src, dst, seq, sent_tick) {
+            Fate::Cut => self.stats.partition_cut += 1,
+            Fate::Dropped => self.stats.dropped += 1,
+            Fate::Deliver { deliver_tick } if deliver_tick > self.window => self.stats.late += 1,
+            Fate::Deliver { deliver_tick } => return Some((seq, deliver_tick)),
+        }
+        None
+    }
+
+    /// Second half of a send: queue an admitted message for delivery
+    /// in `(deliver_tick, seq)` order.
+    pub(crate) fn enqueue(&mut self, seq: u64, env: Envelope<M>) {
+        self.queue.push(std::cmp::Reverse(Queued { seq, env }));
+    }
+
+    /// Count `frames` admitted messages the carrier lost after admission
+    /// (see [`NetStats::dropped`]).
+    pub(crate) fn wire_lost(&mut self, frames: u64) {
+        self.stats.dropped += frames;
+    }
 }
 
 impl<M> Transport<M> for InMemoryTransport<M> {
@@ -360,23 +395,8 @@ impl<M> Transport<M> for InMemoryTransport<M> {
     }
 
     fn send(&mut self, src: NodeId, dst: NodeId, sent_tick: u64, msg: M) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.stats.sent += 1;
-        match self.plan.fate(self.seed, self.epoch, self.phase, src, dst, seq, sent_tick) {
-            Fate::Cut => self.stats.partition_cut += 1,
-            Fate::Dropped => self.stats.dropped += 1,
-            Fate::Deliver { deliver_tick } => {
-                if deliver_tick > self.window {
-                    self.stats.late += 1;
-                    return;
-                }
-                self.queue.push(std::cmp::Reverse(Queued {
-                    deliver_tick,
-                    seq,
-                    env: Envelope { src, dst, sent_tick, deliver_tick, msg },
-                }));
-            }
+        if let Some((seq, deliver_tick)) = self.admit(src, dst, sent_tick) {
+            self.enqueue(seq, Envelope { src, dst, sent_tick, deliver_tick, msg });
         }
     }
 
@@ -589,6 +609,41 @@ mod tests {
         let s = t.stats();
         assert_eq!((s.partition_cut, s.dropped), (cut, dropped));
         assert_eq!(s.sent, 256);
+    }
+
+    /// The admission step is the whole accounting: over a lossy,
+    /// partitioned, tight-window plan every send takes the next `seq`,
+    /// counts `sent`, and moves exactly one of {enqueued, `dropped`,
+    /// `partition_cut`, `late`}.
+    #[test]
+    fn admission_accounts_for_every_send_exactly_once() {
+        let plan = FaultPlan { drop_rate: 0.3, latency_max: 12, partition_ticks: 6 };
+        let mut t = InMemoryTransport::<u32>::new(plan, 21);
+        t.begin_phase(5, 2, 10);
+        let mut enqueued = 0u64;
+        for i in 0..512u64 {
+            let before = t.stats();
+            let (src, dst, tick) = (i % 13, (i * 5) % 17, i / 40);
+            let admitted = t.admit(src, dst, tick);
+            let after = t.stats();
+            assert_eq!((t.seq, after.sent), (i + 1, i + 1));
+            if let Some((seq, deliver_tick)) = admitted {
+                assert_eq!(seq, i);
+                assert!((tick..=10).contains(&deliver_tick));
+                t.enqueue(seq, Envelope { src, dst, sent_tick: tick, deliver_tick, msg: 0 });
+                enqueued += 1;
+            }
+            let moved = [
+                u64::from(admitted.is_some()),
+                after.dropped - before.dropped,
+                after.partition_cut - before.partition_cut,
+                after.late - before.late,
+            ];
+            assert_eq!(moved.iter().sum::<u64>(), 1, "send {i} moved {moved:?}");
+        }
+        let s = t.stats();
+        assert!(s.dropped > 0 && s.partition_cut > 0 && s.late > 0 && enqueued > 0, "{s:?}");
+        assert_eq!(drain(&mut t).len() as u64, enqueued);
     }
 
     #[test]

@@ -1,5 +1,13 @@
-//! [`SocketTransport`] — the [`Transport`] contract
-//! served over real localhost TCP sockets.
+//! [`SocketTransport`] — the [`Transport`] contract served over a real
+//! localhost TCP connection.
+//!
+//! The socket transport *holds* an [`InMemoryTransport`], the one
+//! delivery core: admission ([`FaultPlan::fate`] and the `sent` /
+//! `partition_cut` / `dropped` / `late` counters), the
+//! `(deliver_tick, seq)` heap and the delivered/latency accounting all
+//! live there. This file is only the carrier: between the core's
+//! *admit* and *enqueue* halves a message is framed, written to one
+//! self-connected loopback stream, read back and decoded.
 //!
 //! ## Wire format
 //!
@@ -14,37 +22,32 @@
 //! [`Wire`] trait. The header carries the full envelope plus the
 //! `(epoch, phase)` the frame belongs to, so a receiver can discard
 //! stragglers from an already-closed phase without any handshake: TCP
-//! preserves per-lane order, so stale frames always precede fresh ones.
+//! preserves the connection's order, so stale frames always precede
+//! fresh ones.
 //!
 //! ## Fault semantics — graceful degradation
 //!
-//! The socket transport applies exactly the same hash-derived
-//! [`FaultPlan::fate`](super::FaultPlan::fate) as the in-memory
-//! transport, *before* a frame touches the wire: cut and dropped
-//! messages are counted and never sent, and the delivery tick is
-//! stamped into the header at send time. The wire therefore carries
-//! only deliverable frames, and both transports lose the identical
-//! message set by construction.
+//! Only admitted messages touch the wire: cut, dropped and late ones
+//! were counted by the core and are never framed, and the delivery tick
+//! is stamped into the header at send time. Both transports therefore
+//! lose the identical message set by construction.
 //!
 //! Real wire faults degrade into the same counters instead of erroring:
 //! a write that still fails after [`RetryPolicy::max_retries`] attempts
 //! with capped exponential backoff, an undecodable or oversized frame,
 //! and a receive that exceeds [`RetryPolicy::io_timeout`] all count the
-//! affected messages as `dropped` in [`NetStats`] —
-//! a lost frame surfaces exactly like an injected fault, which is what
-//! keeps the observation layer transport-agnostic.
+//! affected messages as `dropped` in [`NetStats`] — a lost frame
+//! surfaces exactly like an injected fault, which is what keeps the
+//! observation layer transport-agnostic.
 //!
 //! ## Ordering
 //!
-//! [`recv`](super::Transport::recv) first pumps the sockets until every
-//! outstanding frame has arrived (or timed out), then pops the same
-//! `(deliver_tick, seq)` heap the in-memory transport uses. Delivery
-//! order over a healthy loopback is therefore byte-identical to
-//! [`InMemoryTransport`](super::InMemoryTransport) — the property the
-//! golden-replay suites pin.
+//! [`recv`](super::Transport::recv) first pumps the socket until every
+//! outstanding frame has arrived (or timed out), then pops the core's
+//! heap. Delivery order over a healthy loopback is therefore that of
+//! the in-memory transport whatever order the bytes arrived in.
 
-use super::{Envelope, Fate, FaultPlan, NetStats, NodeId, Queued, Transport, NO_DEADLINE};
-use std::collections::BinaryHeap;
+use super::{Envelope, FaultPlan, InMemoryTransport, NetStats, NodeId, Transport};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -123,141 +126,124 @@ const HEADER_LEN: usize = 56;
 /// the wire is treated as corruption.
 const MAX_FRAME: usize = 1 << 20;
 
-/// Number of TCP connections fanned out; frames for node `dst` travel
-/// lane `dst % LANES`. Per-lane TCP ordering plus the receive-side
-/// heap reconstruct the global `(deliver_tick, seq)` order.
-const LANES: usize = 4;
-
-struct ReadLane {
-    stream: TcpStream,
-    buf: Vec<u8>,
+/// What the head of a receive buffer holds.
+#[derive(Debug, PartialEq, Eq)]
+enum Split {
+    /// Not yet a whole frame: wait for more bytes.
+    NeedMore,
+    /// A length outside `HEADER_LEN..=MAX_FRAME`: the stream can no
+    /// longer be trusted.
+    Corrupt,
+    /// One whole frame: header + payload are `buf[4..n]`, and `n` bytes
+    /// are consumed.
+    Frame(usize),
 }
 
-/// TCP (localhost) implementation of [`Transport`].
+/// Split the first frame off `buf`. Pure and total: never reads past
+/// `buf`, never accepts a length above the cap.
+fn split_frame(buf: &[u8]) -> Split {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Split::NeedMore;
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if !(HEADER_LEN..=MAX_FRAME).contains(&len) {
+        Split::Corrupt
+    } else if buf.len() < 4 + len {
+        Split::NeedMore
+    } else {
+        Split::Frame(4 + len)
+    }
+}
+
+/// TCP (localhost) carrier around the [`InMemoryTransport`] delivery
+/// core.
 ///
 /// The transport is self-connected: it binds an ephemeral loopback
-/// listener, dials it over a small fixed number of lane connections
-/// (`LANES`) with
-/// retry/backoff, and accepts the peers — real sockets, real framing,
-/// real backpressure, no external process required. See the [module
-/// docs](self) for wire format and fault semantics.
+/// listener, dials it once with retry/backoff and accepts the peer —
+/// a real socket, real framing, real backpressure, no external process
+/// required. See the [module docs](self) for wire format and fault
+/// semantics.
 pub struct SocketTransport<M: Wire> {
-    plan: FaultPlan,
-    seed: u64,
+    /// Admission, the delivery heap and every counter.
+    core: InMemoryTransport<M>,
     policy: RetryPolicy,
-    epoch: u64,
-    phase: u64,
-    window: u64,
-    seq: u64,
-    writers: Vec<TcpStream>,
-    readers: Vec<ReadLane>,
+    writer: TcpStream,
+    reader: TcpStream,
+    /// Bytes read off the wire that do not yet form a whole frame.
+    inbox: Vec<u8>,
     /// Frames written to the wire but not yet parsed back out.
     outstanding: u64,
-    queue: BinaryHeap<std::cmp::Reverse<Queued<M>>>,
-    stats: NetStats,
 }
 
 impl<M: Wire> SocketTransport<M> {
-    /// Bind a loopback listener and establish the lane connections,
-    /// retrying refused connects per the default [`RetryPolicy`].
+    /// Bind a loopback listener and establish the connection, retrying
+    /// a refused connect per the default [`RetryPolicy`].
     pub fn connect(plan: FaultPlan, seed: u64) -> std::io::Result<Self> {
-        Self::connect_with(plan, seed, RetryPolicy::default())
-    }
-
-    /// [`SocketTransport::connect`] with an explicit retry policy.
-    pub fn connect_with(plan: FaultPlan, seed: u64, policy: RetryPolicy) -> std::io::Result<Self> {
+        let policy = RetryPolicy::default();
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let mut writers = Vec::with_capacity(LANES);
-        let mut readers = Vec::with_capacity(LANES);
-        for _ in 0..LANES {
-            let w = connect_with_retry(addr, &policy)?;
-            w.set_nodelay(true)?;
-            w.set_write_timeout(Some(policy.io_timeout))?;
-            writers.push(w);
-            let (r, _) = listener.accept()?;
-            r.set_nonblocking(true)?;
-            readers.push(ReadLane { stream: r, buf: Vec::new() });
-        }
+        let writer = connect_with_retry(listener.local_addr()?, &policy)?;
+        writer.set_nodelay(true)?;
+        writer.set_write_timeout(Some(policy.io_timeout))?;
+        let (reader, _) = listener.accept()?;
+        reader.set_nonblocking(true)?;
         Ok(SocketTransport {
-            plan,
-            seed,
+            core: InMemoryTransport::new(plan, seed),
             policy,
-            epoch: 0,
-            phase: 0,
-            window: NO_DEADLINE,
-            seq: 0,
-            writers,
-            readers,
+            writer,
+            reader,
+            inbox: Vec::new(),
             outstanding: 0,
-            queue: BinaryHeap::new(),
-            stats: NetStats::default(),
         })
     }
 
     /// The fault plan in force.
     pub fn plan(&self) -> &FaultPlan {
-        &self.plan
+        self.core.plan()
     }
 
-    /// The retry policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// Read every byte currently available on every lane and parse
-    /// complete frames into the delivery heap. Non-blocking; also the
-    /// backpressure valve — called after each write so the kernel
-    /// buffers can never fill while the sender holds unread inbound
-    /// data.
+    /// Read every byte currently available and hand complete frames to
+    /// the core. Non-blocking; also the backpressure valve — called
+    /// after each write so the kernel buffers can never fill while the
+    /// sender holds unread inbound data.
     fn drain_ready(&mut self) {
-        for lane in 0..self.readers.len() {
-            let mut tmp = [0u8; 4096];
-            loop {
-                match self.readers[lane].stream.read(&mut tmp) {
-                    Ok(0) => break,
-                    Ok(n) => self.readers[lane].buf.extend_from_slice(&tmp[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break,
+        let mut tmp = [0u8; 4096];
+        loop {
+            match self.reader.read(&mut tmp) {
+                Ok(0) => break,
+                Ok(n) => self.inbox.extend_from_slice(&tmp[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => break, // `WouldBlock`: nothing more for now
+            }
+        }
+        let inbox = std::mem::take(&mut self.inbox);
+        let mut rest = &inbox[..];
+        loop {
+            match split_frame(rest) {
+                Split::NeedMore => break,
+                Split::Corrupt => {
+                    // Degrade every in-flight frame to dropped and
+                    // abandon the buffered bytes.
+                    self.core.wire_lost(std::mem::take(&mut self.outstanding));
+                    rest = &[];
+                    break;
+                }
+                Split::Frame(n) => {
+                    self.accept_frame(&rest[4..n]);
+                    rest = &rest[n..];
                 }
             }
-            self.parse_lane(lane);
         }
+        let consumed = inbox.len() - rest.len();
+        self.inbox = inbox;
+        self.inbox.drain(..consumed);
     }
 
-    /// Parse complete frames out of one lane's buffer.
-    fn parse_lane(&mut self, lane: usize) {
-        loop {
-            let buf = &self.readers[lane].buf;
-            if buf.len() < 4 {
-                return;
-            }
-            let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-            if !(HEADER_LEN..=MAX_FRAME).contains(&len) {
-                // Corrupt framing: the stream can no longer be trusted.
-                // Degrade every in-flight frame to dropped and abandon
-                // the buffered bytes.
-                self.stats.dropped += self.outstanding;
-                self.outstanding = 0;
-                self.readers[lane].buf.clear();
-                return;
-            }
-            if buf.len() < 4 + len {
-                return;
-            }
-            let frame: Vec<u8> = self.readers[lane].buf.drain(..4 + len).skip(4).collect();
-            self.accept_frame(&frame);
-        }
-    }
-
-    /// Decode one complete frame (header + payload) into the heap.
+    /// Decode one complete frame (header + payload) into the core.
     fn accept_frame(&mut self, frame: &[u8]) {
         let word = |i: usize| {
             u64::from_le_bytes(frame[i * 8..i * 8 + 8].try_into().expect("HEADER_LEN checked"))
         };
-        let (epoch, phase) = (word(0), word(1));
-        if epoch != self.epoch || phase != self.phase {
+        if (word(0), word(1)) != self.core.phase_id() {
             // Straggler from a closed phase: the phase barrier already
             // discarded it, silently, exactly like the in-memory queue
             // clear. It does not touch the current phase's accounting.
@@ -267,12 +253,10 @@ impl<M: Wire> SocketTransport<M> {
         let (src, dst) = (word(2), word(3));
         let (sent_tick, deliver_tick, seq) = (word(4), word(5), word(6));
         match M::decode(&frame[HEADER_LEN..]) {
-            Some(msg) => self.queue.push(std::cmp::Reverse(Queued {
-                deliver_tick,
-                seq,
-                env: Envelope { src, dst, sent_tick, deliver_tick, msg },
-            })),
-            None => self.stats.dropped += 1,
+            Some(msg) => {
+                self.core.enqueue(seq, Envelope { src, dst, sent_tick, deliver_tick, msg })
+            }
+            None => self.core.wire_lost(1),
         }
     }
 
@@ -291,8 +275,7 @@ impl<M: Wire> SocketTransport<M> {
                 return;
             }
             if start.elapsed() > self.policy.io_timeout {
-                self.stats.dropped += self.outstanding;
-                self.outstanding = 0;
+                self.core.wire_lost(std::mem::take(&mut self.outstanding));
                 return;
             }
             if spins < 256 {
@@ -307,11 +290,11 @@ impl<M: Wire> SocketTransport<M> {
     /// Write one frame with retry/backoff, draining inbound data
     /// between attempts so backpressure cannot deadlock the
     /// self-connected pair. Returns whether the frame made it out.
-    fn write_frame(&mut self, lane: usize, frame: &[u8]) -> bool {
+    fn write_frame(&mut self, frame: &[u8]) -> bool {
         for attempt in 0..=self.policy.max_retries {
-            match self.writers[lane].write_all(frame) {
+            match self.writer.write_all(frame) {
                 Ok(()) => {
-                    let _ = self.writers[lane].flush();
+                    let _ = self.writer.flush();
                     return true;
                 }
                 Err(_) if attempt < self.policy.max_retries => {
@@ -347,54 +330,30 @@ impl<M: Wire> Transport<M> for SocketTransport<M> {
         // Stragglers still on the wire carry their old (epoch, phase)
         // header and will be discarded at parse time; they are no
         // longer outstanding for anyone.
-        self.epoch = epoch;
-        self.phase = phase;
-        self.window = window;
-        self.seq = 0;
         self.outstanding = 0;
-        self.queue.clear();
+        self.core.begin_phase(epoch, phase, window);
     }
 
     fn send(&mut self, src: NodeId, dst: NodeId, sent_tick: u64, msg: M) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.stats.sent += 1;
-        let deliver_tick =
-            match self.plan.fate(self.seed, self.epoch, self.phase, src, dst, seq, sent_tick) {
-                Fate::Cut => {
-                    self.stats.partition_cut += 1;
-                    return;
-                }
-                Fate::Dropped => {
-                    self.stats.dropped += 1;
-                    return;
-                }
-                Fate::Deliver { deliver_tick } => deliver_tick,
-            };
-        if deliver_tick > self.window {
-            self.stats.late += 1;
+        let Some((seq, deliver_tick)) = self.core.admit(src, dst, sent_tick) else {
             return;
-        }
+        };
+        let (epoch, phase) = self.core.phase_id();
         let mut frame = Vec::with_capacity(4 + HEADER_LEN + 16);
         frame.extend_from_slice(&[0u8; 4]); // length backpatched below
-        for w in [self.epoch, self.phase, src, dst, sent_tick, deliver_tick, seq] {
+        for w in [epoch, phase, src, dst, sent_tick, deliver_tick, seq] {
             frame.extend_from_slice(&w.to_le_bytes());
         }
         msg.encode(&mut frame);
-        let len = (frame.len() - 4) as u32;
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        if frame.len() - 4 > MAX_FRAME {
-            // Unencodable payload degrades to a drop, like any other
-            // wire fault.
-            self.stats.dropped += 1;
-            return;
-        }
-        let lane = (dst as usize) % self.writers.len();
-        if self.write_frame(lane, &frame) {
+        let len = frame.len() - 4;
+        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        // An unencodable payload degrades to a drop, like any other
+        // wire fault.
+        if len <= MAX_FRAME && self.write_frame(&frame) {
             self.outstanding += 1;
             self.drain_ready();
         } else {
-            self.stats.dropped += 1;
+            self.core.wire_lost(1);
         }
     }
 
@@ -403,20 +362,17 @@ impl<M: Wire> Transport<M> for SocketTransport<M> {
         // the next pop, so the heap's (deliver_tick, seq) order is
         // total — identical to the in-memory transport's.
         self.pump();
-        let q = self.queue.pop()?.0;
-        self.stats.delivered += 1;
-        self.stats.lat_ticks += q.env.deliver_tick - q.env.sent_tick;
-        Some(q.env)
+        self.core.recv()
     }
 
     fn stats(&self) -> NetStats {
-        self.stats
+        self.core.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::InMemoryTransport;
+    use super::super::NO_DEADLINE;
     use super::*;
 
     fn drain<T: Transport<u32>>(t: &mut T) -> Vec<Envelope<u32>> {
@@ -476,6 +432,68 @@ mod tests {
         t.send(1, 2, 0, 11);
         let got: Vec<u32> = drain(&mut t).into_iter().map(|e| e.msg).collect();
         assert_eq!(got, vec![11], "the straggler from phase 0 never surfaces");
+    }
+
+    /// The frame splitter is total over arbitrary bytes: it never
+    /// panics, a `Frame` never reaches past the buffer or the cap, and
+    /// each malformed shape lands in its own arm.
+    #[test]
+    fn split_frame_is_total_over_hostile_bytes() {
+        use rand::Rng;
+        let valid = |payload: usize| {
+            let mut f = ((HEADER_LEN + payload) as u32).to_le_bytes().to_vec();
+            f.resize(4 + HEADER_LEN + payload, 0xAB);
+            f
+        };
+        let mut rng = crate::rng::stream_rng(42, "split-frame", 0);
+        for _ in 0..20_000 {
+            let mut buf = match rng.gen_range(0..4u32) {
+                // Random bytes (short buffers make small lengths likely).
+                0 => (0..rng.gen_range(0..96usize)).map(|_| rng.gen::<u8>()).collect(),
+                // A random length prefix over a random tail.
+                1 => {
+                    let len: u32 = if rng.gen() { rng.gen() } else { rng.gen_range(0..200) };
+                    let mut b = len.to_le_bytes().to_vec();
+                    b.resize(4 + rng.gen_range(0..300usize), rng.gen());
+                    b
+                }
+                // A valid frame, possibly truncated.
+                2 => {
+                    let mut f = valid(rng.gen_range(0..64));
+                    f.truncate(rng.gen_range(0..=f.len()));
+                    f
+                }
+                // A valid frame followed by garbage.
+                _ => valid(rng.gen_range(0..64)),
+            };
+            let tail = rng.gen_range(0..8usize);
+            buf.extend((0..tail).map(|_| rng.gen::<u8>()));
+            match split_frame(&buf) {
+                Split::Frame(n) => {
+                    assert!(n <= buf.len() && (4 + HEADER_LEN..=4 + MAX_FRAME).contains(&n));
+                    assert_eq!(u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize, n - 4);
+                }
+                Split::NeedMore => assert!(
+                    buf.len() < 4
+                        || buf.len()
+                            < 4 + u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize
+                ),
+                Split::Corrupt => {
+                    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+                    assert!(!(HEADER_LEN..=MAX_FRAME).contains(&len));
+                }
+            }
+        }
+        // The named shapes, pinned.
+        assert_eq!(split_frame(&[]), Split::NeedMore);
+        assert_eq!(split_frame(&[56, 0, 0]), Split::NeedMore);
+        assert_eq!(split_frame(&55u32.to_le_bytes()), Split::Corrupt, "len < 56");
+        assert_eq!(split_frame(&((MAX_FRAME + 1) as u32).to_le_bytes()), Split::Corrupt);
+        assert_eq!(split_frame(&(MAX_FRAME as u32).to_le_bytes()), Split::NeedMore);
+        let mut f = valid(3);
+        assert_eq!(split_frame(&f[..f.len() - 1]), Split::NeedMore, "truncated");
+        f.extend_from_slice(&[0xFF; 9]);
+        assert_eq!(split_frame(&f), Split::Frame(4 + HEADER_LEN + 3), "garbage stays unread");
     }
 
     #[test]

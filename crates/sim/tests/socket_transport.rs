@@ -5,10 +5,10 @@
 //! `parallel_map` fan-out owns its own socket pair, so concurrent
 //! transports cannot interfere with each other's counters.
 //!
-//! Both transports consult the same pure `FaultPlan::fate` hash, so the
-//! equivalence is by construction; these tests pin it from outside the
-//! crate, through the public API only, the way the actor runtime uses
-//! it.
+//! The socket transport wraps the in-memory one and shares its
+//! admission step, so the equivalence is by construction; these tests
+//! pin it from outside the crate, through the public API only, the way
+//! the actor runtime uses it.
 
 use tg_sim::{
     parallel_map, Envelope, FaultPlan, InMemoryTransport, NetStats, SocketTransport, Transport,
@@ -28,7 +28,8 @@ fn plans() -> Vec<FaultPlan> {
 }
 
 /// Drive one transport through three phases of all-to-aggregator plus
-/// scatter traffic and collect (deliveries, stats).
+/// scatter traffic and collect (deliveries, stats). After every drained
+/// phase each sent message is accounted for exactly once.
 fn drive<T: Transport<u64>>(t: &mut T, window: u64) -> (Vec<Envelope<u64>>, NetStats) {
     let mut out = Vec::new();
     for epoch in 0..2 {
@@ -41,6 +42,8 @@ fn drive<T: Transport<u64>>(t: &mut T, window: u64) -> (Vec<Envelope<u64>>, NetS
             while let Some(env) = t.recv() {
                 out.push(env);
             }
+            let s = t.stats();
+            assert_eq!(s.sent, s.delivered + s.dropped + s.partition_cut + s.late, "{s:?}");
         }
     }
     (out, t.stats())
@@ -50,7 +53,7 @@ fn drive<T: Transport<u64>>(t: &mut T, window: u64) -> (Vec<Envelope<u64>>, NetS
 fn assert_equivalent(plan: FaultPlan, seed: u64, window: u64) {
     let (mem_env, mem_stats) = drive(&mut InMemoryTransport::new(plan, seed), window);
     let mut socket =
-        SocketTransport::connect(plan, seed).expect("loopback lanes connect in the test net");
+        SocketTransport::connect(plan, seed).expect("loopback connects in the test net");
     let (sock_env, sock_stats) = drive(&mut socket, window);
     assert_eq!(mem_stats, sock_stats, "NetStats diverged for {plan:?} seed {seed}");
     assert_eq!(mem_env.len(), sock_env.len(), "delivery count diverged for {plan:?}");
@@ -75,7 +78,7 @@ fn socket_reports_in_memory_stats_under_all_fault_plans() {
 
 /// The same cells fanned out across worker threads: `parallel_map`
 /// spawns one thread per cell, so several socket transports run their
-/// loopback lanes concurrently. Stats must match the single-threaded
+/// loopback connections concurrently. Stats must match the single-threaded
 /// in-memory run for every cell regardless of interleaving.
 #[test]
 fn equivalence_holds_across_concurrent_transports() {
@@ -84,10 +87,10 @@ fn equivalence_holds_across_concurrent_transports() {
     let expected: Vec<NetStats> =
         cells.iter().map(|&(p, s)| drive(&mut InMemoryTransport::new(p, s), 9).1).collect();
     // Two socket transports per plan, racing each other and the other
-    // plans' lanes.
+    // plans' connections.
     let doubled: Vec<(FaultPlan, u64)> = cells.iter().chain(cells.iter()).copied().collect();
     let got = parallel_map(doubled, |(plan, seed)| {
-        let mut t = SocketTransport::connect(plan, seed).expect("loopback lanes connect");
+        let mut t = SocketTransport::connect(plan, seed).expect("loopback connects");
         drive(&mut t, 9).1
     });
     for (i, stats) in got.iter().enumerate() {
@@ -105,7 +108,7 @@ fn delivery_falls_monotonically_with_drop_rate_on_both_transports() {
     for (i, drop) in [0.0, 0.2, 0.5, 0.8].into_iter().enumerate() {
         let plan = FaultPlan { drop_rate: drop, latency_max: 3, partition_ticks: 2 };
         let mem = drive(&mut InMemoryTransport::new(plan, 7), NO_DEADLINE).1;
-        let mut socket = SocketTransport::connect(plan, 7).expect("loopback lanes connect");
+        let mut socket = SocketTransport::connect(plan, 7).expect("loopback connects");
         let sock = drive(&mut socket, NO_DEADLINE).1;
         assert_eq!(mem, sock, "rung {i}: transports disagree");
         assert!(mem.delivered <= last_mem, "mem delivery rose with drop rate");

@@ -5,8 +5,8 @@
 //! Young, Zhou — IPDPS 2018).
 //!
 //! Re-exports the subsystem crates under stable names. See the workspace
-//! `README.md` for the architecture overview and `DESIGN.md` for the
-//! system inventory and experiment index.
+//! `README.md` for the architecture overview, the system inventory
+//! ("Crate map") and the experiment index ("Running experiments").
 
 pub use tg_ba as ba;
 pub use tg_baselines as baselines;
