@@ -7,7 +7,7 @@
 //! search is `O(pf · log^c n)` w.h.p. — the congestion bound `C` of the
 //! input graph (P4) converts a red *fraction* into a failed-search
 //! *fraction* with only a `log^c n` blow-up. No experiment calls this
-//! module yet; ROADMAP item 1(b) names the use it is kept for (the null
+//! module yet; ROADMAP item 9 names the use it is kept for (the null
 //! hypothesis against which correlated red groups are measured).
 
 use rand::rngs::StdRng;

@@ -1,26 +1,11 @@
-//! The epoch system and its storage: flat CSR group columns, one epoch
-//! loop over them.
+//! The epoch system: one epoch loop over the group graph's CSR columns.
 //!
 //! [`DynamicSystem`] (re-exported as [`crate::dynamic::DynamicSystem`])
-//! is the §III churn → build → measure → swap loop. Its groups live in
-//! one contiguous arena per side rather than one heap-allocated member
-//! `Vec` per group:
-//!
-//! ```text
-//!              group 0      group 1    group 2
-//!            ┌──────────┬────────────┬─────────┬─ ─ ─
-//!   members  │ 3 17 901 │ 4 17 88 90 │ 2 5     │ ...     (u32 column,
-//!            └──────────┴────────────┴─────────┴─ ─ ─     sorted+deduped
-//!   offsets  0          3            7         9           per range)
-//!
-//!   captured [ 0, 1, 0, ... ]   (u32 per group)
-//!   confused [ f, f, t, ... ]   (bool per group)
-//!   colors   [ B, B, R, ... ]   (recomputed per epoch)
-//! ```
-//!
-//! Group `i`'s members are `members[offsets[i]..offsets[i+1]]` — a CSR
-//! range scan instead of a `Vec` dereference. The leader/pool populations
-//! and the topology are shared per epoch rather than cloned per side.
+//! is the §III churn → build → measure → swap loop. Each epoch's
+//! operational graphs are one [`GroupGraph`] with a side per graph (two
+//! dual, one for the single-graph ablation): the leader and pool
+//! populations and the topology are shared, and each side keeps its
+//! groups in CSR columns ([`crate::graph`] draws the layout).
 //!
 //! **Determinism contract.** The system carries one schedule flag,
 //! [`DynamicSystem::set_fan_out`]: off, an epoch runs on the calling
@@ -44,6 +29,7 @@
 //! The unit tests below hold the two-pass build to the reference build
 //! group by group; the seed-42 goldens replay under both schedules.
 
+use crate::build::build_genesis;
 use crate::dynamic::adversary::AdversaryView;
 use crate::dynamic::build::{
     accepts_spurious, establish_link, pick_boots, resolve_slot, BuildMode, BuildStats, SlotOut,
@@ -51,153 +37,21 @@ use crate::dynamic::build::{
 use crate::dynamic::kernel::scheduled_map;
 use crate::dynamic::provider::IdentityProvider;
 use crate::dynamic::system::EpochReport;
-use crate::graph::{Color, GraphsView, GroupGraphView};
+use crate::graph::{GraphsView, GroupColumns, GroupGraph, GroupGraphView, SideView};
 use crate::params::Params;
 use crate::population::Population;
 use crate::robustness::{measure_dual_success, measure_robustness_scheduled};
 use rand::rngs::StdRng;
 use rand::Rng;
-use tg_crypto::OracleFamily;
+use tg_crypto::{Oracle, OracleFamily};
 use tg_idspace::Id;
-use tg_overlay::{GraphKind, InputGraph};
+use tg_overlay::GraphKind;
 use tg_sim::{stream_rng, Metrics};
 
 /// Slots per work block in the membership pass. Block boundaries only
 /// affect scheduling — results are folded in slot order, so any block
 /// size yields bit-identical epochs.
 const SLOT_BLOCK: usize = 2048;
-
-/// One side's groups in CSR layout (see the module docs for the layout
-/// diagram).
-struct ArenaSide {
-    /// `offsets[i]..offsets[i+1]` is group `i`'s member range.
-    offsets: Vec<u32>,
-    /// Concatenated member columns, sorted and deduplicated per range.
-    members: Vec<u32>,
-    /// Captured slots per group (adversarial plants outside the pool).
-    captured: Vec<u32>,
-    /// Whether each group's links are incorrect (Lemma 8).
-    confused: Vec<bool>,
-    /// Blue/red classification, recomputed by [`ArenaGraphs::recolor`].
-    colors: Vec<Color>,
-}
-
-impl ArenaSide {
-    /// Group `i`'s member column (pool ring indices, sorted).
-    #[inline]
-    fn group_members(&self, i: usize) -> &[u32] {
-        &self.members[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-}
-
-/// One epoch's operational graphs in arena layout: shared leader/pool
-/// populations and topology, plus one set of CSR columns per side.
-pub struct ArenaGraphs {
-    /// The current generation: leaders / vertices of the graphs.
-    pub leaders: Population,
-    /// The member pool (previous generation). One physical population,
-    /// shared by the sides.
-    pub pool: Population,
-    /// The input-graph topology `H` over the leader ring. A pure function
-    /// of the ring, so one instance serves every side.
-    topology: Box<dyn InputGraph>,
-    /// The per-side group columns.
-    sides: Vec<ArenaSide>,
-}
-
-impl ArenaGraphs {
-    /// Number of sides (2 dual, 1 single-graph ablation).
-    pub fn sides(&self) -> usize {
-        self.sides.len()
-    }
-
-    /// A [`GroupGraphView`] handle onto side `s`.
-    pub fn side(&self, s: usize) -> SideView<'_> {
-        SideView { arena: self, side: &self.sides[s] }
-    }
-
-    /// These graphs as the borrowed view strategies and drivers read.
-    pub fn view(&self) -> GraphsView<'_> {
-        GraphsView(Some(self))
-    }
-
-    /// Recompute every side's colors (after churn or construction):
-    /// blue iff a live good majority and not confused.
-    pub fn recolor(&mut self) {
-        for s in 0..self.sides.len() {
-            let g = self.side(s);
-            let colors = (0..g.len())
-                .map(|i| {
-                    let blue = g.has_good_majority(i) && !g.is_confused(i);
-                    if blue {
-                        Color::Blue
-                    } else {
-                        Color::Red
-                    }
-                })
-                .collect();
-            self.sides[s].colors = colors;
-        }
-    }
-}
-
-/// A `Copy` handle onto one arena side, implementing [`GroupGraphView`]
-/// over the CSR columns.
-#[derive(Clone, Copy)]
-pub struct SideView<'a> {
-    arena: &'a ArenaGraphs,
-    side: &'a ArenaSide,
-}
-
-impl GroupGraphView for SideView<'_> {
-    fn len(&self) -> usize {
-        self.side.captured.len()
-    }
-
-    fn is_red(&self, i: usize) -> bool {
-        self.side.colors[i] == Color::Red
-    }
-
-    fn group_size(&self, i: usize) -> usize {
-        let pool = &self.arena.pool;
-        self.side.group_members(i).iter().filter(|&&m| pool.is_live(m as usize)).count()
-            + self.side.captured[i] as usize
-    }
-
-    fn group_bad_count(&self, i: usize) -> usize {
-        let pool = &self.arena.pool;
-        self.side
-            .group_members(i)
-            .iter()
-            .filter(|&&m| pool.is_live(m as usize) && pool.is_bad(m as usize))
-            .count()
-            + self.side.captured[i] as usize
-    }
-
-    fn is_confused(&self, i: usize) -> bool {
-        self.side.confused[i]
-    }
-
-    fn group_members(&self, i: usize) -> &[u32] {
-        self.side.group_members(i)
-    }
-
-    fn captured_slots(&self, i: usize) -> u32 {
-        self.side.captured[i]
-    }
-
-    fn leaders(&self) -> &Population {
-        &self.arena.leaders
-    }
-
-    fn pool(&self) -> &Population {
-        &self.arena.pool
-    }
-
-    fn topology(&self) -> &dyn InputGraph {
-        self.arena.topology.as_ref()
-    }
-}
 
 /// The dynamic system: operational group graphs (2 dual, 1 for the
 /// single-graph ablation) that re-derive themselves every epoch through
@@ -208,7 +62,7 @@ pub struct DynamicSystem {
     /// Oracle family, fixed at initialization — the hash functions ship
     /// with the software (§III footnote 12).
     fam: OracleFamily,
-    graphs: ArenaGraphs,
+    graphs: GroupGraph,
     epoch: u64,
     searches_per_epoch: usize,
     master_seed: u64,
@@ -218,8 +72,8 @@ pub struct DynamicSystem {
 impl DynamicSystem {
     /// Initialize at epoch 1 with trusted-bootstrap graphs (`G⁰₁, G⁰₂`;
     /// the paper's Appendix X initialization assumption): member `i` of
-    /// `G_w` is `suc(h_s(w, i))`, the same rule
-    /// [`crate::build::build_initial_graph`] applies per group.
+    /// `G_w` is `suc(h_s(w, i))`, built by the genesis builder behind
+    /// [`crate::build::build_initial_graph`], one side per oracle.
     /// Sequential schedule, 400 searches per epoch.
     pub fn new(
         params: Params,
@@ -231,43 +85,8 @@ impl DynamicSystem {
         let fam = OracleFamily::new(master_seed);
         let mut rng = stream_rng(master_seed, "init", 0);
         let ids = provider.ids_for_epoch(0, &AdversaryView::genesis(0), &mut rng);
-        let pop = Population::new(ids.good, ids.bad);
-        let n = pop.len();
-        let draws = params.draws(n);
-
-        let topology = kind.build(pop.ring().clone());
-        let sides: Vec<ArenaSide> = (0..mode.sides())
-            .map(|s| {
-                let oracle = fam.membership(s);
-                let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-                let mut members: Vec<u32> = Vec::with_capacity(n * (draws + 1));
-                offsets.push(0);
-                let mut buf: Vec<u32> = Vec::with_capacity(draws + 1);
-                for w in 0..n {
-                    let wid = pop.ring().at(w);
-                    buf.clear();
-                    buf.push(w as u32);
-                    for i in 0..draws {
-                        let point = oracle.hash_id_index(wid, i as u32);
-                        buf.push(pop.ring().successor_index(point) as u32);
-                    }
-                    buf.sort_unstable();
-                    buf.dedup();
-                    members.extend_from_slice(&buf);
-                    offsets.push(members.len() as u32);
-                }
-                ArenaSide {
-                    offsets,
-                    members,
-                    captured: vec![0; n],
-                    confused: vec![false; n],
-                    colors: Vec::new(),
-                }
-            })
-            .collect();
-
-        let mut graphs = ArenaGraphs { leaders: pop.clone(), pool: pop, topology, sides };
-        graphs.recolor();
+        let oracles: Vec<Oracle> = (0..mode.sides()).map(|s| fam.membership(s)).collect();
+        let graphs = build_genesis(Population::new(ids.good, ids.bad), kind, &oracles, &params);
         DynamicSystem {
             params,
             kind,
@@ -291,8 +110,8 @@ impl DynamicSystem {
     }
 
     /// The operational graphs, mutably — for callers that stage their
-    /// own churn on the pool (follow with [`ArenaGraphs::recolor`]).
-    pub fn graphs_mut(&mut self) -> &mut ArenaGraphs {
+    /// own churn on the pool (follow with [`GroupGraph::recolor`]).
+    pub fn graphs_mut(&mut self) -> &mut GroupGraph {
         &mut self.graphs
     }
 
@@ -377,9 +196,11 @@ impl DynamicSystem {
         //    each good pool ID serve in, across all sides?
         let pool_len = news.pool.len();
         let mut memberships = vec![0usize; pool_len];
-        for side in &news.sides {
-            for &m in &side.members {
-                memberships[m as usize] += 1;
+        for g in news.view().iter() {
+            for i in 0..g.len() {
+                for &m in g.group_members(i) {
+                    memberships[m as usize] += 1;
+                }
             }
         }
         let good_counts: Vec<usize> =
@@ -426,7 +247,7 @@ impl DynamicSystem {
         new_leaders: &Population,
         rng: &mut StdRng,
         metrics: &mut Metrics,
-    ) -> (ArenaGraphs, BuildStats) {
+    ) -> (GroupGraph, BuildStats) {
         let (olds, params, fan_out) = (&self.graphs, &self.params, self.fan_out);
         let n_sides = olds.sides();
         let old_views: Vec<SideView<'_>> = olds.view().iter().collect();
@@ -439,7 +260,7 @@ impl DynamicSystem {
         let mut stats = BuildStats::default();
 
         let topology = self.kind.build(new_leaders.ring().clone());
-        let mut sides: Vec<ArenaSide> = Vec::with_capacity(n_sides);
+        let mut sides: Vec<GroupColumns> = Vec::with_capacity(n_sides);
 
         for side in 0..n_sides {
             let oracle = self.fam.membership(side);
@@ -499,28 +320,22 @@ impl DynamicSystem {
                 });
 
             // --- Fold in slot order: CSR assembly plus the additive counters.
-            let mut offsets: Vec<u32> = Vec::with_capacity(n_new + 1);
-            let mut members: Vec<u32> = Vec::with_capacity(n_slots);
-            let mut captured: Vec<u32> = vec![0; n_new];
-            offsets.push(0);
             for (m, _) in &blocks {
                 metrics.merge(m);
             }
             let mut slots = blocks.iter().flat_map(|(_, outs)| outs.iter());
+            let mut cols = GroupColumns::with_capacity(n_new, n_slots);
             let mut buf: Vec<u32> = Vec::with_capacity(draws);
-            for w in 0..n_new {
+            for &confused in &confused {
                 buf.clear();
+                let mut captured = 0;
                 for _ in 0..draws {
                     let out = *slots.next().expect("one outcome per slot");
-                    stats.fold_slot(out, pool_has_bad, &mut buf, &mut captured[w]);
+                    stats.fold_slot(out, pool_has_bad, &mut buf, &mut captured);
                 }
-                buf.sort_unstable();
-                buf.dedup();
-                members.extend_from_slice(&buf);
-                offsets.push(members.len() as u32);
+                cols.push(&mut buf, captured, confused);
             }
-
-            sides.push(ArenaSide { offsets, members, captured, confused, colors: Vec::new() });
+            sides.push(cols);
         }
 
         // --- The Lemma 10 state attack: spurious membership requests. The
@@ -548,9 +363,7 @@ impl DynamicSystem {
             }
         }
 
-        let mut graphs = ArenaGraphs { leaders: new_leaders.clone(), pool, topology, sides };
-        graphs.recolor();
-        (graphs, stats)
+        (GroupGraph::from_sides(new_leaders.clone(), pool, topology, sides), stats)
     }
 }
 
@@ -561,7 +374,6 @@ mod tests {
     use crate::dynamic::adversary::{GapFilling, StrategicProvider};
     use crate::dynamic::build::build_new_graphs;
     use crate::dynamic::provider::UniformProvider;
-    use crate::graph::GroupGraph;
 
     /// The same system twice: sequential and fanned out.
     fn paired(mode: BuildMode, seed: u64) -> (DynamicSystem, DynamicSystem, UniformProvider) {
@@ -586,16 +398,16 @@ mod tests {
         (g.group_members(i), g.captured_slots(i), g.is_confused(i), g.is_red(i), size, bad)
     }
 
-    /// Group-by-group equality of a per-group graph and a CSR side.
-    fn assert_sides_identical(l: &GroupGraph, v: &SideView<'_>, what: &str) {
-        assert_eq!(GroupGraphView::len(l), v.len(), "{what}: group count");
+    /// Group-by-group equality of two sides.
+    fn assert_sides_identical(l: &SideView<'_>, v: &SideView<'_>, what: &str) {
+        assert_eq!(l.len(), v.len(), "{what}: group count");
         for i in 0..v.len() {
             assert_eq!(group_state(l, i), group_state(v, i), "{what} group {i}");
         }
     }
 
-    /// The static §II build over the system's genesis population: the
-    /// other way to construct `G⁰₁, G⁰₂`.
+    /// The static §II build over the system's genesis population, one
+    /// one-sided graph per oracle.
     fn static_genesis(sys: &DynamicSystem) -> Vec<GroupGraph> {
         (0..sys.graphs.sides())
             .map(|s| {
@@ -613,12 +425,12 @@ mod tests {
     fn initial_graphs_match_legacy() {
         let (sys, _, _) = paired(BuildMode::DualGraph, 1);
         for (s, l) in static_genesis(&sys).iter().enumerate() {
-            assert_sides_identical(l, &sys.graphs.side(s), &format!("side {s}"));
+            assert_sides_identical(&l.side(0), &sys.graphs.side(s), &format!("side {s}"));
         }
     }
 
-    /// The cross-implementation check: [`build_new_graphs`] (one group
-    /// at a time over per-group `Vec`s, every lemma in program order)
+    /// The cross-schedule check: [`build_new_graphs`] (one group at a
+    /// time, every lemma in program order)
     /// and the two-pass CSR build, fed the same old graphs, new leaders
     /// and RNG, must produce the same groups, counters and message
     /// totals — for three chained epochs over the six configurations of
@@ -644,14 +456,13 @@ mod tests {
                 Box::new(UniformProvider { n_good: 220, n_bad: 12 })
             };
             let mut sys = DynamicSystem::new(params, kind, mode, provider.as_mut(), 42);
-            let mut reference = static_genesis(&sys);
+            let oracles: Vec<Oracle> = (0..mode.sides()).map(|s| sys.fam.membership(s)).collect();
+            let mut reference = build_genesis(sys.graphs.leaders.clone(), kind, &oracles, &params);
 
             for epoch in 1..=3u64 {
                 if churn > 0.0 {
                     let churn_rng = stream_rng(42, "churn", epoch);
-                    sys.graphs.pool.depart_good_fraction(churn, &mut churn_rng.clone());
-                    sys.graphs.recolor();
-                    for g in &mut reference {
+                    for g in [&mut sys.graphs, &mut reference] {
                         g.pool.depart_good_fraction(churn, &mut churn_rng.clone());
                         g.recolor();
                     }
@@ -663,8 +474,9 @@ mod tests {
                 let new_pop = Population::new(ids.good, ids.bad);
 
                 let (mut m_ref, mut m_csr) = (Metrics::new(), Metrics::new());
+                let olds: Vec<SideView<'_>> = reference.view().iter().collect();
                 let (news_ref, stats_ref) = build_new_graphs(
-                    &reference,
+                    &olds,
                     &new_pop,
                     kind,
                     &sys.fam,
@@ -677,9 +489,10 @@ mod tests {
                 let (news_csr, stats_csr) = sys.build_next(&new_pop, &mut rng, &mut m_csr);
                 assert_eq!(format!("{stats_ref:?}"), format!("{stats_csr:?}"), "config {c}");
                 assert_eq!(m_ref, m_csr, "config {c} epoch {epoch}");
-                for (s, l) in news_ref.iter().enumerate() {
+                assert_eq!(news_ref.sides(), news_csr.sides(), "config {c}");
+                for s in 0..news_ref.sides() {
                     let what = format!("config {c} epoch {epoch} side {s}");
-                    assert_sides_identical(l, &news_csr.side(s), &what);
+                    assert_sides_identical(&news_ref.side(s), &news_csr.side(s), &what);
                 }
                 reference = news_ref;
                 sys.graphs = news_csr;

@@ -57,9 +57,7 @@ pub fn assemble_bootstrap<G: GroupGraphView>(gg: &G, k: usize, rng: &mut StdRng)
     for _ in 0..k {
         let gi = rng.gen_range(0..gg.len());
         contacted.push(gi);
-        members.extend(
-            gg.group_members(gi).iter().copied().filter(|&m| gg.pool().is_live(m as usize)),
-        );
+        members.extend(gg.live_members(gi).map(|m| m as u32));
     }
     members.sort_unstable();
     members.dedup();

@@ -12,8 +12,7 @@
 //! heavyweight one-shot procedure of \[21\]). Epoch-by-epoch construction
 //! through searches in old graphs lives in [`crate::dynamic`].
 
-use crate::graph::GroupGraph;
-use crate::group::Group;
+use crate::graph::{GroupColumns, GroupGraph};
 use crate::params::Params;
 use crate::population::Population;
 use tg_crypto::Oracle;
@@ -27,25 +26,43 @@ pub fn build_initial_graph(
     oracle: Oracle,
     params: &Params,
 ) -> GroupGraph {
+    build_genesis(pop, kind, &[oracle], params)
+}
+
+/// The trusted-bootstrap graphs over `pop`, one side per oracle — the
+/// genesis rule behind [`build_initial_graph`] (one side) and the epoch
+/// system's `G⁰₁, G⁰₂` ([`crate::dynamic::DynamicSystem::new`]).
+pub(crate) fn build_genesis(
+    pop: Population,
+    kind: GraphKind,
+    oracles: &[Oracle],
+    params: &Params,
+) -> GroupGraph {
     let n = pop.len();
     let draws = params.draws(n);
     let ring = pop.ring();
-    let mut groups = Vec::with_capacity(n);
-    for w in 0..n {
-        let wid = ring.at(w);
-        let mut members = Vec::with_capacity(draws + 1);
-        // The leader belongs to its own group ("each ID w has its own
-        // group G_w"; §I-C) — here leaders and pool share a ring.
-        members.push(w as u32);
-        for i in 0..draws {
-            let p = oracle.hash_id_index(wid, i as u32);
-            members.push(ring.successor_index(p) as u32);
-        }
-        groups.push(Group::new(w as u32, members, 0));
-    }
+    let sides = oracles
+        .iter()
+        .map(|oracle| {
+            let mut side = GroupColumns::with_capacity(n, n * (draws + 1));
+            let mut members = Vec::with_capacity(draws + 1);
+            for w in 0..n {
+                let wid = ring.at(w);
+                // The leader belongs to its own group ("each ID w has its
+                // own group G_w"; §I-C) — here leaders and pool share a ring.
+                members.clear();
+                members.push(w as u32);
+                for i in 0..draws {
+                    let p = oracle.hash_id_index(wid, i as u32);
+                    members.push(ring.successor_index(p) as u32);
+                }
+                side.push(&mut members, 0, false);
+            }
+            side
+        })
+        .collect();
     let topology = kind.build(ring.clone());
-    let confused = vec![false; n];
-    GroupGraph::new(pop.clone(), pop, groups, confused, topology)
+    GroupGraph::from_sides(pop.clone(), pop, topology, sides)
 }
 
 #[cfg(test)]
@@ -64,13 +81,17 @@ mod tests {
         (build_initial_graph(pop, GraphKind::Chord, fam.h1, &params), params)
     }
 
+    /// Every group's member column.
+    fn columns(gg: &GroupGraph) -> Vec<&[u32]> {
+        (0..gg.len()).map(|i| gg.group_members(i)).collect()
+    }
+
     #[test]
     fn one_group_per_id() {
         let (gg, _) = build(500, 25, 1);
         assert_eq!(gg.len(), 525);
-        for (i, g) in gg.groups.iter().enumerate() {
-            assert_eq!(g.leader as usize, i);
-            assert!(g.members.contains(&(i as u32)), "leader belongs to its group");
+        for (i, members) in columns(&gg).into_iter().enumerate() {
+            assert!(members.contains(&(i as u32)), "leader belongs to its group");
         }
     }
 
@@ -90,7 +111,7 @@ mod tests {
     fn membership_is_deterministic() {
         let (g1, _) = build(300, 15, 3);
         let (g2, _) = build(300, 15, 3);
-        assert_eq!(g1.groups, g2.groups);
+        assert_eq!(columns(&g1), columns(&g2));
     }
 
     #[test]
@@ -101,18 +122,14 @@ mod tests {
         let fam = OracleFamily::new(4);
         let a = build_initial_graph(pop.clone(), GraphKind::Chord, fam.h1, &params);
         let b = build_initial_graph(pop, GraphKind::Chord, fam.h2, &params);
-        assert_ne!(a.groups, b.groups, "h1 and h2 must induce different memberships");
+        assert_ne!(columns(&a), columns(&b), "h1 and h2 must induce different memberships");
     }
 
     #[test]
     fn bad_fraction_in_groups_tracks_beta() {
         let (gg, _) = build(4000, 200, 5); // β ≈ 0.048
-        let mut bad = 0usize;
-        let mut total = 0usize;
-        for g in &gg.groups {
-            bad += g.bad_count(&gg.pool);
-            total += g.size(&gg.pool);
-        }
+        let bad: usize = (0..gg.len()).map(|i| gg.group_bad_count(i)).sum();
+        let total: usize = (0..gg.len()).map(|i| gg.group_size(i)).sum();
         let frac = bad as f64 / total as f64;
         assert!((0.02..0.09).contains(&frac), "member bad fraction {frac:.3} vs β≈0.048");
     }

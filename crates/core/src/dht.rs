@@ -20,8 +20,8 @@ use tg_ba::{majority_filter, AdversaryMode};
 use tg_idspace::Id;
 use tg_sim::Metrics;
 
-/// A replicated store over one group graph (any layout implementing
-/// [`GroupGraphView`] — legacy per-group storage or an arena side).
+/// A replicated store over one group graph (anything implementing
+/// [`GroupGraphView`] — a static graph or one side of an epoch's).
 pub struct SecureDht<'g, G: GroupGraphView> {
     gg: &'g G,
     /// Replicas: `(pool member index, key) → value`. Only good members
@@ -63,12 +63,11 @@ impl<'g, G: GroupGraphView> SecureDht<'g, G> {
             return false;
         }
         let owner = self.owner_group(key);
-        for &m in self.gg.group_members(owner) {
-            if self.gg.pool().is_live(m as usize) && !self.gg.pool().is_bad(m as usize) {
-                self.replicas.insert((m, key.raw()), value);
-            }
-            // Byzantine members accept the write and store nothing
-            // useful — their read answers come from the adversary.
+        // Byzantine members accept the write and store nothing useful —
+        // their read answers come from the adversary.
+        let pool = self.gg.pool();
+        for m in self.gg.live_members(owner).filter(|&m| !pool.is_bad(m)) {
+            self.replicas.insert((m as u32, key.raw()), value);
         }
         // Replication is one all-to-all burst into the owner group.
         let size = self.gg.group_size(owner);
@@ -210,7 +209,7 @@ mod tests {
         // unavailable, everything else stays served.
         let mut gg = graph(800, 0, 6);
         for i in 0..gg.len() / 10 {
-            gg.confused[i * 10] = true;
+            gg.mark_confused(i * 10);
         }
         gg.recolor();
         let mut rng = StdRng::seed_from_u64(7);

@@ -24,14 +24,13 @@
 //! establishes a neighbor link (Lemma 8), `accepts_spurious` answers a
 //! spurious request (Lemma 10).
 //!
-//! **Schedules** (may change — order of evaluation and storage only):
-//! [`build_new_graphs`] here, one group at a time over `Vec<Group>`, kept
-//! as the test reference; `DynamicSystem::build_next` in `crate::arena`,
-//! two passes over CSR columns with optional fan-out. Neither contains
-//! protocol logic of its own.
+//! **Schedules** (may change — order of evaluation only): both assemble
+//! the same [`GroupGraph`] columns. [`build_new_graphs`] here goes one
+//! group at a time and is kept as the test reference;
+//! `DynamicSystem::build_next` in `crate::arena` makes two passes with
+//! optional fan-out. Neither contains protocol logic of its own.
 
-use crate::graph::{GroupGraph, GroupGraphView};
-use crate::group::Group;
+use crate::graph::{GroupColumns, GroupGraph, GroupGraphView};
 use crate::params::Params;
 use crate::population::Population;
 use crate::routing::search_path;
@@ -83,20 +82,6 @@ pub struct BuildStats {
     pub spurious_issued: u64,
 }
 
-impl BuildStats {
-    /// Merge counters from another build.
-    pub fn merge(&mut self, o: &BuildStats) {
-        self.member_slots += o.member_slots;
-        self.captured_slots += o.captured_slots;
-        self.bad_member_draws += o.bad_member_draws;
-        self.rejected_slots += o.rejected_slots;
-        self.links_required += o.links_required;
-        self.links_failed += o.links_failed;
-        self.spurious_accepted += o.spurious_accepted;
-        self.spurious_issued += o.spurious_issued;
-    }
-}
-
 /// The initiating group of one construction search in each old graph:
 /// entry `s` is a group index in old graph `s`. [`BuildMode::sides`] is
 /// at most 2, so a fixed pair; readers stop at `olds.len()`.
@@ -106,9 +91,9 @@ pub(crate) type Initiators = [Option<usize>; 2];
 /// graph (the paper assumes joiners know a good bootstrap group,
 /// Appendix IX). Returns `None` when the graph has no blue group left.
 ///
-/// Generic over the storage layout so the reference build and the CSR
-/// build draw the exact same bootstrap sequence (the draw count depends
-/// only on the RNG stream and the old graph's colors).
+/// The reference build and the two-pass build draw the exact same
+/// bootstrap sequence: the draw count depends only on the RNG stream and
+/// the old graph's colors.
 fn pick_boot<G: GroupGraphView>(old: &G, rng: &mut StdRng) -> Option<usize> {
     // Rejection sampling: expected O(1) tries while most groups are blue;
     // fall back to a scan when the graph is badly degraded.
@@ -288,23 +273,24 @@ pub(crate) fn accepts_spurious<G: GroupGraphView>(
     !construction_search(olds, [Some(u); 2], fake_point, metrics)
 }
 
-// ---- The reference schedule (order of evaluation and storage only).
+// ---- The reference schedule (order of evaluation only).
 
 /// Build the new group graphs for the next epoch — the *reference*
-/// build: one group at a time over per-group `Vec`s, every step in
-/// program order. The epoch system runs the two-pass CSR schedule of the
-/// same steps (`crate::arena`), whose unit tests hold it to this one
-/// group by group; nothing outside tests calls this function.
+/// build: one group at a time, every step in program order. The epoch
+/// system runs the two-pass schedule of the same steps (`crate::arena`),
+/// whose unit tests hold it to this one group by group; nothing outside
+/// tests calls this function.
 ///
 /// * `olds` — the operational graphs of the current epoch (2 for
 ///   [`BuildMode::DualGraph`], 1 for the ablation). Their *leader*
 ///   generation becomes the member pool of the new graphs.
 /// * `new_leaders` — the next epoch's ID population.
 ///
-/// Returns the new graphs (one per side) and the construction counters.
+/// Returns the new graphs (one side per old graph) and the construction
+/// counters.
 #[allow(clippy::too_many_arguments)] // the protocol's full parameter surface
-pub fn build_new_graphs(
-    olds: &[GroupGraph],
+pub fn build_new_graphs<G: GroupGraphView>(
+    olds: &[G],
     new_leaders: &Population,
     kind: GraphKind,
     fam: &OracleFamily,
@@ -312,29 +298,27 @@ pub fn build_new_graphs(
     mode: BuildMode,
     rng: &mut StdRng,
     metrics: &mut Metrics,
-) -> (Vec<GroupGraph>, BuildStats) {
+) -> (GroupGraph, BuildStats) {
     assert_eq!(olds.len(), mode.sides(), "old-graph count must match the build mode");
     let n_new = new_leaders.len();
-    let pool = olds[0].leaders.clone();
+    let pool = olds[0].leaders().clone();
     let pool_has_bad = pool.bad_count() > 0;
     let draws = params.draws(n_new);
     let attempts = 1 + params.link_retries;
     let mut stats = BuildStats::default();
-
-    let mut sides: Vec<(Vec<Group>, Vec<bool>)> = Vec::with_capacity(mode.sides());
+    let topology = kind.build(new_leaders.ring().clone());
+    let mut sides = Vec::with_capacity(mode.sides());
 
     for side in 0..mode.sides() {
         let oracle = fam.membership(side);
-        let topology = kind.build(new_leaders.ring().clone());
-        let mut groups: Vec<Group> = Vec::with_capacity(n_new);
-        let mut confused = vec![false; n_new];
+        let mut cols = GroupColumns::with_capacity(n_new, n_new * draws);
+        let mut members: Vec<u32> = Vec::with_capacity(draws);
 
-        #[allow(clippy::needless_range_loop)] // w indexes several parallel structures
         for w in 0..n_new {
             let wid = new_leaders.ring().at(w);
 
             // --- Membership (Lemma 6/7) ---
-            let mut members: Vec<u32> = Vec::with_capacity(draws);
+            members.clear();
             let mut captured = 0u32;
             for i in 0..draws {
                 stats.member_slots += 1;
@@ -343,18 +327,19 @@ pub fn build_new_graphs(
                 let out = resolve_slot(olds, &pool, boots, point, metrics);
                 stats.fold_slot(out, pool_has_bad, &mut members, &mut captured);
             }
-            groups.push(Group::new(w as u32, members, captured));
 
             // --- Neighbor links (Lemma 8) ---
+            let mut confused = false;
             for u in topology.neighbors(wid) {
                 stats.links_required += 1;
                 if !establish_link(olds, new_leaders, u, attempts, rng, metrics) {
                     stats.links_failed += 1;
-                    confused[w] = true;
+                    confused = true;
                 }
             }
+            cols.push(&mut members, captured, confused);
         }
-        sides.push((groups, confused));
+        sides.push(cols);
     }
 
     // --- The Lemma 10 state attack: spurious membership requests ---
@@ -371,19 +356,7 @@ pub fn build_new_graphs(
         }
     }
 
-    let graphs = sides
-        .into_iter()
-        .map(|(groups, confused)| {
-            GroupGraph::new(
-                new_leaders.clone(),
-                pool.clone(),
-                groups,
-                confused,
-                kind.build(new_leaders.ring().clone()),
-            )
-        })
-        .collect();
-    (graphs, stats)
+    (GroupGraph::from_sides(new_leaders.clone(), pool, topology, sides), stats)
 }
 
 #[cfg(test)]
@@ -409,7 +382,7 @@ mod tests {
         params: &Params,
         mode: BuildMode,
         seed: u64,
-    ) -> (Vec<GroupGraph>, BuildStats, Metrics) {
+    ) -> (GroupGraph, BuildStats, Metrics) {
         let fam = OracleFamily::new(seed);
         let mut rng = StdRng::seed_from_u64(seed + 1);
         let pool = &olds[0].leaders;
@@ -448,7 +421,7 @@ mod tests {
     fn all_red(mut olds: Vec<GroupGraph>) -> Vec<GroupGraph> {
         for g in olds.iter_mut() {
             for i in 0..g.len() {
-                g.confused[i] = true;
+                g.mark_confused(i);
             }
             g.recolor();
         }
@@ -492,8 +465,8 @@ mod tests {
     fn builds_one_group_per_new_leader() {
         let (olds, params) = initial_pair(400, 20, 1);
         let (news, stats, m) = build_next(&olds, &params, BuildMode::DualGraph, 1);
-        assert_eq!(news.len(), 2);
-        for g in &news {
+        assert_eq!(news.sides(), 2);
+        for g in news.view().iter() {
             assert_eq!(g.len(), 420);
         }
         assert_eq!(stats.member_slots, 2 * 420 * params.draws(420) as u64);
@@ -511,7 +484,7 @@ mod tests {
         assert_eq!(stats.bad_member_draws, 0);
         assert_eq!(stats.links_failed, 0);
         assert_eq!(stats.spurious_accepted, 0);
-        for g in &news {
+        for g in news.view().iter() {
             assert_eq!(g.frac_red(), 0.0);
         }
     }
@@ -528,24 +501,18 @@ mod tests {
     fn single_mode_builds_one_side() {
         let (olds, params) = initial_pair(200, 10, 7);
         let (news, _, _) = build_next(&olds[..1], &params, BuildMode::SingleGraph, 7);
-        assert_eq!(news.len(), 1);
+        assert_eq!(news.sides(), 1);
     }
 
     #[test]
     fn degraded_old_graphs_capture_slots() {
         // Force every old group red: every construction search fails, so
         // every slot is captured and every link fails.
-        let (mut olds, params) = initial_pair(150, 10, 9);
-        for g in olds.iter_mut() {
-            for i in 0..g.len() {
-                g.confused[i] = true;
-            }
-            g.recolor();
-        }
-        let (news, stats, _) = build_next(&olds, &params, BuildMode::DualGraph, 9);
+        let (olds, params) = initial_pair(150, 10, 9);
+        let (news, stats, _) = build_next(&all_red(olds), &params, BuildMode::DualGraph, 9);
         assert_eq!(stats.captured_slots, stats.member_slots);
         assert_eq!(stats.links_failed, stats.links_required);
-        for g in &news {
+        for g in news.view().iter() {
             assert_eq!(g.frac_red(), 1.0, "wholly adversarial construction");
         }
     }

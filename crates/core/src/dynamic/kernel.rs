@@ -1,7 +1,7 @@
 //! The epoch schedule: one system, run sequentially or fanned out.
 //!
 //! There is one epoch loop ([`DynamicSystem`](crate::dynamic::DynamicSystem))
-//! over one storage layout ([`crate::arena`]). [`KernelChoice`] — the
+//! over one storage layout ([`crate::graph`]). [`KernelChoice`] — the
 //! `kernel` knob of [`crate::scenario::ScenarioSpec`] — decides whether
 //! an epoch's RNG-free phases (slot searches, Lemma 10 attack pass, the
 //! two measurements) run on the calling thread or fan out over

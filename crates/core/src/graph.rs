@@ -1,4 +1,4 @@
-//! The group graph `G` (§II-A).
+//! The group graph `G` (§II-A) and its one storage layout.
 //!
 //! For an input graph `H` over the leader ring, the group graph has one
 //! group per ID (S1). Each group is **blue** or **red**:
@@ -13,9 +13,32 @@
 //! rewire it — it can only rewire among red groups, which never helps a
 //! search that (by the search-path semantics) dies at the first red group
 //! anyway.
+//!
+//! **Layout.** A [`GroupGraph`] shares one leader generation, one member
+//! pool and one topology among its *sides* — two for an epoch of the
+//! dynamic system (§III's dual graphs), one for a static §II graph and
+//! for the single-graph ablation. Each side keeps its groups in flat CSR
+//! columns rather than one heap-allocated member `Vec` per group:
+//!
+//! ```text
+//!              group 0      group 1    group 2
+//!            ┌──────────┬────────────┬─────────┬─ ─ ─
+//!   members  │ 3 17 901 │ 4 17 88 90 │ 2 5     │ ...     (u32 column,
+//!            └──────────┴────────────┴─────────┴─ ─ ─     sorted+deduped
+//!   offsets  0          3            7         9           per range)
+//!
+//!   captured [ 0, 1, 0, ... ]   (u32 per group)
+//!   confused [ f, f, t, ... ]   (bool per group)
+//!   colors   [ B, B, R, ... ]   (recomputed by `GroupGraph::recolor`)
+//! ```
+//!
+//! Group `i`'s members are `members[offsets[i]..offsets[i+1]]`. Everything
+//! that *reads* a group graph — search paths, robustness measurement,
+//! construction bootstraps, string agreement, adversary observation —
+//! goes through [`GroupGraphView`], implemented by [`SideView`] (one side
+//! of any graph) and by a one-sided [`GroupGraph`] itself.
 
-use crate::arena::{ArenaGraphs, SideView};
-use crate::group::Group;
+use crate::group;
 use crate::params::Params;
 use crate::population::Population;
 use tg_overlay::InputGraph;
@@ -29,102 +52,184 @@ pub enum Color {
     Red,
 }
 
-/// A group graph: groups over a leader ring, members from a pool
-/// generation, atop an input-graph topology.
+/// One side's groups in CSR layout (see the module docs).
+pub(crate) struct GroupColumns {
+    /// `offsets[i]..offsets[i+1]` is group `i`'s member range.
+    offsets: Vec<u32>,
+    /// Concatenated member columns, sorted and deduplicated per range.
+    members: Vec<u32>,
+    /// Captured slots per group (adversarial plants outside the pool).
+    captured: Vec<u32>,
+    /// Whether each group's links are incorrect (Lemma 8).
+    confused: Vec<bool>,
+    /// Blue/red classification, recomputed by [`GroupGraph::recolor`].
+    colors: Vec<Color>,
+}
+
+impl GroupColumns {
+    /// Empty columns with room for `groups` groups of `members` member
+    /// entries in all.
+    pub(crate) fn with_capacity(groups: usize, members: usize) -> Self {
+        let mut offsets = Vec::with_capacity(groups + 1);
+        offsets.push(0);
+        GroupColumns {
+            offsets,
+            members: Vec::with_capacity(members),
+            captured: Vec::with_capacity(groups),
+            confused: Vec::with_capacity(groups),
+            colors: Vec::new(),
+        }
+    }
+
+    /// Append the next group: its raw member draws (sorted and
+    /// deduplicated in place), its captured slots and its confusion.
+    pub(crate) fn push(&mut self, members: &mut Vec<u32>, captured: u32, confused: bool) {
+        members.sort_unstable();
+        members.dedup();
+        self.members.extend_from_slice(members);
+        self.offsets.push(self.members.len() as u32);
+        self.captured.push(captured);
+        self.confused.push(confused);
+    }
+
+    /// Group `i`'s member column (pool ring indices, sorted).
+    #[inline]
+    fn group_members(&self, i: usize) -> &[u32] {
+        &self.members[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// Group graphs over one leader ring: groups over the leader generation,
+/// members from a pool generation, atop an input-graph topology — one
+/// set of group columns per side (see the module docs).
 pub struct GroupGraph {
     /// The current generation: leaders / vertices of the graph.
     pub leaders: Population,
     /// The member pool (previous generation in the dynamic case; the
-    /// same generation for initial/static graphs).
+    /// same generation for initial/static graphs). One physical
+    /// population, shared by the sides.
     pub pool: Population,
-    /// One group per leader, indexed by leader ring index.
-    pub groups: Vec<Group>,
-    /// Whether each group's neighbor links are incorrect (Lemma 8).
-    pub confused: Vec<bool>,
-    /// The input-graph topology `H` over the leader ring.
+    /// The input-graph topology `H` over the leader ring. A pure function
+    /// of the ring, so one instance serves every side.
     pub topology: Box<dyn InputGraph>,
-    colors: Vec<Color>,
+    sides: Vec<GroupColumns>,
 }
 
 impl GroupGraph {
-    /// Assemble a group graph and compute its coloring.
+    /// Assemble a one-sided group graph from one member list per leader
+    /// (pool ring indices; sorted and deduplicated here) and compute its
+    /// coloring.
     pub fn new(
         leaders: Population,
         pool: Population,
-        groups: Vec<Group>,
+        members: Vec<Vec<u32>>,
         confused: Vec<bool>,
         topology: Box<dyn InputGraph>,
     ) -> Self {
-        assert_eq!(groups.len(), leaders.len(), "one group per leader");
-        assert_eq!(confused.len(), groups.len());
-        let mut gg = GroupGraph { leaders, pool, groups, confused, topology, colors: Vec::new() };
+        assert_eq!(members.len(), leaders.len(), "one group per leader");
+        assert_eq!(confused.len(), members.len());
+        let mut side =
+            GroupColumns::with_capacity(members.len(), members.iter().map(Vec::len).sum());
+        for (mut m, c) in members.into_iter().zip(confused) {
+            side.push(&mut m, 0, c);
+        }
+        GroupGraph::from_sides(leaders, pool, topology, vec![side])
+    }
+
+    /// Assemble from finished columns, one per side, and color them.
+    pub(crate) fn from_sides(
+        leaders: Population,
+        pool: Population,
+        topology: Box<dyn InputGraph>,
+        sides: Vec<GroupColumns>,
+    ) -> Self {
+        let mut gg = GroupGraph { leaders, pool, topology, sides };
         gg.recolor();
         gg
     }
 
-    /// Number of groups (= number of leaders).
+    /// Number of groups per side (= number of leaders).
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.leaders.len()
     }
 
     /// Whether the graph is empty.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.leaders.is_empty()
     }
 
-    /// Recompute all colors (after churn or link updates).
+    /// Number of sides (2 dual, 1 static or single-graph ablation).
+    pub fn sides(&self) -> usize {
+        self.sides.len()
+    }
+
+    /// A [`GroupGraphView`] handle onto side `s`.
+    pub fn side(&self, s: usize) -> SideView<'_> {
+        SideView { graph: self, side: &self.sides[s] }
+    }
+
+    /// These graphs as the borrowed view strategies and drivers read.
+    pub fn view(&self) -> GraphsView<'_> {
+        GraphsView(Some(self))
+    }
+
+    /// Recompute every side's colors (after churn or link updates):
+    /// blue iff a live good majority and not confused.
     pub fn recolor(&mut self) {
-        self.colors = (0..self.groups.len())
-            .map(|i| {
-                if self.groups[i].has_good_majority(&self.pool) && !self.confused[i] {
-                    Color::Blue
-                } else {
-                    Color::Red
-                }
-            })
-            .collect();
+        for s in 0..self.sides.len() {
+            let g = self.side(s);
+            let colors = (0..g.len())
+                .map(|i| {
+                    let blue = g.has_good_majority(i) && !g.is_confused(i);
+                    if blue {
+                        Color::Blue
+                    } else {
+                        Color::Red
+                    }
+                })
+                .collect();
+            self.sides[s].colors = colors;
+        }
+    }
+
+    /// The columns of a one-sided graph. The single-graph accessors
+    /// below panic on a multi-sided graph, where "group `i`" names one
+    /// group per side — read those through [`GroupGraph::side`].
+    fn only(&self) -> &GroupColumns {
+        let [side] = &self.sides[..] else { panic!("{} sides: pick one", self.sides.len()) };
+        side
+    }
+
+    /// Mark group `i` confused (its links are incorrect, Lemma 8);
+    /// follow with [`GroupGraph::recolor`].
+    pub fn mark_confused(&mut self, i: usize) {
+        let [side] = &mut self.sides[..] else { panic!("{} sides: pick one", self.sides.len()) };
+        side.confused[i] = true;
     }
 
     /// The color of group `i`.
     #[inline]
     pub fn color(&self, i: usize) -> Color {
-        self.colors[i]
+        self.only().colors[i]
     }
 
     /// Whether group `i` is red.
     #[inline]
     pub fn is_red(&self, i: usize) -> bool {
-        self.colors[i] == Color::Red
-    }
-
-    /// The live size of group `i` (for message accounting).
-    #[inline]
-    pub fn group_size(&self, i: usize) -> usize {
-        self.groups[i].size(&self.pool)
+        self.color(i) == Color::Red
     }
 }
 
-/// Read access to one side's group graph, independent of storage layout.
+/// Read access to one side's group graph.
 ///
-/// Two layouts implement it: the static §II [`GroupGraph`] (one
-/// `Vec<u32>` member list per group — the initial-graph experiments, the
-/// DHT, the baselines) and the epoch system's CSR columns
-/// ([`crate::arena::SideView`], one contiguous member column per side).
-/// Everything that *reads* a group graph — search paths, robustness
-/// measurement, construction bootstraps, string agreement, adversary
-/// observation — goes through this trait, so it runs unchanged on both.
-///
-/// The provided methods derive every aggregate fraction from the four
-/// per-group primitives.
+/// The required methods are column reads; the provided ones derive every
+/// count and fraction from them — the live-member scan once, the §II-A
+/// and §I-C predicates of [`crate::group`] over its two counts.
 pub trait GroupGraphView {
     /// Number of groups (= number of leaders).
     fn len(&self) -> usize;
     /// Whether group `i` is red (bad majority, dead, or confused).
     fn is_red(&self, i: usize) -> bool;
-    /// Live size of group `i` (live members plus captured slots).
-    fn group_size(&self, i: usize) -> usize;
-    /// Live bad members of group `i`, including captured slots.
-    fn group_bad_count(&self, i: usize) -> usize;
     /// Whether group `i`'s neighbor links are incorrect (Lemma 8).
     fn is_confused(&self, i: usize) -> bool;
     /// The member column of group `i`: pool ring indices, sorted and
@@ -146,11 +251,27 @@ pub trait GroupGraphView {
         self.len() == 0
     }
 
+    /// The live members of group `i` (pool ring indices, ascending).
+    /// Captured slots are not pool members and are not among them.
+    fn live_members(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let pool = self.pool();
+        self.group_members(i).iter().map(|&m| m as usize).filter(move |&m| pool.is_live(m))
+    }
+
+    /// Live size of group `i` (live members plus captured slots).
+    fn group_size(&self, i: usize) -> usize {
+        self.live_members(i).count() + self.captured_slots(i) as usize
+    }
+
+    /// Live bad members of group `i`, including captured slots.
+    fn group_bad_count(&self, i: usize) -> usize {
+        let pool = self.pool();
+        self.live_members(i).filter(|&m| pool.is_bad(m)).count() + self.captured_slots(i) as usize
+    }
+
     /// Whether group `i` has strictly more live good members than bad.
     fn has_good_majority(&self, i: usize) -> bool {
-        let size = self.group_size(i);
-        let bad = self.group_bad_count(i);
-        size > 0 && 2 * bad < size
+        group::has_good_majority(self.group_size(i), self.group_bad_count(i))
     }
 
     /// Fraction of red groups — the quantity `pf` bounds (S2).
@@ -170,11 +291,8 @@ pub trait GroupGraphView {
         let n = self.leaders().len();
         let ok = (0..self.len())
             .filter(|&i| {
-                let size = self.group_size(i);
-                if size < params.min_good_size(n) || size > params.draws(n) + 1 {
-                    return false;
-                }
-                (self.group_bad_count(i) as f64) <= params.max_bad_members(size)
+                let (size, bad) = (self.group_size(i), self.group_bad_count(i));
+                group::meets_paper_invariant(size, bad, params, n)
             })
             .count();
         ok as f64 / self.len().max(1) as f64
@@ -198,33 +316,27 @@ pub trait GroupGraphView {
     }
 }
 
+/// A one-sided graph is its own side (see [`GroupGraph::side`] for the
+/// sides of a multi-sided one).
 impl GroupGraphView for GroupGraph {
     fn len(&self) -> usize {
-        self.groups.len()
+        self.leaders.len()
     }
 
     fn is_red(&self, i: usize) -> bool {
-        self.colors[i] == Color::Red
-    }
-
-    fn group_size(&self, i: usize) -> usize {
-        self.groups[i].size(&self.pool)
-    }
-
-    fn group_bad_count(&self, i: usize) -> usize {
-        self.groups[i].bad_count(&self.pool)
+        GroupGraph::is_red(self, i)
     }
 
     fn is_confused(&self, i: usize) -> bool {
-        self.confused[i]
+        self.only().confused[i]
     }
 
     fn group_members(&self, i: usize) -> &[u32] {
-        &self.groups[i].members
+        self.only().group_members(i)
     }
 
     fn captured_slots(&self, i: usize) -> u32 {
-        self.groups[i].captured_slots
+        self.only().captured[i]
     }
 
     fn leaders(&self) -> &Population {
@@ -240,16 +352,58 @@ impl GroupGraphView for GroupGraph {
     }
 }
 
+/// A `Copy` handle onto one side of a [`GroupGraph`], implementing
+/// [`GroupGraphView`] over its columns.
+#[derive(Clone, Copy)]
+pub struct SideView<'a> {
+    graph: &'a GroupGraph,
+    side: &'a GroupColumns,
+}
+
+impl GroupGraphView for SideView<'_> {
+    fn len(&self) -> usize {
+        self.side.captured.len()
+    }
+
+    fn is_red(&self, i: usize) -> bool {
+        self.side.colors[i] == Color::Red
+    }
+
+    fn is_confused(&self, i: usize) -> bool {
+        self.side.confused[i]
+    }
+
+    fn group_members(&self, i: usize) -> &[u32] {
+        self.side.group_members(i)
+    }
+
+    fn captured_slots(&self, i: usize) -> u32 {
+        self.side.captured[i]
+    }
+
+    fn leaders(&self) -> &Population {
+        &self.graph.leaders
+    }
+
+    fn pool(&self) -> &Population {
+        &self.graph.pool
+    }
+
+    fn topology(&self) -> &dyn InputGraph {
+        self.graph.topology.as_ref()
+    }
+}
+
 /// A borrowed view of one epoch's operational graphs — what
 /// [`crate::dynamic::AdversaryView`] exposes to strategies and what
 /// [`crate::scenario::EpochDriver::graphs`] returns. Empty at genesis
 /// (nothing has served yet), otherwise a handle onto the system's
-/// [`ArenaGraphs`] (see [`ArenaGraphs::view`]).
+/// [`GroupGraph`] (see [`GroupGraph::view`]).
 ///
 /// `Copy`, so provider wrappers (`WithEpochString`, the PoW pipeline's
 /// re-wrapping) can forward it without lifetime gymnastics.
 #[derive(Clone, Copy)]
-pub struct GraphsView<'a>(pub(crate) Option<&'a ArenaGraphs>);
+pub struct GraphsView<'a>(pub(crate) Option<&'a GroupGraph>);
 
 impl<'a> GraphsView<'a> {
     /// The view of no graphs at all (genesis: nothing to observe).
@@ -259,7 +413,7 @@ impl<'a> GraphsView<'a> {
 
     /// Number of sides (2 dual, 1 single-graph ablation, 0 at genesis).
     pub fn sides(&self) -> usize {
-        self.0.map_or(0, ArenaGraphs::sides)
+        self.0.map_or(0, GroupGraph::sides)
     }
 
     /// Whether there are no graphs to observe.
@@ -293,21 +447,17 @@ mod tests {
         // Group i = {i, i+1, i+2} mod 20 — deterministic membership for
         // the test.
         let n = leaders.len();
-        let groups: Vec<Group> = (0..n)
-            .map(|i| {
-                Group::new(i as u32, vec![i as u32, ((i + 1) % n) as u32, ((i + 2) % n) as u32], 0)
-            })
-            .collect();
+        let members: Vec<Vec<u32>> =
+            (0..n).map(|i| vec![i as u32, ((i + 1) % n) as u32, ((i + 2) % n) as u32]).collect();
         let topology = GraphKind::Chord.build(leaders.ring().clone());
-        GroupGraph::new(leaders, pool, groups, vec![false; n], topology)
+        GroupGraph::new(leaders, pool, members, vec![false; n], topology)
     }
 
     #[test]
     fn colors_follow_majority() {
         let gg = tiny_graph();
         for i in 0..gg.len() {
-            let expect =
-                if gg.groups[i].has_good_majority(&gg.pool) { Color::Blue } else { Color::Red };
+            let expect = if gg.has_good_majority(i) { Color::Blue } else { Color::Red };
             assert_eq!(gg.color(i), expect);
         }
     }
@@ -316,7 +466,7 @@ mod tests {
     fn confusion_makes_red() {
         let mut gg = tiny_graph();
         let blue = gg.blue_indices()[0];
-        gg.confused[blue] = true;
+        gg.mark_confused(blue);
         gg.recolor();
         assert!(gg.is_red(blue));
     }

@@ -10,10 +10,12 @@
 //! * [`params`] — the tunable constants of the construction
 //!   (`β, δ, d1, d2`, group-size rule),
 //! * [`population`] — one generation of IDs with its good/bad marking,
-//! * [`group`] — a single group and its classification (good/bad; the
-//!   paper's §I-C invariant and the operational good-majority test),
+//! * [`group`] — a group's classification (good/bad; the paper's §I-C
+//!   invariant and the operational good-majority test),
 //! * [`graph`] — the **group graph** `G` over an input graph `H`
-//!   (§II-A): one group per ID, blue/red coloring (S1–S3),
+//!   (§II-A): one group per ID, blue/red coloring (S1–S3), its groups in
+//!   CSR columns — one set per side, shared by the static graphs and the
+//!   epoch system,
 //! * [`build`] — constructing groups by hashing
 //!   (`member i of G_w = suc(h(w,i))`, §III-A),
 //! * [`routing`] — secure search along group paths: group-level search
@@ -22,7 +24,7 @@
 //! * [`robustness`] — measuring ε-robustness (Theorem 3's two bullets),
 //! * [`abstract_model`] — the idealized S1–S3 model (each group red
 //!   i.i.d. with probability `pf`) of Lemmas 1–4; nothing outside its
-//!   own tests calls it yet (ROADMAP item 1(b) adopts it or it goes),
+//!   own tests calls it yet (ROADMAP item 9 adopts it or it goes),
 //! * [`dynamic`] — the dynamic case (§III): epochs, two old + two new
 //!   group graphs, dual-search membership and neighbor construction with
 //!   verification, churn, and the single-graph ablation,
@@ -62,12 +64,10 @@ pub mod routing;
 pub mod runtime;
 pub mod scenario;
 
-pub use arena::{ArenaGraphs, SideView};
 pub use bootstrap::{assemble_bootstrap, recommended_contacts, BootstrapGroup};
 pub use build::build_initial_graph;
 pub use dht::{GetOutcome, SecureDht};
-pub use graph::{Color, GraphsView, GroupGraph, GroupGraphView};
-pub use group::Group;
+pub use graph::{Color, GraphsView, GroupGraph, GroupGraphView, SideView};
 pub use params::{GroupSizeRule, Params};
 pub use population::Population;
 pub use robustness::{measure_robustness, RobustnessReport};

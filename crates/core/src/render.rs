@@ -7,14 +7,14 @@
 //! emits Graphviz DOT for both panels; `examples/figure1_groupgraph.rs`
 //! drives it.
 
-use crate::graph::{Color, GroupGraph};
+use crate::graph::GroupGraphView;
 use std::fmt::Write as _;
 use tg_idspace::Id;
 
 /// DOT for the input graph `H` (left panel of Figure 1), highlighting a
 /// search path.
-pub fn render_input_graph(gg: &GroupGraph, path: &[Id]) -> String {
-    let ring = gg.leaders.ring();
+pub fn render_input_graph<G: GroupGraphView>(gg: &G, path: &[Id]) -> String {
+    let ring = gg.leaders().ring();
     let mut out = String::new();
     out.push_str("digraph H {\n  rankdir=LR;\n  node [shape=circle, fontsize=10];\n");
     for i in 0..ring.len() {
@@ -27,17 +27,8 @@ pub fn render_input_graph(gg: &GroupGraph, path: &[Id]) -> String {
             if on_path { ", style=filled, fillcolor=lightblue" } else { "" }
         );
     }
-    // Topology edges (deduplicated, undirected rendering).
-    let mut seen = std::collections::HashSet::new();
-    for i in 0..ring.len() {
-        let w = ring.at(i);
-        for u in gg.topology.neighbors(w) {
-            let j = ring.index_of(u).expect("neighbor on ring");
-            let key = (i.min(j), i.max(j));
-            if seen.insert(key) {
-                let _ = writeln!(out, "  n{i} -> n{j} [dir=none, color=gray];");
-            }
-        }
+    for (i, j) in topology_edges(gg) {
+        let _ = writeln!(out, "  n{i} -> n{j} [dir=none, color=gray];");
     }
     // The search path on top.
     for pair in path.windows(2) {
@@ -52,13 +43,13 @@ pub fn render_input_graph(gg: &GroupGraph, path: &[Id]) -> String {
 /// DOT for the group graph `G` (right panel of Figure 1): one node per
 /// group, red groups marked "B" as in the paper, dashed edges for the
 /// all-to-all member links.
-pub fn render_group_graph(gg: &GroupGraph, path: &[Id]) -> String {
-    let ring = gg.leaders.ring();
+pub fn render_group_graph<G: GroupGraphView>(gg: &G, path: &[Id]) -> String {
+    let ring = gg.leaders().ring();
     let mut out = String::new();
     out.push_str("digraph G {\n  rankdir=LR;\n  node [shape=doublecircle, fontsize=10];\n");
     for i in 0..gg.len() {
         let id = ring.at(i);
-        let red = gg.color(i) == Color::Red;
+        let red = gg.is_red(i);
         let size = gg.group_size(i);
         let _ = writeln!(
             out,
@@ -75,18 +66,10 @@ pub fn render_group_graph(gg: &GroupGraph, path: &[Id]) -> String {
             }
         );
     }
-    let mut seen = std::collections::HashSet::new();
-    for i in 0..ring.len() {
-        let w = ring.at(i);
-        for u in gg.topology.neighbors(w) {
-            let j = ring.index_of(u).expect("neighbor on ring");
-            let key = (i.min(j), i.max(j));
-            if seen.insert(key) {
-                // Dashed arrows: all-to-all links between (at least) the
-                // good members of the two groups.
-                let _ = writeln!(out, "  g{i} -> g{j} [dir=none, style=dashed, color=gray];");
-            }
-        }
+    for (i, j) in topology_edges(gg) {
+        // Dashed arrows: all-to-all links between (at least) the good
+        // members of the two groups.
+        let _ = writeln!(out, "  g{i} -> g{j} [dir=none, style=dashed, color=gray];");
     }
     for pair in path.windows(2) {
         let i = ring.index_of(pair[0]).expect("path on ring");
@@ -98,10 +81,27 @@ pub fn render_group_graph(gg: &GroupGraph, path: &[Id]) -> String {
 }
 
 /// Both panels of Figure 1 for the search `(from, key)`.
-pub fn render_figure1(gg: &GroupGraph, from: usize, key: Id) -> (String, String) {
-    let from_id = gg.leaders.ring().at(from);
-    let route = gg.topology.route(from_id, key);
+pub fn render_figure1<G: GroupGraphView>(gg: &G, from: usize, key: Id) -> (String, String) {
+    let from_id = gg.leaders().ring().at(from);
+    let route = gg.topology().route(from_id, key);
     (render_input_graph(gg, &route.hops), render_group_graph(gg, &route.hops))
+}
+
+/// The topology's edges as ring-index pairs, each undirected edge once,
+/// in ring order.
+fn topology_edges<G: GroupGraphView>(gg: &G) -> Vec<(usize, usize)> {
+    let ring = gg.leaders().ring();
+    let mut seen = std::collections::HashSet::new();
+    let mut edges = Vec::new();
+    for i in 0..ring.len() {
+        for u in gg.topology().neighbors(ring.at(i)) {
+            let j = ring.index_of(u).expect("neighbor on ring");
+            if seen.insert((i.min(j), i.max(j))) {
+                edges.push((i, j));
+            }
+        }
+    }
+    edges
 }
 
 fn short(id: Id) -> String {
@@ -112,6 +112,7 @@ fn short(id: Id) -> String {
 mod tests {
     use super::*;
     use crate::build::build_initial_graph;
+    use crate::graph::GroupGraph;
     use crate::params::Params;
     use crate::population::Population;
     use rand::rngs::StdRng;
@@ -146,7 +147,7 @@ mod tests {
     #[test]
     fn red_groups_marked_b() {
         let mut gg = tiny();
-        gg.confused[3] = true;
+        gg.mark_confused(3);
         gg.recolor();
         let (_, g) = render_figure1(&gg, 0, Id::from_f64(0.9));
         assert!(g.contains(" B"), "red group must carry the paper's B marker");

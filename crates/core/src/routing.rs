@@ -15,9 +15,7 @@
 //!   group-level semantics matches what the messages actually do, and to
 //!   account messages exactly (E3).
 
-use crate::graph::{GroupGraph, GroupGraphView};
-use rand::rngs::StdRng;
-use rand::Rng;
+use crate::graph::GroupGraphView;
 use tg_ba::{majority_filter, AdversaryMode};
 use tg_idspace::Id;
 use tg_sim::Metrics;
@@ -67,9 +65,8 @@ impl SearchOutcome {
 /// Group-level search from the group of `from_leader` (a leader ring
 /// index) for `key`. Updates `metrics`.
 ///
-/// Generic over the graph's storage layout ([`GroupGraphView`]): static
-/// per-group graphs and the epoch system's CSR sides share this one
-/// routine, so their search semantics cannot drift apart.
+/// Runs on any [`GroupGraphView`] — a static graph or one side of an
+/// epoch's graphs.
 pub fn search_path<G: GroupGraphView>(
     gg: &G,
     from_leader: usize,
@@ -138,8 +135,8 @@ pub struct VerifiedOutcome {
 ///
 /// Byzantine members send per `mode`; the route itself follows `H` (the
 /// adversary cannot rewire edges incident to blue groups, S3).
-pub fn secure_route_verified(
-    gg: &GroupGraph,
+pub fn secure_route_verified<G: GroupGraphView>(
+    gg: &G,
     from_leader: usize,
     key: Id,
     payload: u64,
@@ -149,24 +146,23 @@ pub fn secure_route_verified(
     let mut shadow = Metrics::new();
     let group_level = search_path(gg, from_leader, key, &mut shadow);
 
-    let from_id = gg.leaders.ring().at(from_leader);
-    let route = gg.topology.route(from_id, key);
-    let ring = gg.leaders.ring();
+    let ring = gg.leaders().ring();
+    let route = gg.topology().route(ring.at(from_leader), key);
     let mut msgs = 0u64;
 
-    // The values held by the *live members* of the current group:
-    // good members start with the payload in the initiating group.
+    // `(is_bad, value)` per live member of the current group: good
+    // members start with the payload in the initiating group.
     let first = ring.index_of(route.hops[0]).expect("initiator on ring");
-    let mut holder_values: Vec<(bool, Option<u64>)> = member_values_init(gg, first, payload);
+    let mut holders: Vec<(bool, Option<u64>)> =
+        live_badness(gg, first).into_iter().map(|bad| (bad, (!bad).then_some(payload))).collect();
 
     for (pos, pair) in route.hops.windows(2).enumerate() {
         let to = ring.index_of(pair[1]).expect("route hops are leader IDs");
-        let senders = holder_values.clone();
-        let receivers = live_members(gg, to);
-        let mut next_values: Vec<(bool, Option<u64>)> = Vec::with_capacity(receivers.len());
-        for (ri, &(r_bad, _)) in receivers.iter().enumerate() {
+        let receivers = live_badness(gg, to);
+        let mut next: Vec<(bool, Option<u64>)> = Vec::with_capacity(receivers.len());
+        for (ri, &r_bad) in receivers.iter().enumerate() {
             // Every sender transmits one claim to this receiver.
-            let claims: Vec<Option<u64>> = senders
+            let claims: Vec<Option<u64>> = holders
                 .iter()
                 .enumerate()
                 .map(
@@ -181,20 +177,19 @@ pub fn secure_route_verified(
                 .collect();
             msgs += claims.len() as u64;
             if r_bad {
-                next_values.push((true, None)); // bad receivers hold whatever they like
+                next.push((true, None)); // bad receivers hold whatever they like
             } else {
                 let (winner, _) = majority_filter(&claims);
-                next_values.push((false, winner));
+                next.push((false, winner));
             }
         }
-        holder_values =
-            next_values.iter().zip(receivers.iter()).map(|(&(b, v), _)| (b, v)).collect();
+        holders = next;
     }
 
     // What does the resolver group deliver? Majority over its good
     // members' held values.
     let good_values: Vec<Option<u64>> =
-        holder_values.iter().filter(|&&(b, _)| !b).map(|&(_, v)| v).collect();
+        holders.iter().filter(|&&(b, _)| !b).map(|&(_, v)| v).collect();
     let (delivered, _) = majority_filter(&good_values);
     let correct = delivered == Some(payload);
 
@@ -205,49 +200,24 @@ pub fn secure_route_verified(
     VerifiedOutcome { delivered, correct, msgs, abstraction_sound }
 }
 
-/// The live members of group `gi` as `(is_bad, _)` placeholders.
-fn live_members(gg: &GroupGraph, gi: usize) -> Vec<(bool, ())> {
-    let g = &gg.groups[gi];
-    let mut out: Vec<(bool, ())> = g
-        .members
-        .iter()
-        .filter(|&&m| gg.pool.is_live(m as usize))
-        .map(|&m| (gg.pool.is_bad(m as usize), ()))
-        .collect();
-    for _ in 0..g.captured_slots {
-        out.push((true, ()));
-    }
-    out
-}
-
-/// Initial holder values for the initiating group.
-fn member_values_init(gg: &GroupGraph, gi: usize, payload: u64) -> Vec<(bool, Option<u64>)> {
-    live_members(gg, gi)
-        .into_iter()
-        .map(|(bad, _)| if bad { (true, None) } else { (false, Some(payload)) })
-        .collect()
-}
-
-/// Initiate a search from a random *blue* group for a random key;
-/// convenience for robustness sampling. Returns `None` if the graph has
-/// no blue group (fully compromised).
-pub fn random_search(
-    gg: &GroupGraph,
-    rng: &mut StdRng,
-    metrics: &mut Metrics,
-) -> Option<SearchOutcome> {
-    let from = rng.gen_range(0..gg.len());
-    let key = Id(rng.gen());
-    Some(search_path(gg, from, key, metrics))
+/// Whether each live member of group `gi` is bad: its live pool members
+/// in column order, then one bad entry per captured slot.
+fn live_badness<G: GroupGraphView>(gg: &G, gi: usize) -> Vec<bool> {
+    let pool = gg.pool();
+    let captured = std::iter::repeat_n(true, gg.captured_slots(gi) as usize);
+    gg.live_members(gi).map(|m| pool.is_bad(m)).chain(captured).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::build_initial_graph;
+    use crate::dynamic::{BuildMode, DynamicSystem, GapFilling, StrategicProvider};
+    use crate::graph::GroupGraph;
     use crate::params::Params;
     use crate::population::Population;
-    use rand::SeedableRng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use tg_crypto::OracleFamily;
     use tg_overlay::GraphKind;
 
@@ -264,8 +234,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut m = Metrics::new();
         for _ in 0..100 {
-            let out = random_search(&gg, &mut rng, &mut m).unwrap();
-            assert!(out.is_success());
+            let from = rng.gen_range(0..gg.len());
+            let key = Id(rng.gen());
+            assert!(search_path(&gg, from, key, &mut m).is_success());
         }
         assert_eq!(m.failure_rate(), 0.0);
     }
@@ -275,8 +246,9 @@ mod tests {
         let gg = graph(512, 0, 3);
         let mut rng = StdRng::seed_from_u64(4);
         let mut m = Metrics::new();
-        let out = random_search(&gg, &mut rng, &mut m).unwrap();
-        let (hops, msgs) = match out {
+        let from = rng.gen_range(0..gg.len());
+        let key = Id(rng.gen());
+        let (hops, msgs) = match search_path(&gg, from, key, &mut m) {
             SearchOutcome::Success { hops, msgs } => (hops, msgs),
             _ => panic!("must succeed with no adversary"),
         };
@@ -291,7 +263,7 @@ mod tests {
     #[test]
     fn red_initiator_fails_immediately() {
         let mut gg = graph(256, 0, 5);
-        gg.confused[7] = true;
+        gg.mark_confused(7);
         gg.recolor();
         let mut m = Metrics::new();
         let out = search_path(&gg, 7, Id::from_f64(0.5), &mut m);
@@ -312,7 +284,7 @@ mod tests {
         // fails at its second hop.
         for i in 0..gg.len() {
             if i != 3 {
-                gg.confused[i] = true;
+                gg.mark_confused(i);
             }
         }
         gg.recolor();
@@ -330,7 +302,7 @@ mod tests {
         // Side A red-initiator, side B clean: dual must succeed.
         let mut a = graph(256, 0, 7);
         for i in 0..a.len() {
-            a.confused[i] = true;
+            a.mark_confused(i);
         }
         a.recolor();
         let b = graph(256, 0, 7);
@@ -366,16 +338,15 @@ mod tests {
         assert!(successes > 50, "β≈0.047: most routes deliver, got {successes}/60");
     }
 
-    #[test]
-    fn verified_routing_with_colluding_adversary_is_still_sound() {
-        let gg = graph(512, 50, 10);
-        let mut rng = StdRng::seed_from_u64(11);
+    /// 40 verified routes over `gg` with a colluding adversary: group-level
+    /// success must imply message-level delivery on every one.
+    fn assert_sound_under_collusion<G: GroupGraphView>(gg: &G, rng: &mut StdRng) {
         let mut m = Metrics::new();
         for _ in 0..40 {
             let from = rng.gen_range(0..gg.len());
             let key = Id(rng.gen());
             let out = secure_route_verified(
-                &gg,
+                gg,
                 from,
                 key,
                 42,
@@ -384,5 +355,33 @@ mod tests {
             );
             assert!(out.abstraction_sound);
         }
+    }
+
+    #[test]
+    fn verified_routing_with_colluding_adversary_is_still_sound() {
+        assert_sound_under_collusion(&graph(512, 50, 10), &mut StdRng::seed_from_u64(11));
+
+        // The graphs the epoch system builds: a side two epochs into a
+        // gap-filling attack, after the next epoch's churn — departed
+        // members and captured slots on the routes.
+        let mut params = Params::paper_defaults();
+        params.churn_rate = 0.2;
+        params.attack_requests_per_id = 1;
+        let mut provider = StrategicProvider::new(475, 25, GapFilling);
+        let mut sys =
+            DynamicSystem::new(params, GraphKind::D2B, BuildMode::DualGraph, &mut provider, 12);
+        sys.set_searches_per_epoch(20);
+        sys.run(&mut provider, 2);
+        let mut rng = StdRng::seed_from_u64(13);
+        let g = sys.graphs_mut();
+        g.pool.depart_good_fraction(params.churn_rate, &mut rng);
+        g.recolor();
+        let side = sys.graphs().side(0);
+        let captured: u32 = (0..side.len()).map(|i| side.captured_slots(i)).sum();
+        let departed = (0..side.len())
+            .map(|i| side.group_members(i).len() - side.live_members(i).count())
+            .sum::<usize>();
+        assert!(captured > 0 && departed > 0, "captured {captured}, departed {departed}");
+        assert_sound_under_collusion(&side, &mut rng);
     }
 }

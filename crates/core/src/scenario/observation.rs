@@ -44,7 +44,7 @@ pub struct EpochObservation {
     /// a faulty network the two drivers disagree on the denominator:
     /// `FullDriver` measures the ring the network *delivered*,
     /// [`DynamicDriver`](super::DynamicDriver) the ring as *announced* (before good
-    /// announcements are dropped) — see the ROADMAP open item.
+    /// announcements are dropped) — see ROADMAP item 5.
     pub bad_share: f64,
     /// Groups without a good majority, summed over all sides, measured
     /// on the freshly built graphs.

@@ -5,33 +5,72 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tg_core::dynamic::{BuildMode, DynamicSystem, UniformProvider};
+use tg_core::dynamic::{BuildMode, DynamicSystem, GapFilling, StrategicProvider, UniformProvider};
 use tg_core::runtime::ProtocolMsg;
-use tg_core::{build_initial_graph, search_path, Color, GroupGraphView, Params, Population};
+use tg_core::{build_initial_graph, search_path, GroupGraphView, Params, Population};
 use tg_crypto::OracleFamily;
 use tg_idspace::Id;
 use tg_overlay::GraphKind;
 use tg_sim::net::Wire;
 use tg_sim::Metrics;
 
+/// Every group's color against a recount of its members from the
+/// columns: blue iff strictly more live good than live bad members
+/// (captured slots count as live bad ones) and not confused. Returns the
+/// departed members and captured slots the recount met.
+fn recount_colors<G: GroupGraphView>(g: &G) -> Result<(usize, usize), TestCaseError> {
+    let pool = g.pool();
+    let (mut departed, mut captured) = (0, 0);
+    for i in 0..g.len() {
+        let members = g.group_members(i);
+        let live: Vec<usize> =
+            members.iter().map(|&m| m as usize).filter(|&m| pool.is_live(m)).collect();
+        let slots = g.captured_slots(i) as usize;
+        let size = live.len() + slots;
+        let bad = live.iter().filter(|&&m| pool.is_bad(m)).count() + slots;
+        let blue = size > bad * 2 && !g.is_confused(i);
+        prop_assert_eq!(g.is_red(i), !blue, "group {} ({} live, {} bad)", i, size, bad);
+        departed += members.len() - live.len();
+        captured += slots;
+    }
+    Ok((departed, captured))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Color classification is consistent: a red group either lacks a
     /// good majority or is confused; a blue group has both properties.
+    /// Two inputs: a static genesis graph, and both sides of an epoch
+    /// system two epochs into a gap-filling attack with churn 0.2 and the
+    /// Lemma 10 attack on, after the next epoch's churn — so departed
+    /// members and captured slots are both in the recount.
     #[test]
     fn colors_match_definitions(seed in any::<u64>(), n_bad in 0usize..60) {
         let mut rng = StdRng::seed_from_u64(seed);
         let pop = Population::uniform(240, n_bad, &mut rng);
         let params = Params::paper_defaults();
         let gg = build_initial_graph(pop, GraphKind::Chord, OracleFamily::new(seed).h1, &params);
-        for i in 0..gg.len() {
-            let majority = gg.groups[i].has_good_majority(&gg.pool);
-            match gg.color(i) {
-                Color::Blue => prop_assert!(majority && !gg.confused[i]),
-                Color::Red => prop_assert!(!majority || gg.confused[i]),
-            }
+        recount_colors(&gg)?;
+
+        let mut params = Params::paper_defaults();
+        params.churn_rate = 0.2;
+        params.attack_requests_per_id = 1;
+        let mut provider = StrategicProvider::new(475, 25, GapFilling);
+        let mut sys =
+            DynamicSystem::new(params, GraphKind::D2B, BuildMode::DualGraph, &mut provider, seed);
+        sys.set_searches_per_epoch(20);
+        sys.run(&mut provider, 2);
+        let g = sys.graphs_mut();
+        g.pool.depart_good_fraction(params.churn_rate, &mut rng);
+        g.recolor();
+        let (mut departed, mut captured) = (0, 0);
+        for side in sys.graphs().iter() {
+            let (d, c) = recount_colors(&side)?;
+            departed += d;
+            captured += c;
         }
+        prop_assert!(departed > 0 && captured > 0, "departed {}, captured {}", departed, captured);
     }
 
     /// Search-path semantics: a successful search's route contains no red

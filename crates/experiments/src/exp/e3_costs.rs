@@ -21,7 +21,9 @@ use crate::args::Options;
 use crate::table::{f, Table};
 use tg_ba::{phase_king, AdversaryMode};
 use tg_baselines::measure_single_id_routing;
-use tg_core::{build_initial_graph, measure_robustness, GroupGraph, Params, Population};
+use tg_core::{
+    build_initial_graph, measure_robustness, GroupGraph, GroupGraphView, Params, Population,
+};
 use tg_crypto::OracleFamily;
 use tg_overlay::GraphKind;
 use tg_sim::stream_rng;
@@ -31,9 +33,9 @@ use tg_sim::stream_rng;
 fn mean_state_per_id(gg: &GroupGraph) -> f64 {
     let pool_len = gg.pool.len();
     let mut membership_state = vec![0usize; pool_len];
-    for (gi, group) in gg.groups.iter().enumerate() {
+    for gi in 0..gg.len() {
         let size = gg.group_size(gi);
-        for &m in &group.members {
+        for &m in gg.group_members(gi) {
             membership_state[m as usize] += size.saturating_sub(1);
         }
     }

@@ -1,13 +1,15 @@
 //! Regenerate Figure 1: the input graph and group graph panels.
 //!
 //! ```text
-//! cargo run --release --example figure1_groupgraph > /tmp/fig1.txt
-//! dot -Tpng results/figure1_h.dot -o figure1_h.png   # if graphviz is installed
+//! cargo run --release --example figure1_groupgraph
 //! ```
 //!
 //! Prints both DOT panels (input graph `H` with a highlighted search,
 //! group graph `G` with red groups marked "B" and dashed all-to-all
-//! links) and a small textual legend, mirroring the paper's Figure 1.
+//! links) to stdout and a one-line summary to stderr, mirroring the
+//! paper's Figure 1. It writes no file: `run_all --only figure1` is what
+//! writes `figure1_h.dot` and `figure1_g.dot` (render with
+//! `dot -Tpng results/figure1_h.dot -o figure1_h.png`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

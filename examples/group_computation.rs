@@ -14,13 +14,12 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tiny_groups::ba::{commit_reveal_coin, eig_agreement, phase_king, AdversaryMode};
-use tiny_groups::core::{build_initial_graph, Params, Population};
+use tiny_groups::core::{build_initial_graph, GroupGraphView, Params, Population};
 use tiny_groups::crypto::OracleFamily;
 use tiny_groups::overlay::GraphKind;
 
 fn group_masks(gg: &tiny_groups::core::GroupGraph, gi: usize) -> (Vec<u64>, Vec<bool>) {
-    let g = &gg.groups[gi];
-    let bad: Vec<bool> = g.members.iter().map(|&m| gg.pool.is_bad(m as usize)).collect();
+    let bad: Vec<bool> = gg.group_members(gi).iter().map(|&m| gg.pool.is_bad(m as usize)).collect();
     // Task: agree on a checkpoint value; good members propose 7.
     let inputs: Vec<u64> = bad.iter().map(|&b| if b { 999 } else { 7 }).collect();
     (inputs, bad)
@@ -44,9 +43,7 @@ fn main() {
     for (label, gg) in [("tiny Θ(log log n)", &tiny), ("classic Θ(log n)", &classic)] {
         // Pick a group with at least one Byzantine member.
         let gi = (0..gg.len())
-            .find(|&i| {
-                gg.groups[i].bad_count(&gg.pool) >= 1 && gg.groups[i].has_good_majority(&gg.pool)
-            })
+            .find(|&i| gg.group_bad_count(i) >= 1 && gg.has_good_majority(i))
             .expect("some infiltrated-but-good group exists");
         let (inputs, bad) = group_masks(gg, gi);
         let m = inputs.len();

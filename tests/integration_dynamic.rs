@@ -69,12 +69,8 @@ fn gap_filling_placement_beats_uniform_placement() {
         let pop = Population::new(ids.good, ids.bad);
         let gg =
             build_initial_graph(pop, GraphKind::Chord, OracleFamily::new(23).h1, &stable_params());
-        let mut bad = 0usize;
-        let mut total = 0usize;
-        for g in &gg.groups {
-            bad += g.bad_count(&gg.pool);
-            total += g.size(&gg.pool);
-        }
+        let bad: usize = (0..gg.len()).map(|i| gg.group_bad_count(i)).sum();
+        let total: usize = (0..gg.len()).map(|i| gg.group_size(i)).sum();
         bad as f64 / total as f64
     };
     let uniform = bad_member_fraction(false);

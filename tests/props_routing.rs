@@ -36,7 +36,7 @@ fn arbitrary_graph(
     let mut gg = build_initial_graph(pop, kind, oracle, &Params::paper_defaults());
     for i in 0..gg.len() {
         if rng.gen::<f64>() < confusion_rate {
-            gg.confused[i] = true;
+            gg.mark_confused(i);
         }
     }
     gg.recolor();
