@@ -45,9 +45,7 @@ impl AbstractGroupGraph {
     /// Whether a search from `from` (ring index) for `key` fails — i.e.
     /// its search path meets a red group.
     pub fn search_fails(&self, from: usize, key: Id) -> bool {
-        let ring = self.topology.ring();
-        let route = self.topology.route(ring.at(from), key);
-        route.hops.iter().any(|&h| self.red[ring.index_of(h).expect("route hops on ring")])
+        self.topology.route(from, key).hops.iter().any(|&h| self.red[h])
     }
 
     /// Estimate `X`: the probability that a search from a random group

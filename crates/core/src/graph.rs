@@ -30,6 +30,7 @@
 //!   captured [ 0, 1, 0, ... ]   (u32 per group)
 //!   confused [ f, f, t, ... ]   (bool per group)
 //!   colors   [ B, B, R, ... ]   (recomputed by `GroupGraph::recolor`)
+//!   sizes    [ 3, 5, 2, ... ]   (live sizes, written alongside the colors)
 //! ```
 //!
 //! Group `i`'s members are `members[offsets[i]..offsets[i+1]]`. Everything
@@ -64,6 +65,8 @@ pub(crate) struct GroupColumns {
     confused: Vec<bool>,
     /// Blue/red classification, recomputed by [`GroupGraph::recolor`].
     colors: Vec<Color>,
+    /// Live group sizes as of the same [`GroupGraph::recolor`].
+    sizes: Vec<u32>,
 }
 
 impl GroupColumns {
@@ -78,6 +81,7 @@ impl GroupColumns {
             captured: Vec::with_capacity(groups),
             confused: Vec::with_capacity(groups),
             colors: Vec::new(),
+            sizes: Vec::new(),
         }
     }
 
@@ -174,21 +178,25 @@ impl GroupGraph {
     }
 
     /// Recompute every side's colors (after churn or link updates):
-    /// blue iff a live good majority and not confused.
+    /// blue iff a live good majority and not confused. The live size each
+    /// color is judged on is stored beside it.
+    ///
+    /// **Contract.** Searches read colors and sizes as of the last
+    /// `recolor` ([`GroupGraphView::recolored_size`]): churn staged on the
+    /// pool shows in a search only once it is followed by a `recolor`.
     pub fn recolor(&mut self) {
         for s in 0..self.sides.len() {
             let g = self.side(s);
-            let colors = (0..g.len())
+            let (colors, sizes) = (0..g.len())
                 .map(|i| {
-                    let blue = g.has_good_majority(i) && !g.is_confused(i);
-                    if blue {
-                        Color::Blue
-                    } else {
-                        Color::Red
-                    }
+                    let size = g.group_size(i);
+                    let blue =
+                        group::has_good_majority(size, g.group_bad_count(i)) && !g.is_confused(i);
+                    (if blue { Color::Blue } else { Color::Red }, size as u32)
                 })
-                .collect();
+                .unzip();
             self.sides[s].colors = colors;
+            self.sides[s].sizes = sizes;
         }
     }
 
@@ -245,6 +253,11 @@ pub trait GroupGraphView {
     fn pool(&self) -> &Population;
     /// The input-graph topology `H` over the leader ring.
     fn topology(&self) -> &dyn InputGraph;
+    /// Live size of group `i` as of the last [`GroupGraph::recolor`] — the
+    /// size [`crate::routing::search_path`] charges. Like the colors, it
+    /// is a snapshot: pool churn since that recolor shows only in
+    /// [`GroupGraphView::group_size`], which rescans the live members.
+    fn recolored_size(&self, i: usize) -> usize;
 
     /// Whether the graph has no groups.
     fn is_empty(&self) -> bool {
@@ -350,6 +363,10 @@ impl GroupGraphView for GroupGraph {
     fn topology(&self) -> &dyn InputGraph {
         self.topology.as_ref()
     }
+
+    fn recolored_size(&self, i: usize) -> usize {
+        self.only().sizes[i] as usize
+    }
 }
 
 /// A `Copy` handle onto one side of a [`GroupGraph`], implementing
@@ -391,6 +408,10 @@ impl GroupGraphView for SideView<'_> {
 
     fn topology(&self) -> &dyn InputGraph {
         self.graph.topology.as_ref()
+    }
+
+    fn recolored_size(&self, i: usize) -> usize {
+        self.side.sizes[i] as usize
     }
 }
 

@@ -12,18 +12,18 @@ use std::fmt::Write as _;
 use tg_idspace::Id;
 
 /// DOT for the input graph `H` (left panel of Figure 1), highlighting a
-/// search path.
-pub fn render_input_graph<G: GroupGraphView>(gg: &G, path: &[Id]) -> String {
+/// search path given as leader-ring indices (a [`tg_overlay::Route`]'s
+/// hops).
+pub fn render_input_graph<G: GroupGraphView>(gg: &G, path: &[usize]) -> String {
     let ring = gg.leaders().ring();
     let mut out = String::new();
     out.push_str("digraph H {\n  rankdir=LR;\n  node [shape=circle, fontsize=10];\n");
     for i in 0..ring.len() {
-        let id = ring.at(i);
-        let on_path = path.contains(&id);
+        let on_path = path.contains(&i);
         let _ = writeln!(
             out,
             "  n{i} [label=\"{}\"{}];",
-            short(id),
+            short(ring.at(i)),
             if on_path { ", style=filled, fillcolor=lightblue" } else { "" }
         );
     }
@@ -32,9 +32,7 @@ pub fn render_input_graph<G: GroupGraphView>(gg: &G, path: &[Id]) -> String {
     }
     // The search path on top.
     for pair in path.windows(2) {
-        let i = ring.index_of(pair[0]).expect("path on ring");
-        let j = ring.index_of(pair[1]).expect("path on ring");
-        let _ = writeln!(out, "  n{i} -> n{j} [color=blue, penwidth=2];");
+        let _ = writeln!(out, "  n{} -> n{} [color=blue, penwidth=2];", pair[0], pair[1]);
     }
     out.push_str("}\n");
     out
@@ -42,8 +40,9 @@ pub fn render_input_graph<G: GroupGraphView>(gg: &G, path: &[Id]) -> String {
 
 /// DOT for the group graph `G` (right panel of Figure 1): one node per
 /// group, red groups marked "B" as in the paper, dashed edges for the
-/// all-to-all member links.
-pub fn render_group_graph<G: GroupGraphView>(gg: &G, path: &[Id]) -> String {
+/// all-to-all member links. `path` is a search path of leader-ring
+/// indices.
+pub fn render_group_graph<G: GroupGraphView>(gg: &G, path: &[usize]) -> String {
     let ring = gg.leaders().ring();
     let mut out = String::new();
     out.push_str("digraph G {\n  rankdir=LR;\n  node [shape=doublecircle, fontsize=10];\n");
@@ -59,7 +58,7 @@ pub fn render_group_graph<G: GroupGraphView>(gg: &G, path: &[Id]) -> String {
             size,
             if red {
                 ", style=filled, fillcolor=salmon"
-            } else if path.contains(&id) {
+            } else if path.contains(&i) {
                 ", style=filled, fillcolor=lightblue"
             } else {
                 ""
@@ -72,9 +71,7 @@ pub fn render_group_graph<G: GroupGraphView>(gg: &G, path: &[Id]) -> String {
         let _ = writeln!(out, "  g{i} -> g{j} [dir=none, style=dashed, color=gray];");
     }
     for pair in path.windows(2) {
-        let i = ring.index_of(pair[0]).expect("path on ring");
-        let j = ring.index_of(pair[1]).expect("path on ring");
-        let _ = writeln!(out, "  g{i} -> g{j} [color=blue, penwidth=2];");
+        let _ = writeln!(out, "  g{} -> g{} [color=blue, penwidth=2];", pair[0], pair[1]);
     }
     out.push_str("}\n");
     out
@@ -82,8 +79,7 @@ pub fn render_group_graph<G: GroupGraphView>(gg: &G, path: &[Id]) -> String {
 
 /// Both panels of Figure 1 for the search `(from, key)`.
 pub fn render_figure1<G: GroupGraphView>(gg: &G, from: usize, key: Id) -> (String, String) {
-    let from_id = gg.leaders().ring().at(from);
-    let route = gg.topology().route(from_id, key);
+    let route = gg.topology().route(from, key);
     (render_input_graph(gg, &route.hops), render_group_graph(gg, &route.hops))
 }
 

@@ -71,13 +71,9 @@ pub(crate) fn measure_robustness_scheduled<G: GroupGraphView + Sync>(
     let per_search = scheduled_map(fan_out, draw_sample(gg, searches, rng), 64, |(from, key)| {
         let mut m = Metrics::new();
         // Track the truncated search path for responsibility accounting.
-        let from_id = gg.leaders().ring().at(from);
-        let route = gg.topology().route(from_id, key);
+        let route = gg.topology().route(from, key);
         let out = search_path(gg, from, key, &mut m);
-        let mut idx: Vec<usize> = route.hops[..out.hops()]
-            .iter()
-            .map(|&h| gg.leaders().ring().index_of(h).expect("leader hop"))
-            .collect();
+        let mut idx = route.hops[..out.hops()].to_vec();
         idx.sort_unstable();
         idx.dedup();
         (m, out, idx)

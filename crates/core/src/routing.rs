@@ -66,7 +66,10 @@ impl SearchOutcome {
 /// index) for `key`. Updates `metrics`.
 ///
 /// Runs on any [`GroupGraphView`] — a static graph or one side of an
-/// epoch's graphs.
+/// epoch's graphs. The route's hops are leader-ring indices, so they index
+/// the group columns directly. A search sees colors and sizes as of the
+/// last [`crate::GroupGraph::recolor`]: each edge is charged
+/// `|G_i| · |G_{i+1}|` from [`GroupGraphView::recolored_size`].
 pub fn search_path<G: GroupGraphView>(
     gg: &G,
     from_leader: usize,
@@ -74,13 +77,11 @@ pub fn search_path<G: GroupGraphView>(
     metrics: &mut Metrics,
 ) -> SearchOutcome {
     metrics.searches += 1;
-    let from_id = gg.leaders().ring().at(from_leader);
-    let route = gg.topology().route(from_id, key);
+    let route = gg.topology().route(from_leader, key);
     let mut msgs = 0u64;
     let mut prev_size = 0usize;
-    for (pos, &hop) in route.hops.iter().enumerate() {
-        let gi = gg.leaders().ring().index_of(hop).expect("route hops are leader-ring IDs");
-        let size = gg.group_size(gi);
+    for (pos, &gi) in route.hops.iter().enumerate() {
+        let size = gg.recolored_size(gi);
         if pos > 0 {
             msgs += (prev_size * size) as u64;
         }
@@ -146,19 +147,18 @@ pub fn secure_route_verified<G: GroupGraphView>(
     let mut shadow = Metrics::new();
     let group_level = search_path(gg, from_leader, key, &mut shadow);
 
-    let ring = gg.leaders().ring();
-    let route = gg.topology().route(ring.at(from_leader), key);
+    let route = gg.topology().route(from_leader, key);
     let mut msgs = 0u64;
 
     // `(is_bad, value)` per live member of the current group: good
     // members start with the payload in the initiating group.
-    let first = ring.index_of(route.hops[0]).expect("initiator on ring");
-    let mut holders: Vec<(bool, Option<u64>)> =
-        live_badness(gg, first).into_iter().map(|bad| (bad, (!bad).then_some(payload))).collect();
+    let mut holders: Vec<(bool, Option<u64>)> = live_badness(gg, route.hops[0])
+        .into_iter()
+        .map(|bad| (bad, (!bad).then_some(payload)))
+        .collect();
 
     for (pos, pair) in route.hops.windows(2).enumerate() {
-        let to = ring.index_of(pair[1]).expect("route hops are leader IDs");
-        let receivers = live_badness(gg, to);
+        let receivers = live_badness(gg, pair[1]);
         let mut next: Vec<(bool, Option<u64>)> = Vec::with_capacity(receivers.len());
         for (ri, &r_bad) in receivers.iter().enumerate() {
             // Every sender transmits one claim to this receiver.

@@ -16,8 +16,9 @@ use tg_sim::Metrics;
 
 /// Every group's color against a recount of its members from the
 /// columns: blue iff strictly more live good than live bad members
-/// (captured slots count as live bad ones) and not confused. Returns the
-/// departed members and captured slots the recount met.
+/// (captured slots count as live bad ones) and not confused — and the
+/// size column `search_path` charges equals the recounted live size.
+/// Returns the departed members and captured slots the recount met.
 fn recount_colors<G: GroupGraphView>(g: &G) -> Result<(usize, usize), TestCaseError> {
     let pool = g.pool();
     let (mut departed, mut captured) = (0, 0);
@@ -30,6 +31,7 @@ fn recount_colors<G: GroupGraphView>(g: &G) -> Result<(usize, usize), TestCaseEr
         let bad = live.iter().filter(|&&m| pool.is_bad(m)).count() + slots;
         let blue = size > bad * 2 && !g.is_confused(i);
         prop_assert_eq!(g.is_red(i), !blue, "group {} ({} live, {} bad)", i, size, bad);
+        prop_assert_eq!(g.recolored_size(i), size, "group {} size column", i);
         departed += members.len() - live.len();
         captured += slots;
     }
@@ -85,21 +87,20 @@ proptest! {
         for _ in 0..12 {
             let from = rng.gen_range(0..gg.len());
             let key = Id(rng.gen());
-            let route = gg.topology.route(gg.leaders.ring().at(from), key);
+            let route = gg.topology.route(from, key);
             let out = search_path(&gg, from, key, &mut m);
-            let idx_of = |id: Id| gg.leaders.ring().index_of(id).expect("leader");
             match out {
                 tg_core::SearchOutcome::Success { hops, .. } => {
                     prop_assert_eq!(hops, route.hops.len());
                     for &h in &route.hops {
-                        prop_assert!(!gg.is_red(idx_of(h)));
+                        prop_assert!(!gg.is_red(h));
                     }
                 }
                 tg_core::SearchOutcome::Fail { failed_at, hops, .. } => {
                     prop_assert_eq!(hops, failed_at + 1);
-                    prop_assert!(gg.is_red(idx_of(route.hops[failed_at])));
+                    prop_assert!(gg.is_red(route.hops[failed_at]));
                     for &h in &route.hops[..failed_at] {
-                        prop_assert!(!gg.is_red(idx_of(h)));
+                        prop_assert!(!gg.is_red(h));
                     }
                 }
             }
@@ -116,15 +117,13 @@ proptest! {
         let gg = build_initial_graph(pop, GraphKind::Chord, OracleFamily::new(seed).h1, &params);
         let from = rng.gen_range(0..gg.len());
         let key = Id(rng.gen());
-        let route = gg.topology.route(gg.leaders.ring().at(from), key);
+        let route = gg.topology.route(from, key);
         let mut m = Metrics::new();
         let out = search_path(&gg, from, key, &mut m);
         let traversed = out.hops();
         let mut expect = 0u64;
         for pair in route.hops[..traversed].windows(2) {
-            let a = gg.leaders.ring().index_of(pair[0]).unwrap();
-            let b = gg.leaders.ring().index_of(pair[1]).unwrap();
-            expect += (gg.group_size(a) * gg.group_size(b)) as u64;
+            expect += (gg.group_size(pair[0]) * gg.group_size(pair[1])) as u64;
         }
         prop_assert_eq!(out.msgs(), expect);
         prop_assert_eq!(m.routing_msgs, expect);

@@ -15,8 +15,9 @@
 //!
 //! * [`Id`] — a point on the ring with exact wrapping arithmetic,
 //! * [`RingInterval`] — half-open clockwise arcs `[a, b)`,
-//! * [`SortedRing`] — an immutable snapshot supporting `O(log n)`
-//!   successor/predecessor queries (the `suc(x)` primitive of the paper),
+//! * [`SortedRing`] — an immutable snapshot answering successor/predecessor
+//!   queries (the `suc(x)` primitive of the paper) in `O(1)` expected time
+//!   on u.a.r. IDs through a top-bits directory, `O(log n)` worst case,
 //! * [`estimate`] — the folklore `ln n` / `ln ln n` estimators from
 //!   successor gaps used by the paper to size groups (§III-A, and
 //!   Chapter 4 of Young's thesis which the paper cites).

@@ -7,17 +7,44 @@
 
 use crate::id::{Id, RingDistance};
 use crate::interval::RingInterval;
+use std::sync::Arc;
 
 /// An immutable, sorted snapshot of the ID population.
 ///
-/// Supports `O(log n)` successor/predecessor queries by binary search and
-/// `O(log n + k)` interval reporting. Duplicate IDs are collapsed: the ring
-/// is a *set* of points (two participants never share an ID value; the
-/// random-oracle minting of §IV makes collisions negligible, and the
-/// builders in this workspace reject them outright).
+/// Duplicate IDs are collapsed: the ring is a *set* of points (two
+/// participants never share an ID value; the random-oracle minting of §IV
+/// makes collisions negligible, and the builders in this workspace reject
+/// them outright).
+///
+/// **Lookups.** Every point query — [`successor_index`], [`covering_index`],
+/// [`index_of`], [`contains`], [`predecessor`] — is one lower-bound search
+/// through a *top-bits directory*: with `b = ⌊log2 n⌋`, bucket `t` holds
+/// the first ring index whose ID has top-`b` bits `≥ t`, so the IDs sharing
+/// `x`'s top bits sit between two adjacent entries and a binary search
+/// inside that range finishes the lookup. Answers are exact for every ring.
+/// Under the paper's standing assumption that IDs are u.a.r. (enforced by
+/// §IV's PoW, Lemma 11) a bucket holds `O(1)` IDs in expectation, so a
+/// lookup is `O(1)` expected; on a clustered ring — every ID in one bucket —
+/// it degrades to the plain `O(log n)` binary search, never worse. The
+/// directory costs at most one `u32` per ID and `O(n)` to build.
+///
+/// Interval reporting is `O(k)` past the lookup. The IDs and the directory
+/// are shared (`Arc`), so cloning a ring is a reference-count bump.
+///
+/// [`successor_index`]: SortedRing::successor_index
+/// [`covering_index`]: SortedRing::covering_index
+/// [`index_of`]: SortedRing::index_of
+/// [`contains`]: SortedRing::contains
+/// [`predecessor`]: SortedRing::predecessor
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SortedRing {
-    ids: Vec<Id>,
+    ids: Arc<[Id]>,
+    /// `dir[t]` is the first index whose ID has top-`b` bits `≥ t`, for
+    /// `t ∈ 0..=2^b` (so `dir[2^b] = n`).
+    dir: Arc<[u32]>,
+    /// `63 − b`: an ID's bucket is `(raw >> 1) >> shift`, which is its top
+    /// `b` bits for every `b ∈ 0..=63` without a 64-bit shift.
+    shift: u32,
 }
 
 impl SortedRing {
@@ -25,7 +52,7 @@ impl SortedRing {
     pub fn new(mut ids: Vec<Id>) -> Self {
         ids.sort_unstable();
         ids.dedup();
-        SortedRing { ids }
+        SortedRing::indexed(ids)
     }
 
     /// Build from IDs already sorted and unique.
@@ -34,7 +61,33 @@ impl SortedRing {
     /// In debug builds, panics if the input is not strictly increasing.
     pub fn from_sorted_unique(ids: Vec<Id>) -> Self {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be strictly increasing");
-        SortedRing { ids }
+        SortedRing::indexed(ids)
+    }
+
+    /// Share sorted, unique `ids` and build their top-bits directory.
+    fn indexed(ids: Vec<Id>) -> Self {
+        let n = ids.len();
+        assert!(n < u32::MAX as usize, "ring of {n} IDs exceeds the u32 directory");
+        let bits = n.max(1).ilog2();
+        let shift = 63 - bits;
+        let mut dir = Vec::with_capacity((1 << bits) + 1);
+        let mut i = 0;
+        for t in 0..=1u64 << bits {
+            while i < n && (ids[i].0 >> 1) >> shift < t {
+                i += 1;
+            }
+            dir.push(i as u32);
+        }
+        SortedRing { ids: ids.into(), dir: dir.into(), shift }
+    }
+
+    /// The first index whose ID is `≥ x` (`n` if none): a binary search
+    /// inside `x`'s directory bucket.
+    #[inline]
+    fn lower_bound(&self, x: Id) -> usize {
+        let t = ((x.0 >> 1) >> self.shift) as usize;
+        let (lo, hi) = (self.dir[t] as usize, self.dir[t + 1] as usize);
+        lo + self.ids[lo..hi].partition_point(|&id| id < x)
     }
 
     /// Number of IDs on the ring.
@@ -58,13 +111,14 @@ impl SortedRing {
     /// Whether `id` is present.
     #[inline]
     pub fn contains(&self, id: Id) -> bool {
-        self.ids.binary_search(&id).is_ok()
+        self.index_of(id).is_some()
     }
 
     /// The index of `id` in sorted order, if present.
     #[inline]
     pub fn index_of(&self, id: Id) -> Option<usize> {
-        self.ids.binary_search(&id).ok()
+        let i = self.lower_bound(id);
+        (i < self.ids.len() && self.ids[i] == id).then_some(i)
     }
 
     /// The ID at sorted index `i`.
@@ -88,15 +142,11 @@ impl SortedRing {
     #[inline]
     pub fn successor_index(&self, x: Id) -> usize {
         assert!(!self.ids.is_empty(), "successor query on empty ring");
-        match self.ids.binary_search(&x) {
-            Ok(i) => i,
-            Err(i) => {
-                if i == self.ids.len() {
-                    0 // wrap past the top of the ring
-                } else {
-                    i
-                }
-            }
+        let i = self.lower_bound(x);
+        if i == self.ids.len() {
+            0 // wrap past the top of the ring
+        } else {
+            i
         }
     }
 
@@ -109,10 +159,10 @@ impl SortedRing {
     /// Panics if the ring is empty.
     pub fn covering_index(&self, x: Id) -> usize {
         assert!(!self.ids.is_empty(), "covering query on empty ring");
-        match self.ids.binary_search(&x) {
-            Ok(i) => i,
-            Err(0) => self.ids.len() - 1, // wraps below the lowest ID
-            Err(i) => i - 1,
+        match self.lower_bound(x) {
+            i if i < self.ids.len() && self.ids[i] == x => i,
+            0 => self.ids.len() - 1, // wraps below the lowest ID
+            i => i - 1,
         }
     }
 
@@ -128,9 +178,7 @@ impl SortedRing {
     /// Panics if the ring is empty.
     pub fn predecessor(&self, x: Id) -> Id {
         assert!(!self.ids.is_empty(), "predecessor query on empty ring");
-        let i = match self.ids.binary_search(&x) {
-            Ok(i) | Err(i) => i,
-        };
+        let i = self.lower_bound(x);
         if i == 0 {
             self.ids[self.ids.len() - 1]
         } else {

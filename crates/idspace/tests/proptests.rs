@@ -1,7 +1,34 @@
 //! Property-based tests for the ring ID space.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::collections::BTreeSet;
 use tg_idspace::{Id, RingDistance, RingInterval, SortedRing};
+
+/// Every point lookup of the ring built from `ids` agrees with a linear
+/// scan of the sorted IDs, probed at every ID, every ID ± 1, `0` and
+/// `u64::MAX`.
+fn lookups_match_scan(ids: &BTreeSet<u64>) -> Result<(), TestCaseError> {
+    let ring = SortedRing::new(ids.iter().map(|&v| Id(v)).collect());
+    let sorted: Vec<u64> = ids.iter().copied().collect();
+    let n = sorted.len();
+    let mut probes = vec![0, u64::MAX];
+    for &v in &sorted {
+        probes.extend([v.wrapping_sub(1), v, v.wrapping_add(1)]);
+    }
+    for x in probes {
+        let at_or_above = sorted.iter().position(|&v| v >= x);
+        let at_or_below = sorted.iter().rposition(|&v| v <= x);
+        let below = sorted.iter().rposition(|&v| v < x);
+        let exact = sorted.iter().position(|&v| v == x);
+        prop_assert_eq!(ring.successor_index(Id(x)), at_or_above.unwrap_or(0), "suc {x:#x}");
+        prop_assert_eq!(ring.covering_index(Id(x)), at_or_below.unwrap_or(n - 1), "cover {x:#x}");
+        prop_assert_eq!(ring.index_of(Id(x)), exact, "index_of {x:#x}");
+        prop_assert_eq!(ring.contains(Id(x)), exact.is_some(), "contains {x:#x}");
+        prop_assert_eq!(ring.predecessor(Id(x)), Id(sorted[below.unwrap_or(n - 1)]), "pred {x:#x}");
+    }
+    Ok(())
+}
 
 proptest! {
     /// Clockwise and counter-clockwise distances sum to a full turn for
@@ -105,5 +132,45 @@ proptest! {
         let ring = SortedRing::new(ids.into_iter().map(Id).collect());
         let total: u128 = ring.gaps().map(|(_, g)| g.0 as u128).sum();
         prop_assert_eq!(total, 1u128 << 64);
+    }
+
+    /// The directory-backed lookups equal a linear scan on u.a.r. rings.
+    #[test]
+    fn lookups_match_scan_on_uniform_rings(
+        ids in prop::collection::btree_set(any::<u64>(), 1..300),
+    ) {
+        lookups_match_scan(&ids)?;
+    }
+
+    /// ... on rings clustered inside one directory bucket (`b = ⌊log2 n⌋`
+    /// top bits shared by every ID), where the lookup is a plain binary
+    /// search over the whole ring.
+    #[test]
+    fn lookups_match_scan_inside_one_bucket(
+        raw in prop::collection::vec(any::<u64>(), 2..300),
+        bucket in any::<u64>(),
+    ) {
+        // Deduplication can only shrink `n`, hence `b`, and an aligned
+        // bucket of the requested width stays inside one of any wider one.
+        let bits = raw.len().ilog2();
+        let low = u64::MAX >> bits;
+        let ids: BTreeSet<u64> = raw.iter().map(|&v| (bucket & !low) | (v & low)).collect();
+        lookups_match_scan(&ids)?;
+    }
+
+    /// ... on rings holding both ends of the ID space, `0` and `u64::MAX`.
+    #[test]
+    fn lookups_match_scan_with_both_ends(
+        ids in prop::collection::btree_set(any::<u64>(), 0..100),
+    ) {
+        let mut ids = ids;
+        ids.extend([0, u64::MAX]);
+        lookups_match_scan(&ids)?;
+    }
+
+    /// ... on one-ID rings.
+    #[test]
+    fn lookups_match_scan_on_single_id_rings(id in any::<u64>()) {
+        lookups_match_scan(&BTreeSet::from([id]))?;
     }
 }

@@ -24,11 +24,12 @@ pub struct Chord {
     ring: SortedRing,
     /// Number of finger levels (bit-width of the ID space).
     levels: u32,
-    /// Precomputed neighbor table, indexed by ring position. Routing does
-    /// one `neighbors` scan per hop; the dynamic-epoch builder issues
-    /// hundreds of searches per joining ID, so the table pays for itself
-    /// within the first few hundred searches.
-    adj: Vec<Vec<Id>>,
+    /// Precomputed neighbor table: the ring indices of each node's
+    /// neighbors, ascending, indexed by ring position. Routing does one
+    /// table scan per hop; the dynamic-epoch builder issues hundreds of
+    /// searches per joining ID, so the table pays for itself within the
+    /// first few hundred searches.
+    adj: Vec<Vec<u32>>,
 }
 
 impl Chord {
@@ -39,35 +40,28 @@ impl Chord {
     pub fn new(ring: SortedRing) -> Self {
         assert!(!ring.is_empty(), "Chord over an empty ring");
         let mut g = Chord { ring, levels: 64, adj: Vec::new() };
-        let n = g.ring.len();
-        let mut adj = Vec::with_capacity(n);
-        for i in 0..n {
-            adj.push(g.compute_neighbors(g.ring.at(i)));
-        }
-        g.adj = adj;
+        g.adj = (0..g.ring.len()).map(|i| g.compute_neighbors(i)).collect();
         g
     }
 
-    fn compute_neighbors(&self, w: Id) -> Vec<Id> {
+    /// The neighbor indices of the node at ring index `i`: its ring
+    /// predecessor and successor and the successors of its finger points,
+    /// ascending (index order is ID order), deduplicated, without `i`.
+    fn compute_neighbors(&self, i: usize) -> Vec<u32> {
+        let n = self.ring.len();
         let mut out = Vec::with_capacity(self.levels as usize + 2);
-        if self.ring.len() == 1 {
+        if n == 1 {
             return out;
         }
-        out.push(self.ring.predecessor(w));
-        out.push(self.ring.successor(w.add(tg_idspace::RingDistance(1))));
-        for p in self.finger_points(w) {
-            out.push(self.ring.successor(p));
+        out.push(((i + n - 1) % n) as u32);
+        out.push(((i + 1) % n) as u32);
+        for p in self.finger_points(self.ring.at(i)) {
+            out.push(self.ring.successor_index(p) as u32);
         }
         out.sort_unstable();
         out.dedup();
-        out.retain(|&u| u != w);
+        out.retain(|&u| u as usize != i);
         out
-    }
-
-    /// Borrow the cached neighbor list of the ID at ring index `i`.
-    #[inline]
-    fn neighbors_at(&self, i: usize) -> &[Id] {
-        &self.adj[i]
     }
 
     /// The finger targets of `w`: the points `w + 2^{-i}`.
@@ -75,20 +69,22 @@ impl Chord {
         (1..=self.levels).map(move |i| w.add_pow2_fraction(i))
     }
 
-    /// Greedy step: the neighbor of `current` making the most clockwise
-    /// progress while staying strictly before `key`' s responsible zone.
-    fn closest_preceding(&self, current: Id, key: Id) -> Option<Id> {
-        let idx = self.ring.index_of(current).expect("routing through ring IDs");
-        let mut best: Option<Id> = None;
+    /// Greedy step: the neighbor of the node at index `current` making the
+    /// most clockwise progress while staying strictly before `key`'s
+    /// responsible zone.
+    fn closest_preceding(&self, current: usize, key: Id) -> Option<usize> {
+        let here = self.ring.at(current);
+        let mut best: Option<usize> = None;
         let mut best_dist = tg_idspace::RingDistance::ZERO;
-        for &u in self.neighbors_at(idx) {
+        for &j in &self.adj[current] {
+            let u = self.ring.at(j as usize);
             // u must lie strictly inside the clockwise arc (current, key)
             // — i.e. make progress but not jump past the key.
-            if u != key && u.in_arc_open_closed(current, key) {
-                let d = current.distance_cw(u);
+            if u != key && u.in_arc_open_closed(here, key) {
+                let d = here.distance_cw(u);
                 if d > best_dist {
                     best_dist = d;
-                    best = Some(u);
+                    best = Some(j as usize);
                 }
             }
         }
@@ -107,12 +103,12 @@ impl InputGraph for Chord {
 
     fn neighbors(&self, w: Id) -> Vec<Id> {
         let i = self.ring.index_of(w).expect("neighbors of an ID not on the ring");
-        self.adj[i].clone()
+        self.adj[i].iter().map(|&j| self.ring.at(j as usize)).collect()
     }
 
-    fn route(&self, from: Id, key: Id) -> Route {
-        debug_assert!(self.ring.contains(from));
-        let target = self.ring.successor(key);
+    fn route(&self, from: usize, key: Id) -> Route {
+        let n = self.ring.len();
+        let target = self.ring.successor_index(key);
         let mut hops = Vec::with_capacity(self.route_len_bound());
         hops.push(from);
         let mut current = from;
@@ -126,14 +122,13 @@ impl InputGraph for Chord {
                 Some(u) => u,
                 // No neighbor strictly precedes the key: the successor of
                 // current is responsible.
-                None => self.ring.successor(current.add(tg_idspace::RingDistance(1))),
+                None => (current + 1) % n,
             };
             hops.push(next);
             current = next;
             assert!(
                 hops.len() <= bound,
-                "chord routing exceeded its hop bound (n={}, {} hops)",
-                self.ring.len(),
+                "chord routing exceeded its hop bound (n={n}, {} hops)",
                 hops.len()
             );
         }
@@ -206,10 +201,10 @@ mod tests {
             SortedRing::new((0..512).map(|_| Id::from_f64(rng.gen::<f64>() * 1e-6)).collect());
         let g = Chord::new(ring.clone());
         for _ in 0..50 {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             let r = g.route(from, key);
-            assert_eq!(r.resolver(), ring.successor(key));
+            assert_eq!(ring.at(r.resolver()), ring.successor(key));
             assert!(r.len() <= g.route_len_bound());
         }
     }
@@ -220,11 +215,11 @@ mod tests {
         let g = Chord::new(ring.clone());
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..200 {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             let r = g.route(from, key);
             assert_eq!(r.hops[0], from);
-            assert_eq!(r.resolver(), ring.successor(key));
+            assert_eq!(ring.at(r.resolver()), ring.successor(key));
         }
     }
 
@@ -234,13 +229,13 @@ mod tests {
         let g = Chord::new(ring.clone());
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..50 {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             let r = g.route(from, key);
             for pair in r.hops.windows(2) {
                 assert!(
-                    g.is_link(pair[0], pair[1]),
-                    "hop {:?} -> {:?} is not a chord link",
+                    g.is_link(ring.at(pair[0]), ring.at(pair[1])),
+                    "hop {} -> {} is not a chord link",
                     pair[0],
                     pair[1]
                 );
@@ -256,7 +251,7 @@ mod tests {
         let mut total = 0usize;
         let trials = 300;
         for _ in 0..trials {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             let r = g.route(from, key);
             assert!(r.len() <= g.route_len_bound());
@@ -287,18 +282,19 @@ mod tests {
         let ring = random_ring(32, 9);
         let g = Chord::new(ring.clone());
         let w = ring.at(5);
-        let r = g.route(w, w);
-        assert_eq!(r.hops, vec![w], "an ID resolves its own key locally");
+        let r = g.route(5, w);
+        let hops: Vec<Id> = r.hops.iter().map(|&h| ring.at(h)).collect();
+        assert_eq!(hops, vec![w], "an ID resolves its own key locally");
     }
 
     #[test]
     fn two_node_ring_routes() {
         let ring = SortedRing::new(vec![Id::from_f64(0.25), Id::from_f64(0.75)]);
         let g = Chord::new(ring.clone());
-        let a = Id::from_f64(0.25);
-        let b = Id::from_f64(0.75);
-        assert_eq!(g.route(a, Id::from_f64(0.5)).resolver(), b);
-        assert_eq!(g.route(a, Id::from_f64(0.9)).resolver(), a);
-        assert_eq!(g.route(b, Id::from_f64(0.1)).resolver(), a);
+        let (a, b) = (0, 1);
+        let resolver = |from, key| ring.at(g.route(from, Id::from_f64(key)).resolver());
+        assert_eq!(resolver(a, 0.5), Id::from_f64(0.75));
+        assert_eq!(resolver(a, 0.9), Id::from_f64(0.25));
+        assert_eq!(resolver(b, 0.1), Id::from_f64(0.25));
     }
 }

@@ -67,8 +67,7 @@ impl InputGraph for D2B {
         out
     }
 
-    fn route(&self, from: Id, key: Id) -> Route {
-        debug_assert!(self.ring.contains(from));
+    fn route(&self, from: usize, key: Id) -> Route {
         let mut hops = Vec::with_capacity(self.route_len_bound());
         hops.push(from);
         if self.ring.len() == 1 {
@@ -76,19 +75,19 @@ impl InputGraph for D2B {
         }
         // Bit-injection walk: feed the k-bit key prefix, least significant
         // bit first, so the final point is prefix_k(key) + from/2^k.
-        let mut p = from;
+        let mut p = self.ring.at(from);
+        let mut here = from;
         for j in (0..self.k).rev() {
             p = if key.bit(j) { p.half_right() } else { p.half_left() };
-            let node = self.ring.covering(p);
-            if *hops.last().expect("non-empty") != node {
-                hops.push(node);
+            here = self.ring.covering_index(p);
+            if *hops.last().expect("non-empty") != here {
+                hops.push(here);
             }
         }
         // Final ring correction to the successor of the key.
-        let here = self.ring.covering_index(p);
         let target = self.ring.successor_index(key);
-        ring_walk(&self.ring, &mut hops, here, target);
-        debug_assert_eq!(*hops.last().expect("non-empty"), self.ring.successor(key));
+        ring_walk(self.ring.len(), &mut hops, here, target);
+        debug_assert_eq!(*hops.last().expect("non-empty"), target);
         Route { hops }
     }
 
@@ -133,11 +132,11 @@ mod tests {
         let g = D2B::new(ring.clone());
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..300 {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             let r = g.route(from, key);
             assert_eq!(r.hops[0], from);
-            assert_eq!(r.resolver(), ring.successor(key));
+            assert_eq!(ring.at(r.resolver()), ring.successor(key));
         }
     }
 
@@ -147,13 +146,13 @@ mod tests {
         let g = D2B::new(ring.clone());
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..60 {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             let r = g.route(from, key);
             for pair in r.hops.windows(2) {
                 assert!(
-                    g.is_link(pair[0], pair[1]),
-                    "hop {:?} -> {:?} is not a d2b link",
+                    g.is_link(ring.at(pair[0]), ring.at(pair[1])),
+                    "hop {} -> {} is not a d2b link",
                     pair[0],
                     pair[1]
                 );
@@ -169,7 +168,7 @@ mod tests {
         let trials = 300;
         let mut total = 0usize;
         for _ in 0..trials {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             let r = g.route(from, key);
             total += r.len();
@@ -235,9 +234,10 @@ mod tests {
     fn two_node_ring_routes() {
         let ring = SortedRing::new(vec![Id::from_f64(0.2), Id::from_f64(0.6)]);
         let g = D2B::new(ring.clone());
-        for (from_f, key_f) in [(0.2, 0.5), (0.2, 0.9), (0.6, 0.3), (0.6, 0.61)] {
-            let r = g.route(Id::from_f64(from_f), Id::from_f64(key_f));
-            assert_eq!(r.resolver(), ring.successor(Id::from_f64(key_f)));
+        // Index 0 is the ID at 0.2, index 1 the one at 0.6.
+        for (from, key_f) in [(0, 0.5), (0, 0.9), (1, 0.3), (1, 0.61)] {
+            let r = g.route(from, Id::from_f64(key_f));
+            assert_eq!(ring.at(r.resolver()), ring.successor(Id::from_f64(key_f)));
         }
     }
 
@@ -245,8 +245,9 @@ mod tests {
     fn single_node_ring() {
         let ring = SortedRing::new(vec![Id::from_f64(0.5)]);
         let g = D2B::new(ring.clone());
-        let r = g.route(Id::from_f64(0.5), Id::from_f64(0.123));
-        assert_eq!(r.hops, vec![Id::from_f64(0.5)]);
+        let r = g.route(0, Id::from_f64(0.123));
+        let hops: Vec<Id> = r.hops.iter().map(|&h| ring.at(h)).collect();
+        assert_eq!(hops, vec![Id::from_f64(0.5)]);
         assert!(g.neighbors(Id::from_f64(0.5)).is_empty());
     }
 }

@@ -4,15 +4,20 @@ use tg_idspace::{Id, SortedRing};
 
 /// The path taken by one search (property P1).
 ///
-/// `hops\[0\]` is the initiator and the final element is the ID responsible
-/// for the key (`suc(key)`). Every consecutive pair is an edge of the
-/// graph. An ID is "traversed" by the search iff it appears in `hops`
-/// (matching the paper's Appendix VI definition, which counts the
-/// initiator, all forwarders, and the resolver).
+/// Hops are **ring indices** into the topology's [`InputGraph::ring`]
+/// (read an ID back with `ring.at(hop)`): the group layer indexes its
+/// columns by leader-ring position, so an index-valued route spares every
+/// caller a lookup per hop. `hops[0]` is the initiator and the final
+/// element is the index of the ID responsible for the key (`suc(key)`).
+/// Every consecutive pair is an edge of the graph. An ID is "traversed" by
+/// the search iff its index appears in `hops` (matching the paper's
+/// Appendix VI definition, which counts the initiator, all forwarders, and
+/// the resolver).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Route {
-    /// Traversed IDs in order, initiator first, resolver last.
-    pub hops: Vec<Id>,
+    /// Ring indices of the traversed IDs in order, initiator first,
+    /// resolver last.
+    pub hops: Vec<usize>,
 }
 
 impl Route {
@@ -26,8 +31,8 @@ impl Route {
         self.hops.is_empty()
     }
 
-    /// The ID that resolved the search.
-    pub fn resolver(&self) -> Id {
+    /// Ring index of the ID that resolved the search.
+    pub fn resolver(&self) -> usize {
         *self.hops.last().expect("routes are never empty")
     }
 }
@@ -48,9 +53,10 @@ pub trait InputGraph: Send + Sync {
     /// The neighbor set `S_w` (property P3). `w` must be on the ring.
     fn neighbors(&self, w: Id) -> Vec<Id>;
 
-    /// Route from `from` to the ID responsible for `key` (property P1).
-    /// Both the initiator and resolver appear in the route.
-    fn route(&self, from: Id, key: Id) -> Route;
+    /// Route from the ID at ring index `from` to the ID responsible for
+    /// `key` (property P1). Both the initiator and resolver appear in the
+    /// route, as ring indices (see [`Route`]).
+    fn route(&self, from: usize, key: Id) -> Route;
 
     /// Whether `u ∈ S_w` under the linking rules — the verification
     /// predicate of property P3.
@@ -135,20 +141,15 @@ pub(crate) fn covering_nodes(
     out.extend(ring.ids_in(interval));
 }
 
-/// Walk the ring from the node at sorted index `a` to the node at
-/// sorted index `b`, appending hops, taking the shorter direction.
-pub(crate) fn ring_walk(ring: &tg_idspace::SortedRing, hops: &mut Vec<Id>, a: usize, b: usize) {
-    let n = ring.len();
+/// Walk a ring of `n` nodes from sorted index `a` to sorted index `b`,
+/// appending the indices passed, taking the shorter direction.
+pub(crate) fn ring_walk(n: usize, hops: &mut Vec<usize>, a: usize, b: usize) {
     let fwd = (b + n - a) % n;
     let back = (a + n - b) % n;
     if fwd <= back {
-        for s in 1..=fwd {
-            hops.push(ring.at((a + s) % n));
-        }
+        hops.extend((1..=fwd).map(|s| (a + s) % n));
     } else {
-        for s in 1..=back {
-            hops.push(ring.at((a + n - s) % n));
-        }
+        hops.extend((1..=back).map(|s| (a + n - s) % n));
     }
 }
 

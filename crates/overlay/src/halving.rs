@@ -55,12 +55,14 @@ impl DistanceHalving {
         }
     }
 
-    /// Append the covering node of `p` if it differs from the last hop.
-    fn push_cover(&self, hops: &mut Vec<Id>, p: Id) {
-        let node = self.ring.covering(p);
+    /// Append the index of the node covering `p` if it differs from the
+    /// last hop, and return it.
+    fn push_cover(&self, hops: &mut Vec<usize>, p: Id) -> usize {
+        let node = self.ring.covering_index(p);
         if *hops.last().expect("non-empty route") != node {
             hops.push(node);
         }
+        node
     }
 }
 
@@ -91,19 +93,21 @@ impl InputGraph for DistanceHalving {
         out
     }
 
-    fn route(&self, from: Id, key: Id) -> Route {
-        debug_assert!(self.ring.contains(from));
+    fn route(&self, from: usize, key: Id) -> Route {
         let mut hops = Vec::with_capacity(self.route_len_bound());
         hops.push(from);
-        if self.ring.len() == 1 {
+        let n = self.ring.len();
+        if n == 1 {
             return Route { hops };
         }
-        let sigma = self.sigma(from, key);
+        let from_id = self.ring.at(from);
+        let sigma = self.sigma(from_id, key);
 
         // Forward σ-walk on the source image (halving edges), recording
         // the target images along the way for the reverse leg.
-        let mut x = from;
+        let mut x = from_id;
         let mut y = key;
+        let mut here = from;
         let mut y_images = Vec::with_capacity(self.k as usize + 1);
         y_images.push(y);
         for j in 0..self.k {
@@ -111,26 +115,25 @@ impl InputGraph for DistanceHalving {
             x = Self::apply(x, bit);
             y = Self::apply(y, bit);
             y_images.push(y);
-            self.push_cover(&mut hops, x);
+            here = self.push_cover(&mut hops, x);
         }
 
         // Bridge the (now ≤ 2^{-k}) gap between the two images on the ring.
-        let here = self.ring.covering_index(x);
         let there = self.ring.covering_index(y);
-        ring_walk(&self.ring, &mut hops, here, there);
+        ring_walk(n, &mut hops, here, there);
 
         // Reverse σ-walk down the target images (doubling edges) until the
         // node covering the key itself.
+        let mut cover = there;
         for &img in y_images.iter().rev().skip(1) {
-            self.push_cover(&mut hops, img);
+            cover = self.push_cover(&mut hops, img);
         }
 
         // The covering node of the key is its predecessor; the responsible
         // ID is the successor. One final ring hop if they differ.
-        let cover_idx = self.ring.covering_index(key);
-        let target_idx = self.ring.successor_index(key);
-        ring_walk(&self.ring, &mut hops, cover_idx, target_idx);
-        debug_assert_eq!(*hops.last().expect("non-empty"), self.ring.successor(key));
+        let target = self.ring.successor_index(key);
+        ring_walk(n, &mut hops, cover, target);
+        debug_assert_eq!(*hops.last().expect("non-empty"), target);
         Route { hops }
     }
 
@@ -173,11 +176,11 @@ mod tests {
         let g = DistanceHalving::new(ring.clone());
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..300 {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             let r = g.route(from, key);
             assert_eq!(r.hops[0], from);
-            assert_eq!(r.resolver(), ring.successor(key));
+            assert_eq!(ring.at(r.resolver()), ring.successor(key));
         }
     }
 
@@ -187,13 +190,14 @@ mod tests {
         let g = DistanceHalving::new(ring.clone());
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..60 {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             let r = g.route(from, key);
             for pair in r.hops.windows(2) {
                 assert!(
-                    g.is_link(pair[0], pair[1]) || g.is_link(pair[1], pair[0]),
-                    "hop {:?} -> {:?} is not a distance-halving link",
+                    g.is_link(ring.at(pair[0]), ring.at(pair[1]))
+                        || g.is_link(ring.at(pair[1]), ring.at(pair[0])),
+                    "hop {} -> {} is not a distance-halving link",
                     pair[0],
                     pair[1]
                 );
@@ -232,7 +236,7 @@ mod tests {
         let trials = 300;
         let mut total = 0usize;
         for _ in 0..trials {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             let r = g.route(from, key);
             total += r.len();
@@ -261,7 +265,7 @@ mod tests {
     fn deterministic_routes() {
         let ring = random_ring(128, 35);
         let g = DistanceHalving::new(ring.clone());
-        let from = ring.at(7);
+        let from = 7;
         let key = Id::from_f64(0.777);
         assert_eq!(g.route(from, key), g.route(from, key));
     }
@@ -270,9 +274,10 @@ mod tests {
     fn two_node_ring_routes() {
         let ring = SortedRing::new(vec![Id::from_f64(0.2), Id::from_f64(0.6)]);
         let g = DistanceHalving::new(ring.clone());
-        for (from_f, key_f) in [(0.2, 0.5), (0.2, 0.9), (0.6, 0.3)] {
-            let r = g.route(Id::from_f64(from_f), Id::from_f64(key_f));
-            assert_eq!(r.resolver(), ring.successor(Id::from_f64(key_f)));
+        // Index 0 is the ID at 0.2, index 1 the one at 0.6.
+        for (from, key_f) in [(0, 0.5), (0, 0.9), (1, 0.3)] {
+            let r = g.route(from, Id::from_f64(key_f));
+            assert_eq!(ring.at(r.resolver()), ring.successor(Id::from_f64(key_f)));
         }
     }
 }

@@ -89,10 +89,9 @@ impl Viceroy {
         members[pos % members.len()]
     }
 
-    fn push(&self, hops: &mut Vec<Id>, idx: u32) {
-        let id = self.ring.at(idx as usize);
-        if *hops.last().expect("non-empty route") != id {
-            hops.push(id);
+    fn push(hops: &mut Vec<usize>, idx: u32) {
+        if *hops.last().expect("non-empty route") != idx as usize {
+            hops.push(idx as usize);
         }
     }
 }
@@ -138,19 +137,18 @@ impl InputGraph for Viceroy {
         out
     }
 
-    fn route(&self, from: Id, key: Id) -> Route {
-        debug_assert!(self.ring.contains(from));
+    fn route(&self, from: usize, key: Id) -> Route {
         let mut hops = Vec::with_capacity(self.route_len_bound());
         hops.push(from);
         if self.ring.len() == 1 {
             return Route { hops };
         }
         // Ascend to level 1.
-        let mut cur = self.ring.index_of(from).expect("route from ring ID") as u32;
+        let mut cur = from as u32;
         while self.level_of[cur as usize] > 1 {
             let next =
                 self.nearest_at_level(self.level_of[cur as usize] - 1, self.ring.at(cur as usize));
-            self.push(&mut hops, next);
+            Self::push(&mut hops, next);
             cur = next;
         }
         // Descend, halving the clockwise distance scale per level. Each
@@ -172,7 +170,7 @@ impl InputGraph for Viceroy {
             if next == cur {
                 break;
             }
-            self.push(&mut hops, next);
+            Self::push(&mut hops, next);
             cur = next;
         }
 
@@ -205,15 +203,15 @@ impl InputGraph for Viceroy {
                 if guard == 0 || idx_dist(best_m as usize) >= here {
                     break;
                 }
-                self.push(&mut hops, best_m);
+                Self::push(&mut hops, best_m);
                 cur = best_m;
                 pos = best_pos;
             }
         }
 
         // Fine ring walk to the responsible ID.
-        ring_walk(&self.ring, &mut hops, cur as usize, target);
-        debug_assert_eq!(*hops.last().expect("non-empty"), self.ring.successor(key));
+        ring_walk(n, &mut hops, cur as usize, target);
+        debug_assert_eq!(*hops.last().expect("non-empty"), target);
         Route { hops }
     }
 
@@ -258,11 +256,11 @@ mod tests {
         let g = Viceroy::new(ring.clone());
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..300 {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             let r = g.route(from, key);
             assert_eq!(r.hops[0], from);
-            assert_eq!(r.resolver(), ring.successor(key));
+            assert_eq!(ring.at(r.resolver()), ring.successor(key));
             assert!(r.len() <= g.route_len_bound(), "route {} hops", r.len());
         }
     }
@@ -273,13 +271,14 @@ mod tests {
         let g = Viceroy::new(ring.clone());
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..60 {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             let r = g.route(from, key);
             for pair in r.hops.windows(2) {
                 assert!(
-                    g.is_link(pair[0], pair[1]) || g.is_link(pair[1], pair[0]),
-                    "hop {:?} -> {:?} is not a viceroy link",
+                    g.is_link(ring.at(pair[0]), ring.at(pair[1]))
+                        || g.is_link(ring.at(pair[1]), ring.at(pair[0])),
+                    "hop {} -> {} is not a viceroy link",
                     pair[0],
                     pair[1]
                 );
@@ -306,7 +305,7 @@ mod tests {
         let trials = 300;
         let mut total = 0usize;
         for _ in 0..trials {
-            let from = ring.at(rng.gen_range(0..ring.len()));
+            let from = rng.gen_range(0..ring.len());
             let key = Id(rng.gen());
             total += g.route(from, key).len();
         }
@@ -323,9 +322,9 @@ mod tests {
             let g = Viceroy::new(ring.clone());
             let mut rng = StdRng::seed_from_u64(n as u64);
             for _ in 0..30 {
-                let from = ring.at(rng.gen_range(0..n));
+                let from = rng.gen_range(0..n);
                 let key = Id(rng.gen());
-                assert_eq!(g.route(from, key).resolver(), ring.successor(key), "n={n}");
+                assert_eq!(ring.at(g.route(from, key).resolver()), ring.successor(key), "n={n}");
             }
         }
     }

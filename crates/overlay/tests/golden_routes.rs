@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tg_idspace::{Id, SortedRing};
-use tg_overlay::{GraphKind, InputGraph};
+use tg_overlay::GraphKind;
 
 const SEARCHES: usize = 500;
 
@@ -31,20 +31,16 @@ fn rings() -> Vec<(String, SortedRing)> {
     let mut out = Vec::new();
     for n in [1usize, 2, 3, 300, 5000] {
         let mut rng = StdRng::seed_from_u64(42 ^ n as u64);
-        out.push((format!("uniform-{n}"), SortedRing::new((0..n).map(|_| Id(rng.gen())).collect())));
+        out.push((
+            format!("uniform-{n}"),
+            SortedRing::new((0..n).map(|_| Id(rng.gen())).collect()),
+        ));
     }
     let mut rng = StdRng::seed_from_u64(42 ^ 0xc1u64);
     let base: u64 = rng.gen();
     let clustered = (0..300).map(|_| Id(base.wrapping_add(rng.gen::<u64>() >> 32))).collect();
     out.push(("clustered-300".to_string(), SortedRing::new(clustered)));
     out
-}
-
-/// The leader-ring indices of the route from the ID at index `from`.
-fn hop_indices(g: &dyn InputGraph, from: usize, key: Id) -> Vec<usize> {
-    let ring = g.ring();
-    let route = g.route(ring.at(from), key);
-    route.hops.iter().map(|&h| ring.index_of(h).expect("route hops are ring IDs")).collect()
 }
 
 fn snapshot() -> String {
@@ -57,7 +53,7 @@ fn snapshot() -> String {
             for _ in 0..SEARCHES {
                 let from = rng.gen_range(0..ring.len());
                 let key = Id(rng.gen());
-                for h in hop_indices(g.as_ref(), from, key) {
+                for h in g.route(from, key).hops {
                     hops += 1;
                     fold = mix64(fold ^ h as u64);
                 }

@@ -668,6 +668,9 @@ mod tests {
         fn topology(&self) -> &dyn tg_overlay::InputGraph {
             self.inner.topology()
         }
+        fn recolored_size(&self, i: usize) -> usize {
+            self.inner.recolored_size(i)
+        }
     }
 
     /// Out-links of every group of `gg`, as ring indices.

@@ -177,12 +177,8 @@ impl Invariant for RouteRedness {
 /// first red position on the topology route; the two must agree.
 pub fn check_route<G: GroupGraphView>(gg: &G, from_leader: usize, key: Id) -> Result<(), String> {
     let outcome = search_path(gg, from_leader, key, &mut Metrics::default());
-    let from_id = gg.leaders().ring().at(from_leader);
-    let route = gg.topology().route(from_id, key);
-    let first_red = route.hops.iter().position(|&hop| {
-        let gi = gg.leaders().ring().index_of(hop).expect("route hops are leader-ring IDs");
-        gg.is_red(gi)
-    });
+    let route = gg.topology().route(from_leader, key);
+    let first_red = route.hops.iter().position(|&gi| gg.is_red(gi));
     match (outcome, first_red) {
         (SearchOutcome::Success { hops, .. }, None) if hops == route.hops.len() => Ok(()),
         (SearchOutcome::Fail { failed_at, .. }, Some(red_at)) if failed_at == red_at => Ok(()),

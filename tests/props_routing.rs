@@ -45,12 +45,7 @@ fn arbitrary_graph(
 
 /// Index of the first red group on the topology route, if any.
 fn first_red_on_route(gg: &GroupGraph, from: usize, key: Id) -> Option<usize> {
-    let from_id = gg.leaders.ring().at(from);
-    let route = gg.topology.route(from_id, key);
-    route.hops.iter().position(|&h| {
-        let i = gg.leaders.ring().index_of(h).expect("route hops are leader IDs");
-        gg.is_red(i)
-    })
+    gg.topology.route(from, key).hops.iter().position(|&i| gg.is_red(i))
 }
 
 proptest! {
