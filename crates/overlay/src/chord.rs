@@ -107,6 +107,7 @@ impl InputGraph for Chord {
     }
 
     fn route(&self, from: usize, key: Id) -> Route {
+        debug_assert!(from < self.ring.len(), "route from an index off the ring");
         let n = self.ring.len();
         let target = self.ring.successor_index(key);
         let mut hops = Vec::with_capacity(self.route_len_bound());

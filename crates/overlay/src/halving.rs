@@ -94,6 +94,7 @@ impl InputGraph for DistanceHalving {
     }
 
     fn route(&self, from: usize, key: Id) -> Route {
+        debug_assert!(from < self.ring.len(), "route from an index off the ring");
         let mut hops = Vec::with_capacity(self.route_len_bound());
         hops.push(from);
         let n = self.ring.len();

@@ -138,6 +138,7 @@ impl InputGraph for Viceroy {
     }
 
     fn route(&self, from: usize, key: Id) -> Route {
+        debug_assert!(from < self.ring.len(), "route from an index off the ring");
         let mut hops = Vec::with_capacity(self.route_len_bound());
         hops.push(from);
         if self.ring.len() == 1 {
