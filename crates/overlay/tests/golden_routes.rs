@@ -2,8 +2,10 @@
 //! [`GraphKind`] over u.a.r. rings of 1, 2, 3, 300 and 5000 IDs and over
 //! 300 IDs clustered inside one `2^-32` arc, 500 seeded `(from, key)`
 //! searches, reduced to the total hop count and a splitmix fold of the
-//! hops' leader-ring indices. Any change to how a topology routes — or to
-//! how the ring answers its lookups — shows up here.
+//! hops' leader-ring indices; and every node's link set, reduced to the
+//! total out-degree and a fold of the neighbours' ring indices, node by
+//! node in ring order. Any change to how a topology routes or links — or
+//! to how the ring answers its lookups — shows up here.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -60,6 +62,19 @@ fn snapshot() -> String {
             }
             out.push_str(&format!(
                 "{name} n={} {} hops {hops} fold {fold:016x}\n",
+                ring.len(),
+                kind.name()
+            ));
+            let (mut links, mut fold) = (0usize, 0u64);
+            for i in 0..ring.len() {
+                for u in g.neighbors(ring.at(i)) {
+                    links += 1;
+                    fold = mix64(fold ^ ring.index_of(u).expect("neighbour on the ring") as u64);
+                }
+                fold = mix64(fold ^ u64::MAX);
+            }
+            out.push_str(&format!(
+                "{name} n={} {} links {links} fold {fold:016x}\n",
                 ring.len(),
                 kind.name()
             ));
