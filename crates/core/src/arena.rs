@@ -269,7 +269,6 @@ impl DynamicSystem {
             let mut boots: Vec<u32> = vec![u32::MAX; n_slots * n_sides];
             let mut confused = vec![false; n_new];
             for w in 0..n_new {
-                let wid = new_leaders.ring().at(w);
                 // Membership bootstraps (Lemma 6/7). The picks are
                 // unconditional (searches draw nothing), so the searches
                 // themselves wait for pass 2.
@@ -284,7 +283,7 @@ impl DynamicSystem {
                 }
                 // Neighbor links (Lemma 8), inline: how many draws a link
                 // takes depends on its search outcomes.
-                for u in topology.neighbors(wid) {
+                for u in topology.neighbor_indices(w) {
                     stats.links_required += 1;
                     if !establish_link(&old_views, new_leaders, u, attempts, rng, metrics) {
                         // A required link is missing: `G_w` is confused, and

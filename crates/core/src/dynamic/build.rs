@@ -213,12 +213,12 @@ impl BuildStats {
     }
 }
 
-/// Establish the topology link to neighbor `u` (Lemma 8): up to
-/// `attempts` rounds, each locating `u` through the old graphs from fresh
-/// bootstraps and then — only if located and `u` is good — letting `u`
-/// verify the request with searches from fresh bootstraps of its own.
-/// `false` means the link is missing and the requesting group is
-/// *confused*.
+/// Establish the topology link to neighbor `u`, an index of
+/// `new_leaders`' ring (Lemma 8): up to `attempts` rounds, each locating
+/// `u` through the old graphs from fresh bootstraps and then — only if
+/// located and `u` is good — letting `u` verify the request with searches
+/// from fresh bootstraps of its own. `false` means the link is missing and
+/// the requesting group is *confused*.
 ///
 /// Draw schedule (both builds rely on it): per round one `pick_boot` per
 /// old graph to locate, then one per old graph to verify; nothing is
@@ -237,23 +237,22 @@ impl BuildStats {
 pub(crate) fn establish_link<G: GroupGraphView>(
     olds: &[G],
     new_leaders: &Population,
-    u: Id,
+    u: usize,
     attempts: usize,
     rng: &mut StdRng,
     metrics: &mut Metrics,
 ) -> bool {
+    let key = new_leaders.ring().at(u);
     for _ in 0..attempts {
         // Locate the neighbor through the old graphs...
-        if !construction_search(olds, pick_boots(olds, rng), u, metrics) {
+        if !construction_search(olds, pick_boots(olds, rng), key, metrics) {
             continue;
         }
         // ...and let the (good) neighbor verify the request. A bad
         // neighbor may accept or ignore; ignoring only hurts itself (the
         // link to a red group is irrelevant), accepting matches the
         // topology.
-        let u_idx = new_leaders.ring().index_of(u).expect("neighbor is a new leader");
-        if new_leaders.is_bad(u_idx) || construction_search(olds, pick_boots(olds, rng), u, metrics)
-        {
+        if new_leaders.is_bad(u) || construction_search(olds, pick_boots(olds, rng), key, metrics) {
             return true;
         }
     }
@@ -330,7 +329,7 @@ pub fn build_new_graphs<G: GroupGraphView>(
 
             // --- Neighbor links (Lemma 8) ---
             let mut confused = false;
-            for u in topology.neighbors(wid) {
+            for u in topology.neighbor_indices(w) {
                 stats.links_required += 1;
                 if !establish_link(olds, new_leaders, u, attempts, rng, metrics) {
                     stats.links_failed += 1;
@@ -407,8 +406,7 @@ mod tests {
     ) -> (bool, u64, bool) {
         let mut rng = StdRng::seed_from_u64(11);
         let new_pop = Population::uniform(40, 4, &mut rng);
-        let idx = if to_bad { new_pop.bad_indices()[0] } else { new_pop.good_indices()[0] };
-        let u = new_pop.ring().at(idx);
+        let u = if to_bad { new_pop.bad_indices()[0] } else { new_pop.good_indices()[0] };
         let mut expected = rng.clone();
         for _ in 0..boot_rounds {
             pick_boots(olds, &mut expected);

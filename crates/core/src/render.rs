@@ -86,12 +86,10 @@ pub fn render_figure1<G: GroupGraphView>(gg: &G, from: usize, key: Id) -> (Strin
 /// The topology's edges as ring-index pairs, each undirected edge once,
 /// in ring order.
 fn topology_edges<G: GroupGraphView>(gg: &G) -> Vec<(usize, usize)> {
-    let ring = gg.leaders().ring();
     let mut seen = std::collections::HashSet::new();
     let mut edges = Vec::new();
-    for i in 0..ring.len() {
-        for u in gg.topology().neighbors(ring.at(i)) {
-            let j = ring.index_of(u).expect("neighbor on ring");
+    for i in 0..gg.len() {
+        for j in gg.topology().neighbor_indices(i) {
             if seen.insert((i.min(j), i.max(j))) {
                 edges.push((i, j));
             }

@@ -16,6 +16,7 @@
 use tg_core::runtime::RuntimeChoice;
 use tg_core::scenario::{EpochDriver, KernelChoice, ObsRow, ScenarioSpec, TransportChoice};
 use tg_sim::ResultStore;
+use tg_verify::CheckedDriver;
 
 /// How every scenario of a run is executed. The default is the
 /// configuration that wrote the goldens: sequential epochs, no network,
@@ -53,9 +54,26 @@ impl Exec {
         spec.kernel(self.kernel).runtime(self.runtime).transport(self.transport)
     }
 
-    /// Build `spec`'s driver through [`crate::checked::build_driver`].
+    /// Build `spec`'s driver: exactly `tg_pow::scenario::build`, or —
+    /// with [`check_invariants`](Self::check_invariants) — that driver
+    /// wrapped in a strict [`tg_verify::CheckedDriver`], which panics with
+    /// a reproduction line (invariant ID, scenario label, epoch) on the
+    /// first violated paper invariant. The wrapper samples from its own
+    /// labelled streams, so both build byte-identical observations.
+    ///
+    /// # Panics
+    /// Panics if the spec is unbuildable (experiment specs are
+    /// constructed, not parsed, so that is a harness bug), or — when
+    /// checking — on the first invariant violation.
     pub fn driver(&self, spec: &ScenarioSpec) -> Box<dyn EpochDriver> {
-        crate::checked::build_driver(spec, self.check_invariants)
+        if self.check_invariants {
+            let checked = CheckedDriver::build(spec)
+                .unwrap_or_else(|e| panic!("scenario `{}` must build: {e:?}", spec.label()));
+            Box::new(checked.strict())
+        } else {
+            tg_pow::scenario::build(spec)
+                .unwrap_or_else(|e| panic!("scenario `{}` must build: {e:?}", spec.label()))
+        }
     }
 
     /// The records stored under `key`: `None` on a miss or without a
@@ -139,6 +157,20 @@ mod tests {
     fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
         let payload = std::panic::catch_unwind(f).expect_err("must panic");
         payload.downcast_ref::<String>().cloned().expect("formatted panic message")
+    }
+
+    #[test]
+    fn checked_and_unchecked_drivers_agree() {
+        let spec = ScenarioSpec::new(60, 42).searches(40);
+        let mut plain = Exec::default().driver(&spec);
+        let mut checked = Exec { check_invariants: true, ..Exec::default() }.driver(&spec);
+        for _ in 0..3 {
+            assert_eq!(
+                format!("{:?}", plain.step()),
+                format!("{:?}", checked.step()),
+                "the checked wrapper must not perturb observations"
+            );
+        }
     }
 
     #[test]

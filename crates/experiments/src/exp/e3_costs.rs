@@ -39,12 +39,10 @@ fn mean_state_per_id(gg: &GroupGraph) -> f64 {
             membership_state[m as usize] += size.saturating_sub(1);
         }
     }
-    let ring = gg.leaders.ring();
     let mut link_state = vec![0usize; gg.len()];
     for (w, state) in link_state.iter_mut().enumerate() {
-        for u in gg.topology.neighbors(ring.at(w)) {
-            let ui = ring.index_of(u).expect("neighbor on ring");
-            *state += gg.group_size(ui);
+        for u in gg.topology.neighbor_indices(w) {
+            *state += gg.group_size(u);
         }
     }
     // Leaders and pool share the ring in static builds: combine.

@@ -43,7 +43,6 @@
 
 pub mod args;
 pub mod artifacts;
-pub mod checked;
 pub mod exec;
 pub mod exp;
 pub mod frontier;
@@ -51,7 +50,6 @@ pub mod refine;
 pub mod table;
 
 pub use args::Options;
-pub use checked::build_driver;
 pub use exec::Exec;
 pub use frontier::{Defense, FrontierConfig, FrontierOutcome, RowKey};
 pub use refine::{RefineConfig, RefineOutcome};

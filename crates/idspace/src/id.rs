@@ -35,12 +35,6 @@ impl RingDistance {
     pub fn halved(self) -> Self {
         RingDistance(self.0 >> 1)
     }
-
-    /// Saturating doubling of this distance.
-    #[inline]
-    pub fn doubled_saturating(self) -> Self {
-        RingDistance(self.0.saturating_mul(2))
-    }
 }
 
 impl fmt::Debug for RingDistance {

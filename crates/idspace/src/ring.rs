@@ -214,18 +214,18 @@ impl SortedRing {
         RingInterval::between(pred.add(RingDistance(1)), me.add(RingDistance(1)))
     }
 
-    /// All IDs whose value lies in the interval (in clockwise order from
-    /// the interval start).
-    pub fn ids_in(&self, interval: &RingInterval) -> Vec<Id> {
+    /// The indices of all IDs whose value lies in the interval (in
+    /// clockwise order from the interval start).
+    pub fn indices_in(&self, interval: &RingInterval) -> Vec<usize> {
         if self.ids.is_empty() || interval.is_empty() {
             return Vec::new();
         }
         let mut out = Vec::new();
         let start_idx = self.successor_index(interval.start());
         for k in 0..self.ids.len() {
-            let id = self.ids[(start_idx + k) % self.ids.len()];
-            if interval.contains(id) {
-                out.push(id);
+            let i = (start_idx + k) % self.ids.len();
+            if interval.contains(self.ids[i]) {
+                out.push(i);
             } else {
                 break;
             }
@@ -300,11 +300,11 @@ mod tests {
     #[test]
     fn ids_in_interval() {
         let r = ring(&[0.1, 0.4, 0.7, 0.9]);
-        let got = r.ids_in(&RingInterval::between(Id::from_f64(0.35), Id::from_f64(0.75)));
-        assert_eq!(got, vec![Id::from_f64(0.4), Id::from_f64(0.7)]);
+        let got = r.indices_in(&RingInterval::between(Id::from_f64(0.35), Id::from_f64(0.75)));
+        assert_eq!(got, vec![1, 2]);
         // Wrapping interval.
-        let got = r.ids_in(&RingInterval::between(Id::from_f64(0.85), Id::from_f64(0.2)));
-        assert_eq!(got, vec![Id::from_f64(0.9), Id::from_f64(0.1)]);
+        let got = r.indices_in(&RingInterval::between(Id::from_f64(0.85), Id::from_f64(0.2)));
+        assert_eq!(got, vec![3, 0]);
     }
 
     #[test]

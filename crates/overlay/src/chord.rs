@@ -97,13 +97,8 @@ impl InputGraph for Chord {
         &self.ring
     }
 
-    fn name(&self) -> &'static str {
-        "chord"
-    }
-
-    fn neighbors(&self, w: Id) -> Vec<Id> {
-        let i = self.ring.index_of(w).expect("neighbors of an ID not on the ring");
-        self.adj[i].iter().map(|&j| self.ring.at(j as usize)).collect()
+    fn neighbor_indices(&self, i: usize) -> Vec<usize> {
+        self.adj[i].iter().map(|&j| j as usize).collect()
     }
 
     fn route(&self, from: usize, key: Id) -> Route {
@@ -134,18 +129,6 @@ impl InputGraph for Chord {
             );
         }
         Route { hops }
-    }
-
-    fn is_link(&self, w: Id, u: Id) -> bool {
-        if w == u || self.ring.len() == 1 {
-            return false;
-        }
-        if u == self.ring.predecessor(w)
-            || u == self.ring.successor(w.add(tg_idspace::RingDistance(1)))
-        {
-            return true;
-        }
-        self.finger_points(w).any(|p| self.ring.successor(p) == u)
     }
 
     fn route_len_bound(&self) -> usize {
@@ -235,7 +218,7 @@ mod tests {
             let r = g.route(from, key);
             for pair in r.hops.windows(2) {
                 assert!(
-                    g.is_link(ring.at(pair[0]), ring.at(pair[1])),
+                    g.neighbor_indices(pair[0]).contains(&pair[1]),
                     "hop {} -> {} is not a chord link",
                     pair[0],
                     pair[1]
@@ -265,15 +248,22 @@ mod tests {
     }
 
     #[test]
-    fn is_link_matches_neighbors() {
+    fn neighbor_indices_match_finger_rule() {
+        // The rule as footnote 11 states it, in IDs: `u ∈ S_w` iff `u` is
+        // ring-adjacent to `w` or the successor of one of `w`'s finger
+        // points.
         let ring = random_ring(100, 8);
         let g = Chord::new(ring.clone());
         for i in (0..100).step_by(13) {
             let w = ring.at(i);
-            let nb = g.neighbors(w);
+            let nb = g.neighbor_indices(i);
             for j in 0..100 {
                 let u = ring.at(j);
-                assert_eq!(g.is_link(w, u), nb.contains(&u) && u != w, "w={w:?} u={u:?}");
+                let linked = u != w
+                    && (u == ring.predecessor(w)
+                        || u == ring.successor(w.add(tg_idspace::RingDistance(1)))
+                        || g.finger_points(w).any(|p| ring.successor(p) == u));
+                assert_eq!(nb.contains(&j), linked, "w={w:?} u={u:?}");
             }
         }
     }

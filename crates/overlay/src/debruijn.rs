@@ -6,9 +6,10 @@
 //! `x → x/2` and `x → x/2 + 1/2` (the two preimages of doubling); the
 //! discrete graph links `w` to every node covering an image of its
 //! segment — both the halved images (out-edges used for routing) and the
-//! doubled image (the reverse direction, needed so `is_link` is symmetric
-//! in usefulness and matches D2B's parent/child structure) — plus its ring
-//! predecessor and successor.
+//! doubled image (the reverse direction, which makes every link visible
+//! from both endpoints and matches D2B's parent/child structure) — plus
+//! its ring predecessor and successor. Distance halving links by the same
+//! rule, so both call the one `continuous_discrete_links`.
 //!
 //! **Routing** injects the key's bits: from point `p`, the step
 //! `p ← p/2 + b/2` with `b` the next key bit (taken least-significant
@@ -17,8 +18,8 @@
 //! walk then reaches `suc(key)`. Route length is `k + O(1)` expected,
 //! i.e. `O(log N)` (property P1); degree is `O(1)` in expectation.
 
-use crate::graph::{ceil_log2, covering_nodes, ring_walk, InputGraph, Route};
-use tg_idspace::{Id, RingDistance, SortedRing};
+use crate::graph::{ceil_log2, continuous_discrete_links, ring_walk, InputGraph, Route};
+use tg_idspace::{Id, SortedRing};
 
 /// The D2B overlay over a fixed ring.
 #[derive(Clone, Debug)]
@@ -45,26 +46,8 @@ impl InputGraph for D2B {
         &self.ring
     }
 
-    fn name(&self) -> &'static str {
-        "d2b"
-    }
-
-    fn neighbors(&self, w: Id) -> Vec<Id> {
-        let i = self.ring.index_of(w).expect("neighbors of an ID not on the ring");
-        let mut out = Vec::with_capacity(8);
-        if self.ring.len() == 1 {
-            return out;
-        }
-        let seg = self.ring.segment_after(i);
-        covering_nodes(&self.ring, &seg.half_left(), &mut out);
-        covering_nodes(&self.ring, &seg.half_right(), &mut out);
-        covering_nodes(&self.ring, &seg.double(), &mut out);
-        out.push(self.ring.predecessor(w));
-        out.push(self.ring.successor(w.add(RingDistance(1))));
-        out.sort_unstable();
-        out.dedup();
-        out.retain(|&u| u != w);
-        out
+    fn neighbor_indices(&self, i: usize) -> Vec<usize> {
+        continuous_discrete_links(&self.ring, i)
     }
 
     fn route(&self, from: usize, key: Id) -> Route {
@@ -90,22 +73,6 @@ impl InputGraph for D2B {
         ring_walk(self.ring.len(), &mut hops, here, target);
         debug_assert_eq!(*hops.last().expect("non-empty"), target);
         Route { hops }
-    }
-
-    fn is_link(&self, w: Id, u: Id) -> bool {
-        if w == u || self.ring.len() == 1 {
-            return false;
-        }
-        let i = self.ring.index_of(w).expect("is_link on an ID not on the ring");
-        let j = self.ring.index_of(u).expect("is_link target not on the ring");
-        if u == self.ring.predecessor(w) || u == self.ring.successor(w.add(RingDistance(1))) {
-            return true;
-        }
-        let seg_w = self.ring.segment_after(i);
-        let seg_u = self.ring.segment_after(j);
-        seg_u.intersects(&seg_w.half_left())
-            || seg_u.intersects(&seg_w.half_right())
-            || seg_u.intersects(&seg_w.double())
     }
 
     fn route_len_bound(&self) -> usize {
@@ -152,7 +119,7 @@ mod tests {
             let r = g.route(from, key);
             for pair in r.hops.windows(2) {
                 assert!(
-                    g.is_link(ring.at(pair[0]), ring.at(pair[1])),
+                    g.neighbor_indices(pair[0]).contains(&pair[1]),
                     "hop {} -> {} is not a d2b link",
                     pair[0],
                     pair[1]
@@ -201,32 +168,14 @@ mod tests {
     }
 
     #[test]
-    fn is_link_matches_neighbors() {
-        let ring = random_ring(80, 25);
-        let g = D2B::new(ring.clone());
-        for i in (0..80).step_by(9) {
-            let w = ring.at(i);
-            let nb = g.neighbors(w);
-            for j in 0..80 {
-                let u = ring.at(j);
-                assert_eq!(g.is_link(w, u), nb.contains(&u) && u != w, "w={w:?} u={u:?}");
-            }
-        }
-    }
-
-    #[test]
     fn neighbors_symmetric_in_coverage() {
         // If u covers a halved image of w's segment then w covers a doubled
         // image of u's segment — the edge is visible from both endpoints.
         let ring = random_ring(64, 26);
         let g = D2B::new(ring.clone());
-        for i in 0..64 {
-            let w = ring.at(i);
-            for u in g.neighbors(w) {
-                assert!(
-                    g.is_link(u, w) || g.is_link(w, u),
-                    "edge invisible from both endpoints: {w:?} {u:?}"
-                );
+        for w in 0..64 {
+            for u in g.neighbor_indices(w) {
+                assert!(g.neighbor_indices(u).contains(&w), "edge {w} -> {u} not seen from {u}");
             }
         }
     }

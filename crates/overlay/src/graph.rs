@@ -39,34 +39,38 @@ impl Route {
 
 /// An input graph `H` over a fixed ID population.
 ///
-/// Implementations are pure functions of the ID ring: `neighbors` and
-/// `route` are recomputable by anybody from the ring alone, which is what
-/// makes property P3's *verifiability* possible — an ID asked to accept a
-/// link can re-derive whether that link should exist.
+/// Implementations are pure functions of the ID ring: links and routes
+/// are recomputable by anybody from the ring alone, which is what makes
+/// property P3's *verifiability* possible — an ID asked to accept a link
+/// can re-derive whether that link should exist (the group layer does so
+/// by searches, in `tg_core`'s `establish_link`). Both links and routes
+/// speak in **ring indices** into [`InputGraph::ring`]; index order is ID
+/// order.
 pub trait InputGraph: Send + Sync {
     /// The ID population.
     fn ring(&self) -> &SortedRing;
 
-    /// Short human-readable topology name.
-    fn name(&self) -> &'static str;
-
-    /// The neighbor set `S_w` (property P3). `w` must be on the ring.
-    fn neighbors(&self, w: Id) -> Vec<Id>;
+    /// The neighbor set `S_i` of the ID at ring index `i` (property P3):
+    /// the ring indices of its neighbors, ascending (so in ID order),
+    /// deduplicated, without `i` itself.
+    fn neighbor_indices(&self, i: usize) -> Vec<usize>;
 
     /// Route from the ID at ring index `from` to the ID responsible for
     /// `key` (property P1). Both the initiator and resolver appear in the
     /// route, as ring indices (see [`Route`]).
     fn route(&self, from: usize, key: Id) -> Route;
 
-    /// Whether `u ∈ S_w` under the linking rules — the verification
-    /// predicate of property P3.
-    fn is_link(&self, w: Id, u: Id) -> bool {
-        self.neighbors(w).contains(&u)
-    }
-
     /// An a-priori bound on route length for this topology and ring size,
     /// used by tests and by the harness to size message buffers.
     fn route_len_bound(&self) -> usize;
+
+    /// [`InputGraph::neighbor_indices`] in `Id`s: the neighbor set `S_w`
+    /// of `w`, ascending. `w` must be on the ring.
+    fn neighbors(&self, w: Id) -> Vec<Id> {
+        let ring = self.ring();
+        let i = ring.index_of(w).expect("neighbors of an ID not on the ring");
+        self.neighbor_indices(i).into_iter().map(|j| ring.at(j)).collect()
+    }
 }
 
 /// Factory enum so experiments can sweep topologies by name.
@@ -125,20 +129,30 @@ pub(crate) fn ceil_log2(n: usize) -> u32 {
     usize::BITS - (n - 1).leading_zeros()
 }
 
-/// The nodes whose covering segments intersect `interval`: the node
-/// covering the interval start plus every node whose ID lies inside it.
-/// This is the discretization step of the continuous-discrete approach
-/// \[39\]: a continuous edge set maps to links with every node covering it.
-pub(crate) fn covering_nodes(
-    ring: &tg_idspace::SortedRing,
-    interval: &tg_idspace::RingInterval,
-    out: &mut Vec<Id>,
-) {
-    if interval.is_empty() {
-        return;
+/// The continuous-discrete link rule \[39\] that D2B and distance halving
+/// share: the ring indices of every node whose covering segment meets a
+/// halved image or the doubled image of `segment_after(i)`, plus the ring
+/// neighbors `i ± 1` — ascending, deduplicated, without `i`.
+pub(crate) fn continuous_discrete_links(ring: &SortedRing, i: usize) -> Vec<usize> {
+    let n = ring.len();
+    let mut out = Vec::with_capacity(8);
+    if n == 1 {
+        return out;
     }
-    out.push(ring.covering(interval.start()));
-    out.extend(ring.ids_in(interval));
+    let seg = ring.segment_after(i);
+    for image in [seg.half_left(), seg.half_right(), seg.double()] {
+        // The node covering the image's start, then every node inside it.
+        if !image.is_empty() {
+            out.push(ring.covering_index(image.start()));
+            out.extend(ring.indices_in(&image));
+        }
+    }
+    out.push((i + n - 1) % n);
+    out.push((i + 1) % n);
+    out.sort_unstable();
+    out.dedup();
+    out.retain(|&u| u != i);
+    out
 }
 
 /// Walk a ring of `n` nodes from sorted index `a` to sorted index `b`,
@@ -174,6 +188,19 @@ mod tests {
         assert_eq!(ceil_log2(5), 3);
         assert_eq!(ceil_log2(1024), 10);
         assert_eq!(ceil_log2(1025), 11);
+    }
+
+    #[test]
+    fn neighbors_reads_neighbor_indices_through_the_ring() {
+        let ring = SortedRing::new((0..40u64).map(|k| Id(mix64(k))).collect());
+        for kind in GraphKind::ALL {
+            let g = kind.build(ring.clone());
+            for i in 0..ring.len() {
+                let by_index: Vec<Id> =
+                    g.neighbor_indices(i).into_iter().map(|j| ring.at(j)).collect();
+                assert_eq!(g.neighbors(ring.at(i)), by_index, "{} at {i}", kind.name());
+            }
+        }
     }
 
     #[test]

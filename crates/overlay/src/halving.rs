@@ -20,8 +20,8 @@
 //! we derive `σ` deterministically from `(source, key)` via splitmix so
 //! simulations replay exactly.
 
-use crate::graph::{ceil_log2, covering_nodes, mix64, ring_walk, InputGraph, Route};
-use tg_idspace::{Id, RingDistance, SortedRing};
+use crate::graph::{ceil_log2, continuous_discrete_links, mix64, ring_walk, InputGraph, Route};
+use tg_idspace::{Id, SortedRing};
 
 /// The distance-halving overlay over a fixed ring.
 #[derive(Clone, Debug)]
@@ -71,26 +71,8 @@ impl InputGraph for DistanceHalving {
         &self.ring
     }
 
-    fn name(&self) -> &'static str {
-        "distance-halving"
-    }
-
-    fn neighbors(&self, w: Id) -> Vec<Id> {
-        let i = self.ring.index_of(w).expect("neighbors of an ID not on the ring");
-        let mut out = Vec::with_capacity(8);
-        if self.ring.len() == 1 {
-            return out;
-        }
-        let seg = self.ring.segment_after(i);
-        covering_nodes(&self.ring, &seg.half_left(), &mut out);
-        covering_nodes(&self.ring, &seg.half_right(), &mut out);
-        covering_nodes(&self.ring, &seg.double(), &mut out);
-        out.push(self.ring.predecessor(w));
-        out.push(self.ring.successor(w.add(RingDistance(1))));
-        out.sort_unstable();
-        out.dedup();
-        out.retain(|&u| u != w);
-        out
+    fn neighbor_indices(&self, i: usize) -> Vec<usize> {
+        continuous_discrete_links(&self.ring, i)
     }
 
     fn route(&self, from: usize, key: Id) -> Route {
@@ -138,22 +120,6 @@ impl InputGraph for DistanceHalving {
         Route { hops }
     }
 
-    fn is_link(&self, w: Id, u: Id) -> bool {
-        if w == u || self.ring.len() == 1 {
-            return false;
-        }
-        let i = self.ring.index_of(w).expect("is_link on an ID not on the ring");
-        let j = self.ring.index_of(u).expect("is_link target not on the ring");
-        if u == self.ring.predecessor(w) || u == self.ring.successor(w.add(RingDistance(1))) {
-            return true;
-        }
-        let seg_w = self.ring.segment_after(i);
-        let seg_u = self.ring.segment_after(j);
-        seg_u.intersects(&seg_w.half_left())
-            || seg_u.intersects(&seg_w.half_right())
-            || seg_u.intersects(&seg_w.double())
-    }
-
     fn route_len_bound(&self) -> usize {
         // Two k-step walks plus two ring corrections.
         2 * self.k as usize + self.ring.len().min(4 * (self.k as usize + 8)) + 4
@@ -195,13 +161,24 @@ mod tests {
             let key = Id(rng.gen());
             let r = g.route(from, key);
             for pair in r.hops.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
                 assert!(
-                    g.is_link(ring.at(pair[0]), ring.at(pair[1]))
-                        || g.is_link(ring.at(pair[1]), ring.at(pair[0])),
-                    "hop {} -> {} is not a distance-halving link",
-                    pair[0],
-                    pair[1]
+                    g.neighbor_indices(a).contains(&b) || g.neighbor_indices(b).contains(&a),
+                    "hop {a} -> {b} is not a distance-halving link"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn neighbors_symmetric_in_coverage() {
+        // If u covers a halved image of w's segment then w covers a doubled
+        // image of u's segment — the edge is visible from both endpoints.
+        let ring = random_ring(64, 36);
+        let g = DistanceHalving::new(ring.clone());
+        for w in 0..64 {
+            for u in g.neighbor_indices(w) {
+                assert!(g.neighbor_indices(u).contains(&w), "edge {w} -> {u} not seen from {u}");
             }
         }
     }

@@ -10,11 +10,13 @@
 //! * **P2 — load balancing**: a random ID owns at most a `(1+δ'')/N`
 //!   fraction of the key space,
 //! * **P3 — linking rules**: the neighbor set `S_w` is recomputable and
-//!   *verifiable* by any ID via searches,
+//!   *verifiable* by any ID via searches — the rule is
+//!   [`InputGraph::neighbor_indices`], the verification by searches is
+//!   `tg_core`'s `establish_link`,
 //! * **P4 — congestion**: the maximum probability any ID is traversed by a
 //!   random search is `C = O(log^c n / n)`.
 //!
-//! We implement three of the constructions the paper names:
+//! We implement four of the constructions the paper names:
 //!
 //! * [`chord::Chord`] — Chord \[48\]: `Θ(log n)` degree, greedy finger
 //!   routing (`c = 1` congestion),

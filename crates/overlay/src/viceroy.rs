@@ -75,11 +75,6 @@ impl Viceroy {
         Viceroy { ring, levels, level_of, level_members }
     }
 
-    /// The level of `w` (1-based).
-    pub fn level(&self, w: Id) -> u32 {
-        self.level_of[self.ring.index_of(w).expect("level of an ID not on the ring")]
-    }
-
     /// Nearest node of `level` at or clockwise of point `x`.
     fn nearest_at_level(&self, level: u32, x: Id) -> u32 {
         let members = &self.level_members[(level - 1) as usize];
@@ -101,18 +96,14 @@ impl InputGraph for Viceroy {
         &self.ring
     }
 
-    fn name(&self) -> &'static str {
-        "viceroy"
-    }
-
-    fn neighbors(&self, w: Id) -> Vec<Id> {
-        let i = self.ring.index_of(w).expect("neighbors of an ID not on the ring");
+    fn neighbor_indices(&self, i: usize) -> Vec<usize> {
+        let n = self.ring.len();
         let mut out = Vec::with_capacity(7);
-        if self.ring.len() == 1 {
+        if n == 1 {
             return out;
         }
-        out.push(self.ring.predecessor(w));
-        out.push(self.ring.successor(w.add(RingDistance(1))));
+        out.push((i + n - 1) % n);
+        out.push((i + 1) % n);
         let l = self.level_of[i];
         // Level ring: next same-level node clockwise (and it links back,
         // so the previous one appears via its own edge set; include both
@@ -120,20 +111,20 @@ impl InputGraph for Viceroy {
         let members = &self.level_members[(l - 1) as usize];
         if members.len() > 1 {
             let pos = members.binary_search(&(i as u32)).expect("node in its level list");
-            out.push(self.ring.at(members[(pos + 1) % members.len()] as usize));
-            out.push(self.ring.at(members[(pos + members.len() - 1) % members.len()] as usize));
+            out.push(members[(pos + 1) % members.len()] as usize);
+            out.push(members[(pos + members.len() - 1) % members.len()] as usize);
         }
+        let w = self.ring.at(i);
         if l > 1 {
-            out.push(self.ring.at(self.nearest_at_level(l - 1, w) as usize));
+            out.push(self.nearest_at_level(l - 1, w) as usize);
         }
         if l < self.levels {
-            out.push(self.ring.at(self.nearest_at_level(l + 1, w) as usize));
-            let far = w.add_pow2_fraction(l);
-            out.push(self.ring.at(self.nearest_at_level(l + 1, far) as usize));
+            out.push(self.nearest_at_level(l + 1, w) as usize);
+            out.push(self.nearest_at_level(l + 1, w.add_pow2_fraction(l)) as usize);
         }
         out.sort_unstable();
         out.dedup();
-        out.retain(|&u| u != w);
+        out.retain(|&u| u != i);
         out
     }
 
@@ -240,11 +231,8 @@ mod tests {
         let ring = random_ring(512, 1);
         let g = Viceroy::new(ring.clone());
         let g2 = Viceroy::new(ring.clone());
-        for i in 0..ring.len() {
-            let w = ring.at(i);
-            assert_eq!(g.level(w), g2.level(w), "levels must be recomputable");
-            assert!((1..=g.levels).contains(&g.level(w)));
-        }
+        assert_eq!(g.level_of, g2.level_of, "levels must be recomputable");
+        assert!(g.level_of.iter().all(|l| (1..=g.levels).contains(l)));
         // Every level inhabited.
         for l in 0..g.levels as usize {
             assert!(!g.level_members[l].is_empty(), "level {} empty", l + 1);
@@ -276,12 +264,10 @@ mod tests {
             let key = Id(rng.gen());
             let r = g.route(from, key);
             for pair in r.hops.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
                 assert!(
-                    g.is_link(ring.at(pair[0]), ring.at(pair[1]))
-                        || g.is_link(ring.at(pair[1]), ring.at(pair[0])),
-                    "hop {} -> {} is not a viceroy link",
-                    pair[0],
-                    pair[1]
+                    g.neighbor_indices(a).contains(&b) || g.neighbor_indices(b).contains(&a),
+                    "hop {a} -> {b} is not a viceroy link"
                 );
             }
         }

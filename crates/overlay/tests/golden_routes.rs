@@ -67,9 +67,9 @@ fn snapshot() -> String {
             ));
             let (mut links, mut fold) = (0usize, 0u64);
             for i in 0..ring.len() {
-                for u in g.neighbors(ring.at(i)) {
+                for u in g.neighbor_indices(i) {
                     links += 1;
-                    fold = mix64(fold ^ ring.index_of(u).expect("neighbour on the ring") as u64);
+                    fold = mix64(fold ^ u as u64);
                 }
                 fold = mix64(fold ^ u64::MAX);
             }

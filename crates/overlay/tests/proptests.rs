@@ -55,29 +55,33 @@ proptest! {
         }
     }
 
-    /// P3: `is_link` agrees with `neighbors` (the verification predicate
-    /// matches the linking rules) for random rings and nodes.
+    /// P3 for the continuous-discrete constructions: D2B and distance
+    /// halving link `w` to exactly the `u ≠ w` that are ring-adjacent to
+    /// it or whose covering segment meets a halved or the doubled image
+    /// of `w`'s — the segment rule, checked pair by pair.
     #[test]
-    fn is_link_matches_neighbors(
+    fn continuous_discrete_links_match_segment_rule(
         ids in prop::collection::btree_set(any::<u64>(), 3..60),
         w_sel in any::<u16>(),
     ) {
         let ring = ring_from(ids);
-        let w = ring.at(w_sel as usize % ring.len());
-        for kind in GraphKind::ALL {
+        let n = ring.len();
+        let w = w_sel as usize % n;
+        let seg_w = ring.segment_after(w);
+        let rule: Vec<usize> = (0..n)
+            .filter(|&u| u != w)
+            .filter(|&u| {
+                let seg_u = ring.segment_after(u);
+                u == (w + n - 1) % n
+                    || u == (w + 1) % n
+                    || seg_u.intersects(&seg_w.half_left())
+                    || seg_u.intersects(&seg_w.half_right())
+                    || seg_u.intersects(&seg_w.double())
+            })
+            .collect();
+        for kind in [GraphKind::D2B, GraphKind::DistanceHalving] {
             let g = kind.build(ring.clone());
-            let nb = g.neighbors(w);
-            for i in 0..ring.len() {
-                let u = ring.at(i);
-                prop_assert_eq!(
-                    g.is_link(w, u),
-                    nb.contains(&u) && u != w,
-                    "{}: w={:?} u={:?}",
-                    kind.name(),
-                    w,
-                    u
-                );
-            }
+            prop_assert_eq!(g.neighbor_indices(w), rule.clone(), "{}: w={}", kind.name(), w);
         }
     }
 

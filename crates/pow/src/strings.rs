@@ -218,10 +218,10 @@ fn release_step(steps_total: u64, release_frac: f64) -> u64 {
 /// Run the propagation protocol over the blue subgraph of `gg`.
 ///
 /// **What is simulated.** Links are the *directed* out-link sets `S_w`
-/// of the input graph (`InputGraph::neighbors`: predecessor, successor,
-/// fingers), restricted to blue groups of the giant component; a string
-/// accepted and forwarded by `w` in one step reaches every `u ∈ S_w` at
-/// the next.
+/// of the input graph (`InputGraph::neighbor_indices`: predecessor,
+/// successor, fingers), restricted to blue groups of the giant
+/// component; a string accepted and forwarded by `w` in one step reaches
+/// every `u ∈ S_w` at the next.
 ///
 /// **Delivery order** (observable, because `bin.forwards < cap` is
 /// order-dependent, and pinned by `tests/golden_strings.rs`): within a
@@ -248,19 +248,15 @@ pub fn run_string_protocol<G: GroupGraphView>(
 
     // Blue out-links (directed: `adj[i]` is `S_i` minus red groups; red
     // groups drop traffic, so they have none) and the giant component.
-    let ring = gg.leaders().ring();
     let red: Vec<bool> = (0..n).map(|i| gg.is_red(i)).collect();
     let adj: Vec<Vec<usize>> = (0..n)
         .map(|i| {
             if red[i] {
                 return Vec::new();
             }
-            gg.topology()
-                .neighbors(ring.at(i))
-                .into_iter()
-                .map(|u| ring.index_of(u).expect("neighbor on ring"))
-                .filter(|&j| !red[j])
-                .collect()
+            let mut links = gg.topology().neighbor_indices(i);
+            links.retain(|&j| !red[j]);
+            links
         })
         .collect();
     let giant = giant_component(&adj);
@@ -675,13 +671,7 @@ mod tests {
 
     /// Out-links of every group of `gg`, as ring indices.
     fn out_links(gg: &GroupGraph) -> Vec<Vec<usize>> {
-        let ring = gg.leaders().ring();
-        (0..gg.len())
-            .map(|i| {
-                let links = gg.topology().neighbors(ring.at(i));
-                links.into_iter().map(|u| ring.index_of(u).expect("on ring")).collect()
-            })
-            .collect()
+        (0..gg.len()).map(|i| gg.topology().neighbor_indices(i)).collect()
     }
 
     const ADVERSARIES: [StringAdversary; 3] = [

@@ -32,11 +32,10 @@ fn adversary(tag: u8, strings: usize, release_frac: f64) -> StringAdversary {
 
 /// Links between blue groups — a superset of the giant component's.
 fn blue_links(gg: &GroupGraph) -> u64 {
-    let ring = gg.leaders().ring();
     (0..gg.len())
         .filter(|&i| !gg.is_red(i))
-        .flat_map(|i| gg.topology().neighbors(ring.at(i)))
-        .filter(|&u| !gg.is_red(ring.index_of(u).expect("neighbor on ring")))
+        .flat_map(|i| gg.topology().neighbor_indices(i))
+        .filter(|&u| !gg.is_red(u))
         .count() as u64
 }
 

@@ -99,11 +99,6 @@ impl FaultPlan {
         FaultPlan { drop_rate: 0.0, latency_max: 0, partition_ticks: 0 }
     }
 
-    /// True iff this plan injects no faults at all.
-    pub fn is_perfect(&self) -> bool {
-        self.drop_rate == 0.0 && self.latency_max == 0 && self.partition_ticks == 0
-    }
-
     /// Which side of the epoch's partition bisection `node` is on.
     pub fn partition_side(&self, seed: u64, epoch: u64, node: NodeId) -> u64 {
         derive_seed_nd(seed, "net-part", &[epoch, node]) & 1
