@@ -11,8 +11,9 @@
 //!   reordering as a consequence of unequal latency, drops, and
 //!   epoch-scoped partitions),
 //! * [`SocketTransport`] — a carrier around that core: admitted
-//!   messages travel over a real localhost TCP connection with
-//!   length-prefixed framing and retry/backoff (see [`socket`]),
+//!   messages travel over a real localhost TCP connection as
+//!   length-prefixed frames batched into non-blocking writes (see
+//!   [`socket`]),
 //! * [`FaultPlan`] — the fault knobs, all derived from a seed via
 //!   [`crate::rng::derive_seed_nd`] so runs are reproducible,
 //! * [`NetStats`] — delivery counters for observability.
@@ -208,8 +209,8 @@ pub struct NetStats {
     /// Messages returned from [`Transport::recv`].
     pub delivered: u64,
     /// Messages dropped by the random-loss knob — plus, on a real
-    /// transport, frames lost to the wire itself (write failure after
-    /// retries, an undecodable frame, a receive timeout): graceful
+    /// transport, frames lost to the wire itself (a frame a flush could
+    /// not write out, an undecodable frame, a receive timeout): graceful
     /// degradation makes a wire fault surface exactly like an injected
     /// one.
     pub dropped: u64,
@@ -290,9 +291,15 @@ impl<M> PartialOrd for Queued<M> {
         Some(self.cmp(other))
     }
 }
+impl<M> Queued<M> {
+    /// The delivery-order key.
+    fn key(&self) -> (u64, u64) {
+        (self.env.deliver_tick, self.seq)
+    }
+}
 impl<M> Ord for Queued<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.env.deliver_tick, self.seq).cmp(&(other.env.deliver_tick, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -371,6 +378,11 @@ impl<M> InMemoryTransport<M> {
     /// in `(deliver_tick, seq)` order.
     pub(crate) fn enqueue(&mut self, seq: u64, env: Envelope<M>) {
         self.queue.push(std::cmp::Reverse(Queued { seq, env }));
+    }
+
+    /// The `(deliver_tick, seq)` key of the next delivery, if any.
+    pub(crate) fn peek_key(&self) -> Option<(u64, u64)> {
+        self.queue.peek().map(|q| q.0.key())
     }
 
     /// Count `frames` admitted messages the carrier lost after admission

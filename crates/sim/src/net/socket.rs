@@ -25,6 +25,15 @@
 //! preserves the connection's order, so stale frames always precede
 //! fresh ones.
 //!
+//! ## Batching
+//!
+//! `send` encodes each admitted frame straight onto one outbox buffer.
+//! The writer is non-blocking, and one flush hands the whole outbox to
+//! the kernel: when the outbox passes a fixed size, and inside every
+//! pump. Only a write that would block reads the socket — the pair is
+//! self-connected, so its kernel buffers empty only when this side
+//! reads them.
+//!
 //! ## Fault semantics — graceful degradation
 //!
 //! Only admitted messages touch the wire: cut, dropped and late ones
@@ -33,23 +42,35 @@
 //! lose the identical message set by construction.
 //!
 //! Real wire faults degrade into the same counters instead of erroring:
-//! a write that still fails after [`RetryPolicy::max_retries`] attempts
-//! with capped exponential backoff, an undecodable or oversized frame,
-//! and a receive that exceeds [`RetryPolicy::io_timeout`] all count the
-//! affected messages as `dropped` in [`NetStats`] — a lost frame
-//! surfaces exactly like an injected fault, which is what keeps the
-//! observation layer transport-agnostic.
+//! a frame a flush could not write out whole (a hard socket error, or
+//! a write still blocked after [`RetryPolicy::io_timeout`]), an
+//! undecodable or oversized frame, and a frame still missing when a
+//! pump's [`RetryPolicy::io_timeout`] expires all count as `dropped` in
+//! [`NetStats`] — a lost frame surfaces exactly like an injected fault,
+//! which is what keeps the observation layer transport-agnostic. A frame
+//! that was written stays outstanding until it is read back or its pump
+//! times out. A flush that gives up also closes the write side: the
+//! stream may end mid-frame, so no later frame may follow it.
 //!
 //! ## Ordering
 //!
-//! [`recv`](super::Transport::recv) first pumps the socket until every
-//! outstanding frame has arrived (or timed out), then pops the core's
-//! heap. Delivery order over a healthy loopback is therefore that of
-//! the in-memory transport whatever order the bytes arrived in.
+//! [`recv`](super::Transport::recv) pops the core's heap, which orders
+//! by `(deliver_tick, seq)`. A frame still *outstanding* — in the
+//! outbox, on the wire or half-read — might belong before the heap's
+//! top, and a pump (flush, then read until every outstanding frame has
+//! landed or timed out) settles that. The sender stamped every
+//! outstanding frame's key, so it keeps the smallest key sent since the
+//! last pump, and `recv` pumps only when the heap is empty or that key
+//! sorts before the heap's top. Otherwise every outstanding key sorts
+//! after the top (keys are unique, since `seq` is), so popping the top
+//! is what the in-memory transport would deliver next. Delivery order
+//! over a healthy loopback is therefore the in-memory order, whatever
+//! order the bytes arrive in and however a receiver interleaves its
+//! follow-up sends with `recv`.
 
 use super::{Envelope, FaultPlan, InMemoryTransport, NetStats, NodeId, Transport};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Serialization contract for messages carried by [`SocketTransport`].
@@ -64,17 +85,19 @@ pub trait Wire: Sized {
     fn decode(bytes: &[u8]) -> Option<Self>;
 }
 
-/// Connect/send retry contract for [`SocketTransport`].
+/// Connect retry and I/O deadline contract for [`SocketTransport`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Attempts beyond the first for connects and frame writes.
+    /// Connect attempts beyond the first.
     pub max_retries: u32,
-    /// First backoff between attempts; doubles per attempt.
+    /// First backoff between connect attempts; doubles per attempt.
     pub backoff_base: Duration,
     /// Backoff ceiling for the exponential schedule.
     pub backoff_cap: Duration,
-    /// Socket write timeout, and the receive-pump deadline after which
-    /// still-missing frames are declared lost.
+    /// Timeout of each connect attempt, and the deadline of one flush
+    /// (frames a write still blocks on past it are lost) and of one
+    /// pump (frames still missing past it are lost). The writer itself
+    /// is non-blocking and carries no write timeout.
     pub io_timeout: Duration,
 }
 
@@ -126,6 +149,14 @@ const HEADER_LEN: usize = 56;
 /// the wire is treated as corruption.
 const MAX_FRAME: usize = 1 << 20;
 
+/// Outbox size past which `send` flushes without waiting for a pump,
+/// so the outbox stays small whatever a phase sends.
+const FLUSH_AT: usize = 64 << 10;
+
+/// Bytes taken off the socket per `read`; the inbox never holds more
+/// than one partial frame plus one chunk.
+const READ_CHUNK: usize = 16 << 10;
+
 /// What the head of a receive buffer holds.
 #[derive(Debug, PartialEq, Eq)]
 enum Split {
@@ -161,18 +192,25 @@ fn split_frame(buf: &[u8]) -> Split {
 /// The transport is self-connected: it binds an ephemeral loopback
 /// listener, dials it once with retry/backoff and accepts the peer —
 /// a real socket, real framing, real backpressure, no external process
-/// required. See the [module docs](self) for wire format and fault
-/// semantics.
+/// required. See the [module docs](self) for wire format, batching,
+/// fault semantics and ordering.
 pub struct SocketTransport<M: Wire> {
     /// Admission, the delivery heap and every counter.
     core: InMemoryTransport<M>,
     policy: RetryPolicy,
     writer: TcpStream,
     reader: TcpStream,
+    /// Whole frames encoded by `send` and not yet handed to the kernel.
+    outbox: Vec<u8>,
     /// Bytes read off the wire that do not yet form a whole frame.
     inbox: Vec<u8>,
-    /// Frames written to the wire but not yet parsed back out.
+    /// Frames of this phase not yet parsed back out: in the outbox, on
+    /// the wire or in the inbox.
     outstanding: u64,
+    /// The smallest `(deliver_tick, seq)` sent since the last pump — a
+    /// lower bound on every outstanding frame's key; `None` when nothing
+    /// was sent since, so nothing is outstanding.
+    unpumped_min: Option<(u64, u64)>,
 }
 
 impl<M: Wire> SocketTransport<M> {
@@ -183,7 +221,7 @@ impl<M: Wire> SocketTransport<M> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let writer = connect_with_retry(listener.local_addr()?, &policy)?;
         writer.set_nodelay(true)?;
-        writer.set_write_timeout(Some(policy.io_timeout))?;
+        writer.set_nonblocking(true)?;
         let (reader, _) = listener.accept()?;
         reader.set_nonblocking(true)?;
         Ok(SocketTransport {
@@ -191,8 +229,10 @@ impl<M: Wire> SocketTransport<M> {
             policy,
             writer,
             reader,
+            outbox: Vec::new(),
             inbox: Vec::new(),
             outstanding: 0,
+            unpumped_min: None,
         })
     }
 
@@ -201,20 +241,27 @@ impl<M: Wire> SocketTransport<M> {
         self.core.plan()
     }
 
-    /// Read every byte currently available and hand complete frames to
-    /// the core. Non-blocking; also the backpressure valve — called
-    /// after each write so the kernel buffers can never fill while the
-    /// sender holds unread inbound data.
+    /// Read every byte currently available, one chunk at a time, and
+    /// hand each complete frame to the core as soon as it is whole.
+    /// Non-blocking. Called by a pump, and by a flush whose write would
+    /// block: the kernel buffers of the self-connected pair empty only
+    /// when this side reads them.
     fn drain_ready(&mut self) {
-        let mut tmp = [0u8; 4096];
+        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            match self.reader.read(&mut tmp) {
-                Ok(0) => break,
-                Ok(n) => self.inbox.extend_from_slice(&tmp[..n]),
+            match self.reader.read(&mut chunk) {
+                Ok(0) => return, // closed: nothing more will arrive
+                Ok(n) => self.inbox.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break, // `WouldBlock`: nothing more for now
+                Err(_) => return, // `WouldBlock`: nothing more for now
             }
+            self.parse_inbox();
         }
+    }
+
+    /// Hand every whole frame at the head of the inbox to the core and
+    /// keep the partial tail.
+    fn parse_inbox(&mut self) {
         let inbox = std::mem::take(&mut self.inbox);
         let mut rest = &inbox[..];
         loop {
@@ -260,16 +307,54 @@ impl<M: Wire> SocketTransport<M> {
         }
     }
 
-    /// Block until every outstanding frame has been parsed or the
-    /// [`RetryPolicy::io_timeout`] expires; expired frames degrade to
-    /// dropped.
-    fn pump(&mut self) {
-        if self.outstanding == 0 {
-            return;
-        }
+    /// Hand the whole outbox to the kernel. A write that would block
+    /// drains the inbound side and tries again until
+    /// [`RetryPolicy::io_timeout`]; on that deadline or a hard error the
+    /// frames not written out whole count as dropped and the write side
+    /// is closed.
+    fn flush(&mut self) {
         let start = Instant::now();
         let mut spins = 0u32;
-        loop {
+        let mut written = 0;
+        while written < self.outbox.len() {
+            match self.writer.write(&self.outbox[written..]) {
+                Ok(0) => break,
+                Ok(n) => written += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e)
+                    if e.kind() == ErrorKind::WouldBlock
+                        && start.elapsed() <= self.policy.io_timeout =>
+                {
+                    self.drain_ready();
+                    idle(&mut spins);
+                }
+                Err(_) => break,
+            }
+        }
+        if written < self.outbox.len() {
+            let (mut end, mut lost) = (0, 0);
+            while let Split::Frame(n) = split_frame(&self.outbox[end..]) {
+                end += n;
+                lost += u64::from(end > written);
+            }
+            // A corrupt read may already have written them off.
+            let lost = lost.min(self.outstanding);
+            self.outstanding -= lost;
+            self.core.wire_lost(lost);
+            let _ = self.writer.shutdown(Shutdown::Write);
+        }
+        self.outbox.clear();
+    }
+
+    /// Flush, then read until every outstanding frame has been parsed
+    /// or the [`RetryPolicy::io_timeout`] expires; expired frames
+    /// degrade to dropped.
+    fn pump(&mut self) {
+        self.flush();
+        self.unpumped_min = None;
+        let start = Instant::now();
+        let mut spins = 0u32;
+        while self.outstanding > 0 {
             self.drain_ready();
             if self.outstanding == 0 {
                 return;
@@ -278,33 +363,20 @@ impl<M: Wire> SocketTransport<M> {
                 self.core.wire_lost(std::mem::take(&mut self.outstanding));
                 return;
             }
-            if spins < 256 {
-                spins += 1;
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
+            idle(&mut spins);
         }
     }
+}
 
-    /// Write one frame with retry/backoff, draining inbound data
-    /// between attempts so backpressure cannot deadlock the
-    /// self-connected pair. Returns whether the frame made it out.
-    fn write_frame(&mut self, frame: &[u8]) -> bool {
-        for attempt in 0..=self.policy.max_retries {
-            match self.writer.write_all(frame) {
-                Ok(()) => {
-                    let _ = self.writer.flush();
-                    return true;
-                }
-                Err(_) if attempt < self.policy.max_retries => {
-                    self.drain_ready();
-                    std::thread::sleep(self.policy.backoff(attempt));
-                }
-                Err(_) => return false,
-            }
-        }
-        false
+/// One step of a deadline-bounded wait: yield for the first 256 steps
+/// (on a single core the pair makes progress only that way), then
+/// sleep 50 µs per step.
+fn idle(spins: &mut u32) {
+    if *spins < 256 {
+        *spins += 1;
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(Duration::from_micros(50));
     }
 }
 
@@ -327,10 +399,13 @@ fn connect_with_retry(addr: SocketAddr, policy: &RetryPolicy) -> std::io::Result
 
 impl<M: Wire> Transport<M> for SocketTransport<M> {
     fn begin_phase(&mut self, epoch: u64, phase: u64, window: u64) {
-        // Stragglers still on the wire carry their old (epoch, phase)
-        // header and will be discarded at parse time; they are no
-        // longer outstanding for anyone.
+        // Unflushed frames of the closed phase are discarded here;
+        // stragglers already on the wire carry their old (epoch, phase)
+        // header and are discarded at parse time. Neither is
+        // outstanding for anyone.
+        self.outbox.clear();
         self.outstanding = 0;
+        self.unpumped_min = None;
         self.core.begin_phase(epoch, phase, window);
     }
 
@@ -339,29 +414,39 @@ impl<M: Wire> Transport<M> for SocketTransport<M> {
             return;
         };
         let (epoch, phase) = self.core.phase_id();
-        let mut frame = Vec::with_capacity(4 + HEADER_LEN + 16);
-        frame.extend_from_slice(&[0u8; 4]); // length backpatched below
+        let start = self.outbox.len();
+        self.outbox.extend_from_slice(&[0u8; 4]); // length backpatched below
         for w in [epoch, phase, src, dst, sent_tick, deliver_tick, seq] {
-            frame.extend_from_slice(&w.to_le_bytes());
+            self.outbox.extend_from_slice(&w.to_le_bytes());
         }
-        msg.encode(&mut frame);
-        let len = frame.len() - 4;
-        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
-        // An unencodable payload degrades to a drop, like any other
-        // wire fault.
-        if len <= MAX_FRAME && self.write_frame(&frame) {
-            self.outstanding += 1;
-            self.drain_ready();
-        } else {
+        msg.encode(&mut self.outbox);
+        let len = self.outbox.len() - start - 4;
+        if len > MAX_FRAME {
+            // An unencodable payload degrades to a drop, like any other
+            // wire fault.
+            self.outbox.truncate(start);
             self.core.wire_lost(1);
+            return;
+        }
+        self.outbox[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.outstanding += 1;
+        let key = (deliver_tick, seq);
+        self.unpumped_min = Some(self.unpumped_min.map_or(key, |min| min.min(key)));
+        if self.outbox.len() > FLUSH_AT {
+            self.flush();
         }
     }
 
     fn recv(&mut self) -> Option<Envelope<M>> {
-        // Quiescence barrier: every outstanding frame must land before
-        // the next pop, so the heap's (deliver_tick, seq) order is
+        // Lazy pump: an outstanding frame can only precede the heap's
+        // top if the smallest key sent since the last pump does (see
+        // the module docs), so the (deliver_tick, seq) order stays
         // total — identical to the in-memory transport's.
-        self.pump();
+        if let Some(min) = self.unpumped_min {
+            if self.core.peek_key().is_none_or(|top| min < top) {
+                self.pump();
+            }
+        }
         self.core.recv()
     }
 
@@ -427,6 +512,7 @@ mod tests {
         let mut t = SocketTransport::<u32>::connect(FaultPlan::perfect(), 0).expect("loopback");
         t.begin_phase(0, 0, NO_DEADLINE);
         t.send(1, 2, 0, 10);
+        t.flush();
         // Abandon the phase while the frame is still on the wire.
         t.begin_phase(0, 1, NO_DEADLINE);
         t.send(1, 2, 0, 11);
@@ -518,5 +604,68 @@ mod tests {
         assert_eq!(drain(&mut t).len(), n as usize);
         let s = t.stats();
         assert_eq!((s.sent, s.delivered, s.dropped), (n as u64, n as u64, 0));
+    }
+
+    /// A payload of arbitrary bytes, for frames near the size cap.
+    #[derive(Debug, PartialEq)]
+    struct Blob(Vec<u8>);
+
+    impl Wire for Blob {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.extend_from_slice(&self.0);
+        }
+        fn decode(bytes: &[u8]) -> Option<Self> {
+            Some(Blob(bytes.to_vec()))
+        }
+    }
+
+    /// The backpressure branch: one phase sends more bytes than the
+    /// kernel's largest receive plus send buffers hold, with no `recv`
+    /// in between, so flushes must meet `WouldBlock` and drain the
+    /// inbound side to make progress. Every frame still arrives, whole
+    /// and in order.
+    #[test]
+    fn frames_beyond_the_kernel_buffers_flow_through_backpressure() {
+        let mut t = SocketTransport::<Blob>::connect(FaultPlan::perfect(), 5).expect("loopback");
+        t.begin_phase(0, 0, NO_DEADLINE);
+        let frames = 48u64;
+        let blob = |i: u64| Blob(vec![i as u8; MAX_FRAME - HEADER_LEN]);
+        for i in 0..frames {
+            t.send(i % 3, 0, i, blob(i));
+        }
+        for i in 0..frames {
+            let env = t.recv().expect("every frame is delivered");
+            assert_eq!((env.sent_tick, env.msg == blob(i)), (i, true), "frame {i}");
+        }
+        assert!(t.recv().is_none());
+        let s = t.stats();
+        assert_eq!((s.sent, s.delivered, s.dropped), (frames, frames, 0));
+    }
+
+    /// A connection closed mid-run degrades to drops within the I/O
+    /// deadline: after a healthy phase the read side is shut down, and
+    /// every send of the next phase counts as `dropped` while `recv`
+    /// returns `None` once the pump deadline expires.
+    #[test]
+    fn connection_closed_mid_run_drops_within_the_deadline() {
+        let mut t = SocketTransport::<u32>::connect(FaultPlan::perfect(), 3).expect("loopback");
+        t.begin_phase(0, 0, NO_DEADLINE);
+        for i in 0..50u32 {
+            t.send(1, 2, i as u64, i);
+        }
+        assert_eq!(drain(&mut t).len(), 50, "the healthy phase delivers everything");
+        t.reader.shutdown(Shutdown::Both).expect("shutdown");
+        t.policy.io_timeout = Duration::from_millis(200);
+        t.begin_phase(0, 1, NO_DEADLINE);
+        for i in 0..50u32 {
+            t.send(1, 2, i as u64, i);
+        }
+        let start = Instant::now();
+        assert!(t.recv().is_none(), "nothing arrives over a closed connection");
+        let waited = start.elapsed();
+        assert!(waited < t.policy.io_timeout + Duration::from_secs(1), "waited {waited:?}");
+        let s = t.stats();
+        assert_eq!((s.sent, s.delivered, s.dropped), (100, 50, 50));
+        assert_eq!(s.sent, s.delivered + s.dropped);
     }
 }

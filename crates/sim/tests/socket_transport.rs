@@ -27,10 +27,13 @@ fn plans() -> Vec<FaultPlan> {
     ]
 }
 
+/// Every delivery in order, and the final counters.
+type Outcome = (Vec<Envelope<u64>>, NetStats);
+
 /// Drive one transport through three phases of all-to-aggregator plus
 /// scatter traffic and collect (deliveries, stats). After every drained
 /// phase each sent message is accounted for exactly once.
-fn drive<T: Transport<u64>>(t: &mut T, window: u64) -> (Vec<Envelope<u64>>, NetStats) {
+fn drive(t: &mut dyn Transport<u64>, window: u64) -> Outcome {
     let mut out = Vec::new();
     for epoch in 0..2 {
         for phase in 0..3 {
@@ -49,12 +52,48 @@ fn drive<T: Transport<u64>>(t: &mut T, window: u64) -> (Vec<Envelope<u64>>, NetS
     (out, t.stats())
 }
 
-/// One (plan, seed, window) cell compared mem-vs-socket.
-fn assert_equivalent(plan: FaultPlan, seed: u64, window: u64) {
-    let (mem_env, mem_stats) = drive(&mut InMemoryTransport::new(plan, seed), window);
+/// Hops a relayed message travels before its chain ends.
+const RELAY_HOPS: u64 = 3;
+
+/// Drive one transport through relay chains, the shape of the actor
+/// runtime's probe phase: every delivery of hop `h < RELAY_HOPS`
+/// forwards hop `h + 1` from inside the `recv` loop, sent at its own
+/// delivery tick. Collects (deliveries, stats) like [`drive`].
+fn relay(t: &mut dyn Transport<u64>, window: u64) -> Outcome {
+    let mut out = Vec::new();
+    for epoch in 0..2 {
+        for phase in 0..3 {
+            t.begin_phase(epoch, phase, window);
+            for src in 1..NODES {
+                t.send(src, (src * 7) % NODES, src % 11, src << 8);
+            }
+            while let Some(env) = t.recv() {
+                let hop = env.msg & 0xFF;
+                if hop < RELAY_HOPS {
+                    let next = (env.dst * 5 + 1) % NODES;
+                    t.send(env.dst, next, env.deliver_tick, env.msg + 1);
+                }
+                out.push(env);
+            }
+            let s = t.stats();
+            assert_eq!(s.sent, s.delivered + s.dropped + s.partition_cut + s.late, "{s:?}");
+        }
+    }
+    (out, t.stats())
+}
+
+/// One (plan, seed, window) cell of the `run` schedule ([`drive`] or
+/// [`relay`]) compared mem-vs-socket.
+fn assert_equivalent(
+    run: fn(&mut dyn Transport<u64>, u64) -> Outcome,
+    plan: FaultPlan,
+    seed: u64,
+    window: u64,
+) {
+    let (mem_env, mem_stats) = run(&mut InMemoryTransport::new(plan, seed), window);
     let mut socket =
         SocketTransport::connect(plan, seed).expect("loopback connects in the test net");
-    let (sock_env, sock_stats) = drive(&mut socket, window);
+    let (sock_env, sock_stats) = run(&mut socket, window);
     assert_eq!(mem_stats, sock_stats, "NetStats diverged for {plan:?} seed {seed}");
     assert_eq!(mem_env.len(), sock_env.len(), "delivery count diverged for {plan:?}");
     for (m, s) in mem_env.iter().zip(&sock_env) {
@@ -71,8 +110,19 @@ fn assert_equivalent(plan: FaultPlan, seed: u64, window: u64) {
 #[test]
 fn socket_reports_in_memory_stats_under_all_fault_plans() {
     for (i, plan) in plans().into_iter().enumerate() {
-        assert_equivalent(plan, 42 + i as u64, NO_DEADLINE);
-        assert_equivalent(plan, 42 + i as u64, 6);
+        assert_equivalent(drive, plan, 42 + i as u64, NO_DEADLINE);
+        assert_equivalent(drive, plan, 42 + i as u64, 6);
+    }
+}
+
+/// Follow-up sends from inside the `recv` loop: a frame sent mid-drain
+/// may belong before messages already queued, and the socket must still
+/// deliver the in-memory order.
+#[test]
+fn relayed_sends_inside_recv_keep_the_in_memory_order() {
+    for (i, plan) in plans().into_iter().enumerate() {
+        assert_equivalent(relay, plan, 7 + i as u64, NO_DEADLINE);
+        assert_equivalent(relay, plan, 7 + i as u64, 9);
     }
 }
 
