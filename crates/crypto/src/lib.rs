@@ -7,7 +7,11 @@
 //! suggests SHA-2 as the practical instantiation. This crate provides:
 //!
 //! * [`mod@sha256`] — a from-scratch FIPS 180-4 SHA-256 implementation
-//!   (validated against the NIST test vectors in the unit tests),
+//!   (validated against the NIST test vectors in the unit tests). Its
+//!   compression function runs on the x86 SHA extensions when the CPU
+//!   reports them at run time and on portable reference rounds otherwise;
+//!   the two are bit-identical, and the dispatch call is the workspace's
+//!   one `unsafe` block,
 //! * [`oracle`] — the domain-separated random-oracle family used by the
 //!   protocols:
 //!   * `h1`, `h2` — group-membership hashes (§III-A): member `i` of group
@@ -20,7 +24,9 @@
 //!
 //! All oracle outputs live on the unit ring as [`tg_idspace::Id`] values
 //! (the paper's `[0,1)` domain), taken from the first 8 bytes of the
-//! SHA-256 digest.
+//! SHA-256 digest. Every fixed-width query (an ID, a word, an
+//! `(ID, index)` pair, two words) is one padded block and costs one
+//! compression; [`oracle`]'s module doc gives the byte layout.
 
 pub mod oracle;
 pub mod sha256;

@@ -17,9 +17,35 @@
 //! random-oracle cloning construction). An additional per-system `instance`
 //! seed lets simulations draw fresh, mutually independent oracle families —
 //! one per trial — so that repetitions are honest i.i.d. samples.
+//!
+//! # Query format
+//!
+//! A query hashes the SHA-256 message
+//!
+//! ```text
+//! "tiny-groups/ro/v1" ‖ instance ‖ tag ‖ payload
+//! ```
+//!
+//! with `instance` and `tag` as big-endian `u64`s, and reads the output
+//! ring point from the first 8 digest bytes (big-endian). The fixed-width
+//! shapes put their payload big-endian too: `hash_id` and `hash_u64` one
+//! word (41-byte message), `hash_id_index` a word and a `u32` index (45
+//! bytes), `hash_u64_pair` two words (49 bytes). Each of those fits in one
+//! padded block (`0x80` at byte 33 + payload length, zeros, the bit length
+//! in bytes 56..64), so those four methods write that block directly and
+//! run one compression from the initial state; the output is then the
+//! first two state words. `hash_bytes` takes any length and goes through
+//! the streaming hasher. This format is part of every observation: the
+//! seed-42 goldens and the benchmark digests pin it, and the unit tests
+//! below pin each shape to the streaming hasher and to a known answer.
 
-use crate::sha256::Sha256;
+use crate::sha256::{compress, Sha256, H0};
 use tg_idspace::Id;
+
+/// The prefix of every oracle message.
+const DOMAIN: &[u8; 17] = b"tiny-groups/ro/v1";
+/// Bytes before the payload: the prefix, instance and tag.
+const HEADER: usize = DOMAIN.len() + 16;
 
 /// A single random oracle `{byte strings} → [0,1)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,12 +63,29 @@ impl Oracle {
         Oracle { tag, instance }
     }
 
+    /// The streaming hasher after the prefix, instance and tag.
     fn base(&self) -> Sha256 {
         let mut h = Sha256::new();
-        h.update(b"tiny-groups/ro/v1");
-        h.update_u64(self.instance);
-        h.update_u64(self.tag);
+        h.update(DOMAIN);
+        h.update(&self.instance.to_be_bytes());
+        h.update(&self.tag.to_be_bytes());
         h
+    }
+
+    /// A fixed-width query: the whole message plus its padding is one
+    /// block, hashed with one compression (see the module doc).
+    fn one_block<const N: usize>(&self, payload: [u8; N]) -> Id {
+        const { assert!(HEADER + N < 56, "payload must leave room for the padding") };
+        let mut block = [0u8; 64];
+        block[..DOMAIN.len()].copy_from_slice(DOMAIN);
+        block[DOMAIN.len()..HEADER - 8].copy_from_slice(&self.instance.to_be_bytes());
+        block[HEADER - 8..HEADER].copy_from_slice(&self.tag.to_be_bytes());
+        block[HEADER..HEADER + N].copy_from_slice(&payload);
+        block[HEADER + N] = 0x80;
+        block[56..].copy_from_slice(&(8 * (HEADER + N) as u64).to_be_bytes());
+        let mut state = H0;
+        compress(&mut state, &block);
+        Id(u64::from(state[0]) << 32 | u64::from(state[1]))
     }
 
     /// Hash raw bytes to a ring point.
@@ -55,34 +98,27 @@ impl Oracle {
     /// Hash a ring point to a ring point (the `f(·)` and `g(·)` shapes of
     /// §IV use `[0,1)` for both domain and range).
     pub fn hash_id(&self, x: Id) -> Id {
-        let mut h = self.base();
-        h.update_u64(x.raw());
-        digest_to_id(h.finalize())
+        self.hash_u64(x.raw())
     }
 
     /// Hash an `(ID, index)` pair — the `h1(w, i)` / `h2(w, i)` shape used
     /// for group membership.
     pub fn hash_id_index(&self, w: Id, i: u32) -> Id {
-        let mut h = self.base();
-        h.update_u64(w.raw());
-        h.update(&i.to_be_bytes());
-        digest_to_id(h.finalize())
+        let mut payload = [0u8; 12];
+        payload[..8].copy_from_slice(&w.raw().to_be_bytes());
+        payload[8..].copy_from_slice(&i.to_be_bytes());
+        self.one_block(payload)
     }
 
     /// Hash a pair of 64-bit words (e.g. `σ ⊕ r` split across words, or a
     /// string identifier) to a ring point.
     pub fn hash_u64_pair(&self, a: u64, b: u64) -> Id {
-        let mut h = self.base();
-        h.update_u64(a);
-        h.update_u64(b);
-        digest_to_id(h.finalize())
+        self.one_block(((u128::from(a) << 64) | u128::from(b)).to_be_bytes())
     }
 
     /// Hash a single 64-bit word to a ring point.
     pub fn hash_u64(&self, a: u64) -> Id {
-        let mut h = self.base();
-        h.update_u64(a);
-        digest_to_id(h.finalize())
+        self.one_block(a.to_be_bytes())
     }
 }
 
@@ -136,6 +172,77 @@ impl OracleFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A query through the streaming hasher: `base()`, the payload bytes,
+    /// `finalize` — the format the one-block shapes must reproduce.
+    fn streamed(o: &Oracle, payload: &[&[u8]]) -> Id {
+        let mut h = o.base();
+        for part in payload {
+            h.update(part);
+        }
+        digest_to_id(h.finalize())
+    }
+
+    /// Each fixed-width shape against the streaming hasher at `(a, b, i)`.
+    fn assert_shapes_stream(o: &Oracle, a: u64, b: u64, i: u32) {
+        let (wa, wb, wi) = (a.to_be_bytes(), b.to_be_bytes(), i.to_be_bytes());
+        assert_eq!(o.hash_id(Id(a)), streamed(o, &[&wa]), "hash_id({a:#x})");
+        assert_eq!(o.hash_u64(a), streamed(o, &[&wa]), "hash_u64({a:#x})");
+        assert_eq!(
+            o.hash_id_index(Id(a), i),
+            streamed(o, &[&wa, &wi]),
+            "hash_id_index({a:#x}, {i})"
+        );
+        assert_eq!(
+            o.hash_u64_pair(a, b),
+            streamed(o, &[&wa, &wb]),
+            "hash_u64_pair({a:#x}, {b:#x})"
+        );
+    }
+
+    #[test]
+    fn one_block_shapes_match_streaming_at_the_edges() {
+        for (instance, tag) in [(0, 0), (u64::MAX, u64::MAX), (42, 0x6831)] {
+            let o = Oracle::new(instance, tag);
+            for a in [0, 1, u64::MAX] {
+                for b in [0, u64::MAX] {
+                    for i in [0, 1, u32::MAX] {
+                        assert_shapes_stream(&o, a, b, i);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn one_block_shapes_match_streaming(
+            instance in any::<u64>(),
+            tag in any::<u64>(),
+            a in any::<u64>(),
+            b in any::<u64>(),
+            i in any::<u32>(),
+        ) {
+            assert_shapes_stream(&Oracle::new(instance, tag), a, b, i);
+        }
+    }
+
+    /// One known answer per query shape, recorded from the streaming
+    /// implementation before the one-block path existed.
+    #[test]
+    fn known_answers() {
+        let fam = OracleFamily::new(42);
+        let w = Id(0x0123_4567_89ab_cdef);
+        let hex = |x: Id| format!("{:016x}", x.raw());
+        assert_eq!(hex(fam.f.hash_id(w)), "7320d727916840e3");
+        assert_eq!(hex(fam.h.hash_u64(u64::MAX)), "e4dc1d4e00ccee57");
+        assert_eq!(hex(fam.h1.hash_id_index(w, u32::MAX)), "593f5690ec848ae4");
+        assert_eq!(hex(fam.g.hash_u64_pair(0, u64::MAX)), "638993165ccb79c5");
+        assert_eq!(hex(fam.h2.hash_bytes(b"tiny")), "f4e391f9b65044f6");
+    }
 
     #[test]
     fn deterministic() {

@@ -2,13 +2,39 @@
 //!
 //! The paper instantiates its random oracles with "a cryptographic hash
 //! function, such as SHA-2 \[40\]". We implement SHA-256 directly rather than
-//! pulling a dependency: the implementation is ~150 lines, it keeps the
-//! workspace's trust base explicit, and the unit tests pin it to the NIST
-//! vectors so the protocol layers above can rely on exact, portable output.
+//! pulling a dependency: it keeps the workspace's trust base explicit, and
+//! the unit tests pin it to the NIST vectors so the protocol layers above
+//! can rely on exact, portable output.
+//!
+//! The padding and buffering are written once; the compression function
+//! has two implementations behind one entry point, `compress`:
+//!
+//! * `compress_soft` — the FIPS 180-4 rounds in plain integer code. It runs
+//!   on every host and is the **reference**: the unit tests hash the NIST
+//!   vectors through it and compare the other path against it on random
+//!   `(state, block)` pairs.
+//! * `shani::compress` (x86_64 only) — the same function on the CPU's SHA
+//!   extensions (`sha256rnds2`, `sha256msg1`, `sha256msg2`), compiled with
+//!   `#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]`.
+//!
+//! **Dispatch rule:** `compress` takes the SHA-extension path when
+//! `is_x86_feature_detected!` reports `sha`, `ssse3` and `sse4.1` at run
+//! time (std caches the probe, so each call pays one load and a bit test),
+//! and the reference path otherwise. There is no build option or
+//! environment switch: both paths produce the same bits, so which one runs
+//! is not observable in any output.
+//!
+//! **The one `unsafe`.** The SHA-extension function uses only value-typed
+//! intrinsics (`_mm_set_epi32` loads, `_mm_extract_epi32` stores, no
+//! pointers), which are safe inside a `#[target_feature]` function. What
+//! is unsafe is *calling* such a function: doing so on a CPU without the
+//! features would execute illegal instructions. The single call site sits
+//! behind the run-time detection of exactly the features the function
+//! enables, which is what makes it sound.
 
 /// Initial hash values: the first 32 bits of the fractional parts of the
 /// square roots of the first 8 primes (FIPS 180-4 §5.3.3).
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -67,15 +93,14 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
         // Whole blocks straight from the input.
         while rest.len() >= 64 {
             let (block, tail) = rest.split_at(64);
-            self.compress(block.try_into().expect("64-byte block"));
+            compress(&mut self.state, block.try_into().expect("64-byte block"));
             rest = tail;
         }
         // Buffer the remainder.
@@ -85,65 +110,21 @@ impl Sha256 {
         }
     }
 
-    /// Convenience: absorb a `u64` big-endian.
-    pub fn update_u64(&mut self, v: u64) {
-        self.update(&v.to_be_bytes());
-    }
-
     /// Finish and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit message length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, then the 64-bit message length. `buf_len`
+        // is below 64 here, so the 0x80 always fits; past byte 55 the
+        // length spills into a second block.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        // `update` would recount the length bytes, so splice them manually.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte word"));
-        }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16].wrapping_add(s0).wrapping_add(w[t - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for t in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(big_s1).wrapping_add(ch).wrapping_add(K[t]).wrapping_add(w[t]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = big_s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
+        digest(&self.state)
     }
 }
 
@@ -154,36 +135,174 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
+/// The digest bytes of a final state (big-endian words).
+fn digest(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (i, w) in state.iter().enumerate() {
+        out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
+    }
+    out
+}
+
+/// The SHA-256 compression function: absorb one 64-byte `block` into
+/// `state`, on the CPU's SHA extensions where the host has them and on the
+/// reference rounds otherwise (see the module doc for the rule).
+pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("sha")
+        && std::is_x86_feature_detected!("ssse3")
+        && std::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `shani::compress` enables exactly `sha`, `sse2`, `ssse3`
+        // and `sse4.1`. The three that are optional on x86_64 were just
+        // detected at run time, and `sse2` is part of the x86_64 baseline.
+        #[allow(unsafe_code)]
+        unsafe {
+            shani::compress(state, block)
+        };
+        return;
+    }
+    compress_soft(state, block);
+}
+
+/// The reference compression function: FIPS 180-4 §6.2.2 in integer code.
+fn compress_soft(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte word"));
+    }
+    for t in 16..64 {
+        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+        w[t] = w[t - 16].wrapping_add(s0).wrapping_add(w[t - 7]).wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for t in 0..64 {
+        let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h.wrapping_add(big_s1).wrapping_add(ch).wrapping_add(K[t]).wrapping_add(w[t]);
+        let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = big_s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// The compression function on the x86 SHA extensions.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Four big-endian message words of `block`, word `4j` in lane 0.
+    #[target_feature(enable = "sse2")]
+    fn words(block: &[u8; 64], j: usize) -> __m128i {
+        let w = |i: usize| {
+            i32::from_be_bytes(block[16 * j + 4 * i..][..4].try_into().expect("4-byte word"))
+        };
+        _mm_set_epi32(w(3), w(2), w(1), w(0))
+    }
+
+    /// The same function as `super::compress_soft`. `sha256rnds2` keeps
+    /// the working variables as two vectors, `ABEF` and `CDGH` (first
+    /// letter in the top lane), and runs two rounds per instruction; the
+    /// message schedule advances four words per `msg1`/`msg2` pair.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let s = state.map(|v| v as i32);
+        let abef0 = _mm_set_epi32(s[0], s[1], s[4], s[5]);
+        let cdgh0 = _mm_set_epi32(s[2], s[3], s[6], s[7]);
+        let (mut abef, mut cdgh) = (abef0, cdgh0);
+        // The last four groups of four message words, oldest first.
+        let mut m = [words(block, 0), words(block, 1), words(block, 2), words(block, 3)];
+        for i in 0..16 {
+            if i >= 4 {
+                // W[t..t+4] from W[t-16..t-12], W[t-12..t-8], W[t-7..t-3]
+                // (straddling two vectors) and W[t-4..t].
+                let w7 = _mm_alignr_epi8::<4>(m[3], m[2]);
+                let next = _mm_add_epi32(_mm_sha256msg1_epu32(m[0], m[1]), w7);
+                m = [m[1], m[2], m[3], _mm_sha256msg2_epu32(next, m[3])];
+            }
+            let w = if i >= 4 { m[3] } else { m[i] };
+            let k = |r: usize| K[4 * i + r] as i32;
+            let wk = _mm_add_epi32(w, _mm_set_epi32(k(3), k(2), k(1), k(0)));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+        }
+        let abef = _mm_add_epi32(abef, abef0);
+        let cdgh = _mm_add_epi32(cdgh, cdgh0);
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|v| v as u32);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// One-shot SHA-256 on the reference rounds only, whatever the host
+    /// supports: the NIST vectors pin this path and `sha256` (the
+    /// dispatched one) side by side.
+    fn sha256_soft(data: &[u8]) -> [u8; 32] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in msg.chunks_exact(64) {
+            compress_soft(&mut state, block.try_into().expect("64-byte block"));
+        }
+        digest(&state)
+    }
+
+    /// Both paths' digest of `msg`, asserted equal to `expect`.
+    fn assert_both(msg: &[u8], expect: &str) {
+        assert_eq!(hex(&sha256_soft(msg)), expect, "reference rounds");
+        assert_eq!(hex(&sha256(msg)), expect, "dispatched rounds");
+    }
+
     // NIST FIPS 180-4 / CAVP example vectors.
     #[test]
     fn nist_empty() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        assert_both(b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
     }
 
     #[test]
     fn nist_abc() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        assert_both(b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
     }
 
     #[test]
     fn nist_two_block() {
-        assert_eq!(
-            hex(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_both(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
@@ -191,19 +310,29 @@ mod tests {
     fn nist_four_block() {
         let msg = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
 hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
-        assert_eq!(
-            hex(&sha256(msg)),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-        );
+        assert_both(msg, "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
     }
 
     #[test]
     fn nist_million_a() {
         let msg = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&msg)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_both(&msg, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The dispatched compression equals the reference rounds on
+        /// arbitrary chaining states and blocks (on a host without SHA
+        /// extensions both sides are the reference).
+        #[test]
+        fn compress_matches_reference(state in any::<[u32; 8]>(), block in any::<[u8; 64]>()) {
+            let mut fast = state;
+            let mut soft = state;
+            compress(&mut fast, &block);
+            compress_soft(&mut soft, &block);
+            prop_assert_eq!(fast, soft);
+        }
     }
 
     #[test]
@@ -241,6 +370,7 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
             let mut h = Sha256::new();
             h.update(&msg);
             assert_eq!(h.finalize(), d1, "len {len}");
+            assert_eq!(d1, sha256_soft(&msg), "len {len}");
         }
     }
 }
