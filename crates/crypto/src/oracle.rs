@@ -30,16 +30,16 @@
 //! ring point from the first 8 digest bytes (big-endian). The fixed-width
 //! shapes put their payload big-endian too: `hash_id` and `hash_u64` one
 //! word (41-byte message), `hash_id_index` a word and a `u32` index (45
-//! bytes), `hash_u64_pair` two words (49 bytes). Each of those fits in one
-//! padded block (`0x80` at byte 33 + payload length, zeros, the bit length
-//! in bytes 56..64), so those four methods write that block directly and
-//! run one compression from the initial state; the output is then the
-//! first two state words. `hash_bytes` takes any length and goes through
+//! bytes), `hash_u64_pair` two words (49 bytes). Each of those messages is
+//! under 56 bytes, so it and its SHA-256 padding fit in one block: those
+//! four methods hash it with one compression (`sha256::one_block_state`)
+//! and read the output from the first two state words, which are the
+//! first 8 digest bytes. `hash_bytes` takes any length and goes through
 //! the streaming hasher. This format is part of every observation: the
 //! seed-42 goldens and the benchmark digests pin it, and the unit tests
 //! below pin each shape to the streaming hasher and to a known answer.
 
-use crate::sha256::{compress, Sha256, H0};
+use crate::sha256::{one_block_state, Sha256};
 use tg_idspace::Id;
 
 /// The prefix of every oracle message.
@@ -72,19 +72,16 @@ impl Oracle {
         h
     }
 
-    /// A fixed-width query: the whole message plus its padding is one
-    /// block, hashed with one compression (see the module doc).
-    fn one_block<const N: usize>(&self, payload: [u8; N]) -> Id {
-        const { assert!(HEADER + N < 56, "payload must leave room for the padding") };
-        let mut block = [0u8; 64];
-        block[..DOMAIN.len()].copy_from_slice(DOMAIN);
-        block[DOMAIN.len()..HEADER - 8].copy_from_slice(&self.instance.to_be_bytes());
-        block[HEADER - 8..HEADER].copy_from_slice(&self.tag.to_be_bytes());
-        block[HEADER..HEADER + N].copy_from_slice(&payload);
-        block[HEADER + N] = 0x80;
-        block[56..].copy_from_slice(&(8 * (HEADER + N) as u64).to_be_bytes());
-        let mut state = H0;
-        compress(&mut state, &block);
+    /// A fixed-width query of `M` message bytes: the prefix, instance and
+    /// tag, then `payload` (`M - HEADER` bytes), hashed as one block (see
+    /// the module doc).
+    fn one_block<const M: usize>(&self, payload: &[u8]) -> Id {
+        let mut msg = [0u8; M];
+        msg[..DOMAIN.len()].copy_from_slice(DOMAIN);
+        msg[DOMAIN.len()..HEADER - 8].copy_from_slice(&self.instance.to_be_bytes());
+        msg[HEADER - 8..HEADER].copy_from_slice(&self.tag.to_be_bytes());
+        msg[HEADER..].copy_from_slice(payload);
+        let state = one_block_state(msg);
         Id(u64::from(state[0]) << 32 | u64::from(state[1]))
     }
 
@@ -107,18 +104,18 @@ impl Oracle {
         let mut payload = [0u8; 12];
         payload[..8].copy_from_slice(&w.raw().to_be_bytes());
         payload[8..].copy_from_slice(&i.to_be_bytes());
-        self.one_block(payload)
+        self.one_block::<{ HEADER + 12 }>(&payload)
     }
 
     /// Hash a pair of 64-bit words (e.g. `σ ⊕ r` split across words, or a
     /// string identifier) to a ring point.
     pub fn hash_u64_pair(&self, a: u64, b: u64) -> Id {
-        self.one_block(((u128::from(a) << 64) | u128::from(b)).to_be_bytes())
+        self.one_block::<{ HEADER + 16 }>(&((u128::from(a) << 64) | u128::from(b)).to_be_bytes())
     }
 
     /// Hash a single 64-bit word to a ring point.
     pub fn hash_u64(&self, a: u64) -> Id {
-        self.one_block(a.to_be_bytes())
+        self.one_block::<{ HEADER + 8 }>(&a.to_be_bytes())
     }
 }
 

@@ -6,8 +6,11 @@
 //! the unit tests pin it to the NIST vectors so the protocol layers above
 //! can rely on exact, portable output.
 //!
-//! The padding and buffering are written once; the compression function
-//! has two implementations behind one entry point, `compress`:
+//! Padding lives here only: `Sha256::finalize` pads a streamed message,
+//! and `one_block_state` pads a message shorter than 56 bytes in place so
+//! it hashes with one compression (the oracle's fixed-width queries). The
+//! compression function has two implementations behind one entry point,
+//! `compress`:
 //!
 //! * `compress_soft` — the FIPS 180-4 rounds in plain integer code. It runs
 //!   on every host and is the **reference**: the unit tests hash the NIST
@@ -34,7 +37,7 @@
 
 /// Initial hash values: the first 32 bits of the fractional parts of the
 /// square roots of the first 8 primes (FIPS 180-4 §5.3.3).
-pub(crate) const H0: [u32; 8] = [
+const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -128,6 +131,22 @@ impl Sha256 {
     }
 }
 
+/// The chaining state after hashing `msg`, which together with its
+/// padding fits in one block: the padding is written in place and the
+/// block compressed once from the initial state. The first words of the
+/// result are the first words of `sha256(&msg)`, for callers that need
+/// only a prefix of the digest.
+pub(crate) fn one_block_state<const N: usize>(msg: [u8; N]) -> [u32; 8] {
+    const { assert!(N < 56, "the message and its padding must fit in one block") };
+    let mut block = [0u8; 64];
+    block[..N].copy_from_slice(&msg);
+    block[N] = 0x80;
+    block[56..].copy_from_slice(&(8 * N as u64).to_be_bytes());
+    let mut state = H0;
+    compress(&mut state, &block);
+    state
+}
+
 /// One-shot SHA-256.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
@@ -147,7 +166,7 @@ fn digest(state: &[u32; 8]) -> [u8; 32] {
 /// The SHA-256 compression function: absorb one 64-byte `block` into
 /// `state`, on the CPU's SHA extensions where the host has them and on the
 /// reference rounds otherwise (see the module doc for the rule).
-pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("sha")
         && std::is_x86_feature_detected!("ssse3")

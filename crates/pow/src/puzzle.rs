@@ -95,37 +95,22 @@ pub fn verify(fam: &OracleFamily, params: &PuzzleParams, sol: &Solution, current
     g_out <= params.tau && fam.f.hash_id(g_out) == sol.id
 }
 
-/// Claims per fan-out chunk of [`verify_batch`]; smaller batches verify
-/// sequentially. Each claim is two one-block oracle queries (≈ 2 × 65 ns
-/// on SHA extensions), so a 512-claim chunk was ≈ 70 µs of hashing, below
-/// the ≈ 85 µs it costs to spawn and join the workers
-/// (`parallel.map_overhead_us`). Measured as `tg_pow.verify_batch_ns_per_claim`
-/// (4 096 claims, traced `pow_protocol` runs, seed 42, 2-core x86_64 with
-/// SHA extensions): 512 → ≈ 212 ns per claim (fanned out), 8 192 → ≈ 132
-/// ns per claim (sequential).
-const BATCH_CHUNK: usize = 8192;
-
 /// Verify a whole epoch's claimed solutions in one pass, returning one
 /// verdict per solution in input order.
 ///
-/// The two recomputed hashes per claim are pure and independent, so the
-/// batch fans out over deterministic chunks
-/// ([`tg_sim::parallel_map_chunked`]) and folds verdicts back in claim
-/// order — bit-identical to mapping [`verify`] sequentially, for any
-/// thread count. The arena-scale pipeline verifies each epoch's minted
-/// set through this entry point instead of one call per claim.
+/// A sequential map of [`verify`]. Each claim is two one-block oracle
+/// queries, so a claim costs about 130 ns on SHA extensions, and fanning
+/// the batch out over threads did not pay: on the 4 096-claim batch of
+/// `tg_pow.verify_batch_ns_per_claim` (traced `pow_protocol` runs, seed 42,
+/// 2-core x86_64 with SHA extensions) 512-claim chunks took ≈ 212 ns per
+/// claim and 2 048-claim chunks 205–229 ns, against ≈ 132 ns sequential.
 pub fn verify_batch(
     fam: &OracleFamily,
     params: &PuzzleParams,
     sols: &[Solution],
     current_r: u64,
 ) -> Vec<bool> {
-    if sols.len() < BATCH_CHUNK {
-        return sols.iter().map(|sol| verify(fam, params, sol, current_r)).collect();
-    }
-    tg_sim::parallel_map_chunked(sols.to_vec(), BATCH_CHUNK, |sol| {
-        verify(fam, params, &sol, current_r)
-    })
+    sols.iter().map(|sol| verify(fam, params, sol, current_r)).collect()
 }
 
 /// The **single-hash variant** the paper warns against: `σ` (one word,
@@ -193,12 +178,12 @@ mod tests {
         let r = 0x5EED;
         // A mixed bag: genuine solutions, stale-string claims, forgeries.
         let mut sols = Vec::new();
-        for s in 0..400_000u64 {
+        for s in 0..40_000u64 {
             if let Some(sol) = attempt(&fam, &params, (s, s ^ 0xFF), r) {
                 sols.push(sol);
             }
         }
-        assert!(sols.len() >= 2 * BATCH_CHUNK, "need a fanned-out batch, got {}", sols.len());
+        assert!(sols.len() >= 1024, "need a real batch, got {}", sols.len());
         let n = sols.len();
         for i in 0..n / 3 {
             sols[3 * i].epoch_string ^= 1; // stale string

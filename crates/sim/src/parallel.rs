@@ -11,8 +11,7 @@
 //! (e.g. `n = 2^10` next to `n = 2^17`) still balance.
 //!
 //! Nesting is harmless: a call made from inside a worker (a sweep cell
-//! whose epoch fans out, a `verify_batch` on a large hoard) runs
-//! serially on that worker instead of spawning a second layer of
+//! whose epoch fans out) runs serially on that worker instead of spawning a second layer of
 //! threads — the outer map already occupies every core, and by the
 //! order contract the results are the same either way.
 
