@@ -36,7 +36,7 @@ use crate::dynamic::build::{
 };
 use crate::dynamic::kernel::scheduled_map;
 use crate::dynamic::provider::IdentityProvider;
-use crate::dynamic::system::EpochReport;
+use crate::dynamic::system::EpochObservation;
 use crate::graph::{GraphsView, GroupColumns, GroupGraph, GroupGraphView, SideView};
 use crate::params::Params;
 use crate::population::Population;
@@ -136,6 +136,9 @@ impl DynamicSystem {
 
     /// Run one epoch: intra-epoch churn on the serving pool, construction
     /// of the next graphs through the current ones, measurement, swap.
+    /// The returned [`EpochObservation`] carries the §III measurements
+    /// and group counts; its census, PoW and network fields stay at
+    /// their defaults for the layers that measure them.
     ///
     /// The dynamic layer itself has no notion of epoch strings — they
     /// belong to §IV's minting pipeline, so the [`AdversaryView`] handed
@@ -147,7 +150,7 @@ impl DynamicSystem {
     /// hoarding strategies grind against it, and the fresh-vs-frozen
     /// contrast of §IV-B plays out over the real protocol string rather
     /// than a synthesized stand-in.
-    pub fn advance_epoch(&mut self, provider: &mut dyn IdentityProvider) -> EpochReport {
+    pub fn advance_epoch(&mut self, provider: &mut dyn IdentityProvider) -> EpochObservation {
         let mut rng = stream_rng(self.master_seed, "epoch", self.epoch);
         let mut metrics = Metrics::new();
 
@@ -210,7 +213,9 @@ impl DynamicSystem {
         let max_memberships = good_counts.iter().copied().max().unwrap_or(0);
 
         let sides = || news.view().iter();
-        let report = EpochReport {
+        let captured_groups =
+            sides().map(|g| (0..g.len()).filter(|&i| !g.has_good_majority(i)).count()).sum();
+        let obs = EpochObservation {
             epoch: self.epoch + 1,
             frac_red: sides().map(|g| g.frac_red()).collect(),
             frac_good_majority: sides().map(|g| g.frac_good_majority()).collect(),
@@ -222,16 +227,24 @@ impl DynamicSystem {
             mean_memberships,
             max_memberships,
             metrics,
+            captured_groups,
+            total_groups: sides().map(|g| g.len()).sum(),
+            ..EpochObservation::default()
         };
 
         // 5. Swap: the new graphs become operational.
         self.graphs = news;
         self.epoch += 1;
-        report
+        obs
     }
 
-    /// Run `epochs` epochs, returning all reports.
-    pub fn run(&mut self, provider: &mut dyn IdentityProvider, epochs: usize) -> Vec<EpochReport> {
+    /// Run `epochs` epochs, returning one observation each (§III fields
+    /// only: no census, PoW or network layer is attached here).
+    pub fn run(
+        &mut self,
+        provider: &mut dyn IdentityProvider,
+        epochs: usize,
+    ) -> Vec<EpochObservation> {
         (0..epochs).map(|_| self.advance_epoch(provider)).collect()
     }
 
@@ -386,7 +399,7 @@ mod tests {
         (sequential, fanned, pa)
     }
 
-    fn assert_reports_identical(a: &EpochReport, b: &EpochReport) {
+    fn assert_reports_identical(a: &EpochObservation, b: &EpochObservation) {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 

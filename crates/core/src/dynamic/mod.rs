@@ -46,4 +46,4 @@ pub use adversary::{
 pub use build::{BuildMode, BuildStats};
 pub use kernel::KernelChoice;
 pub use provider::{Census, EpochIds, IdentityProvider, UniformProvider, WithEpochString};
-pub use system::EpochReport;
+pub use system::EpochObservation;

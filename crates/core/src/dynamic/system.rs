@@ -1,15 +1,26 @@
-//! What one epoch reports. The loop that fills it — churn, build,
-//! measure, swap (§III) — is [`crate::dynamic::DynamicSystem`]; its
-//! behavioural tests live here.
+//! What one epoch reports: [`EpochObservation`], the one per-epoch
+//! record. The loop that fills it — churn, build, measure, swap (§III)
+//! — is [`crate::dynamic::DynamicSystem`]; its behavioural tests live
+//! here.
 
 use crate::dynamic::build::BuildStats;
 use tg_sim::Metrics;
 
-/// Per-epoch measurements (taken on the freshly built graphs, which are
-/// the ones the next epoch operates on).
-#[derive(Clone, Debug)]
-pub struct EpochReport {
-    /// Epoch index (the epoch these graphs will serve).
+/// Everything one epoch produced, across both system layers, each field
+/// filled once by the layer that measures it:
+///
+/// * [`DynamicSystem::advance_epoch`](crate::dynamic::DynamicSystem::advance_epoch)
+///   — the §III measurements and the group counts, taken on the freshly
+///   built graphs (the ones the next epoch operates on);
+/// * the driver's identity census — `bad_ids` and `bad_share`;
+/// * `tg_pow`'s `FullSystem` — the §IV string/minting fields (`None`
+///   when the scenario runs without the PoW layer or with synthesized
+///   strings);
+/// * [`EpochNet::finish_epoch`](crate::runtime::EpochNet::finish_epoch)
+///   — the probe-phase scaling of search success, and `late`.
+#[derive(Clone, Debug, Default)]
+pub struct EpochObservation {
+    /// Epoch index the freshly built graphs serve.
     pub epoch: u64,
     /// Red fraction per side.
     pub frac_red: Vec<f64>,
@@ -25,12 +36,57 @@ pub struct EpochReport {
     pub search_success_dual: f64,
     /// Construction counters.
     pub build: BuildStats,
-    /// Per-good-pool-ID group memberships (Lemma 10): mean and max.
+    /// Per-good-pool-ID group memberships (Lemma 10): mean.
     pub mean_memberships: f64,
     /// Maximum memberships held by one good pool ID.
     pub max_memberships: usize,
     /// Messages spent on construction searches this epoch.
     pub metrics: Metrics,
+    /// Adversarial IDs that entered the dynamic layer this epoch (under
+    /// PoW: the minted bad count). The adversary bypasses the network,
+    /// so faults never change this.
+    pub bad_ids: usize,
+    /// Key-space fraction those IDs own under the successor rule — the
+    /// adversary's recruitment probability per membership draw. Under
+    /// a faulty network the two drivers disagree on the denominator:
+    /// `FullDriver` measures the ring the network *delivered*,
+    /// [`DynamicDriver`](crate::scenario::DynamicDriver) the ring as
+    /// *announced* (before good announcements are dropped) — see
+    /// ROADMAP item 5.
+    pub bad_share: f64,
+    /// Groups without a good majority, summed over all sides, measured
+    /// on the freshly built graphs.
+    pub captured_groups: usize,
+    /// Total groups across all sides.
+    pub total_groups: usize,
+    /// The epoch string minting bound to (PoW only).
+    pub epoch_string: Option<u64>,
+    /// Whether the string protocol reached Lemma 12 agreement
+    /// (`StringMode::Protocol` only).
+    pub strings_agreement: Option<bool>,
+    /// Fraction of good giant-component pairs able to verify each
+    /// other's signing strings (`StringMode::Protocol` only).
+    pub verification_coverage: Option<f64>,
+    /// Good IDs minted for the epoch (PoW only).
+    pub minted_good: Option<usize>,
+    /// Good participants who missed the minting window (PoW only; always
+    /// `0` on the strategic pipeline, which mints idealized good IDs).
+    pub good_misses: Option<usize>,
+    /// Protocol messages whose delivery tick fell past the phase-window
+    /// deadline this epoch (`tg_sim::net::NetStats::late`, as a
+    /// per-epoch delta). Always `0` under `RuntimeChoice::Sync` —
+    /// there is no network — and under the actor runtime's perfect
+    /// transport, which keeps the sync/actor observation equivalence
+    /// exact.
+    pub late: u64,
+}
+
+impl EpochObservation {
+    /// Captured groups as a fraction of all groups (the frontier
+    /// engines' cell metric).
+    pub fn captured_frac(&self) -> f64 {
+        self.captured_groups as f64 / self.total_groups.max(1) as f64
+    }
 }
 
 #[cfg(test)]

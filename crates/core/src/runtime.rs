@@ -35,12 +35,11 @@
 //! Over a *perfect* transport (zero latency, lossless, never
 //! partitioned) every phase delivers all messages in send order, all
 //! delivered fractions are exactly `1.0`, and no observation field is
-//! rescaled — a driver with a net reproduces the
-//! [`EpochObservation`](crate::scenario::EpochObservation)s of the same
-//! driver without one **byte-identically** (the conformance suite and
-//! the golden replays pin this). The transport draws no RNG, so the
-//! kernels' seeded streams are untouched whatever the fault plan; see
-//! `tg_sim::net` for the determinism contract.
+//! rescaled — a driver with a net reproduces the [`EpochObservation`]s
+//! of the same driver without one **byte-identically** (the conformance
+//! suite and the golden replays pin this). The transport draws no RNG,
+//! so the kernels' seeded streams are untouched whatever the fault
+//! plan; see `tg_sim::net` for the determinism contract.
 //!
 //! ## Transports and phase windows
 //!
@@ -65,7 +64,7 @@
 
 use crate::dynamic::adversary::AdversaryView;
 use crate::dynamic::provider::{EpochIds, IdentityProvider};
-use crate::dynamic::system::EpochReport;
+use crate::dynamic::system::EpochObservation;
 use crate::scenario::ScenarioSpec;
 use rand::rngs::StdRng;
 use tg_sim::clock::PhaseWindow;
@@ -209,7 +208,7 @@ fn spread_tick(i: u64, m: u64, window: u64) -> u64 {
 pub struct EpochNet {
     transport: Box<dyn Transport<ProtocolMsg>>,
     window: PhaseWindow,
-    /// `NetStats.late` as of the last [`EpochNet::take_late`].
+    /// `NetStats.late` as of the last [`EpochNet::finish_epoch`].
     late_taken: u64,
 }
 
@@ -266,17 +265,6 @@ impl EpochNet {
     /// Lifetime delivery counters of the underlying transport.
     pub fn stats(&self) -> NetStats {
         self.transport.stats()
-    }
-
-    /// Messages whose delivery tick fell past a phase-window deadline
-    /// since the previous call (`NetStats.late` is cumulative over the
-    /// transport's lifetime; drivers call this once per epoch). Zero
-    /// over a perfect transport.
-    pub fn take_late(&mut self) -> u64 {
-        let late = self.transport.stats().late;
-        let since = late - self.late_taken;
-        self.late_taken = late;
-        since
     }
 
     /// The phase window currently in force.
@@ -361,16 +349,23 @@ impl EpochNet {
         completed as f64 / searches as f64
     }
 
-    /// Run the [probe phase](EpochNet::probe_phase) for a freshly
-    /// advanced epoch and scale its measured search success by the
-    /// fraction of probe chains the network completed. The `< 1.0`
-    /// guard keeps the perfect-transport path bit-exact.
-    pub fn scale_search_success(&mut self, r: &mut EpochReport, searches: usize) {
-        let f = self.probe_phase(r.epoch, searches);
+    /// The network's share of a freshly advanced epoch's record, taken
+    /// once per epoch: run the [probe phase](EpochNet::probe_phase) and
+    /// scale the measured search success by the fraction of probe
+    /// chains the network completed (the `< 1.0` guard keeps the
+    /// perfect-transport path bit-exact), then set `obs.late` to the
+    /// messages that fell past a phase-window deadline since the
+    /// previous call (`NetStats.late` is cumulative over the
+    /// transport's lifetime).
+    pub fn finish_epoch(&mut self, obs: &mut EpochObservation, searches: usize) {
+        let f = self.probe_phase(obs.epoch, searches);
         if f < 1.0 {
-            r.search_success_single *= f;
-            r.search_success_dual *= f;
+            obs.search_success_single *= f;
+            obs.search_success_dual *= f;
         }
+        let late = self.transport.stats().late;
+        obs.late = late - self.late_taken;
+        self.late_taken = late;
     }
 
     /// **String dissemination phase.** The aggregator broadcasts the

@@ -2,14 +2,14 @@
 //! no-PoW [`DynamicDriver`], and the core-layer builders that turn a
 //! [`ScenarioSpec`] into one.
 
-use super::observation::{EpochObservation, ObsRow};
+use super::observation::ObsRow;
 use super::spec::{Defense, ScenarioError, ScenarioSpec, StrategySpec};
 use crate::dynamic::adversary::{
     AdaptiveMajorityFlipper, AdversaryStrategy, ChurnTimed, GapFilling, IntervalTargeting,
     StrategicProvider, Uniform,
 };
 use crate::dynamic::provider::{Census, IdentityProvider, UniformProvider};
-use crate::dynamic::DynamicSystem;
+use crate::dynamic::{DynamicSystem, EpochObservation};
 use crate::graph::GraphsView;
 use crate::runtime::{EpochNet, NetFilter};
 use tg_idspace::Id;
@@ -18,8 +18,8 @@ use tg_idspace::Id;
 /// observe it. `ScenarioSpec::build` (or `tg_pow::scenario::build`)
 /// erases which concrete system sits behind the trait.
 pub trait EpochDriver {
-    /// Advance one epoch. The returned observation borrows the driver's
-    /// reusable buffer and is valid until the next call.
+    /// Advance one epoch. The returned observation is the record the
+    /// epoch system returned, held by the driver until the next call.
     fn step(&mut self) -> &EpochObservation;
 
     /// The last observation (all-zero before the first
@@ -81,14 +81,12 @@ impl EpochDriver for DynamicDriver {
         // before the network drops good announcements. That order is
         // pinned by the goldens and `benchmark/expected/net_faulty.sha256`.
         let mut filtered = NetFilter { inner: &mut self.provider, net: self.net.as_mut() };
-        let mut r = self.sys.advance_epoch(&mut filtered);
-        if let Some(net) = self.net.as_mut() {
-            net.scale_search_success(&mut r, self.sys.searches_per_epoch());
-        }
-        self.obs.fill_dynamic(&r, self.sys.graphs());
+        self.obs = self.sys.advance_epoch(&mut filtered);
         self.obs.bad_ids = self.provider.bad;
         self.obs.bad_share = self.provider.bad_share;
-        self.obs.late = self.net.as_mut().map_or(0, EpochNet::take_late);
+        if let Some(net) = self.net.as_mut() {
+            net.finish_epoch(&mut self.obs, self.sys.searches_per_epoch());
+        }
         &self.obs
     }
 

@@ -1,121 +1,10 @@
-//! What one epoch produced: the full [`EpochObservation`], its scalar
-//! projection [`ObsRow`], and the row's versioned line codec.
+//! The scalar projection [`ObsRow`] of one [`EpochObservation`] (the
+//! record itself lives in [`crate::dynamic::system`]), and the row's
+//! versioned line codec.
 
-use crate::dynamic::build::BuildStats;
-use crate::dynamic::system::EpochReport;
-use crate::graph::{GraphsView, GroupGraphView};
+use crate::dynamic::system::EpochObservation;
 use std::fmt::Display;
 use std::str::FromStr;
-use tg_sim::Metrics;
-
-/// Everything one epoch produced, across both system layers: the §III
-/// dynamic measurements (always present) and the §IV string/minting
-/// measurements (`None` when the scenario runs without the PoW layer or
-/// with synthesized strings).
-#[derive(Clone, Debug, Default)]
-pub struct EpochObservation {
-    /// Epoch index the freshly built graphs serve.
-    pub epoch: u64,
-    /// Red fraction per side.
-    pub frac_red: Vec<f64>,
-    /// Good-majority fraction per side.
-    pub frac_good_majority: Vec<f64>,
-    /// Confused fraction per side.
-    pub frac_confused: Vec<f64>,
-    /// Paper-invariant fraction per side.
-    pub frac_paper_invariant: Vec<f64>,
-    /// Search success using a single side (the `q_f` realization).
-    pub search_success_single: f64,
-    /// Search success using both sides (what the protocol achieves).
-    pub search_success_dual: f64,
-    /// Construction counters.
-    pub build: BuildStats,
-    /// Per-good-pool-ID group memberships (Lemma 10): mean.
-    pub mean_memberships: f64,
-    /// Maximum memberships held by one good pool ID.
-    pub max_memberships: usize,
-    /// Messages spent on construction searches this epoch.
-    pub metrics: Metrics,
-    /// Adversarial IDs that entered the dynamic layer this epoch (under
-    /// PoW: the minted bad count). The adversary bypasses the network,
-    /// so faults never change this.
-    pub bad_ids: usize,
-    /// Key-space fraction those IDs own under the successor rule. Under
-    /// a faulty network the two drivers disagree on the denominator:
-    /// `FullDriver` measures the ring the network *delivered*,
-    /// [`DynamicDriver`](super::DynamicDriver) the ring as *announced* (before good
-    /// announcements are dropped) — see ROADMAP item 5.
-    pub bad_share: f64,
-    /// Groups without a good majority, summed over all sides, measured
-    /// on the freshly built graphs.
-    pub captured_groups: usize,
-    /// Total groups across all sides.
-    pub total_groups: usize,
-    /// The epoch string minting bound to (PoW only).
-    pub epoch_string: Option<u64>,
-    /// Whether the string protocol reached Lemma 12 agreement
-    /// (`StringMode::Protocol` only).
-    pub strings_agreement: Option<bool>,
-    /// Fraction of good giant-component pairs able to verify each
-    /// other's signing strings (`StringMode::Protocol` only).
-    pub verification_coverage: Option<f64>,
-    /// Good IDs minted for the epoch (PoW only).
-    pub minted_good: Option<usize>,
-    /// Good participants who missed the minting window (PoW statistical
-    /// pipeline only).
-    pub good_misses: Option<usize>,
-    /// Protocol messages whose delivery tick fell past the phase-window
-    /// deadline this epoch (`tg_sim::net::NetStats::late`, as a
-    /// per-epoch delta). Always `0` under `RuntimeChoice::Sync` —
-    /// there is no network — and under the actor runtime's perfect
-    /// transport, which keeps the sync/actor observation equivalence
-    /// exact.
-    pub late: u64,
-}
-
-impl EpochObservation {
-    /// Captured groups as a fraction of all groups (the frontier
-    /// engines' cell metric).
-    pub fn captured_frac(&self) -> f64 {
-        self.captured_groups as f64 / self.total_groups.max(1) as f64
-    }
-
-    /// Refill the dynamic-layer fields from an [`EpochReport`] and the
-    /// post-swap operational graphs, reusing this observation's buffers.
-    /// PoW fields are reset to `None`; drivers with a minting layer fill
-    /// them afterwards.
-    pub fn fill_dynamic(&mut self, r: &EpochReport, graphs: GraphsView<'_>) {
-        self.epoch = r.epoch;
-        for (dst, src) in [
-            (&mut self.frac_red, &r.frac_red),
-            (&mut self.frac_good_majority, &r.frac_good_majority),
-            (&mut self.frac_confused, &r.frac_confused),
-            (&mut self.frac_paper_invariant, &r.frac_paper_invariant),
-        ] {
-            dst.clear();
-            dst.extend_from_slice(src);
-        }
-        self.search_success_single = r.search_success_single;
-        self.search_success_dual = r.search_success_dual;
-        self.build = r.build;
-        self.mean_memberships = r.mean_memberships;
-        self.max_memberships = r.max_memberships;
-        self.metrics = r.metrics;
-        let (mut captured, mut total) = (0usize, 0usize);
-        for g in graphs.iter() {
-            total += g.len();
-            captured += (0..g.len()).filter(|&i| !g.has_good_majority(i)).count();
-        }
-        self.captured_groups = captured;
-        self.total_groups = total;
-        self.epoch_string = None;
-        self.strings_agreement = None;
-        self.verification_coverage = None;
-        self.minted_good = None;
-        self.good_misses = None;
-        self.late = 0;
-    }
-}
 
 /// The scalar projection of one [`EpochObservation`] — the `Copy` row
 /// [`EpochDriver::run`](super::EpochDriver::run) returns per epoch and

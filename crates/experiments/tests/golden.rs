@@ -3,8 +3,8 @@
 //! only one `GOLDEN_REGEN=1` rewrites them from. The harness, the row
 //! table and the regeneration recipe are in `golden/harness.rs`.
 //!
-//! The raw `EpochReport` golden (`epoch_report_seed42.txt`) lives with
-//! the dynamic-layer implementation it pins, in
+//! The raw per-epoch record golden (`epoch_report_seed42.txt`, its §III
+//! fields) lives with the dynamic-layer implementation it pins, in
 //! `crates/core/tests/golden_epoch_report.rs`.
 
 #[path = "golden/harness.rs"]

@@ -53,4 +53,4 @@ pub use provider::PowProvider;
 pub use puzzle::{verify_batch, PuzzleParams, Solution};
 pub use scenario::FullDriver;
 pub use strings::{run_string_protocol, StringAdversary, StringOutcome, StringParams};
-pub use system::{FullEpochReport, FullSystem};
+pub use system::FullSystem;

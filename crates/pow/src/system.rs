@@ -32,7 +32,7 @@ use crate::puzzle::PuzzleParams;
 use crate::strings::{run_string_protocol, StringAdversary, StringOutcome, StringParams};
 use rand::rngs::StdRng;
 use tg_core::dynamic::{
-    AdversaryView, BuildMode, Census, DynamicSystem, EpochIds, EpochReport, IdentityProvider,
+    AdversaryView, BuildMode, Census, DynamicSystem, EpochIds, EpochObservation, IdentityProvider,
     WithEpochString,
 };
 use tg_core::runtime::{EpochNet, NetFilter};
@@ -54,35 +54,6 @@ impl IdentityProvider for PreMinted {
     ) -> EpochIds {
         self.ids.take().expect("one epoch's IDs staged per advance")
     }
-}
-
-/// Everything one epoch produced.
-#[derive(Clone, Debug)]
-pub struct FullEpochReport {
-    /// Epoch index the new graphs serve.
-    pub epoch: u64,
-    /// String-protocol measurements (Lemma 12).
-    pub strings: StringOutcome,
-    /// The epoch string agreed for minting.
-    pub epoch_string: u64,
-    /// Fraction of good giant-component pairs able to verify each
-    /// other's signing strings (1.0 when `strings.agreement`).
-    pub verification_coverage: f64,
-    /// Good IDs minted for the next epoch.
-    pub minted_good: usize,
-    /// Adversarial IDs minted (Lemma 11's `≈ βn`).
-    pub minted_bad: usize,
-    /// Good participants who missed the minting window (realistic mode;
-    /// always 0 on the strategic pipeline, which mints idealized good
-    /// IDs).
-    pub good_misses: usize,
-    /// Key-space fraction owned by the minted bad IDs under the
-    /// successor rule (the adversary's recruitment probability per
-    /// membership draw) — ≈ β when minting forces uniform placement,
-    /// amplified when a placement strategy gets through.
-    pub bad_share: f64,
-    /// The §III dynamic-epoch report.
-    pub dynamics: EpochReport,
 }
 
 /// The composed system.
@@ -113,6 +84,7 @@ pub struct FullSystem {
     /// the broken deployment that lets pre-computation hoards compound.
     pub fresh_strings: bool,
     epoch_string: u64,
+    last_strings: Option<StringOutcome>,
     master_seed: u64,
 }
 
@@ -148,6 +120,7 @@ impl FullSystem {
             adversary: None,
             fresh_strings: true,
             epoch_string: GENESIS_STRING,
+            last_strings: None,
             master_seed,
         }
     }
@@ -176,11 +149,18 @@ impl FullSystem {
         self.epoch_string
     }
 
+    /// The last epoch's string-protocol measurements in full (Lemma 12);
+    /// the epoch's record keeps only their agreement and coverage.
+    /// `None` before the first [`FullSystem::run_epoch`].
+    pub fn last_strings(&self) -> Option<&StringOutcome> {
+        self.last_strings.as_ref()
+    }
+
     /// Run one full epoch: strings → minting → dynamics.
     ///
     /// Equivalent to [`FullSystem::run_epoch_net`] with no network — one
     /// synchronous in-process step.
-    pub fn run_epoch(&mut self) -> FullEpochReport {
+    pub fn run_epoch(&mut self) -> EpochObservation {
         self.run_epoch_net(None)
     }
 
@@ -195,12 +175,16 @@ impl FullSystem {
     ///    epoch's ring (the adversary bypasses the network — the
     ///    worst-case insider), and `minted_good`/`bad_share` measure the
     ///    *delivered* population,
-    /// 3. **dynamics** — unchanged, then measured search success is
-    ///    scaled by the fraction of completed routing-probe chains.
+    /// 3. **dynamics** — unchanged, then [`EpochNet::finish_epoch`]
+    ///    scales measured search success by the fraction of completed
+    ///    routing-probe chains and records the epoch's late messages.
     ///
-    /// `net: None` (or a perfect transport) reproduces the synchronous
-    /// [`FullSystem::run_epoch`] byte-identically.
-    pub fn run_epoch_net(&mut self, mut net: Option<&mut EpochNet>) -> FullEpochReport {
+    /// The returned record is the dynamic layer's, with the census
+    /// (`bad_ids` is the minted bad count), the §IV fields and the
+    /// network's share filled in. `net: None` (or a perfect transport)
+    /// reproduces the synchronous [`FullSystem::run_epoch`]
+    /// byte-identically.
+    pub fn run_epoch_net(&mut self, mut net: Option<&mut EpochNet>) -> EpochObservation {
         let epoch = self.dynamics.epoch();
 
         // 1. Agree on the next epoch string over the operational graph.
@@ -234,7 +218,7 @@ impl FullSystem {
         }
 
         // 2 + 3. Mint against that string and advance the dynamic layer.
-        let (minted_good, minted_bad, good_misses, bad_share, mut dynamics) =
+        let (mut obs, (good, bad, bad_share), good_misses) =
             if let Some(adv) = self.adversary.as_mut() {
                 // Strategic pipeline: minting happens inside the epoch
                 // advance, where the provider's view carries the churned
@@ -245,8 +229,8 @@ impl FullSystem {
                 // measure what the announcement phase *delivered*.
                 let mut ws = WithEpochString { inner: adv, epoch_string: Some(mint_string) };
                 let mut census = Census::new(NetFilter { inner: &mut ws, net: net.as_deref_mut() });
-                let dynamics = self.dynamics.advance_epoch(&mut census);
-                (census.good, census.bad, 0, census.bad_share, dynamics)
+                let obs = self.dynamics.advance_epoch(&mut census);
+                (obs, (census.good, census.bad, census.bad_share), 0)
             } else {
                 // Statistical pipeline (Lemma 11's counts, uniform values).
                 let sim = MintingSim {
@@ -261,29 +245,24 @@ impl FullSystem {
                 if let Some(n) = net.as_deref_mut() {
                     n.announce_phase(epoch, &mut ids);
                 }
-                let share = ids.bad_ring_share();
-                let counts = (ids.good.len(), ids.bad.len(), minted.good_misses, share);
-                let mut provider = PreMinted { ids: Some(ids) };
-                let dynamics = self.dynamics.advance_epoch(&mut provider);
-                (counts.0, counts.1, counts.2, counts.3, dynamics)
+                let counts = (ids.good.len(), ids.bad.len(), ids.bad_ring_share());
+                let obs = self.dynamics.advance_epoch(&mut PreMinted { ids: Some(ids) });
+                (obs, counts, minted.good_misses)
             };
-
+        obs.minted_good = Some(good);
+        obs.bad_ids = bad;
+        obs.good_misses = Some(good_misses);
+        obs.bad_share = bad_share;
+        obs.epoch_string = Some(next_string);
+        obs.strings_agreement = Some(strings.agreement);
+        obs.verification_coverage = Some(verification_coverage);
         if let Some(n) = net {
-            n.scale_search_success(&mut dynamics, self.dynamics.searches_per_epoch());
+            n.finish_epoch(&mut obs, self.dynamics.searches_per_epoch());
         }
 
         self.epoch_string = next_string;
-        FullEpochReport {
-            epoch: dynamics.epoch,
-            strings,
-            epoch_string: next_string,
-            verification_coverage,
-            minted_good,
-            minted_bad,
-            good_misses,
-            bad_share,
-            dynamics,
-        }
+        self.last_strings = Some(strings);
+        obs
     }
 }
 
@@ -317,17 +296,18 @@ mod tests {
         let mut last_string = sys.epoch_string();
         for _ in 0..4 {
             let r = sys.run_epoch();
-            assert!(r.strings.agreement, "epoch {}: string disagreement", r.epoch);
-            assert_eq!(r.verification_coverage, 1.0);
-            assert_ne!(r.epoch_string, last_string, "epoch strings must refresh");
-            last_string = r.epoch_string;
-            let bad_ratio = r.minted_bad as f64 / 35.0;
-            assert!((0.5..1.6).contains(&bad_ratio), "minted_bad {}", r.minted_bad);
+            assert_eq!(r.strings_agreement, Some(true), "epoch {}: string disagreement", r.epoch);
+            assert_eq!(r.verification_coverage, Some(1.0));
+            let string = r.epoch_string.unwrap();
+            assert_ne!(string, last_string, "epoch strings must refresh");
+            last_string = string;
+            let bad_ratio = r.bad_ids as f64 / 35.0;
+            assert!((0.5..1.6).contains(&bad_ratio), "bad_ids {}", r.bad_ids);
             assert!(
-                r.dynamics.search_success_dual > 0.9,
+                r.search_success_dual > 0.9,
                 "epoch {}: dual success {:.3}",
                 r.epoch,
-                r.dynamics.search_success_dual
+                r.search_success_dual
             );
         }
     }
@@ -339,8 +319,13 @@ mod tests {
             crate::strings::StringAdversary::ForcedRecords { strings: 4, release_frac: 0.49 };
         for _ in 0..3 {
             let r = sys.run_epoch();
-            assert!(r.strings.agreement, "epoch {}: forced records broke agreement", r.epoch);
-            assert!(r.dynamics.search_success_dual > 0.9);
+            assert_eq!(
+                r.strings_agreement,
+                Some(true),
+                "epoch {}: forced records broke agreement",
+                r.epoch
+            );
+            assert!(r.search_success_dual > 0.9);
         }
     }
 
@@ -351,10 +336,10 @@ mod tests {
         let r = sys.run_epoch();
         // ≈ 1/e of good participants miss the window; the system keeps
         // running on the (1 − 1/e) that minted.
-        assert!(r.good_misses > 0);
-        let frac = r.minted_good as f64 / 700.0;
+        assert!(r.good_misses.unwrap() > 0);
+        let frac = r.minted_good.unwrap() as f64 / 700.0;
         assert!((0.55..0.75).contains(&frac), "minted fraction {frac:.3}");
-        assert!(r.dynamics.search_success_dual > 0.85);
+        assert!(r.search_success_dual > 0.85);
     }
 
     #[test]
@@ -380,12 +365,14 @@ mod tests {
             let before = sys.dynamics.epoch();
             let r = sys.run_epoch();
             assert_eq!(sys.dynamics.epoch(), before + 1);
-            assert_eq!(r.strings.giant_size, 0);
-            assert_eq!(r.strings.global_min_key, None);
-            assert!(r.strings.agreement, "vacuously");
-            assert_eq!(r.verification_coverage, 0.0, "no good pair can verify");
-            assert_ne!(r.epoch_string, last_string, "the fallback mix still refreshes");
-            last_string = r.epoch_string;
+            let strings = sys.last_strings().unwrap();
+            assert_eq!(strings.giant_size, 0);
+            assert_eq!(strings.global_min_key, None);
+            assert_eq!(r.strings_agreement, Some(true), "vacuously");
+            assert_eq!(r.verification_coverage, Some(0.0), "no good pair can verify");
+            let string = r.epoch_string.unwrap();
+            assert_ne!(string, last_string, "the fallback mix still refreshes");
+            last_string = string;
         }
     }
 
@@ -396,8 +383,8 @@ mod tests {
         let ra = a.run_epoch();
         let rb = b.run_epoch();
         assert_eq!(ra.epoch_string, rb.epoch_string);
-        assert_eq!(ra.minted_bad, rb.minted_bad);
-        assert_eq!(ra.dynamics.frac_red, rb.dynamics.frac_red);
+        assert_eq!(ra.bad_ids, rb.bad_ids);
+        assert_eq!(ra.frac_red, rb.frac_red);
     }
 
     #[test]
@@ -487,7 +474,7 @@ mod tests {
                 sys = sys.with_frozen_strings();
             }
             sys.dynamics.set_searches_per_epoch(200);
-            (0..4).map(|_| sys.run_epoch().minted_bad).collect()
+            (0..4).map(|_| sys.run_epoch().bad_ids).collect()
         };
         let fresh = minted_bad(false);
         let frozen = minted_bad(true);
@@ -530,7 +517,7 @@ mod tests {
                 Box::new(tg_core::dynamic::ChurnTimed::default()),
             ));
             sys.dynamics.set_searches_per_epoch(100);
-            (0..2).map(|_| sys.run_epoch()).map(|r| (r.minted_bad, r.bad_share)).last().unwrap()
+            (0..2).map(|_| sys.run_epoch()).map(|r| (r.bad_ids, r.bad_share)).last().unwrap()
         };
         let (quiet_bad, quiet_share) = run(0.05);
         let (heavy_bad, heavy_share) = run(0.25);
@@ -552,7 +539,8 @@ mod tests {
     fn strategic_pipeline_is_deterministic() {
         let run = || {
             let mut sys = strategic_system(73, MintScheme::SingleHash);
-            format!("{:#?}", sys.run_epoch())
+            let r = sys.run_epoch();
+            format!("{r:#?}\n{:#?}", sys.last_strings())
         };
         assert_eq!(run(), run());
     }

@@ -38,12 +38,12 @@ fn main() {
         println!(
             "{:>5}  {:016x}  {:>5}  {:>7}/{:<6} {:>5.2}  {:>10.1}%",
             r.epoch,
-            r.epoch_string,
-            r.strings.agreement,
-            r.minted_good,
-            r.minted_bad,
-            100.0 * r.dynamics.frac_red[0],
-            100.0 * r.dynamics.search_success_dual,
+            r.epoch_string.unwrap(),
+            r.strings_agreement.unwrap(),
+            r.minted_good.unwrap(),
+            r.bad_ids,
+            100.0 * r.frac_red[0],
+            100.0 * r.search_success_dual,
         );
     }
     println!("\nEach line is one epoch of the full pipeline: string agreement under a");

@@ -1,6 +1,7 @@
 //! Pins the determinism of [`FullSystem::run_epoch`] under a strategic
 //! adversary: the same master seed must reproduce the **byte-identical
-//! `FullEpochReport` debug output** — across repeated runs in one
+//! debug output of each epoch's record and its full string-protocol
+//! outcome** ([`FullSystem::last_strings`]) — across repeated runs in one
 //! process, and regardless of thread scheduling (`--test-threads=1` vs
 //! the default parallel runner, a loaded vs an idle machine). Every
 //! stream the pipeline draws from is a labelled child of the master
@@ -41,7 +42,8 @@ fn run_reports(master_seed: u64) -> String {
     sys.dynamics.set_searches_per_epoch(150);
     let mut out = String::new();
     for _ in 0..3 {
-        out.push_str(&format!("{:#?}\n", sys.run_epoch()));
+        let r = sys.run_epoch();
+        out.push_str(&format!("{r:#?}\n{:#?}\n", sys.last_strings()));
     }
     out
 }
@@ -52,7 +54,7 @@ fn strategic_full_system_reports_are_byte_identical() {
     let a = run_reports(42);
     let b = run_reports(42);
     assert!(!a.is_empty());
-    assert_eq!(a, b, "same master seed must replay the FullEpochReport stream exactly");
+    assert_eq!(a, b, "same master seed must replay the record stream exactly");
 }
 
 /// The same run is byte-identical when executed amid unrelated parallel

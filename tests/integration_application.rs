@@ -90,10 +90,10 @@ fn full_system_invariants_hold_jointly() {
     let mut seen_strings = std::collections::HashSet::new();
     for _ in 0..3 {
         let r = sys.run_epoch();
-        assert!(r.strings.agreement);
+        assert_eq!(r.strings_agreement, Some(true));
         assert!(seen_strings.insert(r.epoch_string), "epoch string reused");
-        assert!(r.minted_bad as f64 <= 30.0 * 1.7, "minted_bad {}", r.minted_bad);
-        assert!(r.dynamics.search_success_dual > 0.9);
-        assert!(r.dynamics.frac_red[0] < 0.05);
+        assert!(r.bad_ids as f64 <= 30.0 * 1.7, "bad_ids {}", r.bad_ids);
+        assert!(r.search_success_dual > 0.9);
+        assert!(r.frac_red[0] < 0.05);
     }
 }
