@@ -7,12 +7,14 @@
 //! populations and the topology are shared, and each side keeps its
 //! groups in CSR columns ([`crate::graph`] draws the layout).
 //!
-//! **Determinism contract.** The system carries one schedule flag,
-//! [`DynamicSystem::set_fan_out`]: off, an epoch runs on the calling
-//! thread; on, its RNG-free phases fan out over worker threads. Reports
-//! are bit-identical either way and for any thread count, because every
-//! RNG draw happens sequentially, in the order of the per-group
-//! reference build ([`crate::dynamic::build::build_new_graphs`]):
+//! **Determinism contract.** An epoch over at least
+//! [`FAN_OUT_MIN_IDS`](crate::dynamic::kernel::FAN_OUT_MIN_IDS)
+//! identities fans its RNG-free phases out over worker threads; a
+//! smaller one, or one inside a sweep worker, runs on the calling thread
+//! ([`crate::dynamic::kernel`]). Reports are bit-identical either way
+//! and for any thread count, because every RNG draw happens
+//! sequentially, in the order of the per-group reference build
+//! ([`crate::dynamic::build::build_new_graphs`]):
 //!
 //! * membership bootstrap picks are unconditional per slot and precede
 //!   each leader's link-phase draws, so they are pre-drawn into a flat
@@ -27,7 +29,8 @@
 //!   ([`crate::robustness`]).
 //!
 //! The unit tests below hold the two-pass build to the reference build
-//! group by group; the seed-42 goldens replay under both schedules.
+//! group by group, and hold a fanned-out epoch to the same epoch run
+//! serially inside a sweep worker.
 
 use crate::build::build_genesis;
 use crate::dynamic::adversary::AdversaryView;
@@ -40,7 +43,7 @@ use crate::dynamic::system::EpochObservation;
 use crate::graph::{GraphsView, GroupColumns, GroupGraph, GroupGraphView, SideView};
 use crate::params::Params;
 use crate::population::Population;
-use crate::robustness::{measure_dual_success, measure_robustness_scheduled};
+use crate::robustness::{measure_dual_success, measure_robustness};
 use rand::rngs::StdRng;
 use rand::Rng;
 use tg_crypto::{Oracle, OracleFamily};
@@ -66,7 +69,6 @@ pub struct DynamicSystem {
     epoch: u64,
     searches_per_epoch: usize,
     master_seed: u64,
-    fan_out: bool,
 }
 
 impl DynamicSystem {
@@ -74,7 +76,7 @@ impl DynamicSystem {
     /// the paper's Appendix X initialization assumption): member `i` of
     /// `G_w` is `suc(h_s(w, i))`, built by the genesis builder behind
     /// [`crate::build::build_initial_graph`], one side per oracle.
-    /// Sequential schedule, 400 searches per epoch.
+    /// 400 searches per epoch.
     pub fn new(
         params: Params,
         kind: GraphKind,
@@ -87,16 +89,7 @@ impl DynamicSystem {
         let ids = provider.ids_for_epoch(0, &AdversaryView::genesis(0), &mut rng);
         let oracles: Vec<Oracle> = (0..mode.sides()).map(|s| fam.membership(s)).collect();
         let graphs = build_genesis(Population::new(ids.good, ids.bad), kind, &oracles, &params);
-        DynamicSystem {
-            params,
-            kind,
-            fam,
-            graphs,
-            epoch: 1,
-            searches_per_epoch: 400,
-            master_seed,
-            fan_out: false,
-        }
+        DynamicSystem { params, kind, fam, graphs, epoch: 1, searches_per_epoch: 400, master_seed }
     }
 
     /// The epoch the operational graphs serve.
@@ -123,15 +116,6 @@ impl DynamicSystem {
     /// Override the per-epoch measurement sample size.
     pub fn set_searches_per_epoch(&mut self, searches: usize) {
         self.searches_per_epoch = searches;
-    }
-
-    /// Choose the epoch schedule: `false` (the default) runs every phase
-    /// on the calling thread — right for sweeps that run one system per
-    /// worker; `true` fans the slot searches, the Lemma 10 attack pass
-    /// and the measurements out over worker threads — right for one
-    /// large system. Reports are identical either way.
-    pub fn set_fan_out(&mut self, fan_out: bool) {
-        self.fan_out = fan_out;
     }
 
     /// Run one epoch: intra-epoch churn on the serving pool, construction
@@ -176,21 +160,11 @@ impl DynamicSystem {
         // 3. Measure the fresh graphs (they serve epoch + 1).
         let mut meas_rng = stream_rng(self.master_seed, "measure", self.epoch);
         let side0 = news.side(0);
-        let single = measure_robustness_scheduled(
-            &side0,
-            &self.params,
-            self.searches_per_epoch,
-            &mut meas_rng,
-            self.fan_out,
-        );
+        let single =
+            measure_robustness(&side0, &self.params, self.searches_per_epoch, &mut meas_rng);
         let dual = if news.sides() == 2 {
             let mut dual_rng = stream_rng(self.master_seed, "measure-dual", self.epoch);
-            measure_dual_success(
-                [&side0, &news.side(1)],
-                self.searches_per_epoch,
-                &mut dual_rng,
-                self.fan_out,
-            )
+            measure_dual_success([&side0, &news.side(1)], self.searches_per_epoch, &mut dual_rng)
         } else {
             single.search_success
         };
@@ -254,14 +228,15 @@ impl DynamicSystem {
     /// the protocol, and [`crate::dynamic::build::build_new_graphs`] is
     /// the same construction written one group at a time). Here it is
     /// split into a sequential pass that makes every RNG draw and an
-    /// RNG-free search pass that can fan out (see the module docs).
+    /// RNG-free search pass that fans out at `n_new ≥ FAN_OUT_MIN_IDS`
+    /// (see the module docs).
     fn build_next(
         &self,
         new_leaders: &Population,
         rng: &mut StdRng,
         metrics: &mut Metrics,
     ) -> (GroupGraph, BuildStats) {
-        let (olds, params, fan_out) = (&self.graphs, &self.params, self.fan_out);
+        let (olds, params) = (&self.graphs, &self.params);
         let n_sides = olds.sides();
         let old_views: Vec<SideView<'_>> = olds.view().iter().collect();
         let n_new = new_leaders.len();
@@ -310,7 +285,7 @@ impl DynamicSystem {
             // --- Pass 2 (RNG-free): the slot searches, in fixed blocks.
             let n_blocks = n_slots.div_ceil(SLOT_BLOCK);
             let blocks: Vec<(Metrics, Vec<SlotOut>)> =
-                scheduled_map(fan_out, (0..n_blocks).collect(), 1, |b| {
+                scheduled_map(n_new, (0..n_blocks).collect(), 1, |b| {
                     let start = b * SLOT_BLOCK;
                     let end = ((b + 1) * SLOT_BLOCK).min(n_slots);
                     let mut m = Metrics::new();
@@ -362,7 +337,7 @@ impl DynamicSystem {
                     tasks.push((u as u32, Id(rng.gen())));
                 }
             }
-            let results = scheduled_map(fan_out, tasks, SLOT_BLOCK, |(u, fake_point)| {
+            let results = scheduled_map(n_new, tasks, SLOT_BLOCK, |(u, fake_point)| {
                 let mut m = Metrics::new();
                 let accepted = accepts_spurious(&old_views, u as usize, fake_point, &mut m);
                 (m, accepted)
@@ -379,28 +354,33 @@ impl DynamicSystem {
     }
 }
 
+/// The schedule tests run each epoch at `n_good = FAN_OUT_MIN_IDS`
+/// twice: on the test thread, where it fans out, and inside a
+/// `parallel_map` worker, where it runs serially. With one CPU both arms
+/// are serial.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::build_initial_graph;
     use crate::dynamic::adversary::{GapFilling, StrategicProvider};
     use crate::dynamic::build::build_new_graphs;
+    use crate::dynamic::kernel::{in_a_worker, FAN_OUT_MIN_IDS};
     use crate::dynamic::provider::UniformProvider;
 
-    /// The same system twice: sequential and fanned out.
-    fn paired(mode: BuildMode, seed: u64) -> (DynamicSystem, DynamicSystem, UniformProvider) {
+    /// A d2b system (churn and the attack pass on) and its provider.
+    fn system(mode: BuildMode, seed: u64, n_good: usize) -> (DynamicSystem, UniformProvider) {
         let mut params = Params::paper_defaults();
         params.attack_requests_per_id = 1;
         params.churn_rate = 0.1;
-        let mut pa = UniformProvider { n_good: 380, n_bad: 20 };
-        let sequential = DynamicSystem::new(params, GraphKind::D2B, mode, &mut pa, seed);
-        let mut fanned = DynamicSystem::new(params, GraphKind::D2B, mode, &mut pa, seed);
-        fanned.set_fan_out(true);
-        (sequential, fanned, pa)
+        let mut provider = UniformProvider { n_good, n_bad: n_good / 20 };
+        (DynamicSystem::new(params, GraphKind::D2B, mode, &mut provider, seed), provider)
     }
 
-    fn assert_reports_identical(a: &EpochObservation, b: &EpochObservation) {
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    /// `run` on the test thread (fanned out) and inside a sweep worker
+    /// (serial) must report the same epochs.
+    fn assert_schedules_agree(run: impl Fn() -> Vec<EpochObservation> + Sync) {
+        let fanned = format!("{:?}", run());
+        assert_eq!(fanned, in_a_worker(|| format!("{:?}", run())));
     }
 
     /// Everything a group is: (members, captured, confused, red, live
@@ -435,7 +415,7 @@ mod tests {
 
     #[test]
     fn initial_graphs_match_legacy() {
-        let (sys, _, _) = paired(BuildMode::DualGraph, 1);
+        let (sys, _) = system(BuildMode::DualGraph, 1, 380);
         for (s, l) in static_genesis(&sys).iter().enumerate() {
             assert_sides_identical(&l.side(0), &sys.graphs.side(s), &format!("side {s}"));
         }
@@ -446,7 +426,8 @@ mod tests {
     /// and the two-pass CSR build, fed the same old graphs, new leaders
     /// and RNG, must produce the same groups, counters and message
     /// totals — for three chained epochs over the six configurations of
-    /// `tests/golden_epoch_graphs.rs`, under both schedules.
+    /// `tests/golden_epoch_graphs.rs`. Their populations are below
+    /// [`FAN_OUT_MIN_IDS`], so the schedule tests below cover fan-out.
     #[test]
     fn two_pass_build_matches_the_reference_build() {
         use GraphKind::{Chord, D2B};
@@ -497,7 +478,6 @@ mod tests {
                     &mut rng.clone(),
                     &mut m_ref,
                 );
-                sys.fan_out = epoch % 2 == 0;
                 let (news_csr, stats_csr) = sys.build_next(&new_pop, &mut rng, &mut m_csr);
                 assert_eq!(format!("{stats_ref:?}"), format!("{stats_csr:?}"), "config {c}");
                 assert_eq!(m_ref, m_csr, "config {c} epoch {epoch}");
@@ -514,18 +494,18 @@ mod tests {
 
     #[test]
     fn epochs_match_legacy_exactly() {
-        let (mut sequential, mut fanned, mut provider) = paired(BuildMode::DualGraph, 7);
-        for _ in 0..3 {
-            let rs = sequential.advance_epoch(&mut provider);
-            assert_reports_identical(&rs, &fanned.advance_epoch(&mut provider));
-        }
+        assert_schedules_agree(|| {
+            let (mut sys, mut provider) = system(BuildMode::DualGraph, 7, FAN_OUT_MIN_IDS);
+            sys.run(&mut provider, 3)
+        });
     }
 
     #[test]
     fn single_graph_mode_matches_legacy() {
-        let (mut sequential, mut fanned, mut provider) = paired(BuildMode::SingleGraph, 4);
-        let rs = sequential.advance_epoch(&mut provider);
-        assert_reports_identical(&rs, &fanned.advance_epoch(&mut provider));
+        assert_schedules_agree(|| {
+            let (mut sys, mut provider) = system(BuildMode::SingleGraph, 4, FAN_OUT_MIN_IDS);
+            sys.run(&mut provider, 1)
+        });
     }
 
     #[test]
@@ -533,8 +513,8 @@ mod tests {
         let mut params = Params::paper_defaults();
         params.attack_requests_per_id = 0;
         params.churn_rate = 0.0;
-        let mut provider = UniformProvider { n_good: 300, n_bad: 15 };
-        let reports = [false, true].map(|fan_out| {
+        assert_schedules_agree(|| {
+            let mut provider = UniformProvider { n_good: FAN_OUT_MIN_IDS, n_bad: 100 };
             let mut sys = DynamicSystem::new(
                 params,
                 GraphKind::Chord,
@@ -542,9 +522,7 @@ mod tests {
                 &mut provider,
                 9,
             );
-            sys.set_fan_out(fan_out);
-            sys.advance_epoch(&mut provider)
+            sys.run(&mut provider, 1)
         });
-        assert_reports_identical(&reports[0], &reports[1]);
     }
 }

@@ -1,31 +1,40 @@
-//! The epoch schedule: one system, run sequentially or fanned out.
+//! The epoch schedule: the epoch picks it from its size.
 //!
 //! There is one epoch loop ([`DynamicSystem`](crate::dynamic::DynamicSystem))
-//! over one storage layout ([`crate::graph`]). [`KernelChoice`] — the
-//! `kernel` knob of [`crate::scenario::ScenarioSpec`] — decides whether
-//! an epoch's RNG-free phases (slot searches, Lemma 10 attack pass, the
-//! two measurements) run on the calling thread or fan out over
-//! [`tg_sim::parallel_map_chunked`]. Results are folded in input order
-//! either way, so the reports are identical.
+//! over one storage layout ([`crate::graph`]). Its RNG-free phases (slot
+//! searches, the Lemma 10 attack pass, the two measurements) go through
+//! `scheduled_map`: a generation of at least [`FAN_OUT_MIN_IDS`]
+//! identities fans them out over [`tg_sim::parallel_map_chunked`], a
+//! smaller one runs them on the calling thread. Results are folded in
+//! input order either way, so observations do not depend on the
+//! schedule.
 //!
-//! Both values have callers: sweeps that fan out at cell level (`e11`,
-//! `e12`, the benchmark's `sweep_cells`) keep the epoch sequential;
-//! single large runs (`e13`, `scale_honest`) fan out inside it.
-//! Combining the two is harmless: `parallel_map_chunked` called from
-//! inside one of its own workers runs serially on that worker, so a
-//! fanned-out epoch inside a sweep cell is the sequential schedule, not
-//! a second layer of threads. The codec tokens (`legacy` / `arena`) are older than
-//! this meaning and stay as they are: labels are store keys.
+//! Below the threshold, spawning threads every phase costs more than it
+//! saves: on 2 cores a d2b epoch fanned out takes ×1.05 the serial time
+//! at n = 300 and ×0.94 at 1 000, but ×0.76–0.80 from 2 000 to 10 000.
+//! Inside a sweep worker the epoch is serial at any size, because
+//! `parallel_map_chunked` called from one of its own workers runs on
+//! that worker instead of spawning a second layer of threads.
+//!
+//! [`KernelChoice`] is the retired `kernel=` codec token of
+//! [`crate::scenario::ScenarioSpec`]. It selects nothing; it is kept
+//! only so that labels carrying it, which are store keys, still parse
+//! and re-encode byte-identically.
 
 use tg_sim::parallel_map_chunked;
 
-/// How an epoch's RNG-free phases are scheduled.
+/// The smallest generation (identities, good and bad) whose epoch fans
+/// its RNG-free phases out over worker threads.
+pub const FAN_OUT_MIN_IDS: usize = 2_000;
+
+/// The retired schedule token (`kernel=legacy|arena`): parsed and
+/// re-encoded, never read.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelChoice {
-    /// Sequential: everything on the calling thread (token `legacy`).
+    /// Token `legacy` (the default, elided from labels).
     #[default]
     Legacy,
-    /// Fanned out over worker threads in fixed blocks (token `arena`).
+    /// Token `arena`.
     Arena,
 }
 
@@ -46,37 +55,37 @@ impl KernelChoice {
             _ => None,
         }
     }
-
-    /// Whether the epoch fans out (see
-    /// [`DynamicSystem::set_fan_out`](crate::dynamic::DynamicSystem::set_fan_out)).
-    pub fn fan_out(self) -> bool {
-        self == KernelChoice::Arena
-    }
 }
 
-/// Map `f` over `items` in input order: in `chunk`-sized blocks over
-/// worker threads when `fan_out`, on the calling thread otherwise. The
-/// one place the schedule flag is read.
-pub(crate) fn scheduled_map<T, R, F>(fan_out: bool, items: Vec<T>, chunk: usize, f: F) -> Vec<R>
+/// Map `f` over `items` in input order for an epoch over `ids`
+/// identities: in `chunk`-sized blocks over worker threads when `ids`
+/// reaches [`FAN_OUT_MIN_IDS`], on the calling thread otherwise. The one
+/// place the schedule is decided.
+pub(crate) fn scheduled_map<T, R, F>(ids: usize, items: Vec<T>, chunk: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    if fan_out {
+    if ids >= FAN_OUT_MIN_IDS {
         parallel_map_chunked(items, chunk, f)
     } else {
         items.into_iter().map(f).collect()
     }
 }
 
+/// Run `f` once inside a [`tg_sim::parallel_map`] worker, where every
+/// epoch is serial. With one CPU the map runs on the calling thread,
+/// and so does `f`.
+#[cfg(test)]
+pub(crate) fn in_a_worker<R: Send>(f: impl Fn() -> R + Sync) -> R {
+    let mut out = tg_sim::parallel_map(vec![true, false], |run| run.then(&f));
+    out.swap_remove(0).expect("the first item runs f")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::provider::UniformProvider;
-    use crate::dynamic::{BuildMode, DynamicSystem};
-    use crate::params::Params;
-    use tg_overlay::GraphKind;
 
     #[test]
     fn choice_tokens_round_trip() {
@@ -85,23 +94,21 @@ mod tests {
         }
         assert_eq!(KernelChoice::parse("simd"), None);
         assert_eq!(KernelChoice::default(), KernelChoice::Legacy);
-        assert!(!KernelChoice::default().fan_out());
     }
 
+    /// Small epochs never pay for threads: below [`FAN_OUT_MIN_IDS`]
+    /// every item runs on the calling thread, whatever the chunk.
     #[test]
-    fn kernels_agree_through_the_dispatcher() {
-        let mut params = Params::paper_defaults();
-        params.churn_rate = 0.1;
-        params.attack_requests_per_id = 1;
-        let mut provider = UniformProvider { n_good: 380, n_bad: 20 };
-        let mut reports = Vec::new();
-        for choice in [KernelChoice::Legacy, KernelChoice::Arena] {
-            let mut k =
-                DynamicSystem::new(params, GraphKind::D2B, BuildMode::DualGraph, &mut provider, 5);
-            k.set_fan_out(choice.fan_out());
-            assert_eq!(k.graphs().sides(), 2);
-            reports.push(format!("{:?}", k.run(&mut provider, 2)));
+    fn small_epochs_stay_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        for chunk in [1, 64] {
+            let threads =
+                scheduled_map(FAN_OUT_MIN_IDS - 1, (0..500).collect(), chunk, |_: u32| {
+                    std::thread::current().id()
+                });
+            assert!(threads.iter().all(|&t| t == me), "chunk {chunk}");
         }
-        assert_eq!(reports[0], reports[1]);
+        let fanned = scheduled_map(FAN_OUT_MIN_IDS, (0..500).collect(), 7, |x: u32| x * 2);
+        assert_eq!(fanned, (0..500).map(|x| x * 2).collect::<Vec<_>>());
     }
 }

@@ -21,8 +21,9 @@
 //!
 //! There is one epoch system, [`DynamicSystem`]: the churn → build →
 //! measure → swap loop, defined in [`crate::arena`] next to the CSR
-//! group columns it fills. Its one schedule flag (sequential or fanned
-//! out, same results) is described in [`kernel`];
+//! group columns it fills. It picks its schedule from the generation's
+//! size (fanned out from [`kernel::FAN_OUT_MIN_IDS`] identities up,
+//! serial below; same results), as [`kernel`] describes;
 //! [`build::build_new_graphs`] is the short per-group *reference* build
 //! the tests hold its two-pass build to.
 //!

@@ -45,30 +45,20 @@ pub struct RobustnessReport {
     pub mean_group_size: f64,
 }
 
-/// Sample `searches` random (initiator, key) pairs and measure.
+/// Sample `searches` random (initiator, key) pairs and measure. The
+/// whole `(from, key)` sample is pre-drawn (searches themselves draw
+/// nothing, so this is the RNG sequence a draw-as-you-go loop consumes),
+/// the searches are mapped — fanned out over worker threads on a graph
+/// of at least [`FAN_OUT_MIN_IDS`](crate::dynamic::kernel::FAN_OUT_MIN_IDS)
+/// groups — and the per-search results are folded back in sample order.
+/// Bit-identical for any thread count.
 pub fn measure_robustness<G: GroupGraphView + Sync>(
     gg: &G,
     params: &Params,
     searches: usize,
     rng: &mut StdRng,
 ) -> RobustnessReport {
-    measure_robustness_scheduled(gg, params, searches, rng, false)
-}
-
-/// The body of [`measure_robustness`] under either schedule: pre-draw
-/// the whole `(from, key)` sample (searches themselves draw nothing, so
-/// this is the RNG sequence a draw-as-you-go loop consumes), map the
-/// searches — in chunks over worker threads when `fan_out` — and fold
-/// the per-search results back in sample order. Bit-identical for any
-/// thread count.
-pub(crate) fn measure_robustness_scheduled<G: GroupGraphView + Sync>(
-    gg: &G,
-    params: &Params,
-    searches: usize,
-    rng: &mut StdRng,
-    fan_out: bool,
-) -> RobustnessReport {
-    let per_search = scheduled_map(fan_out, draw_sample(gg, searches, rng), 64, |(from, key)| {
+    let per_search = scheduled_map(gg.len(), draw_sample(gg, searches, rng), 64, |(from, key)| {
         let mut m = Metrics::new();
         // Track the truncated search path for responsibility accounting.
         let route = gg.topology().route(from, key);
@@ -110,15 +100,15 @@ pub(crate) fn measure_robustness_scheduled<G: GroupGraphView + Sync>(
 
 /// Fraction of sampled searches for which at least one of the two sides
 /// succeeds (the dual-graph availability the construction exploits).
-/// Same pre-draw → map → fold scheme as [`measure_robustness`], fanned
-/// out when `fan_out`.
+/// Same pre-draw → map → fold scheme, and the same schedule, as
+/// [`measure_robustness`].
 pub fn measure_dual_success<G: GroupGraphView + Sync>(
     sides: [&G; 2],
     searches: usize,
     rng: &mut StdRng,
-    fan_out: bool,
 ) -> f64 {
-    let oks = scheduled_map(fan_out, draw_sample(sides[0], searches, rng), 64, |(from, key)| {
+    let sample = draw_sample(sides[0], searches, rng);
+    let oks = scheduled_map(sides[0].len(), sample, 64, |(from, key)| {
         crate::routing::dual_search(sides, from, key, &mut Metrics::new())
     });
     oks.iter().filter(|&&ok| ok).count() as f64 / searches.max(1) as f64
@@ -133,6 +123,7 @@ fn draw_sample<G: GroupGraphView>(gg: &G, searches: usize, rng: &mut StdRng) -> 
 mod tests {
     use super::*;
     use crate::build::build_initial_graph;
+    use crate::dynamic::kernel::{in_a_worker, FAN_OUT_MIN_IDS};
     use crate::graph::GroupGraph;
     use crate::population::Population;
     use rand::SeedableRng;
@@ -145,6 +136,10 @@ mod tests {
         let fam = OracleFamily::new(seed);
         let params = Params::paper_defaults();
         (build_initial_graph(pop, GraphKind::Chord, fam.h1, &params), params)
+    }
+
+    fn rng(seed: u64) -> StdRng {
+        StdRng::seed_from_u64(seed)
     }
 
     #[test]
@@ -199,26 +194,22 @@ mod tests {
         assert!(r_high.frac_red > r_low.frac_red);
     }
 
+    /// A measurement on the test thread fans out at
+    /// [`FAN_OUT_MIN_IDS`] groups; the same one inside a sweep worker
+    /// runs serially (with one CPU both are serial). Both pre-draw the
+    /// identical RNG sequence and fold in sample order, so every report
+    /// field must match bit for bit.
     #[test]
     fn chunked_measurement_is_bit_identical() {
-        // Both schedules pre-draw the identical RNG sequence and fold in
-        // sample order: every report field must match bit for bit.
-        let (gg, params) = graph(1000, 80, 12);
-        let mut r_seq = StdRng::seed_from_u64(13);
-        let mut r_par = StdRng::seed_from_u64(13);
-        let a = measure_robustness(&gg, &params, 300, &mut r_seq);
-        let b = measure_robustness_scheduled(&gg, &params, 300, &mut r_par, true);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let (gg, params) = graph(FAN_OUT_MIN_IDS, 80, 12);
+        let single = || format!("{:?}", measure_robustness(&gg, &params, 300, &mut rng(13)));
+        assert_eq!(single(), in_a_worker(single));
 
-        let mut rng0 = StdRng::seed_from_u64(14);
-        let pop = Population::uniform(1000, 80, &mut rng0);
+        let pop = Population::uniform(FAN_OUT_MIN_IDS, 80, &mut rng(14));
         let fam = OracleFamily::new(12);
         let other = build_initial_graph(pop, GraphKind::Chord, fam.h2, &params);
-        let mut r_seq = StdRng::seed_from_u64(15);
-        let mut r_par = StdRng::seed_from_u64(15);
-        let d_seq = measure_dual_success([&gg, &other], 300, &mut r_seq, false);
-        let d_par = measure_dual_success([&gg, &other], 300, &mut r_par, true);
-        assert_eq!(d_seq.to_bits(), d_par.to_bits());
+        let dual = || measure_dual_success([&gg, &other], 300, &mut rng(15)).to_bits();
+        assert_eq!(dual(), in_a_worker(dual));
     }
 
     #[test]
@@ -232,7 +223,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let single = measure_robustness(&a, &params, 400, &mut rng).search_success;
         let mut rng = StdRng::seed_from_u64(11);
-        let dual = measure_dual_success([&a, &b], 400, &mut rng, false);
+        let dual = measure_dual_success([&a, &b], 400, &mut rng);
         assert!(dual >= single - 0.03, "dual {dual:.3} vs single {single:.3}");
     }
 }

@@ -56,16 +56,13 @@ impl DynamicDriver {
     /// Build the driver for `spec` around an explicit identity provider
     /// (how `tg_pow::scenario` composes minting providers with this
     /// driver; core-only callers should use [`ScenarioSpec::build`]).
-    /// The spec's `kernel` knob picks the epoch schedule (sequential or
-    /// fanned out; identical observations). Its `runtime` knob decides
-    /// whether the driver carries a network; the genesis build is
-    /// trusted bootstrap either way.
+    /// The spec's `runtime` knob decides whether the driver carries a
+    /// network; the genesis build is trusted bootstrap either way.
     pub fn with_provider(spec: &ScenarioSpec, inner: Box<dyn IdentityProvider>) -> DynamicDriver {
         let mut provider = Census::new(inner);
         let mut sys =
             DynamicSystem::new(spec.params, spec.kind, spec.mode, &mut provider, spec.seed);
         sys.set_searches_per_epoch(spec.searches);
-        sys.set_fan_out(spec.kernel.fan_out());
         DynamicDriver {
             sys,
             provider,

@@ -116,7 +116,7 @@ mod tests {
                 .defense(Defense::Pow { scheme: MintScheme::SingleHash, fresh_strings: false })
                 .strings(StringMode::Synthesized)
                 .strategy(StrategySpec::PrecomputeHoarder { fam_seed: 99, attempts: 2000 }),
-            spec().kernel(KernelChoice::Arena),
+            ScenarioSpec { kernel: KernelChoice::Arena, ..spec() },
         ];
         for s in specs {
             let label = s.label();
@@ -211,14 +211,13 @@ mod tests {
         assert!(driver.run(0).is_empty());
     }
 
-    /// The sequential (`kernel=legacy`) and fanned-out (`kernel=arena`)
-    /// schedules agree observation-for-observation when driven through
-    /// the scenario layer.
+    /// The retired `kernel=arena` token selects nothing: its spec
+    /// observes exactly what the default (`kernel=legacy`) spec does.
     #[test]
     fn arena_kernel_spec_matches_legacy_spec() {
         let base = spec().topology(GraphKind::D2B);
         let mut legacy = base.build().unwrap();
-        let mut arena = base.kernel(KernelChoice::Arena).build().unwrap();
+        let mut arena = ScenarioSpec { kernel: KernelChoice::Arena, ..base }.build().unwrap();
         for _ in 0..3 {
             let a = legacy.step().clone();
             let b = arena.step();

@@ -201,10 +201,10 @@ pub struct ScenarioSpec {
     /// Master seed; every labelled RNG stream of the run derives from
     /// it.
     pub seed: u64,
-    /// The epoch schedule: sequential (the default — right inside
-    /// sweeps that already run one scenario per worker thread) or fanned
-    /// out over worker threads ([`KernelChoice::Arena`] — right for one
-    /// large run). Observations are identical either way.
+    /// The retired `kernel=` codec token. It selects nothing: the epoch
+    /// picks its own schedule from its size
+    /// ([`crate::dynamic::kernel`]). It is kept so that labels carrying
+    /// it, which are store keys, still parse and re-encode unchanged.
     pub kernel: KernelChoice,
     /// Whether the driver carries a network: none — one synchronous
     /// in-process step per epoch ([`RuntimeChoice::Sync`], the
@@ -348,12 +348,6 @@ impl ScenarioSpec {
     /// pipeline).
     pub fn idealized(mut self, idealized_good: bool) -> Self {
         self.idealized_good = idealized_good;
-        self
-    }
-
-    /// Select the epoch schedule (sequential vs fanned out).
-    pub fn kernel(mut self, kernel: KernelChoice) -> Self {
-        self.kernel = kernel;
         self
     }
 

@@ -4,7 +4,10 @@
 //! plus the epoch's `BuildStats` and `Metrics`. The bytes were written by
 //! the per-group `Vec<GroupGraph>` epoch loop this workspace started
 //! with, the commit before that loop was deleted; the one system that is
-//! left must replay them under both schedules (`fan_out` off and on).
+//! left must replay them. These populations are below
+//! `FAN_OUT_MIN_IDS`, so they run serially; that a fanned-out epoch
+//! matches a serial one is pinned by `arena::tests` and
+//! `tests/kernel_equivalence.rs::fanned_out_epochs_match_serial_ones`.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -56,7 +59,7 @@ fn side_digest<G: GroupGraphView>(g: &G) -> String {
     h.finalize().iter().map(|b| format!("{b:02x}")).collect()
 }
 
-fn snapshot(fan_out: bool) -> String {
+fn snapshot() -> String {
     let mut out = String::new();
     for &(name, kind, mode, attack, churn, gap_filling) in &CONFIGS {
         let mut params = Params::paper_defaults();
@@ -69,7 +72,6 @@ fn snapshot(fan_out: bool) -> String {
         };
         let mut sys = DynamicSystem::new(params, kind, mode, provider.as_mut(), 42);
         sys.set_searches_per_epoch(50);
-        sys.set_fan_out(fan_out);
         out.push_str(&format!("# {name}\n"));
         for _ in 0..3 {
             let r = sys.advance_epoch(provider.as_mut());
@@ -93,17 +95,15 @@ fn epoch_graphs_match_golden() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/epoch_graphs_seed42.txt");
     if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::write(&path, snapshot(false)).expect("write golden file");
+        std::fs::write(&path, snapshot()).expect("write golden file");
         return;
     }
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
-    for fan_out in [false, true] {
-        assert_eq!(
-            snapshot(fan_out),
-            expected,
-            "epoch graphs drifted from their golden snapshot (fan_out = {fan_out}); if the \
-             change is intentional, regenerate with GOLDEN_REGEN=1 and commit the diff"
-        );
-    }
+    assert_eq!(
+        snapshot(),
+        expected,
+        "epoch graphs drifted from their golden snapshot; if the change is intentional, \
+         regenerate with GOLDEN_REGEN=1 and commit the diff"
+    );
 }

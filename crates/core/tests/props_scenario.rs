@@ -123,7 +123,6 @@ proptest! {
             .strategy(strategy(strategy_tag, sa, sb, sn))
             .searches(searches)
             .idealized(idealized)
-            .kernel(if kernel_tag == 0 { KernelChoice::Legacy } else { KernelChoice::Arena })
             .runtime(runtime)
             .drop_rate(drop)
             .latency(lat)
@@ -133,6 +132,7 @@ proptest! {
         if let Some(w) = window {
             spec = spec.window(w);
         }
+        spec.kernel = if kernel_tag == 0 { KernelChoice::Legacy } else { KernelChoice::Arena };
         spec.params.delta = delta;
         spec.params.size_rule = rule(rule_tag, rule_c, rule_k);
 
@@ -197,7 +197,7 @@ proptest! {
         prop_assert_eq!(parsed.string_adversary, StringAdversarySpec::None);
 
         // And the knobs themselves round-trip through both codecs.
-        let scaled = base.kernel(KernelChoice::Arena);
+        let scaled = ScenarioSpec { kernel: KernelChoice::Arena, ..base };
         prop_assert!(scaled.label().ends_with(";kernel=arena"), "label: {}", scaled.label());
         prop_assert_eq!(&ScenarioSpec::parse(&scaled.label()).unwrap(), &scaled);
         prop_assert_eq!(&ScenarioSpec::from_json(&scaled.to_json()).unwrap(), &scaled);
@@ -224,9 +224,8 @@ proptest! {
     ) {
         // Every optional knob is non-default, so all 26 codec keys
         // appear in the label and each one gets a duplication trial.
-        let spec = ScenarioSpec::new(n_good, seed)
+        let mut spec = ScenarioSpec::new(n_good, seed)
             .churn(churn)
-            .kernel(KernelChoice::Arena)
             .runtime(RuntimeChoice::Actor)
             .drop_rate(drop)
             .latency(lat)
@@ -237,6 +236,7 @@ proptest! {
                 strings: 3,
                 release_frac: drop,
             });
+        spec.kernel = KernelChoice::Arena;
         let label = spec.label();
         let fields: Vec<(&str, &str)> = label
             .split(';')
@@ -364,7 +364,8 @@ fn empty_population_is_rejected() {
 /// scenario anyone meant: each is refused with a typed error or builds
 /// and steps twice, never a panic. (`churn` outside `[0, 1]` used to
 /// reach `Population::depart_good_fraction`'s assert, or run silently;
-/// a `window` near `u64::MAX` overflowed the send-tick spread mid-step;
+/// a `window` near `u64::MAX` overflowed the send-tick spread mid-step,
+/// and a `lat` of `u64::MAX` wrapped the fault fate's divisor to zero;
 /// a huge `d2` / `retries` / flipper margin overflowed `draws + 1`,
 /// `1 + retries` and `bad + 2·margin`.)
 #[test]
@@ -373,8 +374,9 @@ fn hostile_labels_are_refused_or_run() {
     let base: Vec<(&str, &str)> =
         label.split(';').skip(1).map(|f| f.split_once('=').expect("key=value")).collect();
     // (edits to the base label, whether the codec must refuse them)
-    let cases: [(&[(&str, &str)], bool); 14] = [
+    let cases: [(&[(&str, &str)], bool); 15] = [
         (&[("runtime", "actor"), ("window", "18446744073709551615")], false),
+        (&[("runtime", "actor"), ("lat", "18446744073709551615")], false),
         (&[("churn", "2")], true),
         (&[("churn", "inf")], true),
         (&[("churn", "-1")], true),

@@ -4,17 +4,16 @@
 //! `--seed <u64>` (default 42), `--full` (paper-scale parameters),
 //! `--out <dir>` (default `results/`), `--quiet` (suppress the table),
 //! `--only e10,e11,e12` (run a subset), `--list` (print the
-//! experiment registry and exit), and the five **run-wide switches**,
+//! experiment registry and exit), and the four **run-wide switches**,
 //! which say *how* scenarios are executed and never change what they
-//! observe: `--kernel legacy|arena`, `--runtime sync|actor`,
-//! `--transport mem|socket`, `--store <dir>` and `--check-invariants`.
-//! Those five are parsed here into [`Options::exec`] and documented,
-//! field by field, on [`crate::exec::Exec`] — the only module that
-//! reads them. A new run-wide switch is a field there and a flag here.
+//! observe: `--runtime sync|actor`, `--transport mem|socket`,
+//! `--store <dir>` and `--check-invariants`. Those four are parsed here
+//! into [`Options::exec`] and documented, field by field, on
+//! [`crate::exec::Exec`] — the only module that reads them. A new run-wide switch is a field there and a flag here.
 
 use crate::exec::Exec;
 use tg_core::runtime::RuntimeChoice;
-use tg_core::scenario::{KernelChoice, TransportChoice};
+use tg_core::scenario::TransportChoice;
 use tg_sim::ResultStore;
 
 /// Parsed command-line options.
@@ -85,11 +84,6 @@ impl Options {
                     }
                     opts.only = Some(names);
                 }
-                "--kernel" => {
-                    let v = it.next().unwrap_or_else(|| usage("--kernel needs a value"));
-                    opts.exec.kernel = KernelChoice::parse(&v)
-                        .unwrap_or_else(|| usage("--kernel must be legacy or arena"));
-                }
                 "--runtime" => {
                     let v = it.next().unwrap_or_else(|| usage("--runtime needs a value"));
                     opts.exec.runtime = RuntimeChoice::parse(&v)
@@ -140,7 +134,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: run_all [--seed N] [--full] [--out DIR] [--quiet] [--only e10,e11,e12] \
-         [--list] [--kernel legacy|arena] [--runtime sync|actor] [--transport mem|socket] \
+         [--list] [--runtime sync|actor] [--transport mem|socket] \
          [--store DIR] [--check-invariants]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
@@ -176,13 +170,6 @@ mod tests {
     fn list_flag_parses() {
         assert!(parse(&["--list"]).list);
         assert!(!parse(&[]).list);
-    }
-
-    #[test]
-    fn kernel_flag_parses() {
-        assert_eq!(parse(&[]).exec.kernel, KernelChoice::Legacy);
-        assert_eq!(parse(&["--kernel", "arena"]).exec.kernel, KernelChoice::Arena);
-        assert_eq!(parse(&["--kernel", "legacy"]).exec.kernel, KernelChoice::Legacy);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The one **execution context**: *how* an experiment turns a
 //! [`ScenarioSpec`] into observations, as opposed to *what* it
-//! simulates. The five run-wide switches of `run_all` (`--kernel`,
-//! `--runtime`, `--transport`, `--check-invariants`, `--store`) are the
-//! fields of [`Exec`]; [`crate::args`] fills them in and nothing else in
+//! simulates. The four run-wide switches of `run_all` (`--runtime`,
+//! `--transport`, `--check-invariants`, `--store`) are the fields of
+//! [`Exec`]; [`crate::args`] fills them in and nothing else in
 //! the crate reads them. Experiments get three calls instead:
 //!
-//! * [`Exec::install`] — put the kernel/runtime/transport axes on a spec,
+//! * [`Exec::install`] — put the runtime/transport axes on a spec,
 //! * [`Exec::driver`] — build the spec's (possibly checked) driver,
 //! * [`Exec::trial`] — run a whole trial store-warm,
 //!
@@ -14,19 +14,16 @@
 //! any experiment.
 
 use tg_core::runtime::RuntimeChoice;
-use tg_core::scenario::{EpochDriver, KernelChoice, ObsRow, ScenarioSpec, TransportChoice};
+use tg_core::scenario::{EpochDriver, ObsRow, ScenarioSpec, TransportChoice};
 use tg_sim::ResultStore;
 use tg_verify::CheckedDriver;
 
 /// How every scenario of a run is executed. The default is the
-/// configuration that wrote the goldens: sequential epochs, no network,
-/// unchecked, nothing stored. Every field is observation-free over a
-/// perfect network, so no CSV moves with any of them.
+/// configuration that wrote the goldens: no network, unchecked, nothing
+/// stored. Every field is observation-free over a perfect network, so no
+/// CSV moves with any of them.
 #[derive(Clone, Debug, Default)]
 pub struct Exec {
-    /// The epoch schedule of the simulated systems (sequential vs
-    /// fanned out over threads).
-    pub kernel: KernelChoice,
     /// Which epoch runtime advances them (synchronous in-process vs
     /// actor message passing).
     pub runtime: RuntimeChoice,
@@ -49,9 +46,9 @@ pub struct Exec {
 }
 
 impl Exec {
-    /// `spec` with this run's kernel, runtime and transport axes set.
+    /// `spec` with this run's runtime and transport axes set.
     pub fn install(&self, spec: ScenarioSpec) -> ScenarioSpec {
-        spec.kernel(self.kernel).runtime(self.runtime).transport(self.transport)
+        spec.runtime(self.runtime).transport(self.transport)
     }
 
     /// Build `spec`'s driver: exactly `tg_pow::scenario::build`, or —
@@ -133,7 +130,7 @@ impl Exec {
 }
 
 /// The store key of one trial's observation stream: the trial's full
-/// scenario label (which already carries seed, axes, kernel, runtime)
+/// scenario label (which already carries seed, axes, runtime)
 /// plus the epoch count the stream covers.
 fn trial_store_key(spec: &ScenarioSpec, epochs: usize) -> String {
     format!("{};epochs={epochs}", spec.label())

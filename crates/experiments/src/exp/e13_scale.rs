@@ -1,29 +1,23 @@
-//! **E13 — epoch throughput at scale, sequential vs fan-out** (the
-//! million-identity sweep).
+//! **E13 — epoch throughput at scale** (the million-identity sweep).
 //!
 //! Every other experiment asks *what* the reconstructed system computes;
 //! this one asks *how fast* the epoch hot path turns identities into
-//! group graphs. A ladder of population rungs drives the honest dynamic
-//! scenario under both epoch schedules of the one epoch system:
-//!
-//! * `legacy` — sequential: every phase on the calling thread,
-//! * `arena` — fan-out: the slot searches, the attack pass and the
-//!   measurements spread over worker threads in deterministic blocks.
-//!
-//! The schedules are observation-identical by construction (pinned by
-//! the equivalence proptests and the golden replays), so the only thing
-//! this sweep measures is wall clock: epochs/second and
-//! identities/second per rung. Quick mode climbs to 10⁴ identities so
-//! the CI smoke step stays in seconds; `--full` climbs the fan-out
-//! schedule to the titular 10⁶-identity rung (the sequential one stops
-//! at 10⁵).
+//! group graphs: a ladder of population rungs drives the honest dynamic
+//! scenario and measures wall clock, epochs/second and
+//! identities/second per rung. The epoch picks its schedule from its
+//! size ([`tg_core::dynamic::kernel`]): rungs below `FAN_OUT_MIN_IDS`
+//! identities run on the calling thread, the rest fan their searches,
+//! attack pass and measurements out over worker threads. Quick mode
+//! climbs from 10³ to 10⁴ identities, across that size, so the CI smoke
+//! step stays in seconds; `--full` climbs to the titular 10⁶-identity
+//! rung.
 
 use std::time::Instant;
 
 use crate::args::Options;
 use crate::exec::Exec;
 use crate::table::{f, Table};
-use tg_core::scenario::{budget_for, KernelChoice, ScenarioSpec};
+use tg_core::scenario::{budget_for, ScenarioSpec};
 use tg_overlay::GraphKind;
 
 /// β of every throughput rung (the paper default; the budget rides
@@ -35,11 +29,9 @@ pub const SCALE_BETA: f64 = 0.05;
 /// the kernel's, not the sampler's.
 const SCALE_SEARCHES: usize = 16;
 
-/// One ladder rung: a schedule at a population size for a few epochs.
+/// One ladder rung: a population size for a few epochs.
 #[derive(Clone, Copy, Debug)]
 pub struct Rung {
-    /// Which epoch schedule runs the rung.
-    pub kernel: KernelChoice,
     /// Good identities per epoch (`n_bad` derives from [`SCALE_BETA`]).
     pub n_good: usize,
     /// Timed epochs (the initial build is timed separately).
@@ -53,28 +45,16 @@ impl Rung {
     }
 }
 
-/// The ladder for the given options. Quick mode pairs both schedules on
-/// small rungs (CI smoke); `--full` extends the fan-out schedule to the
+/// The ladder for the given options. Quick mode puts one small rung on
+/// each side of the epoch's fan-out size (CI smoke); `--full` climbs to the
 /// 10⁶-identity rung (`n_good = 950 000` + 50 000 adversarial = 10⁶
 /// exactly).
 pub fn rungs(opts: &Options) -> Vec<Rung> {
-    let rung = |kernel, n_good, epochs| Rung { kernel, n_good, epochs };
+    let rung = |n_good, epochs| Rung { n_good, epochs };
     if opts.full {
-        vec![
-            rung(KernelChoice::Legacy, 9_500, 3),
-            rung(KernelChoice::Arena, 9_500, 3),
-            rung(KernelChoice::Legacy, 95_000, 2),
-            rung(KernelChoice::Arena, 95_000, 2),
-            rung(KernelChoice::Arena, 285_000, 2),
-            rung(KernelChoice::Arena, 950_000, 2),
-        ]
+        vec![rung(9_500, 3), rung(95_000, 2), rung(285_000, 2), rung(950_000, 2)]
     } else {
-        vec![
-            rung(KernelChoice::Legacy, 1_900, 3),
-            rung(KernelChoice::Arena, 1_900, 3),
-            rung(KernelChoice::Legacy, 4_750, 2),
-            rung(KernelChoice::Arena, 4_750, 2),
-        ]
+        vec![rung(950, 3), rung(1_900, 3), rung(4_750, 2)]
     }
 }
 
@@ -109,7 +89,7 @@ impl RungResult {
 
 /// The scenario one rung drives: the honest dynamic system over D2B
 /// (the paper's expander family — route lengths stress the kernel more
-/// than Chord's) under the rung's schedule.
+/// than Chord's).
 pub fn rung_spec(rung: &Rung, seed: u64) -> ScenarioSpec {
     ScenarioSpec::new(rung.n_good, seed)
         .beta(SCALE_BETA)
@@ -117,11 +97,10 @@ pub fn rung_spec(rung: &Rung, seed: u64) -> ScenarioSpec {
         .attack_requests(0)
         .topology(GraphKind::D2B)
         .searches(SCALE_SEARCHES)
-        .kernel(rung.kernel)
 }
 
 /// Store key of one rung's timing record: the rung's scenario label
-/// (which pins kernel, population, seed) plus its epoch
+/// (which pins population and seed) plus its epoch
 /// count, under an `e13` tag so timing records never collide with
 /// observation streams.
 fn rung_store_key(rung: &Rung, seed: u64) -> String {
@@ -170,7 +149,6 @@ pub fn run(opts: &Options) -> Table {
     let mut table = Table::new(
         "e13_scale",
         &[
-            "kernel",
             "n_identities",
             "epochs",
             "source",
@@ -183,7 +161,6 @@ pub fn run(opts: &Options) -> Table {
     );
     for (r, cached) in &timed {
         table.push(vec![
-            r.rung.kernel.label().to_string(),
             r.rung.n_total().to_string(),
             r.rung.epochs.to_string(),
             if *cached { "store" } else { "live" }.to_string(),
@@ -200,32 +177,29 @@ pub fn run(opts: &Options) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tg_core::dynamic::kernel::FAN_OUT_MIN_IDS;
 
     fn opts(full: bool) -> Options {
         Options { full, quiet: true, ..Options::default() }
     }
 
-    /// Quick mode stays CI-sized and pairs the schedules rung for rung so
-    /// the table always carries a direct sequential-vs-fan-out contrast.
+    /// Quick mode stays CI-sized and pairs a serial rung with fanned-out
+    /// ones, so the table always carries the contrast across
+    /// [`FAN_OUT_MIN_IDS`].
     #[test]
     fn quick_ladder_is_paired_and_small() {
         let ladder = rungs(&opts(false));
         assert!(ladder.iter().all(|r| r.n_total() <= 10_000), "quick rungs stay CI-sized");
-        for ns in ladder.chunks(2) {
-            assert_eq!(ns[0].n_good, ns[1].n_good, "schedules paired at each size");
-            assert_eq!(ns[0].kernel, KernelChoice::Legacy);
-            assert_eq!(ns[1].kernel, KernelChoice::Arena);
-        }
+        assert!(ladder.iter().any(|r| r.n_total() < FAN_OUT_MIN_IDS), "no serial rung");
+        assert!(ladder.iter().any(|r| r.n_total() >= FAN_OUT_MIN_IDS), "no fanned-out rung");
     }
 
-    /// `--full` tops out at exactly the titular million identities, on
-    /// the fan-out schedule.
+    /// `--full` tops out at exactly the titular million identities.
     #[test]
     fn full_ladder_reaches_one_million_identities() {
         let ladder = rungs(&opts(true));
         let top = ladder.iter().max_by_key(|r| r.n_total()).expect("non-empty ladder");
         assert_eq!(top.n_total(), 1_000_000);
-        assert_eq!(top.kernel, KernelChoice::Arena);
     }
 
     /// A warm ladder replays every stored timing record instead of
@@ -237,10 +211,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let exec =
             Exec { store: Some(tg_sim::ResultStore::open(&dir).unwrap()), ..Exec::default() };
-        let ladder = [
-            Rung { kernel: KernelChoice::Legacy, n_good: 380, epochs: 2 },
-            Rung { kernel: KernelChoice::Arena, n_good: 380, epochs: 2 },
-        ];
+        let ladder = [Rung { n_good: 380, epochs: 2 }, Rung { n_good: 400, epochs: 2 }];
         // Cold half-ladder: only the first rung gets recorded.
         let cold = measure(&ladder[..1], 42, &exec);
         assert!(cold.iter().all(|(_, cached)| !cached), "first pass is all live");
@@ -256,7 +227,7 @@ mod tests {
     /// produces positive, consistent rates.
     #[test]
     fn measurement_produces_positive_rates() {
-        let ladder = [Rung { kernel: KernelChoice::Arena, n_good: 380, epochs: 2 }];
+        let ladder = [Rung { n_good: 380, epochs: 2 }];
         let results = measure(&ladder, 42, &Exec::default());
         assert_eq!(results.len(), 1);
         let (r, cached) = &results[0];

@@ -135,8 +135,7 @@ pub const REGISTRY: [Experiment; 16] = [
     },
     Experiment {
         name: "e13",
-        description:
-            "Epoch throughput ladder: sequential vs fan-out epochs/sec up to 10⁶ identities",
+        description: "Epoch throughput ladder: epochs/sec and identities/sec up to 10⁶ identities",
         run: |o| {
             let table = e13_scale::run(o);
             table.emit(o);

@@ -168,8 +168,8 @@ pub struct FrontierConfig {
     pub searches: usize,
     /// Master seed; every trial derives its own grid stream from it.
     pub seed: u64,
-    /// How each trial is executed (schedule, runtime, transport,
-    /// invariant checking, result store) — observation-free, so it never
+    /// How each trial is executed (runtime, transport, invariant
+    /// checking, result store) — observation-free, so it never
     /// moves a frontier. With a store, every trial's observation stream
     /// is replayed through the identical statistics path, so a warm
     /// sweep's tables are byte-for-byte the live run's.

@@ -23,7 +23,7 @@
 //! | `e10` | The adversary-strategy matrix: placement strategies × identity pipelines |
 //! | `e11` | The adversary-vs-defense frontier: β × d₂ capture heatmaps over the real `FullSystem` protocol |
 //! | `e12` | Adaptive frontier refinement: bisected thresholds with confidence bands over the churn × topology axes |
-//! | `e13` | Epoch throughput ladder: sequential vs fan-out epochs/sec up to 10⁶ identities |
+//! | `e13` | Epoch throughput ladder: epochs/sec and identities/sec up to 10⁶ identities |
 //! | `e14` | Actor runtime under network faults: capture and search success vs drop rate × partition length |
 //! | `e15` | Exhaustive tiny-model check: every adversary placement × defense, with per-invariant verdicts |
 //! | `figure1` | Figure 1: the input graph and group graph panels |
@@ -34,9 +34,9 @@
 //! unified scenario API (`tg_core::scenario::ScenarioSpec` built by
 //! `tg_pow::scenario::build` into an `EpochDriver`) — no direct
 //! `DynamicSystem`/`FullSystem` constructor calls in this crate.
-//! *How* a scenario is executed — the five run-wide switches
-//! `--kernel`, `--runtime`, `--transport`, `--check-invariants` and
-//! `--store` — lives in one module, [`exec`]: [`args`] parses them into
+//! *How* a scenario is executed — the four run-wide switches
+//! `--runtime`, `--transport`, `--check-invariants` and `--store` —
+//! lives in one module, [`exec`]: [`args`] parses them into
 //! [`Options::exec`], and experiments only ever ask the [`Exec`] to
 //! install its axes on a spec, build a driver, or run a store-warm
 //! trial. A new run-wide switch goes there, not into an experiment.

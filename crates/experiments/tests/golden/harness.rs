@@ -7,13 +7,11 @@
 //! dependence), so refactors to the sim kernels must reproduce these
 //! files *exactly* — a silent numerical drift in construction, routing,
 //! or measurement fails here even when every statistical bound still
-//! holds. The snapshots were written by the [`BASELINE`] row (sequential
-//! epochs, no network, unchecked); every other row of the matrix turns
-//! one or more axes that are observation-free by contract, so it must
-//! reproduce the same bytes:
+//! holds. The snapshots were written by the [`BASELINE`] row (no
+//! network, unchecked); every other row of the matrix turns one or more
+//! axes that are observation-free by contract, so it must reproduce the
+//! same bytes:
 //!
-//! * `kernel=arena` — epochs fanned out over threads fold to the same
-//!   results,
 //! * `runtime=actor` — a perfect transport delivers everything, in send
 //!   order, drawing no RNG,
 //! * `transport=socket` — loopback TCP applies the same pure fault
@@ -27,9 +25,9 @@
 //! partition): it pins `DynamicDriver` with a lossy net. Its CSV carries
 //! a `transport` column, so it replays on the `mem` rows only.
 //!
-//! The test binaries `golden.rs`, `golden_arena.rs`, `golden_actor.rs`,
-//! `golden_socket.rs` and `golden_checked.rs` hold one named test per
-//! (experiment × row) and nothing else — a failure names the corner
+//! The test binaries `golden.rs`, `golden_actor.rs`, `golden_socket.rs`
+//! and `golden_checked.rs` hold one named test per (experiment × row)
+//! and nothing else — a failure names the corner
 //! that drifted, and the test names are stable across PRs.
 //!
 //! To regenerate after an *intentional* behaviour change:
@@ -45,56 +43,48 @@
 #![allow(dead_code)]
 
 use tg_core::runtime::RuntimeChoice;
-use tg_core::scenario::{KernelChoice, TransportChoice};
+use tg_core::scenario::TransportChoice;
 use tg_experiments::exp::{
     e10_adversaries, e11_frontier, e12_refine, e14_async, e1_robustness, e4_epochs, e7_strings,
 };
 use tg_experiments::{Exec, Options};
 
-/// One corner of the kernel × runtime × transport × checked matrix.
+/// One corner of the runtime × transport × checked matrix.
 pub struct Row {
     pub name: &'static str,
-    pub kernel: KernelChoice,
     pub runtime: RuntimeChoice,
     pub transport: TransportChoice,
     pub check_invariants: bool,
 }
 
-use KernelChoice::{Arena, Legacy};
 use RuntimeChoice::{Actor, Sync};
 use TransportChoice::{Mem, Socket};
 
 const fn row(
     name: &'static str,
-    kernel: KernelChoice,
     runtime: RuntimeChoice,
     transport: TransportChoice,
     check_invariants: bool,
 ) -> Row {
-    Row { name, kernel, runtime, transport, check_invariants }
+    Row { name, runtime, transport, check_invariants }
 }
 
-// The matrix. Sockets need the actor runtime, and the in-memory actor
-// rows already pin both schedules, so one loopback-TCP row per checked
-// setting covers the transport axis.
+// The matrix. Sockets need the actor runtime, so one loopback-TCP row
+// per checked setting covers the transport axis.
 
 /// The row that wrote the snapshots (and the only one that rewrites
 /// them).
-pub const BASELINE: Row = row("baseline", Legacy, Sync, Mem, false);
-pub const ARENA: Row = row("arena", Arena, Sync, Mem, false);
-pub const ACTOR: Row = row("actor", Legacy, Actor, Mem, false);
-pub const SOCKET: Row = row("socket", Legacy, Actor, Socket, false);
-pub const CHECKED: [Row; 5] = [
-    row("checked", Legacy, Sync, Mem, true),
-    row("checked-arena", Arena, Sync, Mem, true),
-    row("checked-actor", Legacy, Actor, Mem, true),
-    row("checked-arena-actor", Arena, Actor, Mem, true),
-    row("checked-arena-socket", Arena, Actor, Socket, true),
+pub const BASELINE: Row = row("baseline", Sync, Mem, false);
+pub const ACTOR: Row = row("actor", Actor, Mem, false);
+pub const SOCKET: Row = row("socket", Actor, Socket, false);
+pub const CHECKED: [Row; 3] = [
+    row("checked", Sync, Mem, true),
+    row("checked-actor", Actor, Mem, true),
+    row("checked-socket", Actor, Socket, true),
 ];
 
 fn options(row: &Row) -> Options {
     let exec = Exec {
-        kernel: row.kernel,
         runtime: row.runtime,
         transport: row.transport,
         check_invariants: row.check_invariants,
@@ -183,12 +173,11 @@ pub fn replay(experiment: fn(&Options) -> Artefacts, row: &Row) {
         assert_eq!(
             actual,
             expected,
-            "{file} drifted from its golden snapshot on row `{}` (kernel={}, runtime={}, \
-             transport={}, checked={}). On the baseline row, if the change is intentional, \
+            "{file} drifted from its golden snapshot on row `{}` (runtime={}, transport={}, \
+             checked={}). On the baseline row, if the change is intentional, \
              regenerate with GOLDEN_REGEN=1 and commit the diff; on any other row that axis \
              leaked into the observations — fix it, do not regenerate",
             row.name,
-            row.kernel.label(),
             row.runtime.label(),
             row.transport.label(),
             row.check_invariants,

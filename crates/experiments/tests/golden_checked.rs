@@ -1,10 +1,10 @@
 //! Golden replay, checked rows: the committed seed-42 snapshots with
-//! `--check-invariants` on every kernel × runtime pair plus a
-//! loopback-TCP row. Two things at once: **zero violations** (checked
-//! builds run strict, so a violation panics with its reproduction
-//! line) and **byte identity** (the checker is observation-transparent;
-//! if a byte moves here but not on the unchecked rows, the *checker*
-//! consumed kernel randomness — fix `tg_verify`). E4 and E10 are the
+//! `--check-invariants` on both runtimes plus a loopback-TCP row. Two
+//! things at once: **zero violations** (checked builds run strict, so a
+//! violation panics with its reproduction line) and **byte identity**
+//! (the checker is observation-transparent; if a byte moves here but not
+//! on the unchecked rows, the *checker* consumed kernel randomness — fix
+//! `tg_verify`). E4 and E10 are the
 //! experiments whose goldens exercise every per-step invariant across
 //! both identity pipelines. The harness and the row table are in
 //! `golden/harness.rs`.

@@ -4,6 +4,7 @@
 //! `run_all --full`; the `#[ignore]`d tests cover that path (run
 //! nightly in CI).
 
+use tg_core::dynamic::kernel::FAN_OUT_MIN_IDS;
 use tg_experiments::exp::*;
 use tg_experiments::{Options, Table};
 
@@ -174,15 +175,16 @@ fn e12_refine_smoke() {
     }
 }
 
-/// E13 acceptance shape (quick rungs): both schedules appear and every
-/// rung reports positive throughput.
+/// E13 acceptance shape (quick rungs): rungs on both sides of the
+/// fan-out size appear and every rung reports positive throughput.
 #[test]
 fn e13_scale_smoke() {
     let opts = smoke_opts("e13");
     let table = e13_scale::run(&opts);
-    for kernel in ["legacy", "arena"] {
-        assert!(table.rows.iter().any(|r| r[0] == kernel), "missing {kernel} rungs");
-    }
+    let sizes: Vec<usize> =
+        table.rows.iter().map(|r| r[0].parse().expect("n_identities")).collect();
+    assert!(sizes.iter().any(|&n| n < FAN_OUT_MIN_IDS), "missing a serial rung");
+    assert!(sizes.iter().any(|&n| n >= FAN_OUT_MIN_IDS), "missing a fanned-out rung");
     for row in &table.rows {
         let rate: f64 = row[7].parse().expect("identities_per_sec is numeric");
         assert!(rate > 0.0, "non-positive throughput in {row:?}");

@@ -122,7 +122,6 @@ fn build_protocol(
     }
     sys.string_adversary = spec.string_adversary;
     sys.dynamics.set_searches_per_epoch(spec.searches);
-    sys.dynamics.set_fan_out(spec.kernel.fan_out());
     // Under the actor runtime the protocol phases (string dissemination,
     // membership announcement, routing probes) go over the spec's
     // network; the genesis build stays trusted bootstrap.

@@ -136,10 +136,11 @@ impl FaultPlan {
                 return Fate::Dropped;
             }
         }
-        // Latency: uniform in 0..=latency_max, again hash-derived.
+        // Latency: uniform in 0..=latency_max, again hash-derived. At
+        // `u64::MAX` the range is all of u64 and the divisor wraps to 0.
         let latency = if self.latency_max > 0 {
             let h = derive_seed_nd(seed, "net-lat", &[epoch, phase, src, dst, seq]);
-            h % (self.latency_max + 1)
+            h.checked_rem(self.latency_max.wrapping_add(1)).unwrap_or(h)
         } else {
             0
         };

@@ -115,7 +115,8 @@ impl EpochDriver for CheckedDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tg_core::scenario::{Defense, KernelChoice, MintScheme, StrategySpec};
+    use tg_core::dynamic::kernel::FAN_OUT_MIN_IDS;
+    use tg_core::scenario::{Defense, MintScheme, StrategySpec};
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::new(60, 42).searches(40)
@@ -156,9 +157,12 @@ mod tests {
         }
     }
 
+    /// An epoch of [`FAN_OUT_MIN_IDS`] identities fans out (with more
+    /// than one CPU); its invariants hold as strictly as a serial one's.
     #[test]
     fn arena_kernel_replays_clean_too() {
-        let spec = spec().kernel(KernelChoice::Arena).strategy(StrategySpec::GapFilling);
+        let spec =
+            ScenarioSpec::new(FAN_OUT_MIN_IDS, 42).searches(40).strategy(StrategySpec::GapFilling);
         let mut d = CheckedDriver::build(&spec).expect("build").strict();
         d.run(4);
     }

@@ -1,43 +1,39 @@
-//! Kernel-equivalence suite: the two schedules of the one epoch system
-//! — sequential (`kernel=legacy`, the default) and fanned out over
-//! worker threads (`kernel=arena`) — are **observation-identical**: same
+//! Schedule-equivalence suite: the observations of one spec do not
+//! depend on how its epoch is run — serially or fanned out over worker
+//! threads (from `FAN_OUT_MIN_IDS` identities up, outside sweep
+//! workers), synchronously or as actors over a perfect transport — same
 //! spec, same seed, same epoch-by-epoch `EpochObservation`, byte for
 //! byte, across every defense arm and placement strategy the scenario
 //! API can express.
 //!
-//! These tests pin that swapping `kernel=arena` into any spec changes
-//! wall clock, never results. (The corpus-level half of this statement —
-//! committed seed-42 CSVs replaying byte-identically with `kernel=arena`
-//! — lives in `crates/experiments/tests/golden_arena.rs`. That the one
-//! system computes what the deleted per-group loop computed is pinned by
+//! The fan-out test runs each spec at `FAN_OUT_MIN_IDS` good identities
+//! twice: on the test thread, where its epochs fan out, and inside a
+//! `parallel_map` worker, where they run serially. With one CPU both
+//! arms are serial. That the one system computes what the deleted
+//! per-group loop computed is pinned by
 //! `crates/core/tests/golden_epoch_graphs.rs` and the reference-build
-//! unit test in `tg_core::arena`.)
+//! unit test in `tg_core::arena`.
 
 use proptest::prelude::*;
+use tiny_groups::core::dynamic::kernel::FAN_OUT_MIN_IDS;
+use tiny_groups::core::dynamic::BuildMode;
 use tiny_groups::core::runtime::RuntimeChoice;
-use tiny_groups::core::scenario::{
-    Defense, KernelChoice, MintScheme, ScenarioSpec, StrategySpec, StringMode,
-};
+use tiny_groups::core::scenario::{Defense, MintScheme, ScenarioSpec, StrategySpec, StringMode};
 use tiny_groups::overlay::GraphKind;
 use tiny_groups::pow::scenario::build;
+use tiny_groups::sim::parallel_map;
 
-/// Step every kernel × runtime combination over the same spec and
-/// require Debug-identical observations every epoch (the full report:
-/// fractions, search rates, build stats, minting counters — everything
-/// the systems can observe). The sequential synchronous driver is the
-/// oracle; the fanned-out schedule and the actor runtime over its
-/// (perfect by default) transport must both reproduce it byte for byte.
-fn assert_kernels_agree(spec: &ScenarioSpec, epochs: usize) {
-    let arms = [
-        ("legacy/sync", KernelChoice::Legacy, RuntimeChoice::Sync),
-        ("arena/sync", KernelChoice::Arena, RuntimeChoice::Sync),
-        ("legacy/actor", KernelChoice::Legacy, RuntimeChoice::Actor),
-        ("arena/actor", KernelChoice::Arena, RuntimeChoice::Actor),
-    ];
+/// Step both runtimes over the same spec and require Debug-identical
+/// observations every epoch (the full report: fractions, search rates,
+/// build stats, minting counters — everything the systems can observe).
+/// The synchronous driver is the oracle; the actor runtime over its
+/// (perfect by default) transport must reproduce it byte for byte.
+fn assert_runtimes_agree(spec: &ScenarioSpec, epochs: usize) {
+    let arms = [("sync", RuntimeChoice::Sync), ("actor", RuntimeChoice::Actor)];
     let mut drivers: Vec<_> = arms
         .iter()
-        .map(|&(name, kernel, runtime)| {
-            let arm = spec.clone().kernel(kernel).runtime(runtime);
+        .map(|&(name, runtime)| {
+            let arm = spec.clone().runtime(runtime);
             (name, build(&arm).unwrap_or_else(|e| panic!("{name} spec builds: {e:?}")))
         })
         .collect();
@@ -56,10 +52,37 @@ fn assert_kernels_agree(spec: &ScenarioSpec, epochs: usize) {
     }
 }
 
+/// Epochs of `FAN_OUT_MIN_IDS` good identities fan out on the test
+/// thread and run serially inside a sweep worker; both must observe the
+/// same thing. The four specs cover the attack pass (d2b), an adaptive
+/// placement with chord's link searches, single-graph mode, and the
+/// full §IV system under f∘g minting.
+#[test]
+fn fanned_out_epochs_match_serial_ones() {
+    let base = || ScenarioSpec::new(FAN_OUT_MIN_IDS, 42).churn(0.1).searches(200);
+    let specs = [
+        base().topology(GraphKind::D2B).attack_requests(1),
+        base().attack_requests(0).strategy(StrategySpec::GapFilling),
+        base().topology(GraphKind::D2B).attack_requests(1).build_mode(BuildMode::SingleGraph),
+        base()
+            .attack_requests(0)
+            .defense(Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: true }),
+    ];
+    let run = |spec: &ScenarioSpec| -> String {
+        let mut driver = build(spec).unwrap_or_else(|e| panic!("{}: {e:?}", spec.label()));
+        (0..2).map(|_| format!("{:?}\n", driver.step())).collect()
+    };
+    let serial = parallel_map(specs.to_vec(), |spec| run(&spec));
+    for (spec, serial) in specs.iter().zip(serial) {
+        assert_eq!(run(spec), serial, "{}", spec.label());
+    }
+}
+
 /// Every defense arm × every placement strategy, one fixed small spec
 /// each: the exhaustive sweep of the scenario API's categorical axes.
 /// (The hoarder under no-PoW degrades to uniform placement — still a
-/// buildable, comparable arm.)
+/// buildable, comparable arm.) The name predates the retired kernel
+/// axis; the arms are the two runtimes.
 #[test]
 fn all_defenses_and_strategies_agree_across_kernels() {
     let defenses = [
@@ -86,7 +109,7 @@ fn all_defenses_and_strategies_agree_across_kernels() {
                 .searches(40)
                 .defense(defense)
                 .strategy(strategy);
-            assert_kernels_agree(&spec, 1);
+            assert_runtimes_agree(&spec, 1);
         }
     }
 }
@@ -96,7 +119,7 @@ proptest! {
 
     /// Random small-n specs over the full categorical product (defense
     /// × strategy × topology × string mode), random β/churn/seed: the
-    /// kernels stay Debug-identical for two epochs.
+    /// runtimes stay Debug-identical for two epochs.
     #[test]
     fn random_specs_agree_across_kernels(
         seed in any::<u64>(),
@@ -135,7 +158,7 @@ proptest! {
         if synthesized {
             spec = spec.strings(StringMode::Synthesized);
         }
-        assert_kernels_agree(&spec, 2);
+        assert_runtimes_agree(&spec, 2);
     }
 }
 
