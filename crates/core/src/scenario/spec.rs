@@ -407,7 +407,9 @@ impl ScenarioSpec {
     /// ring to build an overlay over), a churn rate that is not a
     /// fraction of the good IDs, a size rule or retry count past 65 536
     /// (far above any sweep; the kernels' sizing arithmetic overflows
-    /// near `usize::MAX`), and axis combinations no transport can
+    /// near `usize::MAX`), a string adversary whose strings the flood
+    /// cannot rank (negative or non-finite compute `units`, or more than
+    /// 65 536 strings), and axis combinations no transport can
     /// serve — a socket transport without an actor runtime has nobody
     /// to move bytes for. Called by every builder (core and `tg_pow`)
     /// *and* by the codec, so none is representable from any entry
@@ -425,6 +427,19 @@ impl ScenarioSpec {
         }
         if self.params.link_retries > MAX_LINK_RETRIES {
             return Err(ScenarioError::Unsupported("more than 65536 link retries"));
+        }
+        let (strings, units) = match self.string_adversary {
+            StringAdversarySpec::None => (0, 0.0),
+            StringAdversarySpec::DelayedRelease { strings, units, .. } => (strings, units),
+            StringAdversarySpec::ForcedRecords { strings, .. } => (strings, 0.0),
+        };
+        if !(units.is_finite() && units >= 0.0) {
+            return Err(ScenarioError::Unsupported(
+                "a string adversary with negative or non-finite compute units",
+            ));
+        }
+        if strings > MAX_ADVERSARY_STRINGS {
+            return Err(ScenarioError::Unsupported("more than 65536 adversary strings"));
         }
         if self.transport == TransportChoice::Socket && self.runtime != RuntimeChoice::Actor {
             return Err(ScenarioError::NeedsActorRuntime(
@@ -448,6 +463,11 @@ const MAX_DRAWS: usize = 1 << 16;
 /// established from retrying forever.
 const MAX_LINK_RETRIES: usize = 1 << 16;
 
+/// Most strings a string adversary (`stradv=`) may release; E7 uses 8.
+/// The flood ranks every string in a `u32`, and pushes one injection
+/// per adversary string.
+const MAX_ADVERSARY_STRINGS: usize = 1 << 16;
+
 /// `round(β/(1−β) · n_good)` — the adversary budget every sweep derives
 /// from β (bad IDs are a β-fraction of the *total* population).
 pub fn budget_for(beta: f64, n_good: usize) -> usize {
@@ -466,8 +486,8 @@ pub enum ScenarioError {
     NeedsActorRuntime(&'static str),
     /// The spec combines axes no driver implements (e.g. the real
     /// string protocol over a single-graph construction), names an
-    /// empty population, a churn rate outside `[0, 1]`, or a group size
-    /// or retry count past the supported bounds.
+    /// empty population, a churn rate outside `[0, 1]`, a group size,
+    /// retry count or string adversary past the supported bounds.
     Unsupported(&'static str),
     /// A label/JSON form did not decode.
     Parse(String),

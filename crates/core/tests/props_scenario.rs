@@ -367,14 +367,16 @@ fn empty_population_is_rejected() {
 /// a `window` near `u64::MAX` overflowed the send-tick spread mid-step,
 /// and a `lat` of `u64::MAX` wrapped the fault fate's divisor to zero;
 /// a huge `d2` / `retries` / flipper margin overflowed `draws + 1`,
-/// `1 + retries` and `bad + 2·margin`.)
+/// `1 + retries` and `bad + 2·margin`; a string adversary's negative or
+/// infinite `units` put its outputs outside the flood's `(0, 1)`, and
+/// `u64::MAX` records would all have been pushed as injections.)
 #[test]
 fn hostile_labels_are_refused_or_run() {
     let label = ScenarioSpec::new(40, 42).searches(10).label();
     let base: Vec<(&str, &str)> =
         label.split(';').skip(1).map(|f| f.split_once('=').expect("key=value")).collect();
     // (edits to the base label, whether the codec must refuse them)
-    let cases: [(&[(&str, &str)], bool); 15] = [
+    let cases: [(&[(&str, &str)], bool); 21] = [
         (&[("runtime", "actor"), ("window", "18446744073709551615")], false),
         (&[("runtime", "actor"), ("lat", "18446744073709551615")], false),
         (&[("churn", "2")], true),
@@ -390,6 +392,12 @@ fn hostile_labels_are_refused_or_run() {
         (&[("d2", "1e308")], true),
         (&[("retries", "18446744073709551615")], true),
         (&[("strategy", "adaptive-majority-flipper:18446744073709551615")], false),
+        (&[("stradv", "delayed:3:0.49:-1")], true),
+        (&[("stradv", "delayed:3:0.49:inf")], true),
+        (&[("stradv", "delayed:3:0.49:NaN")], true),
+        (&[("stradv", "delayed:65537:0.49:1")], true),
+        (&[("stradv", "records:18446744073709551615:0.49")], true),
+        (&[("stradv", "delayed:3:0.49:0")], false),
     ];
     for (edits, refused) in cases {
         let mut fields: Vec<(&str, &str)> =

@@ -316,6 +316,29 @@ mod tests {
         }
     }
 
+    #[test]
+    fn string_adversaries_at_the_compute_extremes_run() {
+        // `units = 0` is an adversary with no compute (e7 passes
+        // `units: n_bad`): every string it releases is worse than any
+        // good one. At `units = 1e308` its attempt count overflows to ∞
+        // and its outputs clamp to the smallest positive float. Negative
+        // or infinite units are refused instead.
+        let fog = Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: true };
+        let spec = |units| {
+            ScenarioSpec::new(40, 42).searches(10).defense(fog).string_adversary(
+                StringAdversarySpec::DelayedRelease { strings: 3, release_frac: 0.49, units },
+            )
+        };
+        for units in [0.0, 1e308] {
+            let mut driver = build(&spec(units)).unwrap();
+            driver.step();
+            assert_eq!(driver.step().epoch, 3, "{units}");
+        }
+        for units in [-1.0, f64::INFINITY] {
+            assert!(matches!(build(&spec(units)), Err(ScenarioError::Unsupported(_))), "{units}");
+        }
+    }
+
     /// The tentpole equivalence at the PoW layer: the actor runtime over
     /// a perfect transport reproduces the synchronous driver's
     /// observations byte-identically, on every builder arm.

@@ -21,6 +21,16 @@
 //! The flood runs over the **blue subgraph** of an operational group
 //! graph (red groups drop traffic — worst case), with each inter-group
 //! forward costing an all-to-all `|G_u|·|G_v|` messages.
+//!
+//! **State.** Every string that will fly is known before the first
+//! step, so strings are numbered by rank (output order) and a node's
+//! whole state is two bitsets over ranks — `seen` and `accepted` — and
+//! one forward counter per bin (`Nodes`). This is exact, not an
+//! approximation: bins are contiguous rank ranges (`RankBins`), so
+//! "among the bin's `cap` smallest" is a popcount of `seen` over the
+//! bin's ranks below the string; `R_w` is the `d0·ln n` smallest
+//! accepted strings; and the running minimum is the lowest set bit of
+//! `seen`.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -97,101 +107,157 @@ type Flying = (f64, u64);
 /// node's "have I seen this" is one bit.
 type StringId = u32;
 
-/// One bin: the `cap` smallest strings seen at this scale, plus the
-/// forward counter.
-#[derive(Clone)]
-struct Bin {
-    /// Smallest strings seen in this bin, sorted ascending, ≤ cap long.
-    smallest: Vec<StringId>,
-    /// Forwards spent on this bin (hard-capped at `c0·ln n`).
-    forwards: usize,
+/// The bins as rank ranges. [`bin_index`] is monotone (non-increasing)
+/// in the output and ranks are output order, so every bin is one
+/// contiguous run of ranks — the highest bin holds the smallest
+/// strings — and "the strings of `s`'s bin below `s`" is the rank
+/// range `[start[s], s)`.
+struct RankBins {
+    /// Bin of each rank.
+    of: Vec<u32>,
+    /// Lowest rank in each rank's bin.
+    start: Vec<StringId>,
+    /// `c0·ln n`: strings kept, and forwards allowed, per bin.
+    cap: usize,
 }
 
-struct NodeState {
-    bins: Vec<Bin>,
-    /// The `rmax` smallest accepted strings, ascending — the solution
-    /// set `R_w`.
-    stored: Vec<StringId>,
-    /// Minimum string seen (running).
-    min_seen: Option<StringId>,
-    /// Snapshot of `min_seen` at the end of Phase 2.
-    si_star: Option<StringId>,
-    /// Bitset over string ids: set at a string's first receipt. Every
-    /// later receipt is a no-op for `offer` — a duplicate if the string
-    /// is still in its bin; if it was rejected or evicted there were
-    /// already `cap` smaller strings in the bin, and a bin's contents
-    /// only ever get smaller — so the flood skips it on this bit alone.
+impl RankBins {
+    /// `of[rank]` must be non-increasing in the rank.
+    fn new(of: Vec<u32>, cap: usize) -> Self {
+        let mut start = vec![0; of.len()];
+        for rank in 1..of.len() {
+            debug_assert!(of[rank] <= of[rank - 1], "ranks map to non-increasing bins");
+            start[rank] = if of[rank] == of[rank - 1] { start[rank - 1] } else { rank as StringId };
+        }
+        RankBins { of, start, cap }
+    }
+}
+
+/// Every node's flood state, as flat columns: node `j` owns `words`
+/// words of each bitset over string ranks and `num_bins` forward
+/// counters. This is the whole of Appendix VIII's per-node state:
+///
+/// * a bin keeps the `cap` smallest strings it has seen, so a newly
+///   seen `s` makes its bin's kept set iff fewer than `cap` strings of
+///   the bin below it were seen — `popcount(seen ∩ [start_s, s)) < cap`;
+/// * the solution set `R_w` is the `rmax` smallest `accepted` strings;
+/// * the running minimum (and the Phase 2 snapshot `s^{i*}`) is the
+///   lowest set bit of `seen`.
+///
+/// Whatever a node did with a string the first time (kept, later
+/// evicted, rejected) a second receipt cannot change: evicted or
+/// rejected, there were already `cap` smaller strings in its bin, and
+/// those only ever get smaller. So every later receipt is one bit test.
+struct Nodes {
+    words: usize,
+    num_bins: usize,
     seen: Vec<u64>,
+    accepted: Vec<u64>,
+    forwards: Vec<u32>,
 }
 
-impl NodeState {
-    fn new(num_bins: usize, num_strings: usize) -> Self {
-        NodeState {
-            bins: vec![Bin { smallest: Vec::new(), forwards: 0 }; num_bins],
-            stored: Vec::new(),
-            min_seen: None,
-            si_star: None,
-            seen: vec![0; num_strings.div_ceil(64)],
+/// One node's rows of [`Nodes`].
+struct Node<'a> {
+    seen: &'a mut [u64],
+    accepted: &'a mut [u64],
+    forwards: &'a mut [u32],
+}
+
+impl Nodes {
+    fn new(n: usize, num_bins: usize, num_strings: usize) -> Self {
+        let words = num_strings.div_ceil(64);
+        Nodes {
+            words,
+            num_bins,
+            seen: vec![0; n * words],
+            accepted: vec![0; n * words],
+            forwards: vec![0; n * num_bins],
         }
     }
 
-    /// Receive `s`: [`NodeState::offer`] it on first receipt, drop it on
-    /// any later one.
-    fn receive(
-        &mut self,
-        s: StringId,
-        bin: usize,
-        cap: usize,
-        rmax: usize,
-        out: &mut Vec<StringId>,
-    ) {
+    fn node(&mut self, j: usize) -> Node<'_> {
+        let (w, b) = (self.words, self.num_bins);
+        Node {
+            seen: &mut self.seen[j * w..][..w],
+            accepted: &mut self.accepted[j * w..][..w],
+            forwards: &mut self.forwards[j * b..][..b],
+        }
+    }
+
+    fn seen(&self, j: usize) -> &[u64] {
+        &self.seen[j * self.words..][..self.words]
+    }
+
+    fn accepted(&self, j: usize) -> &[u64] {
+        &self.accepted[j * self.words..][..self.words]
+    }
+}
+
+impl Node<'_> {
+    /// Receive `s`, in the reading of the bins/counters rule that
+    /// Lemma 12's proof needs ("we set c0 ≥ d'' to make sure that no
+    /// smallest values are omitted"): a bin keeps its `cap` **smallest**
+    /// strings — membership is order-independent, so two record-scale
+    /// strings sharing a bin both survive no matter which floods first —
+    /// and forwards are hard-capped at `cap` per bin, which is what
+    /// bounds total traffic at `Õ(n ln T)`. A string is accepted (and
+    /// `true` returned) if it is among its bin's `cap` smallest when
+    /// first seen; an accepted string is pushed onto `out` while its
+    /// bin's counter is below the cap.
+    fn receive(&mut self, s: StringId, bins: &RankBins, out: &mut Vec<StringId>) -> bool {
         let (word, bit) = (s as usize / 64, 1u64 << (s % 64));
-        if self.seen[word] & bit == 0 {
-            self.seen[word] |= bit;
-            self.offer(s, bin, cap, rmax, out);
+        if self.seen[word] & bit != 0 {
+            return false;
         }
-    }
-
-    /// The bins/counters rule, in the reading Lemma 12's proof needs
-    /// ("we set c0 ≥ d'' to make sure that no smallest values are
-    /// omitted"): a bin keeps its `cap` **smallest** strings — membership
-    /// is order-independent, so two record-scale strings sharing a bin
-    /// both survive no matter which floods first — and forwards are
-    /// hard-capped at `cap` per bin, which is what bounds total traffic
-    /// at `Õ(n ln T)`. A forwarded string is pushed onto `out`.
-    fn offer(
-        &mut self,
-        s: StringId,
-        bin: usize,
-        cap: usize,
-        rmax: usize,
-        out: &mut Vec<StringId>,
-    ) -> bool {
-        if self.min_seen.is_none_or(|m| s < m) {
-            self.min_seen = Some(s);
+        self.seen[word] |= bit;
+        if count_range(self.seen, bins.start[s as usize], s) >= bins.cap {
+            return false;
         }
-        let bin = &mut self.bins[bin];
-        let pos = match bin.smallest.binary_search(&s) {
-            Ok(_) => return false, // duplicate receipt
-            Err(pos) => pos,
-        };
-        if pos >= cap {
-            return false; // not among the bin's cap smallest
-        }
-        bin.smallest.insert(pos, s);
-        bin.smallest.truncate(cap);
-        // Only the rmax-prefix of the accepted strings is ever read.
-        let spos = self.stored.partition_point(|&kept| kept < s);
-        if spos < rmax {
-            self.stored.insert(spos, s);
-            self.stored.truncate(rmax);
-        }
-        if bin.forwards < cap {
-            bin.forwards += 1;
+        self.accepted[word] |= bit;
+        let sent = &mut self.forwards[bins.of[s as usize] as usize];
+        if (*sent as usize) < bins.cap {
+            *sent += 1;
             out.push(s);
         }
         true
     }
+}
+
+/// Set bits of `bits` in the rank range `[lo, hi)`.
+fn count_range(bits: &[u64], lo: StringId, hi: StringId) -> usize {
+    let (lo, hi) = (lo as usize, hi as usize);
+    if lo >= hi {
+        return 0;
+    }
+    let (lw, hw) = (lo / 64, hi / 64);
+    let from_lo = !0u64 << (lo % 64);
+    let below_hi = (1u64 << (hi % 64)) - 1;
+    if lw == hw {
+        return (bits[lw] & from_lo & below_hi).count_ones() as usize;
+    }
+    let mut count = (bits[lw] & from_lo).count_ones();
+    count += bits[lw + 1..hw].iter().map(|w| w.count_ones()).sum::<u32>();
+    if below_hi != 0 {
+        count += (bits[hw] & below_hi).count_ones();
+    }
+    count as usize
+}
+
+/// Lowest set bit of `bits`: a node's smallest string seen.
+fn lowest(bits: &[u64]) -> Option<StringId> {
+    let (w, &word) = bits.iter().enumerate().find(|&(_, &word)| word != 0)?;
+    Some((w * 64) as StringId + word.trailing_zeros())
+}
+
+/// Is `s` in the solution set read off `accepted` — accepted, and among
+/// the `rmax` smallest accepted strings?
+fn in_solution_set(accepted: &[u64], s: StringId, rmax: usize) -> bool {
+    accepted[s as usize / 64] & (1u64 << (s % 64)) != 0 && count_range(accepted, 0, s) < rmax
+}
+
+/// `|R_w|`: the accepted strings, at most `rmax` of them.
+fn solution_set_size(accepted: &[u64], rmax: usize) -> usize {
+    accepted.iter().map(|w| w.count_ones() as usize).sum::<usize>().min(rmax)
 }
 
 /// Bin of an output: `B_j = [2^{-j}, 2^{-j+1})`, clamped to the last bin.
@@ -223,14 +289,14 @@ fn release_step(steps_total: u64, release_frac: f64) -> u64 {
 /// component; a string accepted and forwarded by `w` in one step reaches
 /// every `u ∈ S_w` at the next.
 ///
-/// **Delivery order** (observable, because `bin.forwards < cap` is
-/// order-dependent, and pinned by `tests/golden_strings.rs`): within a
-/// step, nodes act in ascending ring index; a node first receives what
-/// its in-neighbors forwarded last step — in-neighbors in ascending
-/// ring index, each one's strings in the order it forwarded them — and
-/// then the strings injected at it this step, in injection order. What
-/// the last step forwards is still received (the epoch boundary) but
-/// triggers no further forwards.
+/// **Delivery order** (observable, because "forward while the bin's
+/// counter is below `cap`" is order-dependent, and pinned by
+/// `tests/golden_strings.rs`): within a step, nodes act in ascending
+/// ring index; a node first receives what its in-neighbors forwarded
+/// last step — in-neighbors in ascending ring index, each one's strings
+/// in the order it forwarded them — and then the strings injected at it
+/// this step, in injection order. What the last step forwards is still
+/// received (the epoch boundary) but triggers no further forwards.
 pub fn run_string_protocol<G: GroupGraphView>(
     gg: &G,
     params: &StringParams,
@@ -309,7 +375,7 @@ pub fn run_string_protocol<G: GroupGraphView>(
             let mut acc = 0.0f64;
             for j in 0..strings {
                 acc += -(rng.gen::<f64>().max(f64::MIN_POSITIVE)).ln();
-                let t = (acc / total_attempts).min(0.999_999);
+                let t = (acc / total_attempts).clamp(f64::MIN_POSITIVE, 0.999_999);
                 if giant.is_empty() {
                     break;
                 }
@@ -319,12 +385,14 @@ pub fn run_string_protocol<G: GroupGraphView>(
         }
         StringAdversary::ForcedRecords { strings, release_frac } => {
             let release_step = release_step(steps_total, release_frac);
-            // Outputs strictly below the good global minimum: each string
-            // halves again so they are distinct records.
+            // Outputs strictly below the good global minimum (below 1,
+            // where every output lives, if the giant holds no good
+            // string): each string halves again so they are distinct
+            // records.
             let good_min = injections
                 .iter()
                 .map(|&(_, _, (t, _))| t)
-                .fold(f64::INFINITY, f64::min)
+                .fold(1.0, f64::min)
                 .max(f64::MIN_POSITIVE);
             for j in 0..strings {
                 if giant.is_empty() {
@@ -345,19 +413,21 @@ pub fn run_string_protocol<G: GroupGraphView>(
         .sort_by(|&a, &b| injections[a].2.partial_cmp(&injections[b].2).expect("finite outputs"));
     let mut schedule: Vec<(u64, usize, StringId)> = vec![(0, 0, 0); injections.len()];
     let mut key_of: Vec<u64> = Vec::with_capacity(injections.len());
-    let mut bin_of: Vec<usize> = Vec::with_capacity(injections.len());
+    let mut bin_of: Vec<u32> = Vec::with_capacity(injections.len());
     for (id, &pos) in by_value.iter().enumerate() {
         let (step, node, (t, key)) = injections[pos];
         schedule[pos] = (step, node, id as StringId);
         key_of.push(key);
-        bin_of.push(bin_index(t, num_bins));
+        bin_of.push(bin_index(t, num_bins) as u32);
     }
+    let bins = RankBins::new(bin_of, cap);
 
-    let mut nodes: Vec<NodeState> =
-        (0..n).map(|_| NodeState::new(num_bins, schedule.len())).collect();
-    // What every node forwarded last step, and what it forwards this one.
-    let mut sent: Vec<Vec<StringId>> = vec![Vec::new(); n];
-    let mut sending: Vec<Vec<StringId>> = vec![Vec::new(); n];
+    let mut nodes = Nodes::new(n, num_bins, schedule.len());
+    // What the giant forwarded last step, and what it forwards this one:
+    // one buffer each, node `j`'s strings at `span[j]`.
+    let (mut sent, mut sending) = (Vec::<StringId>::new(), Vec::<StringId>::new());
+    let (mut sent_span, mut sending_span) = (vec![0..0; n], vec![0..0; n]);
+    let mut si_star: Vec<Option<StringId>> = vec![None; n];
     let mut forwards = 0u64;
     let mut messages = 0u64;
     let mut inj_cursor = 0usize;
@@ -369,47 +439,52 @@ pub fn run_string_protocol<G: GroupGraphView>(
     // blue-group behaviour, and every giant node takes part.
     for step in 0..=steps_total {
         let on_timeline = step < steps_total;
+        sending.clear();
         for &j in &giant {
-            let node = &mut nodes[j];
-            let out = &mut sending[j];
-            out.clear();
+            let mut node = nodes.node(j);
+            let start = sending.len();
             for &i in &senders[j] {
-                for &s in &sent[i as usize] {
-                    node.receive(s, bin_of[s as usize], cap, rmax, out);
+                for &s in &sent[sent_span[i as usize].clone()] {
+                    node.receive(s, &bins, &mut sending);
                 }
             }
-            if !on_timeline {
-                continue;
+            if on_timeline {
+                while let Some(&(_, _, s)) =
+                    schedule.get(inj_cursor).filter(|&&(at, node, _)| (at, node) == (step, j))
+                {
+                    node.receive(s, &bins, &mut sending);
+                    inj_cursor += 1;
+                }
+            } else {
+                sending.truncate(start);
             }
-            while let Some(&(_, _, s)) =
-                schedule.get(inj_cursor).filter(|&&(at, node, _)| (at, node) == (step, j))
-            {
-                node.receive(s, bin_of[s as usize], cap, rmax, out);
-                inj_cursor += 1;
-            }
-            forwards += out.len() as u64 * fanout[j];
-            messages += out.len() as u64 * weight[j];
+            let out = (sending.len() - start) as u64;
+            forwards += out * fanout[j];
+            messages += out * weight[j];
+            sending_span[j] = start..sending.len();
         }
         std::mem::swap(&mut sent, &mut sending);
+        std::mem::swap(&mut sent_span, &mut sending_span);
         // End of Phase 2: snapshot minima.
         if step + 1 == phase_len {
             for &i in &giant {
-                nodes[i].si_star = nodes[i].min_seen;
+                si_star[i] = lowest(nodes.seen(i));
             }
         }
     }
 
-    // Solution sets: the rmax smallest stored strings.
+    // Solution sets: the rmax smallest accepted strings.
     let good_giant: Vec<usize> =
         giant.iter().copied().filter(|&i| !gg.leaders().is_bad(i)).collect();
-    let set_sizes: Vec<f64> = good_giant.iter().map(|&i| nodes[i].stored.len() as f64).collect();
+    let set_sizes: Vec<f64> =
+        good_giant.iter().map(|&i| solution_set_size(nodes.accepted(i), rmax) as f64).collect();
 
     // Lemma 12 (i): every si* is in everyone's solution set. There are
     // few distinct si* (usually one), so count each once per solution
     // set and weigh it by how many nodes hold it as their si*.
     let mut holders = vec![0u64; schedule.len()];
     for &i in &good_giant {
-        if let Some(s) = nodes[i].si_star {
+        if let Some(s) = si_star[i] {
             holders[s as usize] += 1;
         }
     }
@@ -418,14 +493,14 @@ pub fn run_string_protocol<G: GroupGraphView>(
     let mut missing = 0u64;
     for &u in &good_giant {
         for &(s, held_by) in &si_stars {
-            if nodes[u].stored.binary_search(&s).is_err() {
+            if !in_solution_set(nodes.accepted(u), s, rmax) {
                 missing += held_by;
             }
         }
     }
 
     let global_min_key =
-        good_giant.iter().filter_map(|&i| nodes[i].min_seen).min().map(|s| key_of[s as usize]);
+        good_giant.iter().filter_map(|&i| lowest(nodes.seen(i))).min().map(|s| key_of[s as usize]);
 
     StringOutcome {
         agreement: missing == 0,
@@ -765,32 +840,124 @@ mod tests {
     }
 
     #[test]
-    fn a_string_offered_twice_changes_nothing_the_second_time() {
-        // The premise of the `seen` filter: whatever `offer` did with a
-        // string — kept it, kept and later evicted it, or rejected it at
-        // `pos ≥ cap` — offering it again after any further offers is
-        // rejected and leaves the node untouched.
-        let (cap, rmax, strings) = (3usize, 4usize, 40u32);
-        let mut rng = StdRng::seed_from_u64(39);
-        for _ in 0..200 {
-            let mut node = NodeState::new(2, strings as usize);
-            let mut out = Vec::new();
-            let mut offered: Vec<StringId> = Vec::new();
-            for _ in 0..60 {
-                let s = rng.gen_range(0..strings);
-                let again = offered.contains(&s);
-                let before = (node.bins[0].smallest.clone(), node.bins[1].smallest.clone());
-                let (stored, sent) = (node.stored.clone(), out.len());
-                let accepted = node.offer(s, (s % 2) as usize, cap, rmax, &mut out);
-                if again {
-                    assert!(!accepted, "string {s} accepted on a repeat offer");
-                    let after = (node.bins[0].smallest.clone(), node.bins[1].smallest.clone());
-                    assert_eq!((before, stored, sent), (after, node.stored.clone(), out.len()));
-                }
-                offered.push(s);
+    fn forced_records_need_no_good_string_in_the_giant() {
+        // A giant of two bad-leader groups holds no good string to beat:
+        // the records must still land in (0, 1), and they still flood.
+        let gg = graph(32, 32, 41);
+        let links = out_links(&gg);
+        let ring = gg.len();
+        let a = (0..ring)
+            .find(|&a| gg.leaders().is_bad(a) && gg.leaders().is_bad((a + 1) % ring))
+            .expect("two adjacent bad leaders");
+        let b = (a + 1) % ring;
+        assert!(links[a].contains(&b) && links[b].contains(&a), "successor and predecessor");
+        let bad_pair = Recolored { inner: &gg, blue: &[a, b] };
+        let adv = StringAdversary::ForcedRecords { strings: 3, release_frac: 0.49 };
+        let mut rng = StdRng::seed_from_u64(42);
+        let out = run_string_protocol(&bad_pair, &StringParams::default(), adv, &mut rng);
+        assert_eq!(out.giant_size, 0, "no good leader in the giant");
+        assert_eq!(out.global_min_key, None);
+        assert!(out.forwards > 0, "the records still flood");
+    }
+
+    /// The node rule as first written — a sorted `Vec` of the `cap`
+    /// smallest strings per bin and one of the `rmax` smallest accepted
+    /// strings — which [`Node::receive`] must reproduce decision for
+    /// decision. It has no `seen` filter: a repeated offer is a no-op
+    /// here by the rule itself.
+    struct Model {
+        bins: Vec<(Vec<StringId>, usize)>,
+        stored: Vec<StringId>,
+        min_seen: Option<StringId>,
+    }
+
+    impl Model {
+        fn offer(
+            &mut self,
+            s: StringId,
+            bin: usize,
+            cap: usize,
+            rmax: usize,
+            out: &mut Vec<StringId>,
+        ) -> bool {
+            if self.min_seen.is_none_or(|m| s < m) {
+                self.min_seen = Some(s);
             }
-            assert!(node.stored.len() <= rmax && node.stored.is_sorted());
-            assert!(out.len() <= 2 * cap, "forwards are capped per bin");
+            let (smallest, forwards) = &mut self.bins[bin];
+            let pos = match smallest.binary_search(&s) {
+                Ok(_) => return false,
+                Err(pos) => pos,
+            };
+            if pos >= cap {
+                return false;
+            }
+            smallest.insert(pos, s);
+            smallest.truncate(cap);
+            let spos = self.stored.partition_point(|&kept| kept < s);
+            if spos < rmax {
+                self.stored.insert(spos, s);
+                self.stored.truncate(rmax);
+            }
+            if *forwards < cap {
+                *forwards += 1;
+                out.push(s);
+            }
+            true
         }
+    }
+
+    #[test]
+    fn bitset_node_matches_the_sorted_vec_model() {
+        let mut rng = StdRng::seed_from_u64(39);
+        for case in 0..600usize {
+            // Ranks to bins, non-increasing: one-rank bins when the bin
+            // changes at almost every rank, bins over several words when
+            // it almost never does; some bins stay empty.
+            let change = [0.9, 0.3, 0.05, 0.004][case % 4];
+            let (cap, rmax) = ([1, 3, 14][case / 4 % 3], [1, 4, 42][case / 12 % 3]);
+            let num_bins = rng.gen_range(1..8usize);
+            let num_strings = rng.gen_range(1..400usize);
+            let mut bin = num_bins - 1;
+            let of: Vec<u32> = (0..num_strings)
+                .map(|_| {
+                    if rng.gen_bool(change) {
+                        bin = bin.saturating_sub(rng.gen_range(1..3));
+                    }
+                    bin as u32
+                })
+                .collect();
+            let bins = RankBins::new(of.clone(), cap);
+            let mut nodes = Nodes::new(1, num_bins, num_strings);
+            let mut model =
+                Model { bins: vec![(Vec::new(), 0); num_bins], stored: Vec::new(), min_seen: None };
+            let (mut out, mut model_out) = (Vec::new(), Vec::new());
+            for _ in 0..rng.gen_range(1..3 * num_strings) {
+                let s = rng.gen_range(0..num_strings as StringId);
+                let accepted = nodes.node(0).receive(s, &bins, &mut out);
+                let expected = model.offer(s, of[s as usize] as usize, cap, rmax, &mut model_out);
+                assert_eq!(accepted, expected, "case {case}: accepting {s}");
+                assert_eq!(out, model_out, "case {case}: forwarding {s}");
+                assert_eq!(lowest(nodes.seen(0)), model.min_seen, "case {case}");
+            }
+            let accepted = nodes.accepted(0);
+            let solution_set: Vec<StringId> = (0..num_strings as StringId)
+                .filter(|&s| in_solution_set(accepted, s, rmax))
+                .collect();
+            assert_eq!(solution_set, model.stored, "case {case}: R_w");
+            assert_eq!(solution_set_size(accepted, rmax), model.stored.len(), "case {case}");
+        }
+    }
+
+    #[test]
+    fn rank_ranges_count_across_words() {
+        let bits = [u64::MAX, 0b1010, u64::MAX];
+        assert_eq!(count_range(&bits, 0, 0), 0);
+        assert_eq!(count_range(&bits, 5, 5), 0);
+        assert_eq!(count_range(&bits, 3, 64), 61);
+        assert_eq!(count_range(&bits, 63, 68), 3);
+        assert_eq!(count_range(&bits, 64, 128), 2);
+        assert_eq!(count_range(&bits, 0, 191), 64 + 2 + 63);
+        assert_eq!(lowest(&bits[1..]), Some(1));
+        assert_eq!(lowest(&[0, 0]), None);
     }
 }

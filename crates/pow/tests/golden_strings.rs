@@ -1,9 +1,9 @@
 //! Golden snapshot of [`run_string_protocol`]: `{:?}` of the whole
 //! `StringOutcome` *and the next `rng.gen::<u64>()`* after the call, so
 //! both what the flood computes and how many draws it takes are pinned.
-//! The flood's delivery order is observable (`bin.forwards < cap` is
-//! order-dependent), so any rewrite of its data structures must replay
-//! these bytes exactly.
+//! The flood's delivery order is observable (a bin's forward counter
+//! caps what is forwarded in arrival order), so any rewrite of its data
+//! structures must replay these bytes exactly.
 //!
 //! Static rows run on `build_initial_graph`; the two `arena` rows go
 //! through `DynamicSystem::graphs().side(0)` after two churned epochs,
