@@ -9,35 +9,41 @@
 //!
 //! **Determinism contract.** An epoch over at least
 //! [`FAN_OUT_MIN_IDS`](crate::dynamic::kernel::FAN_OUT_MIN_IDS)
-//! identities fans its RNG-free phases out over worker threads; a
-//! smaller one, or one inside a sweep worker, runs on the calling thread
+//! identities runs its RNG-free searches on worker threads; a smaller
+//! one, or one inside a sweep worker, runs them on the calling thread
 //! ([`crate::dynamic::kernel`]). Reports are bit-identical either way
 //! and for any thread count, because every RNG draw happens
-//! sequentially, in the order of the per-group reference build
-//! ([`crate::dynamic::build::build_new_graphs`]):
+//! sequentially on the calling thread, in the order of the per-group
+//! reference build ([`crate::dynamic::build::build_new_graphs`]):
 //!
 //! * membership bootstrap picks are unconditional per slot and precede
-//!   each leader's link-phase draws, so they are pre-drawn into a flat
-//!   column in pass 1;
-//! * construction searches consume no randomness, so pass 2 maps the
-//!   whole slot column in fixed blocks and folds the per-slot outcomes
-//!   back in slot order — [`tg_sim::Metrics`] and [`BuildStats`] are
-//!   additive sums, so totals are exact for any thread count;
+//!   each leader's link-phase draws, so the one sequential pass draws
+//!   them into blocks of `SLOT_BLOCK` slots and hands each block, with
+//!   its own bootstraps, to the searches as soon as its last slot is
+//!   drawn — both sides' passes run back to back;
+//! * construction searches consume no randomness, so a worker can
+//!   search a block while the pass keeps drawing. The outcomes are
+//!   folded in block order, which is slot order — [`tg_sim::Metrics`]
+//!   and [`BuildStats`] are additive sums, so totals are exact for any
+//!   thread count and any arrival order;
+//! * the Lemma 10 attack pass pre-draws its fake points after both
+//!   sides' draws, and maps their verification searches;
 //! * link-phase draws are conditional on link-search outcomes, so
-//!   [`crate::dynamic::build`]'s `establish_link` runs inline in pass 1;
+//!   [`crate::dynamic::build`]'s `establish_link` runs its searches
+//!   inline in the sequential pass;
 //! * measurement pre-draws its `(initiator, key)` sample
 //!   ([`crate::robustness`]).
 //!
-//! The unit tests below hold the two-pass build to the reference build
-//! group by group, and hold a fanned-out epoch to the same epoch run
-//! serially inside a sweep worker.
+//! The unit tests below hold this build to the reference build group
+//! by group, and hold a fanned-out epoch to the same epoch run serially
+//! inside a sweep worker.
 
 use crate::build::build_genesis;
 use crate::dynamic::adversary::AdversaryView;
 use crate::dynamic::build::{
-    accepts_spurious, establish_link, pick_boots, resolve_slot, BuildMode, BuildStats, SlotOut,
+    accepts_spurious, establish_link, resolve_slot, Bootstraps, BuildMode, BuildStats, SlotOut,
 };
-use crate::dynamic::kernel::scheduled_map;
+use crate::dynamic::kernel::{scheduled_map, scheduled_stream};
 use crate::dynamic::provider::IdentityProvider;
 use crate::dynamic::system::EpochObservation;
 use crate::graph::{GraphsView, GroupColumns, GroupGraph, GroupGraphView, SideView};
@@ -46,14 +52,15 @@ use crate::population::Population;
 use crate::robustness::{measure_dual_success, measure_robustness};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::mem;
 use tg_crypto::{Oracle, OracleFamily};
 use tg_idspace::Id;
 use tg_overlay::GraphKind;
 use tg_sim::{stream_rng, Metrics};
 
-/// Slots per work block in the membership pass. Block boundaries only
-/// affect scheduling — results are folded in slot order, so any block
-/// size yields bit-identical epochs.
+/// Slots per block of searches (and Lemma 10 requests per chunk). Block
+/// boundaries only affect scheduling — results are folded in input
+/// order, so any block size yields bit-identical epochs.
 const SLOT_BLOCK: usize = 2048;
 
 /// The dynamic system: operational group graphs (2 dual, 1 for the
@@ -86,7 +93,14 @@ impl DynamicSystem {
     ) -> Self {
         let fam = OracleFamily::new(master_seed);
         let mut rng = stream_rng(master_seed, "init", 0);
-        let ids = provider.ids_for_epoch(0, &AdversaryView::genesis(0), &mut rng);
+        // The trusted bootstrap needs identities to build on: a genesis
+        // window that minted none is run again.
+        let ids = loop {
+            let ids = provider.ids_for_epoch(0, &AdversaryView::genesis(0), &mut rng);
+            if !ids.is_empty() {
+                break ids;
+            }
+        };
         let oracles: Vec<Oracle> = (0..mode.sides()).map(|s| fam.membership(s)).collect();
         let graphs = build_genesis(Population::new(ids.good, ids.bad), kind, &oracles, &params);
         DynamicSystem { params, kind, fam, graphs, epoch: 1, searches_per_epoch: 400, master_seed }
@@ -154,7 +168,14 @@ impl DynamicSystem {
         let view =
             AdversaryView { epoch: self.epoch + 1, graphs: self.graphs.view(), epoch_string: None };
         let ids = provider.ids_for_epoch(self.epoch + 1, &view, &mut rng);
-        let new_pop = Population::new(ids.good, ids.bad);
+        // A window that minted no identity leaves no leader to build a
+        // group for: the generation in service carries over and is
+        // rebuilt through itself.
+        let new_pop = if ids.is_empty() {
+            self.graphs.leaders.clone()
+        } else {
+            Population::new(ids.good, ids.bad)
+        };
         let (news, build) = self.build_next(&new_pop, &mut rng, &mut metrics);
 
         // 3. Measure the fresh graphs (they serve epoch + 1).
@@ -226,10 +247,12 @@ impl DynamicSystem {
     /// operational ones, whose *leader* generation becomes the new member
     /// pool (§III-A; the module docs of [`crate::dynamic::build`] state
     /// the protocol, and [`crate::dynamic::build::build_new_graphs`] is
-    /// the same construction written one group at a time). Here it is
-    /// split into a sequential pass that makes every RNG draw and an
-    /// RNG-free search pass that fans out at `n_new ≥ FAN_OUT_MIN_IDS`
-    /// (see the module docs).
+    /// the same construction written one group at a time). Here one
+    /// sequential pass on the calling thread makes every RNG draw and
+    /// streams each finished block of RNG-free searches to
+    /// [`scheduled_stream`], which searches it on a worker while the
+    /// pass keeps drawing when `n_new ≥ FAN_OUT_MIN_IDS` (see the module
+    /// docs).
     fn build_next(
         &self,
         new_leaders: &Population,
@@ -239,6 +262,8 @@ impl DynamicSystem {
         let (olds, params) = (&self.graphs, &self.params);
         let n_sides = olds.sides();
         let old_views: Vec<SideView<'_>> = olds.view().iter().collect();
+        let boots = Bootstraps::new(&old_views);
+        let oracles: Vec<Oracle> = (0..n_sides).map(|s| self.fam.membership(s)).collect();
         let n_new = new_leaders.len();
         let pool = olds.leaders.clone();
         let pool_has_bad = pool.bad_count() > 0;
@@ -246,81 +271,83 @@ impl DynamicSystem {
         let n_slots = n_new * draws;
         let attempts = 1 + params.link_retries;
         let mut stats = BuildStats::default();
-
         let topology = self.kind.build(new_leaders.ring().clone());
+        // Per side, then per new leader: a required link is missing.
+        let mut confused = vec![false; n_sides * n_new];
+
+        // --- The draws (sequential, on this thread): every RNG draw,
+        // side by side and leader by leader, in the reference build's
+        // order. A block of slots is emitted as soon as its last
+        // bootstrap is drawn.
+        let produce = |emit: &mut dyn FnMut(SlotBlock)| {
+            for side in 0..n_sides {
+                let mut boots_drawn = Vec::with_capacity(SLOT_BLOCK);
+                for w in 0..n_new {
+                    // Membership bootstraps (Lemma 6/7). The picks are
+                    // unconditional (searches draw nothing), so the
+                    // searches themselves go to the block.
+                    for i in 0..draws {
+                        stats.member_slots += 1;
+                        let from = boots.pick(rng).map(|b| b.map_or(NO_BOOT, |b| b as u32));
+                        boots_drawn.push(from);
+                        if boots_drawn.len() == SLOT_BLOCK {
+                            let start = w * draws + i + 1 - SLOT_BLOCK;
+                            let full =
+                                mem::replace(&mut boots_drawn, Vec::with_capacity(SLOT_BLOCK));
+                            emit(SlotBlock { side, start, boots: full });
+                        }
+                    }
+                    // Neighbor links (Lemma 8), inline: how many draws a
+                    // link takes depends on its search outcomes.
+                    for u in topology.neighbor_indices(w) {
+                        stats.links_required += 1;
+                        if !establish_link(&boots, new_leaders, u, attempts, rng, metrics) {
+                            // A required link is missing: `G_w` is
+                            // confused, and therefore red.
+                            stats.links_failed += 1;
+                            confused[side * n_new + w] = true;
+                        }
+                    }
+                }
+                if !boots_drawn.is_empty() {
+                    let start = n_slots - boots_drawn.len();
+                    emit(SlotBlock { side, start, boots: boots_drawn });
+                }
+            }
+        };
+
+        // --- The slot searches (RNG-free), one block at a time.
+        let search = |block: SlotBlock| {
+            let mut m = Metrics::new();
+            let mut outs = Vec::with_capacity(block.boots.len());
+            for (slot, from) in (block.start..).zip(block.boots) {
+                let wid = new_leaders.ring().at(slot / draws);
+                let point = oracles[block.side].hash_id_index(wid, (slot % draws) as u32);
+                let from = from.map(|b| (b != NO_BOOT).then_some(b as usize));
+                outs.push(resolve_slot(&old_views, &pool, from, point, &mut m));
+            }
+            (m, outs)
+        };
+        let blocks: Vec<(Metrics, Vec<SlotOut>)> = scheduled_stream(n_new, produce, search);
+
+        // --- Fold in block order, which is slot order side by side: CSR
+        // assembly plus the additive counters.
+        for (m, _) in &blocks {
+            metrics.merge(m);
+        }
+        let mut slots = blocks.into_iter().flat_map(|(_, outs)| outs);
         let mut sides: Vec<GroupColumns> = Vec::with_capacity(n_sides);
-
+        let mut buf: Vec<u32> = Vec::with_capacity(draws);
         for side in 0..n_sides {
-            let oracle = self.fam.membership(side);
-
-            // --- Pass 1 (sequential): every RNG draw, leader by leader.
-            let mut boots: Vec<u32> = vec![u32::MAX; n_slots * n_sides];
-            let mut confused = vec![false; n_new];
-            for w in 0..n_new {
-                // Membership bootstraps (Lemma 6/7). The picks are
-                // unconditional (searches draw nothing), so the searches
-                // themselves wait for pass 2.
-                for i in 0..draws {
-                    stats.member_slots += 1;
-                    let base = (w * draws + i) * n_sides;
-                    for (k, b) in pick_boots(&old_views, rng).into_iter().enumerate() {
-                        if let Some(b) = b {
-                            boots[base + k] = b as u32;
-                        }
-                    }
-                }
-                // Neighbor links (Lemma 8), inline: how many draws a link
-                // takes depends on its search outcomes.
-                for u in topology.neighbor_indices(w) {
-                    stats.links_required += 1;
-                    if !establish_link(&old_views, new_leaders, u, attempts, rng, metrics) {
-                        // A required link is missing: `G_w` is confused, and
-                        // therefore red.
-                        stats.links_failed += 1;
-                        confused[w] = true;
-                    }
-                }
-            }
-
-            // --- Pass 2 (RNG-free): the slot searches, in fixed blocks.
-            let n_blocks = n_slots.div_ceil(SLOT_BLOCK);
-            let blocks: Vec<(Metrics, Vec<SlotOut>)> =
-                scheduled_map(n_new, (0..n_blocks).collect(), 1, |b| {
-                    let start = b * SLOT_BLOCK;
-                    let end = ((b + 1) * SLOT_BLOCK).min(n_slots);
-                    let mut m = Metrics::new();
-                    let mut outs = Vec::with_capacity(end - start);
-                    for slot in start..end {
-                        let wid = new_leaders.ring().at(slot / draws);
-                        let point = oracle.hash_id_index(wid, (slot % draws) as u32);
-                        let base = slot * n_sides;
-                        let mut from = [None, None];
-                        for (k, f) in from.iter_mut().take(n_sides).enumerate() {
-                            let v = boots[base + k];
-                            if v != u32::MAX {
-                                *f = Some(v as usize);
-                            }
-                        }
-                        outs.push(resolve_slot(&old_views, &pool, from, point, &mut m));
-                    }
-                    (m, outs)
-                });
-
-            // --- Fold in slot order: CSR assembly plus the additive counters.
-            for (m, _) in &blocks {
-                metrics.merge(m);
-            }
-            let mut slots = blocks.iter().flat_map(|(_, outs)| outs.iter());
             let mut cols = GroupColumns::with_capacity(n_new, n_slots);
-            let mut buf: Vec<u32> = Vec::with_capacity(draws);
-            for &confused in &confused {
+            for w in 0..n_new {
                 buf.clear();
                 let mut captured = 0;
                 for _ in 0..draws {
-                    let out = *slots.next().expect("one outcome per slot");
+                    let out = slots.next().expect("one outcome per slot");
                     stats.fold_slot(out, pool_has_bad, &mut buf, &mut captured);
                 }
-                cols.push(&mut buf, captured, confused);
+                cols.push(&mut buf, captured, confused[side * n_new + w]);
             }
             sides.push(cols);
         }
@@ -352,6 +379,18 @@ impl DynamicSystem {
 
         (GroupGraph::from_sides(new_leaders.clone(), pool, topology, sides), stats)
     }
+}
+
+/// No bootstrap group: the old graph had no blue group left.
+const NO_BOOT: u32 = u32::MAX;
+
+/// Membership slots `start..start + boots.len()` of one side, with the
+/// bootstrap group drawn for each slot in each old graph: everything
+/// their searches need.
+struct SlotBlock {
+    side: usize,
+    start: usize,
+    boots: Vec<[u32; 2]>,
 }
 
 /// The schedule tests run each epoch at `n_good = FAN_OUT_MIN_IDS`
@@ -423,7 +462,7 @@ mod tests {
 
     /// The cross-schedule check: [`build_new_graphs`] (one group at a
     /// time, every lemma in program order)
-    /// and the two-pass CSR build, fed the same old graphs, new leaders
+    /// and the streamed CSR build, fed the same old graphs, new leaders
     /// and RNG, must produce the same groups, counters and message
     /// totals — for three chained epochs over the six configurations of
     /// `tests/golden_epoch_graphs.rs`. Their populations are below

@@ -25,10 +25,13 @@
 //! spurious request (Lemma 10).
 //!
 //! **Schedules** (may change — order of evaluation only): both assemble
-//! the same [`GroupGraph`] columns. [`build_new_graphs`] here goes one
-//! group at a time and is kept as the test reference;
-//! `DynamicSystem::build_next` in `crate::arena` makes two passes with
-//! optional fan-out. Neither contains protocol logic of its own.
+//! the same [`GroupGraph`] columns and pick bootstraps through the same
+//! `Bootstraps`. [`build_new_graphs`] here goes one group at a time and
+//! is kept as the test reference; `DynamicSystem::build_next` in
+//! `crate::arena` makes every draw, and every link search, in one
+//! sequential pass that streams blocks of slot searches to workers as
+//! it goes, then folds them in slot order. Neither contains protocol
+//! logic of its own.
 
 use crate::graph::{GroupColumns, GroupGraph, GroupGraphView};
 use crate::params::Params;
@@ -36,6 +39,7 @@ use crate::population::Population;
 use crate::routing::search_path;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::cell::OnceCell;
 use tg_crypto::OracleFamily;
 use tg_idspace::Id;
 use tg_overlay::GraphKind;
@@ -87,40 +91,60 @@ pub struct BuildStats {
 /// at most 2, so a fixed pair; readers stop at `olds.len()`.
 pub(crate) type Initiators = [Option<usize>; 2];
 
-/// Pick a bootstrapping group: a u.a.r. *blue* group of the given old
-/// graph (the paper assumes joiners know a good bootstrap group,
-/// Appendix IX). Returns `None` when the graph has no blue group left.
-///
-/// The reference build and the two-pass build draw the exact same
-/// bootstrap sequence: the draw count depends only on the RNG stream and
-/// the old graph's colors.
-fn pick_boot<G: GroupGraphView>(old: &G, rng: &mut StdRng) -> Option<usize> {
-    // Rejection sampling: expected O(1) tries while most groups are blue;
-    // fall back to a scan when the graph is badly degraded.
-    for _ in 0..32 {
-        let i = rng.gen_range(0..old.len());
-        if !old.is_red(i) {
-            return Some(i);
-        }
-    }
-    let blues = old.blue_indices();
-    if blues.is_empty() {
-        None
-    } else {
-        Some(blues[rng.gen_range(0..blues.len())])
-    }
+/// Where a build's searches start: the old graphs, and per graph its
+/// blue groups, listed at most once per build — the first time
+/// `pick_boot`'s rejection sampling gives up on that graph. The old
+/// graphs do not change while a build runs, so the list stays exact.
+/// Both build schedules pick through one of these.
+pub(crate) struct Bootstraps<'a, G> {
+    /// The operational graphs of the current epoch.
+    pub(crate) olds: &'a [G],
+    blues: [OnceCell<Vec<usize>>; 2],
 }
 
-/// A fresh bootstrap group per old graph, drawn in side order. Fresh per
-/// search: the bootstrap performs each search anyway, and initiating-point
-/// diversity keeps failures of different slots from coupling through a
-/// shared early route.
-pub(crate) fn pick_boots<G: GroupGraphView>(olds: &[G], rng: &mut StdRng) -> Initiators {
-    let mut boots = [None; 2];
-    for (b, old) in boots.iter_mut().zip(olds) {
-        *b = pick_boot(old, rng);
+impl<'a, G: GroupGraphView> Bootstraps<'a, G> {
+    pub(crate) fn new(olds: &'a [G]) -> Self {
+        Bootstraps { olds, blues: Default::default() }
     }
-    boots
+
+    /// Pick a bootstrapping group: a u.a.r. *blue* group of old graph
+    /// `s` (the paper assumes joiners know a good bootstrap group,
+    /// Appendix IX). Returns `None` when the graph has no blue group
+    /// left.
+    ///
+    /// The draw count depends only on the RNG stream and the old graph's
+    /// colors, so both build schedules draw the exact same bootstrap
+    /// sequence.
+    fn pick_boot(&self, s: usize, rng: &mut StdRng) -> Option<usize> {
+        let old = &self.olds[s];
+        // Rejection sampling: expected O(1) tries while most groups are
+        // blue; fall back to the blue list when the graph is badly
+        // degraded.
+        for _ in 0..32 {
+            let i = rng.gen_range(0..old.len());
+            if !old.is_red(i) {
+                return Some(i);
+            }
+        }
+        let blues = self.blues[s].get_or_init(|| old.blue_indices());
+        if blues.is_empty() {
+            None
+        } else {
+            Some(blues[rng.gen_range(0..blues.len())])
+        }
+    }
+
+    /// A fresh bootstrap group per old graph, drawn in side order. Fresh
+    /// per search: the bootstrap performs each search anyway, and
+    /// initiating-point diversity keeps failures of different slots from
+    /// coupling through a shared early route.
+    pub(crate) fn pick(&self, rng: &mut StdRng) -> Initiators {
+        let mut boots = [None; 2];
+        for (s, b) in boots.iter_mut().enumerate().take(self.olds.len()) {
+            *b = self.pick_boot(s, rng);
+        }
+        boots
+    }
 }
 
 /// Dual (or single, per mode) search for `point` across the old graphs,
@@ -235,24 +259,24 @@ impl BuildStats {
 /// group fail together. No session has had the paper's text, so the
 /// independence Lemma 8's `q_f²` needs is argued here, not quoted.
 pub(crate) fn establish_link<G: GroupGraphView>(
-    olds: &[G],
+    boots: &Bootstraps<'_, G>,
     new_leaders: &Population,
     u: usize,
     attempts: usize,
     rng: &mut StdRng,
     metrics: &mut Metrics,
 ) -> bool {
-    let key = new_leaders.ring().at(u);
+    let (olds, key) = (boots.olds, new_leaders.ring().at(u));
     for _ in 0..attempts {
         // Locate the neighbor through the old graphs...
-        if !construction_search(olds, pick_boots(olds, rng), key, metrics) {
+        if !construction_search(olds, boots.pick(rng), key, metrics) {
             continue;
         }
         // ...and let the (good) neighbor verify the request. A bad
         // neighbor may accept or ignore; ignoring only hurts itself (the
         // link to a red group is irrelevant), accepting matches the
         // topology.
-        if new_leaders.is_bad(u) || construction_search(olds, pick_boots(olds, rng), key, metrics) {
+        if new_leaders.is_bad(u) || construction_search(olds, boots.pick(rng), key, metrics) {
             return true;
         }
     }
@@ -276,7 +300,7 @@ pub(crate) fn accepts_spurious<G: GroupGraphView>(
 
 /// Build the new group graphs for the next epoch — the *reference*
 /// build: one group at a time, every step in program order. The epoch
-/// system runs the two-pass schedule of the same steps (`crate::arena`),
+/// system runs the streamed schedule of the same steps (`crate::arena`),
 /// whose unit tests hold it to this one group by group; nothing outside
 /// tests calls this function.
 ///
@@ -306,6 +330,7 @@ pub fn build_new_graphs<G: GroupGraphView>(
     let attempts = 1 + params.link_retries;
     let mut stats = BuildStats::default();
     let topology = kind.build(new_leaders.ring().clone());
+    let boots = Bootstraps::new(olds);
     let mut sides = Vec::with_capacity(mode.sides());
 
     for side in 0..mode.sides() {
@@ -321,9 +346,9 @@ pub fn build_new_graphs<G: GroupGraphView>(
             let mut captured = 0u32;
             for i in 0..draws {
                 stats.member_slots += 1;
-                let boots = pick_boots(olds, rng);
+                let from = boots.pick(rng);
                 let point = oracle.hash_id_index(wid, i as u32);
-                let out = resolve_slot(olds, &pool, boots, point, metrics);
+                let out = resolve_slot(olds, &pool, from, point, metrics);
                 stats.fold_slot(out, pool_has_bad, &mut members, &mut captured);
             }
 
@@ -331,7 +356,7 @@ pub fn build_new_graphs<G: GroupGraphView>(
             let mut confused = false;
             for u in topology.neighbor_indices(w) {
                 stats.links_required += 1;
-                if !establish_link(olds, new_leaders, u, attempts, rng, metrics) {
+                if !establish_link(&boots, new_leaders, u, attempts, rng, metrics) {
                     stats.links_failed += 1;
                     confused = true;
                 }
@@ -408,11 +433,12 @@ mod tests {
         let new_pop = Population::uniform(40, 4, &mut rng);
         let u = if to_bad { new_pop.bad_indices()[0] } else { new_pop.good_indices()[0] };
         let mut expected = rng.clone();
+        let boots = Bootstraps::new(olds);
         for _ in 0..boot_rounds {
-            pick_boots(olds, &mut expected);
+            boots.pick(&mut expected);
         }
         let mut m = Metrics::new();
-        let established = establish_link(olds, &new_pop, u, attempts, &mut rng, &mut m);
+        let established = establish_link(&boots, &new_pop, u, attempts, &mut rng, &mut m);
         (established, m.searches, rng.gen::<u64>() == expected.gen::<u64>())
     }
 
@@ -424,6 +450,41 @@ mod tests {
             g.recolor();
         }
         olds
+    }
+
+    /// `pick_boot` with no cache: rejection sampling, then a fresh scan
+    /// of the graph on every fallback.
+    fn pick_by_scan(old: &GroupGraph, rng: &mut StdRng) -> Option<usize> {
+        for _ in 0..32 {
+            let i = rng.gen_range(0..old.len());
+            if !old.is_red(i) {
+                return Some(i);
+            }
+        }
+        let blues = old.blue_indices();
+        (!blues.is_empty()).then(|| blues[rng.gen_range(0..blues.len())])
+    }
+
+    #[test]
+    fn cached_blue_list_picks_what_the_scan_picks() {
+        // 24 of every 25 groups red: about a quarter of the picks
+        // exhaust the rejection loop and fall back to the blue list.
+        let (mut olds, _) = initial_pair(400, 20, 13);
+        for g in olds.iter_mut() {
+            for i in (0..g.len()).filter(|i| i % 25 != 0) {
+                g.mark_confused(i);
+            }
+            g.recolor();
+            assert!((0.95..1.0).contains(&g.frac_red()), "red fraction {}", g.frac_red());
+        }
+        let boots = Bootstraps::new(&olds);
+        let (mut cached, mut scanned) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        for pick in 0..2_000 {
+            let want = [pick_by_scan(&olds[0], &mut scanned), pick_by_scan(&olds[1], &mut scanned)];
+            assert_eq!(boots.pick(&mut cached), want, "pick {pick}");
+        }
+        assert_eq!(cached.gen::<u64>(), scanned.gen::<u64>(), "the same draws consumed");
+        assert!(boots.blues.iter().all(|b| b.get().is_some()), "both graphs fell back");
     }
 
     #[test]

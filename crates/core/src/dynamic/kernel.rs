@@ -1,27 +1,34 @@
 //! The epoch schedule: the epoch picks it from its size.
 //!
 //! There is one epoch loop ([`DynamicSystem`](crate::dynamic::DynamicSystem))
-//! over one storage layout ([`crate::graph`]). Its RNG-free phases (slot
-//! searches, the Lemma 10 attack pass, the two measurements) go through
-//! `scheduled_map`: a generation of at least [`FAN_OUT_MIN_IDS`]
-//! identities fans them out over [`tg_sim::parallel_map_chunked`], a
-//! smaller one runs them on the calling thread. Results are folded in
-//! input order either way, so observations do not depend on the
-//! schedule.
+//! over one storage layout ([`crate::graph`]). Its RNG-free work goes
+//! through the two functions here, and a generation of at least
+//! [`FAN_OUT_MIN_IDS`] identities runs it on worker threads:
+//!
+//! * the build's slot searches go through `scheduled_stream`: the
+//!   build's one sequential pass emits each finished block of slots,
+//!   and [`tg_sim::stream_map`] searches it on a worker while the pass
+//!   keeps drawing;
+//! * the Lemma 10 attack pass and the two measurements go through
+//!   `scheduled_map`, over [`tg_sim::parallel_map_chunked`].
+//!
+//! A smaller generation runs both on the calling thread, with no thread
+//! spawned and no channel opened. Results come back in input order
+//! either way, so observations do not depend on the schedule.
 //!
 //! Below the threshold, spawning threads every phase costs more than it
 //! saves: on 2 cores a d2b epoch fanned out takes ×1.05 the serial time
 //! at n = 300 and ×0.94 at 1 000, but ×0.76–0.80 from 2 000 to 10 000.
 //! Inside a sweep worker the epoch is serial at any size, because
-//! `parallel_map_chunked` called from one of its own workers runs on
-//! that worker instead of spawning a second layer of threads.
+//! either primitive called from a map's worker runs on that worker
+//! instead of spawning a second layer of threads.
 //!
 //! [`KernelChoice`] is the retired `kernel=` codec token of
 //! [`crate::scenario::ScenarioSpec`]. It selects nothing; it is kept
 //! only so that labels carrying it, which are store keys, still parse
 //! and re-encode byte-identically.
 
-use tg_sim::parallel_map_chunked;
+use tg_sim::{parallel_map_chunked, stream_map};
 
 /// The smallest generation (identities, good and bad) whose epoch fans
 /// its RNG-free phases out over worker threads.
@@ -74,6 +81,26 @@ where
     }
 }
 
+/// Map `f` over the items `produce` emits, in emission order, for an
+/// epoch over `ids` identities: streamed to worker threads while
+/// `produce` keeps going when `ids` reaches [`FAN_OUT_MIN_IDS`]
+/// ([`tg_sim::stream_map`]), inline as each item is emitted otherwise.
+pub(crate) fn scheduled_stream<T, R, P, F>(ids: usize, produce: P, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    P: FnOnce(&mut dyn FnMut(T)),
+    F: Fn(T) -> R + Sync,
+{
+    if ids >= FAN_OUT_MIN_IDS {
+        stream_map(produce, f)
+    } else {
+        let mut out = Vec::new();
+        produce(&mut |item| out.push(f(item)));
+        out
+    }
+}
+
 /// Run `f` once inside a [`tg_sim::parallel_map`] worker, where every
 /// epoch is serial. With one CPU the map runs on the calling thread,
 /// and so does `f`.
@@ -110,5 +137,12 @@ mod tests {
         }
         let fanned = scheduled_map(FAN_OUT_MIN_IDS, (0..500).collect(), 7, |x: u32| x * 2);
         assert_eq!(fanned, (0..500).map(|x| x * 2).collect::<Vec<_>>());
+
+        let produce = |emit: &mut dyn FnMut(u32)| (0..500).for_each(emit);
+        let threads =
+            scheduled_stream(FAN_OUT_MIN_IDS - 1, produce, |_| std::thread::current().id());
+        assert!(threads.iter().all(|&t| t == me), "stream");
+        let streamed = scheduled_stream(FAN_OUT_MIN_IDS, produce, |x| x * 2);
+        assert_eq!(streamed, fanned);
     }
 }

@@ -25,7 +25,7 @@
 //! size (fanned out from [`kernel::FAN_OUT_MIN_IDS`] identities up,
 //! serial below; same results), as [`kernel`] describes;
 //! [`build::build_new_graphs`] is the short per-group *reference* build
-//! the tests hold its two-pass build to.
+//! the tests hold its streamed build to.
 //!
 //! Consumers should rarely construct [`DynamicSystem`] directly: the
 //! unified scenario API ([`crate::scenario`]) describes a run

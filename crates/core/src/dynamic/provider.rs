@@ -24,6 +24,11 @@ pub struct EpochIds {
 }
 
 impl EpochIds {
+    /// Whether the window minted no identity at all.
+    pub fn is_empty(&self) -> bool {
+        self.good.is_empty() && self.bad.is_empty()
+    }
+
     /// The fraction of the key space owned by bad IDs under the
     /// successor rule — the adversary's recruitment probability per
     /// membership draw. Uniform placement gives `≈ β`; placement
@@ -50,6 +55,10 @@ impl EpochIds {
 /// providers ignore it.
 pub trait IdentityProvider {
     /// The IDs for epoch `epoch` (called once per epoch, in order).
+    ///
+    /// An empty set is allowed — a minting window can yield no ID. The
+    /// epoch system then carries its serving generation over, except at
+    /// genesis (`epoch` 0), where it calls again until an ID arrives.
     fn ids_for_epoch(&mut self, epoch: u64, view: &AdversaryView<'_>, rng: &mut StdRng)
         -> EpochIds;
 }

@@ -376,7 +376,7 @@ fn hostile_labels_are_refused_or_run() {
     let base: Vec<(&str, &str)> =
         label.split(';').skip(1).map(|f| f.split_once('=').expect("key=value")).collect();
     // (edits to the base label, whether the codec must refuse them)
-    let cases: [(&[(&str, &str)], bool); 21] = [
+    let cases: [(&[(&str, &str)], bool); 23] = [
         (&[("runtime", "actor"), ("window", "18446744073709551615")], false),
         (&[("runtime", "actor"), ("lat", "18446744073709551615")], false),
         (&[("churn", "2")], true),
@@ -398,6 +398,10 @@ fn hostile_labels_are_refused_or_run() {
         (&[("stradv", "delayed:65537:0.49:1")], true),
         (&[("stradv", "records:18446744073709551615:0.49")], true),
         (&[("stradv", "delayed:3:0.49:0")], false),
+        // Realistic minting over one or two participants: some windows
+        // yield no identity at all, at genesis or in a later epoch.
+        (&[("n", "1"), ("bad", "0"), ("defense", "f∘g"), ("idealized", "false")], false),
+        (&[("n", "2"), ("bad", "0"), ("defense", "f∘g"), ("idealized", "false")], false),
     ];
     for (edits, refused) in cases {
         let mut fields: Vec<(&str, &str)> =
@@ -410,7 +414,8 @@ fn hostile_labels_are_refused_or_run() {
             }
             Ok(spec) => {
                 assert!(!refused, "{hostile} must not parse");
-                let mut driver = spec.build().unwrap_or_else(|e| panic!("{hostile}: {e}"));
+                let mut driver =
+                    tg_pow::scenario::build(&spec).unwrap_or_else(|e| panic!("{hostile}: {e}"));
                 driver.step();
                 assert_eq!(driver.step().epoch, 3, "{hostile}");
             }

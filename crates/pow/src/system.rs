@@ -104,7 +104,14 @@ impl FullSystem {
     ) -> Self {
         let sim = MintingSim { params: puzzle, n_good, adversary_units, idealized_good };
         let mut rng = stream_rng(master_seed, "full-init-mint", 0);
-        let minted = sim.run_window(&mut rng);
+        // The trusted bootstrap needs identities to build on: a genesis
+        // window that minted none is run again.
+        let minted = loop {
+            let minted = sim.run_window(&mut rng);
+            if !(minted.good_ids.is_empty() && minted.bad_ids.is_empty()) {
+                break minted;
+            }
+        };
         let mut provider =
             PreMinted { ids: Some(EpochIds { good: minted.good_ids, bad: minted.bad_ids }) };
         let dynamics =

@@ -10,6 +10,10 @@
 //! granularity) rather than pre-chunking, so heterogeneous cell costs
 //! (e.g. `n = 2^10` next to `n = 2^17`) still balance.
 //!
+//! [`stream_map`] is the same contract for items that a sequential
+//! producer emits one at a time: workers map each item as it arrives
+//! while the producer keeps going.
+//!
 //! Nesting is harmless: a call made from inside a worker (a sweep cell
 //! whose epoch fans out) runs serially on that worker instead of spawning a second layer of
 //! threads — the outer map already occupies every core, and by the
@@ -17,11 +21,22 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 
 thread_local! {
-    /// Set on every worker thread spawned by [`parallel_map_chunked`].
+    /// Set on every worker thread spawned by [`parallel_map_chunked`]
+    /// or [`stream_map`].
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Worker threads a map may spawn: available parallelism, or 1 inside
+/// another map's worker.
+fn threads_available() -> usize {
+    if IN_WORKER.get() {
+        1
+    } else {
+        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
+    }
 }
 
 /// Apply `f` to every item, in parallel, returning results in input order.
@@ -67,11 +82,7 @@ where
         return Vec::new();
     }
     let n_chunks = n.div_ceil(chunk);
-    let threads = if IN_WORKER.get() {
-        1
-    } else {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n_chunks)
-    };
+    let threads = threads_available().min(n_chunks);
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -109,6 +120,76 @@ where
         .into_iter()
         .map(|m| m.into_inner().expect("unpoisoned").expect("all cells computed"))
         .collect()
+}
+
+/// Apply `f` to every item `produce` emits, returning results in
+/// emission order — while `produce` is still running.
+///
+/// `produce` runs on the calling thread and hands each item to its
+/// `emit` argument as soon as the item is ready. Worker threads (one
+/// fewer than the available parallelism) apply `f` to items as they
+/// arrive, so a sequential producer overlaps with the mapping instead
+/// of waiting for it; once `produce` returns, the caller joins the
+/// workers in draining what is left. The output is the serial
+/// `produce`-then-map result for any thread count and any arrival
+/// timing.
+///
+/// With one CPU, or inside another map's worker, no thread is spawned
+/// and no channel opened: `f` runs inline on each item as it is
+/// emitted. A panic in `f` or in `produce` propagates to the caller.
+pub fn stream_map<T, R, P, F>(produce: P, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    P: FnOnce(&mut dyn FnMut(T)),
+    F: Fn(T) -> R + Sync,
+{
+    let threads = threads_available();
+    if threads <= 1 {
+        let mut out = Vec::new();
+        produce(&mut |item| out.push(f(item)));
+        return out;
+    }
+
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    let rx = Mutex::new(rx);
+    // Map queued items until the producer is done and the queue empty.
+    // The lock is released before `f` runs.
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = rx.lock().expect("unpoisoned").recv();
+            let Ok((i, item)) = next else { return done };
+            done.push((i, f(item)));
+        }
+    };
+
+    let mut done = std::thread::scope(|scope| {
+        // Owned here so that a panicking `produce` drops it on the way
+        // out, which lets the workers finish and the scope unwind.
+        let tx = tx;
+        let workers: Vec<_> = (1..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    IN_WORKER.set(true);
+                    drain()
+                })
+            })
+            .collect();
+        let mut next = 0;
+        produce(&mut |item| {
+            tx.send((next, item)).expect("the receiver outlives the producer");
+            next += 1;
+        });
+        drop(tx);
+        let mut done = drain();
+        for w in workers {
+            done.extend(w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -181,5 +262,136 @@ mod tests {
         let table: Vec<u64> = (0..256).map(|i| i * i).collect();
         let out = parallel_map((0..256usize).collect(), |i| table[i] + 1);
         assert_eq!(out, (0..256u64).map(|i| i * i + 1).collect::<Vec<_>>());
+    }
+
+    /// Emit `items` one by one through [`stream_map`].
+    fn streamed<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+        stream_map(
+            |emit| {
+                for item in items {
+                    emit(item);
+                }
+            },
+            f,
+        )
+    }
+
+    #[test]
+    fn stream_returns_results_in_emission_order() {
+        for n in [0u64, 1, 2, 257] {
+            let out = streamed((0..n).collect(), |x| x * 3);
+            assert_eq!(out, (0..n).map(|x| x * 3).collect::<Vec<_>>(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn stream_restores_emission_order_when_completion_inverts() {
+        if threads_available() < 2 {
+            return; // inline: items complete in emission order
+        }
+        // A worker takes item 0 while the caller is still producing, and
+        // holds it until item 1 is done, which the caller maps once the
+        // producer returns (or another worker does): item 1 completes
+        // first on every run.
+        let (started_tx, started_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let done_rx = Mutex::new(done_rx);
+        let out = stream_map(
+            |emit| {
+                emit(0u32);
+                started_rx.recv().expect("a worker takes item 0");
+                emit(1);
+            },
+            |i| {
+                if i == 0 {
+                    started_tx.send(()).expect("the producer waits");
+                    done_rx.lock().expect("unpoisoned").recv().expect("item 1 signals");
+                } else {
+                    done_tx.send(()).expect("item 0 waits");
+                }
+                i
+            },
+        );
+        assert_eq!(out, vec![0, 1]);
+    }
+
+    #[test]
+    fn stream_matches_a_serial_map() {
+        // Skewed costs, and a producer that does sequential work of its
+        // own between items (as the epoch build's pass 1 does).
+        let items: Vec<u64> = (0..300).map(|i| if i % 11 == 0 { 30_000 } else { i }).collect();
+        let expect: Vec<u64> = items.iter().map(|&k| (0..k).fold(0, |a, x| a ^ x)).collect();
+        let mut drawn = 0u64;
+        let out = stream_map(
+            |emit| {
+                for &k in &items {
+                    drawn = (0..1_000).fold(drawn, |a, x| a.wrapping_mul(31) ^ x);
+                    emit(k);
+                }
+            },
+            |k: u64| (0..k).fold(0, |a, x| a ^ x),
+        );
+        assert_eq!(out, expect);
+        assert_ne!(drawn, 0, "the producer ran to the end");
+    }
+
+    #[test]
+    fn stream_runs_inline_inside_a_worker() {
+        let out = parallel_map(vec![0u64, 1], |row| {
+            let me = std::thread::current().id();
+            streamed((0..50u64).collect(), move |x| {
+                assert_eq!(std::thread::current().id(), me, "the stream left its worker");
+                row * 100 + x
+            })
+        });
+        assert_eq!(out[1], (100..150).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn stream_without_threads_runs_each_item_as_it_is_emitted() {
+        // With one CPU (or inside a worker) `f` runs before `emit`
+        // returns: the producer sees every earlier item mapped.
+        let mapped = AtomicUsize::new(0);
+        let run = || {
+            mapped.store(0, Ordering::SeqCst);
+            stream_map(
+                |emit| {
+                    for i in 0..20 {
+                        emit(i);
+                        assert_eq!(mapped.load(Ordering::SeqCst), i + 1, "item {i}");
+                    }
+                },
+                |i: usize| {
+                    mapped.fetch_add(1, Ordering::SeqCst);
+                    i
+                },
+            )
+        };
+        let out = parallel_map(vec![true, false], |go| go.then(run));
+        assert_eq!(out[0], Some((0..20).collect()));
+        if threads_available() <= 1 {
+            assert_eq!(run(), (0..20).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the producer fails")]
+    fn stream_propagates_a_panic_in_produce() {
+        stream_map(
+            |emit| {
+                emit(1u32);
+                panic!("the producer fails");
+            },
+            |i| i,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "item 7 fails")]
+    fn stream_propagates_a_panic_in_f() {
+        streamed((0..40u32).collect(), |i| {
+            assert_ne!(i, 7, "item 7 fails");
+            i
+        });
     }
 }
