@@ -10,25 +10,29 @@
 //!   and [`tg_sim::stream_map`] searches it on a worker while the pass
 //!   keeps drawing;
 //! * the Lemma 10 attack pass and the two measurements go through
-//!   `scheduled_map`, over [`tg_sim::parallel_map_chunked`].
+//!   `scheduled_map`, which cuts its items into blocks and maps the
+//!   blocks with [`tg_sim::parallel_map`].
 //!
-//! A smaller generation runs both on the calling thread, with no thread
-//! spawned and no channel opened. Results come back in input order
-//! either way, so observations do not depend on the schedule.
+//! Both run on `tg_sim`'s one worker pool. A smaller generation runs
+//! both on the calling thread, with no thread spawned and no channel
+//! opened. Results come back in input order either way, so
+//! observations do not depend on the schedule.
 //!
 //! Below the threshold, spawning threads every phase costs more than it
 //! saves: on 2 cores a d2b epoch fanned out takes ×1.05 the serial time
 //! at n = 300 and ×0.94 at 1 000, but ×0.76–0.80 from 2 000 to 10 000.
-//! Inside a sweep worker the epoch is serial at any size, because
-//! either primitive called from a map's worker runs on that worker
-//! instead of spawning a second layer of threads.
+//! Inside a sweep worker the epoch is serial at any size, because a
+//! map called from a map's worker runs on that worker instead of
+//! spawning a second layer of threads. The calling thread counts as a
+//! worker while it drains a map, so a sweep cell it takes is serial
+//! too.
 //!
 //! [`KernelChoice`] is the retired `kernel=` codec token of
 //! [`crate::scenario::ScenarioSpec`]. It selects nothing; it is kept
 //! only so that labels carrying it, which are store keys, still parse
 //! and re-encode byte-identically.
 
-use tg_sim::{parallel_map_chunked, stream_map};
+use tg_sim::{parallel_map, stream_map};
 
 /// The smallest generation (identities, good and bad) whose epoch fans
 /// its RNG-free phases out over worker threads.
@@ -74,11 +78,17 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    if ids >= FAN_OUT_MIN_IDS {
-        parallel_map_chunked(items, chunk, f)
-    } else {
-        items.into_iter().map(f).collect()
+    if ids < FAN_OUT_MIN_IDS {
+        return items.into_iter().map(f).collect();
     }
+    let chunk = chunk.max(1); // a chunk of 0 would cut no block
+    let n_blocks = items.len().div_ceil(chunk);
+    let mut items = items.into_iter();
+    let blocks: Vec<Vec<T>> = (0..n_blocks).map(|_| items.by_ref().take(chunk).collect()).collect();
+    parallel_map(blocks, |block| block.into_iter().map(&f).collect::<Vec<R>>())
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Map `f` over the items `produce` emits, in emission order, for an
@@ -135,14 +145,44 @@ mod tests {
                 });
             assert!(threads.iter().all(|&t| t == me), "chunk {chunk}");
         }
-        let fanned = scheduled_map(FAN_OUT_MIN_IDS, (0..500).collect(), 7, |x: u32| x * 2);
-        assert_eq!(fanned, (0..500).map(|x| x * 2).collect::<Vec<_>>());
 
         let produce = |emit: &mut dyn FnMut(u32)| (0..500).for_each(emit);
         let threads =
             scheduled_stream(FAN_OUT_MIN_IDS - 1, produce, |_| std::thread::current().id());
         assert!(threads.iter().all(|&t| t == me), "stream");
         let streamed = scheduled_stream(FAN_OUT_MIN_IDS, produce, |x| x * 2);
-        assert_eq!(streamed, fanned);
+        assert_eq!(streamed, (0..500).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    /// Fanned out, the blocks fold back in input order for every chunk
+    /// size, the degenerate ones included: 0 (cut as 1), one item per
+    /// block, and one block holding every item.
+    #[test]
+    fn fanned_map_matches_serial_for_every_chunk() {
+        let items: Vec<u64> = (0..537).map(|i| i * 3 + 1).collect();
+        let expect: Vec<u64> = items.iter().map(|&k| k.wrapping_mul(k) ^ 0xA5).collect();
+        for chunk in [0usize, 1, 2, 7, 64, 537, 10_000] {
+            let out = scheduled_map(FAN_OUT_MIN_IDS, items.clone(), chunk, |k: u64| {
+                k.wrapping_mul(k) ^ 0xA5
+            });
+            assert_eq!(out, expect, "chunk {chunk}");
+        }
+    }
+
+    /// Skewed per-item work (every 13th item ~2000× heavier, like a
+    /// search that runs long) still folds back in input order.
+    #[test]
+    fn fanned_map_balances_skewed_costs() {
+        let items: Vec<u64> = (0..256).map(|i| if i % 13 == 0 { 40_000 } else { 20 }).collect();
+        let expect: Vec<u64> = items.iter().map(|&k| (0..k).sum::<u64>()).collect();
+        let out = scheduled_map(FAN_OUT_MIN_IDS, items, 8, |k: u64| (0..k).sum::<u64>());
+        assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn fanned_map_empty_and_single() {
+        let out: Vec<i32> = scheduled_map(FAN_OUT_MIN_IDS, Vec::new(), 4, |x: i32| x);
+        assert!(out.is_empty());
+        assert_eq!(scheduled_map(FAN_OUT_MIN_IDS, vec![41], 4, |x: i32| x + 1), vec![42]);
     }
 }

@@ -16,7 +16,7 @@
 use crate::dynamic::kernel::scheduled_map;
 use crate::graph::GroupGraphView;
 use crate::params::Params;
-use crate::routing::{search_path, SearchOutcome};
+use crate::routing::{walk_route, SearchOutcome};
 use rand::rngs::StdRng;
 use rand::Rng;
 use tg_idspace::Id;
@@ -60,9 +60,9 @@ pub fn measure_robustness<G: GroupGraphView + Sync>(
 ) -> RobustnessReport {
     let per_search = scheduled_map(gg.len(), draw_sample(gg, searches, rng), 64, |(from, key)| {
         let mut m = Metrics::new();
-        // Track the truncated search path for responsibility accounting.
+        // Keep the route: its truncated prefix is the responsibility count.
         let route = gg.topology().route(from, key);
-        let out = search_path(gg, from, key, &mut m);
+        let out = walk_route(gg, &route.hops, &mut m);
         let mut idx = route.hops[..out.hops()].to_vec();
         idx.sort_unstable();
         idx.dedup();

@@ -76,11 +76,20 @@ pub fn search_path<G: GroupGraphView>(
     key: Id,
     metrics: &mut Metrics,
 ) -> SearchOutcome {
+    walk_route(gg, &gg.topology().route(from_leader, key).hops, metrics)
+}
+
+/// [`search_path`] over the `hops` of a route already computed: walks
+/// them up to the first red group and updates `metrics`.
+pub(crate) fn walk_route<G: GroupGraphView>(
+    gg: &G,
+    hops: &[usize],
+    metrics: &mut Metrics,
+) -> SearchOutcome {
     metrics.searches += 1;
-    let route = gg.topology().route(from_leader, key);
     let mut msgs = 0u64;
     let mut prev_size = 0usize;
-    for (pos, &gi) in route.hops.iter().enumerate() {
+    for (pos, &gi) in hops.iter().enumerate() {
         let size = gg.recolored_size(gi);
         if pos > 0 {
             msgs += (prev_size * size) as u64;
@@ -94,8 +103,8 @@ pub fn search_path<G: GroupGraphView>(
         prev_size = size;
     }
     metrics.routing_msgs += msgs;
-    metrics.hops += route.hops.len() as u64;
-    SearchOutcome::Success { hops: route.hops.len(), msgs }
+    metrics.hops += hops.len() as u64;
+    SearchOutcome::Success { hops: hops.len(), msgs }
 }
 
 /// Dual search over the two group graphs of one epoch: succeeds if either
@@ -144,10 +153,8 @@ pub fn secure_route_verified<G: GroupGraphView>(
     mode: AdversaryMode,
     metrics: &mut Metrics,
 ) -> VerifiedOutcome {
-    let mut shadow = Metrics::new();
-    let group_level = search_path(gg, from_leader, key, &mut shadow);
-
     let route = gg.topology().route(from_leader, key);
+    let group_level = walk_route(gg, &route.hops, &mut Metrics::new());
     let mut msgs = 0u64;
 
     // `(is_bad, value)` per live member of the current group: good

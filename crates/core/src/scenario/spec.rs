@@ -405,9 +405,11 @@ impl ScenarioSpec {
 
     /// Reject what no driver can run: an empty population (there is no
     /// ring to build an overlay over), a churn rate that is not a
-    /// fraction of the good IDs, a size rule or retry count past 65 536
+    /// fraction of the good IDs, a size rule, retry count or attack
+    /// request count past 65 536, more than 2²⁰ robustness searches
     /// (far above any sweep; the kernels' sizing arithmetic overflows
-    /// near `usize::MAX`), a string adversary whose strings the flood
+    /// near `usize::MAX`, and the searches are pre-drawn into one
+    /// buffer), a string adversary whose strings the flood
     /// cannot rank (negative or non-finite compute `units`, or more than
     /// 65 536 strings), and axis combinations no transport can
     /// serve — a socket transport without an actor runtime has nobody
@@ -427,6 +429,12 @@ impl ScenarioSpec {
         }
         if self.params.link_retries > MAX_LINK_RETRIES {
             return Err(ScenarioError::Unsupported("more than 65536 link retries"));
+        }
+        if self.params.attack_requests_per_id > MAX_ATTACK_REQUESTS {
+            return Err(ScenarioError::Unsupported("more than 65536 attack requests per identity"));
+        }
+        if self.searches > MAX_SEARCHES {
+            return Err(ScenarioError::Unsupported("more than 2^20 searches per epoch"));
         }
         let (strings, units) = match self.string_adversary {
             StringAdversarySpec::None => (0, 0.0),
@@ -463,6 +471,14 @@ const MAX_DRAWS: usize = 1 << 16;
 /// established from retrying forever.
 const MAX_LINK_RETRIES: usize = 1 << 16;
 
+/// Most spurious membership requests per good identity (`attack=`); e5
+/// uses at most 16. Keeps `good IDs · requests` from overflowing.
+const MAX_ATTACK_REQUESTS: usize = 1 << 16;
+
+/// Most robustness searches per epoch (`searches=`), each measurement
+/// pre-drawn into one buffer; the largest in use is 2 000.
+const MAX_SEARCHES: usize = 1 << 20;
+
 /// Most strings a string adversary (`stradv=`) may release; E7 uses 8.
 /// The flood ranks every string in a `u32`, and pushes one injection
 /// per adversary string.
@@ -487,7 +503,8 @@ pub enum ScenarioError {
     /// The spec combines axes no driver implements (e.g. the real
     /// string protocol over a single-graph construction), names an
     /// empty population, a churn rate outside `[0, 1]`, a group size,
-    /// retry count or string adversary past the supported bounds.
+    /// retry count, attack request count, search count or string
+    /// adversary past the supported bounds.
     Unsupported(&'static str),
     /// A label/JSON form did not decode.
     Parse(String),

@@ -6,120 +6,67 @@
 //! order**, so parallel and serial runs produce byte-identical output —
 //! the reproducibility contract of the whole workspace.
 //!
-//! Work is distributed by an atomic cursor (work stealing at item
-//! granularity) rather than pre-chunking, so heterogeneous cell costs
-//! (e.g. `n = 2^10` next to `n = 2^17`) still balance.
-//!
 //! [`stream_map`] is the same contract for items that a sequential
 //! producer emits one at a time: workers map each item as it arrives
-//! while the producer keeps going.
+//! while the producer keeps going. [`parallel_map`] is the stream of a
+//! ready `Vec`. Both run on one pool: items go through a channel and
+//! each idle thread takes the next one, so heterogeneous cell costs
+//! (e.g. `n = 2^10` next to `n = 2^17`) still balance, and the calling
+//! thread joins the spawned workers once the producer is done.
 //!
 //! Nesting is harmless: a call made from inside a worker (a sweep cell
-//! whose epoch fans out) runs serially on that worker instead of spawning a second layer of
-//! threads — the outer map already occupies every core, and by the
-//! order contract the results are the same either way.
+//! whose epoch fans out) runs serially on that worker instead of
+//! spawning a second layer of threads — the outer map already occupies
+//! every core, and by the order contract the results are the same
+//! either way. The calling thread counts as a worker while it drains,
+//! so a cell it takes is serial too.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 thread_local! {
-    /// Set on every worker thread spawned by [`parallel_map_chunked`]
-    /// or [`stream_map`].
+    /// Set on every worker thread a map spawns, and on the calling
+    /// thread while it drains.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Worker threads a map may spawn: available parallelism, or 1 inside
-/// another map's worker.
-fn threads_available() -> usize {
+/// The mark a thread had before it started draining as a worker; the
+/// drop restores it, also when `f` panics (a caller that catches the
+/// panic keeps its own schedule).
+struct WorkerMark(bool);
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_WORKER.set(self.0);
+    }
+}
+
+/// Threads a map may spawn beside the calling thread: one fewer than
+/// the available parallelism, or none inside another map's worker.
+fn spare_threads() -> usize {
     if IN_WORKER.get() {
-        1
+        0
     } else {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
+        std::thread::available_parallelism().map_or(0, |p| p.get() - 1)
     }
 }
 
 /// Apply `f` to every item, in parallel, returning results in input order.
 ///
 /// `f` must be `Sync` (it is shared across threads) and the items are
-/// consumed by value. The number of worker threads defaults to available
-/// parallelism, capped by the number of items.
+/// consumed by value. The calling thread and up to `available
+/// parallelism − 1` spawned workers each take the next item when idle.
+/// No more threads run than there are items, so one item runs inline on
+/// the calling thread, as does every item of a call made from inside
+/// another map's worker.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    parallel_map_chunked(items, 1, f)
-}
-
-/// Like [`parallel_map`], but work is claimed in **chunks of consecutive
-/// items** instead of one item at a time.
-///
-/// The item→chunk assignment is a pure function of `(items.len(),
-/// chunk)` — chunk `c` owns items `[c·chunk, (c+1)·chunk)` — so the
-/// work-split is deterministic and identical on every run; only *which
-/// thread* executes a chunk varies, and results still come back in input
-/// order. Use this when per-item work is small but skewed (e.g. one
-/// search per group, where captured groups truncate early): item-level
-/// stealing would spend more time on the atomic cursor than on the
-/// items, while fixed pre-chunking (`len / threads`) can leave one
-/// thread holding all the expensive items. Chunked stealing bounds the
-/// imbalance by one chunk's worth of work.
-///
-/// `chunk == 0` is treated as `1`. A `chunk ≥ items.len()` degenerates
-/// to the serial path (one chunk, zero coordination), and so does any
-/// call made from inside another map's worker.
-pub fn parallel_map_chunked<T, R, F>(items: Vec<T>, chunk: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    let chunk = chunk.max(1);
-    if n == 0 {
-        return Vec::new();
-    }
-    let n_chunks = n.div_ceil(chunk);
-    let threads = threads_available().min(n_chunks);
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                IN_WORKER.set(true);
-                loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    let lo = c * chunk;
-                    let hi = (lo + chunk).min(n);
-                    for i in lo..hi {
-                        let item = work[i]
-                            .lock()
-                            .expect("unpoisoned")
-                            .take()
-                            .expect("each cell claimed once");
-                        let r = f(item);
-                        *results[i].lock().expect("unpoisoned") = Some(r);
-                    }
-                }
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("unpoisoned").expect("all cells computed"))
-        .collect()
+    let workers = spare_threads().min(items.len().saturating_sub(1));
+    map_on(workers, |emit| items.into_iter().for_each(emit), f)
 }
 
 /// Apply `f` to every item `produce` emits, returning results in
@@ -144,8 +91,19 @@ where
     P: FnOnce(&mut dyn FnMut(T)),
     F: Fn(T) -> R + Sync,
 {
-    let threads = threads_available();
-    if threads <= 1 {
+    map_on(spare_threads(), produce, f)
+}
+
+/// The one pool: [`stream_map`] with `workers` spawned threads beside
+/// the calling thread, or inline when `workers` is 0.
+fn map_on<T, R, P, F>(workers: usize, produce: P, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    P: FnOnce(&mut dyn FnMut(T)),
+    F: Fn(T) -> R + Sync,
+{
+    if workers == 0 {
         let mut out = Vec::new();
         produce(&mut |item| out.push(f(item)));
         return out;
@@ -168,7 +126,7 @@ where
         // Owned here so that a panicking `produce` drops it on the way
         // out, which lets the workers finish and the scope unwind.
         let tx = tx;
-        let workers: Vec<_> = (1..threads)
+        let workers: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     IN_WORKER.set(true);
@@ -182,7 +140,10 @@ where
             next += 1;
         });
         drop(tx);
-        let mut done = drain();
+        let mut done = {
+            let _mark = WorkerMark(IN_WORKER.replace(true));
+            drain()
+        };
         for w in workers {
             done.extend(w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
@@ -195,6 +156,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn preserves_order() {
@@ -221,38 +184,6 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(|&k| (0..k).sum::<u64>()).collect();
         let out = parallel_map(items, |k: u64| (0..k).sum::<u64>());
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn chunked_matches_sequential_exactly() {
-        // Regression for the load-imbalance fix: the chunked variant must
-        // return the same results, in the same order, as the sequential
-        // map — for every chunk size including degenerate ones.
-        let items: Vec<u64> = (0..537).map(|i| i * 3 + 1).collect();
-        let expect: Vec<u64> = items.iter().map(|&k| k.wrapping_mul(k) ^ 0xA5).collect();
-        for chunk in [0usize, 1, 2, 7, 64, 537, 10_000] {
-            let out = parallel_map_chunked(items.clone(), chunk, |k: u64| k.wrapping_mul(k) ^ 0xA5);
-            assert_eq!(out, expect, "chunk={chunk}");
-        }
-    }
-
-    #[test]
-    fn chunked_balances_skewed_costs() {
-        // Skewed per-item work (every 13th item is ~2000× heavier, like a
-        // group whose search runs long): correctness is order-preserving
-        // equality with the serial result under chunked stealing.
-        let items: Vec<u64> = (0..256).map(|i| if i % 13 == 0 { 40_000 } else { 20 }).collect();
-        let expect: Vec<u64> = items.iter().map(|&k| (0..k).sum::<u64>()).collect();
-        let out = parallel_map_chunked(items, 8, |k: u64| (0..k).sum::<u64>());
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn chunked_empty_and_single() {
-        let out: Vec<i32> = parallel_map_chunked(Vec::<i32>::new(), 4, |x| x);
-        assert!(out.is_empty());
-        let out = parallel_map_chunked(vec![41], 4, |x: i32| x + 1);
-        assert_eq!(out, vec![42]);
     }
 
     #[test]
@@ -286,7 +217,7 @@ mod tests {
 
     #[test]
     fn stream_restores_emission_order_when_completion_inverts() {
-        if threads_available() < 2 {
+        if spare_threads() == 0 {
             return; // inline: items complete in emission order
         }
         // A worker takes item 0 while the caller is still producing, and
@@ -347,6 +278,46 @@ mod tests {
         assert_eq!(out[1], (100..150).collect::<Vec<_>>());
     }
 
+    /// The calling thread drains beside the spawned workers; an item it
+    /// takes must run nested maps on itself, as a worker's item does.
+    #[test]
+    fn the_caller_is_a_worker_while_it_drains() {
+        if spare_threads() == 0 {
+            return; // inline: nothing is drained
+        }
+        // Two items, so one spawned worker. Neither item gets past the
+        // barrier before the other has started, so each runs on its own
+        // thread, and one of them on the caller.
+        let both_started = Barrier::new(2);
+        let out = parallel_map(vec![0u64, 1], |row| {
+            both_started.wait();
+            let me = std::thread::current().id();
+            // The producer waits for its one item to be mapped: inline
+            // that happened before `emit` returned, fanned out a spawned
+            // worker maps it.
+            let (mapped_tx, mapped_rx) = mpsc::channel();
+            let streamed = stream_map(
+                |emit| {
+                    emit(row);
+                    mapped_rx.recv().expect("the item is mapped");
+                },
+                |x| {
+                    mapped_tx.send(()).expect("the producer waits");
+                    (x, std::thread::current().id())
+                },
+            );
+            let nested = parallel_map(vec![row, row + 10], |x| (x, std::thread::current().id()));
+            (me, streamed, nested)
+        });
+        assert!(!IN_WORKER.get(), "the caller stayed marked after its drain");
+        let caller = std::thread::current().id();
+        assert!(out.iter().any(|&(me, ..)| me == caller), "the caller took no item");
+        for (row, (me, streamed, nested)) in (0u64..).zip(out) {
+            assert_eq!(streamed, vec![(row, me)], "the stream left item {row}'s thread");
+            assert_eq!(nested, vec![(row, me), (row + 10, me)], "the map left item {row}'s thread");
+        }
+    }
+
     #[test]
     fn stream_without_threads_runs_each_item_as_it_is_emitted() {
         // With one CPU (or inside a worker) `f` runs before `emit`
@@ -369,7 +340,7 @@ mod tests {
         };
         let out = parallel_map(vec![true, false], |go| go.then(run));
         assert_eq!(out[0], Some((0..20).collect()));
-        if threads_available() <= 1 {
+        if spare_threads() == 0 {
             assert_eq!(run(), (0..20).collect::<Vec<_>>());
         }
     }

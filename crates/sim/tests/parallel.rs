@@ -40,7 +40,9 @@ fn empty_input_yields_empty_output() {
 
 #[test]
 fn single_item_runs_inline() {
-    assert_eq!(parallel_map(vec![7usize], |x| x * 6), vec![42]);
+    let caller = std::thread::current().id();
+    let out = parallel_map(vec![7usize], |x| (x * 6, std::thread::current().id()));
+    assert_eq!(out, vec![(42, caller)]);
 }
 
 /// Fewer items than worker threads: every item still computed exactly
