@@ -8,6 +8,14 @@
 //! Routing is greedy: forward to the neighbor that makes the most
 //! clockwise progress without overshooting the key. Route length is
 //! `O(log n)` w.h.p., and congestion is `O(log n / n)` (P4 with `c = 1`).
+//!
+//! **What a hop costs.** Both the links and the routes live in ring-index
+//! space, where index order is ID order. The links are one flat table (a
+//! CSR row per node), and the greedy step is one binary search in the
+//! current node's row for the last link before the key's successor, plus
+//! a check for an arc that wraps past index 0. The finger scan behind the
+//! table stops at the first finger point at or before the node's ring
+//! successor, so a node costs `≈ log2 n + O(1)` ring lookups to link.
 
 use crate::graph::{InputGraph, Route};
 use tg_idspace::{Id, SortedRing};
@@ -15,80 +23,116 @@ use tg_idspace::{Id, SortedRing};
 /// The Chord overlay over a fixed ring.
 ///
 /// Finger tables span all 64 bit-scales of the ID space (as in deployed
-/// Chord, where `m` is the hash width): offsets below the minimum ring gap
-/// all resolve to the same successor and are deduplicated, so the
-/// *distinct* degree is `O(log n)` w.h.p. while greedy routing stays
-/// robust even on non-uniform rings.
+/// Chord, where `m` is the hash width): offsets at or below the gap to a
+/// node's successor all resolve to that successor, so the scan stops at
+/// the first of them and the *distinct* degree is `O(log n)` w.h.p. while
+/// greedy routing stays robust even on non-uniform rings.
+///
+/// The neighbor table is flat: node `i`'s neighbors, ascending, are
+/// `links[offsets[i]..offsets[i + 1]]`. The dynamic-epoch builder issues
+/// hundreds of searches per joining ID, and each hop is one binary search
+/// in one row.
 #[derive(Clone, Debug)]
 pub struct Chord {
     ring: SortedRing,
-    /// Number of finger levels (bit-width of the ID space).
-    levels: u32,
-    /// Precomputed neighbor table: the ring indices of each node's
-    /// neighbors, ascending, indexed by ring position. Routing does one
-    /// table scan per hop; the dynamic-epoch builder issues hundreds of
-    /// searches per joining ID, so the table pays for itself within the
-    /// first few hundred searches.
-    adj: Vec<Vec<u32>>,
+    /// Row starts into `links`, `n + 1` of them.
+    offsets: Vec<u32>,
+    /// Every node's neighbor indices, row after row.
+    links: Vec<u32>,
 }
 
 impl Chord {
+    /// Number of finger levels (bit-width of the ID space).
+    const LEVELS: u32 = 64;
+
+    /// The hop buffer a route starts with: room for any `O(log n)` route
+    /// on a u.a.r. ring, far below [`InputGraph::route_len_bound`].
+    const HOPS_CAPACITY: usize = 32;
+
     /// Build Chord over `ring`, precomputing the finger tables.
     ///
     /// # Panics
-    /// Panics if the ring is empty.
+    /// Panics if the ring is empty, or if its link table outgrows `u32`
+    /// offsets.
     pub fn new(ring: SortedRing) -> Self {
         assert!(!ring.is_empty(), "Chord over an empty ring");
-        let mut g = Chord { ring, levels: 64, adj: Vec::new() };
-        g.adj = (0..g.ring.len()).map(|i| g.compute_neighbors(i)).collect();
-        g
+        let n = ring.len();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut links = Vec::new();
+        let mut row = Vec::with_capacity(Self::LEVELS as usize + 2);
+        offsets.push(0);
+        for i in 0..n {
+            Self::links_of(&ring, i, &mut row);
+            links.extend_from_slice(&row);
+            assert!(
+                links.len() < u32::MAX as usize,
+                "chord table of {} links exceeds its u32 offsets",
+                links.len()
+            );
+            offsets.push(links.len() as u32);
+        }
+        Chord { ring, offsets, links }
     }
 
-    /// The neighbor indices of the node at ring index `i`: its ring
-    /// predecessor and successor and the successors of its finger points,
-    /// ascending (index order is ID order), deduplicated, without `i`.
-    fn compute_neighbors(&self, i: usize) -> Vec<u32> {
-        let n = self.ring.len();
-        let mut out = Vec::with_capacity(self.levels as usize + 2);
+    /// Fill `row` with the neighbor indices of the node at ring index `i`:
+    /// its ring predecessor and successor and the successors of its finger
+    /// points, ascending (index order is ID order), deduplicated, without
+    /// `i`.
+    fn links_of(ring: &SortedRing, i: usize, row: &mut Vec<u32>) {
+        row.clear();
+        let n = ring.len();
         if n == 1 {
-            return out;
+            return;
         }
-        out.push(((i + n - 1) % n) as u32);
-        out.push(((i + 1) % n) as u32);
-        for p in self.finger_points(self.ring.at(i)) {
-            out.push(self.ring.successor_index(p) as u32);
-        }
-        out.sort_unstable();
-        out.dedup();
-        out.retain(|&u| u as usize != i);
-        out
+        row.push(if i == 0 { n - 1 } else { i - 1 } as u32);
+        row.push(if i + 1 == n { 0 } else { i + 1 } as u32);
+        Self::fingers(ring, i, row);
+        row.sort_unstable();
+        row.dedup();
+        row.retain(|&u| u as usize != i);
     }
 
-    /// The finger targets of `w`: the points `w + 2^{-i}`.
-    fn finger_points(&self, w: Id) -> impl Iterator<Item = Id> + '_ {
-        (1..=self.levels).map(move |i| w.add_pow2_fraction(i))
-    }
-
-    /// Greedy step: the neighbor of the node at index `current` making the
-    /// most clockwise progress while staying strictly before `key`'s
-    /// responsible zone.
-    fn closest_preceding(&self, current: usize, key: Id) -> Option<usize> {
-        let here = self.ring.at(current);
-        let mut best: Option<usize> = None;
-        let mut best_dist = tg_idspace::RingDistance::ZERO;
-        for &j in &self.adj[current] {
-            let u = self.ring.at(j as usize);
-            // u must lie strictly inside the clockwise arc (current, key)
-            // — i.e. make progress but not jump past the key.
-            if u != key && u.in_arc_open_closed(here, key) {
-                let d = here.distance_cw(u);
-                if d > best_dist {
-                    best_dist = d;
-                    best = Some(j as usize);
-                }
+    /// Append `suc(w + 2^{-l})` for `l = 1, 2, …` to `out`, where `w` is
+    /// the ID at ring index `i` (`n ≥ 2`), up to the first finger point
+    /// at or before `w`'s ring successor: that finger and every later one
+    /// resolve to the successor, which is linked anyway.
+    fn fingers(ring: &SortedRing, i: usize, out: &mut Vec<u32>) {
+        let w = ring.at(i);
+        let gap = w.distance_cw(ring.at(if i + 1 == ring.len() { 0 } else { i + 1 }));
+        for level in 1..=Self::LEVELS {
+            let p = w.add_pow2_fraction(level);
+            if w.distance_cw(p) <= gap {
+                break;
             }
+            out.push(ring.successor_index(p) as u32);
         }
-        best
+    }
+
+    /// The neighbor row of the node at ring index `i`.
+    #[inline]
+    fn row(&self, i: usize) -> &[u32] {
+        &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Greedy step from `current` toward `target != current`: the
+    /// neighbor farthest clockwise strictly inside the index arc
+    /// `(current, target)`, which holds exactly the IDs strictly between
+    /// `current` and the key. `None` when no neighbor lies inside, which
+    /// happens only when `target` is `current`'s ring successor.
+    #[inline]
+    fn step(&self, current: usize, target: usize) -> Option<usize> {
+        let row = self.row(current);
+        let below = &row[..row.partition_point(|&j| (j as usize) < target)];
+        let best = if current < target {
+            // The arc does not wrap: the last link below `target`, if it
+            // lies past `current`.
+            below.last().filter(|&&j| j as usize > current)
+        } else {
+            // The arc wraps past index 0: a link below `target` is the
+            // farthest; failing one, the last link past `current`.
+            below.last().or(row.last().filter(|&&j| j as usize > current))
+        };
+        best.map(|&j| j as usize)
     }
 }
 
@@ -98,33 +142,27 @@ impl InputGraph for Chord {
     }
 
     fn neighbor_indices(&self, i: usize) -> Vec<usize> {
-        self.adj[i].iter().map(|&j| j as usize).collect()
+        self.row(i).iter().map(|&j| j as usize).collect()
     }
 
     fn route(&self, from: usize, key: Id) -> Route {
         debug_assert!(from < self.ring.len(), "route from an index off the ring");
-        let n = self.ring.len();
         let target = self.ring.successor_index(key);
-        let mut hops = Vec::with_capacity(self.route_len_bound());
+        let mut hops = Vec::with_capacity(Self::HOPS_CAPACITY);
         hops.push(from);
         let mut current = from;
-        // Greedy progress strictly decreases clockwise distance to the
-        // key, so the loop terminates; the bound is a safety net.
+        // Greedy progress strictly shrinks the index arc to the target,
+        // so the loop terminates; the bound is a safety net.
         let bound = self.route_len_bound();
         while current != target {
-            // If the key lies between current and its ring successor, the
-            // successor resolves it.
-            let next = match self.closest_preceding(current, key) {
-                Some(u) => u,
-                // No neighbor strictly precedes the key: the successor of
-                // current is responsible.
-                None => (current + 1) % n,
-            };
-            hops.push(next);
-            current = next;
+            // No neighbor strictly inside the arc: current's ring
+            // successor is the target, and resolves the key.
+            current = self.step(current, target).unwrap_or(target);
+            hops.push(current);
             assert!(
                 hops.len() <= bound,
-                "chord routing exceeded its hop bound (n={n}, {} hops)",
+                "chord routing exceeded its hop bound (n={}, {} hops)",
+                self.ring.len(),
                 hops.len()
             );
         }
@@ -135,7 +173,7 @@ impl InputGraph for Chord {
         // With fingers at every bit-scale, each greedy hop at least halves
         // the remaining clockwise distance, so 64 halvings reach any key on
         // any ring; the slack covers the final successor corrections.
-        2 * 64 + 16
+        2 * Self::LEVELS as usize + 16
     }
 }
 
@@ -262,8 +300,29 @@ mod tests {
                 let linked = u != w
                     && (u == ring.predecessor(w)
                         || u == ring.successor(w.add(tg_idspace::RingDistance(1)))
-                        || g.finger_points(w).any(|p| ring.successor(p) == u));
+                        || (1..=64).any(|l| ring.successor(w.add_pow2_fraction(l)) == u));
                 assert_eq!(nb.contains(&j), linked, "w={w:?} u={u:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn finger_scan_stops_at_the_successor() {
+        // Every finger the scan looks up lands past the ring successor,
+        // and the scan goes on while one does. On the evenly spaced ring
+        // the successor gap is exactly `2^-10`, so the stop is taken at
+        // the equality itself.
+        let even = SortedRing::new((0..1024u64).map(|k| Id(k << 54)).collect());
+        for ring in [even, random_ring(300, 11)] {
+            let n = ring.len();
+            for i in 0..n {
+                let next = (i + 1) % n;
+                let mut fingers = Vec::new();
+                Chord::fingers(&ring, i, &mut fingers);
+                assert!(!fingers.contains(&(next as u32)), "n={n} i={i}: wasted lookup");
+                let w = ring.at(i);
+                let p = w.add_pow2_fraction(fingers.len() as u32 + 1);
+                assert_eq!(ring.successor(p), ring.at(next), "n={n} i={i}: stopped early");
             }
         }
     }

@@ -2,13 +2,94 @@
 //! on adversarially-shaped rings.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tg_idspace::{Id, SortedRing};
-use tg_overlay::GraphKind;
+use tg_idspace::{Id, RingDistance, SortedRing};
+use tg_overlay::{Chord, GraphKind, InputGraph};
 
 fn ring_from(ids: std::collections::BTreeSet<u64>) -> SortedRing {
     SortedRing::new(ids.into_iter().map(Id).collect())
+}
+
+/// A ring of `n` IDs drawn inside one arc of width `2^(64 - width_exp)`.
+fn clustered_ring(seed: u64, n: usize, width_exp: u32) -> SortedRing {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let width = 1u64 << (64 - width_exp);
+    let base: u64 = rng.gen();
+    ring_from((0..n).map(|_| base.wrapping_add(rng.gen::<u64>() % width)).collect())
+}
+
+/// Chord's links by the full rule, all 64 finger levels: the ring
+/// neighbours of `i` and `suc(w + 2^-l)` for every `l`, ascending,
+/// deduplicated, without `i`.
+fn chord_links_model(ring: &SortedRing, i: usize) -> Vec<usize> {
+    let n = ring.len();
+    if n == 1 {
+        return Vec::new();
+    }
+    let w = ring.at(i);
+    let mut out = vec![(i + n - 1) % n, (i + 1) % n];
+    out.extend((1..=64).map(|l| ring.successor_index(w.add_pow2_fraction(l))));
+    out.sort_unstable();
+    out.dedup();
+    out.retain(|&u| u != i);
+    out
+}
+
+/// Chord's greedy step in IDs: the link of `current` farthest clockwise
+/// strictly inside the arc `(current, key)`.
+fn closest_preceding_model(g: &Chord, current: usize, key: Id) -> Option<usize> {
+    let ring = g.ring();
+    let here = ring.at(current);
+    let mut best: Option<usize> = None;
+    let mut best_dist = RingDistance::ZERO;
+    for j in g.neighbor_indices(current) {
+        let u = ring.at(j);
+        if u != key && u.in_arc_open_closed(here, key) {
+            let d = here.distance_cw(u);
+            if d > best_dist {
+                best_dist = d;
+                best = Some(j);
+            }
+        }
+    }
+    best
+}
+
+/// Chord's route by the ID-space step, falling back to the ring
+/// successor when no link precedes the key.
+fn chord_route_model(g: &Chord, from: usize, key: Id) -> Vec<usize> {
+    let ring = g.ring();
+    let target = ring.successor_index(key);
+    let mut hops = vec![from];
+    let mut current = from;
+    while current != target {
+        current = closest_preceding_model(g, current, key).unwrap_or((current + 1) % ring.len());
+        hops.push(current);
+        assert!(hops.len() <= g.route_len_bound(), "model route does not terminate");
+    }
+    hops
+}
+
+/// Chord on `ring` against both models: every node's link set against
+/// the full finger scan, and the route from every start to each key
+/// (and to every eighth ring ID, which is its own successor) against the
+/// ID-space step, hop by hop.
+fn check_chord_against_models(ring: &SortedRing, keys: &[u64]) -> Result<(), TestCaseError> {
+    let g = Chord::new(ring.clone());
+    let n = ring.len();
+    for i in 0..n {
+        prop_assert_eq!(g.neighbor_indices(i), chord_links_model(ring, i), "links of {}", i);
+    }
+    let on_ring = (0..n).step_by(8).map(|i| ring.at(i));
+    for key in keys.iter().map(|&k| Id(k)).chain(on_ring) {
+        for from in 0..n {
+            let model = chord_route_model(&g, from, key);
+            prop_assert_eq!(g.route(from, key).hops, model, "from {} to {:?}", from, key);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -41,18 +122,37 @@ proptest! {
         width_exp in 8u32..48,
         key in any::<u64>(),
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let width = 1u64 << (64 - width_exp);
-        let base: u64 = rng.gen();
-        let ids: std::collections::BTreeSet<u64> =
-            (0..n).map(|_| base.wrapping_add(rng.gen::<u64>() % width)).collect();
-        prop_assume!(ids.len() >= 2);
-        let ring = ring_from(ids);
+        let ring = clustered_ring(seed, n, width_exp);
+        prop_assume!(ring.len() >= 2);
         for kind in GraphKind::ALL {
             let g = kind.build(ring.clone());
             let r = g.route(0, Id(key));
             prop_assert_eq!(ring.at(r.resolver()), ring.successor(Id(key)), "{}", kind.name());
         }
+    }
+
+    /// Chord's index-space step and early-exit finger scan against the
+    /// ID-space step and the full 64-level scan they replaced.
+    #[test]
+    fn chord_matches_its_id_space_model(
+        ids in prop::collection::btree_set(any::<u64>(), 2..150),
+        keys in prop::collection::vec(any::<u64>(), 4),
+    ) {
+        check_chord_against_models(&ring_from(ids), &keys)?;
+    }
+
+    /// The same on clustered rings, where the finger scan runs deep and
+    /// the arcs to most keys wrap past index 0.
+    #[test]
+    fn chord_matches_its_id_space_model_when_clustered(
+        seed in any::<u64>(),
+        n in 2usize..150,
+        width_exp in 8u32..56,
+        keys in prop::collection::vec(any::<u64>(), 4),
+    ) {
+        let ring = clustered_ring(seed, n, width_exp);
+        prop_assume!(ring.len() >= 2);
+        check_chord_against_models(&ring, &keys)?;
     }
 
     /// P3 for the continuous-discrete constructions: D2B and distance
@@ -108,11 +208,12 @@ proptest! {
     }
 }
 
-/// `route` sizes its hop buffer once, from `route_len_bound`: over many
-/// random searches on one ring the buffer's capacity is a single
-/// constant, whatever the route length. (Growing it hop by hop went
-/// through `realloc` — and the allocator's lock — several times per
-/// search, which serialized the arena kernel's worker threads.)
+/// `route` sizes its hop buffer once, for the longest route a u.a.r.
+/// ring takes: over many random searches on one ring the buffer's
+/// capacity is a single constant, whatever the route length. (Growing
+/// it hop by hop went through `realloc` — and the allocator's lock —
+/// several times per search, which serialized the arena kernel's worker
+/// threads.)
 #[test]
 fn route_hop_buffers_never_regrow() {
     let mut rng = StdRng::seed_from_u64(0x5eed);

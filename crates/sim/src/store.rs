@@ -34,7 +34,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, BufRead as _, BufReader, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,6 +48,11 @@ const STREAM_EXT: &str = "tgs";
 
 /// Name of the derived, human-readable index file.
 pub const INDEX_FILE: &str = "index.tsv";
+
+/// The largest stream file a reader accepts, 64 MiB. A sweep cell's
+/// stream is a few kilobytes; anything past the cap is damage, and is
+/// refused before a byte of it is read.
+pub const MAX_STREAM_BYTES: u64 = 64 << 20;
 
 /// Why a store operation failed.
 #[derive(Debug)]
@@ -137,14 +142,31 @@ impl ResultStore {
     /// Fetch the record payloads stored under `key`, verifying the
     /// whole hash chain. `Ok(None)` means the key has no stream yet;
     /// any existing-but-damaged stream is an error, never silently
-    /// treated as absent.
+    /// treated as absent. A stream file over [`MAX_STREAM_BYTES`] is
+    /// [`StoreError::Corrupt`] at record 0, and is not read.
     pub fn get(&self, key: &str) -> Result<Option<Vec<String>>, StoreError> {
-        let path = self.path_for(key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(StoreError::Io { key: key.to_string(), op: "read", source: e }),
+        let io_err = |source| StoreError::Io { key: key.to_string(), op: "read", source };
+        let too_large = |len: u64| StoreError::Corrupt {
+            key: key.to_string(),
+            record: 0,
+            detail: format!("stream of {len} bytes exceeds the {MAX_STREAM_BYTES}-byte cap"),
         };
+        let file = match fs::File::open(self.path_for(key)) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(io_err(e)),
+        };
+        let len = file.metadata().map_err(io_err)?.len();
+        if len > MAX_STREAM_BYTES {
+            return Err(too_large(len));
+        }
+        // The file may grow after the length check: read at most one
+        // byte past the cap, enough to tell.
+        let mut bytes = Vec::with_capacity(len as usize);
+        file.take(MAX_STREAM_BYTES + 1).read_to_end(&mut bytes).map_err(io_err)?;
+        if bytes.len() as u64 > MAX_STREAM_BYTES {
+            return Err(too_large(bytes.len() as u64));
+        }
         let text = String::from_utf8(bytes).map_err(|e| StoreError::Corrupt {
             key: key.to_string(),
             record: 0,
@@ -174,19 +196,23 @@ impl ResultStore {
     }
 
     /// All keys currently stored, sorted. Only a stream's header line is
-    /// interpreted, and lossily: a damaged stream must not fail the
-    /// listing for the whole store — [`get`](Self::get) is what reports
-    /// it as [`StoreError::Corrupt`].
+    /// read (at most [`MAX_STREAM_BYTES`] of it), and it is interpreted
+    /// lossily: a damaged stream must not fail the listing for the whole
+    /// store — [`get`](Self::get) is what reports it as
+    /// [`StoreError::Corrupt`].
     pub fn keys(&self) -> io::Result<Vec<String>> {
         let mut keys = Vec::new();
+        let mut header = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let path = entry?.path();
             if path.extension().and_then(|e| e.to_str()) != Some(STREAM_EXT) {
                 continue;
             }
-            let bytes = fs::read(&path)?;
-            if let Some(header) = String::from_utf8_lossy(&bytes).lines().next() {
-                if let Some(key) = header.strip_prefix(&format!("{STORE_VERSION};")) {
+            header.clear();
+            BufReader::new(fs::File::open(&path)?.take(MAX_STREAM_BYTES))
+                .read_until(b'\n', &mut header)?;
+            if let Some(line) = String::from_utf8_lossy(&header).lines().next() {
+                if let Some(key) = line.strip_prefix(&format!("{STORE_VERSION};")) {
                     keys.push(key.to_string());
                 }
             }

@@ -8,7 +8,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tg_sim::store::{ResultStore, StoreError};
+use tg_sim::store::{ResultStore, StoreError, MAX_STREAM_BYTES};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -168,4 +168,25 @@ fn non_utf8_streams_do_not_fail_keys_or_index() {
     let line = |key: &str| index.lines().find(|l| l.ends_with(key)).expect("key indexed");
     assert!(line(KEY).contains("\t5\t"), "good stream keeps its record count: {index}");
     assert!(line(damaged).contains("CORRUPT"), "damaged stream is named as such: {index}");
+}
+
+/// A stream file past the read cap is refused as corrupt at record 0
+/// before it is read (the file here is sparse: one byte over the cap,
+/// none of it on disk), and the listing, which reads only header
+/// lines, still names every stream.
+#[test]
+fn oversized_stream_is_rejected_without_reading_it() {
+    let (store, _) = seeded_store("oversized");
+    let big = "tg1;n=9;big=1;epochs=1";
+    store.put(big, &["o1,0,1".to_string()]).unwrap();
+    let file = fs::OpenOptions::new().write(true).open(store.path_for(big)).unwrap();
+    file.set_len(MAX_STREAM_BYTES + 1).unwrap();
+    drop(file);
+
+    match store.get(big) {
+        Err(StoreError::Corrupt { key, record: 0, .. }) => assert_eq!(key, big),
+        other => panic!("expected Corrupt at record 0, got {other:?}"),
+    }
+    assert_eq!(store.get(KEY).unwrap().unwrap().len(), 5, "the other stream still reads");
+    assert_eq!(store.keys().expect("listing survives"), vec![KEY.to_string(), big.to_string()]);
 }
