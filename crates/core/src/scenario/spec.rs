@@ -404,7 +404,8 @@ impl ScenarioSpec {
     }
 
     /// Reject what no driver can run: an empty population (there is no
-    /// ring to build an overlay over), a churn rate that is not a
+    /// ring to build an overlay over), one whose identities a ring's
+    /// `u32` indices cannot address, a churn rate that is not a
     /// fraction of the good IDs, a size rule, retry count or attack
     /// request count past 65 536, more than 2²⁰ robustness searches
     /// (far above any sweep; the kernels' sizing arithmetic overflows
@@ -419,6 +420,11 @@ impl ScenarioSpec {
     pub fn check_transport(&self) -> Result<(), ScenarioError> {
         if self.n_good == 0 && self.n_bad == 0 {
             return Err(ScenarioError::Unsupported("an empty population: n and bad are both 0"));
+        }
+        if self.n_good.checked_add(self.n_bad).is_none_or(|n| n > MAX_POPULATION) {
+            return Err(ScenarioError::Unsupported(
+                "a population past 2^32 - 2 identities (n + bad)",
+            ));
         }
         if !(0.0..=1.0).contains(&self.params.churn_rate) {
             return Err(ScenarioError::Unsupported("a churn rate outside [0, 1]"));
@@ -478,6 +484,11 @@ const MAX_ATTACK_REQUESTS: usize = 1 << 16;
 /// Most robustness searches per epoch (`searches=`), each measurement
 /// pre-drawn into one buffer; the largest in use is 2 000.
 const MAX_SEARCHES: usize = 1 << 20;
+
+/// Most identities a spec may ask for (`n + bad`): every ring indexes its
+/// IDs with `u32`s (`SortedRing` holds fewer than `u32::MAX`). The
+/// largest population in use is 10⁶.
+const MAX_POPULATION: usize = u32::MAX as usize - 1;
 
 /// Most strings a string adversary (`stradv=`) may release; E7 uses 8.
 /// The flood ranks every string in a `u32`, and pushes one injection

@@ -376,7 +376,7 @@ fn hostile_labels_are_refused_or_run() {
     let base: Vec<(&str, &str)> =
         label.split(';').skip(1).map(|f| f.split_once('=').expect("key=value")).collect();
     // (edits to the base label, whether the codec must refuse them)
-    let cases: [(&[(&str, &str)], bool); 25] = [
+    let cases: [(&[(&str, &str)], bool); 28] = [
         (&[("runtime", "actor"), ("window", "18446744073709551615")], false),
         (&[("runtime", "actor"), ("lat", "18446744073709551615")], false),
         (&[("churn", "2")], true),
@@ -393,6 +393,11 @@ fn hostile_labels_are_refused_or_run() {
         (&[("retries", "18446744073709551615")], true),
         (&[("attack", "18446744073709551615")], true),
         (&[("searches", "18446744073709551615")], true),
+        // Populations no ring's u32 indices address, refused before
+        // anything is allocated for them.
+        (&[("n", "18446744073709551615")], true),
+        (&[("bad", "18446744073709551615")], true),
+        (&[("n", "4294967296")], true),
         (&[("strategy", "adaptive-majority-flipper:18446744073709551615")], false),
         (&[("stradv", "delayed:3:0.49:-1")], true),
         (&[("stradv", "delayed:3:0.49:inf")], true),

@@ -142,7 +142,7 @@ proptest! {
         lookups_match_scan(&ids)?;
     }
 
-    /// ... on rings clustered inside one directory bucket (`b = ⌊log2 n⌋`
+    /// ... on rings clustered inside one directory bucket (`b = ⌊log2 n⌋ + 2`
     /// top bits shared by every ID), where the lookup is a plain binary
     /// search over the whole ring.
     #[test]
@@ -152,9 +152,32 @@ proptest! {
     ) {
         // Deduplication can only shrink `n`, hence `b`, and an aligned
         // bucket of the requested width stays inside one of any wider one.
-        let bits = raw.len().ilog2();
+        let bits = raw.len().ilog2() + 2;
         let low = u64::MAX >> bits;
         let ids: BTreeSet<u64> = raw.iter().map(|&v| (bucket & !low) | (v & low)).collect();
+        lookups_match_scan(&ids)?;
+    }
+
+    /// ... on rings where one bucket holds exactly the one ID a lookup
+    /// compares without a search, or two (the fewest it binary-searches),
+    /// among u.a.r. IDs in the other buckets.
+    #[test]
+    fn lookups_match_scan_at_the_search_limit(
+        in_bucket in 1usize..=2,
+        raw in prop::collection::vec(any::<u64>(), 2..300),
+        bucket in any::<u64>(),
+    ) {
+        let n = raw.len();
+        let low = u64::MAX >> (n.ilog2() + 2);
+        let (inside, outside) = raw.split_at(in_bucket);
+        // Flipping the top bit moves an outside ID out of the bucket.
+        let ids: BTreeSet<u64> = inside
+            .iter()
+            .map(|&v| (bucket & !low) | (v & low))
+            .chain(outside.iter().map(|&v| if (v ^ bucket) & !low == 0 { v ^ 1 << 63 } else { v }))
+            .collect();
+        // A collision would shrink `n`, and with it the bucket width.
+        prop_assume!(ids.len() == n);
         lookups_match_scan(&ids)?;
     }
 

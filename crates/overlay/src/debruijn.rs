@@ -52,7 +52,11 @@ impl InputGraph for D2B {
 
     fn route(&self, from: usize, key: Id) -> Route {
         debug_assert!(from < self.ring.len(), "route from an index off the ring");
-        let mut hops = Vec::with_capacity(self.route_len_bound());
+        // The initiator, at most k bit-steps and the ring correction. The
+        // walk ends within 2^{1-k} ≤ 1/(4n) of the key, so on a u.a.r.
+        // ring the correction is a hop or two and the buffer never
+        // regrows; a clustered ring's longer walk just grows it.
+        let mut hops = Vec::with_capacity(self.k as usize + 8);
         hops.push(from);
         if self.ring.len() == 1 {
             return Route { hops };

@@ -156,14 +156,21 @@ pub(crate) fn continuous_discrete_links(ring: &SortedRing, i: usize) -> Vec<usiz
 }
 
 /// Walk a ring of `n` nodes from sorted index `a` to sorted index `b`,
-/// appending the indices passed, taking the shorter direction.
+/// appending the indices passed, taking the shorter direction (forward on
+/// a tie). Each direction is at most two index ranges, split where it
+/// wraps past index 0.
 pub(crate) fn ring_walk(n: usize, hops: &mut Vec<usize>, a: usize, b: usize) {
-    let fwd = (b + n - a) % n;
-    let back = (a + n - b) % n;
-    if fwd <= back {
-        hops.extend((1..=fwd).map(|s| (a + s) % n));
+    let fwd = if a <= b { b - a } else { b + n - a };
+    if fwd <= n - fwd {
+        if a <= b {
+            hops.extend(a + 1..=b);
+        } else {
+            hops.extend((a + 1..n).chain(0..=b));
+        }
+    } else if b <= a {
+        hops.extend((b..a).rev());
     } else {
-        hops.extend((1..=back).map(|s| (a + n - s) % n));
+        hops.extend((0..a).rev().chain((b..n).rev()));
     }
 }
 
@@ -199,6 +206,25 @@ mod tests {
                 let by_index: Vec<Id> =
                     g.neighbor_indices(i).into_iter().map(|j| ring.at(j)).collect();
                 assert_eq!(g.neighbors(ring.at(i)), by_index, "{} at {i}", kind.name());
+            }
+        }
+    }
+
+    #[test]
+    fn ring_walk_takes_the_shorter_way_round() {
+        for n in 1..9 {
+            for a in 0..n {
+                for b in 0..n {
+                    let (fwd, back) = ((b + n - a) % n, (a + n - b) % n);
+                    let want: Vec<usize> = if fwd <= back {
+                        (1..=fwd).map(|s| (a + s) % n).collect()
+                    } else {
+                        (1..=back).map(|s| (a + n - s) % n).collect()
+                    };
+                    let mut hops = Vec::new();
+                    ring_walk(n, &mut hops, a, b);
+                    assert_eq!(hops, want, "n={n} {a} -> {b}");
+                }
             }
         }
     }

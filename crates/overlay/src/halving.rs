@@ -77,7 +77,10 @@ impl InputGraph for DistanceHalving {
 
     fn route(&self, from: usize, key: Id) -> Route {
         debug_assert!(from < self.ring.len(), "route from an index off the ring");
-        let mut hops = Vec::with_capacity(self.route_len_bound());
+        // The initiator, the two k-step σ-walks and the ring walks that
+        // bridge them; on a u.a.r. ring those are a hop or two each (see
+        // `D2B::route`), and a clustered ring's longer walks grow it.
+        let mut hops = Vec::with_capacity(2 * self.k as usize + 8);
         hops.push(from);
         let n = self.ring.len();
         if n == 1 {

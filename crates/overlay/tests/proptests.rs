@@ -6,7 +6,7 @@ use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tg_idspace::{Id, RingDistance, SortedRing};
-use tg_overlay::{Chord, GraphKind, InputGraph};
+use tg_overlay::{Chord, GraphKind, InputGraph, D2B};
 
 fn ring_from(ids: std::collections::BTreeSet<u64>) -> SortedRing {
     SortedRing::new(ids.into_iter().map(Id).collect())
@@ -92,6 +92,58 @@ fn check_chord_against_models(ring: &SortedRing, keys: &[u64]) -> Result<(), Tes
     Ok(())
 }
 
+/// D2B's route by its definition, with every ring lookup a plain binary
+/// search over `ring.ids()` and the correction a modular ring walk: the
+/// `k`-bit injection walk from `from`'s ID, one hop per change of
+/// covering node, then the shorter way round to `suc(key)`.
+fn d2b_route_model(ring: &SortedRing, from: usize, key: Id) -> Vec<usize> {
+    let ids = ring.ids();
+    let n = ids.len();
+    let mut hops = vec![from];
+    if n == 1 {
+        return hops;
+    }
+    let k = (usize::BITS - (n - 1).leading_zeros() + 3).min(60);
+    let mut p = ids[from];
+    let mut here = from;
+    for j in (0..k).rev() {
+        p = if key.bit(j) { p.half_right() } else { p.half_left() };
+        here = match ids.partition_point(|&id| id <= p) {
+            0 => n - 1,
+            i => i - 1,
+        };
+        if hops[hops.len() - 1] != here {
+            hops.push(here);
+        }
+    }
+    let target = ids.partition_point(|&id| id < key) % n;
+    let (fwd, back) = ((target + n - here) % n, (here + n - target) % n);
+    if fwd <= back {
+        hops.extend((1..=fwd).map(|s| (here + s) % n));
+    } else {
+        hops.extend((1..=back).map(|s| (here + n - s) % n));
+    }
+    hops
+}
+
+/// D2B on `ring` against its model, hop by hop, from every start to each
+/// key and to every fourth ring ID and its two neighbouring points.
+fn check_d2b_against_model(ring: &SortedRing, keys: &[u64]) -> Result<(), TestCaseError> {
+    let g = D2B::new(ring.clone());
+    let n = ring.len();
+    let near_ring = (0..n).step_by(4).flat_map(|i| {
+        let v = ring.at(i).raw();
+        [v.wrapping_sub(1), v, v.wrapping_add(1)]
+    });
+    for key in keys.iter().copied().chain(near_ring).map(Id) {
+        for from in 0..n {
+            let model = d2b_route_model(ring, from, key);
+            prop_assert_eq!(g.route(from, key).hops, model, "from {} to {:?}", from, key);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -153,6 +205,31 @@ proptest! {
         let ring = clustered_ring(seed, n, width_exp);
         prop_assume!(ring.len() >= 2);
         check_chord_against_models(&ring, &keys)?;
+    }
+
+    /// D2B's bucket-probe lookups and split ring walk against binary
+    /// searches and a modular walk.
+    #[test]
+    fn d2b_matches_its_binary_search_model(
+        ids in prop::collection::btree_set(any::<u64>(), 2..150),
+        keys in prop::collection::vec(any::<u64>(), 4),
+    ) {
+        check_d2b_against_model(&ring_from(ids), &keys)?;
+    }
+
+    /// The same on clustered rings, where the bit walk's points land in
+    /// long directory buckets (the binary-search fallback) and the ring
+    /// correction runs long.
+    #[test]
+    fn d2b_matches_its_binary_search_model_when_clustered(
+        seed in any::<u64>(),
+        n in 2usize..150,
+        width_exp in 8u32..56,
+        keys in prop::collection::vec(any::<u64>(), 4),
+    ) {
+        let ring = clustered_ring(seed, n, width_exp);
+        prop_assume!(ring.len() >= 2);
+        check_d2b_against_model(&ring, &keys)?;
     }
 
     /// P3 for the continuous-discrete constructions: D2B and distance
