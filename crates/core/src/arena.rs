@@ -364,16 +364,20 @@ impl DynamicSystem {
                     tasks.push((u as u32, Id(rng.gen())));
                 }
             }
-            let results = scheduled_map(n_new, tasks, SLOT_BLOCK, |(u, fake_point)| {
+            // One sum per chunk of requests, not one result per request:
+            // both counters are additive.
+            let chunks: Vec<&[(u32, Id)]> = tasks.chunks(SLOT_BLOCK).collect();
+            let results = scheduled_map(n_new, chunks, 1, |chunk| {
                 let mut m = Metrics::new();
-                let accepted = accepts_spurious(&old_views, u as usize, fake_point, &mut m);
+                let mut accepted = 0;
+                for &(u, point) in chunk {
+                    accepted += u64::from(accepts_spurious(&old_views, u as usize, point, &mut m));
+                }
                 (m, accepted)
             });
             for (m, accepted) in &results {
                 metrics.merge(m);
-                if *accepted {
-                    stats.spurious_accepted += 1;
-                }
+                stats.spurious_accepted += accepted;
             }
         }
 

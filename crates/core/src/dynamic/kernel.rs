@@ -2,7 +2,7 @@
 //!
 //! There is one epoch loop ([`DynamicSystem`](crate::dynamic::DynamicSystem))
 //! over one storage layout ([`crate::graph`]). Its RNG-free work goes
-//! through the two functions here, and a generation of at least
+//! through the functions here, and a generation of at least
 //! [`FAN_OUT_MIN_IDS`] identities runs it on worker threads:
 //!
 //! * the build's slot searches go through `scheduled_stream`: the
@@ -16,11 +16,34 @@
 //! Both run on `tg_sim`'s one worker pool. A smaller generation runs
 //! both on the calling thread, with no thread spawned and no channel
 //! opened. Results come back in input order either way, so
-//! observations do not depend on the schedule.
+//! observations do not depend on the schedule. The §IV string flood
+//! (`tg_pow::strings`) takes the same rule through [`scheduled_steps`]:
+//! on a graph of at least [`FAN_OUT_MIN_IDS`] groups its steps run in
+//! blocks of nodes on [`tg_sim::map_steps`]'s workers.
 //!
-//! Below the threshold, spawning threads every phase costs more than it
-//! saves: on 2 cores a d2b epoch fanned out takes ×1.05 the serial time
-//! at n = 300 and ×0.94 at 1 000, but ×0.76–0.80 from 2 000 to 10 000.
+//! Below the threshold, spawning threads costs more than it saves.
+//! Wall per epoch, fanned out ÷ serial, on 2 cores (available
+//! parallelism 2): per round, one seed's 4 timed epochs each way,
+//! alternating which way runs first; the median ratio over the rounds,
+//! with its quartiles. The measurement was run twice, minutes apart on
+//! a shared host:
+//!
+//! | epoch, run | 300 | 500 | 1 000 | 2 000 |
+//! |---|---|---|---|---|
+//! | §IV system (chord, `f∘g`, flood), 1 | ×1.08 (0.89–1.37) | ×0.84 (0.75–1.05) | ×0.71 (0.69–0.80) | ×0.65 (0.64–0.67) |
+//! | §IV system, 2 | ×1.17 (1.03–1.33) | ×1.01 (0.87–1.24) | ×0.69 (0.67–0.73) | ×0.67 (0.62–0.72) |
+//! | honest d2b, no PoW, 1 | ×0.83 (0.78–0.92) | ×0.72 (0.66–0.92) | ×0.62 (0.60–0.66) | ×0.64 (0.58–0.74) |
+//! | honest d2b, no PoW, 2 | ×1.04 (1.01–1.06) | ×1.02 (0.99–1.03) | ×1.02 (1.01–1.03) | ×0.68 (0.56–0.97) |
+//!
+//! (20 rounds per §IV cell, 30 per d2b cell; at each size, the §IV
+//! epochs run the benchmark's `pow_protocol` label with its honest
+//! strategy, the d2b ones its `scale_honest` label.) At 300 the §IV
+//! epoch loses in both runs. From 500 up no median is worse than ×1.02,
+//! and the §IV epoch, whose flood fans out too, gains ≈ 30 % from 1 000
+//! up in both runs. So the threshold is 500: the benchmark's
+//! 10³-identity `pow_protocol` epochs fan out, and its 316-identity
+//! `net_faulty` epochs stay serial.
+//!
 //! Inside a sweep worker the epoch is serial at any size, because a
 //! map called from a map's worker runs on that worker instead of
 //! spawning a second layer of threads. The calling thread counts as a
@@ -32,11 +55,12 @@
 //! only so that labels carrying it, which are store keys, still parse
 //! and re-encode byte-identically.
 
-use tg_sim::{parallel_map, stream_map};
+use tg_sim::{map_steps, parallel_map, stream_map};
 
 /// The smallest generation (identities, good and bad) whose epoch fans
-/// its RNG-free phases out over worker threads.
-pub const FAN_OUT_MIN_IDS: usize = 2_000;
+/// its RNG-free phases out over worker threads, and the smallest graph
+/// (in groups) whose string flood does.
+pub const FAN_OUT_MIN_IDS: usize = 500;
 
 /// The retired schedule token (`kernel=legacy|arena`): parsed and
 /// re-encoded, never read.
@@ -109,6 +133,36 @@ where
         produce(&mut |item| out.push(f(item)));
         out
     }
+}
+
+/// [`tg_sim::map_steps`] for lockstep steps over a graph of `ids`
+/// groups (the string flood): the blocks of each step fan out over
+/// worker threads when `ids` reaches [`FAN_OUT_MIN_IDS`]; otherwise the
+/// state is one block, stepped on the calling thread.
+pub fn scheduled_steps<B, C, R, F, J>(
+    ids: usize,
+    steps: usize,
+    cut: impl FnOnce(usize) -> Vec<B>,
+    ctx: C,
+    step: F,
+    mut join: J,
+) -> C
+where
+    B: Send,
+    C: Send + Sync,
+    R: Send,
+    F: Fn(&C, &mut B) -> R + Sync,
+    J: FnMut(&mut C, Vec<R>),
+{
+    if ids >= FAN_OUT_MIN_IDS {
+        return map_steps(steps, cut, ctx, step, join);
+    }
+    let (mut ctx, mut blocks) = (ctx, cut(1));
+    for _ in 0..steps {
+        let results = blocks.iter_mut().map(|block| step(&ctx, block)).collect();
+        join(&mut ctx, results);
+    }
+    ctx
 }
 
 /// Run `f` once inside a [`tg_sim::parallel_map`] worker, where every

@@ -16,7 +16,7 @@
 use crate::dynamic::kernel::scheduled_map;
 use crate::graph::GroupGraphView;
 use crate::params::Params;
-use crate::routing::{walk_route, SearchOutcome};
+use crate::routing::{walk_route, with_route, SearchOutcome};
 use rand::rngs::StdRng;
 use rand::Rng;
 use tg_idspace::Id;
@@ -60,13 +60,15 @@ pub fn measure_robustness<G: GroupGraphView + Sync>(
 ) -> RobustnessReport {
     let per_search = scheduled_map(gg.len(), draw_sample(gg, searches, rng), 64, |(from, key)| {
         let mut m = Metrics::new();
-        // Keep the route: its truncated prefix is the responsibility count.
-        let route = gg.topology().route(from, key);
-        let out = walk_route(gg, &route.hops, &mut m);
-        let mut idx = route.hops[..out.hops()].to_vec();
-        idx.sort_unstable();
-        idx.dedup();
-        (m, out, idx)
+        with_route(gg, from, key, |hops| {
+            let out = walk_route(gg, hops, &mut m);
+            // The truncated prefix is the responsibility count.
+            let traversed = &mut hops[..out.hops()];
+            traversed.sort_unstable();
+            let mut idx = traversed.to_vec();
+            idx.dedup();
+            (m, out, idx)
+        })
     });
 
     let mut metrics = Metrics::new();

@@ -16,6 +16,7 @@
 //!   account messages exactly (E3).
 
 use crate::graph::GroupGraphView;
+use std::cell::RefCell;
 use tg_ba::{majority_filter, AdversaryMode};
 use tg_idspace::Id;
 use tg_sim::Metrics;
@@ -76,7 +77,25 @@ pub fn search_path<G: GroupGraphView>(
     key: Id,
     metrics: &mut Metrics,
 ) -> SearchOutcome {
-    walk_route(gg, &gg.topology().route(from_leader, key).hops, metrics)
+    with_route(gg, from_leader, key, |hops| walk_route(gg, hops, metrics))
+}
+
+/// `f` of the hops of the route from `from_leader` to `key`, routed into
+/// a buffer that each thread reuses, so a search allocates nothing. `f`
+/// must not route again.
+pub(crate) fn with_route<G: GroupGraphView, R>(
+    gg: &G,
+    from_leader: usize,
+    key: Id,
+    f: impl FnOnce(&mut [usize]) -> R,
+) -> R {
+    thread_local! {
+        static HOPS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+    HOPS.with_borrow_mut(|hops| {
+        gg.topology().route_into(from_leader, key, hops);
+        f(hops)
+    })
 }
 
 /// [`search_path`] over the `hops` of a route already computed: walks

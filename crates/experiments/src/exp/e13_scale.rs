@@ -8,9 +8,9 @@
 //! size ([`tg_core::dynamic::kernel`]): rungs below `FAN_OUT_MIN_IDS`
 //! identities run on the calling thread, the rest fan their searches,
 //! attack pass and measurements out over worker threads. Quick mode
-//! climbs from 10³ to 10⁴ identities, across that size, so the CI smoke
-//! step stays in seconds; `--full` climbs to the titular 10⁶-identity
-//! rung.
+//! climbs from 300 to 5 000 identities, across that size, so the CI
+//! smoke step stays in seconds; `--full` climbs to the titular
+//! 10⁶-identity rung.
 
 use std::time::Instant;
 
@@ -54,7 +54,7 @@ pub fn rungs(opts: &Options) -> Vec<Rung> {
     if opts.full {
         vec![rung(9_500, 3), rung(95_000, 2), rung(285_000, 2), rung(950_000, 2)]
     } else {
-        vec![rung(950, 3), rung(1_900, 3), rung(4_750, 2)]
+        vec![rung(285, 3), rung(950, 3), rung(1_900, 3), rung(4_750, 2)]
     }
 }
 

@@ -17,7 +17,7 @@
 //! table stops at the first finger point at or before the node's ring
 //! successor, so a node costs `≈ log2 n + O(1)` ring lookups to link.
 
-use crate::graph::{InputGraph, Route};
+use crate::graph::InputGraph;
 use tg_idspace::{Id, SortedRing};
 
 /// The Chord overlay over a fixed ring.
@@ -145,10 +145,10 @@ impl InputGraph for Chord {
         self.row(i).iter().map(|&j| j as usize).collect()
     }
 
-    fn route(&self, from: usize, key: Id) -> Route {
+    fn route_into(&self, from: usize, key: Id, hops: &mut Vec<usize>) {
         debug_assert!(from < self.ring.len(), "route from an index off the ring");
         let target = self.ring.successor_index(key);
-        let mut hops = Vec::with_capacity(Self::HOPS_CAPACITY);
+        hops.clear();
         hops.push(from);
         let mut current = from;
         // Greedy progress strictly shrinks the index arc to the target,
@@ -166,7 +166,10 @@ impl InputGraph for Chord {
                 hops.len()
             );
         }
-        Route { hops }
+    }
+
+    fn hops_capacity(&self) -> usize {
+        Self::HOPS_CAPACITY
     }
 
     fn route_len_bound(&self) -> usize {

@@ -18,7 +18,7 @@
 //! walk then reaches `suc(key)`. Route length is `k + O(1)` expected,
 //! i.e. `O(log N)` (property P1); degree is `O(1)` in expectation.
 
-use crate::graph::{ceil_log2, continuous_discrete_links, ring_walk, InputGraph, Route};
+use crate::graph::{ceil_log2, continuous_discrete_links, ring_walk, InputGraph};
 use tg_idspace::{Id, SortedRing};
 
 /// The D2B overlay over a fixed ring.
@@ -50,16 +50,12 @@ impl InputGraph for D2B {
         continuous_discrete_links(&self.ring, i)
     }
 
-    fn route(&self, from: usize, key: Id) -> Route {
+    fn route_into(&self, from: usize, key: Id, hops: &mut Vec<usize>) {
         debug_assert!(from < self.ring.len(), "route from an index off the ring");
-        // The initiator, at most k bit-steps and the ring correction. The
-        // walk ends within 2^{1-k} ≤ 1/(4n) of the key, so on a u.a.r.
-        // ring the correction is a hop or two and the buffer never
-        // regrows; a clustered ring's longer walk just grows it.
-        let mut hops = Vec::with_capacity(self.k as usize + 8);
+        hops.clear();
         hops.push(from);
         if self.ring.len() == 1 {
-            return Route { hops };
+            return;
         }
         // Bit-injection walk: feed the k-bit key prefix, least significant
         // bit first, so the final point is prefix_k(key) + from/2^k.
@@ -74,9 +70,16 @@ impl InputGraph for D2B {
         }
         // Final ring correction to the successor of the key.
         let target = self.ring.successor_index(key);
-        ring_walk(self.ring.len(), &mut hops, here, target);
+        ring_walk(self.ring.len(), hops, here, target);
         debug_assert_eq!(*hops.last().expect("non-empty"), target);
-        Route { hops }
+    }
+
+    fn hops_capacity(&self) -> usize {
+        // The initiator, at most k bit-steps and the ring correction. The
+        // walk ends within 2^{1-k} ≤ 1/(4n) of the key, so on a u.a.r.
+        // ring the correction is a hop or two and the buffer never
+        // regrows; a clustered ring's longer walk just grows it.
+        self.k as usize + 8
     }
 
     fn route_len_bound(&self) -> usize {

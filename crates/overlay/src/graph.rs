@@ -56,9 +56,25 @@ pub trait InputGraph: Send + Sync {
     fn neighbor_indices(&self, i: usize) -> Vec<usize>;
 
     /// Route from the ID at ring index `from` to the ID responsible for
-    /// `key` (property P1). Both the initiator and resolver appear in the
-    /// route, as ring indices (see [`Route`]).
-    fn route(&self, from: usize, key: Id) -> Route;
+    /// `key` (property P1), into `hops`: cleared, then filled with the
+    /// route's ring indices, initiator first and resolver last (see
+    /// [`Route`]). A caller that routes often reuses one buffer, so a
+    /// route allocates nothing.
+    fn route_into(&self, from: usize, key: Id, hops: &mut Vec<usize>);
+
+    /// [`InputGraph::route_into`] a fresh buffer of
+    /// [`InputGraph::hops_capacity`] hops.
+    fn route(&self, from: usize, key: Id) -> Route {
+        let mut hops = Vec::with_capacity(self.hops_capacity());
+        self.route_into(from, key, &mut hops);
+        Route { hops }
+    }
+
+    /// The capacity [`InputGraph::route`] gives a fresh route's hops:
+    /// enough that a route on a u.a.r. ring never regrows it.
+    fn hops_capacity(&self) -> usize {
+        self.route_len_bound()
+    }
 
     /// An a-priori bound on route length for this topology and ring size,
     /// used by tests and by the harness to size message buffers.

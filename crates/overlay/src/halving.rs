@@ -20,8 +20,12 @@
 //! we derive `σ` deterministically from `(source, key)` via splitmix so
 //! simulations replay exactly.
 
-use crate::graph::{ceil_log2, continuous_discrete_links, mix64, ring_walk, InputGraph, Route};
+use crate::graph::{ceil_log2, continuous_discrete_links, mix64, ring_walk, InputGraph};
 use tg_idspace::{Id, SortedRing};
+
+/// The longest halving walk: `k` never exceeds it, so a route keeps its
+/// target images on the stack.
+const MAX_K: u32 = 60;
 
 /// The distance-halving overlay over a fixed ring.
 #[derive(Clone, Debug)]
@@ -38,7 +42,7 @@ impl DistanceHalving {
     /// Panics if the ring is empty.
     pub fn new(ring: SortedRing) -> Self {
         assert!(!ring.is_empty(), "distance-halving over an empty ring");
-        let k = (ceil_log2(ring.len()) + 3).min(60);
+        let k = (ceil_log2(ring.len()) + 3).min(MAX_K);
         DistanceHalving { ring, k }
     }
 
@@ -75,16 +79,13 @@ impl InputGraph for DistanceHalving {
         continuous_discrete_links(&self.ring, i)
     }
 
-    fn route(&self, from: usize, key: Id) -> Route {
+    fn route_into(&self, from: usize, key: Id, hops: &mut Vec<usize>) {
         debug_assert!(from < self.ring.len(), "route from an index off the ring");
-        // The initiator, the two k-step σ-walks and the ring walks that
-        // bridge them; on a u.a.r. ring those are a hop or two each (see
-        // `D2B::route`), and a clustered ring's longer walks grow it.
-        let mut hops = Vec::with_capacity(2 * self.k as usize + 8);
+        hops.clear();
         hops.push(from);
         let n = self.ring.len();
         if n == 1 {
-            return Route { hops };
+            return;
         }
         let from_id = self.ring.at(from);
         let sigma = self.sigma(from_id, key);
@@ -94,33 +95,39 @@ impl InputGraph for DistanceHalving {
         let mut x = from_id;
         let mut y = key;
         let mut here = from;
-        let mut y_images = Vec::with_capacity(self.k as usize + 1);
-        y_images.push(y);
+        let mut y_images = [y; MAX_K as usize + 1];
         for j in 0..self.k {
             let bit = (sigma >> j) & 1 == 1;
             x = Self::apply(x, bit);
             y = Self::apply(y, bit);
-            y_images.push(y);
-            here = self.push_cover(&mut hops, x);
+            y_images[j as usize + 1] = y;
+            here = self.push_cover(hops, x);
         }
 
         // Bridge the (now ≤ 2^{-k}) gap between the two images on the ring.
         let there = self.ring.covering_index(y);
-        ring_walk(n, &mut hops, here, there);
+        ring_walk(n, hops, here, there);
 
         // Reverse σ-walk down the target images (doubling edges) until the
         // node covering the key itself.
         let mut cover = there;
-        for &img in y_images.iter().rev().skip(1) {
-            cover = self.push_cover(&mut hops, img);
+        for &img in y_images[..self.k as usize].iter().rev() {
+            cover = self.push_cover(hops, img);
         }
 
         // The covering node of the key is its predecessor; the responsible
         // ID is the successor. One final ring hop if they differ.
         let target = self.ring.successor_index(key);
-        ring_walk(n, &mut hops, cover, target);
+        ring_walk(n, hops, cover, target);
         debug_assert_eq!(*hops.last().expect("non-empty"), target);
-        Route { hops }
+    }
+
+    fn hops_capacity(&self) -> usize {
+        // The initiator, the two k-step σ-walks and the ring walks that
+        // bridge them; on a u.a.r. ring those are a hop or two each (see
+        // `D2B::hops_capacity`), and a clustered ring's longer walks grow
+        // it.
+        2 * self.k as usize + 8
     }
 
     fn route_len_bound(&self) -> usize {

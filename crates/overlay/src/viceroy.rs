@@ -20,7 +20,7 @@
 //! *worst-case* degree — the strongest state profile of the three
 //! implemented graphs.
 
-use crate::graph::{ceil_log2, mix64, ring_walk, InputGraph, Route};
+use crate::graph::{ceil_log2, mix64, ring_walk, InputGraph};
 use tg_idspace::{Id, RingDistance, SortedRing};
 
 /// The Viceroy-style butterfly over a fixed ring.
@@ -128,19 +128,19 @@ impl InputGraph for Viceroy {
         out
     }
 
-    fn route(&self, from: usize, key: Id) -> Route {
+    fn route_into(&self, from: usize, key: Id, hops: &mut Vec<usize>) {
         debug_assert!(from < self.ring.len(), "route from an index off the ring");
-        let mut hops = Vec::with_capacity(self.route_len_bound());
+        hops.clear();
         hops.push(from);
         if self.ring.len() == 1 {
-            return Route { hops };
+            return;
         }
         // Ascend to level 1.
         let mut cur = from as u32;
         while self.level_of[cur as usize] > 1 {
             let next =
                 self.nearest_at_level(self.level_of[cur as usize] - 1, self.ring.at(cur as usize));
-            Self::push(&mut hops, next);
+            Self::push(hops, next);
             cur = next;
         }
         // Descend, halving the clockwise distance scale per level. Each
@@ -162,7 +162,7 @@ impl InputGraph for Viceroy {
             if next == cur {
                 break;
             }
-            Self::push(&mut hops, next);
+            Self::push(hops, next);
             cur = next;
         }
 
@@ -195,16 +195,15 @@ impl InputGraph for Viceroy {
                 if guard == 0 || idx_dist(best_m as usize) >= here {
                     break;
                 }
-                Self::push(&mut hops, best_m);
+                Self::push(hops, best_m);
                 cur = best_m;
                 pos = best_pos;
             }
         }
 
         // Fine ring walk to the responsible ID.
-        ring_walk(n, &mut hops, cur as usize, target);
+        ring_walk(n, hops, cur as usize, target);
         debug_assert_eq!(*hops.last().expect("non-empty"), target);
-        Route { hops }
     }
 
     fn route_len_bound(&self) -> usize {

@@ -34,6 +34,8 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::ops::Range;
+use tg_core::dynamic::kernel::scheduled_steps;
 use tg_core::GroupGraphView;
 use tg_sim::Summary;
 
@@ -156,6 +158,17 @@ struct Nodes {
     forwards: Vec<u32>,
 }
 
+/// Rows `first..` of every column of [`Nodes`]: the nodes one block of
+/// a flood step owns.
+struct Rows<'a> {
+    first: usize,
+    words: usize,
+    num_bins: usize,
+    seen: &'a mut [u64],
+    accepted: &'a mut [u64],
+    forwards: &'a mut [u32],
+}
+
 /// One node's rows of [`Nodes`].
 struct Node<'a> {
     seen: &'a mut [u64],
@@ -175,13 +188,10 @@ impl Nodes {
         }
     }
 
-    fn node(&mut self, j: usize) -> Node<'_> {
-        let (w, b) = (self.words, self.num_bins);
-        Node {
-            seen: &mut self.seen[j * w..][..w],
-            accepted: &mut self.accepted[j * w..][..w],
-            forwards: &mut self.forwards[j * b..][..b],
-        }
+    fn rows(&mut self) -> Rows<'_> {
+        let (words, num_bins) = (self.words, self.num_bins);
+        let (seen, accepted, forwards) = (&mut self.seen, &mut self.accepted, &mut self.forwards);
+        Rows { first: 0, words, num_bins, seen, accepted, forwards }
     }
 
     fn seen(&self, j: usize) -> &[u64] {
@@ -190,6 +200,28 @@ impl Nodes {
 
     fn accepted(&self, j: usize) -> &[u64] {
         &self.accepted[j * self.words..][..self.words]
+    }
+}
+
+impl<'a> Rows<'a> {
+    /// The rows before node `j` and the rows from `j` on.
+    fn split_at(self, j: usize) -> (Rows<'a>, Rows<'a>) {
+        let (w, b, at) = (self.words, self.num_bins, j - self.first);
+        let (seen, seen_rest) = self.seen.split_at_mut(at * w);
+        let (accepted, accepted_rest) = self.accepted.split_at_mut(at * w);
+        let (forwards, forwards_rest) = self.forwards.split_at_mut(at * b);
+        let head = Rows { first: self.first, words: w, num_bins: b, seen, accepted, forwards };
+        let (seen, accepted, forwards) = (seen_rest, accepted_rest, forwards_rest);
+        (head, Rows { first: j, words: w, num_bins: b, seen, accepted, forwards })
+    }
+
+    fn node(&mut self, j: usize) -> Node<'_> {
+        let (w, b, at) = (self.words, self.num_bins, j - self.first);
+        Node {
+            seen: &mut self.seen[at * w..][..w],
+            accepted: &mut self.accepted[at * w..][..w],
+            forwards: &mut self.forwards[at * b..][..b],
+        }
     }
 }
 
@@ -297,6 +329,14 @@ fn release_step(steps_total: u64, release_frac: f64) -> u64 {
 /// in the order it forwarded them — and then the strings injected at it
 /// this step, in injection order. What the last step forwards is still
 /// received (the epoch boundary) but triggers no further forwards.
+///
+/// **Schedule.** On a graph of at least
+/// [`FAN_OUT_MIN_IDS`](tg_core::dynamic::kernel::FAN_OUT_MIN_IDS)
+/// groups, each step runs in blocks of consecutive giant nodes on worker
+/// threads. The order above still holds: within a step a node reads only
+/// what was forwarded the step before and writes only its own state, and
+/// the blocks' forwards are joined in node order before the next step.
+/// So the outcome is the serial one for any thread count.
 pub fn run_string_protocol<G: GroupGraphView>(
     gg: &G,
     params: &StringParams,
@@ -422,56 +462,24 @@ pub fn run_string_protocol<G: GroupGraphView>(
     }
     let bins = RankBins::new(bin_of, cap);
 
-    let mut nodes = Nodes::new(n, num_bins, schedule.len());
-    // What the giant forwarded last step, and what it forwards this one:
-    // one buffer each, node `j`'s strings at `span[j]`.
-    let (mut sent, mut sending) = (Vec::<StringId>::new(), Vec::<StringId>::new());
-    let (mut sent_span, mut sending_span) = (vec![0..0; n], vec![0..0; n]);
-    let mut si_star: Vec<Option<StringId>> = vec![None; n];
-    let mut forwards = 0u64;
-    let mut messages = 0u64;
-    let mut inj_cursor = 0usize;
-
     // One round beyond the timeline: the last step's sends are received
     // at the epoch boundary, and nothing is injected or forwarded there.
     // A bad leader's group still has a good member majority if blue, so
     // the group forwards correctly: leader badness does not change
     // blue-group behaviour, and every giant node takes part.
-    for step in 0..=steps_total {
-        let on_timeline = step < steps_total;
-        sending.clear();
-        for &j in &giant {
-            let mut node = nodes.node(j);
-            let start = sending.len();
-            for &i in &senders[j] {
-                for &s in &sent[sent_span[i as usize].clone()] {
-                    node.receive(s, &bins, &mut sending);
-                }
-            }
-            if on_timeline {
-                while let Some(&(_, _, s)) =
-                    schedule.get(inj_cursor).filter(|&&(at, node, _)| (at, node) == (step, j))
-                {
-                    node.receive(s, &bins, &mut sending);
-                    inj_cursor += 1;
-                }
-            } else {
-                sending.truncate(start);
-            }
-            let out = (sending.len() - start) as u64;
-            forwards += out * fanout[j];
-            messages += out * weight[j];
-            sending_span[j] = start..sending.len();
-        }
-        std::mem::swap(&mut sent, &mut sending);
-        std::mem::swap(&mut sent_span, &mut sending_span);
-        // End of Phase 2: snapshot minima.
-        if step + 1 == phase_len {
-            for &i in &giant {
-                si_star[i] = lowest(nodes.seen(i));
-            }
-        }
-    }
+    let flood = Flood { senders, fanout, weight, bins, schedule, steps_total, phase_len };
+    let mut nodes = Nodes::new(n, num_bins, flood.schedule.len());
+    let mut si_star: Vec<Option<StringId>> = vec![None; giant.len()];
+    let (rows, si, giant) = (nodes.rows(), si_star.as_mut_slice(), giant.as_slice());
+    let last = Sent { step: 0, strings: Vec::new(), span: vec![0..0; n], forwards: 0, messages: 0 };
+    let Sent { forwards, messages, .. } = scheduled_steps(
+        n,
+        steps_total as usize + 1,
+        move |k| cut_blocks(k, giant, rows, si),
+        last,
+        |last, block| flood.step(last, block),
+        |last, blocks| last.join(giant, blocks),
+    );
 
     // Solution sets: the rmax smallest accepted strings.
     let good_giant: Vec<usize> =
@@ -482,11 +490,10 @@ pub fn run_string_protocol<G: GroupGraphView>(
     // Lemma 12 (i): every si* is in everyone's solution set. There are
     // few distinct si* (usually one), so count each once per solution
     // set and weigh it by how many nodes hold it as their si*.
-    let mut holders = vec![0u64; schedule.len()];
-    for &i in &good_giant {
-        if let Some(s) = si_star[i] {
-            holders[s as usize] += 1;
-        }
+    let mut holders = vec![0u64; key_of.len()];
+    let good_si_stars = giant.iter().zip(&si_star).filter(|&(&i, _)| !gg.leaders().is_bad(i));
+    for s in good_si_stars.filter_map(|(_, &s)| s) {
+        holders[s as usize] += 1;
     }
     let si_stars: Vec<(StringId, u64)> =
         (0..).zip(holders).filter(|&(_, held_by)| held_by > 0).collect();
@@ -512,6 +519,142 @@ pub fn run_string_protocol<G: GroupGraphView>(
         steps: steps_total,
         global_min_key,
     }
+}
+
+/// Everything about a flood that is fixed before its first step: who
+/// pulls from whom (`senders[j]`, ascending), per sender the giant
+/// out-links one forwarded string costs (`fanout`) and their all-to-all
+/// messages (`weight`), the bins, and the injections, sorted by
+/// `(step, node)`.
+struct Flood {
+    senders: Vec<Vec<u32>>,
+    fanout: Vec<u64>,
+    weight: Vec<u64>,
+    bins: RankBins,
+    schedule: Vec<(u64, usize, StringId)>,
+    steps_total: u64,
+    phase_len: u64,
+}
+
+/// What a step reads: its number, what the giant forwarded the step
+/// before (node `j`'s strings at `span[j]`), and the totals so far.
+struct Sent {
+    step: u64,
+    strings: Vec<StringId>,
+    span: Vec<Range<usize>>,
+    forwards: u64,
+    messages: u64,
+}
+
+/// A run of giant nodes, ascending, with their rows of [`Nodes`] and
+/// their Phase 2 snapshots.
+struct Block<'a> {
+    nodes: &'a [usize],
+    rows: Rows<'a>,
+    si_star: &'a mut [Option<StringId>],
+    /// How many strings the block forwarded last step: the next
+    /// buffer's starting capacity.
+    last_len: usize,
+}
+
+/// What one block forwarded in one step: its strings in node order,
+/// where each node's strings end, and what they cost.
+struct Forwarded {
+    strings: Vec<StringId>,
+    ends: Vec<usize>,
+    forwards: u64,
+    messages: u64,
+}
+
+impl Flood {
+    /// Step every node of `block`, in ascending ring index, against
+    /// what the giant forwarded last step.
+    fn step(&self, last: &Sent, block: &mut Block<'_>) -> Forwarded {
+        let (step, on_timeline) = (last.step, last.step < self.steps_total);
+        let mut sending = Vec::with_capacity(block.last_len);
+        let mut ends = Vec::with_capacity(block.nodes.len());
+        let (mut forwards, mut messages) = (0, 0);
+        // This step's injections at the block's nodes: a sub-run of the
+        // schedule.
+        let first = block.nodes.first().map_or(0, |&j| j);
+        let mut injected = self.schedule.partition_point(|&(at, j, _)| (at, j) < (step, first));
+        for &j in block.nodes {
+            let mut node = block.rows.node(j);
+            let start = sending.len();
+            for &i in &self.senders[j] {
+                for &s in &last.strings[last.span[i as usize].clone()] {
+                    node.receive(s, &self.bins, &mut sending);
+                }
+            }
+            if on_timeline {
+                while let Some(&(_, _, s)) =
+                    self.schedule.get(injected).filter(|&&(at, node, _)| (at, node) == (step, j))
+                {
+                    node.receive(s, &self.bins, &mut sending);
+                    injected += 1;
+                }
+            } else {
+                sending.truncate(start);
+            }
+            let out = (sending.len() - start) as u64;
+            forwards += out * self.fanout[j];
+            messages += out * self.weight[j];
+            ends.push(sending.len());
+        }
+        // End of Phase 2: snapshot minima.
+        if step + 1 == self.phase_len {
+            for (si, &j) in block.si_star.iter_mut().zip(block.nodes) {
+                *si = lowest(block.rows.node(j).seen);
+            }
+        }
+        block.last_len = sending.len();
+        Forwarded { strings: sending, ends, forwards, messages }
+    }
+}
+
+impl Sent {
+    /// Take in what the blocks of `giant` forwarded this step, in block
+    /// order (which is node order): the next step reads it.
+    fn join(&mut self, giant: &[usize], blocks: Vec<Forwarded>) {
+        self.strings.clear();
+        let mut nodes = giant.iter();
+        for block in blocks {
+            let offset = self.strings.len();
+            let mut start = offset;
+            // `ends` leads the zip, so it stops without taking the next
+            // block's first node.
+            for (end, &j) in block.ends.into_iter().zip(nodes.by_ref()) {
+                self.span[j] = start..offset + end;
+                start = offset + end;
+            }
+            self.strings.extend(block.strings);
+            self.forwards += block.forwards;
+            self.messages += block.messages;
+        }
+        self.step += 1;
+    }
+}
+
+/// Cut `giant` into `k` runs of nodes (fewer if it is smaller), each
+/// with its rows and its snapshot slots.
+fn cut_blocks<'a>(
+    k: usize,
+    giant: &'a [usize],
+    mut rows: Rows<'a>,
+    mut si_star: &'a mut [Option<StringId>],
+) -> Vec<Block<'a>> {
+    let k = k.clamp(1, giant.len().max(1));
+    let mut blocks = Vec::with_capacity(k);
+    let mut taken = 0;
+    for b in 1..k {
+        let end = b * giant.len() / k;
+        let (head, tail) = rows.split_at(giant[end]);
+        let (si, si_rest) = std::mem::take(&mut si_star).split_at_mut(end - taken);
+        blocks.push(Block { nodes: &giant[taken..end], rows: head, si_star: si, last_len: 0 });
+        (rows, si_star, taken) = (tail, si_rest, end);
+    }
+    blocks.push(Block { nodes: &giant[taken..], rows, si_star, last_len: 0 });
+    blocks
 }
 
 /// Largest connected component of the (blue) adjacency.
@@ -755,6 +898,63 @@ mod tests {
         StringAdversary::ForcedRecords { strings: 3, release_frac: 0.49 },
     ];
 
+    /// `run` on the test thread and inside a [`tg_sim::parallel_map`]
+    /// worker, where the flood steps serially, must print the same
+    /// outcome. With one CPU both run on the calling thread.
+    fn assert_schedules_agree(run: impl Fn() -> String + Sync, what: &str) {
+        let fanned = run();
+        let mut serial = tg_sim::parallel_map(vec![true, false], |go| go.then(&run));
+        assert_eq!(fanned, serial.swap_remove(0).expect("the first item runs"), "{what}");
+    }
+
+    /// A graph of at least [`FAN_OUT_MIN_IDS`] groups floods in blocks
+    /// over worker threads on the test thread, and as one block inside
+    /// a sweep worker: the outcomes must be byte-identical, for static
+    /// graphs at the fan-out size and above it, every adversary, the
+    /// default and the starved constants (which leave `missing_pairs`
+    /// non-zero), and a graph an epoch built.
+    ///
+    /// [`FAN_OUT_MIN_IDS`]: tg_core::dynamic::kernel::FAN_OUT_MIN_IDS
+    #[test]
+    fn fanned_out_floods_match_serial_ones() {
+        use tg_core::dynamic::kernel::FAN_OUT_MIN_IDS;
+        use tg_core::dynamic::{BuildMode, DynamicSystem, UniformProvider};
+
+        let defaults = StringParams::default();
+        let starved = StringParams { dprime: 0.4, c0: 0.3, d0: 0.4, ..defaults };
+        for n in [FAN_OUT_MIN_IDS, 1200] {
+            let gg = graph(n - n / 20, n / 20, n as u64);
+            for params in [defaults, starved] {
+                for adv in ADVERSARIES {
+                    let run = || {
+                        let mut rng = StdRng::seed_from_u64(43);
+                        format!("{:?}", run_string_protocol(&gg, &params, adv, &mut rng))
+                    };
+                    assert_schedules_agree(run, &format!("n = {n}, {params:?}, {adv:?}"));
+                }
+            }
+        }
+
+        let mut provider = UniformProvider { n_good: FAN_OUT_MIN_IDS, n_bad: 40 };
+        let mut sys = DynamicSystem::new(
+            Params::paper_defaults(),
+            GraphKind::Chord,
+            BuildMode::DualGraph,
+            &mut provider,
+            44,
+        );
+        sys.advance_epoch(&mut provider);
+        let side0 = sys.graphs().side(0);
+        assert!(side0.len() >= FAN_OUT_MIN_IDS, "the epoch's graph fans out");
+        for adv in ADVERSARIES {
+            let run = || {
+                let mut rng = StdRng::seed_from_u64(45);
+                format!("{:?}", run_string_protocol(&side0, &starved, adv, &mut rng))
+            };
+            assert_schedules_agree(run, &format!("arena graph, {adv:?}"));
+        }
+    }
+
     #[test]
     fn all_red_graph_has_an_empty_giant() {
         let gg = graph(64, 0, 31);
@@ -933,7 +1133,7 @@ mod tests {
             let (mut out, mut model_out) = (Vec::new(), Vec::new());
             for _ in 0..rng.gen_range(1..3 * num_strings) {
                 let s = rng.gen_range(0..num_strings as StringId);
-                let accepted = nodes.node(0).receive(s, &bins, &mut out);
+                let accepted = nodes.rows().node(0).receive(s, &bins, &mut out);
                 let expected = model.offer(s, of[s as usize] as usize, cap, rmax, &mut model_out);
                 assert_eq!(accepted, expected, "case {case}: accepting {s}");
                 assert_eq!(out, model_out, "case {case}: forwarding {s}");

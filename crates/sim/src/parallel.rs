@@ -14,6 +14,12 @@
 //! (e.g. `n = 2^10` next to `n = 2^17`) still balance, and the calling
 //! thread joins the spawned workers once the producer is done.
 //!
+//! [`map_steps`] is the same contract for a computation in lockstep
+//! steps (the string flood): each step maps every block of some state
+//! against what the previous step produced, and the step's results are
+//! joined, in block order, before the next step starts. Its workers are
+//! spawned once for all the steps and sleep between them.
+//!
 //! Nesting is harmless: a call made from inside a worker (a sweep cell
 //! whose epoch fans out) runs serially on that worker instead of
 //! spawning a second layer of threads — the outer map already occupies
@@ -21,8 +27,11 @@
 //! either way. The calling thread counts as a worker while it drains,
 //! so a cell it takes is serial too.
 
+use std::any::Any;
 use std::cell::Cell;
-use std::sync::{mpsc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Condvar, Mutex, OnceLock, RwLock};
 
 thread_local! {
     /// Set on every worker thread a map spawns, and on the calling
@@ -43,13 +52,23 @@ impl Drop for WorkerMark {
 
 /// Threads a map may spawn beside the calling thread: one fewer than
 /// the available parallelism, or none inside another map's worker.
+///
+/// The parallelism is read once per process: on Linux the standard
+/// library answers it from the cgroup's CPU quota files, which costs
+/// about as much as spawning and joining a thread.
 fn spare_threads() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     if IN_WORKER.get() {
         0
     } else {
-        std::thread::available_parallelism().map_or(0, |p| p.get() - 1)
+        CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get())) - 1
     }
 }
+
+/// Blocks [`map_steps`] asks for per thread. More than one, so a
+/// thread that the host stops for a while holds up at most one small
+/// block of a step while the others take the rest.
+const BLOCKS_PER_THREAD: usize = 4;
 
 /// Apply `f` to every item, in parallel, returning results in input order.
 ///
@@ -153,10 +172,155 @@ where
     done.into_iter().map(|(_, r)| r).collect()
 }
 
+/// Run `steps` lockstep steps over blocks of state, joining each
+/// step's results in block order before the next step starts; returns
+/// the context as the last join left it.
+///
+/// `cut(k)` is called once and returns the blocks (asked for `k`; any
+/// non-empty number works). Each step applies `step(&ctx, block)` to
+/// every block — a block may only read `ctx` and its own state — and
+/// then `join(&mut ctx, results)` on the calling thread, with the
+/// results in block order. So the outcome is the serial one for any
+/// thread count, as long as it does not depend on how the state was
+/// cut.
+///
+/// The calling thread and one fewer than the available parallelism
+/// spawned workers take the blocks of a step, each the next unclaimed
+/// one when idle. The workers are spawned once, and sleep between the
+/// steps they take part in. A step ends when its blocks are done, not
+/// when every worker has looked in, so a worker that the host does not
+/// run for a while holds up at most the one block it took. With one
+/// CPU, or inside another map's worker, there is one block and no
+/// thread. A panic in `cut`, `step` or `join` propagates to the caller
+/// once the workers have stopped.
+pub fn map_steps<B, C, R, F, J>(
+    steps: usize,
+    cut: impl FnOnce(usize) -> Vec<B>,
+    ctx: C,
+    step: F,
+    mut join: J,
+) -> C
+where
+    B: Send,
+    C: Send + Sync,
+    R: Send,
+    F: Fn(&C, &mut B) -> R + Sync,
+    J: FnMut(&mut C, Vec<R>),
+{
+    let workers = spare_threads();
+    if workers == 0 || steps == 0 {
+        let (mut ctx, mut blocks) = (ctx, cut(1));
+        for _ in 0..steps {
+            let results = blocks.iter_mut().map(|block| step(&ctx, block)).collect();
+            join(&mut ctx, results);
+        }
+        return ctx;
+    }
+
+    let blocks: Vec<Mutex<B>> =
+        cut((workers + 1) * BLOCKS_PER_THREAD).into_iter().map(Mutex::new).collect();
+    let results: Vec<Mutex<Option<R>>> = blocks.iter().map(|_| Mutex::new(None)).collect();
+    let ctx = RwLock::new(ctx);
+    // The step's next unclaimed block. It is reset, and the context
+    // joined, only under the context's write lock, and blocks are
+    // claimed only under its read lock: every claim a thread makes
+    // under one read lock is of one step, against that step's context.
+    // (The lock orders the reset before the claims, hence `Relaxed`.)
+    let next = AtomicUsize::new(0);
+    // How many of the step's blocks are done; the caller waits for all.
+    let (done, all_done) = (Mutex::new(0), Condvar::new());
+    // Steps published so far, and whether to stop: what idle workers
+    // sleep on. The first step is out before any worker starts.
+    let (published, publish) = (Mutex::new((1u64, false)), Condvar::new());
+    let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+
+    // Take the step's blocks until none is left. A panic is kept for
+    // the caller, who stops after the step: the step still finishes.
+    let drain = || {
+        // Poisoned only by a join that panicked: the caller is stopping.
+        let Ok(ctx) = ctx.read() else { return };
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(block) = blocks.get(i) else { return };
+            let mapped = catch_unwind(AssertUnwindSafe(|| {
+                step(&ctx, &mut block.lock().expect("a block whose step panicked ends the steps"))
+            }));
+            match mapped {
+                Ok(r) => *results[i].lock().expect("unpoisoned") = Some(r),
+                Err(payload) => {
+                    failure.lock().expect("unpoisoned").get_or_insert(payload);
+                }
+            }
+            let mut done = done.lock().expect("unpoisoned");
+            *done += 1;
+            if *done == blocks.len() {
+                all_done.notify_one();
+            }
+        }
+    };
+
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                IN_WORKER.set(true);
+                let mut seen = 0;
+                loop {
+                    let mut state = published.lock().expect("unpoisoned");
+                    while state.0 == seen && !state.1 {
+                        state = publish.wait(state).expect("unpoisoned");
+                    }
+                    if state.1 {
+                        return;
+                    }
+                    seen = state.0;
+                    drop(state);
+                    drain();
+                }
+            });
+        }
+        let _mark = WorkerMark(IN_WORKER.replace(true));
+        for s in 1..=steps {
+            drain();
+            let mut finished = done.lock().expect("unpoisoned");
+            while *finished < blocks.len() {
+                finished = all_done.wait(finished).expect("unpoisoned");
+            }
+            *finished = 0;
+            drop(finished);
+            if failure.lock().expect("unpoisoned").is_some() {
+                break;
+            }
+            let mapped = results.iter().map(|r| r.lock().expect("unpoisoned").take());
+            let mapped = mapped.map(|r| r.expect("every block ran")).collect();
+            let joined = catch_unwind(AssertUnwindSafe(|| {
+                join(&mut ctx.write().expect("unpoisoned"), mapped);
+                // After the last step the blocks stay claimed: a worker
+                // that looks in late must find nothing left to step.
+                if s < steps {
+                    next.store(0, Ordering::Relaxed);
+                }
+            }));
+            if let Err(payload) = joined {
+                failure.lock().expect("unpoisoned").get_or_insert(payload);
+                break;
+            }
+            if s < steps {
+                published.lock().expect("unpoisoned").0 += 1;
+                publish.notify_all();
+            }
+        }
+        published.lock().expect("unpoisoned").1 = true;
+        publish.notify_all();
+    });
+    if let Some(payload) = failure.into_inner().expect("unpoisoned") {
+        resume_unwind(payload);
+    }
+    ctx.into_inner().expect("no join panicked")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 
     #[test]
@@ -364,5 +528,143 @@ mod tests {
             assert_ne!(i, 7, "item 7 fails");
             i
         });
+    }
+
+    /// A lockstep automaton for [`map_steps`]: cell `i` of the next row
+    /// mixes cells `i − 1`, `i`, `i + 1` of the last one. A block is a
+    /// run of cells plus a counter the caller owns, which a step bumps.
+    struct Row<'a> {
+        cells: std::ops::Range<usize>,
+        runs: &'a mut usize,
+    }
+
+    fn next_cell(row: &[u64], i: usize, step: u64) -> u64 {
+        let left = row[(i + row.len() - 1) % row.len()];
+        let right = row[(i + 1) % row.len()];
+        (left.rotate_left(7) ^ row[i].wrapping_mul(31) ^ right).wrapping_add(step)
+    }
+
+    /// `(step, row)` after `steps` steps of the automaton through
+    /// [`map_steps`], cut into at most `want` blocks (or as many as it
+    /// asks for); `runs` gets one counter per block.
+    fn automaton(
+        width: usize,
+        steps: usize,
+        want: Option<usize>,
+        runs: &mut Vec<usize>,
+    ) -> (u64, Vec<u64>) {
+        let first = (0..width as u64).map(|i| i * 0x9e37_79b9).collect();
+        map_steps(
+            steps,
+            |k| {
+                let k = want.unwrap_or(k).clamp(1, width.max(1));
+                *runs = vec![0; k];
+                let ends: Vec<usize> = (0..=k).map(|b| b * width / k).collect();
+                (ends.windows(2).zip(runs.iter_mut()))
+                    .map(|(w, runs)| Row { cells: w[0]..w[1], runs })
+                    .collect()
+            },
+            (0u64, first),
+            |(step, row): &(u64, Vec<u64>), block: &mut Row<'_>| {
+                *block.runs += 1;
+                let cells = block.cells.clone();
+                (cells.start, cells.map(|i| next_cell(row, i, *step)).collect::<Vec<_>>())
+            },
+            |(step, row), done: Vec<(usize, Vec<u64>)>| {
+                let mut next = Vec::with_capacity(row.len());
+                for (start, cells) in done {
+                    assert_eq!(start, next.len(), "blocks are joined in block order");
+                    next.extend(cells);
+                }
+                *row = next;
+                *step += 1;
+            },
+        )
+    }
+
+    fn automaton_serially(width: usize, steps: usize) -> (u64, Vec<u64>) {
+        let mut row: Vec<u64> = (0..width as u64).map(|i| i * 0x9e37_79b9).collect();
+        for step in 0..steps as u64 {
+            row = (0..width).map(|i| next_cell(&row, i, step)).collect();
+        }
+        (steps as u64, row)
+    }
+
+    #[test]
+    fn steps_match_the_serial_run_in_block_order() {
+        for (width, steps) in [(1, 5), (3, 4), (64, 9), (1000, 21)] {
+            let mut runs = Vec::new();
+            let out = automaton(width, steps, None, &mut runs);
+            assert_eq!(out, automaton_serially(width, steps), "width {width}");
+            assert!(runs.iter().all(|&r| r == steps), "width {width}: block runs {runs:?}");
+            let asked = if spare_threads() == 0 { 1 } else { (spare_threads() + 1) * 4 };
+            assert_eq!(runs.len(), asked.min(width), "width {width}");
+        }
+    }
+
+    #[test]
+    fn one_block_and_more_blocks_than_asked_for_both_work() {
+        for want in [1, 100] {
+            let mut runs = Vec::new();
+            let out = automaton(300, 7, Some(want), &mut runs);
+            assert_eq!(out, automaton_serially(300, 7), "{want} blocks");
+            assert_eq!(runs, vec![7; want], "{want} blocks");
+        }
+    }
+
+    #[test]
+    fn zero_steps_return_the_context_untouched() {
+        let mut runs = Vec::new();
+        let out = automaton(50, 0, None, &mut runs);
+        assert_eq!(out, automaton_serially(50, 0));
+        assert!(runs.iter().all(|&r| r == 0), "no block ran");
+    }
+
+    #[test]
+    fn steps_run_inline_inside_a_worker() {
+        let out = parallel_map(vec![0usize, 1], |row| {
+            let me = std::thread::current().id();
+            let mut asked = 0;
+            let threads = map_steps(
+                3,
+                |k| {
+                    asked = k;
+                    vec![(); 5]
+                },
+                Vec::new(),
+                |_, _| std::thread::current().id(),
+                |seen: &mut Vec<_>, done| seen.extend(done),
+            );
+            assert!(threads.iter().all(|&t| t == me), "item {row}: a step left its worker");
+            (asked, threads.len())
+        });
+        assert_eq!(out, vec![(1, 15), (1, 15)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 2 fails at step 3")]
+    fn steps_propagate_a_panic_in_a_step() {
+        map_steps(
+            6,
+            |k| (0..k.max(4)).collect(),
+            0usize,
+            |&step, &mut b: &mut usize| assert!((step, b) != (3, 2), "block 2 fails at step 3"),
+            |step, _| *step += 1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "the join fails")]
+    fn steps_propagate_a_panic_in_the_join() {
+        map_steps(
+            6,
+            |k| vec![(); k],
+            0usize,
+            |_, _| (),
+            |step, _| {
+                *step += 1;
+                assert_ne!(*step, 2, "the join fails");
+            },
+        );
     }
 }
