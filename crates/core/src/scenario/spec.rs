@@ -410,7 +410,8 @@ impl ScenarioSpec {
     /// request count past 65 536, more than 2²⁰ robustness searches
     /// (far above any sweep; the kernels' sizing arithmetic overflows
     /// near `usize::MAX`, and the searches are pre-drawn into one
-    /// buffer), a string adversary whose strings the flood
+    /// buffer), a hoarder grinding more than 2²⁴ attempts per epoch (it
+    /// keeps every solution), a string adversary whose strings the flood
     /// cannot rank (negative or non-finite compute `units`, or more than
     /// 65 536 strings), and axis combinations no transport can
     /// serve — a socket transport without an actor runtime has nobody
@@ -441,6 +442,11 @@ impl ScenarioSpec {
         }
         if self.searches > MAX_SEARCHES {
             return Err(ScenarioError::Unsupported("more than 2^20 searches per epoch"));
+        }
+        if let StrategySpec::PrecomputeHoarder { attempts, .. } = self.strategy {
+            if attempts > MAX_HOARDER_ATTEMPTS {
+                return Err(ScenarioError::Unsupported("a hoarder grinding past 2^24 attempts"));
+            }
         }
         let (strings, units) = match self.string_adversary {
             StringAdversarySpec::None => (0, 0.0),
@@ -484,6 +490,12 @@ const MAX_ATTACK_REQUESTS: usize = 1 << 16;
 /// Most robustness searches per epoch (`searches=`), each measurement
 /// pre-drawn into one buffer; the largest in use is 2 000.
 const MAX_SEARCHES: usize = 1 << 20;
+
+/// Most puzzle attempts a `precompute-hoarder` may grind per epoch; it
+/// runs every one and keeps every solution it finds. The largest budget
+/// in use is e11 `--full`'s β = 0.45 cell, ≈ 1 636 / 0.02 ≈ 8.2·10⁴
+/// attempts, so the cap leaves ≈ 200× headroom.
+const MAX_HOARDER_ATTEMPTS: u64 = 1 << 24;
 
 /// Most identities a spec may ask for (`n + bad`): every ring indexes its
 /// IDs with `u32`s (`SortedRing` holds fewer than `u32::MAX`). The

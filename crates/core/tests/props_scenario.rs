@@ -26,7 +26,8 @@ fn strategy(tag: u8, a: f64, b: f64, n: u64) -> StrategySpec {
         3 => StrategySpec::IntervalTargeting { victim: a, width: b },
         4 => StrategySpec::AdaptiveMajorityFlipper { margin: (n % 9) as usize },
         5 => StrategySpec::ChurnTimed { trigger: a, retainer: b },
-        _ => StrategySpec::PrecomputeHoarder { fam_seed: n, attempts: n.rotate_left(17) },
+        // Attempts stay below the codec's 2^24 hoarder cap.
+        _ => StrategySpec::PrecomputeHoarder { fam_seed: n, attempts: n.rotate_left(17) >> 40 },
     }
 }
 
@@ -368,15 +369,16 @@ fn empty_population_is_rejected() {
 /// and a `lat` of `u64::MAX` wrapped the fault fate's divisor to zero;
 /// a huge `d2` / `retries` / flipper margin overflowed `draws + 1`,
 /// `1 + retries` and `bad + 2·margin`; a string adversary's negative or
-/// infinite `units` put its outputs outside the flood's `(0, 1)`, and
-/// `u64::MAX` records would all have been pushed as injections.)
+/// infinite `units` put its outputs outside the flood's `(0, 1)`,
+/// `u64::MAX` records would all have been pushed as injections, and a
+/// `u64::MAX`-attempt hoarder ground and hoarded without end.)
 #[test]
 fn hostile_labels_are_refused_or_run() {
     let label = ScenarioSpec::new(40, 42).searches(10).label();
     let base: Vec<(&str, &str)> =
         label.split(';').skip(1).map(|f| f.split_once('=').expect("key=value")).collect();
     // (edits to the base label, whether the codec must refuse them)
-    let cases: [(&[(&str, &str)], bool); 28] = [
+    let cases: [(&[(&str, &str)], bool); 29] = [
         (&[("runtime", "actor"), ("window", "18446744073709551615")], false),
         (&[("runtime", "actor"), ("lat", "18446744073709551615")], false),
         (&[("churn", "2")], true),
@@ -405,6 +407,8 @@ fn hostile_labels_are_refused_or_run() {
         (&[("stradv", "delayed:65537:0.49:1")], true),
         (&[("stradv", "records:18446744073709551615:0.49")], true),
         (&[("stradv", "delayed:3:0.49:0")], false),
+        // A hoarder that would grind and hoard for `u64::MAX` attempts.
+        (&[("strategy", "precompute-hoarder:1:18446744073709551615"), ("defense", "f∘g")], true),
         // Realistic minting over one or two participants: some windows
         // yield no identity at all, at genesis or in a later epoch.
         (&[("n", "1"), ("bad", "0"), ("defense", "f∘g"), ("idealized", "false")], false),

@@ -10,14 +10,18 @@
 //! `O(log n)` w.h.p., and congestion is `O(log n / n)` (P4 with `c = 1`).
 //!
 //! **What a hop costs.** Both the links and the routes live in ring-index
-//! space, where index order is ID order. The links are one flat table (a
-//! CSR row per node), and the greedy step is one binary search in the
-//! current node's row for the last link before the key's successor, plus
-//! a check for an arc that wraps past index 0. The finger scan behind the
-//! table stops at the first finger point at or before the node's ring
-//! successor, so a node costs `≈ log2 n + O(1)` ring lookups to link.
+//! space, where index order is ID order. The links are one flat table of
+//! finger successors by level, and the greedy step reads it at the level
+//! the key's distance names: finger point `l` lies at or before a key `d`
+//! clockwise of the current node exactly from `l = leading_zeros(d) + 1`
+//! on, so the hop is the first finger from that level on that is not the
+//! key's successor. A hop is one ID load, two offsets and (almost always)
+//! one finger, with no search. The finger scan behind the table stops at
+//! the first finger point at or before the node's ring successor, so a
+//! node costs `≈ log2 n + O(1)` ring lookups to link.
 
 use crate::graph::InputGraph;
+use std::iter::once;
 use tg_idspace::{Id, SortedRing};
 
 /// The Chord overlay over a fixed ring.
@@ -28,17 +32,23 @@ use tg_idspace::{Id, SortedRing};
 /// the first of them and the *distinct* degree is `O(log n)` w.h.p. while
 /// greedy routing stays robust even on non-uniform rings.
 ///
-/// The neighbor table is flat: node `i`'s neighbors, ascending, are
-/// `links[offsets[i]..offsets[i + 1]]`. The dynamic-epoch builder issues
-/// hundreds of searches per joining ID, and each hop is one binary search
-/// in one row.
+/// The link table is flat and by level: entry `l − 1` of node `i`'s row
+/// `fingers[foffs[i]..foffs[i + 1]]` is `suc(w + 2^-l)`, for each level
+/// before the scan's stop, repeats (and `i` itself, a finger that wraps
+/// the whole ring) kept. The step is exact: fingers below the key's level
+/// point past the key and resolve at or past its successor `t`; those
+/// from it on resolve inside `(w, t]`, no farther as the level grows; the
+/// predecessor never lies strictly before the key. So the first of them
+/// that is not `t` is the link farthest clockwise before the key, and
+/// failing one it is the ring successor. The ascending neighbor row is
+/// derived from the same table on demand.
 #[derive(Clone, Debug)]
 pub struct Chord {
     ring: SortedRing,
-    /// Row starts into `links`, `n + 1` of them.
-    offsets: Vec<u32>,
-    /// Every node's neighbor indices, row after row.
-    links: Vec<u32>,
+    /// Row starts into `fingers`, `n + 1` of them.
+    foffs: Vec<u32>,
+    /// Every node's finger successors by level, row after row.
+    fingers: Vec<u32>,
 }
 
 impl Chord {
@@ -52,44 +62,26 @@ impl Chord {
     /// Build Chord over `ring`, precomputing the finger tables.
     ///
     /// # Panics
-    /// Panics if the ring is empty, or if its link table outgrows `u32`
+    /// Panics if the ring is empty, or if its finger table outgrows `u32`
     /// offsets.
     pub fn new(ring: SortedRing) -> Self {
         assert!(!ring.is_empty(), "Chord over an empty ring");
         let n = ring.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut links = Vec::new();
-        let mut row = Vec::with_capacity(Self::LEVELS as usize + 2);
-        offsets.push(0);
+        let mut foffs = Vec::with_capacity(n + 1);
+        let mut fingers = Vec::new();
+        foffs.push(0);
         for i in 0..n {
-            Self::links_of(&ring, i, &mut row);
-            links.extend_from_slice(&row);
+            if n > 1 {
+                Self::fingers(&ring, i, &mut fingers);
+            }
             assert!(
-                links.len() < u32::MAX as usize,
-                "chord table of {} links exceeds its u32 offsets",
-                links.len()
+                fingers.len() < u32::MAX as usize,
+                "chord table of {} fingers exceeds its u32 offsets",
+                fingers.len()
             );
-            offsets.push(links.len() as u32);
+            foffs.push(fingers.len() as u32);
         }
-        Chord { ring, offsets, links }
-    }
-
-    /// Fill `row` with the neighbor indices of the node at ring index `i`:
-    /// its ring predecessor and successor and the successors of its finger
-    /// points, ascending (index order is ID order), deduplicated, without
-    /// `i`.
-    fn links_of(ring: &SortedRing, i: usize, row: &mut Vec<u32>) {
-        row.clear();
-        let n = ring.len();
-        if n == 1 {
-            return;
-        }
-        row.push(if i == 0 { n - 1 } else { i - 1 } as u32);
-        row.push(if i + 1 == n { 0 } else { i + 1 } as u32);
-        Self::fingers(ring, i, row);
-        row.sort_unstable();
-        row.dedup();
-        row.retain(|&u| u as usize != i);
+        Chord { ring, foffs, fingers }
     }
 
     /// Append `suc(w + 2^{-l})` for `l = 1, 2, …` to `out`, where `w` is
@@ -108,31 +100,25 @@ impl Chord {
         }
     }
 
-    /// The neighbor row of the node at ring index `i`.
+    /// The fingers of the node at ring index `i`, by level.
     #[inline]
-    fn row(&self, i: usize) -> &[u32] {
-        &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    fn fingers_of(&self, i: usize) -> &[u32] {
+        &self.fingers[self.foffs[i] as usize..self.foffs[i + 1] as usize]
     }
 
-    /// Greedy step from `current` toward `target != current`: the
-    /// neighbor farthest clockwise strictly inside the index arc
-    /// `(current, target)`, which holds exactly the IDs strictly between
-    /// `current` and the key. `None` when no neighbor lies inside, which
-    /// happens only when `target` is `current`'s ring successor.
+    /// Greedy step from `current` toward `key`, whose successor `target`
+    /// is not `current`: the first finger from level
+    /// `leading_zeros(key − w) + 1` on that is not `target`, else the
+    /// ring successor (`target` itself when no link precedes the key).
     #[inline]
-    fn step(&self, current: usize, target: usize) -> Option<usize> {
-        let row = self.row(current);
-        let below = &row[..row.partition_point(|&j| (j as usize) < target)];
-        let best = if current < target {
-            // The arc does not wrap: the last link below `target`, if it
-            // lies past `current`.
-            below.last().filter(|&&j| j as usize > current)
-        } else {
-            // The arc wraps past index 0: a link below `target` is the
-            // farthest; failing one, the last link past `current`.
-            below.last().or(row.last().filter(|&&j| j as usize > current))
-        };
-        best.map(|&j| j as usize)
+    fn step(&self, current: usize, key: Id, target: usize) -> usize {
+        let first = self.ring.at(current).distance_cw(key).0.leading_zeros() as usize;
+        let ahead = self.fingers_of(current).get(first..).unwrap_or_default();
+        match ahead.iter().find(|&&j| j as usize != target) {
+            Some(&j) => j as usize,
+            None if current + 1 == self.ring.len() => 0,
+            None => current + 1,
+        }
     }
 }
 
@@ -142,7 +128,20 @@ impl InputGraph for Chord {
     }
 
     fn neighbor_indices(&self, i: usize) -> Vec<usize> {
-        self.row(i).iter().map(|&j| j as usize).collect()
+        // Clockwise from `i`: the successor, the fingers nearest first,
+        // the predecessor. Without `i` the walk never turns back, so
+        // repeats are adjacent and a rotation at index 0 sorts it.
+        let (n, fingers) = (self.ring.len(), self.fingers_of(i));
+        let mut row: Vec<usize> = Vec::with_capacity(fingers.len() + 2);
+        let nearest_first = fingers.iter().rev().map(|&j| j as usize);
+        for j in once((i + 1) % n).chain(nearest_first).chain(once((i + n - 1) % n)) {
+            if j != i && row.last() != Some(&j) {
+                row.push(j);
+            }
+        }
+        let wrap = row.partition_point(|&j| j > i);
+        row.rotate_left(wrap);
+        row
     }
 
     fn route_into(&self, from: usize, key: Id, hops: &mut Vec<usize>) {
@@ -155,9 +154,7 @@ impl InputGraph for Chord {
         // so the loop terminates; the bound is a safety net.
         let bound = self.route_len_bound();
         while current != target {
-            // No neighbor strictly inside the arc: current's ring
-            // successor is the target, and resolves the key.
-            current = self.step(current, target).unwrap_or(target);
+            current = self.step(current, key, target);
             hops.push(current);
             assert!(
                 hops.len() <= bound,
@@ -327,6 +324,30 @@ mod tests {
                 let p = w.add_pow2_fraction(fingers.len() as u32 + 1);
                 assert_eq!(ring.successor(p), ring.at(next), "n={n} i={i}: stopped early");
             }
+        }
+    }
+
+    #[test]
+    fn rows_drop_a_finger_that_wraps_to_its_own_node() {
+        // Every ID inside `[0, 2^-20)`: node 0's low-level finger points
+        // lie past the whole cluster, so its level-1 finger wraps the ring
+        // back to node 0 itself. The derived row drops it and still reads
+        // ascending, as the rule gives it.
+        let mut rng = StdRng::seed_from_u64(12);
+        let ring = SortedRing::new((0..200).map(|_| Id(rng.gen::<u64>() >> 20)).collect());
+        let g = Chord::new(ring.clone());
+        let n = ring.len();
+        assert_eq!(g.fingers_of(0)[0], 0, "the level-1 finger of node 0 is node 0");
+        for i in 0..n {
+            let w = ring.at(i);
+            let mut rule: Vec<usize> = (1..=64)
+                .map(|l| ring.successor_index(w.add_pow2_fraction(l)))
+                .chain([(i + 1) % n, (i + n - 1) % n])
+                .filter(|&j| j != i)
+                .collect();
+            rule.sort_unstable();
+            rule.dedup();
+            assert_eq!(g.neighbor_indices(i), rule, "row of {i}");
         }
     }
 

@@ -37,14 +37,18 @@ fn chord_links_model(ring: &SortedRing, i: usize) -> Vec<usize> {
     out
 }
 
-/// Chord's greedy step in IDs: the link of `current` farthest clockwise
-/// strictly inside the arc `(current, key)`.
-fn closest_preceding_model(g: &Chord, current: usize, key: Id) -> Option<usize> {
-    let ring = g.ring();
+/// Chord's greedy step in IDs: the link of `current` (its row in `rows`)
+/// farthest clockwise strictly inside the arc `(current, key)`.
+fn closest_preceding_model(
+    ring: &SortedRing,
+    rows: &[Vec<usize>],
+    current: usize,
+    key: Id,
+) -> Option<usize> {
     let here = ring.at(current);
     let mut best: Option<usize> = None;
     let mut best_dist = RingDistance::ZERO;
-    for j in g.neighbor_indices(current) {
+    for &j in &rows[current] {
         let u = ring.at(j);
         if u != key && u.in_arc_open_closed(here, key) {
             let d = here.distance_cw(u);
@@ -57,35 +61,60 @@ fn closest_preceding_model(g: &Chord, current: usize, key: Id) -> Option<usize> 
     best
 }
 
-/// Chord's route by the ID-space step, falling back to the ring
-/// successor when no link precedes the key.
-fn chord_route_model(g: &Chord, from: usize, key: Id) -> Vec<usize> {
-    let ring = g.ring();
+/// Chord's route over the link rows `rows` by the ID-space step, falling
+/// back to the ring successor when no link precedes the key.
+fn chord_route_model(ring: &SortedRing, rows: &[Vec<usize>], from: usize, key: Id) -> Vec<usize> {
     let target = ring.successor_index(key);
     let mut hops = vec![from];
     let mut current = from;
     while current != target {
-        current = closest_preceding_model(g, current, key).unwrap_or((current + 1) % ring.len());
+        current =
+            closest_preceding_model(ring, rows, current, key).unwrap_or((current + 1) % ring.len());
         hops.push(current);
-        assert!(hops.len() <= g.route_len_bound(), "model route does not terminate");
+        assert!(hops.len() <= ring.len(), "model route revisits a node");
     }
     hops
+}
+
+/// The keys where the node at ring index `i` changes the level its step
+/// reads (`leading_zeros(key − w)`): each of its finger points
+/// `w + 2^-l`, from level 1 to one past the level the finger scan stops
+/// at, and the points one below and one above each.
+fn finger_point_keys(ring: &SortedRing, i: usize) -> Vec<Id> {
+    let w = ring.at(i);
+    let gap = w.distance_cw(ring.at((i + 1) % ring.len()));
+    let stop = (1..=64).find(|&l| w.distance_cw(w.add_pow2_fraction(l)) <= gap).unwrap_or(64);
+    (1..=(stop + 1).min(64))
+        .flat_map(|l| {
+            let p = w.add_pow2_fraction(l).raw();
+            [p.wrapping_sub(1), p, p.wrapping_add(1)]
+        })
+        .map(Id)
+        .collect()
 }
 
 /// Chord on `ring` against both models: every node's link set against
 /// the full finger scan, and the route from every start to each key
 /// (and to every eighth ring ID, which is its own successor) against the
-/// ID-space step, hop by hop.
+/// ID-space step, hop by hop; and from every node to the keys around
+/// its own finger points, where its step's level changes.
 fn check_chord_against_models(ring: &SortedRing, keys: &[u64]) -> Result<(), TestCaseError> {
     let g = Chord::new(ring.clone());
     let n = ring.len();
+    let rows: Vec<Vec<usize>> = (0..n).map(|i| g.neighbor_indices(i)).collect();
     for i in 0..n {
-        prop_assert_eq!(g.neighbor_indices(i), chord_links_model(ring, i), "links of {}", i);
+        prop_assert_eq!(&rows[i], &chord_links_model(ring, i), "links of {}", i);
+    }
+    for i in 0..n {
+        for key in finger_point_keys(ring, i) {
+            let model = chord_route_model(ring, &rows, i, key);
+            prop_assert_eq!(g.route(i, key).hops, model, "from {} to {:?}", i, key);
+        }
     }
     let on_ring = (0..n).step_by(8).map(|i| ring.at(i));
     for key in keys.iter().map(|&k| Id(k)).chain(on_ring) {
         for from in 0..n {
-            let model = chord_route_model(&g, from, key);
+            let model = chord_route_model(ring, &rows, from, key);
             prop_assert_eq!(g.route(from, key).hops, model, "from {} to {:?}", from, key);
         }
     }
@@ -183,8 +212,8 @@ proptest! {
         }
     }
 
-    /// Chord's index-space step and early-exit finger scan against the
-    /// ID-space step and the full 64-level scan they replaced.
+    /// Chord's level-indexed step, derived rows and early-exit finger
+    /// scan against the ID-space step and the full 64-level scan.
     #[test]
     fn chord_matches_its_id_space_model(
         ids in prop::collection::btree_set(any::<u64>(), 2..150),
