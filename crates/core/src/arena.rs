@@ -133,10 +133,19 @@ impl DynamicSystem {
     }
 
     /// Run one epoch: intra-epoch churn on the serving pool, construction
-    /// of the next graphs through the current ones, measurement, swap.
+    /// of the next graphs through the current ones, measurement, swap —
+    /// [`DynamicSystem::mint_epoch`] then [`DynamicSystem::build_epoch`].
     /// The returned [`EpochObservation`] carries the §III measurements
     /// and group counts; its census, PoW and network fields stay at
     /// their defaults for the layers that measure them.
+    pub fn advance_epoch(&mut self, provider: &mut dyn IdentityProvider) -> EpochObservation {
+        let minted = self.mint_epoch(provider);
+        self.build_epoch(minted)
+    }
+
+    /// The first half of an epoch: intra-epoch churn on the serving
+    /// pool, then the provider mints the next generation. Nothing is
+    /// built yet; [`DynamicSystem::build_epoch`] finishes the epoch.
     ///
     /// The dynamic layer itself has no notion of epoch strings — they
     /// belong to §IV's minting pipeline, so the [`AdversaryView`] handed
@@ -148,9 +157,8 @@ impl DynamicSystem {
     /// hoarding strategies grind against it, and the fresh-vs-frozen
     /// contrast of §IV-B plays out over the real protocol string rather
     /// than a synthesized stand-in.
-    pub fn advance_epoch(&mut self, provider: &mut dyn IdentityProvider) -> EpochObservation {
+    pub fn mint_epoch(&mut self, provider: &mut dyn IdentityProvider) -> MintedEpoch {
         let mut rng = stream_rng(self.master_seed, "epoch", self.epoch);
-        let mut metrics = Metrics::new();
 
         // 1. Intra-epoch churn: a fraction of the good *member pool*
         //    departs while the graphs serve (§III model; bad IDs stay —
@@ -162,8 +170,7 @@ impl DynamicSystem {
             self.graphs.recolor();
         }
 
-        // 2. Mint the next epoch's IDs and build the new graphs through
-        //    the (churned) current ones. A strategic adversary inside the
+        // 2. Mint the next epoch's IDs. A strategic adversary inside the
         //    provider observes the graphs that just served this epoch.
         let view =
             AdversaryView { epoch: self.epoch + 1, graphs: self.graphs.view(), epoch_string: None };
@@ -171,11 +178,22 @@ impl DynamicSystem {
         // A window that minted no identity leaves no leader to build a
         // group for: the generation in service carries over and is
         // rebuilt through itself.
-        let new_pop = if ids.is_empty() {
+        let leaders = if ids.is_empty() {
             self.graphs.leaders.clone()
         } else {
             Population::new(ids.good, ids.bad)
         };
+        MintedEpoch { epoch: self.epoch + 1, leaders, rng }
+    }
+
+    /// The second half of an epoch: build the next graphs for `minted`
+    /// through the (churned) current ones, measure them, and swap them
+    /// in. `minted` must come from this system's last
+    /// [`DynamicSystem::mint_epoch`].
+    pub fn build_epoch(&mut self, minted: MintedEpoch) -> EpochObservation {
+        let MintedEpoch { epoch, leaders: new_pop, mut rng } = minted;
+        assert_eq!(epoch, self.epoch + 1, "an epoch is built once, after its own mint");
+        let mut metrics = Metrics::new();
         let (news, build) = self.build_next(&new_pop, &mut rng, &mut metrics);
 
         // 3. Measure the fresh graphs (they serve epoch + 1).
@@ -382,6 +400,29 @@ impl DynamicSystem {
         }
 
         (GroupGraph::from_sides(new_leaders.clone(), pool, topology, sides), stats)
+    }
+}
+
+/// The next generation an epoch minted, not yet built: what
+/// [`DynamicSystem::mint_epoch`] hands to [`DynamicSystem::build_epoch`].
+pub struct MintedEpoch {
+    epoch: u64,
+    leaders: Population,
+    /// The epoch's stream, past the mint's draws: the build goes on
+    /// drawing from it.
+    rng: StdRng,
+}
+
+impl MintedEpoch {
+    /// The epoch the graphs built for this generation will serve.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Identities minted, good and bad: the size the build's schedule
+    /// is picked from.
+    pub fn ids(&self) -> usize {
+        self.leaders.len()
     }
 }
 

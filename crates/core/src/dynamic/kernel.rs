@@ -44,6 +44,21 @@
 //! 10³-identity `pow_protocol` epochs fan out, and its 316-identity
 //! `net_faulty` epochs stay serial.
 //!
+//! The actor runtime adds one more entry, [`scheduled_beside`]: below
+//! [`FAN_OUT_MIN_IDS`] identities an epoch's build and measurement run
+//! on the calling thread and leave the spare thread idle, so the
+//! network's routing-probe phase runs there, beside them
+//! ([`tg_sim::beside`]; `crate::runtime` says why no byte moves). From
+//! [`FAN_OUT_MIN_IDS`] up the build's own fan-out keeps that thread
+//! busy, and the probes run after it. On the benchmark's `net_faulty`
+//! label (316 identities, 2 000 searches, loopback TCP with drops,
+//! latency and a partition), on 2 shared cores: a `defense=none` epoch
+//! takes 2.80 ms sequential and 2.22 ms beside, an `f∘g` epoch 4.54 ms
+//! and 3.94 ms (medians of 120 epochs each way, 20 seeds × 6 epochs,
+//! alternating which way runs first; quartiles 2.73–3.65 | 2.10–2.92
+//! and 4.31–4.89 | 3.75–4.35 ms). The host's speed drifts: an earlier
+//! run of the same comparison read 5.36 | 4.29 and 8.12 | 7.03 ms.
+//!
 //! Inside a sweep worker the epoch is serial at any size, because a
 //! map called from a map's worker runs on that worker instead of
 //! spawning a second layer of threads. The calling thread counts as a
@@ -55,7 +70,7 @@
 //! only so that labels carrying it, which are store keys, still parse
 //! and re-encode byte-identically.
 
-use tg_sim::{map_steps, parallel_map, stream_map};
+use tg_sim::{beside, map_steps, parallel_map, stream_map};
 
 /// The smallest generation (identities, good and bad) whose epoch fans
 /// its RNG-free phases out over worker threads, and the smallest graph
@@ -165,6 +180,27 @@ where
     ctx
 }
 
+/// Run `work` on the calling thread and `side` beside it, for an epoch
+/// over `ids` identities: on the pool's spare thread
+/// ([`tg_sim::beside`]) when `ids` is below [`FAN_OUT_MIN_IDS`], where
+/// `work` itself runs serially and leaves that thread idle; one after
+/// the other otherwise, where `work`'s own fan-out keeps the spare
+/// thread busy.
+pub fn scheduled_beside<RA, RB>(
+    ids: usize,
+    work: impl FnOnce() -> RA,
+    side: impl FnOnce() -> RB + Send,
+) -> (RA, RB)
+where
+    RB: Send,
+{
+    if ids < FAN_OUT_MIN_IDS {
+        return beside(work, side);
+    }
+    let done = work();
+    (done, side())
+}
+
 /// Run `f` once inside a [`tg_sim::parallel_map`] worker, where every
 /// epoch is serial. With one CPU the map runs on the calling thread,
 /// and so does `f`.
@@ -206,6 +242,19 @@ mod tests {
         assert!(threads.iter().all(|&t| t == me), "stream");
         let streamed = scheduled_stream(FAN_OUT_MIN_IDS, produce, |x| x * 2);
         assert_eq!(streamed, (0..500).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    /// From [`FAN_OUT_MIN_IDS`] up the epoch's own fan-out has the spare
+    /// thread, so both halves stay on the calling thread; below it the
+    /// side half may take that thread. Both results come back either way.
+    #[test]
+    fn beside_only_below_the_fan_out_size() {
+        let here = || std::thread::current().id();
+        let me = here();
+        assert_eq!(scheduled_beside(FAN_OUT_MIN_IDS, here, here), (me, me));
+        let (work, _) = scheduled_beside(FAN_OUT_MIN_IDS - 1, here, here);
+        assert_eq!(work, me, "the work half stays on the calling thread");
+        assert_eq!(scheduled_beside(FAN_OUT_MIN_IDS - 1, || 2, || 3), (2, 3));
     }
 
     /// Fanned out, the blocks fold back in input order for every chunk

@@ -21,9 +21,13 @@
 //!
 //! There is one epoch system, [`DynamicSystem`]: the churn → build →
 //! measure → swap loop, defined in [`crate::arena`] next to the CSR
-//! group columns it fills. It picks its schedule from the generation's
-//! size (fanned out from [`kernel::FAN_OUT_MIN_IDS`] identities up,
-//! serial below; same results), as [`kernel`] describes;
+//! group columns it fills. Its epoch splits at the mint into
+//! [`DynamicSystem::mint_epoch`] (churn, mint) and
+//! [`DynamicSystem::build_epoch`] (build, measure, swap), so that the
+//! actor runtime can run its probe phase beside the second half
+//! ([`crate::runtime::build_epoch`]). It picks its schedule from the
+//! generation's size (fanned out from [`kernel::FAN_OUT_MIN_IDS`]
+//! identities up, serial below; same results), as [`kernel`] describes;
 //! [`build::build_new_graphs`] is the short per-group *reference* build
 //! the tests hold its streamed build to.
 //!
@@ -39,7 +43,7 @@ pub mod kernel;
 pub mod provider;
 pub mod system;
 
-pub use crate::arena::DynamicSystem;
+pub use crate::arena::{DynamicSystem, MintedEpoch};
 pub use adversary::{
     AdaptiveMajorityFlipper, AdversaryStrategy, AdversaryView, ChurnTimed, GapFilling,
     IntervalTargeting, StrategicProvider, Uniform,

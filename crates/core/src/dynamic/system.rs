@@ -9,7 +9,9 @@ use tg_sim::Metrics;
 /// Everything one epoch produced, across both system layers, each field
 /// filled once by the layer that measures it:
 ///
-/// * [`DynamicSystem::advance_epoch`](crate::dynamic::DynamicSystem::advance_epoch)
+/// * [`DynamicSystem::build_epoch`](crate::dynamic::DynamicSystem::build_epoch)
+///   (the second half of
+///   [`advance_epoch`](crate::dynamic::DynamicSystem::advance_epoch))
 ///   — the §III measurements and the group counts, taken on the freshly
 ///   built graphs (the ones the next epoch operates on);
 /// * the driver's identity census — `bad_ids` and `bad_share`;

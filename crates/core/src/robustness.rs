@@ -48,42 +48,48 @@ pub struct RobustnessReport {
 /// Sample `searches` random (initiator, key) pairs and measure. The
 /// whole `(from, key)` sample is pre-drawn (searches themselves draw
 /// nothing, so this is the RNG sequence a draw-as-you-go loop consumes),
-/// the searches are mapped — fanned out over worker threads on a graph
-/// of at least [`FAN_OUT_MIN_IDS`](crate::dynamic::kernel::FAN_OUT_MIN_IDS)
-/// groups — and the per-search results are folded back in sample order.
-/// Bit-identical for any thread count.
+/// the searches are mapped in chunks — fanned out over worker threads
+/// on a graph of at least
+/// [`FAN_OUT_MIN_IDS`](crate::dynamic::kernel::FAN_OUT_MIN_IDS) groups —
+/// and the chunks' sums are folded back. Every quantity is a sum, so
+/// the report is bit-identical for any thread count.
 pub fn measure_robustness<G: GroupGraphView + Sync>(
     gg: &G,
     params: &Params,
     searches: usize,
     rng: &mut StdRng,
 ) -> RobustnessReport {
-    let per_search = scheduled_map(gg.len(), draw_sample(gg, searches, rng), 64, |(from, key)| {
-        let mut m = Metrics::new();
-        with_route(gg, from, key, |hops| {
-            let out = walk_route(gg, hops, &mut m);
-            // The truncated prefix is the responsibility count.
-            let traversed = &mut hops[..out.hops()];
-            traversed.sort_unstable();
-            let mut idx = traversed.to_vec();
-            idx.dedup();
-            (m, out, idx)
-        })
+    let sample = draw_sample(gg, searches, rng);
+    let chunks: Vec<&[(usize, Id)]> = sample.chunks(SEARCH_CHUNK).collect();
+    let per_chunk = scheduled_map(gg.len(), chunks, 1, |chunk| {
+        let mut sums = ChunkSums::default();
+        for &(from, key) in chunk {
+            with_route(gg, from, key, |hops| {
+                let out = walk_route(gg, hops, &mut sums.metrics);
+                if let SearchOutcome::Success { hops, .. } = out {
+                    sums.success += 1;
+                    sums.success_hops += hops;
+                }
+                // The truncated prefix, each group once, is the
+                // responsibility count.
+                let traversed = &mut hops[..out.hops()];
+                traversed.sort_unstable();
+                sums.traversed.extend(traversed.chunk_by(|a, b| a == b).map(|run| run[0]));
+            });
+        }
+        sums
     });
 
     let mut metrics = Metrics::new();
     let mut traversals = vec![0u32; gg.len()];
-    let mut success = 0usize;
-    let mut success_hops = 0usize;
-    for (m, out, idx) in &per_search {
-        metrics.merge(m);
-        for &i in idx {
+    let (mut success, mut success_hops) = (0usize, 0usize);
+    for sums in &per_chunk {
+        metrics.merge(&sums.metrics);
+        for &i in &sums.traversed {
             traversals[i] += 1;
         }
-        if let SearchOutcome::Success { hops, .. } = out {
-            success += 1;
-            success_hops += hops;
-        }
+        success += sums.success;
+        success_hops += sums.success_hops;
     }
 
     RobustnessReport {
@@ -100,6 +106,19 @@ pub fn measure_robustness<G: GroupGraphView + Sync>(
     }
 }
 
+/// Searches per chunk of [`measure_robustness`]'s map.
+const SEARCH_CHUNK: usize = 64;
+
+/// One chunk of [`measure_robustness`]'s searches, summed.
+#[derive(Default)]
+struct ChunkSums {
+    metrics: Metrics,
+    success: usize,
+    success_hops: usize,
+    /// The groups each search traversed, each once per search.
+    traversed: Vec<usize>,
+}
+
 /// Fraction of sampled searches for which at least one of the two sides
 /// succeeds (the dual-graph availability the construction exploits).
 /// Same pre-draw → map → fold scheme, and the same schedule, as
@@ -110,7 +129,7 @@ pub fn measure_dual_success<G: GroupGraphView + Sync>(
     rng: &mut StdRng,
 ) -> f64 {
     let sample = draw_sample(sides[0], searches, rng);
-    let oks = scheduled_map(sides[0].len(), sample, 64, |(from, key)| {
+    let oks = scheduled_map(sides[0].len(), sample, SEARCH_CHUNK, |(from, key)| {
         crate::routing::dual_search(sides, from, key, &mut Metrics::new())
     });
     oks.iter().filter(|&&ok| ok).count() as f64 / searches.max(1) as f64

@@ -126,20 +126,37 @@ pub(crate) fn walk_route<G: GroupGraphView>(
     SearchOutcome::Success { hops: hops.len(), msgs }
 }
 
+/// Whether `a` and `b` route over one topology object, so that a route
+/// computed on one is the route on the other. The sides of one epoch's
+/// graphs always do.
+pub(crate) fn share_topology<G: GroupGraphView>(a: &G, b: &G) -> bool {
+    std::ptr::addr_eq(a.topology(), b.topology())
+}
+
 /// Dual search over the two group graphs of one epoch: succeeds if either
 /// side's search path succeeds (the construction protocol performs both
 /// and favors the true successor — with verifiable IDs, one honest result
 /// suffices; §III-A "if different IDs are returned by the two searches,
 /// the successor to `h1(w,i)` is selected").
+///
+/// Both sides' searches run in full and reach `metrics`. When the sides
+/// share one topology the route is computed once and walked on each.
 pub fn dual_search<G: GroupGraphView>(
     sides: [&G; 2],
     from_leader: usize,
     key: Id,
     metrics: &mut Metrics,
 ) -> bool {
-    let a = search_path(sides[0], from_leader, key, metrics);
-    let b = search_path(sides[1], from_leader, key, metrics);
-    a.is_success() || b.is_success()
+    if !share_topology(sides[0], sides[1]) {
+        let a = search_path(sides[0], from_leader, key, metrics);
+        let b = search_path(sides[1], from_leader, key, metrics);
+        return a.is_success() || b.is_success();
+    }
+    with_route(sides[0], from_leader, key, |hops| {
+        let a = walk_route(sides[0], hops, metrics);
+        let b = walk_route(sides[1], hops, metrics);
+        a.is_success() || b.is_success()
+    })
 }
 
 /// Outcome of a message-level verified route.
@@ -335,6 +352,39 @@ mod tests {
         let mut m = Metrics::new();
         assert!(dual_search([&a, &b], 0, Id::from_f64(0.9), &mut m));
         assert!(dual_search([&b, &a], 0, Id::from_f64(0.9), &mut m));
+    }
+
+    /// Routed once and walked on each side, a dual search is the two
+    /// search paths it stands for: the same outcome and the same
+    /// [`Metrics`], on sides whose red groups differ.
+    #[test]
+    fn dual_search_is_two_search_paths() {
+        let mut params = Params::paper_defaults();
+        params.churn_rate = 0.2;
+        params.attack_requests_per_id = 1;
+        let mut provider = StrategicProvider::new(400, 30, GapFilling);
+        let mut sys =
+            DynamicSystem::new(params, GraphKind::Chord, BuildMode::DualGraph, &mut provider, 21);
+        sys.set_searches_per_epoch(20);
+        sys.run(&mut provider, 2);
+        let (s0, s1) = (sys.graphs().side(0), sys.graphs().side(1));
+        assert!(s0.frac_red() > 0.0 && s1.frac_red() > 0.0, "red groups on both sides");
+        assert!(s0.frac_red() < 1.0 && s1.frac_red() < 1.0, "blue groups on both sides");
+        assert!(share_topology(&s0, &s1), "the sides route once");
+
+        let mut rng = StdRng::seed_from_u64(22);
+        let (mut dual, mut paths) = (Metrics::new(), Metrics::new());
+        let mut one_side_only = 0;
+        for _ in 0..500 {
+            let (from, key) = (rng.gen_range(0..s0.len()), Id(rng.gen()));
+            let ok = dual_search([&s0, &s1], from, key, &mut dual);
+            let a = search_path(&s0, from, key, &mut paths).is_success();
+            let b = search_path(&s1, from, key, &mut paths).is_success();
+            assert_eq!(ok, a || b, "from {from}, key {key:?}");
+            one_side_only += usize::from(a != b);
+        }
+        assert_eq!(dual, paths);
+        assert!(one_side_only > 0, "some searches succeed on one side only");
     }
 
     #[test]

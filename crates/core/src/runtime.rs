@@ -41,6 +41,21 @@
 //! so the kernels' seeded streams are untouched whatever the fault
 //! plan; see `tg_sim::net` for the determinism contract.
 //!
+//! ## Schedule
+//!
+//! The phases run on the transport in one order per epoch: strings,
+//! then announcements (inside the mint, [`NetFilter`]), then probes.
+//! The probe phase reads no graph and draws no kernel RNG, so
+//! [`build_epoch`] runs it beside the epoch's build and measurement:
+//! the caller builds while `tg_sim`'s spare thread probes
+//! ([`scheduled_beside`]). That holds for a generation below
+//! [`FAN_OUT_MIN_IDS`](crate::dynamic::kernel::FAN_OUT_MIN_IDS)
+//! identities, whose build is serial; a larger one fans its own
+//! searches out over that thread, and probes after it. No byte can
+//! move: the build and the probe share no state, the transport still
+//! sees its phases in the same order, and each half is the same code
+//! on either schedule.
+//!
 //! ## Transports and phase windows
 //!
 //! The network itself is injectable: `transport=mem` (default) runs the
@@ -63,8 +78,10 @@
 //! [`FaultPlan`](tg_sim::net::FaultPlan) (`drop=`, `lat=`, `part=`).
 
 use crate::dynamic::adversary::AdversaryView;
+use crate::dynamic::kernel::scheduled_beside;
 use crate::dynamic::provider::{EpochIds, IdentityProvider};
 use crate::dynamic::system::EpochObservation;
+use crate::dynamic::{DynamicSystem, MintedEpoch};
 use crate::scenario::ScenarioSpec;
 use rand::rngs::StdRng;
 use tg_sim::clock::PhaseWindow;
@@ -206,7 +223,7 @@ fn spread_tick(i: u64, m: u64, window: u64) -> u64 {
 /// protocols that run over it, under a latency-adaptive
 /// [`PhaseWindow`].
 pub struct EpochNet {
-    transport: Box<dyn Transport<ProtocolMsg>>,
+    transport: Box<dyn Transport<ProtocolMsg> + Send>,
     window: PhaseWindow,
     /// `NetStats.late` as of the last [`EpochNet::finish_epoch`].
     late_taken: u64,
@@ -215,13 +232,13 @@ pub struct EpochNet {
 impl EpochNet {
     /// A network over the given transport with the default adaptive
     /// window ([`PHASE_WINDOW`]..=[`MAX_PHASE_WINDOW`]).
-    pub fn new(transport: Box<dyn Transport<ProtocolMsg>>) -> EpochNet {
+    pub fn new(transport: Box<dyn Transport<ProtocolMsg> + Send>) -> EpochNet {
         EpochNet::with_window(transport, PhaseWindow::adaptive(PHASE_WINDOW, MAX_PHASE_WINDOW))
     }
 
     /// A network over the given transport and an explicit phase window.
     pub fn with_window(
-        transport: Box<dyn Transport<ProtocolMsg>>,
+        transport: Box<dyn Transport<ProtocolMsg> + Send>,
         window: PhaseWindow,
     ) -> EpochNet {
         EpochNet { transport, window, late_taken: 0 }
@@ -237,7 +254,7 @@ impl EpochNet {
     /// connection (no further degradation is possible before a socket
     /// exists).
     pub fn for_spec(spec: &ScenarioSpec) -> EpochNet {
-        let transport: Box<dyn Transport<ProtocolMsg>> = match spec.transport {
+        let transport: Box<dyn Transport<ProtocolMsg> + Send> = match spec.transport {
             TransportChoice::Mem => Box::new(InMemoryTransport::new(spec.faults, spec.seed)),
             TransportChoice::Socket => {
                 Box::new(SocketTransport::connect(spec.faults, spec.seed).unwrap_or_else(|e| {
@@ -349,19 +366,18 @@ impl EpochNet {
         completed as f64 / searches as f64
     }
 
-    /// The network's share of a freshly advanced epoch's record, taken
-    /// once per epoch: run the [probe phase](EpochNet::probe_phase) and
-    /// scale the measured search success by the fraction of probe
-    /// chains the network completed (the `< 1.0` guard keeps the
+    /// The network's share of a freshly built epoch's record, taken
+    /// once per epoch after its [probe phase](EpochNet::probe_phase):
+    /// scale the measured search success by `probed`, the fraction of
+    /// probe chains the network completed (the `< 1.0` guard keeps the
     /// perfect-transport path bit-exact), then set `obs.late` to the
     /// messages that fell past a phase-window deadline since the
     /// previous call (`NetStats.late` is cumulative over the
     /// transport's lifetime).
-    pub fn finish_epoch(&mut self, obs: &mut EpochObservation, searches: usize) {
-        let f = self.probe_phase(obs.epoch, searches);
-        if f < 1.0 {
-            obs.search_success_single *= f;
-            obs.search_success_dual *= f;
+    pub fn finish_epoch(&mut self, obs: &mut EpochObservation, probed: f64) {
+        if probed < 1.0 {
+            obs.search_success_single *= probed;
+            obs.search_success_dual *= probed;
         }
         let late = self.transport.stats().late;
         obs.late = late - self.late_taken;
@@ -382,6 +398,26 @@ impl EpochNet {
         });
         reached as f64 / (NET_NODES - 1) as f64
     }
+}
+
+/// The second half of an epoch over an optional network: `sys` builds,
+/// measures and swaps in the generation it `minted`, and with a network
+/// the probe phase runs beside that work ([`scheduled_beside`]) before
+/// [`EpochNet::finish_epoch`] folds it into the record.
+pub fn build_epoch(
+    sys: &mut DynamicSystem,
+    minted: MintedEpoch,
+    net: Option<&mut EpochNet>,
+) -> EpochObservation {
+    let Some(net) = net else { return sys.build_epoch(minted) };
+    let (epoch, searches) = (minted.epoch(), sys.searches_per_epoch());
+    let (mut obs, probed) = scheduled_beside(
+        minted.ids(),
+        || sys.build_epoch(minted),
+        || net.probe_phase(epoch, searches),
+    );
+    net.finish_epoch(&mut obs, probed);
+    obs
 }
 
 /// An [`IdentityProvider`] that runs the inner provider's good IDs

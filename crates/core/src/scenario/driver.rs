@@ -11,7 +11,7 @@ use crate::dynamic::adversary::{
 use crate::dynamic::provider::{Census, IdentityProvider, UniformProvider};
 use crate::dynamic::{DynamicSystem, EpochObservation};
 use crate::graph::GraphsView;
-use crate::runtime::{EpochNet, NetFilter};
+use crate::runtime::{build_epoch, EpochNet, NetFilter};
 use tg_idspace::Id;
 
 /// The one verb every simulated system understands: advance one epoch,
@@ -78,12 +78,10 @@ impl EpochDriver for DynamicDriver {
         // before the network drops good announcements. That order is
         // pinned by the goldens and `benchmark/expected/net_faulty.sha256`.
         let mut filtered = NetFilter { inner: &mut self.provider, net: self.net.as_mut() };
-        self.obs = self.sys.advance_epoch(&mut filtered);
+        let minted = self.sys.mint_epoch(&mut filtered);
+        self.obs = build_epoch(&mut self.sys, minted, self.net.as_mut());
         self.obs.bad_ids = self.provider.bad;
         self.obs.bad_share = self.provider.bad_share;
-        if let Some(net) = self.net.as_mut() {
-            net.finish_epoch(&mut self.obs, self.sys.searches_per_epoch());
-        }
         &self.obs
     }
 

@@ -35,7 +35,7 @@ use tg_core::dynamic::{
     AdversaryView, BuildMode, Census, DynamicSystem, EpochIds, EpochObservation, IdentityProvider,
     WithEpochString,
 };
-use tg_core::runtime::{EpochNet, NetFilter};
+use tg_core::runtime::{build_epoch, EpochNet, NetFilter};
 use tg_core::Params;
 use tg_overlay::GraphKind;
 use tg_sim::stream_rng;
@@ -182,9 +182,10 @@ impl FullSystem {
     ///    epoch's ring (the adversary bypasses the network — the
     ///    worst-case insider), and `minted_good`/`bad_share` measure the
     ///    *delivered* population,
-    /// 3. **dynamics** — unchanged, then [`EpochNet::finish_epoch`]
+    /// 3. **dynamics** — unchanged, with the routing-probe phase beside
+    ///    the build ([`build_epoch`]); then [`EpochNet::finish_epoch`]
     ///    scales measured search success by the fraction of completed
-    ///    routing-probe chains and records the epoch's late messages.
+    ///    probe chains and records the epoch's late messages.
     ///
     /// The returned record is the dynamic layer's, with the census
     /// (`bad_ids` is the minted bad count), the §IV fields and the
@@ -224,20 +225,21 @@ impl FullSystem {
             }
         }
 
-        // 2 + 3. Mint against that string and advance the dynamic layer.
-        let (mut obs, (good, bad, bad_share), good_misses) =
+        // 2. Mint against that string.
+        let (minted, (good, bad, bad_share), good_misses) =
             if let Some(adv) = self.adversary.as_mut() {
-                // Strategic pipeline: minting happens inside the epoch
-                // advance, where the provider's view carries the churned
-                // operational graphs and the string in force — hoarders
-                // grind against the real string, and stale solutions die
-                // (or compound, under frozen strings) at verification.
+                // Strategic pipeline: minting happens inside the dynamic
+                // layer's mint, where the provider's view carries the
+                // churned operational graphs and the string in force —
+                // hoarders grind against the real string, and stale
+                // solutions die (or compound, under frozen strings) at
+                // verification.
                 // The census sits outside the net filter: the counts
                 // measure what the announcement phase *delivered*.
                 let mut ws = WithEpochString { inner: adv, epoch_string: Some(mint_string) };
                 let mut census = Census::new(NetFilter { inner: &mut ws, net: net.as_deref_mut() });
-                let obs = self.dynamics.advance_epoch(&mut census);
-                (obs, (census.good, census.bad, census.bad_share), 0)
+                let minted = self.dynamics.mint_epoch(&mut census);
+                (minted, (census.good, census.bad, census.bad_share), 0)
             } else {
                 // Statistical pipeline (Lemma 11's counts, uniform values).
                 let sim = MintingSim {
@@ -253,9 +255,13 @@ impl FullSystem {
                     n.announce_phase(epoch, &mut ids);
                 }
                 let counts = (ids.good.len(), ids.bad.len(), ids.bad_ring_share());
-                let obs = self.dynamics.advance_epoch(&mut PreMinted { ids: Some(ids) });
-                (obs, counts, minted.good_misses)
+                let next = self.dynamics.mint_epoch(&mut PreMinted { ids: Some(ids) });
+                (next, counts, minted.good_misses)
             };
+
+        // 3. Advance the dynamic layer, with the network's routing
+        //    probes beside its build.
+        let mut obs = build_epoch(&mut self.dynamics, minted, net);
         obs.minted_good = Some(good);
         obs.bad_ids = bad;
         obs.good_misses = Some(good_misses);
@@ -263,9 +269,6 @@ impl FullSystem {
         obs.epoch_string = Some(next_string);
         obs.strings_agreement = Some(strings.agreement);
         obs.verification_coverage = Some(verification_coverage);
-        if let Some(n) = net {
-            n.finish_epoch(&mut obs, self.dynamics.searches_per_epoch());
-        }
 
         self.epoch_string = next_string;
         self.last_strings = Some(strings);

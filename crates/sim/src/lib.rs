@@ -47,7 +47,7 @@ pub use net::{
     Envelope, Fate, FaultPlan, InMemoryTransport, NetStats, NodeId, RetryPolicy, SocketTransport,
     Transport, TransportChoice, Wire, NO_DEADLINE,
 };
-pub use parallel::{map_steps, parallel_map, stream_map};
+pub use parallel::{beside, map_steps, parallel_map, stream_map};
 pub use rng::{derive_seed, derive_seed_grid, derive_seed_nd, stream_rng, stream_rng_grid};
 pub use stats::{binomial_wilson, Summary};
 pub use store::{write_atomic, ResultStore, StoreError};

@@ -20,6 +20,10 @@
 //! joined, in block order, before the next step starts. Its workers are
 //! spawned once for all the steps and sleep between them.
 //!
+//! [`beside`] is the pool at its smallest: one closure on the calling
+//! thread while the spare thread runs another (an epoch's build beside
+//! its network phase), with the same inline rule.
+//!
 //! Nesting is harmless: a call made from inside a worker (a sweep cell
 //! whose epoch fans out) runs serially on that worker instead of
 //! spawning a second layer of threads — the outer map already occupies
@@ -111,6 +115,35 @@ where
     F: Fn(T) -> R + Sync,
 {
     map_on(spare_threads(), produce, f)
+}
+
+/// Run `first` on the calling thread while the pool's spare thread runs
+/// `second`, and return both results.
+///
+/// This is [`stream_map`] over one item: the producer emits `second`
+/// and then runs `first` itself, so the two overlap whenever a spare
+/// thread exists. With one CPU, or inside another map's worker, both
+/// run inline, `first` then `second`. Either way both halves run to
+/// their end, and a panic in either reaches the caller only then.
+pub fn beside<RA, RB>(first: impl FnOnce() -> RA, second: impl FnOnce() -> RB + Send) -> (RA, RB)
+where
+    RB: Send,
+{
+    if spare_threads() == 0 {
+        let a = catch_unwind(AssertUnwindSafe(first));
+        let b = second();
+        return (a.unwrap_or_else(|p| resume_unwind(p)), b);
+    }
+    let mut a = None;
+    let mut b = map_on(
+        1,
+        |emit| {
+            emit(second);
+            a = Some(first());
+        },
+        |second| second(),
+    );
+    (a.expect("the producer ran first"), b.pop().expect("the pool ran second"))
 }
 
 /// The one pool: [`stream_map`] with `workers` spawned threads beside
@@ -651,6 +684,103 @@ mod tests {
             |&step, &mut b: &mut usize| assert!((step, b) != (3, 2), "block 2 fails at step 3"),
             |step, _| *step += 1,
         );
+    }
+
+    #[test]
+    fn beside_returns_both_results() {
+        let mut built = Vec::new();
+        let shared = [3u64, 5, 7];
+        let (len, sum) = beside(
+            || {
+                built.extend(0..10u32);
+                built.len()
+            },
+            || shared.iter().sum::<u64>(),
+        );
+        assert_eq!((len, sum), (10, 15));
+        assert_eq!(built, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn beside_runs_inline_inside_a_worker_and_on_one_cpu() {
+        let here = || std::thread::current().id();
+        let out = parallel_map(vec![0u8, 1], |_| (here(), beside(here, here)));
+        for (me, (first, second)) in out {
+            assert_eq!((first, second), (me, me), "a half left its worker");
+        }
+        if spare_threads() == 0 {
+            let me = here();
+            assert_eq!(beside(here, here), (me, me), "one CPU: both halves inline");
+        }
+    }
+
+    /// The halves really overlap: `first` waits for a flag that only
+    /// `second` sets, so a serialised schedule fails after 5 s instead
+    /// of hanging.
+    #[test]
+    fn beside_overlaps_the_halves_given_a_spare_thread() {
+        if spare_threads() == 0 {
+            return; // inline: the halves run one after the other
+        }
+        let set = std::sync::atomic::AtomicBool::new(false);
+        let (seen, ()) = beside(
+            || {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                while !set.load(Ordering::SeqCst) {
+                    if std::time::Instant::now() > deadline {
+                        return false;
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                true
+            },
+            || set.store(true, Ordering::SeqCst),
+        );
+        assert!(seen, "second did not run while first was running");
+    }
+
+    /// `beside(first, second)` where one half panics and the other, given
+    /// a spare thread, waits until the failing half has started and then
+    /// marks that it ended: the panic must reach the caller after the
+    /// mark. Inline the halves run in order, so the other half need not
+    /// wait.
+    fn beside_panics_after_both_end(first_panics: bool) {
+        let threaded = spare_threads() > 0;
+        let ended = std::sync::atomic::AtomicBool::new(false);
+        let (started, start) = mpsc::channel();
+        let ended_ref = &ended;
+        let other = move || {
+            if threaded {
+                let waited = start.recv_timeout(std::time::Duration::from_secs(5));
+                waited.expect("the failing half starts");
+            }
+            ended_ref.store(true, Ordering::SeqCst);
+        };
+        let fail = move || {
+            // The other half may be waiting; inline it runs later.
+            let _ = started.send(());
+            panic!("this half fails");
+        };
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            if first_panics {
+                beside(fail, other);
+            } else {
+                beside(other, fail);
+            }
+        }));
+        let payload = caught.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"this half fails"));
+        assert!(ended.load(Ordering::SeqCst), "the other half had not ended");
+    }
+
+    #[test]
+    fn beside_propagates_a_panic_in_first_after_second_ends() {
+        beside_panics_after_both_end(true);
+    }
+
+    #[test]
+    fn beside_propagates_a_panic_in_second_after_first_ends() {
+        beside_panics_after_both_end(false);
     }
 
     #[test]
