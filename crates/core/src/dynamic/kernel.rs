@@ -18,8 +18,9 @@
 //! opened. Results come back in input order either way, so
 //! observations do not depend on the schedule. The §IV string flood
 //! (`tg_pow::strings`) takes the same rule through [`scheduled_steps`]:
-//! on a graph of at least [`FAN_OUT_MIN_IDS`] groups its steps run in
-//! blocks of nodes on [`tg_sim::map_steps`]'s workers.
+//! on a graph of at least [`FAN_OUT_MIN_IDS`] groups each of its steps
+//! runs in blocks of nodes on the same pool ([`tg_sim::map_steps`]);
+//! a smaller graph is one block, stepped on the calling thread.
 //!
 //! Below the threshold, spawning threads costs more than it saves.
 //! Wall per epoch, fanned out ÷ serial, on 2 cores (available
@@ -151,16 +152,17 @@ where
 }
 
 /// [`tg_sim::map_steps`] for lockstep steps over a graph of `ids`
-/// groups (the string flood): the blocks of each step fan out over
-/// worker threads when `ids` reaches [`FAN_OUT_MIN_IDS`]; otherwise the
-/// state is one block, stepped on the calling thread.
+/// groups (the string flood): `cut` is asked for the pool's number of
+/// blocks when `ids` reaches [`FAN_OUT_MIN_IDS`], so the blocks of each
+/// step fan out over the pool's workers; otherwise it is asked for one
+/// block, which steps on the calling thread.
 pub fn scheduled_steps<B, C, R, F, J>(
     ids: usize,
     steps: usize,
     cut: impl FnOnce(usize) -> Vec<B>,
     ctx: C,
     step: F,
-    mut join: J,
+    join: J,
 ) -> C
 where
     B: Send,
@@ -169,15 +171,8 @@ where
     F: Fn(&C, &mut B) -> R + Sync,
     J: FnMut(&mut C, Vec<R>),
 {
-    if ids >= FAN_OUT_MIN_IDS {
-        return map_steps(steps, cut, ctx, step, join);
-    }
-    let (mut ctx, mut blocks) = (ctx, cut(1));
-    for _ in 0..steps {
-        let results = blocks.iter_mut().map(|block| step(&ctx, block)).collect();
-        join(&mut ctx, results);
-    }
-    ctx
+    let fan_out = ids >= FAN_OUT_MIN_IDS;
+    map_steps(steps, |k| cut(if fan_out { k } else { 1 }), ctx, step, join)
 }
 
 /// Run `work` on the calling thread and `side` beside it, for an epoch
@@ -242,6 +237,34 @@ mod tests {
         assert!(threads.iter().all(|&t| t == me), "stream");
         let streamed = scheduled_stream(FAN_OUT_MIN_IDS, produce, |x| x * 2);
         assert_eq!(streamed, (0..500).map(|x| x * 2).collect::<Vec<_>>());
+
+        // Three steps over 500 cells, each cell mapped against how many
+        // the earlier steps joined: the serial run is 0..1500.
+        let steps = |ids| {
+            let mut asked = 0;
+            let out = scheduled_steps(
+                ids,
+                3,
+                |k| {
+                    asked = k;
+                    (0..k).map(|b| b * 500 / k..(b + 1) * 500 / k).collect()
+                },
+                Vec::new(),
+                |done: &Vec<(usize, _)>, cells: &mut std::ops::Range<usize>| {
+                    let cells = cells.clone();
+                    cells.map(|i| (i + done.len(), std::thread::current().id())).collect()
+                },
+                |done, blocks: Vec<Vec<_>>| done.extend(blocks.into_iter().flatten()),
+            );
+            (asked, out)
+        };
+        let (asked, small) = steps(FAN_OUT_MIN_IDS - 1);
+        assert_eq!(asked, 1, "a small flood asked for more than one block");
+        assert!(small.iter().all(|&(_, t)| t == me), "steps");
+        let (_, fanned) = steps(FAN_OUT_MIN_IDS);
+        let cells = |out: Vec<(usize, _)>| out.into_iter().map(|(i, _)| i).collect::<Vec<_>>();
+        assert_eq!(cells(small), (0..1500).collect::<Vec<_>>());
+        assert_eq!(cells(fanned), (0..1500).collect::<Vec<_>>());
     }
 
     /// From [`FAN_OUT_MIN_IDS`] up the epoch's own fan-out has the spare

@@ -17,8 +17,9 @@
 //! [`map_steps`] is the same contract for a computation in lockstep
 //! steps (the string flood): each step maps every block of some state
 //! against what the previous step produced, and the step's results are
-//! joined, in block order, before the next step starts. Its workers are
-//! spawned once for all the steps and sleep between them.
+//! joined, in block order, before the next step starts. It runs on the
+//! same pool: the producer wakes each of the pool's workers once per
+//! step, and they and the calling thread take the step's blocks.
 //!
 //! [`beside`] is the pool at its smallest: one closure on the calling
 //! thread while the spare thread runs another (an epoch's build beside
@@ -31,11 +32,10 @@
 //! either way. The calling thread counts as a worker while it drains,
 //! so a cell it takes is serial too.
 
-use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{mpsc, Mutex, OnceLock, RwLock};
 
 thread_local! {
     /// Set on every worker thread a map spawns, and on the calling
@@ -210,22 +210,21 @@ where
 /// the context as the last join left it.
 ///
 /// `cut(k)` is called once and returns the blocks (asked for `k`; any
-/// non-empty number works). Each step applies `step(&ctx, block)` to
-/// every block — a block may only read `ctx` and its own state — and
-/// then `join(&mut ctx, results)` on the calling thread, with the
-/// results in block order. So the outcome is the serial one for any
-/// thread count, as long as it does not depend on how the state was
-/// cut.
+/// number works). Each step applies `step(&ctx, block)` to every block
+/// — a block may only read `ctx` and its own state — and then
+/// `join(&mut ctx, results)` on the calling thread, with the results in
+/// block order. So the outcome is the serial one for any thread count,
+/// as long as it does not depend on how the state was cut.
 ///
-/// The calling thread and one fewer than the available parallelism
-/// spawned workers take the blocks of a step, each the next unclaimed
-/// one when idle. The workers are spawned once, and sleep between the
-/// steps they take part in. A step ends when its blocks are done, not
-/// when every worker has looked in, so a worker that the host does not
-/// run for a while holds up at most the one block it took. With one
-/// CPU, or inside another map's worker, there is one block and no
-/// thread. A panic in `cut`, `step` or `join` propagates to the caller
-/// once the workers have stopped.
+/// The steps run on the one pool: each step wakes its spare workers,
+/// and they and the calling thread take the step's blocks, each the
+/// next unclaimed one when idle. A step ends when its blocks are done,
+/// not when every worker has looked in, so a worker that the host does
+/// not run for a while holds up at most the one block it took. With
+/// one CPU, or inside another map's worker, `cut` is asked for one
+/// block. Fewer than two blocks, or no spare thread, step on the
+/// calling thread with no thread spawned. A panic in `cut`, `step` or
+/// `join` propagates to the caller once the workers have stopped.
 pub fn map_steps<B, C, R, F, J>(
     steps: usize,
     cut: impl FnOnce(usize) -> Vec<B>,
@@ -240,9 +239,11 @@ where
     F: Fn(&C, &mut B) -> R + Sync,
     J: FnMut(&mut C, Vec<R>),
 {
-    let workers = spare_threads();
+    let spare = spare_threads();
+    let mut blocks = cut(if spare == 0 { 1 } else { (spare + 1) * BLOCKS_PER_THREAD });
+    let workers = spare.min(blocks.len().saturating_sub(1));
     if workers == 0 || steps == 0 {
-        let (mut ctx, mut blocks) = (ctx, cut(1));
+        let mut ctx = ctx;
         for _ in 0..steps {
             let results = blocks.iter_mut().map(|block| step(&ctx, block)).collect();
             join(&mut ctx, results);
@@ -250,9 +251,7 @@ where
         return ctx;
     }
 
-    let blocks: Vec<Mutex<B>> =
-        cut((workers + 1) * BLOCKS_PER_THREAD).into_iter().map(Mutex::new).collect();
-    let results: Vec<Mutex<Option<R>>> = blocks.iter().map(|_| Mutex::new(None)).collect();
+    let blocks: Vec<Mutex<B>> = blocks.into_iter().map(Mutex::new).collect();
     let ctx = RwLock::new(ctx);
     // The step's next unclaimed block. It is reset, and the context
     // joined, only under the context's write lock, and blocks are
@@ -260,15 +259,9 @@ where
     // under one read lock is of one step, against that step's context.
     // (The lock orders the reset before the claims, hence `Relaxed`.)
     let next = AtomicUsize::new(0);
-    // How many of the step's blocks are done; the caller waits for all.
-    let (done, all_done) = (Mutex::new(0), Condvar::new());
-    // Steps published so far, and whether to stop: what idle workers
-    // sleep on. The first step is out before any worker starts.
-    let (published, publish) = (Mutex::new((1u64, false)), Condvar::new());
-    let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-
-    // Take the step's blocks until none is left. A panic is kept for
-    // the caller, who stops after the step: the step still finishes.
+    let (tx, rx) = mpsc::channel();
+    // Take the step's blocks until none is left, sending each block's
+    // result, or its panic, to the caller.
     let drain = || {
         // Poisoned only by a join that panicked: the caller is stopping.
         let Ok(ctx) = ctx.read() else { return };
@@ -278,76 +271,31 @@ where
             let mapped = catch_unwind(AssertUnwindSafe(|| {
                 step(&ctx, &mut block.lock().expect("a block whose step panicked ends the steps"))
             }));
-            match mapped {
-                Ok(r) => *results[i].lock().expect("unpoisoned") = Some(r),
-                Err(payload) => {
-                    failure.lock().expect("unpoisoned").get_or_insert(payload);
-                }
-            }
-            let mut done = done.lock().expect("unpoisoned");
-            *done += 1;
-            if *done == blocks.len() {
-                all_done.notify_one();
-            }
+            tx.send((i, mapped)).expect("the caller takes every block's result");
         }
     };
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                IN_WORKER.set(true);
-                let mut seen = 0;
-                loop {
-                    let mut state = published.lock().expect("unpoisoned");
-                    while state.0 == seen && !state.1 {
-                        state = publish.wait(state).expect("unpoisoned");
-                    }
-                    if state.1 {
-                        return;
-                    }
-                    seen = state.0;
-                    drop(state);
-                    drain();
-                }
-            });
-        }
+    let produce = |wake: &mut dyn FnMut(())| {
         let _mark = WorkerMark(IN_WORKER.replace(true));
         for s in 1..=steps {
+            (0..workers).for_each(|_| wake(()));
             drain();
-            let mut finished = done.lock().expect("unpoisoned");
-            while *finished < blocks.len() {
-                finished = all_done.wait(finished).expect("unpoisoned");
-            }
-            *finished = 0;
-            drop(finished);
-            if failure.lock().expect("unpoisoned").is_some() {
-                break;
-            }
-            let mapped = results.iter().map(|r| r.lock().expect("unpoisoned").take());
-            let mapped = mapped.map(|r| r.expect("every block ran")).collect();
-            let joined = catch_unwind(AssertUnwindSafe(|| {
-                join(&mut ctx.write().expect("unpoisoned"), mapped);
-                // After the last step the blocks stay claimed: a worker
-                // that looks in late must find nothing left to step.
-                if s < steps {
-                    next.store(0, Ordering::Relaxed);
-                }
-            }));
-            if let Err(payload) = joined {
-                failure.lock().expect("unpoisoned").get_or_insert(payload);
-                break;
-            }
+            let mut mapped: Vec<_> = rx.iter().take(blocks.len()).collect();
+            mapped.sort_unstable_by_key(|&(i, _)| i);
+            // The step has finished; its first failing block, if any,
+            // ends the steps.
+            let results = mapped.into_iter().map(|(_, r)| r.unwrap_or_else(|p| resume_unwind(p)));
+            let results = results.collect();
+            let mut joined = ctx.write().expect("unpoisoned");
+            join(&mut joined, results);
+            // After the last step the blocks stay claimed: a worker that
+            // wakes late must find nothing left to step.
             if s < steps {
-                published.lock().expect("unpoisoned").0 += 1;
-                publish.notify_all();
+                next.store(0, Ordering::Relaxed);
             }
         }
-        published.lock().expect("unpoisoned").1 = true;
-        publish.notify_all();
-    });
-    if let Some(payload) = failure.into_inner().expect("unpoisoned") {
-        resume_unwind(payload);
-    }
+    };
+    map_on(workers, produce, |()| drain());
     ctx.into_inner().expect("no join panicked")
 }
 
@@ -672,6 +620,41 @@ mod tests {
             (asked, threads.len())
         });
         assert_eq!(out, vec![(1, 15), (1, 15)]);
+    }
+
+    /// The blocks of a step really run at once: in each step, block 0
+    /// waits for block 1 to mark the step from another thread, so a
+    /// serialised schedule fails after 5 s instead of hanging.
+    #[test]
+    fn steps_overlap_blocks_given_a_spare_thread() {
+        if spare_threads() == 0 {
+            return; // inline: the blocks run one after the other
+        }
+        let marks: Vec<Mutex<Option<std::thread::ThreadId>>> =
+            (0..3).map(|_| Mutex::new(None)).collect();
+        let overlapped = map_steps(
+            3,
+            |_| vec![0u8, 1],
+            Vec::new(),
+            |done: &Vec<bool>, &mut b: &mut u8| {
+                let (mark, me) = (&marks[done.len()], std::thread::current().id());
+                if b == 1 {
+                    *mark.lock().expect("unpoisoned") = Some(me);
+                    return true;
+                }
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                loop {
+                    match *mark.lock().expect("unpoisoned") {
+                        Some(by) => return by != me,
+                        None if std::time::Instant::now() > deadline => return false,
+                        None => {}
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            },
+            |done, blocks: Vec<bool>| done.push(blocks[0]),
+        );
+        assert_eq!(overlapped, vec![true; 3], "a step's blocks ran on one thread");
     }
 
     #[test]
