@@ -71,6 +71,7 @@
 //! only so that labels carrying it, which are store keys, still parse
 //! and re-encode byte-identically.
 
+use std::ops::ControlFlow;
 use tg_sim::{beside, map_steps, parallel_map, stream_map};
 
 /// The smallest generation (identities, good and bad) whose epoch fans
@@ -155,7 +156,8 @@ where
 /// groups (the string flood): `cut` is asked for the pool's number of
 /// blocks when `ids` reaches [`FAN_OUT_MIN_IDS`], so the blocks of each
 /// step fan out over the pool's workers; otherwise it is asked for one
-/// block, which steps on the calling thread.
+/// block, which steps on the calling thread. A join that breaks ends
+/// the steps either way.
 pub fn scheduled_steps<B, C, R, F, J>(
     ids: usize,
     steps: usize,
@@ -169,7 +171,7 @@ where
     C: Send + Sync,
     R: Send,
     F: Fn(&C, &mut B) -> R + Sync,
-    J: FnMut(&mut C, Vec<R>),
+    J: FnMut(&mut C, Vec<R>) -> ControlFlow<()>,
 {
     let fan_out = ids >= FAN_OUT_MIN_IDS;
     map_steps(steps, |k| cut(if fan_out { k } else { 1 }), ctx, step, join)
@@ -254,7 +256,10 @@ mod tests {
                     let cells = cells.clone();
                     cells.map(|i| (i + done.len(), std::thread::current().id())).collect()
                 },
-                |done, blocks: Vec<Vec<_>>| done.extend(blocks.into_iter().flatten()),
+                |done, blocks: Vec<Vec<_>>| {
+                    done.extend(blocks.into_iter().flatten());
+                    ControlFlow::Continue(())
+                },
             );
             (asked, out)
         };

@@ -24,17 +24,22 @@
 //!
 //! **State.** Every string that will fly is known before the first
 //! step, so strings are numbered by rank (output order) and a node's
-//! whole state is two bitsets over ranks — `seen` and `accepted` — and
-//! one forward counter per bin (`Nodes`). This is exact, not an
-//! approximation: bins are contiguous rank ranges (`RankBins`), so
-//! "among the bin's `cap` smallest" is a popcount of `seen` over the
-//! bin's ranks below the string; `R_w` is the `d0·ln n` smallest
+//! whole state is two bitsets over ranks — `seen` and `accepted` — and,
+//! per bin, how many strings it keeps, the worst of them and how many
+//! it has forwarded (`Nodes`). This is exact, not an approximation:
+//! bins are contiguous rank ranges (`RankBins`), so a newly seen string
+//! joins its bin's `cap` smallest iff the bin keeps fewer or the string
+//! beats the worst, and after an eviction the new worst is the highest
+//! `accepted` bit below the old one; `R_w` is the `d0·ln n` smallest
 //! accepted strings; and the running minimum is the lowest set bit of
-//! `seen`.
+//! `seen`. A node takes each sender's strings in two passes: the first
+//! marks them all seen, with no branch on the data, and collects the
+//! first receipts; the second applies the bin rule to those, in
+//! delivery order.
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use tg_core::dynamic::kernel::scheduled_steps;
 use tg_core::GroupGraphView;
 use tg_sim::Summary;
@@ -112,36 +117,42 @@ type StringId = u32;
 /// The bins as rank ranges. [`bin_index`] is monotone (non-increasing)
 /// in the output and ranks are output order, so every bin is one
 /// contiguous run of ranks — the highest bin holds the smallest
-/// strings — and "the strings of `s`'s bin below `s`" is the rank
-/// range `[start[s], s)`.
+/// strings — and the ranks between two strings of a bin are the bin's.
 struct RankBins {
     /// Bin of each rank.
     of: Vec<u32>,
-    /// Lowest rank in each rank's bin.
-    start: Vec<StringId>,
     /// `c0·ln n`: strings kept, and forwards allowed, per bin.
-    cap: usize,
+    cap: u16,
 }
 
 impl RankBins {
     /// `of[rank]` must be non-increasing in the rank.
-    fn new(of: Vec<u32>, cap: usize) -> Self {
-        let mut start = vec![0; of.len()];
-        for rank in 1..of.len() {
-            debug_assert!(of[rank] <= of[rank - 1], "ranks map to non-increasing bins");
-            start[rank] = if of[rank] == of[rank - 1] { start[rank - 1] } else { rank as StringId };
-        }
-        RankBins { of, start, cap }
+    fn new(of: Vec<u32>, cap: u16) -> Self {
+        debug_assert!(of.windows(2).all(|w| w[1] <= w[0]), "ranks map to non-increasing bins");
+        RankBins { of, cap }
     }
 }
 
+/// One node's state in one bin: how many strings it keeps there, the
+/// worst (highest-ranked) of them, and how many it has forwarded.
+#[derive(Clone, Copy, Default)]
+struct Kept {
+    worst: StringId,
+    count: u16,
+    sent: u16,
+}
+
 /// Every node's flood state, as flat columns: node `j` owns `words`
-/// words of each bitset over string ranks and `num_bins` forward
-/// counters. This is the whole of Appendix VIII's per-node state:
+/// words of each bitset over string ranks and `num_bins` [`Kept`]
+/// entries. This is the whole of Appendix VIII's per-node state:
 ///
 /// * a bin keeps the `cap` smallest strings it has seen, so a newly
-///   seen `s` makes its bin's kept set iff fewer than `cap` strings of
-///   the bin below it were seen — `popcount(seen ∩ [start_s, s)) < cap`;
+///   seen `s` joins its bin's kept set iff the bin keeps fewer than
+///   `cap` or `s` is below the worst kept string, which it then evicts;
+/// * every kept string was accepted when it arrived, and an evicted one
+///   lies above every later worst, so the `accepted` ranks of a bin
+///   below its worst are exactly the rest of its kept set: after an
+///   eviction the new worst is the highest `accepted` bit below the old;
 /// * the solution set `R_w` is the `rmax` smallest `accepted` strings;
 /// * the running minimum (and the Phase 2 snapshot `s^{i*}`) is the
 ///   lowest set bit of `seen`.
@@ -149,13 +160,14 @@ impl RankBins {
 /// Whatever a node did with a string the first time (kept, later
 /// evicted, rejected) a second receipt cannot change: evicted or
 /// rejected, there were already `cap` smaller strings in its bin, and
-/// those only ever get smaller. So every later receipt is one bit test.
+/// those only ever get smaller. So only a first receipt meets the bin
+/// rule, and the rule never reads `seen`.
 struct Nodes {
     words: usize,
     num_bins: usize,
     seen: Vec<u64>,
     accepted: Vec<u64>,
-    forwards: Vec<u32>,
+    kept: Vec<Kept>,
 }
 
 /// Rows `first..` of every column of [`Nodes`]: the nodes one block of
@@ -166,14 +178,14 @@ struct Rows<'a> {
     num_bins: usize,
     seen: &'a mut [u64],
     accepted: &'a mut [u64],
-    forwards: &'a mut [u32],
+    kept: &'a mut [Kept],
 }
 
 /// One node's rows of [`Nodes`].
 struct Node<'a> {
     seen: &'a mut [u64],
     accepted: &'a mut [u64],
-    forwards: &'a mut [u32],
+    kept: &'a mut [Kept],
 }
 
 impl Nodes {
@@ -184,14 +196,14 @@ impl Nodes {
             num_bins,
             seen: vec![0; n * words],
             accepted: vec![0; n * words],
-            forwards: vec![0; n * num_bins],
+            kept: vec![Kept::default(); n * num_bins],
         }
     }
 
     fn rows(&mut self) -> Rows<'_> {
         let (words, num_bins) = (self.words, self.num_bins);
-        let (seen, accepted, forwards) = (&mut self.seen, &mut self.accepted, &mut self.forwards);
-        Rows { first: 0, words, num_bins, seen, accepted, forwards }
+        let (seen, accepted, kept) = (&mut self.seen, &mut self.accepted, &mut self.kept);
+        Rows { first: 0, words, num_bins, seen, accepted, kept }
     }
 
     fn seen(&self, j: usize) -> &[u64] {
@@ -209,10 +221,10 @@ impl<'a> Rows<'a> {
         let (w, b, at) = (self.words, self.num_bins, j - self.first);
         let (seen, seen_rest) = self.seen.split_at_mut(at * w);
         let (accepted, accepted_rest) = self.accepted.split_at_mut(at * w);
-        let (forwards, forwards_rest) = self.forwards.split_at_mut(at * b);
-        let head = Rows { first: self.first, words: w, num_bins: b, seen, accepted, forwards };
-        let (seen, accepted, forwards) = (seen_rest, accepted_rest, forwards_rest);
-        (head, Rows { first: j, words: w, num_bins: b, seen, accepted, forwards })
+        let (kept, kept_rest) = self.kept.split_at_mut(at * b);
+        let head = Rows { first: self.first, words: w, num_bins: b, seen, accepted, kept };
+        let (seen, accepted, kept) = (seen_rest, accepted_rest, kept_rest);
+        (head, Rows { first: j, words: w, num_bins: b, seen, accepted, kept })
     }
 
     fn node(&mut self, j: usize) -> Node<'_> {
@@ -220,13 +232,30 @@ impl<'a> Rows<'a> {
         Node {
             seen: &mut self.seen[at * w..][..w],
             accepted: &mut self.accepted[at * w..][..w],
-            forwards: &mut self.forwards[at * b..][..b],
+            kept: &mut self.kept[at * b..][..b],
         }
     }
 }
 
 impl Node<'_> {
-    /// Receive `s`, in the reading of the bins/counters rule that
+    /// The first pass over one sender's deliveries: mark every string
+    /// of `delivered` seen, in delivery order, and write the ones seen
+    /// for the first time to the front of `firsts`, which must be at
+    /// least as long. Returns how many were first receipts. No branch
+    /// depends on the strings.
+    fn mark_seen(&mut self, delivered: &[StringId], firsts: &mut [StringId]) -> usize {
+        let mut k = 0;
+        for &s in delivered {
+            let (word, bit) = (s as usize / 64, 1u64 << (s % 64));
+            let old = self.seen[word];
+            self.seen[word] = old | bit;
+            firsts[k] = s;
+            k += usize::from(old & bit == 0);
+        }
+        k
+    }
+
+    /// The bin rule for a first receipt of `s`, in the reading that
     /// Lemma 12's proof needs ("we set c0 ≥ d'' to make sure that no
     /// smallest values are omitted"): a bin keeps its `cap` **smallest**
     /// strings — membership is order-independent, so two record-scale
@@ -235,23 +264,35 @@ impl Node<'_> {
     /// bounds total traffic at `Õ(n ln T)`. A string is accepted (and
     /// `true` returned) if it is among its bin's `cap` smallest when
     /// first seen; an accepted string is pushed onto `out` while its
-    /// bin's counter is below the cap.
+    /// bin has forwarded fewer than `cap`.
+    fn keep(&mut self, s: StringId, bins: &RankBins, out: &mut Vec<StringId>) -> bool {
+        let kept = &mut self.kept[bins.of[s as usize] as usize];
+        let full = kept.count == bins.cap;
+        if full && s >= kept.worst {
+            return false;
+        }
+        self.accepted[s as usize / 64] |= 1u64 << (s % 64);
+        if full {
+            kept.worst = highest_below(self.accepted, kept.worst).expect("`s` is below the worst");
+        } else {
+            kept.count += 1;
+            kept.worst = kept.worst.max(s);
+        }
+        if kept.sent < bins.cap {
+            kept.sent += 1;
+            out.push(s);
+        }
+        true
+    }
+
+    /// Receive one string (an injection): [`Node::keep`] if `s` is new.
     fn receive(&mut self, s: StringId, bins: &RankBins, out: &mut Vec<StringId>) -> bool {
         let (word, bit) = (s as usize / 64, 1u64 << (s % 64));
         if self.seen[word] & bit != 0 {
             return false;
         }
         self.seen[word] |= bit;
-        if count_range(self.seen, bins.start[s as usize], s) >= bins.cap {
-            return false;
-        }
-        self.accepted[word] |= bit;
-        let sent = &mut self.forwards[bins.of[s as usize] as usize];
-        if (*sent as usize) < bins.cap {
-            *sent += 1;
-            out.push(s);
-        }
-        true
+        self.keep(s, bins, out)
     }
 }
 
@@ -273,6 +314,19 @@ fn count_range(bits: &[u64], lo: StringId, hi: StringId) -> usize {
         count += (bits[hw] & below_hi).count_ones();
     }
     count as usize
+}
+
+/// Highest set bit of `bits` below rank `hi`: the worst string a bin
+/// keeps once its worst at `hi` is evicted.
+fn highest_below(bits: &[u64], hi: StringId) -> Option<StringId> {
+    let (hw, below_hi) = (hi as usize / 64, (1u64 << (hi % 64)) - 1);
+    let head = bits[hw] & below_hi;
+    let (w, word) = if head != 0 {
+        (hw, head)
+    } else {
+        bits[..hw].iter().copied().enumerate().rfind(|&(_, word)| word != 0)?
+    };
+    Some((w * 64) as StringId + 63 - word.leading_zeros())
 }
 
 /// Lowest set bit of `bits`: a node's smallest string seen.
@@ -336,7 +390,11 @@ fn release_step(steps_total: u64, release_frac: f64) -> u64 {
 /// threads. The order above still holds: within a step a node reads only
 /// what was forwarded the step before and writes only its own state, and
 /// the blocks' forwards are joined in node order before the next step.
-/// So the outcome is the serial one for any thread count.
+/// So the outcome is the serial one for any thread count. Once a step
+/// forwards nothing and nothing is left to inject, no later step can
+/// change a node, so the flood stops there (taking the Phase 2 snapshot
+/// itself if it stops before that step); `steps` still reports the
+/// whole timeline.
 pub fn run_string_protocol<G: GroupGraphView>(
     gg: &G,
     params: &StringParams,
@@ -347,7 +405,8 @@ pub fn run_string_protocol<G: GroupGraphView>(
     let ln_n = (n.max(3) as f64).ln();
     let num_bins =
         ((params.bins_factor * ((n as f64) * params.t_epoch as f64).ln()).ceil() as usize).max(4);
-    let cap = (params.c0 * ln_n).ceil() as usize;
+    let cap = u16::try_from((params.c0 * ln_n).ceil() as usize)
+        .expect("a bin's c0·ln n kept strings and forwards fit a u16");
     let rmax = (params.d0 * ln_n).ceil() as usize;
     let phase_len = (params.dprime * ln_n).ceil() as u64;
     let steps_total = 2 * phase_len;
@@ -368,26 +427,41 @@ pub fn run_string_protocol<G: GroupGraphView>(
     let giant = giant_component(&adj);
 
     // Everything about a link that is constant for the call: who pulls
-    // from whom (`senders[j]`, ascending because `giant` is), and per
-    // sender the number of giant out-links and their all-to-all cost
-    // `Σ_j |G_i|·|G_j|` — one forwarded string costs `fanout[i]`
-    // forwards and `weight[i]` messages.
+    // from whom (node `j`'s senders, ascending because `giant` is, are
+    // one run of a single table), and per sender the number of giant
+    // out-links and their all-to-all cost `Σ_j |G_i|·|G_j|` — one
+    // forwarded string costs `fanout[i]` forwards and `weight[i]`
+    // messages.
     let mut in_giant = vec![false; n];
     let mut size = vec![0usize; n];
     for &i in &giant {
         in_giant[i] = true;
         size[i] = gg.group_size(i);
     }
-    let mut senders: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut sender_start = vec![0usize; n + 1];
     let mut fanout = vec![0u64; n];
     let mut weight = vec![0u64; n];
     for &i in &giant {
         for &j in adj[i].iter().filter(|&&j| in_giant[j]) {
-            senders[j].push(i as u32);
+            sender_start[j + 1] += 1;
             fanout[i] += 1;
             weight[i] += (size[i] * size[j]) as u64;
         }
     }
+    for j in 0..n {
+        sender_start[j + 1] += sender_start[j];
+    }
+    let mut senders = vec![0u32; sender_start[n]];
+    let mut next = sender_start.clone();
+    for &i in &giant {
+        for &j in adj[i].iter().filter(|&&j| in_giant[j]) {
+            senders[next[j]] = i as u32;
+            next[j] += 1;
+        }
+    }
+    // The out-links are all in the table now: free them before the
+    // nodes' state is allocated.
+    drop((adj, next));
 
     // Phase 1 result: each *good, blue, giant* leader holds its best
     // candidate (min of its Phase-1 attempts).
@@ -461,25 +535,39 @@ pub fn run_string_protocol<G: GroupGraphView>(
         bin_of.push(bin_index(t, num_bins) as u32);
     }
     let bins = RankBins::new(bin_of, cap);
+    // The most strings one sender forwards over the whole flood, and so
+    // in one step: each once at most, and at most `cap` per bin.
+    let most_sent = key_of.len().min(usize::from(cap) * num_bins);
+    // The schedule is sorted by step: nothing is injected from
+    // `quiet_from` on.
+    let quiet_from = schedule.last().map_or(0, |&(at, _, _)| at + 1);
 
     // One round beyond the timeline: the last step's sends are received
     // at the epoch boundary, and nothing is injected or forwarded there.
     // A bad leader's group still has a good member majority if blue, so
     // the group forwards correctly: leader badness does not change
     // blue-group behaviour, and every giant node takes part.
-    let flood = Flood { senders, fanout, weight, bins, schedule, steps_total, phase_len };
+    let flood =
+        &Flood { sender_start, senders, fanout, weight, bins, schedule, steps_total, phase_len };
     let mut nodes = Nodes::new(n, num_bins, flood.schedule.len());
     let mut si_star: Vec<Option<StringId>> = vec![None; giant.len()];
     let (rows, si, giant) = (nodes.rows(), si_star.as_mut_slice(), giant.as_slice());
     let last = Sent { step: 0, strings: Vec::new(), span: vec![0..0; n], forwards: 0, messages: 0 };
-    let Sent { forwards, messages, .. } = scheduled_steps(
+    let Sent { step: ran, forwards, messages, .. } = scheduled_steps(
         n,
         steps_total as usize + 1,
-        move |k| cut_blocks(k, giant, rows, si),
+        move |k| cut_blocks(k, giant, rows, si, most_sent),
         last,
         |last, block| flood.step(last, block),
-        |last, blocks| last.join(giant, blocks),
+        |last, blocks| last.join(giant, blocks, quiet_from),
     );
+    // A flood that went quiet before the end of Phase 2 never reached
+    // the snapshot step; the minima it would have read are the final ones.
+    if ran < phase_len {
+        for (si, &j) in si_star.iter_mut().zip(giant) {
+            *si = lowest(nodes.seen(j));
+        }
+    }
 
     // Solution sets: the rmax smallest accepted strings.
     let good_giant: Vec<usize> =
@@ -522,12 +610,14 @@ pub fn run_string_protocol<G: GroupGraphView>(
 }
 
 /// Everything about a flood that is fixed before its first step: who
-/// pulls from whom (`senders[j]`, ascending), per sender the giant
-/// out-links one forwarded string costs (`fanout`) and their all-to-all
-/// messages (`weight`), the bins, and the injections, sorted by
-/// `(step, node)`.
+/// pulls from whom (node `j`'s senders, ascending, are
+/// `senders[sender_start[j]..sender_start[j + 1]]`), per sender the
+/// giant out-links one forwarded string costs (`fanout`) and their
+/// all-to-all messages (`weight`), the bins, and the injections, sorted
+/// by `(step, node)`.
 struct Flood {
-    senders: Vec<Vec<u32>>,
+    sender_start: Vec<usize>,
+    senders: Vec<u32>,
     fanout: Vec<u64>,
     weight: Vec<u64>,
     bins: RankBins,
@@ -552,6 +642,10 @@ struct Block<'a> {
     nodes: &'a [usize],
     rows: Rows<'a>,
     si_star: &'a mut [Option<StringId>],
+    /// The first pass's first receipts, one sender's deliveries at a
+    /// time: as long as the most one sender forwards, allocated on the
+    /// calling thread and reused by every step.
+    firsts: Vec<StringId>,
     /// How many strings the block forwarded last step: the next
     /// buffer's starting capacity.
     last_len: usize,
@@ -567,8 +661,17 @@ struct Forwarded {
 }
 
 impl Flood {
+    /// Node `j`'s senders, ascending.
+    fn senders(&self, j: usize) -> &[u32] {
+        &self.senders[self.sender_start[j]..self.sender_start[j + 1]]
+    }
+
     /// Step every node of `block`, in ascending ring index, against
-    /// what the giant forwarded last step.
+    /// what the giant forwarded last step. A node takes each sender's
+    /// strings in two passes — it marks them all seen, then applies the
+    /// bin rule to the first receipts, in order — and then its
+    /// injections. The bin rule never reads `seen`, so this is the
+    /// order of receipt string by string.
     fn step(&self, last: &Sent, block: &mut Block<'_>) -> Forwarded {
         let (step, on_timeline) = (last.step, last.step < self.steps_total);
         let mut sending = Vec::with_capacity(block.last_len);
@@ -581,9 +684,11 @@ impl Flood {
         for &j in block.nodes {
             let mut node = block.rows.node(j);
             let start = sending.len();
-            for &i in &self.senders[j] {
-                for &s in &last.strings[last.span[i as usize].clone()] {
-                    node.receive(s, &self.bins, &mut sending);
+            for &i in self.senders(j) {
+                let delivered = &last.strings[last.span[i as usize].clone()];
+                let firsts = node.mark_seen(delivered, &mut block.firsts);
+                for &s in &block.firsts[..firsts] {
+                    node.keep(s, &self.bins, &mut sending);
                 }
             }
             if on_timeline {
@@ -614,8 +719,15 @@ impl Flood {
 
 impl Sent {
     /// Take in what the blocks of `giant` forwarded this step, in block
-    /// order (which is node order): the next step reads it.
-    fn join(&mut self, giant: &[usize], blocks: Vec<Forwarded>) {
+    /// order (which is node order): the next step reads it. Breaks once
+    /// nothing was forwarded and no injection is scheduled from the
+    /// next step on (`quiet_from`), after which no step changes a node.
+    fn join(
+        &mut self,
+        giant: &[usize],
+        blocks: Vec<Forwarded>,
+        quiet_from: u64,
+    ) -> ControlFlow<()> {
         self.strings.clear();
         let mut nodes = giant.iter();
         for block in blocks {
@@ -632,28 +744,42 @@ impl Sent {
             self.messages += block.messages;
         }
         self.step += 1;
+        if self.strings.is_empty() && self.step >= quiet_from {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
     }
 }
 
 /// Cut `giant` into `k` runs of nodes (fewer if it is smaller), each
-/// with its rows and its snapshot slots.
+/// with its rows, its snapshot slots and a first-receipt buffer for
+/// `most_sent` strings, the most one sender forwards.
 fn cut_blocks<'a>(
     k: usize,
     giant: &'a [usize],
     mut rows: Rows<'a>,
     mut si_star: &'a mut [Option<StringId>],
+    most_sent: usize,
 ) -> Vec<Block<'a>> {
     let k = k.clamp(1, giant.len().max(1));
     let mut blocks = Vec::with_capacity(k);
+    let block = |nodes, rows, si_star| Block {
+        nodes,
+        rows,
+        si_star,
+        firsts: vec![0; most_sent],
+        last_len: 0,
+    };
     let mut taken = 0;
     for b in 1..k {
         let end = b * giant.len() / k;
         let (head, tail) = rows.split_at(giant[end]);
         let (si, si_rest) = std::mem::take(&mut si_star).split_at_mut(end - taken);
-        blocks.push(Block { nodes: &giant[taken..end], rows: head, si_star: si, last_len: 0 });
+        blocks.push(block(&giant[taken..end], head, si));
         (rows, si_star, taken) = (tail, si_rest, end);
     }
-    blocks.push(Block { nodes: &giant[taken..], rows, si_star, last_len: 0 });
+    blocks.push(block(&giant[taken..], rows, si_star));
     blocks
 }
 
@@ -970,26 +1096,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn giant_of_one_blue_group_keeps_its_own_string() {
-        // `a → b` but not `b → a`: with only those two blue, `b` has no
-        // blue out-link and drops out, leaving a giant of `a` alone —
-        // no in-links, no out-links inside the giant.
-        let gg = graph(64, 0, 33);
-        let links = out_links(&gg);
+    /// A one-way link `a → b` of `gg`: with only those two blue, `b`
+    /// has no blue out-link and drops out, leaving a giant of `a` alone
+    /// — no in-links, no out-links inside the giant.
+    fn one_way_link(gg: &GroupGraph) -> [usize; 2] {
+        let links = out_links(gg);
         let (a, b) = (0..gg.len())
             .flat_map(|a| links[a].iter().map(move |&b| (a, b)))
             .find(|&(a, b)| !links[b].contains(&a))
             .expect("chord fingers are one-way");
-        let lonely = Recolored { inner: &gg, blue: &[a, b] };
+        [a, b]
+    }
+
+    #[test]
+    fn giant_of_one_blue_group_keeps_its_own_string() {
+        let gg = graph(64, 0, 33);
+        let blue = one_way_link(&gg);
+        let lonely = Recolored { inner: &gg, blue: &blue };
         let mut rng = StdRng::seed_from_u64(34);
         let out =
             run_string_protocol(&lonely, &StringParams::default(), StringAdversary::None, &mut rng);
         assert_eq!(out.giant_size, 1);
-        assert_eq!(out.global_min_key, Some(a as u64));
+        assert_eq!(out.global_min_key, Some(blue[0] as u64));
         assert!(out.agreement);
         assert_eq!((out.forwards, out.messages), (0, 0));
         assert_eq!(out.solution_set_sizes.max, 1.0);
+    }
+
+    #[test]
+    fn a_flood_that_goes_quiet_before_phase_3_still_snapshots_si_star() {
+        // The one-group giant has nothing in flight after step 1 and
+        // nothing more to inject, so its flood stops at step 2 of 18,
+        // long before the snapshot at the end of Phase 2 (step 8). With
+        // `d0 = 0` the node's solution set is empty, so its si* (its own
+        // string) is missing from it: the one pair Lemma 12 (i) then
+        // counts is there only if the snapshot was taken.
+        let gg = graph(64, 0, 33);
+        let blue = one_way_link(&gg);
+        let lonely = Recolored { inner: &gg, blue: &blue };
+        let params = StringParams { d0: 0.0, ..StringParams::default() };
+        let mut rng = StdRng::seed_from_u64(34);
+        let out = run_string_protocol(&lonely, &params, StringAdversary::None, &mut rng);
+        assert_eq!(out.giant_size, 1);
+        assert_eq!(out.solution_set_sizes.max, 0.0);
+        assert_eq!((out.missing_pairs, out.agreement), (1, false), "no si* was taken");
+        let phase_len = (params.dprime * (gg.len() as f64).ln()).ceil() as u64;
+        assert_eq!((phase_len, out.steps), (9, 18), "steps report the whole timeline");
+    }
+
+    #[test]
+    fn forced_records_after_an_idle_stretch_still_flood() {
+        // At 537 groups the honest flood forwards nothing after step 7
+        // of 26, and on its own it stops after step 8. Records released
+        // at 0.95 of the timeline (step 24) must still be injected and
+        // flood: the smallest becomes the global minimum, and the
+        // forwards grow past the honest flood's.
+        let gg = graph(512, 25, 23);
+        let params = StringParams::default();
+        let mut rng = StdRng::seed_from_u64(24);
+        let honest = run_string_protocol(&gg, &params, StringAdversary::None, &mut rng);
+        let adv = StringAdversary::ForcedRecords { strings: 5, release_frac: 0.95 };
+        let mut rng = StdRng::seed_from_u64(24);
+        let late = run_string_protocol(&gg, &params, adv, &mut rng);
+        assert_eq!(late.global_min_key, Some(u64::MAX - 4), "the smallest record arrived");
+        assert!(late.forwards > honest.forwards, "{} vs {}", late.forwards, honest.forwards);
+        assert_eq!(late.steps, honest.steps);
     }
 
     #[test]
@@ -1062,9 +1233,11 @@ mod tests {
 
     /// The node rule as first written — a sorted `Vec` of the `cap`
     /// smallest strings per bin and one of the `rmax` smallest accepted
-    /// strings — which [`Node::receive`] must reproduce decision for
-    /// decision. It has no `seen` filter: a repeated offer is a no-op
-    /// here by the rule itself.
+    /// strings — which a node's two passes over a step's deliveries
+    /// ([`Node::mark_seen`], then [`Node::keep`] per first receipt) and
+    /// [`Node::receive`] must reproduce decision for decision. It has
+    /// no `seen` filter: a repeated offer is a no-op here by the rule
+    /// itself.
     struct Model {
         bins: Vec<(Vec<StringId>, usize)>,
         stored: Vec<StringId>,
@@ -1109,12 +1282,16 @@ mod tests {
     #[test]
     fn bitset_node_matches_the_sorted_vec_model() {
         let mut rng = StdRng::seed_from_u64(39);
+        // One sender's deliveries that repeated a string, first receipts
+        // that evicted a bin's worst, and one sender's deliveries whose
+        // first receipts spanned several bins.
+        let (mut repeats, mut evictions, mut spread) = (0, 0, 0);
         for case in 0..600usize {
             // Ranks to bins, non-increasing: one-rank bins when the bin
             // changes at almost every rank, bins over several words when
             // it almost never does; some bins stay empty.
             let change = [0.9, 0.3, 0.05, 0.004][case % 4];
-            let (cap, rmax) = ([1, 3, 14][case / 4 % 3], [1, 4, 42][case / 12 % 3]);
+            let (cap, rmax) = ([0, 1, 3, 14][case / 4 % 4], [1, 4, 42][case / 16 % 3]);
             let num_bins = rng.gen_range(1..8usize);
             let num_strings = rng.gen_range(1..400usize);
             let mut bin = num_bins - 1;
@@ -1126,17 +1303,62 @@ mod tests {
                     bin as u32
                 })
                 .collect();
-            let bins = RankBins::new(of.clone(), cap);
+            let bins = RankBins::new(of.clone(), cap as u16);
             let mut nodes = Nodes::new(1, num_bins, num_strings);
             let mut model =
                 Model { bins: vec![(Vec::new(), 0); num_bins], stored: Vec::new(), min_seen: None };
             let (mut out, mut model_out) = (Vec::new(), Vec::new());
-            for _ in 0..rng.gen_range(1..3 * num_strings) {
-                let s = rng.gen_range(0..num_strings as StringId);
-                let accepted = nodes.rows().node(0).receive(s, &bins, &mut out);
-                let expected = model.offer(s, of[s as usize] as usize, cap, rmax, &mut model_out);
-                assert_eq!(accepted, expected, "case {case}: accepting {s}");
-                assert_eq!(out, model_out, "case {case}: forwarding {s}");
+            let (mut firsts, mut offered) = (Vec::new(), vec![false; num_strings]);
+            for _ in 0..rng.gen_range(1..num_strings + 1) {
+                // One injection, or one step's deliveries: a few
+                // senders' strings, short enough to repeat a string now
+                // and then.
+                let inject = rng.gen_bool(0.2);
+                let delivered: Vec<Vec<StringId>> = if inject {
+                    vec![vec![rng.gen_range(0..num_strings as StringId)]]
+                } else {
+                    let lens: Vec<usize> =
+                        (0..rng.gen_range(1..4)).map(|_| rng.gen_range(0..12)).collect();
+                    let mut string = || rng.gen_range(0..num_strings as StringId);
+                    lens.into_iter().map(|len| (0..len).map(|_| string()).collect()).collect()
+                };
+                let all = delivered.concat();
+                let new: Vec<StringId> = (all.iter().copied())
+                    .filter(|&s| !std::mem::replace(&mut offered[s as usize], true))
+                    .collect();
+                let mut expected = Vec::new();
+                for &s in &all {
+                    let bin = of[s as usize] as usize;
+                    let full = model.bins[bin].0.len() == cap;
+                    if model.offer(s, bin, cap, rmax, &mut model_out) {
+                        expected.push(s);
+                        evictions += usize::from(full && !inject);
+                    }
+                }
+                let mut rows = nodes.rows();
+                let mut node = rows.node(0);
+                let accepted: Vec<StringId> = if inject {
+                    all.into_iter().filter(|&s| node.receive(s, &bins, &mut out)).collect()
+                } else {
+                    let (mut received, mut kept) = (Vec::new(), Vec::new());
+                    for strings in &delivered {
+                        firsts.resize(strings.len(), 0);
+                        let k = node.mark_seen(strings, &mut firsts);
+                        let fresh = &firsts[..k];
+                        let repeat = (1..strings.len()).any(|i| strings[..i].contains(&strings[i]));
+                        repeats += usize::from(repeat);
+                        let bin = |s: &StringId| of[*s as usize];
+                        spread += usize::from(fresh.iter().any(|s| bin(s) != bin(&fresh[0])));
+                        received.extend_from_slice(fresh);
+                        kept.extend(
+                            fresh.iter().copied().filter(|&s| node.keep(s, &bins, &mut out)),
+                        );
+                    }
+                    assert_eq!(received, new, "case {case}: first receipts");
+                    kept
+                };
+                assert_eq!(accepted, expected, "case {case}: accepted");
+                assert_eq!(out, model_out, "case {case}: forwarded");
                 assert_eq!(lowest(nodes.seen(0)), model.min_seen, "case {case}");
             }
             let accepted = nodes.accepted(0);
@@ -1146,6 +1368,7 @@ mod tests {
             assert_eq!(solution_set, model.stored, "case {case}: R_w");
             assert_eq!(solution_set_size(accepted, rmax), model.stored.len(), "case {case}");
         }
+        assert!(repeats > 0 && evictions > 0 && spread > 0, "{repeats}, {evictions}, {spread}");
     }
 
     #[test]
@@ -1159,5 +1382,31 @@ mod tests {
         assert_eq!(count_range(&bits, 0, 191), 64 + 2 + 63);
         assert_eq!(lowest(&bits[1..]), Some(1));
         assert_eq!(lowest(&[0, 0]), None);
+    }
+
+    #[test]
+    fn highest_bit_below_crosses_words() {
+        // Bits 3 and 62 in word 0, none in word 1, 130 and 150 in word 2.
+        let bits = [1 << 3 | 1 << 62, 0, 1 << 2 | 1 << 22, 0];
+        assert_eq!(highest_below(&bits, 0), None);
+        assert_eq!(highest_below(&bits, 3), None);
+        assert_eq!(highest_below(&bits, 4), Some(3));
+        assert_eq!(highest_below(&bits, 62), Some(3));
+        assert_eq!(highest_below(&bits, 63), Some(62));
+        assert_eq!(highest_below(&bits, 64), Some(62));
+        assert_eq!(highest_below(&bits, 130), Some(62), "back over an empty word");
+        assert_eq!(highest_below(&bits, 131), Some(130));
+        assert_eq!(highest_below(&bits, 255), Some(150));
+
+        // A bin that starts mid-word, at rank 66, keeps 70 and 100 with
+        // `cap = 2`; the bin before it holds 64 and 65. Each first
+        // receipt below the worst is accepted and evicts the worst,
+        // which stays accepted above every later worst, and the new
+        // worst is found above the bin before's bits.
+        let mut bits = [0, 1 << 0 | 1 << 1 | 1 << 6 | 1 << 36];
+        for (s, worst, new_worst) in [(68, 100, 70), (67, 70, 68), (66, 68, 67)] {
+            bits[1] |= 1 << (s - 64);
+            assert_eq!(highest_below(&bits, worst), Some(new_worst), "{s} evicts {worst}");
+        }
     }
 }

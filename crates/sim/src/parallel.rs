@@ -17,9 +17,10 @@
 //! [`map_steps`] is the same contract for a computation in lockstep
 //! steps (the string flood): each step maps every block of some state
 //! against what the previous step produced, and the step's results are
-//! joined, in block order, before the next step starts. It runs on the
-//! same pool: the producer wakes each of the pool's workers once per
-//! step, and they and the calling thread take the step's blocks.
+//! joined, in block order, before the next step starts; a join can end
+//! the steps early. It runs on the same pool: the producer wakes each
+//! of the pool's workers once per step, and they and the calling thread
+//! take the step's blocks.
 //!
 //! [`beside`] is the pool at its smallest: one closure on the calling
 //! thread while the spare thread runs another (an epoch's build beside
@@ -33,6 +34,7 @@
 //! so a cell it takes is serial too.
 
 use std::cell::Cell;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, OnceLock, RwLock};
@@ -213,7 +215,8 @@ where
 /// number works). Each step applies `step(&ctx, block)` to every block
 /// — a block may only read `ctx` and its own state — and then
 /// `join(&mut ctx, results)` on the calling thread, with the results in
-/// block order. So the outcome is the serial one for any thread count,
+/// block order. A join that returns [`ControlFlow::Break`] ends the
+/// steps there. So the outcome is the serial one for any thread count,
 /// as long as it does not depend on how the state was cut.
 ///
 /// The steps run on the one pool: each step wakes its spare workers,
@@ -237,7 +240,7 @@ where
     C: Send + Sync,
     R: Send,
     F: Fn(&C, &mut B) -> R + Sync,
-    J: FnMut(&mut C, Vec<R>),
+    J: FnMut(&mut C, Vec<R>) -> ControlFlow<()>,
 {
     let spare = spare_threads();
     let mut blocks = cut(if spare == 0 { 1 } else { (spare + 1) * BLOCKS_PER_THREAD });
@@ -246,7 +249,9 @@ where
         let mut ctx = ctx;
         for _ in 0..steps {
             let results = blocks.iter_mut().map(|block| step(&ctx, block)).collect();
-            join(&mut ctx, results);
+            if join(&mut ctx, results).is_break() {
+                break;
+            }
         }
         return ctx;
     }
@@ -287,12 +292,13 @@ where
             let results = mapped.into_iter().map(|(_, r)| r.unwrap_or_else(|p| resume_unwind(p)));
             let results = results.collect();
             let mut joined = ctx.write().expect("unpoisoned");
-            join(&mut joined, results);
-            // After the last step the blocks stay claimed: a worker that
-            // wakes late must find nothing left to step.
-            if s < steps {
-                next.store(0, Ordering::Relaxed);
+            // After the last step, or a join that ends the steps, the
+            // blocks stay claimed: a worker that wakes late must find
+            // nothing left to step.
+            if join(&mut joined, results).is_break() || s == steps {
+                break;
             }
+            next.store(0, Ordering::Relaxed);
         }
     };
     map_on(workers, produce, |()| drain());
@@ -559,6 +565,7 @@ mod tests {
                 }
                 *row = next;
                 *step += 1;
+                ControlFlow::Continue(())
             },
         )
     }
@@ -601,6 +608,49 @@ mod tests {
         assert!(runs.iter().all(|&r| r == 0), "no block ran");
     }
 
+    /// [`map_steps`] over counter blocks (at least 4, or as many as it
+    /// asks for) whose join ends the steps after step `k` of 10: the
+    /// steps joined, with `runs` holding each block's step count.
+    fn steps_until(k: usize, runs: &mut Vec<usize>) -> usize {
+        map_steps(
+            10,
+            |n| {
+                *runs = vec![0; n.max(4)];
+                runs.iter_mut().collect()
+            },
+            0,
+            |_, runs: &mut &mut usize| **runs += 1,
+            |joined, _| {
+                *joined += 1;
+                if *joined == k {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        )
+    }
+
+    /// A join that breaks ends the steps, pooled on the test thread and
+    /// inline inside a worker: exactly `k` steps run, and every block
+    /// stepped exactly `k` times, so no worker that woke late for the
+    /// last step found a block left to step.
+    #[test]
+    fn a_join_that_breaks_ends_the_steps() {
+        for k in [1, 3, 10] {
+            let mut runs = Vec::new();
+            assert_eq!(steps_until(k, &mut runs), k, "pooled");
+            assert!(runs.iter().all(|&r| r == k), "pooled, k = {k}: block runs {runs:?}");
+            let inline = parallel_map(vec![true, false], |go| {
+                let mut runs = Vec::new();
+                go.then(|| (steps_until(k, &mut runs), runs))
+            });
+            let (steps, runs) = inline[0].clone().expect("the first item runs");
+            assert_eq!(steps, k, "inline");
+            assert_eq!(runs, vec![k; 4], "inline, k = {k}");
+        }
+    }
+
     #[test]
     fn steps_run_inline_inside_a_worker() {
         let out = parallel_map(vec![0usize, 1], |row| {
@@ -614,7 +664,10 @@ mod tests {
                 },
                 Vec::new(),
                 |_, _| std::thread::current().id(),
-                |seen: &mut Vec<_>, done| seen.extend(done),
+                |seen: &mut Vec<_>, done| {
+                    seen.extend(done);
+                    ControlFlow::Continue(())
+                },
             );
             assert!(threads.iter().all(|&t| t == me), "item {row}: a step left its worker");
             (asked, threads.len())
@@ -652,7 +705,10 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
             },
-            |done, blocks: Vec<bool>| done.push(blocks[0]),
+            |done, blocks: Vec<bool>| {
+                done.push(blocks[0]);
+                ControlFlow::Continue(())
+            },
         );
         assert_eq!(overlapped, vec![true; 3], "a step's blocks ran on one thread");
     }
@@ -665,7 +721,10 @@ mod tests {
             |k| (0..k.max(4)).collect(),
             0usize,
             |&step, &mut b: &mut usize| assert!((step, b) != (3, 2), "block 2 fails at step 3"),
-            |step, _| *step += 1,
+            |step, _| {
+                *step += 1;
+                ControlFlow::Continue(())
+            },
         );
     }
 
@@ -777,6 +836,7 @@ mod tests {
             |step, _| {
                 *step += 1;
                 assert_ne!(*step, 2, "the join fails");
+                ControlFlow::Continue(())
             },
         );
     }
