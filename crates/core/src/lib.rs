@@ -43,16 +43,11 @@
 //!   routing probes, string dissemination) over an injectable transport
 //!   with seeded fault injection; byte-identical to running without a
 //!   network over a perfect transport,
-//! * [`bootstrap`] — pooled bootstrap groups for joiners (Appendix IX),
-//! * [`dht`] — the replicated key→value store over groups (the §I-A
-//!   motivating application),
 //! * [`render`] — DOT rendering of `H` and `G` (Figure 1).
 
 pub mod abstract_model;
 pub mod arena;
-pub mod bootstrap;
 pub mod build;
-pub mod dht;
 pub mod dynamic;
 pub mod graph;
 pub mod group;
@@ -64,9 +59,7 @@ pub mod routing;
 pub mod runtime;
 pub mod scenario;
 
-pub use bootstrap::{assemble_bootstrap, recommended_contacts, BootstrapGroup};
 pub use build::build_initial_graph;
-pub use dht::{GetOutcome, SecureDht};
 pub use graph::{Color, GraphsView, GroupGraph, GroupGraphView, SideView};
 pub use params::{GroupSizeRule, Params};
 pub use population::Population;

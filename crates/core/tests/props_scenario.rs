@@ -378,9 +378,19 @@ fn hostile_labels_are_refused_or_run() {
     let base: Vec<(&str, &str)> =
         label.split(';').skip(1).map(|f| f.split_once('=').expect("key=value")).collect();
     // (edits to the base label, whether the codec must refuse them)
-    let cases: [(&[(&str, &str)], bool); 29] = [
+    let cases: [(&[(&str, &str)], bool); 30] = [
         (&[("runtime", "actor"), ("window", "18446744073709551615")], false),
         (&[("runtime", "actor"), ("lat", "18446744073709551615")], false),
+        // A window pinned at `u64::MAX` admits latencies up to
+        // `u64::MAX`; their total must not overflow.
+        (
+            &[
+                ("runtime", "actor"),
+                ("window", "18446744073709551615"),
+                ("lat", "18446744073709551615"),
+            ],
+            false,
+        ),
         (&[("churn", "2")], true),
         (&[("churn", "inf")], true),
         (&[("churn", "-1")], true),

@@ -60,18 +60,14 @@ impl IdentityProvider for PreMinted {
 pub struct FullSystem {
     /// The §III dynamic layer (owns the operational group graphs).
     pub dynamics: DynamicSystem,
-    /// Puzzle difficulty/rate parameters.
-    pub puzzle: PuzzleParams,
+    /// The statistical minting window: puzzle parameters, good
+    /// participants, adversary compute (`≈ βn`) and whether good
+    /// minting is idealized (paper assumption) or misses realistically.
+    pub minting: MintingSim,
     /// String-protocol parameters.
     pub string_params: StringParams,
     /// String-release adversary applied each epoch.
     pub string_adversary: StringAdversary,
-    /// Good participants per epoch.
-    pub n_good: usize,
-    /// Adversary compute in units (`≈ βn`).
-    pub adversary_units: f64,
-    /// Idealized good minting (paper assumption) vs realistic misses.
-    pub idealized_good: bool,
     /// When set, identities are minted through this strategic pipeline
     /// instead of the statistical [`MintingSim`]: the adversary's
     /// placement policy observes the previous epoch's operational graphs
@@ -102,12 +98,12 @@ impl FullSystem {
         idealized_good: bool,
         master_seed: u64,
     ) -> Self {
-        let sim = MintingSim { params: puzzle, n_good, adversary_units, idealized_good };
+        let minting = MintingSim { params: puzzle, n_good, adversary_units, idealized_good };
         let mut rng = stream_rng(master_seed, "full-init-mint", 0);
         // The trusted bootstrap needs identities to build on: a genesis
         // window that minted none is run again.
         let minted = loop {
-            let minted = sim.run_window(&mut rng);
+            let minted = minting.run_window(&mut rng);
             if !(minted.good_ids.is_empty() && minted.bad_ids.is_empty()) {
                 break minted;
             }
@@ -118,12 +114,9 @@ impl FullSystem {
             DynamicSystem::new(params, kind, BuildMode::DualGraph, &mut provider, master_seed);
         FullSystem {
             dynamics,
-            puzzle,
+            minting,
             string_params,
             string_adversary: StringAdversary::None,
-            n_good,
-            adversary_units,
-            idealized_good,
             adversary: None,
             fresh_strings: true,
             epoch_string: GENESIS_STRING,
@@ -242,14 +235,8 @@ impl FullSystem {
                 (minted, (census.good, census.bad, census.bad_share), 0)
             } else {
                 // Statistical pipeline (Lemma 11's counts, uniform values).
-                let sim = MintingSim {
-                    params: self.puzzle,
-                    n_good: self.n_good,
-                    adversary_units: self.adversary_units,
-                    idealized_good: self.idealized_good,
-                };
                 let mut mrng = stream_rng(self.master_seed ^ mint_string, "full-mint", epoch);
-                let minted = sim.run_window(&mut mrng);
+                let minted = self.minting.run_window(&mut mrng);
                 let mut ids = EpochIds { good: minted.good_ids, bad: minted.bad_ids };
                 if let Some(n) = net.as_deref_mut() {
                     n.announce_phase(epoch, &mut ids);
@@ -342,7 +329,7 @@ mod tests {
     #[test]
     fn realistic_minting_shrinks_population_but_survives() {
         let mut sys = system(47);
-        sys.idealized_good = false;
+        sys.minting.idealized_good = false;
         let r = sys.run_epoch();
         // ≈ 1/e of good participants miss the window; the system keeps
         // running on the (1 − 1/e) that minted.

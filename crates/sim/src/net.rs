@@ -221,8 +221,8 @@ pub struct NetStats {
     /// `window` argument of [`Transport::begin_phase`]).
     pub late: u64,
     /// Sum of per-message delivery latency (`deliver_tick − sent_tick`)
-    /// over all delivered messages — the observation the adaptive phase
-    /// window feeds on.
+    /// over all delivered messages, saturating at `u64::MAX` — the
+    /// observation the adaptive phase window feeds on.
     pub lat_ticks: u64,
 }
 
@@ -411,7 +411,10 @@ impl<M> Transport<M> for InMemoryTransport<M> {
     fn recv(&mut self) -> Option<Envelope<M>> {
         let q = self.queue.pop()?.0;
         self.stats.delivered += 1;
-        self.stats.lat_ticks += q.env.deliver_tick - q.env.sent_tick;
+        // A window pinned at `u64::MAX` admits latencies up to
+        // `u64::MAX`, and two of those would overflow the sum.
+        self.stats.lat_ticks =
+            self.stats.lat_ticks.saturating_add(q.env.deliver_tick - q.env.sent_tick);
         Some(q.env)
     }
 

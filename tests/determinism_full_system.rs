@@ -6,10 +6,12 @@
 //! the default parallel runner, a loaded vs an idle machine). Every
 //! stream the pipeline draws from is a labelled child of the master
 //! seed, so nothing here may depend on wall clock, scheduling, or
-//! iteration order of any shared structure.
+//! iteration order of any shared structure. The last test checks the
+//! composed system's invariants jointly, epoch by epoch.
 
 use tiny_groups::core::dynamic::GapFilling;
-use tiny_groups::core::Params;
+use tiny_groups::core::scenario::StringAdversarySpec;
+use tiny_groups::core::{Defense, Params, ScenarioSpec, StringMode};
 use tiny_groups::overlay::GraphKind;
 use tiny_groups::pow::{FullSystem, MintScheme, PuzzleParams, StrategicPowProvider, StringParams};
 use tiny_groups::sim::parallel_map;
@@ -81,4 +83,29 @@ fn strategic_full_system_is_schedule_independent() {
 #[test]
 fn master_seed_reaches_the_whole_pipeline() {
     assert_ne!(run_reports(42), run_reports(43));
+}
+
+/// The composed system holds all its invariants simultaneously for
+/// several epochs under a forced-record string adversary
+/// (`tg1;…;defense=f∘g;strings=protocol;stradv=records:3:0.49`).
+#[test]
+fn full_system_invariants_hold_jointly() {
+    let spec = ScenarioSpec::new(600, 65)
+        .budget(30)
+        .churn(0.15)
+        .attack_requests(1)
+        .searches(150)
+        .defense(Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: true })
+        .strings(StringMode::Protocol)
+        .string_adversary(StringAdversarySpec::ForcedRecords { strings: 3, release_frac: 0.49 });
+    let mut sys = tiny_groups::pow::scenario::build(&spec).expect("full-protocol scenario");
+    let mut seen_strings = std::collections::HashSet::new();
+    for _ in 0..3 {
+        let r = sys.step();
+        assert_eq!(r.strings_agreement, Some(true));
+        assert!(seen_strings.insert(r.epoch_string), "epoch string reused");
+        assert!(r.bad_ids as f64 <= 30.0 * 1.7, "bad_ids {}", r.bad_ids);
+        assert!(r.search_success_dual > 0.9);
+        assert!(r.frac_red[0] < 0.05);
+    }
 }
