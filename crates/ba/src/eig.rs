@@ -21,10 +21,12 @@ const DEFAULT: u64 = 0;
 /// validity (unanimous good inputs are decided).
 ///
 /// # Panics
-/// Panics if `inputs` and `bad` disagree in length.
+/// Panics if `inputs` and `bad` disagree in length, or if the group has
+/// more than 256 members (labels hold member indices as `u8`).
 pub fn eig_agreement(inputs: &[u64], bad: &[bool], mode: AdversaryMode) -> BaOutcome {
     let n = inputs.len();
     let t = check_group(n, bad);
+    assert!(n <= 256, "EIG labels hold at most 256 members, got {n}");
     let rounds = t + 1;
     let mut msgs = 0u64;
 
@@ -132,7 +134,7 @@ fn resolve(tree: &HashMap<Vec<u8>, u64>, label: &[u8], n: usize, rounds: usize) 
         return tree.get(label).copied().unwrap_or(DEFAULT);
     }
     let mut children = Vec::with_capacity(n);
-    for j in 0..n as u8 {
+    for j in (0..n).map(|j| j as u8) {
         if label.contains(&j) {
             continue;
         }
@@ -207,6 +209,15 @@ mod tests {
         let bad = [true, false, false, false];
         let larger = eig_agreement(&[1; 4], &bad, AdversaryMode::Honest).msgs;
         assert!(larger > small, "t = 1 adds a relay round: {larger} vs {small}");
+    }
+
+    #[test]
+    #[should_panic(expected = "EIG labels hold at most 256 members, got 300")]
+    fn groups_past_u8_labels_are_refused() {
+        // Member 256 would share member 0's labels: 160 inputs of 7 and
+        // 140 of 9 used to decide 9.
+        let inputs: Vec<u64> = (0..300).map(|i| if i < 160 { 7 } else { 9 }).collect();
+        eig_agreement(&inputs, &[false; 300], AdversaryMode::Honest);
     }
 
     #[test]

@@ -17,21 +17,19 @@
 //!   measurements),
 //! * [`eig`] — Exponential Information Gathering agreement (`t < n/3`,
 //!   optimal resilience for unauthenticated synchronous BA, exponential
-//!   message size — usable because tiny groups are *tiny*),
-//! * [`coin`] — a commit–reveal shared coin (the "robust random number
-//!   generation" group task of \[8\]), including the rushing-adversary bias
-//!   attack that motivates guarded use.
+//!   message size — usable because tiny groups are *tiny*).
 //!
 //! All protocols are synchronous (the model of §I-C) and parameterized by
-//! an [`AdversaryMode`] controlling what Byzantine members send.
+//! an [`AdversaryMode`] controlling what Byzantine members send. The
+//! crate draws no randomness: §IV's per-epoch random strings come from
+//! the Appendix VIII flood in `tg_pow::strings`, not from an in-group
+//! coin.
 
-pub mod coin;
 pub mod eig;
 pub mod majority;
 pub mod model;
 pub mod phase_king;
 
-pub use coin::{commit_reveal_coin, CoinOutcome};
 pub use eig::eig_agreement;
 pub use majority::{majority_filter, majority_value};
 pub use model::{AdversaryMode, BaOutcome};

@@ -78,7 +78,7 @@ proptest! {
         churn in 0.0f64..0.45,
         attack in 0usize..32,
         retries in 0usize..8,
-        kind_tag in 0u8..4,
+        kind_tag in 0..GraphKind::ALL.len(),
         mode_tag in 0u8..2,
         defense_tag in any::<u8>(),
         strings_tag in 0u8..2,
@@ -117,7 +117,7 @@ proptest! {
             .churn(churn)
             .attack_requests(attack)
             .link_retries(retries)
-            .topology(GraphKind::ALL[(kind_tag % 4) as usize])
+            .topology(GraphKind::ALL[kind_tag])
             .build_mode(if mode_tag == 0 { BuildMode::DualGraph } else { BuildMode::SingleGraph })
             .defense(defense(defense_tag))
             .strings(if strings_tag == 0 { StringMode::Protocol } else { StringMode::Synthesized })
@@ -374,13 +374,14 @@ fn empty_population_is_rejected() {
 /// `u64::MAX`-attempt hoarder ground and hoarded without end.)
 #[test]
 fn hostile_labels_are_refused_or_run() {
+    use Verdict::*;
     let label = ScenarioSpec::new(40, 42).searches(10).label();
     let base: Vec<(&str, &str)> =
         label.split(';').skip(1).map(|f| f.split_once('=').expect("key=value")).collect();
-    // (edits to the base label, whether the codec must refuse them)
-    let cases: [(&[(&str, &str)], bool); 30] = [
-        (&[("runtime", "actor"), ("window", "18446744073709551615")], false),
-        (&[("runtime", "actor"), ("lat", "18446744073709551615")], false),
+    // (edits to the base label, what the codec must do with them)
+    let cases: [(&[(&str, &str)], Verdict); 31] = [
+        (&[("runtime", "actor"), ("window", "18446744073709551615")], Runs),
+        (&[("runtime", "actor"), ("lat", "18446744073709551615")], Runs),
         // A window pinned at `u64::MAX` admits latencies up to
         // `u64::MAX`; their total must not overflow.
         (
@@ -389,52 +390,62 @@ fn hostile_labels_are_refused_or_run() {
                 ("window", "18446744073709551615"),
                 ("lat", "18446744073709551615"),
             ],
-            false,
+            Runs,
         ),
-        (&[("churn", "2")], true),
-        (&[("churn", "inf")], true),
-        (&[("churn", "-1")], true),
-        (&[("churn", "NaN")], true),
-        (&[("churn", "1")], false),
-        (&[("d2", "0")], false),
-        (&[("rule", "fixed:0")], false),
-        (&[("searches", "0")], false),
-        (&[("n", "2"), ("bad", "500")], false),
-        (&[("strategy", "interval-targeting:0.4:5")], false),
-        (&[("d2", "1e308")], true),
-        (&[("retries", "18446744073709551615")], true),
-        (&[("attack", "18446744073709551615")], true),
-        (&[("searches", "18446744073709551615")], true),
+        (&[("churn", "2")], Unsupported),
+        (&[("churn", "inf")], Unsupported),
+        (&[("churn", "-1")], Unsupported),
+        (&[("churn", "NaN")], Unsupported),
+        (&[("churn", "1")], Runs),
+        (&[("d2", "0")], Runs),
+        (&[("rule", "fixed:0")], Runs),
+        (&[("searches", "0")], Runs),
+        (&[("n", "2"), ("bad", "500")], Runs),
+        (&[("strategy", "interval-targeting:0.4:5")], Runs),
+        (&[("d2", "1e308")], Unsupported),
+        (&[("retries", "18446744073709551615")], Unsupported),
+        (&[("attack", "18446744073709551615")], Unsupported),
+        (&[("searches", "18446744073709551615")], Unsupported),
         // Populations no ring's u32 indices address, refused before
         // anything is allocated for them.
-        (&[("n", "18446744073709551615")], true),
-        (&[("bad", "18446744073709551615")], true),
-        (&[("n", "4294967296")], true),
-        (&[("strategy", "adaptive-majority-flipper:18446744073709551615")], false),
-        (&[("stradv", "delayed:3:0.49:-1")], true),
-        (&[("stradv", "delayed:3:0.49:inf")], true),
-        (&[("stradv", "delayed:3:0.49:NaN")], true),
-        (&[("stradv", "delayed:65537:0.49:1")], true),
-        (&[("stradv", "records:18446744073709551615:0.49")], true),
-        (&[("stradv", "delayed:3:0.49:0")], false),
+        (&[("n", "18446744073709551615")], Unsupported),
+        (&[("bad", "18446744073709551615")], Unsupported),
+        (&[("n", "4294967296")], Unsupported),
+        (&[("strategy", "adaptive-majority-flipper:18446744073709551615")], Runs),
+        (&[("stradv", "delayed:3:0.49:-1")], Unsupported),
+        (&[("stradv", "delayed:3:0.49:inf")], Unsupported),
+        (&[("stradv", "delayed:3:0.49:NaN")], Unsupported),
+        (&[("stradv", "delayed:65537:0.49:1")], Unsupported),
+        (&[("stradv", "records:18446744073709551615:0.49")], Unsupported),
+        (&[("stradv", "delayed:3:0.49:0")], Runs),
         // A hoarder that would grind and hoard for `u64::MAX` attempts.
-        (&[("strategy", "precompute-hoarder:1:18446744073709551615"), ("defense", "f∘g")], true),
+        (
+            &[("strategy", "precompute-hoarder:1:18446744073709551615"), ("defense", "f∘g")],
+            Unsupported,
+        ),
         // Realistic minting over one or two participants: some windows
         // yield no identity at all, at genesis or in a later epoch.
-        (&[("n", "1"), ("bad", "0"), ("defense", "f∘g"), ("idealized", "false")], false),
-        (&[("n", "2"), ("bad", "0"), ("defense", "f∘g"), ("idealized", "false")], false),
+        (&[("n", "1"), ("bad", "0"), ("defense", "f∘g"), ("idealized", "false")], Runs),
+        (&[("n", "2"), ("bad", "0"), ("defense", "f∘g"), ("idealized", "false")], Runs),
+        // A retired topology's name is no topology.
+        (&[("kind", "viceroy")], Malformed),
     ];
-    for (edits, refused) in cases {
+    for (edits, verdict) in cases {
         let mut fields: Vec<(&str, &str)> =
             base.iter().copied().filter(|f| edits.iter().all(|e| e.0 != f.0)).collect();
         fields.extend_from_slice(edits);
         let hostile = join(&fields);
         match ScenarioSpec::parse(&hostile) {
-            Err(e) => {
-                assert!(refused && matches!(e, ScenarioError::Unsupported(_)), "{hostile}: {e}")
-            }
+            Err(e) => assert!(
+                matches!(
+                    (verdict, &e),
+                    (Unsupported, ScenarioError::Unsupported(_))
+                        | (Malformed, ScenarioError::Parse(_))
+                ),
+                "{hostile}: {e}"
+            ),
             Ok(spec) => {
-                assert!(!refused, "{hostile} must not parse");
+                assert!(verdict == Runs, "{hostile} must not parse");
                 let mut driver =
                     tg_pow::scenario::build(&spec).unwrap_or_else(|e| panic!("{hostile}: {e}"));
                 driver.step();
@@ -444,6 +455,17 @@ fn hostile_labels_are_refused_or_run() {
     }
     let built = ScenarioSpec::new(40, 42).churn(2.0).build();
     assert!(matches!(built, Err(ScenarioError::Unsupported(_))), "build() shares the check");
+}
+
+/// What the codec must do with one hostile label.
+#[derive(Clone, Copy, PartialEq)]
+enum Verdict {
+    /// Parse, build and step.
+    Runs,
+    /// Refuse as [`ScenarioError::Unsupported`].
+    Unsupported,
+    /// Refuse as [`ScenarioError::Parse`].
+    Malformed,
 }
 
 /// One shared store for the observation round-trip cases (a fresh
@@ -536,7 +558,7 @@ fn every_axis_set() -> ScenarioSpec {
             attack_requests_per_id: 3,
             link_retries: 5,
         },
-        kind: GraphKind::Viceroy,
+        kind: GraphKind::DistanceHalving,
         mode: BuildMode::SingleGraph,
         defense: Defense::Pow { scheme: MintScheme::SingleHash, fresh_strings: false },
         strings: StringMode::Synthesized,

@@ -98,14 +98,11 @@ pub enum GraphKind {
     D2B,
     /// Naor–Wieder distance halving \[39\] — `O(1)` expected degree.
     DistanceHalving,
-    /// Viceroy \[32\] — butterfly, `O(1)` worst-case degree.
-    Viceroy,
 }
 
 impl GraphKind {
     /// All implemented topologies.
-    pub const ALL: [GraphKind; 4] =
-        [GraphKind::Chord, GraphKind::D2B, GraphKind::DistanceHalving, GraphKind::Viceroy];
+    pub const ALL: [GraphKind; 3] = [GraphKind::Chord, GraphKind::D2B, GraphKind::DistanceHalving];
 
     /// Construct the graph over `ring`.
     pub fn build(self, ring: SortedRing) -> Box<dyn InputGraph> {
@@ -113,7 +110,6 @@ impl GraphKind {
             GraphKind::Chord => Box::new(crate::chord::Chord::new(ring)),
             GraphKind::D2B => Box::new(crate::debruijn::D2B::new(ring)),
             GraphKind::DistanceHalving => Box::new(crate::halving::DistanceHalving::new(ring)),
-            GraphKind::Viceroy => Box::new(crate::viceroy::Viceroy::new(ring)),
         }
     }
 
@@ -123,7 +119,6 @@ impl GraphKind {
             GraphKind::Chord => "chord",
             GraphKind::D2B => "d2b",
             GraphKind::DistanceHalving => "distance-halving",
-            GraphKind::Viceroy => "viceroy",
         }
     }
 
@@ -133,7 +128,6 @@ impl GraphKind {
             "chord" => Some(GraphKind::Chord),
             "d2b" => Some(GraphKind::D2B),
             "distance-halving" => Some(GraphKind::DistanceHalving),
-            "viceroy" => Some(GraphKind::Viceroy),
             _ => None,
         }
     }

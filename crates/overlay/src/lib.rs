@@ -16,20 +16,20 @@
 //! * **P4 — congestion**: the maximum probability any ID is traversed by a
 //!   random search is `C = O(log^c n / n)`.
 //!
-//! We implement four of the constructions the paper names:
+//! We implement three of the constructions the paper names:
 //!
 //! * [`chord::Chord`] — Chord \[48\]: `Θ(log n)` degree, greedy finger
 //!   routing (`c = 1` congestion),
 //! * [`debruijn::D2B`] — D2B \[19\]: constant *expected* degree de Bruijn
 //!   continuous-discrete construction,
 //! * [`halving::DistanceHalving`] — the Naor–Wieder continuous-discrete
-//!   distance-halving construction \[39\], also constant expected degree,
-//! * [`viceroy::Viceroy`] — the Viceroy butterfly \[32\]: constant
-//!   *worst-case* degree.
+//!   distance-halving construction \[39\], also constant expected degree.
 //!
-//! \[19\], \[32\], \[39\] are exactly the constructions Corollary 1 names for
-//! its `O(poly(log log n))` state bound; Chord is included both as the
+//! \[19\] and \[39\] are two of the constructions Corollary 1 names for its
+//! `O(poly(log log n))` state bound; Chord is included both as the
 //! familiar default and to show the construction is topology-agnostic.
+//! The third, the butterfly of \[32\], was retired: no experiment
+//! built it, and two constant-degree graphs already show the bound.
 //!
 //! The paper stresses that `H` provides **no security by itself** — these
 //! graphs assume all IDs follow the protocol. Security comes from the
@@ -39,10 +39,8 @@ pub mod chord;
 pub mod debruijn;
 pub mod graph;
 pub mod halving;
-pub mod viceroy;
 
 pub use chord::Chord;
 pub use debruijn::D2B;
 pub use graph::{GraphKind, InputGraph, Route};
 pub use halving::DistanceHalving;
-pub use viceroy::Viceroy;

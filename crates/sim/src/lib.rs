@@ -44,8 +44,8 @@ pub use clock::PhaseWindow;
 pub use enumerate::{combination_count, for_each_combination};
 pub use metrics::Metrics;
 pub use net::{
-    Envelope, Fate, FaultPlan, InMemoryTransport, NetStats, NodeId, RetryPolicy, SocketTransport,
-    Transport, TransportChoice, Wire, NO_DEADLINE,
+    Envelope, Fate, FaultPlan, InMemoryTransport, NetStats, NodeId, SocketTransport, Transport,
+    TransportChoice, Wire, NO_DEADLINE,
 };
 pub use parallel::{beside, map_steps, parallel_map, stream_map};
 pub use rng::{derive_seed, derive_seed_grid, derive_seed_nd, stream_rng, stream_rng_grid};

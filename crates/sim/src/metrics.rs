@@ -15,7 +15,7 @@
 /// Mergeable counters for one simulation (or one component of one).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
-    /// Messages exchanged inside groups (BA rounds, coin flips, …).
+    /// Messages exchanged inside groups (agreement rounds).
     pub group_msgs: u64,
     /// Messages exchanged between groups during secure routing
     /// (all-to-all per hop).

@@ -52,7 +52,7 @@ use std::collections::BinaryHeap;
 
 pub mod socket;
 
-pub use socket::{RetryPolicy, SocketTransport, Wire};
+pub use socket::{SocketTransport, Wire};
 
 /// A virtual network endpoint. The actor runtime maps protocol
 /// participants (IDs, aggregators) onto a small set of nodes.

@@ -43,14 +43,14 @@
 //!
 //! Real wire faults degrade into the same counters instead of erroring:
 //! a frame a flush could not write out whole (a hard socket error, or
-//! a write still blocked after [`RetryPolicy::io_timeout`]), an
-//! undecodable or oversized frame, and a frame still missing when a
-//! pump's [`RetryPolicy::io_timeout`] expires all count as `dropped` in
-//! [`NetStats`] — a lost frame surfaces exactly like an injected fault,
-//! which is what keeps the observation layer transport-agnostic. A frame
-//! that was written stays outstanding until it is read back or its pump
-//! times out. A flush that gives up also closes the write side: the
-//! stream may end mid-frame, so no later frame may follow it.
+//! a write still blocked after the 2 s I/O deadline), an undecodable or
+//! oversized frame, and a frame still missing when a pump's deadline
+//! expires all count as `dropped` in [`NetStats`] — a lost frame
+//! surfaces exactly like an injected fault, which is what keeps the
+//! observation layer transport-agnostic. A frame that was written stays
+//! outstanding until it is read back or its pump times out. A flush that
+//! gives up also closes the write side: the stream may end mid-frame, so
+//! no later frame may follow it.
 //!
 //! ## Ordering
 //!
@@ -85,40 +85,22 @@ pub trait Wire: Sized {
     fn decode(bytes: &[u8]) -> Option<Self>;
 }
 
-/// Connect retry and I/O deadline contract for [`SocketTransport`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Connect attempts beyond the first.
-    pub max_retries: u32,
-    /// First backoff between connect attempts; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling for the exponential schedule.
-    pub backoff_cap: Duration,
-    /// Timeout of each connect attempt, and the deadline of one flush
-    /// (frames a write still blocks on past it are lost) and of one
-    /// pump (frames still missing past it are lost). The writer itself
-    /// is non-blocking and carries no write timeout.
-    pub io_timeout: Duration,
-}
+/// Connect attempts beyond the first.
+const MAX_RETRIES: u32 = 5;
+/// First backoff between connect attempts; doubles per attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// Backoff ceiling for the exponential schedule.
+const BACKOFF_CAP: Duration = Duration::from_millis(64);
+/// Timeout of each connect attempt, and the deadline of one flush
+/// (frames a write still blocks on past it are lost) and of one pump
+/// (frames still missing past it are lost). The writer itself is
+/// non-blocking and carries no write timeout.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 5,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(64),
-            io_timeout: Duration::from_secs(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff before retry attempt `attempt` (0-based): base × 2^attempt,
-    /// capped.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self.backoff_base.saturating_mul(1u32 << attempt.min(16));
-        exp.min(self.backoff_cap)
-    }
+/// The backoff before retry attempt `attempt` (0-based): base × 2^attempt,
+/// capped.
+fn backoff(attempt: u32) -> Duration {
+    BACKOFF_BASE.saturating_mul(1u32 << attempt.min(16)).min(BACKOFF_CAP)
 }
 
 /// Plain scalar payloads round-trip as fixed-width LE bytes — handy
@@ -197,7 +179,6 @@ fn split_frame(buf: &[u8]) -> Split {
 pub struct SocketTransport<M: Wire> {
     /// Admission, the delivery heap and every counter.
     core: InMemoryTransport<M>,
-    policy: RetryPolicy,
     writer: TcpStream,
     reader: TcpStream,
     /// Whole frames encoded by `send` and not yet handed to the kernel.
@@ -215,18 +196,17 @@ pub struct SocketTransport<M: Wire> {
 
 impl<M: Wire> SocketTransport<M> {
     /// Bind a loopback listener and establish the connection, retrying
-    /// a refused connect per the default [`RetryPolicy`].
+    /// a refused connect with capped exponential backoff (1 ms doubling
+    /// to 64 ms, five retries).
     pub fn connect(plan: FaultPlan, seed: u64) -> std::io::Result<Self> {
-        let policy = RetryPolicy::default();
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        let writer = connect_with_retry(listener.local_addr()?, &policy)?;
+        let writer = connect_with_retry(listener.local_addr()?)?;
         writer.set_nodelay(true)?;
         writer.set_nonblocking(true)?;
         let (reader, _) = listener.accept()?;
         reader.set_nonblocking(true)?;
         Ok(SocketTransport {
             core: InMemoryTransport::new(plan, seed),
-            policy,
             writer,
             reader,
             outbox: Vec::new(),
@@ -308,10 +288,9 @@ impl<M: Wire> SocketTransport<M> {
     }
 
     /// Hand the whole outbox to the kernel. A write that would block
-    /// drains the inbound side and tries again until
-    /// [`RetryPolicy::io_timeout`]; on that deadline or a hard error the
-    /// frames not written out whole count as dropped and the write side
-    /// is closed.
+    /// drains the inbound side and tries again until [`IO_TIMEOUT`]; on
+    /// that deadline or a hard error the frames not written out whole
+    /// count as dropped and the write side is closed.
     fn flush(&mut self) {
         let start = Instant::now();
         let mut spins = 0u32;
@@ -321,10 +300,7 @@ impl<M: Wire> SocketTransport<M> {
                 Ok(0) => break,
                 Ok(n) => written += n,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock
-                        && start.elapsed() <= self.policy.io_timeout =>
-                {
+                Err(e) if e.kind() == ErrorKind::WouldBlock && start.elapsed() <= IO_TIMEOUT => {
                     self.drain_ready();
                     idle(&mut spins);
                 }
@@ -347,8 +323,7 @@ impl<M: Wire> SocketTransport<M> {
     }
 
     /// Flush, then read until every outstanding frame has been parsed
-    /// or the [`RetryPolicy::io_timeout`] expires; expired frames
-    /// degrade to dropped.
+    /// or [`IO_TIMEOUT`] expires; expired frames degrade to dropped.
     fn pump(&mut self) {
         self.flush();
         self.unpumped_min = None;
@@ -359,7 +334,7 @@ impl<M: Wire> SocketTransport<M> {
             if self.outstanding == 0 {
                 return;
             }
-            if start.elapsed() > self.policy.io_timeout {
+            if start.elapsed() > IO_TIMEOUT {
                 self.core.wire_lost(std::mem::take(&mut self.outstanding));
                 return;
             }
@@ -380,17 +355,17 @@ fn idle(spins: &mut u32) {
     }
 }
 
-/// Dial `addr` with capped exponential backoff per `policy`.
-fn connect_with_retry(addr: SocketAddr, policy: &RetryPolicy) -> std::io::Result<TcpStream> {
+/// Dial `addr` with capped exponential [`backoff`].
+fn connect_with_retry(addr: SocketAddr) -> std::io::Result<TcpStream> {
     let mut attempt = 0;
     loop {
-        match TcpStream::connect_timeout(&addr, policy.io_timeout) {
+        match TcpStream::connect_timeout(&addr, IO_TIMEOUT) {
             Ok(s) => return Ok(s),
             Err(e) => {
-                if attempt >= policy.max_retries {
+                if attempt >= MAX_RETRIES {
                     return Err(e);
                 }
-                std::thread::sleep(policy.backoff(attempt));
+                std::thread::sleep(backoff(attempt));
                 attempt += 1;
             }
         }
@@ -584,10 +559,9 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_capped_exponential() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff(0), Duration::from_millis(1));
-        assert_eq!(p.backoff(3), Duration::from_millis(8));
-        assert_eq!(p.backoff(20), p.backoff_cap, "schedule saturates at the cap");
+        assert_eq!(backoff(0), Duration::from_millis(1));
+        assert_eq!(backoff(3), Duration::from_millis(8));
+        assert_eq!(backoff(20), BACKOFF_CAP, "schedule saturates at the cap");
     }
 
     /// Backpressure: far more traffic than one kernel socket buffer
@@ -655,7 +629,6 @@ mod tests {
         }
         assert_eq!(drain(&mut t).len(), 50, "the healthy phase delivers everything");
         t.reader.shutdown(Shutdown::Both).expect("shutdown");
-        t.policy.io_timeout = Duration::from_millis(200);
         t.begin_phase(0, 1, NO_DEADLINE);
         for i in 0..50u32 {
             t.send(1, 2, i as u64, i);
@@ -663,7 +636,7 @@ mod tests {
         let start = Instant::now();
         assert!(t.recv().is_none(), "nothing arrives over a closed connection");
         let waited = start.elapsed();
-        assert!(waited < t.policy.io_timeout + Duration::from_secs(1), "waited {waited:?}");
+        assert!(waited < IO_TIMEOUT + Duration::from_secs(1), "waited {waited:?}");
         let s = t.stats();
         assert_eq!((s.sent, s.delivered, s.dropped), (100, 50, 50));
         assert_eq!(s.sent, s.delivered + s.dropped);

@@ -7,13 +7,13 @@
 //! The paper's second pillar (§I): every group executes tasks via
 //! Byzantine agreement, so a good-majority group acts like one reliable
 //! machine. This example takes real groups out of a built group graph
-//! and runs Phase King, EIG, and the commit-reveal coin inside them,
-//! with the group's actual Byzantine members misbehaving — and shows the
-//! Corollary-1 message contrast against `Θ(log n)`-size groups.
+//! and runs Phase King and EIG inside them, with the group's actual
+//! Byzantine members misbehaving — and shows the Corollary-1 message
+//! contrast against `Θ(log n)`-size groups.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tiny_groups::ba::{commit_reveal_coin, eig_agreement, phase_king, AdversaryMode};
+use tiny_groups::ba::{eig_agreement, phase_king, AdversaryMode};
 use tiny_groups::core::{build_initial_graph, GroupGraphView, Params, Population};
 use tiny_groups::crypto::OracleFamily;
 use tiny_groups::overlay::GraphKind;
@@ -72,12 +72,6 @@ fn main() {
             );
         }
 
-        let mut coin_rng = StdRng::seed_from_u64(2);
-        let coin = commit_reveal_coin(m, &bad, AdversaryMode::Collude { value: 1 }, &mut coin_rng);
-        println!(
-            "  Shared coin: value {:#018x}, {} withheld reveals, {} msgs",
-            coin.coin, coin.withheld, coin.msgs
-        );
         println!();
     }
     println!("The per-operation message gap above is Corollary 1: group");

@@ -57,7 +57,7 @@ proptest! {
     fn no_adversary_no_failures(
         seed in any::<u64>(),
         n in 16usize..200,
-        kind_sel in 0usize..4,
+        kind_sel in 0..GraphKind::ALL.len(),
     ) {
         let kind = GraphKind::ALL[kind_sel];
         let mut rng = StdRng::seed_from_u64(seed);
