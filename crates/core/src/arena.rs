@@ -44,7 +44,7 @@ use crate::dynamic::build::{
     accepts_spurious, establish_link, resolve_slot, Bootstraps, BuildMode, BuildStats, SlotOut,
 };
 use crate::dynamic::kernel::{scheduled_map, scheduled_stream};
-use crate::dynamic::provider::IdentityProvider;
+use crate::dynamic::provider::{EpochIds, IdentityProvider};
 use crate::dynamic::system::EpochObservation;
 use crate::graph::{GraphsView, GroupColumns, GroupGraph, GroupGraphView, SideView};
 use crate::params::Params;
@@ -139,25 +139,26 @@ impl DynamicSystem {
     /// and group counts; its census, PoW and network fields stay at
     /// their defaults for the layers that measure them.
     pub fn advance_epoch(&mut self, provider: &mut dyn IdentityProvider) -> EpochObservation {
-        let minted = self.mint_epoch(provider);
+        let minted = self.mint_epoch(|view, rng| provider.ids_for_epoch(view.epoch, view, rng));
         self.build_epoch(minted)
     }
 
     /// The first half of an epoch: intra-epoch churn on the serving
-    /// pool, then the provider mints the next generation. Nothing is
-    /// built yet; [`DynamicSystem::build_epoch`] finishes the epoch.
+    /// pool, then `mint` — called once, with the view of the churned
+    /// graphs and the epoch's RNG — returns the next generation. Nothing
+    /// is built yet; [`DynamicSystem::build_epoch`] finishes the epoch.
     ///
-    /// The dynamic layer itself has no notion of epoch strings — they
-    /// belong to §IV's minting pipeline, so the [`AdversaryView`] handed
-    /// to the provider carries `epoch_string: None`. A composed system
-    /// (e.g. `tg-pow::FullSystem`) that agrees on a string *before*
-    /// minting injects it at the provider layer instead: wrap the
-    /// strategic provider in [`crate::dynamic::WithEpochString`] and the
-    /// view its inner provider observes carries the string in force —
-    /// hoarding strategies grind against it, and the fresh-vs-frozen
-    /// contrast of §IV-B plays out over the real protocol string rather
-    /// than a synthesized stand-in.
-    pub fn mint_epoch(&mut self, provider: &mut dyn IdentityProvider) -> MintedEpoch {
+    /// The mint step is the caller's: a driver writes its provider call,
+    /// network announcements and census there in its own order. The
+    /// dynamic layer has no notion of epoch strings (they belong to
+    /// §IV's minting pipeline), so the view carries `epoch_string:
+    /// None`; `tg-pow`'s `FullSystem`, which agrees on a string before
+    /// minting, hands its provider a copy of the view with the string in
+    /// force.
+    pub fn mint_epoch(
+        &mut self,
+        mint: impl FnOnce(&AdversaryView<'_>, &mut StdRng) -> EpochIds,
+    ) -> MintedEpoch {
         let mut rng = stream_rng(self.master_seed, "epoch", self.epoch);
 
         // 1. Intra-epoch churn: a fraction of the good *member pool*
@@ -174,7 +175,7 @@ impl DynamicSystem {
         //    provider observes the graphs that just served this epoch.
         let view =
             AdversaryView { epoch: self.epoch + 1, graphs: self.graphs.view(), epoch_string: None };
-        let ids = provider.ids_for_epoch(self.epoch + 1, &view, &mut rng);
+        let ids = mint(&view, &mut rng);
         // A window that minted no identity leaves no leader to build a
         // group for: the generation in service carries over and is
         // rebuilt through itself.

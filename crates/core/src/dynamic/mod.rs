@@ -50,5 +50,5 @@ pub use adversary::{
 };
 pub use build::{BuildMode, BuildStats};
 pub use kernel::KernelChoice;
-pub use provider::{Census, EpochIds, IdentityProvider, UniformProvider, WithEpochString};
+pub use provider::{EpochIds, IdentityProvider, UniformProvider};
 pub use system::EpochObservation;

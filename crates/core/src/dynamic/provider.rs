@@ -8,6 +8,15 @@
 //! [`crate::dynamic::adversary::StrategicProvider`] composed with an
 //! [`crate::dynamic::adversary::AdversaryStrategy`] — the pluggable
 //! placement engine experiment E10 sweeps.
+//!
+//! A provider is one statement of an epoch's mint step, which
+//! [`DynamicSystem::mint_epoch`](crate::dynamic::DynamicSystem::mint_epoch)
+//! takes as a closure. Each driver writes that step out in order: the
+//! provider call, the network's announcement phase
+//! ([`EpochNet::announce_phase`](crate::runtime::EpochNet::announce_phase)),
+//! and the census of the population — taken before the announcements
+//! by [`DynamicDriver`](crate::scenario::DynamicDriver), after them by
+//! `tg_pow`'s `FullSystem`.
 
 use crate::dynamic::adversary::AdversaryView;
 use rand::rngs::StdRng;
@@ -63,107 +72,12 @@ pub trait IdentityProvider {
         -> EpochIds;
 }
 
-/// A provider behind a mutable reference forwards as itself (lets
-/// wrappers like [`WithEpochString`] borrow a provider they do not
-/// own).
-impl<P: IdentityProvider + ?Sized> IdentityProvider for &mut P {
-    fn ids_for_epoch(
-        &mut self,
-        epoch: u64,
-        view: &AdversaryView<'_>,
-        rng: &mut StdRng,
-    ) -> EpochIds {
-        (**self).ids_for_epoch(epoch, view, rng)
-    }
-}
-
-/// A boxed provider forwards as itself (lets wrappers like [`Census`]
-/// own a type-erased provider).
-impl<P: IdentityProvider + ?Sized> IdentityProvider for Box<P> {
-    fn ids_for_epoch(
-        &mut self,
-        epoch: u64,
-        view: &AdversaryView<'_>,
-        rng: &mut StdRng,
-    ) -> EpochIds {
-        (**self).ids_for_epoch(epoch, view, rng)
-    }
-}
-
-/// Measures each epoch's IDs in transit: the dynamic layer consumes
-/// what a provider returns, so the census is taken on the way in. No
-/// RNG is drawn, so wrapping changes no byte of any run.
-///
-/// *Where* in a provider chain the census sits decides what it counts:
-/// outside a [`NetFilter`](crate::runtime::NetFilter) it sees what the
-/// network delivered, inside it what was minted.
-#[derive(Debug)]
-pub struct Census<P> {
-    /// The wrapped provider.
-    pub inner: P,
-    /// Good IDs the last epoch's population carried.
-    pub good: usize,
-    /// Adversarial IDs the last epoch's population carried.
-    pub bad: usize,
-    /// Key-space share those adversarial IDs own
-    /// ([`EpochIds::bad_ring_share`]).
-    pub bad_share: f64,
-}
-
-impl<P> Census<P> {
-    /// Wrap `inner`; the counts read zero until its first epoch.
-    pub fn new(inner: P) -> Self {
-        Census { inner, good: 0, bad: 0, bad_share: 0.0 }
-    }
-}
-
-impl<P: IdentityProvider> IdentityProvider for Census<P> {
-    fn ids_for_epoch(
-        &mut self,
-        epoch: u64,
-        view: &AdversaryView<'_>,
-        rng: &mut StdRng,
-    ) -> EpochIds {
-        let ids = self.inner.ids_for_epoch(epoch, view, rng);
-        self.good = ids.good.len();
-        self.bad = ids.bad.len();
-        self.bad_share = ids.bad_ring_share();
-        ids
-    }
-}
-
-/// Injects a PoW epoch string into the [`AdversaryView`] the inner
-/// provider observes.
-///
-/// The dynamic layer itself never carries an epoch string — it hands
-/// its providers a view with `epoch_string: None` (strings belong to
-/// §IV's minting pipeline). A composed system that agrees on a string
-/// *before* minting — `tg-pow`'s `FullSystem`, whose per-epoch
-/// [`Census`] composes this type — sets
-/// [`WithEpochString::epoch_string`] each epoch and the inner provider
-/// (and any strategy inside it) sees the string in force.
-#[derive(Debug)]
-pub struct WithEpochString<P> {
-    /// The wrapped provider.
-    pub inner: P,
-    /// The string minting is currently bound to (`None` before the
-    /// first agreement).
-    pub epoch_string: Option<u64>,
-}
-
-impl<P: IdentityProvider> IdentityProvider for WithEpochString<P> {
-    fn ids_for_epoch(
-        &mut self,
-        epoch: u64,
-        view: &AdversaryView<'_>,
-        rng: &mut StdRng,
-    ) -> EpochIds {
-        let view = AdversaryView {
-            epoch: view.epoch,
-            graphs: view.graphs,
-            epoch_string: self.epoch_string.or(view.epoch_string),
-        };
-        self.inner.ids_for_epoch(epoch, &view, rng)
+/// A minted population is its own provider: every call hands out the
+/// same IDs (how a system that mints its genesis window itself boots a
+/// [`DynamicSystem`](crate::dynamic::DynamicSystem)).
+impl IdentityProvider for EpochIds {
+    fn ids_for_epoch(&mut self, _: u64, _: &AdversaryView<'_>, _: &mut StdRng) -> EpochIds {
+        self.clone()
     }
 }
 

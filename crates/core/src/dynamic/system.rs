@@ -14,7 +14,7 @@ use tg_sim::Metrics;
 ///   [`advance_epoch`](crate::dynamic::DynamicSystem::advance_epoch))
 ///   — the §III measurements and the group counts, taken on the freshly
 ///   built graphs (the ones the next epoch operates on);
-/// * the driver's identity census — `bad_ids` and `bad_share`;
+/// * the census in the driver's mint step — `bad_ids` and `bad_share`;
 /// * `tg_pow`'s `FullSystem` — the §IV string/minting fields (`None`
 ///   when the scenario runs without the PoW layer or with synthesized
 ///   strings);
@@ -51,10 +51,10 @@ pub struct EpochObservation {
     /// Key-space fraction those IDs own under the successor rule — the
     /// adversary's recruitment probability per membership draw. Under
     /// a faulty network the two drivers disagree on the denominator:
-    /// `FullDriver` measures the ring the network *delivered*,
-    /// [`DynamicDriver`](crate::scenario::DynamicDriver) the ring as
-    /// *announced* (before good announcements are dropped) — see
-    /// ROADMAP item 5.
+    /// `tg_pow`'s `FullSystem` measures the ring the network
+    /// *delivered*, [`DynamicDriver`](crate::scenario::DynamicDriver)
+    /// the ring as *minted* (before good announcements are dropped) —
+    /// one statement apart in their mint steps; see ROADMAP item 5.
     pub bad_share: f64,
     /// Groups without a good majority, summed over all sides, measured
     /// on the freshly built graphs.
@@ -93,11 +93,9 @@ impl EpochObservation {
 
 #[cfg(test)]
 mod tests {
-    use crate::dynamic::adversary::AdversaryView;
-    use crate::dynamic::provider::{IdentityProvider, UniformProvider};
+    use crate::dynamic::provider::UniformProvider;
     use crate::dynamic::{BuildMode, DynamicSystem};
     use crate::params::Params;
-    use rand::rngs::StdRng;
     use tg_overlay::GraphKind;
 
     fn small_system(mode: BuildMode, seed: u64) -> (DynamicSystem, UniformProvider) {
@@ -165,38 +163,6 @@ mod tests {
         assert_eq!(ra.frac_red, rb.frac_red);
         assert_eq!(ra.search_success_dual, rb.search_success_dual);
         assert_eq!(ra.build.captured_slots, rb.build.captured_slots);
-    }
-
-    #[test]
-    fn epoch_string_reaches_the_view_through_the_provider_wrapper() {
-        use crate::dynamic::provider::WithEpochString;
-
-        struct StringSpy {
-            inner: UniformProvider,
-            seen: Vec<Option<u64>>,
-        }
-        impl IdentityProvider for StringSpy {
-            fn ids_for_epoch(
-                &mut self,
-                epoch: u64,
-                view: &AdversaryView<'_>,
-                rng: &mut StdRng,
-            ) -> crate::dynamic::EpochIds {
-                self.seen.push(view.epoch_string);
-                self.inner.ids_for_epoch(epoch, view, rng)
-            }
-        }
-        let mut params = Params::paper_defaults();
-        params.churn_rate = 0.1;
-        params.attack_requests_per_id = 0;
-        let spy = StringSpy { inner: UniformProvider { n_good: 380, n_bad: 20 }, seen: Vec::new() };
-        let mut wrapped = WithEpochString { inner: spy, epoch_string: None };
-        let mut sys =
-            DynamicSystem::new(params, GraphKind::D2B, BuildMode::DualGraph, &mut wrapped, 11);
-        sys.advance_epoch(&mut wrapped);
-        wrapped.epoch_string = Some(0xABCD);
-        sys.advance_epoch(&mut wrapped);
-        assert_eq!(wrapped.inner.seen, vec![None, None, Some(0xABCD)]);
     }
 
     #[test]

@@ -421,8 +421,8 @@ impl GroupGraphView for SideView<'_> {
 /// (nothing has served yet), otherwise a handle onto the system's
 /// [`GroupGraph`] (see [`GroupGraph::view`]).
 ///
-/// `Copy`, so provider wrappers (`WithEpochString`, the PoW pipeline's
-/// re-wrapping) can forward it without lifetime gymnastics.
+/// `Copy`, so a mint step can hand its provider an amended view (the
+/// PoW pipeline's string in force) without lifetime gymnastics.
 #[derive(Clone, Copy)]
 pub struct GraphsView<'a>(pub(crate) Option<&'a GroupGraph>);
 

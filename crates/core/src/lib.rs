@@ -22,9 +22,6 @@
 //!   paths (the §II-B semantics: a search fails iff it meets a red group)
 //!   and message-level all-to-all routing with majority filtering,
 //! * [`robustness`] — measuring ε-robustness (Theorem 3's two bullets),
-//! * [`abstract_model`] — the idealized S1–S3 model (each group red
-//!   i.i.d. with probability `pf`) of Lemmas 1–4; nothing outside its
-//!   own tests calls it yet (ROADMAP item 9 adopts it or it goes),
 //! * [`dynamic`] — the dynamic case (§III): epochs, two old + two new
 //!   group graphs, dual-search membership and neighbor construction with
 //!   verification, churn, and the single-graph ablation,
@@ -45,7 +42,6 @@
 //!   network over a perfect transport,
 //! * [`render`] — DOT rendering of `H` and `G` (Figure 1).
 
-pub mod abstract_model;
 pub mod arena;
 pub mod build;
 pub mod dynamic;
@@ -65,7 +61,7 @@ pub use params::{GroupSizeRule, Params};
 pub use population::Population;
 pub use robustness::{measure_robustness, RobustnessReport};
 pub use routing::{search_path, SearchOutcome};
-pub use runtime::{EpochNet, NetFilter, ProtocolMsg, RuntimeChoice};
+pub use runtime::{EpochNet, ProtocolMsg, RuntimeChoice};
 pub use scenario::{
     Defense, EpochDriver, EpochObservation, MintScheme, ScenarioError, ScenarioSpec, StrategySpec,
     StringMode,

@@ -3,7 +3,7 @@
 //!
 //! There is one epoch driver per layer —
 //! [`DynamicDriver`](crate::scenario::DynamicDriver) for §III alone,
-//! `tg_pow`'s `FullDriver` with §IV on top — and each carries an
+//! `tg_pow`'s `FullSystem` with §IV on top — and each carries an
 //! optional [`EpochNet`]. `runtime=sync` means *no net*: the
 //! epoch advances as one in-process step, the right fast path for the
 //! paper's synchronous-rounds model, but silent about everything the
@@ -44,7 +44,9 @@
 //! ## Schedule
 //!
 //! The phases run on the transport in one order per epoch: strings,
-//! then announcements (inside the mint, [`NetFilter`]), then probes.
+//! then announcements (a statement of the driver's mint step, inside
+//! [`DynamicSystem::mint_epoch`] — or, for `FullSystem`'s statistical
+//! minting, just before it), then probes.
 //! The probe phase reads no graph and draws no kernel RNG, so
 //! [`build_epoch`] runs it beside the epoch's build and measurement:
 //! the caller builds while `tg_sim`'s spare thread probes
@@ -77,13 +79,11 @@
 //! the codec, emitted only when non-default) and the fault knobs with
 //! [`FaultPlan`](tg_sim::net::FaultPlan) (`drop=`, `lat=`, `part=`).
 
-use crate::dynamic::adversary::AdversaryView;
 use crate::dynamic::kernel::scheduled_beside;
-use crate::dynamic::provider::{EpochIds, IdentityProvider};
+use crate::dynamic::provider::EpochIds;
 use crate::dynamic::system::EpochObservation;
 use crate::dynamic::{DynamicSystem, MintedEpoch};
 use crate::scenario::ScenarioSpec;
-use rand::rngs::StdRng;
 use tg_sim::clock::PhaseWindow;
 use tg_sim::net::{
     Envelope, InMemoryTransport, NetStats, NodeId, SocketTransport, Transport, TransportChoice,
@@ -418,34 +418,6 @@ pub fn build_epoch(
     );
     net.finish_epoch(&mut obs, probed);
     obs
-}
-
-/// An [`IdentityProvider`] that runs the inner provider's good IDs
-/// through the network's announcement phase, and passes them through
-/// untouched when there is no network (`runtime=sync`). Composable
-/// anywhere in a provider chain: a [`Census`](crate::dynamic::Census)
-/// outside it counts what the network delivered, one inside it what
-/// was minted.
-pub struct NetFilter<'a> {
-    /// The provider whose announcements go over the network.
-    pub inner: &'a mut dyn IdentityProvider,
-    /// The scenario's network, if it has one.
-    pub net: Option<&'a mut EpochNet>,
-}
-
-impl IdentityProvider for NetFilter<'_> {
-    fn ids_for_epoch(
-        &mut self,
-        epoch: u64,
-        view: &AdversaryView<'_>,
-        rng: &mut StdRng,
-    ) -> EpochIds {
-        let mut ids = self.inner.ids_for_epoch(epoch, view, rng);
-        if let Some(net) = self.net.as_deref_mut() {
-            net.announce_phase(epoch, &mut ids);
-        }
-        ids
-    }
 }
 
 #[cfg(test)]

@@ -8,10 +8,10 @@ use crate::dynamic::adversary::{
     AdaptiveMajorityFlipper, AdversaryStrategy, ChurnTimed, GapFilling, IntervalTargeting,
     StrategicProvider, Uniform,
 };
-use crate::dynamic::provider::{Census, IdentityProvider, UniformProvider};
+use crate::dynamic::provider::{IdentityProvider, UniformProvider};
 use crate::dynamic::{DynamicSystem, EpochObservation};
 use crate::graph::GraphsView;
-use crate::runtime::{build_epoch, EpochNet, NetFilter};
+use crate::runtime::{build_epoch, EpochNet};
 use tg_idspace::Id;
 
 /// The one verb every simulated system understands: advance one epoch,
@@ -46,7 +46,7 @@ pub trait EpochDriver {
 /// network.
 pub struct DynamicDriver {
     sys: DynamicSystem,
-    provider: Census<Box<dyn IdentityProvider>>,
+    provider: Box<dyn IdentityProvider>,
     /// The actor-runtime network; `None` under [`RuntimeChoice::Sync`](crate::runtime::RuntimeChoice::Sync).
     net: Option<EpochNet>,
     obs: EpochObservation,
@@ -58,10 +58,12 @@ impl DynamicDriver {
     /// driver; core-only callers should use [`ScenarioSpec::build`]).
     /// The spec's `runtime` knob decides whether the driver carries a
     /// network; the genesis build is trusted bootstrap either way.
-    pub fn with_provider(spec: &ScenarioSpec, inner: Box<dyn IdentityProvider>) -> DynamicDriver {
-        let mut provider = Census::new(inner);
+    pub fn with_provider(
+        spec: &ScenarioSpec,
+        mut provider: Box<dyn IdentityProvider>,
+    ) -> DynamicDriver {
         let mut sys =
-            DynamicSystem::new(spec.params, spec.kind, spec.mode, &mut provider, spec.seed);
+            DynamicSystem::new(spec.params, spec.kind, spec.mode, provider.as_mut(), spec.seed);
         sys.set_searches_per_epoch(spec.searches);
         DynamicDriver {
             sys,
@@ -74,14 +76,22 @@ impl DynamicDriver {
 
 impl EpochDriver for DynamicDriver {
     fn step(&mut self) -> &EpochObservation {
-        // Census inside the net filter: `bad_ids`/`bad_share` are taken
-        // before the network drops good announcements. That order is
-        // pinned by the goldens and `benchmark/expected/net_faulty.sha256`.
-        let mut filtered = NetFilter { inner: &mut self.provider, net: self.net.as_mut() };
-        let minted = self.sys.mint_epoch(&mut filtered);
+        let (provider, net) = (&mut self.provider, &mut self.net);
+        let mut census = (0, 0.0);
+        let minted = self.sys.mint_epoch(|view, rng| {
+            let mut ids = provider.ids_for_epoch(view.epoch, view, rng);
+            // The census is taken before the network drops good
+            // announcements, so `bad_share` is the minted ring's. That
+            // order is pinned by the goldens and
+            // `benchmark/expected/net_faulty.sha256` (ROADMAP item 5).
+            census = (ids.bad.len(), ids.bad_ring_share());
+            if let Some(net) = net {
+                net.announce_phase(view.epoch, &mut ids);
+            }
+            ids
+        });
         self.obs = build_epoch(&mut self.sys, minted, self.net.as_mut());
-        self.obs.bad_ids = self.provider.bad;
-        self.obs.bad_share = self.provider.bad_share;
+        (self.obs.bad_ids, self.obs.bad_share) = census;
         &self.obs
     }
 

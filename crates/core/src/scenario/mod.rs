@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use crate::dynamic::adversary::StrategicProvider;
     use crate::dynamic::build::BuildMode;
-    use crate::dynamic::provider::{Census, IdentityProvider, UniformProvider};
+    use crate::dynamic::provider::{IdentityProvider, UniformProvider};
     use crate::dynamic::DynamicSystem;
     use tg_overlay::GraphKind;
 
@@ -157,7 +157,7 @@ mod tests {
 
     /// The conformance contract at the core layer: a spec-built driver
     /// reproduces a hand-constructed `DynamicSystem` run record-for-record
-    /// (the direct run's census taken by a [`Census`] wrapper), honest
+    /// (the direct run's census counted inline in its mint step), honest
     /// and strategic alike.
     #[test]
     fn driver_matches_direct_dynamic_system() {
@@ -165,7 +165,7 @@ mod tests {
             let s = spec().strategy(strategy);
             let mut driver = s.build().unwrap();
 
-            let inner: Box<dyn IdentityProvider> = match strategy {
+            let mut provider: Box<dyn IdentityProvider> = match strategy {
                 StrategySpec::Honest => {
                     Box::new(UniformProvider { n_good: s.n_good, n_bad: s.n_bad })
                 }
@@ -175,14 +175,18 @@ mod tests {
                     strategy.build_strategy().unwrap(),
                 )),
             };
-            let mut direct = Census::new(inner);
-            let mut sys = DynamicSystem::new(s.params, s.kind, s.mode, &mut direct, s.seed);
+            let mut sys = DynamicSystem::new(s.params, s.kind, s.mode, provider.as_mut(), s.seed);
             sys.set_searches_per_epoch(s.searches);
 
             for _ in 0..3 {
-                let mut r = sys.advance_epoch(&mut direct);
-                r.bad_ids = direct.bad;
-                r.bad_share = direct.bad_share;
+                let mut census = None;
+                let minted = sys.mint_epoch(|view, rng| {
+                    let ids = provider.ids_for_epoch(view.epoch, view, rng);
+                    census = Some((ids.bad.len(), ids.bad_ring_share()));
+                    ids
+                });
+                let mut r = sys.build_epoch(minted);
+                (r.bad_ids, r.bad_share) = census.unwrap();
                 let o = driver.step();
                 assert_eq!(format!("{o:?}"), format!("{r:?}"));
                 assert!(o.epoch_string.is_none() && o.minted_good.is_none());

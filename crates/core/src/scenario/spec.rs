@@ -403,8 +403,10 @@ impl ScenarioSpec {
         self
     }
 
-    /// Reject what no driver can run: an empty population (there is no
-    /// ring to build an overlay over), one whose identities a ring's
+    /// Reject what no driver can run: a population with no good identity
+    /// (there may be no ring to build an overlay over — a strategy can
+    /// place nothing at genesis, and the trusted bootstrap would wait
+    /// for an identity forever), one whose identities a ring's
     /// `u32` indices cannot address, a churn rate that is not a
     /// fraction of the good IDs, a size rule, retry count or attack
     /// request count past 65 536, more than 2²⁰ robustness searches
@@ -419,8 +421,8 @@ impl ScenarioSpec {
     /// *and* by the codec, so none is representable from any entry
     /// point.
     pub fn check_transport(&self) -> Result<(), ScenarioError> {
-        if self.n_good == 0 && self.n_bad == 0 {
-            return Err(ScenarioError::Unsupported("an empty population: n and bad are both 0"));
+        if self.n_good == 0 {
+            return Err(ScenarioError::Unsupported("a population with no good identity (n = 0)"));
         }
         if self.n_good.checked_add(self.n_bad).is_none_or(|n| n > MAX_POPULATION) {
             return Err(ScenarioError::Unsupported(
@@ -524,10 +526,10 @@ pub enum ScenarioError {
     /// network.
     NeedsActorRuntime(&'static str),
     /// The spec combines axes no driver implements (e.g. the real
-    /// string protocol over a single-graph construction), names an
-    /// empty population, a churn rate outside `[0, 1]`, a group size,
-    /// retry count, attack request count, search count or string
-    /// adversary past the supported bounds.
+    /// string protocol over a single-graph construction), names a
+    /// population with no good identity, a churn rate outside `[0, 1]`,
+    /// a group size, retry count, attack request count, search count or
+    /// string adversary past the supported bounds.
     Unsupported(&'static str),
     /// A label/JSON form did not decode.
     Parse(String),

@@ -6,6 +6,9 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
+use std::time::Duration;
 use tg_core::dynamic::BuildMode;
 use tg_core::params::GroupSizeRule;
 use tg_core::runtime::RuntimeChoice;
@@ -341,21 +344,33 @@ proptest! {
 
 /// An empty population (`n=0;bad=0`) is rejected with a typed error by
 /// both codec forms and by `build()` — there is no ring to build an
-/// overlay over, and the overlay constructors panic on one. The smallest
-/// population still builds and steps.
+/// overlay over, and the overlay constructors panic on one — and so is
+/// an adversary-only one (`n=0;bad=5`), whose genesis can wait forever
+/// for a strategy that places nothing. The smallest population still
+/// builds and steps.
 #[test]
 fn empty_population_is_rejected() {
     let one = ScenarioSpec::new(1, 42);
     assert_eq!((one.n_good, one.n_bad), (1, 0));
     let empty_label = one.label().replace(";n=1;", ";n=0;");
     assert_ne!(empty_label, one.label());
-    assert!(matches!(ScenarioSpec::parse(&empty_label), Err(ScenarioError::Unsupported(_))));
+    let bad_only_label = empty_label.replace(";bad=0;", ";bad=5;");
+    assert_ne!(bad_only_label, empty_label);
+    for label in [&empty_label, &bad_only_label] {
+        assert!(matches!(ScenarioSpec::parse(label), Err(ScenarioError::Unsupported(_))));
+    }
     let empty_json = one.to_json().replace("\"n\": 1,", "\"n\": 0,");
     assert_ne!(empty_json, one.to_json());
-    assert!(matches!(ScenarioSpec::from_json(&empty_json), Err(ScenarioError::Unsupported(_))));
+    let bad_only_json = empty_json.replace("\"bad\": 0,", "\"bad\": 5,");
+    assert_ne!(bad_only_json, empty_json);
+    for json in [&empty_json, &bad_only_json] {
+        assert!(matches!(ScenarioSpec::from_json(json), Err(ScenarioError::Unsupported(_))));
+    }
     for kind in GraphKind::ALL {
-        let built = ScenarioSpec::new(0, 42).topology(kind).build();
-        assert!(matches!(built, Err(ScenarioError::Unsupported(_))), "{kind:?}");
+        for bad in [0, 5] {
+            let built = ScenarioSpec::new(0, 42).budget(bad).topology(kind).build();
+            assert!(matches!(built, Err(ScenarioError::Unsupported(_))), "{kind:?}, bad={bad}");
+        }
         let mut driver = one.clone().topology(kind).build().expect("n=1 builds");
         assert_eq!(driver.step().epoch, 2, "{kind:?}");
     }
@@ -370,8 +385,10 @@ fn empty_population_is_rejected() {
 /// a huge `d2` / `retries` / flipper margin overflowed `draws + 1`,
 /// `1 + retries` and `bad + 2·margin`; a string adversary's negative or
 /// infinite `units` put its outputs outside the flood's `(0, 1)`,
-/// `u64::MAX` records would all have been pushed as injections, and a
-/// `u64::MAX`-attempt hoarder ground and hoarded without end.)
+/// `u64::MAX` records would all have been pushed as injections, a
+/// `u64::MAX`-attempt hoarder ground and hoarded without end, and an
+/// adversary-only population whose strategy places nothing at genesis
+/// left the trusted bootstrap asking for an identity forever.)
 #[test]
 fn hostile_labels_are_refused_or_run() {
     use Verdict::*;
@@ -379,7 +396,7 @@ fn hostile_labels_are_refused_or_run() {
     let base: Vec<(&str, &str)> =
         label.split(';').skip(1).map(|f| f.split_once('=').expect("key=value")).collect();
     // (edits to the base label, what the codec must do with them)
-    let cases: [(&[(&str, &str)], Verdict); 31] = [
+    let cases: [(&[(&str, &str)], Verdict); 35] = [
         (&[("runtime", "actor"), ("window", "18446744073709551615")], Runs),
         (&[("runtime", "actor"), ("lat", "18446744073709551615")], Runs),
         // A window pinned at `u64::MAX` admits latencies up to
@@ -429,32 +446,82 @@ fn hostile_labels_are_refused_or_run() {
         (&[("n", "2"), ("bad", "0"), ("defense", "f∘g"), ("idealized", "false")], Runs),
         // A retired topology's name is no topology.
         (&[("kind", "viceroy")], Malformed),
+        // No good identity, and a strategy that places nothing at
+        // genesis (`round(bad · retainer)` is 0; a hoarder with no
+        // attempts has nothing to hoard): the trusted bootstrap would
+        // wait for an identity forever.
+        (&[("n", "0"), ("bad", "2"), ("strategy", "churn-timed:0.12:0.2")], Unsupported),
+        (&[("n", "0"), ("bad", "5"), ("strategy", "churn-timed:0.12:0")], Unsupported),
+        (
+            &[
+                ("n", "0"),
+                ("bad", "5"),
+                ("strategy", "churn-timed:0.12:0"),
+                ("defense", "f∘g"),
+                ("strings", "synthesized"),
+            ],
+            Unsupported,
+        ),
+        (
+            &[
+                ("n", "0"),
+                ("bad", "5"),
+                ("strategy", "precompute-hoarder:1:0"),
+                ("defense", "f∘g"),
+                ("strings", "synthesized"),
+            ],
+            Unsupported,
+        ),
     ];
     for (edits, verdict) in cases {
         let mut fields: Vec<(&str, &str)> =
             base.iter().copied().filter(|f| edits.iter().all(|e| e.0 != f.0)).collect();
         fields.extend_from_slice(edits);
         let hostile = join(&fields);
-        match ScenarioSpec::parse(&hostile) {
-            Err(e) => assert!(
-                matches!(
-                    (verdict, &e),
-                    (Unsupported, ScenarioError::Unsupported(_))
-                        | (Malformed, ScenarioError::Parse(_))
-                ),
-                "{hostile}: {e}"
-            ),
-            Ok(spec) => {
-                assert!(verdict == Runs, "{hostile} must not parse");
-                let mut driver =
-                    tg_pow::scenario::build(&spec).unwrap_or_else(|e| panic!("{hostile}: {e}"));
-                driver.step();
-                assert_eq!(driver.step().epoch, 3, "{hostile}");
-            }
+        // A row that never returns fails here, naming its label, instead
+        // of holding the whole suite.
+        let (done, finished) = mpsc::channel();
+        let label = hostile.clone();
+        let row = thread::spawn(move || {
+            check_hostile(&label, verdict);
+            let _ = done.send(());
+        });
+        if matches!(finished.recv_timeout(ROW_DEADLINE), Err(RecvTimeoutError::Timeout)) {
+            panic!("{hostile}: no verdict within {ROW_DEADLINE:?}");
+        }
+        if let Err(panic) = row.join() {
+            std::panic::resume_unwind(panic);
         }
     }
     let built = ScenarioSpec::new(40, 42).churn(2.0).build();
     assert!(matches!(built, Err(ScenarioError::Unsupported(_))), "build() shares the check");
+}
+
+/// How long one hostile row may take to be refused, or to build and
+/// step twice. The whole table runs in well under a second in the dev
+/// profile; the margin is for a loaded host.
+const ROW_DEADLINE: Duration = Duration::from_secs(60);
+
+/// Parse `hostile`, and build and step it twice if it parses; check
+/// the outcome against `verdict`.
+fn check_hostile(hostile: &str, verdict: Verdict) {
+    match ScenarioSpec::parse(hostile) {
+        Err(e) => assert!(
+            matches!(
+                (verdict, &e),
+                (Verdict::Unsupported, ScenarioError::Unsupported(_))
+                    | (Verdict::Malformed, ScenarioError::Parse(_))
+            ),
+            "{hostile}: {e}"
+        ),
+        Ok(spec) => {
+            assert!(verdict == Verdict::Runs, "{hostile} must not parse");
+            let mut driver =
+                tg_pow::scenario::build(&spec).unwrap_or_else(|e| panic!("{hostile}: {e}"));
+            driver.step();
+            assert_eq!(driver.step().epoch, 3, "{hostile}");
+        }
+    }
 }
 
 /// What the codec must do with one hostile label.

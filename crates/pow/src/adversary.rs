@@ -124,7 +124,7 @@ impl IdentityProvider for StrategicPowProvider {
         rng: &mut StdRng,
     ) -> EpochIds {
         // A composed system that runs a real string protocol (e.g.
-        // `FullSystem`, via the `WithEpochString` provider wrapper)
+        // `FullSystem`, whose mint step sets the view's string in force)
         // supplies the agreed string through the view; standalone dynamic
         // runs get a synthesized per-epoch string under the same
         // fresh/frozen policy.

@@ -51,6 +51,5 @@ pub use adversary::{MintScheme, PrecomputeHoarder, StrategicPowProvider};
 pub use miner::{MintingOutcome, MintingSim};
 pub use provider::PowProvider;
 pub use puzzle::{verify_batch, PuzzleParams, Solution};
-pub use scenario::FullDriver;
 pub use strings::{run_string_protocol, StringAdversary, StringOutcome, StringParams};
 pub use system::FullSystem;

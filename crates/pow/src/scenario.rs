@@ -24,8 +24,8 @@
 //!   minting through the statistical [`MintingSim`].
 //!
 //! All three arms produce drivers over the **same**
-//! [`EpochObservation`]; consumers never branch on which system is
-//! behind the trait.
+//! [`EpochObservation`](tg_core::scenario::EpochObservation); consumers
+//! never branch on which system is behind the trait.
 
 use crate::adversary::{MintScheme, PrecomputeHoarder, StrategicPowProvider};
 use crate::miner::MintingSim;
@@ -37,10 +37,8 @@ use tg_core::dynamic::adversary::AdversaryStrategy;
 use tg_core::dynamic::{BuildMode, IdentityProvider, StrategicProvider};
 use tg_core::runtime::EpochNet;
 use tg_core::scenario::{
-    Defense, DynamicDriver, EpochDriver, EpochObservation, ScenarioError, ScenarioSpec,
-    StrategySpec, StringMode,
+    Defense, DynamicDriver, EpochDriver, ScenarioError, ScenarioSpec, StrategySpec, StringMode,
 };
-use tg_core::GraphsView;
 use tg_crypto::OracleFamily;
 use tg_idspace::Id;
 
@@ -125,11 +123,8 @@ fn build_protocol(
     // Under the actor runtime the protocol phases (string dissemination,
     // membership announcement, routing probes) go over the spec's
     // network; the genesis build stays trusted bootstrap.
-    Ok(Box::new(FullDriver {
-        sys,
-        net: EpochNet::for_runtime(spec),
-        obs: EpochObservation::default(),
-    }))
+    sys.net = EpochNet::for_runtime(spec);
+    Ok(Box::new(sys))
 }
 
 /// The provider-level shortcut: the minting pipeline (strategic or
@@ -158,49 +153,11 @@ fn build_synthesized(
     Ok(Box::new(DynamicDriver::with_provider(spec, inner)))
 }
 
-/// The [`EpochDriver`] over the composed §IV [`FullSystem`]
-/// (strings → minting → dynamics), with the protocol phases optionally
-/// routed over an actor-runtime network.
-pub struct FullDriver {
-    /// The composed system ([`FullDriver::system`] lets integration
-    /// tests reach the layers the observation aggregates away).
-    sys: FullSystem,
-    /// The actor-runtime network; `None` under [`RuntimeChoice::Sync`].
-    net: Option<EpochNet>,
-    obs: EpochObservation,
-}
-
-impl FullDriver {
-    /// The composed system behind the driver.
-    pub fn system(&self) -> &FullSystem {
-        &self.sys
-    }
-}
-
-impl EpochDriver for FullDriver {
-    fn step(&mut self) -> &EpochObservation {
-        self.obs = self.sys.run_epoch_net(self.net.as_mut());
-        &self.obs
-    }
-
-    fn observation(&self) -> &EpochObservation {
-        &self.obs
-    }
-
-    fn graphs(&self) -> GraphsView<'_> {
-        self.sys.dynamics.graphs()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.sys.dynamics.epoch()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::strings::StringAdversary;
-    use tg_core::dynamic::Census;
+    use tg_core::dynamic::IdentityProvider;
     use tg_core::runtime::RuntimeChoice;
     use tg_core::scenario::StringAdversarySpec;
     use tg_core::Params;
@@ -213,9 +170,9 @@ mod tests {
         ScenarioSpec::new(700, 41).params(params).budget(35).searches(200)
     }
 
-    /// The conformance contract at the PoW layer: a spec-built
-    /// [`FullDriver`] reproduces a hand-constructed [`FullSystem`] run
-    /// record-for-record, honest and strategic alike.
+    /// The conformance contract at the PoW layer: a spec-built driver
+    /// reproduces a hand-constructed [`FullSystem`] run record-for-record,
+    /// honest and strategic alike.
     #[test]
     fn full_driver_matches_direct_full_system() {
         for (strategy, scheme) in [
@@ -249,15 +206,14 @@ mod tests {
             sys.dynamics.set_searches_per_epoch(spec.searches);
 
             for _ in 0..2 {
-                let r = sys.run_epoch();
-                assert_eq!(format!("{:?}", driver.step()), format!("{r:?}"));
+                assert_eq!(format!("{:?}", driver.step()), format!("{:?}", sys.step()));
             }
         }
     }
 
     /// The synthesized-strings arm reproduces the provider-level
     /// composition (pow provider inside a plain dynamic system, its
-    /// census taken by a [`Census`] wrapper) record-for-record.
+    /// census counted inline) record-for-record.
     #[test]
     fn synthesized_driver_matches_direct_provider_composition() {
         let spec = base()
@@ -267,12 +223,12 @@ mod tests {
             .topology(GraphKind::D2B);
         let mut driver = build(&spec).unwrap();
 
-        let mut provider = Census::new(StrategicPowProvider::boxed(
+        let mut provider = StrategicPowProvider::boxed(
             spec.n_good,
             spec.n_bad as f64,
             MintScheme::SingleHash,
             Box::new(tg_core::dynamic::GapFilling),
-        ));
+        );
         let mut sys = tg_core::dynamic::DynamicSystem::new(
             spec.params,
             spec.kind,
@@ -283,9 +239,14 @@ mod tests {
         sys.set_searches_per_epoch(spec.searches);
 
         for _ in 0..2 {
-            let mut r = sys.advance_epoch(&mut provider);
-            r.bad_ids = provider.bad;
-            r.bad_share = provider.bad_share;
+            let mut minted = None;
+            let next = sys.mint_epoch(|view, rng| {
+                let ids = provider.ids_for_epoch(view.epoch, view, rng);
+                minted = Some((ids.bad.len(), ids.bad_ring_share()));
+                ids
+            });
+            let mut r = sys.build_epoch(next);
+            (r.bad_ids, r.bad_share) = minted.unwrap();
             let o = driver.step();
             assert_eq!(format!("{o:?}"), format!("{r:?}"));
             assert!(o.epoch_string.is_none(), "synthesized strings never reach the observation");
@@ -398,7 +359,7 @@ mod tests {
 
     /// The faulty path, pinned to the byte (no other tier-1 test is:
     /// the suites compare mem↔socket or assert monotonicity). Three
-    /// n = 300 specs under `drop=0.2;lat=8;part=16` — `FullDriver` on
+    /// n = 300 specs under `drop=0.2;lat=8;part=16` — `FullSystem` on
     /// its statistical and its strategic arm, and `DynamicDriver` with a
     /// net — three epochs each; the rows were generated while the
     /// no-PoW actor path was still a driver of its own and must not move.
@@ -455,6 +416,51 @@ mod tests {
         }
     }
 
+    /// The two drivers take their identity census at different points of
+    /// the mint step, and drops show it: `DynamicDriver` counts the
+    /// population as minted, before the announcement phase loses good
+    /// IDs; a strategic `FullSystem` counts the population the network
+    /// delivered. (ROADMAP item 5's swap flips the one assertion that
+    /// names `DynamicDriver`.)
+    #[test]
+    fn census_orders_by_driver() {
+        use tg_core::dynamic::EpochIds;
+        use tg_core::GroupGraphView;
+        // The key-space share of the bad IDs among the freshly built
+        // graphs' leaders — the population that entered the epoch.
+        let entered_share = |d: &dyn EpochDriver| {
+            let side = d.graphs().side(0);
+            let leaders = side.leaders();
+            let ids = |i: Vec<usize>| i.into_iter().map(|i| leaders.ring().at(i)).collect();
+            EpochIds { good: ids(leaders.good_indices()), bad: ids(leaders.bad_indices()) }
+                .bad_ring_share()
+        };
+        let lossy = |spec: ScenarioSpec| spec.runtime(RuntimeChoice::Actor).drop_rate(0.5);
+        let honest = ScenarioSpec::new(285, 42).budget(15).churn(0.2).searches(60);
+        let strategic = honest
+            .clone()
+            .strategy(StrategySpec::GapFilling)
+            .defense(Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: true });
+        // The honest mint reads no graph, so a sync twin mints the same
+        // population as the lossy driver and delivers all of it.
+        let mut twin = build(&honest).unwrap();
+        let mut dynamic = build(&lossy(honest.clone())).unwrap();
+        let mut full = build(&lossy(strategic)).unwrap();
+        for _ in 0..2 {
+            twin.step();
+            let minted = entered_share(twin.as_ref());
+            let dynamic_share = dynamic.step().bad_share;
+            assert_ne!(minted, entered_share(dynamic.as_ref()), "drops change the ring");
+            assert_eq!(dynamic_share, minted, "DynamicDriver counts the minted ring");
+            let (minted_good, full_share) = {
+                let o = full.step();
+                (o.minted_good.unwrap(), o.bad_share)
+            };
+            assert!(minted_good < honest.n_good, "drops lose good announcements");
+            assert_eq!(full_share, entered_share(full.as_ref()), "FullSystem counts the delivery");
+        }
+    }
+
     #[test]
     fn protocol_over_single_graph_is_unsupported() {
         let spec = base()
@@ -463,16 +469,18 @@ mod tests {
         assert!(matches!(build(&spec), Err(ScenarioError::Unsupported(_))));
     }
 
-    /// An empty population is a typed error from both builders on every
-    /// defense × string-mode arm — not the overlay constructors' "empty
-    /// ring" panic — and the smallest population still builds and steps.
+    /// A population with no good identity — empty (`n=0;bad=0`) or
+    /// adversary-only (`n=0;bad=5`) — is a typed error from both
+    /// builders on every defense × string-mode arm, not the overlay
+    /// constructors' "empty ring" panic or a genesis that waits forever
+    /// for an identity; the smallest population still builds and steps.
     #[test]
     fn empty_population_is_rejected_by_both_builders() {
         let pow = |scheme| Defense::Pow { scheme, fresh_strings: true };
         let defenses = [Defense::NoPow, pow(MintScheme::TwoHash), pow(MintScheme::SingleHash)];
-        for defense in defenses {
+        for (defense, bad) in defenses.into_iter().flat_map(|d| [(d, 0), (d, 5)]) {
             for strings in [StringMode::Protocol, StringMode::Synthesized] {
-                let empty = ScenarioSpec::new(0, 42).defense(defense).strings(strings);
+                let empty = ScenarioSpec::new(0, 42).budget(bad).defense(defense).strings(strings);
                 let what = empty.label();
                 assert!(matches!(build(&empty), Err(ScenarioError::Unsupported(_))), "{what}");
                 assert!(matches!(empty.build(), Err(ScenarioError::Unsupported(_))), "{what}");
@@ -534,9 +542,8 @@ mod tests {
         )
         .unwrap();
         for _ in 0..2 {
-            let r = sys.run_epoch();
             let o = driver.step();
-            assert_eq!(format!("{o:?}"), format!("{r:?}"));
+            assert_eq!(format!("{o:?}"), format!("{:?}", sys.step()));
             if o.epoch_string != clean.step().epoch_string {
                 diverged_from_clean = true;
             }
@@ -545,7 +552,7 @@ mod tests {
     }
 
     /// Real PoW observations survive the result-store line codec: every
-    /// row the store would persist for a strategic `FullDriver` run
+    /// row the store would persist for a strategic `FullSystem` run
     /// decodes back bit-identical (the warm-replay contract at the
     /// layer that actually produces the numbers).
     #[test]

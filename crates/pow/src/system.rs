@@ -1,7 +1,7 @@
 //! The complete tiny-groups system: §II + §III + §IV composed.
 //!
-//! One [`FullSystem::run_epoch`] call performs the paper's whole
-//! per-epoch pipeline:
+//! One [`EpochDriver::step`] of [`FullSystem`] performs the paper's
+//! whole per-epoch pipeline:
 //!
 //! 1. **strings** — the Appendix VIII protocol runs over the current
 //!    operational group graph; the agreed minimum becomes the next epoch
@@ -14,8 +14,9 @@
 //!    construction of the next two group graphs through the current
 //!    ones, robustness measurement, swap.
 //!
-//! This is the type a downstream system would embed; the examples and
-//! integration tests drive it end to end.
+//! This is the type a downstream system would embed, and the driver
+//! `tg_pow::scenario::build` returns for a `strings=protocol` spec; the
+//! examples and integration tests drive it end to end.
 //!
 //! The minting step runs at two fidelities. By default it is the
 //! statistical [`MintingSim`] (Lemma 11's counts, uniform values). With
@@ -30,31 +31,14 @@ use crate::adversary::{StrategicPowProvider, GENESIS_STRING};
 use crate::miner::MintingSim;
 use crate::puzzle::PuzzleParams;
 use crate::strings::{run_string_protocol, StringAdversary, StringOutcome, StringParams};
-use rand::rngs::StdRng;
 use tg_core::dynamic::{
-    AdversaryView, BuildMode, Census, DynamicSystem, EpochIds, EpochObservation, IdentityProvider,
-    WithEpochString,
+    AdversaryView, BuildMode, DynamicSystem, EpochIds, EpochObservation, IdentityProvider,
 };
-use tg_core::runtime::{build_epoch, EpochNet, NetFilter};
-use tg_core::Params;
+use tg_core::runtime::{build_epoch, EpochNet};
+use tg_core::scenario::EpochDriver;
+use tg_core::{GraphsView, Params};
 use tg_overlay::GraphKind;
 use tg_sim::stream_rng;
-
-/// A provider that hands the dynamic layer a pre-minted ID set.
-struct PreMinted {
-    ids: Option<EpochIds>,
-}
-
-impl IdentityProvider for PreMinted {
-    fn ids_for_epoch(
-        &mut self,
-        _epoch: u64,
-        _view: &AdversaryView<'_>,
-        _rng: &mut StdRng,
-    ) -> EpochIds {
-        self.ids.take().expect("one epoch's IDs staged per advance")
-    }
-}
 
 /// The composed system.
 pub struct FullSystem {
@@ -79,8 +63,13 @@ pub struct FullSystem {
     /// (§IV-B). With `false` the genesis string stays in force forever —
     /// the broken deployment that lets pre-computation hoards compound.
     pub fresh_strings: bool,
+    /// The actor-runtime network the protocol phases run over; `None`
+    /// (`runtime=sync`) advances each epoch as one in-process step.
+    /// `tg_pow::scenario::build` sets it from the spec's runtime.
+    pub(crate) net: Option<EpochNet>,
     epoch_string: u64,
     last_strings: Option<StringOutcome>,
+    obs: EpochObservation,
     master_seed: u64,
 }
 
@@ -102,16 +91,14 @@ impl FullSystem {
         let mut rng = stream_rng(master_seed, "full-init-mint", 0);
         // The trusted bootstrap needs identities to build on: a genesis
         // window that minted none is run again.
-        let minted = loop {
+        let mut genesis = loop {
             let minted = minting.run_window(&mut rng);
             if !(minted.good_ids.is_empty() && minted.bad_ids.is_empty()) {
-                break minted;
+                break EpochIds { good: minted.good_ids, bad: minted.bad_ids };
             }
         };
-        let mut provider =
-            PreMinted { ids: Some(EpochIds { good: minted.good_ids, bad: minted.bad_ids }) };
         let dynamics =
-            DynamicSystem::new(params, kind, BuildMode::DualGraph, &mut provider, master_seed);
+            DynamicSystem::new(params, kind, BuildMode::DualGraph, &mut genesis, master_seed);
         FullSystem {
             dynamics,
             minting,
@@ -119,15 +106,17 @@ impl FullSystem {
             string_adversary: StringAdversary::None,
             adversary: None,
             fresh_strings: true,
+            net: None,
             epoch_string: GENESIS_STRING,
             last_strings: None,
+            obs: EpochObservation::default(),
             master_seed,
         }
     }
 
-    /// Install a strategic adversary: from the next [`FullSystem::run_epoch`]
-    /// on, identities are minted through `provider` (placement strategy +
-    /// minting scheme) with the real protocol-agreed epoch string in its
+    /// Install a strategic adversary: from the next step on, identities
+    /// are minted through `provider` (placement strategy + minting
+    /// scheme) with the real protocol-agreed epoch string in its
     /// [`AdversaryView`]. The initial graphs built by [`FullSystem::new`]
     /// predate the adversary's first observation, matching the paper's
     /// trusted-bootstrap assumption (Appendix X).
@@ -151,41 +140,34 @@ impl FullSystem {
 
     /// The last epoch's string-protocol measurements in full (Lemma 12);
     /// the epoch's record keeps only their agreement and coverage.
-    /// `None` before the first [`FullSystem::run_epoch`].
+    /// `None` before the first step.
     pub fn last_strings(&self) -> Option<&StringOutcome> {
         self.last_strings.as_ref()
     }
+}
 
-    /// Run one full epoch: strings → minting → dynamics.
-    ///
-    /// Equivalent to [`FullSystem::run_epoch_net`] with no network — one
-    /// synchronous in-process step.
-    pub fn run_epoch(&mut self) -> EpochObservation {
-        self.run_epoch_net(None)
-    }
-
-    /// Run one full epoch with the protocol phases routed over a
-    /// network (the actor-runtime decomposition):
-    ///
-    /// 1. **strings** — after agreement, the string is broadcast; nodes
-    ///    the broadcast misses cannot verify peers, so
-    ///    `verification_coverage` is scaled by the reach fraction,
-    /// 2. **minting** — every minted good ID announces itself over the
-    ///    transport; announcements the network loses never enter the
-    ///    epoch's ring (the adversary bypasses the network — the
-    ///    worst-case insider), and `minted_good`/`bad_share` measure the
-    ///    *delivered* population,
-    /// 3. **dynamics** — unchanged, with the routing-probe phase beside
-    ///    the build ([`build_epoch`]); then [`EpochNet::finish_epoch`]
-    ///    scales measured search success by the fraction of completed
-    ///    probe chains and records the epoch's late messages.
-    ///
-    /// The returned record is the dynamic layer's, with the census
-    /// (`bad_ids` is the minted bad count), the §IV fields and the
-    /// network's share filled in. `net: None` (or a perfect transport)
-    /// reproduces the synchronous [`FullSystem::run_epoch`]
-    /// byte-identically.
-    pub fn run_epoch_net(&mut self, mut net: Option<&mut EpochNet>) -> EpochObservation {
+/// One step is one full epoch — strings → minting → dynamics — with the
+/// protocol phases routed over the system's network when it has one:
+///
+/// 1. **strings** — after agreement, the string is broadcast; nodes the
+///    broadcast misses cannot verify peers, so `verification_coverage`
+///    is scaled by the reach fraction,
+/// 2. **minting** — every minted good ID announces itself over the
+///    transport; announcements the network loses never enter the
+///    epoch's ring (the adversary bypasses the network — the worst-case
+///    insider), and `minted_good`/`bad_share` measure the *delivered*
+///    population,
+/// 3. **dynamics** — unchanged, with the routing-probe phase beside the
+///    build ([`build_epoch`]); then [`EpochNet::finish_epoch`] scales
+///    measured search success by the fraction of completed probe chains
+///    and records the epoch's late messages.
+///
+/// The record is the dynamic layer's, with the census (`bad_ids` is the
+/// minted bad count), the §IV fields and the network's share filled in.
+/// No network (or a perfect transport) gives the same record to the
+/// byte.
+impl EpochDriver for FullSystem {
+    fn step(&mut self) -> &EpochObservation {
         let epoch = self.dynamics.epoch();
 
         // 1. Agree on the next epoch string over the operational graph.
@@ -211,44 +193,54 @@ impl FullSystem {
         // Disseminate the agreed string over the network; unreached
         // nodes cannot verify peers. The `< 1.0` guard keeps the
         // perfect-transport path bit-exact.
-        if let Some(n) = net.as_deref_mut() {
-            let reach = n.string_phase(epoch, mint_string);
+        if let Some(net) = self.net.as_mut() {
+            let reach = net.string_phase(epoch, mint_string);
             if reach < 1.0 {
                 verification_coverage *= reach;
             }
         }
 
-        // 2. Mint against that string.
-        let (minted, (good, bad, bad_share), good_misses) =
-            if let Some(adv) = self.adversary.as_mut() {
-                // Strategic pipeline: minting happens inside the dynamic
-                // layer's mint, where the provider's view carries the
-                // churned operational graphs and the string in force —
-                // hoarders grind against the real string, and stale
-                // solutions die (or compound, under frozen strings) at
-                // verification.
-                // The census sits outside the net filter: the counts
-                // measure what the announcement phase *delivered*.
-                let mut ws = WithEpochString { inner: adv, epoch_string: Some(mint_string) };
-                let mut census = Census::new(NetFilter { inner: &mut ws, net: net.as_deref_mut() });
-                let minted = self.dynamics.mint_epoch(&mut census);
-                (minted, (census.good, census.bad, census.bad_share), 0)
-            } else {
-                // Statistical pipeline (Lemma 11's counts, uniform values).
+        // 2. Mint against that string. The census counts what the
+        //    announcement phase *delivered*.
+        let census = |ids: &EpochIds| (ids.good.len(), ids.bad.len(), ids.bad_ring_share());
+        let net = &mut self.net;
+        let (minted, (good, bad, bad_share), good_misses) = match self.adversary.as_mut() {
+            // Strategic pipeline: minting happens inside the dynamic
+            // layer's mint, where the provider's view carries the
+            // churned operational graphs and the string in force —
+            // hoarders grind against the real string, and stale
+            // solutions die (or compound, under frozen strings) at
+            // verification.
+            Some(adv) => {
+                let mut counts = (0, 0, 0.0);
+                let minted = self.dynamics.mint_epoch(|view, rng| {
+                    let view = AdversaryView { epoch_string: Some(mint_string), ..*view };
+                    let mut ids = adv.ids_for_epoch(view.epoch, &view, rng);
+                    if let Some(net) = net {
+                        net.announce_phase(view.epoch, &mut ids);
+                    }
+                    counts = census(&ids);
+                    ids
+                });
+                (minted, counts, 0)
+            }
+            // Statistical pipeline (Lemma 11's counts, uniform values),
+            // minted before the dynamic layer's mint and handed over.
+            None => {
                 let mut mrng = stream_rng(self.master_seed ^ mint_string, "full-mint", epoch);
-                let minted = self.minting.run_window(&mut mrng);
-                let mut ids = EpochIds { good: minted.good_ids, bad: minted.bad_ids };
-                if let Some(n) = net.as_deref_mut() {
-                    n.announce_phase(epoch, &mut ids);
+                let window = self.minting.run_window(&mut mrng);
+                let mut ids = EpochIds { good: window.good_ids, bad: window.bad_ids };
+                if let Some(net) = net {
+                    net.announce_phase(epoch, &mut ids);
                 }
-                let counts = (ids.good.len(), ids.bad.len(), ids.bad_ring_share());
-                let next = self.dynamics.mint_epoch(&mut PreMinted { ids: Some(ids) });
-                (next, counts, minted.good_misses)
-            };
+                let counts = census(&ids);
+                (self.dynamics.mint_epoch(|_, _| ids), counts, window.good_misses)
+            }
+        };
 
         // 3. Advance the dynamic layer, with the network's routing
         //    probes beside its build.
-        let mut obs = build_epoch(&mut self.dynamics, minted, net);
+        let mut obs = build_epoch(&mut self.dynamics, minted, self.net.as_mut());
         obs.minted_good = Some(good);
         obs.bad_ids = bad;
         obs.good_misses = Some(good_misses);
@@ -259,7 +251,20 @@ impl FullSystem {
 
         self.epoch_string = next_string;
         self.last_strings = Some(strings);
-        obs
+        self.obs = obs;
+        &self.obs
+    }
+
+    fn observation(&self) -> &EpochObservation {
+        &self.obs
+    }
+
+    fn graphs(&self) -> GraphsView<'_> {
+        self.dynamics.graphs()
+    }
+
+    fn epoch(&self) -> u64 {
+        self.dynamics.epoch()
     }
 }
 
@@ -292,7 +297,7 @@ mod tests {
         let mut sys = system(41);
         let mut last_string = sys.epoch_string();
         for _ in 0..4 {
-            let r = sys.run_epoch();
+            let r = sys.step();
             assert_eq!(r.strings_agreement, Some(true), "epoch {}: string disagreement", r.epoch);
             assert_eq!(r.verification_coverage, Some(1.0));
             let string = r.epoch_string.unwrap();
@@ -315,7 +320,7 @@ mod tests {
         sys.string_adversary =
             crate::strings::StringAdversary::ForcedRecords { strings: 4, release_frac: 0.49 };
         for _ in 0..3 {
-            let r = sys.run_epoch();
+            let r = sys.step();
             assert_eq!(
                 r.strings_agreement,
                 Some(true),
@@ -330,7 +335,7 @@ mod tests {
     fn realistic_minting_shrinks_population_but_survives() {
         let mut sys = system(47);
         sys.minting.idealized_good = false;
-        let r = sys.run_epoch();
+        let r = sys.step();
         // ≈ 1/e of good participants miss the window; the system keeps
         // running on the (1 − 1/e) that minted.
         assert!(r.good_misses.unwrap() > 0);
@@ -360,7 +365,7 @@ mod tests {
         let mut last_string = sys.epoch_string();
         for _ in 0..2 {
             let before = sys.dynamics.epoch();
-            let r = sys.run_epoch();
+            let r = sys.step().clone();
             assert_eq!(sys.dynamics.epoch(), before + 1);
             let strings = sys.last_strings().unwrap();
             assert_eq!(strings.giant_size, 0);
@@ -377,8 +382,8 @@ mod tests {
     fn deterministic() {
         let mut a = system(53);
         let mut b = system(53);
-        let ra = a.run_epoch();
-        let rb = b.run_epoch();
+        let ra = a.step();
+        let rb = b.step();
         assert_eq!(ra.epoch_string, rb.epoch_string);
         assert_eq!(ra.bad_ids, rb.bad_ids);
         assert_eq!(ra.frac_red, rb.frac_red);
@@ -387,7 +392,7 @@ mod tests {
     #[test]
     fn statistical_minting_keeps_bad_share_near_beta() {
         let mut sys = system(59);
-        let r = sys.run_epoch();
+        let r = sys.step();
         // β = 35/735 ≈ 0.0476; uniform minting keeps the key-space share
         // in the same ballpark.
         assert!((0.02..0.10).contains(&r.bad_share), "bad_share {:.4}", r.bad_share);
@@ -425,7 +430,7 @@ mod tests {
     fn strategic_single_hash_realizes_placement_fog_discards_it() {
         let last_share = |scheme| {
             let mut sys = strategic_system(61, scheme);
-            (0..2).map(|_| sys.run_epoch().bad_share).last().unwrap()
+            (0..2).map(|_| sys.step().bad_share).last().unwrap()
         };
         let beta = 35.0 / 735.0;
         let single = last_share(MintScheme::SingleHash);
@@ -471,7 +476,7 @@ mod tests {
                 sys = sys.with_frozen_strings();
             }
             sys.dynamics.set_searches_per_epoch(200);
-            (0..4).map(|_| sys.run_epoch().bad_ids).collect()
+            (0..4).map(|_| sys.step().bad_ids).collect()
         };
         let fresh = minted_bad(false);
         let frozen = minted_bad(true);
@@ -514,7 +519,9 @@ mod tests {
                 Box::new(tg_core::dynamic::ChurnTimed::default()),
             ));
             sys.dynamics.set_searches_per_epoch(100);
-            (0..2).map(|_| sys.run_epoch()).map(|r| (r.bad_ids, r.bad_share)).last().unwrap()
+            sys.step();
+            let r = sys.step();
+            (r.bad_ids, r.bad_share)
         };
         let (quiet_bad, quiet_share) = run(0.05);
         let (heavy_bad, heavy_share) = run(0.25);
@@ -532,11 +539,62 @@ mod tests {
         );
     }
 
+    /// The strategy inside a strategic `FullSystem` sees the string
+    /// minting binds to, every epoch: the freshly agreed one, or the
+    /// genesis string under frozen strings. (Left to itself, the
+    /// provider would synthesize a fresh string in both cases.)
+    #[test]
+    fn strategy_sees_the_string_in_force() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        use tg_core::dynamic::{AdversaryStrategy, Uniform};
+        use tg_idspace::Id;
+
+        struct Spy(Rc<RefCell<Vec<Option<u64>>>>);
+        impl AdversaryStrategy for Spy {
+            fn name(&self) -> &'static str {
+                "spy"
+            }
+            fn place(
+                &mut self,
+                view: &AdversaryView<'_>,
+                good: &[Id],
+                budget: usize,
+                rng: &mut rand::rngs::StdRng,
+            ) -> Vec<Id> {
+                self.0.borrow_mut().push(view.epoch_string);
+                Uniform.place(view, good, budget, rng)
+            }
+        }
+        for frozen in [false, true] {
+            let seen = Rc::default();
+            let spy = Spy(Rc::clone(&seen));
+            let mut sys = system(79).with_adversary(StrategicPowProvider::new(
+                700,
+                35.0,
+                MintScheme::TwoHash,
+                spy,
+            ));
+            sys.fresh_strings = !frozen;
+            let in_force: Vec<Option<u64>> = (0..3)
+                .map(|_| {
+                    let agreed = sys.step().epoch_string;
+                    if frozen {
+                        Some(GENESIS_STRING)
+                    } else {
+                        agreed
+                    }
+                })
+                .collect();
+            assert_eq!(*seen.borrow(), in_force, "frozen: {frozen}");
+        }
+    }
+
     #[test]
     fn strategic_pipeline_is_deterministic() {
         let run = || {
             let mut sys = strategic_system(73, MintScheme::SingleHash);
-            let r = sys.run_epoch();
+            let r = sys.step().clone();
             format!("{r:#?}\n{:#?}", sys.last_strings())
         };
         assert_eq!(run(), run());

@@ -10,7 +10,7 @@
 //! the old pair (§III) — with a string-release adversary, realistic
 //! honest-miner misses, and churn, all at once.
 
-use tiny_groups::core::Params;
+use tiny_groups::core::{EpochDriver, Params};
 use tiny_groups::overlay::GraphKind;
 use tiny_groups::pow::{FullSystem, PuzzleParams, StringAdversary, StringParams};
 
@@ -34,7 +34,7 @@ fn main() {
 
     println!("epoch  string      agree  minted(good/bad)  red%   search(dual)");
     for _ in 0..6 {
-        let r = sys.run_epoch();
+        let r = sys.step();
         println!(
             "{:>5}  {:016x}  {:>5}  {:>7}/{:<6} {:>5.2}  {:>10.1}%",
             r.epoch,

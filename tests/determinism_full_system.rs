@@ -1,4 +1,4 @@
-//! Pins the determinism of [`FullSystem::run_epoch`] under a strategic
+//! Pins the determinism of [`FullSystem`]'s epoch step under a strategic
 //! adversary: the same master seed must reproduce the **byte-identical
 //! debug output of each epoch's record and its full string-protocol
 //! outcome** ([`FullSystem::last_strings`]) — across repeated runs in one
@@ -11,7 +11,7 @@
 
 use tiny_groups::core::dynamic::GapFilling;
 use tiny_groups::core::scenario::StringAdversarySpec;
-use tiny_groups::core::{Defense, Params, ScenarioSpec, StringMode};
+use tiny_groups::core::{Defense, EpochDriver, Params, ScenarioSpec, StringMode};
 use tiny_groups::overlay::GraphKind;
 use tiny_groups::pow::{FullSystem, MintScheme, PuzzleParams, StrategicPowProvider, StringParams};
 use tiny_groups::sim::parallel_map;
@@ -44,7 +44,7 @@ fn run_reports(master_seed: u64) -> String {
     sys.dynamics.set_searches_per_epoch(150);
     let mut out = String::new();
     for _ in 0..3 {
-        let r = sys.run_epoch();
+        let r = sys.step().clone();
         out.push_str(&format!("{r:#?}\n{:#?}\n", sys.last_strings()));
     }
     out
