@@ -45,8 +45,7 @@
 //!
 //! The phases run on the transport in one order per epoch: strings,
 //! then announcements (a statement of the driver's mint step, inside
-//! [`DynamicSystem::mint_epoch`] — or, for `FullSystem`'s statistical
-//! minting, just before it), then probes.
+//! [`DynamicSystem::mint_epoch`]), then probes.
 //! The probe phase reads no graph and draws no kernel RNG, so
 //! [`build_epoch`] runs it beside the epoch's build and measurement:
 //! the caller builds while `tg_sim`'s spare thread probes

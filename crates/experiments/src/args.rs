@@ -7,9 +7,11 @@
 //! experiment registry and exit), and the four **run-wide switches**,
 //! which say *how* scenarios are executed and never change what they
 //! observe: `--runtime sync|actor`, `--transport mem|socket`,
-//! `--store <dir>` and `--check-invariants`. Those four are parsed here
-//! into [`Options::exec`] and documented, field by field, on
-//! [`crate::exec::Exec`] — the only module that reads them. A new run-wide switch is a field there and a flag here.
+//! `--store <dir>` and `--check-invariants`; `--transport socket`
+//! without `--runtime actor` exits 2, as its label would not parse.
+//! Those four are parsed here into [`Options::exec`] and documented,
+//! field by field, on [`crate::exec::Exec`] — the only module that
+//! reads them. A new run-wide switch is a field there and a flag here.
 
 use crate::exec::Exec;
 use tg_core::runtime::RuntimeChoice;
@@ -103,6 +105,13 @@ impl Options {
                 other => usage(&format!("unknown flag {other}")),
             }
         }
+        // The pairing rule `ScenarioSpec::check_transport` applies to
+        // labels: a socket has nobody to move bytes for without actors.
+        if opts.exec.transport == TransportChoice::Socket
+            && opts.exec.runtime != RuntimeChoice::Actor
+        {
+            usage("--transport socket needs the actor runtime: add --runtime actor");
+        }
         opts
     }
 
@@ -182,7 +191,8 @@ mod tests {
     #[test]
     fn transport_flag_parses() {
         assert_eq!(parse(&[]).exec.transport, TransportChoice::Mem);
-        assert_eq!(parse(&["--transport", "socket"]).exec.transport, TransportChoice::Socket);
+        let socket = parse(&["--transport", "socket", "--runtime", "actor"]);
+        assert_eq!(socket.exec.transport, TransportChoice::Socket);
         assert_eq!(parse(&["--transport", "mem"]).exec.transport, TransportChoice::Mem);
     }
 

@@ -52,6 +52,22 @@ fn empty_selection_exits_two() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// `--transport socket` without `--runtime actor` is refused when the
+/// flags are parsed — exit 2 with a hint to add the runtime — rather
+/// than panicking when the first scenario is built: the pairing rule a
+/// `tg1;…` label obeys too.
+#[test]
+fn socket_transport_without_actor_runtime_exits_two() {
+    let out_dir = scratch("socket-sync");
+    let out_arg = out_dir.to_str().expect("utf-8 temp path");
+    let out = run_all(&["--only", "e4", "--quiet", "--transport", "socket", "--out", out_arg]);
+    let _ = std::fs::remove_dir_all(&out_dir);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 diagnostics");
+    assert!(!stderr.contains("panicked"), "a refusal, not a panic: {stderr}");
+    assert!(stderr.contains("--runtime actor"), "the hint names the fix: {stderr}");
+}
+
 /// A scratch `--out` directory, unique to this process and test.
 fn scratch(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("tg-run-all-{tag}-{}", std::process::id()));

@@ -19,7 +19,7 @@
 //! is held to its per-epoch budget; with a frozen string the hoard
 //! compounds without bound.
 
-use crate::miner::sample_binomial;
+use crate::miner::{sample_binomial, MintingSim};
 use crate::puzzle::{attempt, verify_batch, PuzzleParams, Solution};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -87,28 +87,28 @@ impl std::fmt::Debug for StrategicPowProvider {
 }
 
 impl StrategicPowProvider {
-    /// A calibrated provider: one expected solution per unit per window.
+    /// A provider minting in `window`: its puzzle, good participants and
+    /// adversary compute. Good participants mint idealized whatever
+    /// `window.idealized_good` says.
     pub fn new(
-        n_good: usize,
-        adversary_units: f64,
+        window: &MintingSim,
         scheme: MintScheme,
         strategy: impl AdversaryStrategy + 'static,
     ) -> Self {
-        StrategicPowProvider::boxed(n_good, adversary_units, scheme, Box::new(strategy))
+        StrategicPowProvider::boxed(window, scheme, Box::new(strategy))
     }
 
     /// Like [`StrategicPowProvider::new`], for a strategy chosen at
     /// runtime.
     pub fn boxed(
-        n_good: usize,
-        adversary_units: f64,
+        window: &MintingSim,
         scheme: MintScheme,
         strategy: Box<dyn AdversaryStrategy>,
     ) -> Self {
         StrategicPowProvider {
-            puzzle: PuzzleParams::calibrated(16, 2048),
-            n_good,
-            adversary_units,
+            puzzle: window.params,
+            n_good: window.n_good,
+            adversary_units: window.adversary_units,
             scheme,
             fresh_strings: true,
             strategy,
@@ -248,6 +248,12 @@ mod tests {
     use rand::SeedableRng;
     use tg_core::dynamic::adversary::GapFilling;
 
+    /// The calibrated window the scenario builders mint in.
+    fn window(n_good: usize, adversary_units: f64) -> MintingSim {
+        let params = PuzzleParams::calibrated(16, 2048);
+        MintingSim { params, n_good, adversary_units, idealized_good: true }
+    }
+
     fn easy_puzzle() -> PuzzleParams {
         PuzzleParams { tau: Id::from_f64(0.02), attempts_per_step: 1, t_epoch: 2 }
     }
@@ -255,7 +261,7 @@ mod tests {
     #[test]
     fn two_hash_discards_placement_single_hash_honors_it() {
         let run = |scheme: MintScheme| {
-            let mut p = StrategicPowProvider::new(1000, 50.0, scheme, GapFilling);
+            let mut p = StrategicPowProvider::new(&window(1000, 50.0), scheme, GapFilling);
             let mut rng = StdRng::seed_from_u64(1);
             p.ids_for_epoch(1, &AdversaryView::genesis(1), &mut rng)
         };
@@ -328,7 +334,8 @@ mod tests {
     #[test]
     fn provider_is_deterministic() {
         let run = || {
-            let mut p = StrategicPowProvider::new(300, 15.0, MintScheme::TwoHash, GapFilling);
+            let mut p =
+                StrategicPowProvider::new(&window(300, 15.0), MintScheme::TwoHash, GapFilling);
             let mut rng = StdRng::seed_from_u64(5);
             p.ids_for_epoch(2, &AdversaryView::genesis(2), &mut rng)
         };

@@ -29,9 +29,9 @@
 //!   contrast and the solution-hoarding strategy the fresh-string
 //!   defense (§IV-B) exists to stop,
 //! * [`system`] — the composed [`FullSystem`] (strings → minting →
-//!   dynamics); `FullSystem::with_adversary` threads any strategy
-//!   through the real epoch-string protocol (the E11 frontier's PoW
-//!   rows), `with_frozen_strings` ablates §IV-B,
+//!   dynamics), built from a `ScenarioSpec` alone: the spec's strategy
+//!   mints through the real epoch-string protocol (the E11 frontier's
+//!   PoW rows), `defense=f∘g-frozen` ablates §IV-B,
 //! * [`scenario`] — the **total** builder for `tg_core::scenario`'s
 //!   declarative [`tg_core::ScenarioSpec`]: every defense (no-PoW,
 //!   single-hash, `f∘g`, frozen-string variants) and string mode (real

@@ -12,7 +12,8 @@
 //!   whose puzzle-grinding object lives in this crate even when it runs
 //!   on the no-PoW pipeline, where it degrades to uniform placement),
 //! * [`Defense::Pow`] + [`StringMode::Protocol`] — the full §IV
-//!   [`FullSystem`]: the Appendix VIII string protocol runs over the
+//!   [`FullSystem`], which [`FullSystem::new`] builds from the spec
+//!   alone: the Appendix VIII string protocol runs over the
 //!   operational graphs each epoch, minting binds to the agreed string
 //!   (or stays frozen to genesis when the §IV-B defense is off), and a
 //!   strategic spec threads its placement policy through
@@ -23,6 +24,9 @@
 //!   string under the same fresh-vs-frozen policy, and honest specs
 //!   minting through the statistical [`MintingSim`].
 //!
+//! Both PoW arms mint in the one window `minting_window` maps a spec
+//! onto.
+//!
 //! All three arms produce drivers over the **same**
 //! [`EpochObservation`](tg_core::scenario::EpochObservation); consumers
 //! never branch on which system is behind the trait.
@@ -31,11 +35,9 @@ use crate::adversary::{MintScheme, PrecomputeHoarder, StrategicPowProvider};
 use crate::miner::MintingSim;
 use crate::provider::PowProvider;
 use crate::puzzle::PuzzleParams;
-use crate::strings::StringParams;
 use crate::system::FullSystem;
 use tg_core::dynamic::adversary::AdversaryStrategy;
-use tg_core::dynamic::{BuildMode, IdentityProvider, StrategicProvider};
-use tg_core::runtime::EpochNet;
+use tg_core::dynamic::{IdentityProvider, StrategicProvider};
 use tg_core::scenario::{
     Defense, DynamicDriver, EpochDriver, ScenarioError, ScenarioSpec, StrategySpec, StringMode,
 };
@@ -77,54 +79,23 @@ pub fn build(spec: &ScenarioSpec) -> Result<Box<dyn EpochDriver>, ScenarioError>
             _ => spec.build(),
         },
         Defense::Pow { scheme, fresh_strings } => match spec.strings {
-            StringMode::Protocol => build_protocol(spec, scheme, fresh_strings),
+            StringMode::Protocol => Ok(Box::new(FullSystem::new(spec)?)),
             StringMode::Synthesized => build_synthesized(spec, scheme, fresh_strings),
         },
     }
 }
 
-/// The full §IV protocol: [`FullSystem`] with the spec's strategy (if
-/// any) minting through the real epoch-string agreement.
-fn build_protocol(
-    spec: &ScenarioSpec,
-    scheme: MintScheme,
-    fresh_strings: bool,
-) -> Result<Box<dyn EpochDriver>, ScenarioError> {
-    if spec.mode != BuildMode::DualGraph {
-        return Err(ScenarioError::Unsupported(
-            "the string protocol runs over the dual-graph construction only",
-        ));
+/// The minting window of a PoW spec, for both string modes: the
+/// calibrated puzzle (one expected solution per compute unit per
+/// window), the spec's good participants, the adversary's compute and
+/// whether good minting is idealized.
+pub(crate) fn minting_window(spec: &ScenarioSpec) -> MintingSim {
+    MintingSim {
+        params: PuzzleParams::calibrated(16, 2048),
+        n_good: spec.n_good,
+        adversary_units: spec.n_bad as f64,
+        idealized_good: spec.idealized_good,
     }
-    let mut sys = FullSystem::new(
-        spec.params,
-        spec.kind,
-        PuzzleParams::calibrated(16, 2048),
-        StringParams::default(),
-        spec.n_good,
-        spec.n_bad as f64,
-        spec.idealized_good,
-        spec.seed,
-    );
-    // `None` means honest: the statistical minting pipeline inside
-    // `FullSystem` (no strategic provider to install).
-    if let Some(strategy) = build_strategy(&spec.strategy) {
-        sys = sys.with_adversary(StrategicPowProvider::boxed(
-            spec.n_good,
-            spec.n_bad as f64,
-            scheme,
-            strategy,
-        ));
-    }
-    if !fresh_strings {
-        sys = sys.with_frozen_strings();
-    }
-    sys.string_adversary = spec.string_adversary;
-    sys.dynamics.set_searches_per_epoch(spec.searches);
-    // Under the actor runtime the protocol phases (string dissemination,
-    // membership announcement, routing probes) go over the spec's
-    // network; the genesis build stays trusted bootstrap.
-    sys.net = EpochNet::for_runtime(spec);
-    Ok(Box::new(sys))
 }
 
 /// The provider-level shortcut: the minting pipeline (strategic or
@@ -134,21 +105,14 @@ fn build_synthesized(
     scheme: MintScheme,
     fresh_strings: bool,
 ) -> Result<Box<dyn EpochDriver>, ScenarioError> {
+    let window = minting_window(spec);
     let inner: Box<dyn IdentityProvider> = match build_strategy(&spec.strategy) {
         Some(strategy) => {
-            let mut p =
-                StrategicPowProvider::boxed(spec.n_good, spec.n_bad as f64, scheme, strategy);
+            let mut p = StrategicPowProvider::boxed(&window, scheme, strategy);
             p.fresh_strings = fresh_strings;
             Box::new(p)
         }
-        None => Box::new(PowProvider {
-            sim: MintingSim {
-                params: PuzzleParams::calibrated(16, 2048),
-                n_good: spec.n_good,
-                adversary_units: spec.n_bad as f64,
-                idealized_good: spec.idealized_good,
-            },
-        }),
+        None => Box::new(PowProvider { sim: window }),
     };
     Ok(Box::new(DynamicDriver::with_provider(spec, inner)))
 }
@@ -156,8 +120,7 @@ fn build_synthesized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strings::StringAdversary;
-    use tg_core::dynamic::IdentityProvider;
+    use tg_core::dynamic::{BuildMode, IdentityProvider};
     use tg_core::runtime::RuntimeChoice;
     use tg_core::scenario::StringAdversarySpec;
     use tg_core::Params;
@@ -168,47 +131,6 @@ mod tests {
         params.churn_rate = 0.15;
         params.attack_requests_per_id = 1;
         ScenarioSpec::new(700, 41).params(params).budget(35).searches(200)
-    }
-
-    /// The conformance contract at the PoW layer: a spec-built driver
-    /// reproduces a hand-constructed [`FullSystem`] run record-for-record,
-    /// honest and strategic alike.
-    #[test]
-    fn full_driver_matches_direct_full_system() {
-        for (strategy, scheme) in [
-            (StrategySpec::Honest, MintScheme::TwoHash),
-            (StrategySpec::GapFilling, MintScheme::SingleHash),
-        ] {
-            let spec = base()
-                .strategy(strategy)
-                .defense(Defense::Pow { scheme, fresh_strings: true })
-                .topology(GraphKind::Chord);
-            let mut driver = build(&spec).unwrap();
-
-            let mut sys = FullSystem::new(
-                spec.params,
-                spec.kind,
-                PuzzleParams::calibrated(16, 2048),
-                StringParams::default(),
-                spec.n_good,
-                spec.n_bad as f64,
-                true,
-                spec.seed,
-            );
-            if strategy != StrategySpec::Honest {
-                sys = sys.with_adversary(StrategicPowProvider::boxed(
-                    spec.n_good,
-                    spec.n_bad as f64,
-                    scheme,
-                    strategy.build_strategy().unwrap(),
-                ));
-            }
-            sys.dynamics.set_searches_per_epoch(spec.searches);
-
-            for _ in 0..2 {
-                assert_eq!(format!("{:?}", driver.step()), format!("{:?}", sys.step()));
-            }
-        }
     }
 
     /// The synthesized-strings arm reproduces the provider-level
@@ -224,8 +146,7 @@ mod tests {
         let mut driver = build(&spec).unwrap();
 
         let mut provider = StrategicPowProvider::boxed(
-            spec.n_good,
-            spec.n_bad as f64,
+            &minting_window(&spec),
             MintScheme::SingleHash,
             Box::new(tg_core::dynamic::GapFilling),
         );
@@ -512,39 +433,17 @@ mod tests {
     }
 
     /// The spec-level string-adversary axis reaches the composed
-    /// system: a `stradv=` spec behaves exactly like the hand-set
-    /// `FullSystem::string_adversary` field it replaces, and the knob
-    /// measurably perturbs the string layer.
+    /// system: a `stradv=` spec runs its forced records through the
+    /// flood, and they measurably perturb the agreed strings.
     #[test]
-    fn spec_string_adversary_matches_hand_built_system() {
+    fn spec_string_adversary_perturbs_the_agreed_strings() {
+        let fog = base().defense(Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: true });
         let adv = StringAdversarySpec::ForcedRecords { strings: 4, release_frac: 0.5 };
-        let spec = base()
-            .defense(Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: true })
-            .string_adversary(adv);
-        let mut driver = build(&spec).unwrap();
-
-        let mut sys = FullSystem::new(
-            spec.params,
-            spec.kind,
-            PuzzleParams::calibrated(16, 2048),
-            StringParams::default(),
-            spec.n_good,
-            spec.n_bad as f64,
-            true,
-            spec.seed,
-        );
-        sys.string_adversary = StringAdversary::ForcedRecords { strings: 4, release_frac: 0.5 };
-        sys.dynamics.set_searches_per_epoch(spec.searches);
-
+        let mut driver = build(&fog.clone().string_adversary(adv)).unwrap();
+        let mut clean = build(&fog).unwrap();
         let mut diverged_from_clean = false;
-        let mut clean = build(
-            &base().defense(Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: true }),
-        )
-        .unwrap();
         for _ in 0..2 {
-            let o = driver.step();
-            assert_eq!(format!("{o:?}"), format!("{:?}", sys.step()));
-            if o.epoch_string != clean.step().epoch_string {
+            if driver.step().epoch_string != clean.step().epoch_string {
                 diverged_from_clean = true;
             }
         }

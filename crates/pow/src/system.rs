@@ -14,13 +14,14 @@
 //!    construction of the next two group graphs through the current
 //!    ones, robustness measurement, swap.
 //!
-//! This is the type a downstream system would embed, and the driver
-//! `tg_pow::scenario::build` returns for a `strings=protocol` spec; the
-//! examples and integration tests drive it end to end.
+//! This is the driver `tg_pow::scenario::build` returns for a
+//! `strings=protocol` PoW spec, and [`FullSystem::new`] builds it from
+//! that [`ScenarioSpec`] alone: the spec is the one way in, so every
+//! system a test, example or experiment runs has a `tg1;…` label.
 //!
-//! The minting step runs at two fidelities. By default it is the
-//! statistical [`MintingSim`] (Lemma 11's counts, uniform values). With
-//! [`FullSystem::with_adversary`] it becomes the strategic pipeline: a
+//! The minting step runs at two fidelities. An honest spec mints
+//! through the statistical [`MintingSim`] (Lemma 11's counts, uniform
+//! values). A spec with a strategy mints through a
 //! [`StrategicPowProvider`] whose placement strategy observes the
 //! previous epoch's operational graphs and the **protocol-agreed epoch
 //! string** before committing its IDs — so the adaptive adversaries of
@@ -29,44 +30,41 @@
 
 use crate::adversary::{StrategicPowProvider, GENESIS_STRING};
 use crate::miner::MintingSim;
-use crate::puzzle::PuzzleParams;
+use crate::scenario::{build_strategy, minting_window};
 use crate::strings::{run_string_protocol, StringAdversary, StringOutcome, StringParams};
+use tg_core::dynamic::adversary::AdversaryStrategy;
 use tg_core::dynamic::{
     AdversaryView, BuildMode, DynamicSystem, EpochIds, EpochObservation, IdentityProvider,
 };
 use tg_core::runtime::{build_epoch, EpochNet};
-use tg_core::scenario::EpochDriver;
-use tg_core::{GraphsView, Params};
-use tg_overlay::GraphKind;
+use tg_core::scenario::{Defense, EpochDriver, ScenarioError, ScenarioSpec, StringMode};
+use tg_core::GraphsView;
 use tg_sim::stream_rng;
 
 /// The composed system.
 pub struct FullSystem {
     /// The §III dynamic layer (owns the operational group graphs).
-    pub dynamics: DynamicSystem,
+    dynamics: DynamicSystem,
     /// The statistical minting window: puzzle parameters, good
     /// participants, adversary compute (`≈ βn`) and whether good
     /// minting is idealized (paper assumption) or misses realistically.
-    pub minting: MintingSim,
-    /// String-protocol parameters.
-    pub string_params: StringParams,
+    minting: MintingSim,
     /// String-release adversary applied each epoch.
-    pub string_adversary: StringAdversary,
+    string_adversary: StringAdversary,
     /// When set, identities are minted through this strategic pipeline
     /// instead of the statistical [`MintingSim`]: the adversary's
     /// placement policy observes the previous epoch's operational graphs
     /// *and* the protocol-agreed epoch string before committing its IDs
     /// — the §IV-B mechanics (hoarding, stale-solution culling,
     /// re-minting) facing an adaptive adversary.
-    pub adversary: Option<StrategicPowProvider>,
+    adversary: Option<StrategicPowProvider>,
     /// Whether minting binds to the freshly agreed string each epoch
     /// (§IV-B). With `false` the genesis string stays in force forever —
     /// the broken deployment that lets pre-computation hoards compound.
-    pub fresh_strings: bool,
+    fresh_strings: bool,
     /// The actor-runtime network the protocol phases run over; `None`
     /// (`runtime=sync`) advances each epoch as one in-process step.
-    /// `tg_pow::scenario::build` sets it from the spec's runtime.
-    pub(crate) net: Option<EpochNet>,
+    net: Option<EpochNet>,
     epoch_string: u64,
     last_strings: Option<StringOutcome>,
     obs: EpochObservation,
@@ -74,21 +72,48 @@ pub struct FullSystem {
 }
 
 impl FullSystem {
-    /// Boot the system: initial graphs from a first minting window
-    /// against a genesis string.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        params: Params,
-        kind: GraphKind,
-        puzzle: PuzzleParams,
-        string_params: StringParams,
-        n_good: usize,
-        adversary_units: f64,
-        idealized_good: bool,
-        master_seed: u64,
-    ) -> Self {
-        let minting = MintingSim { params: puzzle, n_good, adversary_units, idealized_good };
-        let mut rng = stream_rng(master_seed, "full-init-mint", 0);
+    /// Boot the system `spec` describes: a `defense=` PoW spec over the
+    /// real string protocol (`strings=protocol`) and the dual-graph
+    /// construction. The initial graphs come from a first minting window
+    /// against a genesis string; a strategy, if the spec has one, mints
+    /// from the first step on, so the genesis graphs predate its first
+    /// observation (the paper's trusted bootstrap, Appendix X). Under
+    /// `runtime=actor` the protocol phases (string dissemination,
+    /// membership announcement, routing probes) go over the spec's
+    /// network.
+    ///
+    /// # Errors
+    /// Whatever [`ScenarioSpec::check_transport`] refuses, and
+    /// [`ScenarioError::Unsupported`] for a spec this system does not
+    /// run: no PoW, synthesized strings, or a single-graph construction.
+    pub fn new(spec: &ScenarioSpec) -> Result<FullSystem, ScenarioError> {
+        FullSystem::with_strategy(spec, build_strategy(&spec.strategy))
+    }
+
+    /// [`FullSystem::new`] with `strategy` in place of the object the
+    /// spec's strategy builds (`None` mints statistically).
+    pub(crate) fn with_strategy(
+        spec: &ScenarioSpec,
+        strategy: Option<Box<dyn AdversaryStrategy>>,
+    ) -> Result<FullSystem, ScenarioError> {
+        spec.check_transport()?;
+        let Defense::Pow { scheme, fresh_strings } = spec.defense else {
+            return Err(ScenarioError::Unsupported(
+                "FullSystem mints through puzzles (defense=none)",
+            ));
+        };
+        if spec.strings != StringMode::Protocol {
+            return Err(ScenarioError::Unsupported(
+                "FullSystem runs the string protocol (strings=synthesized)",
+            ));
+        }
+        if spec.mode != BuildMode::DualGraph {
+            return Err(ScenarioError::Unsupported(
+                "the string protocol runs over the dual-graph construction only",
+            ));
+        }
+        let minting = minting_window(spec);
+        let mut rng = stream_rng(spec.seed, "full-init-mint", 0);
         // The trusted bootstrap needs identities to build on: a genesis
         // window that minted none is run again.
         let mut genesis = loop {
@@ -97,40 +122,21 @@ impl FullSystem {
                 break EpochIds { good: minted.good_ids, bad: minted.bad_ids };
             }
         };
-        let dynamics =
-            DynamicSystem::new(params, kind, BuildMode::DualGraph, &mut genesis, master_seed);
-        FullSystem {
+        let mut dynamics =
+            DynamicSystem::new(spec.params, spec.kind, spec.mode, &mut genesis, spec.seed);
+        dynamics.set_searches_per_epoch(spec.searches);
+        Ok(FullSystem {
             dynamics,
             minting,
-            string_params,
-            string_adversary: StringAdversary::None,
-            adversary: None,
-            fresh_strings: true,
-            net: None,
+            string_adversary: spec.string_adversary,
+            adversary: strategy.map(|s| StrategicPowProvider::boxed(&minting, scheme, s)),
+            fresh_strings,
+            net: EpochNet::for_runtime(spec),
             epoch_string: GENESIS_STRING,
             last_strings: None,
             obs: EpochObservation::default(),
-            master_seed,
-        }
-    }
-
-    /// Install a strategic adversary: from the next step on, identities
-    /// are minted through `provider` (placement strategy + minting
-    /// scheme) with the real protocol-agreed epoch string in its
-    /// [`AdversaryView`]. The initial graphs built by [`FullSystem::new`]
-    /// predate the adversary's first observation, matching the paper's
-    /// trusted-bootstrap assumption (Appendix X).
-    pub fn with_adversary(mut self, provider: StrategicPowProvider) -> Self {
-        self.adversary = Some(provider);
-        self
-    }
-
-    /// Disable the §IV-B fresh-string defense: minting stays bound to the
-    /// genesis string forever (the string protocol still runs and agrees;
-    /// the deployment just never rotates its minting string).
-    pub fn with_frozen_strings(mut self) -> Self {
-        self.fresh_strings = false;
-        self
+            master_seed: spec.seed,
+        })
     }
 
     /// The current epoch string.
@@ -174,7 +180,8 @@ impl EpochDriver for FullSystem {
         let mut srng = stream_rng(self.master_seed, "full-strings", epoch);
         let strings = {
             let side0 = self.dynamics.graphs().side(0);
-            run_string_protocol(&side0, &self.string_params, self.string_adversary, &mut srng)
+            // The paper's protocol constants; no spec axis varies them.
+            run_string_protocol(&side0, &StringParams::default(), self.string_adversary, &mut srng)
         };
         let pairs = (strings.giant_size as u64).pow(2);
         let mut verification_coverage =
@@ -200,43 +207,41 @@ impl EpochDriver for FullSystem {
             }
         }
 
-        // 2. Mint against that string. The census counts what the
-        //    announcement phase *delivered*.
-        let census = |ids: &EpochIds| (ids.good.len(), ids.bad.len(), ids.bad_ring_share());
-        let net = &mut self.net;
-        let (minted, (good, bad, bad_share), good_misses) = match self.adversary.as_mut() {
-            // Strategic pipeline: minting happens inside the dynamic
-            // layer's mint, where the provider's view carries the
-            // churned operational graphs and the string in force —
-            // hoarders grind against the real string, and stale
-            // solutions die (or compound, under frozen strings) at
-            // verification.
-            Some(adv) => {
-                let mut counts = (0, 0, 0.0);
-                let minted = self.dynamics.mint_epoch(|view, rng| {
+        // 2. Mint against that string, announce, and count what the
+        //    announcement phase *delivered*. Two asymmetries between the
+        //    arms are kept until a golden break moves them (ROADMAP
+        //    item 5): the statistical arm mints on its own "full-mint"
+        //    stream, so the epoch's `rng` stays unused, and announces
+        //    under the serving `epoch`; the strategic arm draws from
+        //    `rng` and announces under `view.epoch` (= epoch + 1).
+        let (master_seed, minting, net) = (self.master_seed, &self.minting, &mut self.net);
+        let adversary = self.adversary.as_mut();
+        let mut census = (0, 0, 0.0, 0);
+        let minted = self.dynamics.mint_epoch(|view, rng| {
+            let (mut ids, announce_epoch, good_misses) = match adversary {
+                // The strategy sees the churned operational graphs and
+                // the string in force: hoarders grind against the real
+                // string, and stale solutions die (or compound, under
+                // frozen strings) at verification.
+                Some(adv) => {
                     let view = AdversaryView { epoch_string: Some(mint_string), ..*view };
-                    let mut ids = adv.ids_for_epoch(view.epoch, &view, rng);
-                    if let Some(net) = net {
-                        net.announce_phase(view.epoch, &mut ids);
-                    }
-                    counts = census(&ids);
-                    ids
-                });
-                (minted, counts, 0)
-            }
-            // Statistical pipeline (Lemma 11's counts, uniform values),
-            // minted before the dynamic layer's mint and handed over.
-            None => {
-                let mut mrng = stream_rng(self.master_seed ^ mint_string, "full-mint", epoch);
-                let window = self.minting.run_window(&mut mrng);
-                let mut ids = EpochIds { good: window.good_ids, bad: window.bad_ids };
-                if let Some(net) = net {
-                    net.announce_phase(epoch, &mut ids);
+                    (adv.ids_for_epoch(view.epoch, &view, rng), view.epoch, 0)
                 }
-                let counts = census(&ids);
-                (self.dynamics.mint_epoch(|_, _| ids), counts, window.good_misses)
+                // Lemma 11's counts, uniform values.
+                None => {
+                    let mut mrng = stream_rng(master_seed ^ mint_string, "full-mint", epoch);
+                    let window = minting.run_window(&mut mrng);
+                    let ids = EpochIds { good: window.good_ids, bad: window.bad_ids };
+                    (ids, epoch, window.good_misses)
+                }
+            };
+            if let Some(net) = net {
+                net.announce_phase(announce_epoch, &mut ids);
             }
-        };
+            census = (ids.good.len(), ids.bad.len(), ids.bad_ring_share(), good_misses);
+            ids
+        });
+        let (good, bad, bad_share, good_misses) = census;
 
         // 3. Advance the dynamic layer, with the network's routing
         //    probes beside its build.
@@ -272,29 +277,28 @@ impl EpochDriver for FullSystem {
 mod tests {
     use super::*;
     use crate::adversary::MintScheme;
+    use tg_core::scenario::{StrategySpec, StringAdversarySpec, TransportChoice};
     use tg_core::GroupGraphView;
 
-    fn system(seed: u64) -> FullSystem {
-        let mut params = Params::paper_defaults();
-        params.churn_rate = 0.15;
-        params.attack_requests_per_id = 1;
-        let mut sys = FullSystem::new(
-            params,
-            GraphKind::Chord,
-            PuzzleParams::calibrated(16, 2048),
-            StringParams::default(),
-            700,
-            35.0, // β = 5%
-            true,
-            seed,
-        );
-        sys.dynamics.set_searches_per_epoch(200);
-        sys
+    /// 700 good IDs against 35 compute units (β = 35/735 ≈ 5%) on Chord,
+    /// `f∘g` over fresh protocol strings, churn 0.15, one spurious join
+    /// request per ID, 200 searches per epoch.
+    fn spec(seed: u64) -> ScenarioSpec {
+        ScenarioSpec::new(700, seed)
+            .budget(35)
+            .churn(0.15)
+            .attack_requests(1)
+            .searches(200)
+            .defense(Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: true })
+    }
+
+    fn system(spec: &ScenarioSpec) -> FullSystem {
+        FullSystem::new(spec).unwrap_or_else(|e| panic!("{}: {e}", spec.label()))
     }
 
     #[test]
     fn full_pipeline_stays_robust_over_epochs() {
-        let mut sys = system(41);
+        let mut sys = system(&spec(41));
         let mut last_string = sys.epoch_string();
         for _ in 0..4 {
             let r = sys.step();
@@ -316,9 +320,8 @@ mod tests {
 
     #[test]
     fn full_pipeline_with_string_adversary() {
-        let mut sys = system(43);
-        sys.string_adversary =
-            crate::strings::StringAdversary::ForcedRecords { strings: 4, release_frac: 0.49 };
+        let records = StringAdversarySpec::ForcedRecords { strings: 4, release_frac: 0.49 };
+        let mut sys = system(&spec(43).string_adversary(records));
         for _ in 0..3 {
             let r = sys.step();
             assert_eq!(
@@ -333,8 +336,7 @@ mod tests {
 
     #[test]
     fn realistic_minting_shrinks_population_but_survives() {
-        let mut sys = system(47);
-        sys.minting.idealized_good = false;
+        let mut sys = system(&spec(47).idealized(false));
         let r = sys.step();
         // ≈ 1/e of good participants miss the window; the system keeps
         // running on the (1 − 1/e) that minted.
@@ -350,23 +352,14 @@ mod tests {
         // has no giant component and agrees on nothing, so the epoch
         // string must come from the fallback mix — and the epoch must
         // still run.
-        let mut sys = FullSystem::new(
-            Params::paper_defaults(),
-            GraphKind::Chord,
-            PuzzleParams::calibrated(16, 2048),
-            StringParams::default(),
-            60,
-            600.0,
-            true,
-            67,
-        );
-        sys.dynamics.set_searches_per_epoch(20);
-        assert_eq!(sys.dynamics.graphs().side(0).frac_red(), 1.0);
+        let fog = Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: true };
+        let mut sys = system(&ScenarioSpec::new(60, 67).budget(600).searches(20).defense(fog));
+        assert_eq!(sys.graphs().side(0).frac_red(), 1.0);
         let mut last_string = sys.epoch_string();
         for _ in 0..2 {
-            let before = sys.dynamics.epoch();
+            let before = sys.epoch();
             let r = sys.step().clone();
-            assert_eq!(sys.dynamics.epoch(), before + 1);
+            assert_eq!(sys.epoch(), before + 1);
             let strings = sys.last_strings().unwrap();
             assert_eq!(strings.giant_size, 0);
             assert_eq!(strings.global_min_key, None);
@@ -380,8 +373,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let mut a = system(53);
-        let mut b = system(53);
+        let mut a = system(&spec(53));
+        let mut b = system(&spec(53));
         let ra = a.step();
         let rb = b.step();
         assert_eq!(ra.epoch_string, rb.epoch_string);
@@ -391,35 +384,45 @@ mod tests {
 
     #[test]
     fn statistical_minting_keeps_bad_share_near_beta() {
-        let mut sys = system(59);
+        let mut sys = system(&spec(59));
         let r = sys.step();
         // β = 35/735 ≈ 0.0476; uniform minting keeps the key-space share
         // in the same ballpark.
         assert!((0.02..0.10).contains(&r.bad_share), "bad_share {:.4}", r.bad_share);
     }
 
-    fn strategic_system(seed: u64, scheme: MintScheme) -> FullSystem {
-        let mut params = Params::paper_defaults();
-        params.churn_rate = 0.15;
-        params.attack_requests_per_id = 1;
-        let mut sys = FullSystem::new(
-            params,
-            GraphKind::Chord,
-            PuzzleParams::calibrated(16, 2048),
-            StringParams::default(),
-            700,
-            35.0, // β ≈ 5%
-            true,
-            seed,
-        )
-        .with_adversary(StrategicPowProvider::boxed(
-            700,
-            35.0,
-            scheme,
-            Box::new(tg_core::dynamic::GapFilling),
-        ));
-        sys.dynamics.set_searches_per_epoch(200);
-        sys
+    /// A spec this system cannot run is a typed error, never a panic:
+    /// the one the total builder gives for it, or `Unsupported` for the
+    /// specs the builder runs on a dynamic system instead.
+    #[test]
+    fn unrunnable_specs_are_the_builders_typed_errors() {
+        use std::mem::discriminant;
+        let (unsupported, needs_actor) =
+            (ScenarioError::Unsupported(""), ScenarioError::NeedsActorRuntime(""));
+        let fog = spec(1).defense;
+        let cases = [
+            (spec(1).defense(Defense::NoPow), &unsupported),
+            (spec(1).strings(StringMode::Synthesized), &unsupported),
+            (spec(1).build_mode(BuildMode::SingleGraph), &unsupported),
+            (spec(1).transport(TransportChoice::Socket), &needs_actor),
+            (ScenarioSpec::new(0, 1).defense(fog), &unsupported),
+        ];
+        for (spec, expected) in cases {
+            let what = spec.label();
+            let err = FullSystem::new(&spec).err().unwrap_or_else(|| panic!("{what} must fail"));
+            assert_eq!(discriminant(&err), discriminant(expected), "{what}: {err:?}");
+            // The builder runs `defense=none` and `strings=synthesized`
+            // on a dynamic system instead.
+            if spec.defense != Defense::NoPow && spec.strings == StringMode::Protocol {
+                assert_eq!(crate::scenario::build(&spec).err(), Some(err), "{what}");
+            }
+        }
+    }
+
+    fn strategic_spec(seed: u64, scheme: MintScheme) -> ScenarioSpec {
+        spec(seed)
+            .strategy(StrategySpec::GapFilling)
+            .defense(Defense::Pow { scheme, fresh_strings: true })
     }
 
     /// The full protocol against a placement strategy: the single-hash
@@ -429,7 +432,7 @@ mod tests {
     #[test]
     fn strategic_single_hash_realizes_placement_fog_discards_it() {
         let last_share = |scheme| {
-            let mut sys = strategic_system(61, scheme);
+            let mut sys = system(&strategic_spec(61, scheme));
             (0..2).map(|_| sys.step().bad_share).last().unwrap()
         };
         let beta = 35.0 / 735.0;
@@ -446,36 +449,9 @@ mod tests {
     #[test]
     fn hoarder_vs_real_epoch_strings() {
         let minted_bad = |frozen: bool| -> Vec<usize> {
-            let mut params = Params::paper_defaults();
-            params.churn_rate = 0.15;
-            params.attack_requests_per_id = 1;
-            let fam = tg_crypto::OracleFamily::new(71);
-            let puzzle = PuzzleParams {
-                tau: tg_idspace::Id::from_f64(0.02),
-                attempts_per_step: 1,
-                t_epoch: 2,
-            };
-            let hoarder = crate::adversary::PrecomputeHoarder::new(fam, puzzle, 2000);
-            let mut sys = FullSystem::new(
-                params,
-                GraphKind::Chord,
-                PuzzleParams::calibrated(16, 2048),
-                StringParams::default(),
-                700,
-                35.0,
-                true,
-                67,
-            )
-            .with_adversary(StrategicPowProvider::boxed(
-                700,
-                35.0,
-                MintScheme::TwoHash,
-                Box::new(hoarder),
-            ));
-            if frozen {
-                sys = sys.with_frozen_strings();
-            }
-            sys.dynamics.set_searches_per_epoch(200);
+            let hoarder = StrategySpec::PrecomputeHoarder { fam_seed: 71, attempts: 2000 };
+            let fog = Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: !frozen };
+            let mut sys = system(&spec(67).strategy(hoarder).defense(fog));
             (0..4).map(|_| sys.step().bad_ids).collect()
         };
         let fresh = minted_bad(false);
@@ -499,26 +475,14 @@ mod tests {
     #[test]
     fn churn_timed_strikes_only_after_heavy_departure_over_full_protocol() {
         let run = |churn: f64| -> (usize, f64) {
-            let mut params = Params::paper_defaults();
-            params.churn_rate = churn;
-            params.attack_requests_per_id = 0;
-            let mut sys = FullSystem::new(
-                params,
-                GraphKind::Chord,
-                PuzzleParams::calibrated(16, 2048),
-                StringParams::default(),
-                700,
-                35.0, // β ≈ 5%
-                true,
-                83,
-            )
-            .with_adversary(StrategicPowProvider::boxed(
-                700,
-                35.0,
-                MintScheme::SingleHash,
-                Box::new(tg_core::dynamic::ChurnTimed::default()),
-            ));
-            sys.dynamics.set_searches_per_epoch(100);
+            let spec = ScenarioSpec::new(700, 83)
+                .budget(35) // β ≈ 5%
+                .churn(churn)
+                .attack_requests(0)
+                .searches(100)
+                .strategy(StrategySpec::ChurnTimed { trigger: 0.12, retainer: 0.2 })
+                .defense(Defense::Pow { scheme: MintScheme::SingleHash, fresh_strings: true });
+            let mut sys = system(&spec);
             sys.step();
             let r = sys.step();
             (r.bad_ids, r.bad_share)
@@ -547,7 +511,7 @@ mod tests {
     fn strategy_sees_the_string_in_force() {
         use std::cell::RefCell;
         use std::rc::Rc;
-        use tg_core::dynamic::{AdversaryStrategy, Uniform};
+        use tg_core::dynamic::Uniform;
         use tg_idspace::Id;
 
         struct Spy(Rc<RefCell<Vec<Option<u64>>>>);
@@ -568,14 +532,10 @@ mod tests {
         }
         for frozen in [false, true] {
             let seen = Rc::default();
-            let spy = Spy(Rc::clone(&seen));
-            let mut sys = system(79).with_adversary(StrategicPowProvider::new(
-                700,
-                35.0,
-                MintScheme::TwoHash,
-                spy,
-            ));
-            sys.fresh_strings = !frozen;
+            let spy = Box::new(Spy(Rc::clone(&seen)));
+            let fog = Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: !frozen };
+            let spec = spec(79).strategy(StrategySpec::Uniform).defense(fog);
+            let mut sys = FullSystem::with_strategy(&spec, Some(spy)).unwrap();
             let in_force: Vec<Option<u64>> = (0..3)
                 .map(|_| {
                     let agreed = sys.step().epoch_string;
@@ -593,7 +553,7 @@ mod tests {
     #[test]
     fn strategic_pipeline_is_deterministic() {
         let run = || {
-            let mut sys = strategic_system(73, MintScheme::SingleHash);
+            let mut sys = system(&strategic_spec(73, MintScheme::SingleHash));
             let r = sys.step().clone();
             format!("{r:#?}\n{:#?}", sys.last_strings())
         };

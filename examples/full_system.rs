@@ -8,29 +8,24 @@
 //! random string (Appendix VIII), all participants mint new identities
 //! against it (§IV), and the two group graphs rebuild themselves through
 //! the old pair (§III) — with a string-release adversary, realistic
-//! honest-miner misses, and churn, all at once.
+//! honest-miner misses, and churn, all at once. The system is built
+//! from its scenario label alone, printed first.
 
-use tiny_groups::core::{EpochDriver, Params};
-use tiny_groups::overlay::GraphKind;
-use tiny_groups::pow::{FullSystem, PuzzleParams, StringAdversary, StringParams};
+use tiny_groups::core::{EpochDriver, ScenarioSpec};
+use tiny_groups::pow::FullSystem;
+
+/// 1 200 good participants against 60 adversary compute units (β = 5%)
+/// on Chord, `f∘g` minting over the real string protocol, churn 0.15,
+/// two spurious join requests per ID, 400 searches per epoch, and four
+/// forced-record strings released just before Phase 2 ends.
+const LABEL: &str = "tg1;n=1200;bad=60;seed=2026;searches=400;kind=chord;mode=dual;defense=f∘g;\
+                     strings=protocol;strategy=honest;idealized=true;beta=0.05;delta=0.25;d1=2;\
+                     d2=4;rule=loglog;churn=0.15;attack=2;retries=2;stradv=records:4:0.49";
 
 fn main() {
-    let mut params = Params::paper_defaults();
-    params.churn_rate = 0.15;
-    params.attack_requests_per_id = 2;
-
-    let mut sys = FullSystem::new(
-        params,
-        GraphKind::Chord,
-        PuzzleParams::calibrated(16, 2048),
-        StringParams::default(),
-        1200, // good participants
-        60.0, // adversary compute units (β = 5%)
-        true, // idealized good minting (set false for 1/e misses)
-        2026,
-    );
-    sys.string_adversary = StringAdversary::ForcedRecords { strings: 4, release_frac: 0.49 };
-    sys.dynamics.set_searches_per_epoch(400);
+    println!("{LABEL}");
+    let spec = ScenarioSpec::parse(LABEL).expect("the label parses");
+    let mut sys = FullSystem::new(&spec).expect("a full-protocol scenario");
 
     println!("epoch  string      agree  minted(good/bad)  red%   search(dual)");
     for _ in 0..6 {

@@ -9,11 +9,9 @@
 //! iteration order of any shared structure. The last test checks the
 //! composed system's invariants jointly, epoch by epoch.
 
-use tiny_groups::core::dynamic::GapFilling;
 use tiny_groups::core::scenario::StringAdversarySpec;
-use tiny_groups::core::{Defense, EpochDriver, Params, ScenarioSpec, StringMode};
-use tiny_groups::overlay::GraphKind;
-use tiny_groups::pow::{FullSystem, MintScheme, PuzzleParams, StrategicPowProvider, StringParams};
+use tiny_groups::core::{Defense, EpochDriver, ScenarioSpec, StrategySpec, StringMode};
+use tiny_groups::pow::{FullSystem, MintScheme};
 use tiny_groups::sim::parallel_map;
 
 /// Three epochs of the full protocol (string agreement → strategic
@@ -22,26 +20,14 @@ use tiny_groups::sim::parallel_map;
 /// actually reaches the ring, so any nondeterminism would surface in
 /// the numbers, not just the timings.
 fn run_reports(master_seed: u64) -> String {
-    let mut params = Params::paper_defaults();
-    params.churn_rate = 0.12;
-    params.attack_requests_per_id = 1;
-    let mut sys = FullSystem::new(
-        params,
-        GraphKind::Chord,
-        PuzzleParams::calibrated(16, 2048),
-        StringParams::default(),
-        500,
-        30.0,
-        true,
-        master_seed,
-    )
-    .with_adversary(StrategicPowProvider::boxed(
-        500,
-        30.0,
-        MintScheme::SingleHash,
-        Box::new(GapFilling),
-    ));
-    sys.dynamics.set_searches_per_epoch(150);
+    let spec = ScenarioSpec::new(500, master_seed)
+        .budget(30)
+        .churn(0.12)
+        .attack_requests(1)
+        .searches(150)
+        .strategy(StrategySpec::GapFilling)
+        .defense(Defense::Pow { scheme: MintScheme::SingleHash, fresh_strings: true });
+    let mut sys = FullSystem::new(&spec).expect("full-protocol scenario");
     let mut out = String::new();
     for _ in 0..3 {
         let r = sys.step().clone();

@@ -148,20 +148,21 @@ fn strategies_compose_with_both_identity_pipelines() {
         }
         captured
     };
+    let window = MintingSim {
+        params: PuzzleParams::calibrated(16, 2048),
+        n_good: 900,
+        adversary_units: 60.0,
+        idealized_good: true,
+    };
     let no_pow = total_captured(Box::new(StrategicProvider::new(900, 60, GapFilling)));
     let fog = total_captured(Box::new(StrategicPowProvider::new(
-        900,
-        60.0,
+        &window,
         MintScheme::TwoHash,
         GapFilling,
     )));
     let uniform = total_captured(Box::new(StrategicProvider::new(900, 60, Uniform)));
-    let uniform_pow = total_captured(Box::new(StrategicPowProvider::new(
-        900,
-        60.0,
-        MintScheme::TwoHash,
-        Uniform,
-    )));
+    let uniform_pow =
+        total_captured(Box::new(StrategicPowProvider::new(&window, MintScheme::TwoHash, Uniform)));
     assert!(
         no_pow > 3 * uniform,
         "no-PoW gap filling must capture far more groups: {no_pow} vs uniform {uniform}"
